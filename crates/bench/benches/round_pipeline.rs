@@ -44,15 +44,20 @@
 //! * `MIDAS_PIPELINE_ROUNDS` — TXOP rounds per realisation (default 10).
 //!
 //! Profiling mode (flamegraph-friendly):
-//! * `MIDAS_PIPELINE_PROFILE=<cell>` runs that cell's MIDAS round loop in a
-//!   flat hot loop (one long simulation, no timing machinery in the way) so
+//! * `MIDAS_PIPELINE_PROFILE=<cell>` runs that registry cell's MIDAS round
+//!   loop — its floor, engine and dynamics layer — in a flat hot loop (one
+//!   long simulation, no timing machinery in the way) so
 //!   `perf record --call-graph dwarf` / `flamegraph` see clean stacks, and
-//!   prints the per-stage wall-clock breakdown (`StageTimings`);
+//!   prints the per-stage wall-clock breakdown (`StageTimings`, plus the
+//!   dynamics work counters for the `mobility_64ap` cell);
 //!   `MIDAS_PIPELINE_PROFILE_ROUNDS` (default 400) sets the round count,
-//!   `MIDAS_PIPELINE_ENGINE` (`legacy`/`counter`, default by cell name)
+//!   `MIDAS_PIPELINE_ENGINE` (`legacy`/`counter`, default the cell's)
 //!   the fading engine, and `MIDAS_PIPELINE_COHERENCE` (default 1) the
 //!   coherence interval in rounds (> 1 caches channel realisations —
 //!   opt-in, changes outputs; handy for A/B-profiling the evolve stage).
+//!
+//! Both modes resolve names through the one cell registry; an unknown
+//! cell name exits with status 2.
 
 use midas::experiment::{end_to_end_series_with_engine, enterprise_scaling_with_engine};
 use midas_bench::{Cell, Figure, Table, BENCH_SEED};
@@ -83,6 +88,21 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// Every cell of the registry, in snapshot order: the default
+/// `MIDAS_PIPELINE_CELLS` list and the names profile mode accepts.
+const CELL_NAMES: &[&str] = &[
+    "fig16_8ap",
+    "fig16_8ap_counter",
+    "fig16_8ap_svc",
+    "enterprise_64ap",
+    "enterprise_64ap_counter",
+    "enterprise_256ap",
+    "enterprise_256ap_counter",
+    "metro_1024ap",
+    "mobility_64ap",
+    "mobility_64ap_off",
+];
+
 /// One timed workload of the snapshot: dimensions for the record plus the
 /// closure that runs it (and returns a checksum so the optimiser cannot
 /// elide the simulation).
@@ -93,7 +113,23 @@ struct PipelineCell {
     topologies: usize,
     rounds: usize,
     engine: FadingEngine,
+    /// The floor profile mode runs one long MIDAS simulation on; `None`
+    /// profiles the paper-scale 8-AP series instead.
+    scenario: Option<Scenario>,
+    /// The dynamics layer of the cell (profile mode installs it too).
+    dynamics: Option<DynamicsSpec>,
     run: Box<dyn Fn() -> f64>,
+}
+
+/// Resolves a cell name, or exits with status 2 and the known names.
+fn cell_or_exit(name: &str, topologies_override: Option<usize>, rounds: usize) -> PipelineCell {
+    cell_by_name(name, topologies_override, rounds).unwrap_or_else(|| {
+        eprintln!(
+            "unknown pipeline cell '{name}'; known cells: {}",
+            CELL_NAMES.join(", ")
+        );
+        std::process::exit(2)
+    })
 }
 
 fn engine_label(engine: FadingEngine) -> &'static str {
@@ -117,6 +153,8 @@ fn cell_by_name(
             topologies,
             rounds,
             engine,
+            scenario: None,
+            dynamics: None,
             run: Box::new(move || {
                 let s = end_to_end_series_with_engine(
                     true,
@@ -139,6 +177,8 @@ fn cell_by_name(
             topologies,
             rounds,
             engine,
+            scenario: Some(Scenario::enterprise_office(aps)),
+            dynamics: None,
             run: Box::new(move || {
                 let s = enterprise_scaling_with_engine(
                     &Scenario::enterprise_office(aps),
@@ -167,6 +207,8 @@ fn cell_by_name(
             topologies,
             rounds,
             engine: FadingEngine::Legacy,
+            scenario: None,
+            dynamics: None,
             run: Box::new(move || {
                 use std::sync::atomic::{AtomicUsize, Ordering};
                 static REP: AtomicUsize = AtomicUsize::new(0);
@@ -196,6 +238,8 @@ fn cell_by_name(
             topologies,
             rounds,
             engine: FadingEngine::Counter,
+            scenario: Some(Scenario::enterprise_office(64)),
+            dynamics,
             run: Box::new(move || {
                 let scenario = Scenario::enterprise_office(64);
                 let mut sum = 0.0;
@@ -318,36 +362,25 @@ fn print_stage_breakdown(timings: &StageTimings) {
     println!("# stages over {} rounds: {line}", timings.rounds);
 }
 
-/// Flat MIDAS hot loop for profilers: one long simulation, no timers in the
-/// round path (stage timings accumulate coarse per-stage `Instant` reads,
-/// cheap next to a 64-AP round).
+/// Flat MIDAS hot loop for profilers: one long simulation of the named
+/// registry cell (its floor, engine and dynamics), no timers in the round
+/// path (stage timings accumulate coarse per-stage `Instant` reads, cheap
+/// next to a 64-AP round).  An unknown cell name exits non-zero.
 fn profile(cell_name: &str, rounds: usize) {
-    let (scenario, default_engine) = match cell_name {
-        "enterprise_64ap" => (Some(Scenario::enterprise_office(64)), FadingEngine::Legacy),
-        "enterprise_64ap_counter" => (Some(Scenario::enterprise_office(64)), FadingEngine::Counter),
-        "enterprise_256ap" => (Some(Scenario::enterprise_office(256)), FadingEngine::Legacy),
-        "enterprise_256ap_counter" => (
-            Some(Scenario::enterprise_office(256)),
-            FadingEngine::Counter,
-        ),
-        "metro_1024ap" => (
-            Some(Scenario::enterprise_office(1024)),
-            FadingEngine::Counter,
-        ),
-        _ => (None, FadingEngine::Legacy),
-    };
+    let cell = cell_or_exit(cell_name, Some(1), rounds);
     let engine = match std::env::var("MIDAS_PIPELINE_ENGINE").as_deref() {
         Ok("legacy") => FadingEngine::Legacy,
         Ok("counter") => FadingEngine::Counter,
-        _ => default_engine,
+        _ => cell.engine,
     };
-    match scenario {
+    match cell.scenario {
         Some(scenario) => {
             let pair = scenario.build(BENCH_SEED).expect("floor fits the grid");
             let mut config = scenario.sim_config(MacKind::Midas, rounds, BENCH_SEED);
             config.rounds = rounds;
             config.fading = engine;
             config.coherence_interval_rounds = env_usize("MIDAS_PIPELINE_COHERENCE", 1).max(1);
+            config.dynamics = cell.dynamics;
             let mut sim = NetworkSimulator::new(pair.das, config).with_stage_profiling();
             let result = sim.run();
             println!(
@@ -356,10 +389,22 @@ fn profile(cell_name: &str, rounds: usize) {
                 result.mean_capacity()
             );
             print_stage_breakdown(&sim.stage_timings());
+            if let Some(c) = sim.dynamics_counters() {
+                println!(
+                    "# dynamics work: {} rows refreshed, {} born, {} freed, {} shadowing \
+                     redraws, {} membership + {} roaming re-queries",
+                    c.rows_refreshed,
+                    c.rows_born,
+                    c.rows_freed,
+                    c.shadow_redraws,
+                    c.membership_requeries,
+                    c.roaming_requeries
+                );
+            }
         }
         None => {
-            // fig16_8ap (or anything unrecognised): the paper-scale workload
-            // through the series runner, rounds stretched for a long loop.
+            // The paper-scale cells: the 8-AP workload through the series
+            // runner, rounds stretched for a long loop.
             let s = end_to_end_series_with_engine(
                 true,
                 1,
@@ -370,7 +415,7 @@ fn profile(cell_name: &str, rounds: usize) {
             );
             let checksum = s.network.cas.iter().sum::<f64>() + s.network.das.iter().sum::<f64>();
             println!(
-                "# profile fig16_8ap ({}): {rounds} rounds, checksum {checksum:.3}",
+                "# profile {cell_name} ({}): {rounds} rounds, checksum {checksum:.3}",
                 engine_label(engine)
             );
         }
@@ -384,12 +429,7 @@ fn main() {
         return;
     }
 
-    let names = env_list(
-        "MIDAS_PIPELINE_CELLS",
-        "fig16_8ap,fig16_8ap_counter,fig16_8ap_svc,enterprise_64ap,\
-         enterprise_64ap_counter,enterprise_256ap,enterprise_256ap_counter,\
-         metro_1024ap,mobility_64ap,mobility_64ap_off",
-    );
+    let names = env_list("MIDAS_PIPELINE_CELLS", &CELL_NAMES.join(","));
     let reps = env_usize("MIDAS_PIPELINE_REPS", 7).max(1);
     let topologies_override = std::env::var("MIDAS_PIPELINE_TOPOLOGIES")
         .ok()
@@ -398,13 +438,7 @@ fn main() {
 
     let cells: Vec<PipelineCell> = names
         .iter()
-        .filter_map(|name| {
-            let cell = cell_by_name(name, topologies_override, rounds);
-            if cell.is_none() {
-                eprintln!("unknown pipeline cell '{name}' — skipping");
-            }
-            cell
-        })
+        .map(|name| cell_or_exit(name, topologies_override, rounds))
         .collect();
 
     // One untimed warm-up per cell keeps one-time costs (page-in, lazy

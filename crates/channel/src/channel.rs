@@ -87,6 +87,14 @@ impl ChannelMatrix {
         idx
     }
 
+    /// Zeroes client row `row` — composite and large-scale gains alike — so
+    /// the slot carries no channel: the legacy evolution sweep skips
+    /// zero-gain links without drawing.
+    pub fn zero_row(&mut self, row: usize) {
+        self.h.row_mut(row).fill(Complex::ZERO);
+        self.large_scale.row_mut(row).fill(0.0);
+    }
+
     /// Restricts the realisation to a subset of clients and antennas
     /// (in the given order).
     pub fn select(&self, clients: &[usize], antennas: &[usize]) -> ChannelMatrix {
@@ -108,32 +116,32 @@ impl ChannelMatrix {
 const FADING_DECORRELATION_M: f64 = 0.5;
 
 /// Lower-triangular Cholesky factor of the antenna fading-correlation matrix
-/// `R[k][l] = exp(-d(k, l) / FADING_DECORRELATION_M)`.
-fn antenna_correlation_cholesky(antennas: &[Point]) -> Vec<Vec<f64>> {
+/// `R[k][l] = exp(-d(k, l) / FADING_DECORRELATION_M)`, row-major `n × n`.
+fn antenna_correlation_cholesky(antennas: &[Point]) -> Vec<f64> {
     let n = antennas.len();
-    let mut r = vec![vec![0.0f64; n]; n];
+    let mut r = vec![0.0f64; n * n];
     for k in 0..n {
         for l in 0..n {
             let d = antennas[k].distance(&antennas[l]);
-            r[k][l] = (-d / FADING_DECORRELATION_M).exp();
+            r[k * n + l] = (-d / FADING_DECORRELATION_M).exp();
         }
         // Tiny diagonal jitter keeps the factorisation stable when antennas
         // coincide exactly.
-        r[k][k] += 1e-9;
+        r[k * n + k] += 1e-9;
     }
-    let mut l_mat = vec![vec![0.0f64; n]; n];
+    let mut l_mat = vec![0.0f64; n * n];
     for i in 0..n {
         for j in 0..=i {
-            let dot: f64 = l_mat[i][..j]
+            let dot: f64 = l_mat[i * n..i * n + j]
                 .iter()
-                .zip(&l_mat[j][..j])
+                .zip(&l_mat[j * n..j * n + j])
                 .map(|(a, b)| a * b)
                 .sum();
-            let sum = r[i][j] - dot;
+            let sum = r[i * n + j] - dot;
             if i == j {
-                l_mat[i][j] = sum.max(1e-12).sqrt();
+                l_mat[i * n + j] = sum.max(1e-12).sqrt();
             } else {
-                l_mat[i][j] = sum / l_mat[j][j];
+                l_mat[i * n + j] = sum / l_mat[j * n + j];
             }
         }
     }
@@ -149,6 +157,104 @@ fn antenna_correlation_cholesky(antennas: &[Point]) -> Vec<Vec<f64>> {
 /// coarse but standard decorrelation-distance model.
 const SHADOWING_CELL_M: f64 = 2.0;
 
+/// Shadowing-grid coordinate of one axis value.
+fn shadow_coord(v: f64) -> i64 {
+    (v / SHADOWING_CELL_M).round() as i64
+}
+
+/// The shadowing-grid cell of a receiver position: towards a fixed
+/// transmitter, the frozen field's value depends on the receiver only
+/// through this cell.
+fn shadow_cell(p: &Point) -> (i64, i64) {
+    (shadow_coord(p.x), shadow_coord(p.y))
+}
+
+/// Large-scale amplitude gain from path loss and shadowing in dB.
+#[inline]
+fn amp_from_db(pl_db: f64, shadow_db: f64) -> f64 {
+    10f64.powf(-(pl_db + shadow_db) / 20.0)
+}
+
+/// Lane bit marking the keyed stream a row born mid-run draws from, so it
+/// can never coincide with a counter-engine evolution key (AP ids stay far
+/// below 2⁶³).
+const BIRTH_LANE: u64 = 1 << 63;
+
+/// Where a channel row's random draws come from: the model's sequential
+/// stream at set-up, or a keyed [`CounterRng`] stream for a row born
+/// mid-run.  Both feed the same row routine.
+trait RowDraws {
+    /// One CN(0, 1) scattered component.
+    fn cn01(&mut self) -> Complex;
+    /// One uniform phase in `[0, 2π)` (the Rician line-of-sight term).
+    fn phase(&mut self) -> f64;
+}
+
+impl RowDraws for SimRng {
+    fn cn01(&mut self) -> Complex {
+        fading::sample_cn01(self)
+    }
+
+    fn phase(&mut self) -> f64 {
+        self.uniform_range(0.0, 2.0 * std::f64::consts::PI)
+    }
+}
+
+impl RowDraws for CounterRng {
+    fn cn01(&mut self) -> Complex {
+        let (re, im) = self.gaussian_pair();
+        Complex::new(re, im).scale(std::f64::consts::FRAC_1_SQRT_2)
+    }
+
+    fn phase(&mut self) -> f64 {
+        2.0 * std::f64::consts::PI * self.uniform()
+    }
+}
+
+/// Dynamics-only companion of one AP's [`ChannelMatrix`]: what a moving
+/// client's row needs to be refreshed cheaply
+/// ([`ChannelModel::refresh_row_cached`]) or drawn afresh when the client
+/// comes into range ([`ChannelModel::birth_row`]).
+///
+/// Shadowing is constant while a receiver stays inside one
+/// `SHADOWING_CELL_M` cell (correlated shadowing in the Gudmundson sense),
+/// so each row remembers the cell its shadowing was drawn in and the
+/// per-antenna values; a refresh re-derives path loss every time but
+/// redraws shadowing only after a cell crossing.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RowCache {
+    /// Lower-triangular Cholesky factor of the AP's antenna fading
+    /// correlation, row-major.
+    chol: Vec<f64>,
+    /// Receiver shadowing cell of each row when its shadowing was drawn.
+    cells: Vec<(i64, i64)>,
+    /// Per row, per antenna: the shadowing (dB) drawn in that cell.
+    shadow_db: Vec<f64>,
+    /// Scattered-component scratch of one row draw.
+    z: Vec<Complex>,
+}
+
+impl RowCache {
+    /// An empty cache for an AP with the given antennas.
+    fn new(antennas: &[Point], rows: usize) -> Self {
+        RowCache {
+            chol: antenna_correlation_cholesky(antennas),
+            cells: Vec::with_capacity(rows),
+            shadow_db: Vec::with_capacity(rows * antennas.len()),
+            z: Vec::with_capacity(antennas.len()),
+        }
+    }
+
+    /// Bytes of heap the cache retains (capacities, not lengths).
+    pub fn heap_footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.chol.capacity() * size_of::<f64>()
+            + self.cells.capacity() * size_of::<(i64, i64)>()
+            + self.shadow_db.capacity() * size_of::<f64>()
+            + self.z.capacity() * size_of::<Complex>()
+    }
+}
+
 /// Stateful channel generator bound to one environment.
 #[derive(Debug, Clone)]
 pub struct ChannelModel {
@@ -160,6 +266,8 @@ pub struct ChannelModel {
     /// [`ChannelModel::evolve_row_counter`]); derived from the trial seed so
     /// different trials draw independent fading histories.
     fading_seed: u64,
+    /// The environment's reference path loss (dB), evaluated once.
+    reference_loss_db: f64,
 }
 
 impl ChannelModel {
@@ -170,7 +278,17 @@ impl ChannelModel {
             rng: SimRng::new(seed).fork(0xC4A77E1),
             shadow_field_seed: seed ^ 0x51AD0_F1E1D,
             fading_seed: seed ^ 0xFAD1_6E55_EED0,
+            reference_loss_db: env.path_loss.reference_loss_db(),
         }
+    }
+
+    /// Path loss (dB) over `distance_m` — `env.path_loss.path_loss_db`
+    /// with the reference loss hoisted out.
+    #[inline]
+    fn path_loss_db(&self, distance_m: f64) -> f64 {
+        self.env
+            .path_loss
+            .path_loss_db_from(self.reference_loss_db, distance_m)
     }
 
     /// The environment this model draws from.
@@ -185,9 +303,9 @@ impl ChannelModel {
         if self.env.shadowing.sigma_db == 0.0 {
             return 0.0;
         }
-        let q = |v: f64| (v / SHADOWING_CELL_M).round() as i64;
+        let (rx_x, rx_y) = shadow_cell(rx);
         let mut h = self.shadow_field_seed;
-        for coord in [q(tx.x), q(tx.y), q(rx.x), q(rx.y)] {
+        for coord in [shadow_coord(tx.x), shadow_coord(tx.y), rx_x, rx_y] {
             h ^= (coord as u64).wrapping_mul(0x9E3779B97F4A7C15);
             h = h.rotate_left(23).wrapping_mul(0xBF58476D1CE4E5B9);
         }
@@ -197,9 +315,8 @@ impl ChannelModel {
 
     /// Large-scale amplitude gain (path loss + frozen shadowing) for a link.
     fn large_scale_amp(&self, tx: &Point, rx: &Point) -> f64 {
-        let pl_db = self.env.path_loss.path_loss_db(tx.distance(rx));
-        let shadow_db = self.shadowing_db(tx, rx);
-        10f64.powf(-(pl_db + shadow_db) / 20.0)
+        let pl_db = self.path_loss_db(tx.distance(rx));
+        amp_from_db(pl_db, self.shadowing_db(tx, rx))
     }
 
     /// Small-scale fading coefficient for a link of the given length.
@@ -215,7 +332,7 @@ impl ChannelModel {
     /// `tx` using only path loss (no shadowing, no fading).  Used for coarse
     /// range questions where an expectation is wanted.
     pub fn mean_rx_power_dbm(&self, tx: &Point, rx: &Point) -> f64 {
-        let pl_db = self.env.path_loss.path_loss_db(tx.distance(rx));
+        let pl_db = self.path_loss_db(tx.distance(rx));
         self.env.tx_power_dbm - pl_db
     }
 
@@ -240,7 +357,7 @@ impl ChannelModel {
     /// Statistics of the SISO link from one antenna position to one client position.
     pub fn link_stats(&self, antenna: &Point, client: &Point) -> LinkStats {
         let d = antenna.distance(client);
-        let pl_db = self.env.path_loss.path_loss_db(d);
+        let pl_db = self.path_loss_db(d);
         let rssi = self.env.tx_power_dbm - pl_db;
         LinkStats {
             distance_m: d,
@@ -267,50 +384,118 @@ impl ChannelModel {
     /// rests on — a CAS channel matrix is poorly conditioned for MU-MIMO even
     /// though its entries have similar magnitudes.
     pub fn realize_positions(&mut self, antennas: &[Point], clients: &[Point]) -> ChannelMatrix {
+        let chol = antenna_correlation_cholesky(antennas);
+        self.realize_rows(antennas, clients, &chol, None)
+    }
+
+    /// [`realize_positions`](Self::realize_positions) plus the
+    /// [`RowCache`] a dynamic run refreshes and grows the rows through.
+    /// Consumes exactly the same sequential draws, so the realisation is
+    /// bit-identical to `realize_positions`.
+    pub fn realize_positions_cached(
+        &mut self,
+        antennas: &[Point],
+        clients: &[Point],
+    ) -> (ChannelMatrix, RowCache) {
+        let mut cache = RowCache::new(antennas, clients.len());
+        cache.cells.extend(clients.iter().map(shadow_cell));
+        cache.shadow_db.resize(clients.len() * antennas.len(), 0.0);
+        let RowCache {
+            chol, shadow_db, ..
+        } = &mut cache;
+        let ch = self.realize_rows(antennas, clients, chol, Some(shadow_db));
+        (ch, cache)
+    }
+
+    /// Realises one row per client from the model's sequential stream,
+    /// recording each link's shadowing into `shadow_db` when given.
+    fn realize_rows(
+        &mut self,
+        antennas: &[Point],
+        clients: &[Point],
+        chol: &[f64],
+        mut shadow_db: Option<&mut [f64]>,
+    ) -> ChannelMatrix {
         let n_c = clients.len();
         let n_a = antennas.len();
-        let chol = antenna_correlation_cholesky(antennas);
         let mut h = CMat::zeros(n_c, n_a);
         let mut large_scale = FMat::zeros(n_c, n_a);
+        let mut z = Vec::with_capacity(n_a);
+        let mut rng = self.rng.clone();
         for (j, cpos) in clients.iter().enumerate() {
-            // Correlated scattered components across this client's antennas.
-            let z: Vec<Complex> = (0..n_a)
-                .map(|_| fading::sample_cn01(&mut self.rng))
-                .collect();
-            let scattered: Vec<Complex> = (0..n_a)
-                .map(|k| {
-                    (0..=k)
-                        .map(|l| z[l].scale(chol[k][l]))
-                        .fold(Complex::ZERO, |acc, x| acc + x)
-                })
-                .collect();
-            for (k, apos) in antennas.iter().enumerate() {
-                let d = apos.distance(cpos);
-                let g = self.large_scale_amp(apos, cpos);
-                let kind = if d <= self.env.los_distance_m {
-                    self.env.los_fading
-                } else {
-                    self.env.nlos_fading
-                };
-                let f = match kind {
-                    fading::FadingKind::None => Complex::ONE,
-                    fading::FadingKind::Rayleigh => scattered[k],
-                    fading::FadingKind::Rician { k_db } => {
-                        let k_lin = 10f64.powf(k_db / 10.0);
-                        let phase = self.rng.uniform_range(0.0, 2.0 * std::f64::consts::PI);
-                        Complex::from_polar((k_lin / (k_lin + 1.0)).sqrt(), phase)
-                            + scattered[k].scale((1.0 / (k_lin + 1.0)).sqrt())
-                    }
-                };
-                large_scale.set(j, k, g);
-                h.set(j, k, f.scale(g));
-            }
+            let shadow = shadow_db
+                .as_deref_mut()
+                .map(|s| &mut s[j * n_a..(j + 1) * n_a]);
+            self.fill_row(
+                &mut rng,
+                chol,
+                antennas,
+                cpos,
+                &mut z,
+                h.row_mut(j),
+                large_scale.row_mut(j),
+                shadow,
+            );
         }
+        self.rng = rng;
         ChannelMatrix {
             h,
             large_scale,
             tx_power_mw: dbm_to_mw(self.env.tx_power_dbm),
             noise_mw: dbm_to_mw(self.env.noise_floor_dbm),
+        }
+    }
+
+    /// The one row routine every channel row is drawn through: Cholesky-
+    /// correlated CN(0, 1) scattered components across the antennas,
+    /// Rician inside `los_distance_m`, times the large-scale gain.  Draw
+    /// order: the row's `n` scattered components first, then one phase per
+    /// Rician link in antenna order.
+    #[allow(clippy::too_many_arguments)] // the row's inputs, outputs and scratch
+    fn fill_row<D: RowDraws>(
+        &self,
+        draws: &mut D,
+        chol: &[f64],
+        antennas: &[Point],
+        cpos: &Point,
+        z: &mut Vec<Complex>,
+        h_row: &mut [Complex],
+        g_row: &mut [f64],
+        mut shadow_out: Option<&mut [f64]>,
+    ) {
+        let n_a = antennas.len();
+        z.clear();
+        for _ in 0..n_a {
+            z.push(draws.cn01());
+        }
+        for (k, apos) in antennas.iter().enumerate() {
+            // Correlated scattered component of this antenna.
+            let scattered = (0..=k)
+                .map(|l| z[l].scale(chol[k * n_a + l]))
+                .fold(Complex::ZERO, |acc, x| acc + x);
+            let d = apos.distance(cpos);
+            let shadow_db = self.shadowing_db(apos, cpos);
+            if let Some(out) = shadow_out.as_deref_mut() {
+                out[k] = shadow_db;
+            }
+            let g = amp_from_db(self.path_loss_db(d), shadow_db);
+            let kind = if d <= self.env.los_distance_m {
+                self.env.los_fading
+            } else {
+                self.env.nlos_fading
+            };
+            let f = match kind {
+                fading::FadingKind::None => Complex::ONE,
+                fading::FadingKind::Rayleigh => scattered,
+                fading::FadingKind::Rician { k_db } => {
+                    let k_lin = 10f64.powf(k_db / 10.0);
+                    let phase = draws.phase();
+                    Complex::from_polar((k_lin / (k_lin + 1.0)).sqrt(), phase)
+                        + scattered.scale((1.0 / (k_lin + 1.0)).sqrt())
+                }
+            };
+            g_row[k] = g;
+            h_row[k] = f.scale(g);
         }
     }
 
@@ -431,6 +616,88 @@ impl ChannelModel {
             channel.large_scale.set(row, k, g_new);
             channel.h.set(row, k, h_new);
         }
+    }
+
+    /// [`refresh_large_scale_row`](Self::refresh_large_scale_row) through a
+    /// [`RowCache`]: path loss is re-derived at the new position, shadowing
+    /// is redrawn only when the client crossed into another shadowing cell
+    /// (otherwise the cached per-antenna values are reused).  The result is
+    /// bit-identical to the uncached refresh.  Returns whether the
+    /// shadowing was redrawn.
+    pub fn refresh_row_cached(
+        &self,
+        channel: &mut ChannelMatrix,
+        cache: &mut RowCache,
+        row: usize,
+        antennas: &[Point],
+        position: &Point,
+    ) -> bool {
+        let n = antennas.len();
+        assert_eq!(n, channel.num_antennas());
+        let cell = shadow_cell(position);
+        let redraw = cache.cells[row] != cell;
+        let shadow = &mut cache.shadow_db[row * n..(row + 1) * n];
+        let h_row = channel.h.row_mut(row);
+        let g_row = channel.large_scale.row_mut(row);
+        for (k, apos) in antennas.iter().enumerate() {
+            if redraw {
+                shadow[k] = self.shadowing_db(apos, position);
+            }
+            let pl_db = self.path_loss_db(apos.distance(position));
+            let g_new = amp_from_db(pl_db, shadow[k]);
+            let g_old = g_row[k];
+            h_row[k] = if g_old > 0.0 {
+                h_row[k].scale(g_new / g_old)
+            } else {
+                Complex::new(g_new, 0.0)
+            };
+            g_row[k] = g_new;
+        }
+        cache.cells[row] = cell;
+        redraw
+    }
+
+    /// Draws row `row` afresh for a client that came within range of the
+    /// AP at `round`: the stationary state from the keyed stream
+    /// `(fading seed, ap, client, round)` through the same row routine
+    /// set-up uses, so the model's sequential stream is untouched.  `row`
+    /// may equal the current row count, in which case the matrix and the
+    /// cache grow by one row (in place, reusing retained capacity).
+    #[allow(clippy::too_many_arguments)] // the row slot, its geometry and the stream key
+    pub fn birth_row(
+        &self,
+        channel: &mut ChannelMatrix,
+        cache: &mut RowCache,
+        row: usize,
+        antennas: &[Point],
+        position: &Point,
+        ap: u64,
+        client: u64,
+        round: u64,
+    ) {
+        let n = antennas.len();
+        assert_eq!(n, channel.num_antennas());
+        if row == channel.num_clients() {
+            channel.h.push_zero_row();
+            channel.large_scale.push_zero_row();
+            cache.cells.push((0, 0));
+            cache.shadow_db.resize(cache.shadow_db.len() + n, 0.0);
+        }
+        cache.cells[row] = shadow_cell(position);
+        let mut draws = CounterRng::from_key([self.fading_seed, ap | BIRTH_LANE, client, round]);
+        let RowCache {
+            chol, shadow_db, z, ..
+        } = cache;
+        self.fill_row(
+            &mut draws,
+            chol,
+            antennas,
+            position,
+            z,
+            channel.h.row_mut(row),
+            channel.large_scale.row_mut(row),
+            Some(&mut shadow_db[row * n..(row + 1) * n]),
+        );
     }
 
     /// Counter-engine counterpart of [`ChannelModel::evolve_in_place`]:
@@ -609,6 +876,52 @@ mod tests {
         for k in 0..ch.num_antennas() {
             assert!((ch.large_scale.get(1, k) - before.large_scale.get(1, k)).abs() < 1e-15);
         }
+    }
+
+    #[test]
+    fn cached_realisation_is_bit_identical_and_leaves_the_stream_in_step() {
+        let (topo, _) = das_topology(12);
+        let env = Environment::office_a();
+        let positions: Vec<Point> = topo.clients.iter().map(|c| c.position).collect();
+        let antennas = &topo.aps[0].antennas;
+        let mut plain = ChannelModel::new(env, 12);
+        let mut cached = ChannelModel::new(env, 12);
+        let a = plain.realize_positions(antennas, &positions);
+        let (b, cache) = cached.realize_positions_cached(antennas, &positions);
+        assert_eq!(a, b);
+        assert_eq!(cache.cells.len(), positions.len());
+        // Both models consumed the same draws: their next realisations agree.
+        assert_eq!(
+            plain.realize_positions(antennas, &positions),
+            cached.realize_positions(antennas, &positions)
+        );
+    }
+
+    #[test]
+    fn a_born_row_matches_the_frozen_field_and_its_key() {
+        let (topo, mut model) = das_topology(13);
+        let clients = topo.clients_of(0);
+        let positions: Vec<Point> = clients.iter().map(|c| c.position).collect();
+        let antennas = &topo.aps[0].antennas;
+        let (mut ch, mut cache) = model.realize_positions_cached(antennas, &positions);
+        let rows = ch.num_clients();
+        let p = Point::new(3.25, 9.5);
+        // Growing birth: one new row past the end.
+        model.birth_row(&mut ch, &mut cache, rows, antennas, &p, 0, 99, 7);
+        assert_eq!(ch.num_clients(), rows + 1);
+        for (k, antenna) in antennas.iter().enumerate() {
+            let expected_dbm = model.large_scale_rx_power_dbm(antenna, &p);
+            assert!((ch.mean_rssi_dbm(rows, k) - expected_dbm).abs() < 1e-9);
+            assert!(ch.h.get(rows, k).norm().is_finite());
+        }
+        // Same key, same row; a reused slot is overwritten entirely.
+        let born = ch.h.row(rows).to_vec();
+        ch.zero_row(1);
+        model.birth_row(&mut ch, &mut cache, 1, antennas, &p, 0, 99, 7);
+        assert_eq!(ch.h.row(1), born.as_slice());
+        // Another round keys another stream.
+        model.birth_row(&mut ch, &mut cache, 1, antennas, &p, 0, 99, 8);
+        assert_ne!(ch.h.row(1), born.as_slice());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod shadowing;
 pub mod topology;
 pub mod trace;
 
-pub use channel::{ChannelMatrix, ChannelModel, LinkStats};
+pub use channel::{ChannelMatrix, ChannelModel, LinkStats, RowCache};
 pub use environment::{Environment, EnvironmentKind};
 pub use fading::FadingEngine;
 pub use geometry::Point;

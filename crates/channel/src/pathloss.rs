@@ -65,8 +65,17 @@ impl PathLossModel {
     /// the model monotone and avoids unphysical gains when an antenna and a
     /// client are generated almost on top of each other.
     pub fn path_loss_db(&self, distance_m: f64) -> f64 {
+        self.path_loss_db_from(self.reference_loss_db(), distance_m)
+    }
+
+    /// [`path_loss_db`](Self::path_loss_db) with the reference loss
+    /// supplied by the caller — bit-identical when `reference_loss_db` is
+    /// [`reference_loss_db`](Self::reference_loss_db), which hot loops
+    /// evaluate once instead of per link.
+    #[inline]
+    pub fn path_loss_db_from(&self, reference_loss_db: f64, distance_m: f64) -> f64 {
         let d = distance_m.max(REFERENCE_DISTANCE_M);
-        self.reference_loss_db()
+        reference_loss_db
             + 10.0 * self.exponent * (d / REFERENCE_DISTANCE_M).log10()
             + self.wall_loss_db_per_m * (d - REFERENCE_DISTANCE_M).max(0.0)
     }

@@ -144,6 +144,29 @@ fn dynamic_sessions_are_bit_identical_at_1_and_4_workers() {
 }
 
 #[test]
+fn finite_range_dynamic_sessions_are_deterministic_and_bit_identical_at_1_and_4_workers() {
+    // An enterprise floor has a finite interaction range, so walkers'
+    // channel rows are born and freed mid-run — from keyed streams, never
+    // from a shared sequence — and trials still fan out bit-identically.
+    let build = |threads: usize| {
+        SessionBuilder::new(Scenario::enterprise_office(16))
+            .rounds(5)
+            .threads(threads)
+            .dynamics(DynamicsSpec::roaming_walk(60.0))
+            .build()
+    };
+    let serial = build(1).run(3, 0xF1);
+    let parallel = build(4).run(3, 0xF1);
+    let again = build(1).run(3, 0xF1);
+    for other in [&parallel, &again] {
+        assert_eq!(serial.network.cas, other.network.cas);
+        assert_eq!(serial.network.das, other.network.das);
+        assert_eq!(serial.per_client.cas, other.per_client.cas);
+        assert_eq!(serial.per_client.das, other.per_client.das);
+    }
+}
+
+#[test]
 fn an_inactive_dynamics_spec_is_byte_identical_to_no_dynamics() {
     // `DynamicsSpec::default()` configures nothing; the builder must treat
     // it exactly like never calling `.dynamics(...)`, keeping every static

@@ -100,6 +100,13 @@ impl FMat {
         &self.data
     }
 
+    /// Appends a row of zeros, growing the buffer in place (amortised, so
+    /// capacity retained from earlier growth is reused).
+    pub fn push_zero_row(&mut self) {
+        self.data.resize(self.data.len() + self.cols, 0.0);
+        self.rows += 1;
+    }
+
     /// Extracts the sub-matrix made of the given row and column indices, in
     /// the order supplied.
     pub fn select(&self, row_idx: &[usize], col_idx: &[usize]) -> FMat {
@@ -145,6 +152,15 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn from_rows_rejects_ragged_input() {
         FMat::from_rows(&[vec![1.0], vec![2.0, 3.0]]);
+    }
+
+    #[test]
+    fn push_zero_row_appends_a_zero_row() {
+        let mut m = FMat::from_rows(&[vec![1.0, 2.0]]);
+        m.push_zero_row();
+        assert_eq!(m.shape(), (2, 2));
+        assert_eq!(m.row(0), &[1.0, 2.0]);
+        assert_eq!(m.row(1), &[0.0, 0.0]);
     }
 
     #[test]

@@ -194,6 +194,13 @@ impl CMat {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Appends a row of zeros, growing the buffer in place (amortised, so
+    /// capacity retained from earlier growth is reused).
+    pub fn push_zero_row(&mut self) {
+        self.data.resize(self.data.len() + self.cols, Complex::ZERO);
+        self.rows += 1;
+    }
+
     /// Returns a copy of column `c`.
     pub fn col(&self, c: usize) -> Vec<Complex> {
         assert!(c < self.cols);
@@ -489,6 +496,17 @@ mod tests {
             }
         }
         m
+    }
+
+    #[test]
+    fn push_zero_row_appends_without_touching_existing_rows() {
+        let mut m = lcg_mat(2, 3, 5);
+        let before = m.clone();
+        m.push_zero_row();
+        assert_eq!(m.shape(), (3, 3));
+        assert_eq!(m.row(0), before.row(0));
+        assert_eq!(m.row(1), before.row(1));
+        assert!(m.row(2).iter().all(|&z| z == Complex::ZERO));
     }
 
     #[test]

@@ -75,6 +75,14 @@ impl DrrScheduler {
             *d = 0.0;
         }
     }
+
+    /// Restarts the scheduler for a new client population of `num_clients`
+    /// in place — equal to `DrrScheduler::new(num_clients)`, but keeping the
+    /// counter buffer.
+    pub fn restart(&mut self, num_clients: usize) {
+        self.deficits.clear();
+        self.deficits.resize(num_clients, 0.0);
+    }
 }
 
 #[cfg(test)]
@@ -95,6 +103,17 @@ mod tests {
         assert!(s.deficit(1) < 0.0);
         assert!((s.deficit(2) - 500.0).abs() < 1e-9);
         assert_eq!(s.select(&[]), None);
+    }
+
+    #[test]
+    fn restart_equals_a_fresh_scheduler() {
+        let mut s = DrrScheduler::new(3);
+        s.update_after_txop(&[0], &[1, 2], 1_000);
+        s.restart(5);
+        assert_eq!(s, DrrScheduler::new(5));
+        s.update_after_txop(&[4], &[0], 1_000);
+        s.restart(2);
+        assert_eq!(s, DrrScheduler::new(2));
     }
 
     #[test]

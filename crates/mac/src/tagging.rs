@@ -10,12 +10,22 @@
 //! — the hidden-terminal protection argument of §3.2.4.
 
 /// Antenna-preference-based packet tags for all clients of one AP.
+///
+/// Stored flat (one row of `antennas` preferences and one row of tags per
+/// client) so [`TagTable::rebuild`] can refill a table in place, keeping
+/// its buffers, when the RSSI picture changes mid-run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TagTable {
-    /// `tags[c]` = antenna indices tagged for client `c`, strongest first.
-    tags: Vec<Vec<usize>>,
-    /// Full preference order per client (all antennas, strongest first).
-    preferences: Vec<Vec<usize>>,
+    /// Clients covered.
+    clients: usize,
+    /// Antennas per client row.
+    antennas: usize,
+    /// Antennas tagged per client: `tag_width` clamped to `antennas`.
+    width: usize,
+    /// Row `c` = antenna indices tagged for client `c`, strongest first.
+    tags: Vec<usize>,
+    /// Row `c` = full preference order of client `c`, strongest first.
+    preferences: Vec<usize>,
     /// How many antennas each client's packets are tagged with.
     tag_width: usize,
 }
@@ -27,34 +37,52 @@ impl TagTable {
     /// `tag_width` antennas are tagged per client (clamped to the antenna
     /// count); the paper uses 2.
     pub fn from_rssi(rssi_dbm: &[Vec<f64>], tag_width: usize) -> Self {
-        assert!(tag_width >= 1, "tag width must be at least 1");
-        let preferences: Vec<Vec<usize>> = rssi_dbm
-            .iter()
-            .map(|row| {
-                let mut idx: Vec<usize> = (0..row.len()).collect();
-                idx.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).unwrap());
-                idx
-            })
-            .collect();
-        let tags = preferences
-            .iter()
-            .map(|pref| {
-                pref.iter()
-                    .copied()
-                    .take(tag_width.min(pref.len()))
-                    .collect()
-            })
-            .collect();
-        TagTable {
-            tags,
-            preferences,
+        let mut table = TagTable {
+            clients: 0,
+            antennas: 0,
+            width: 0,
+            tags: Vec::new(),
+            preferences: Vec::new(),
             tag_width,
+        };
+        table.rebuild(rssi_dbm.iter().map(Vec::as_slice), tag_width);
+        table
+    }
+
+    /// Rebuilds the table in place from per-client RSSI rows (`rows` yields
+    /// client `c`'s per-antenna mean RSSI, in client order), reusing the
+    /// table's buffers; the result equals [`TagTable::from_rssi`] on the
+    /// same rows.
+    ///
+    /// # Panics
+    /// Panics on a zero `tag_width` or rows of unequal length.
+    pub fn rebuild<'a>(&mut self, rows: impl IntoIterator<Item = &'a [f64]>, tag_width: usize) {
+        assert!(tag_width >= 1, "tag width must be at least 1");
+        self.tag_width = tag_width;
+        self.clients = 0;
+        self.antennas = 0;
+        self.width = 0;
+        self.tags.clear();
+        self.preferences.clear();
+        for row in rows {
+            if self.clients == 0 {
+                self.antennas = row.len();
+                self.width = tag_width.min(row.len());
+            }
+            assert_eq!(row.len(), self.antennas, "TagTable: ragged RSSI rows");
+            let start = self.preferences.len();
+            self.preferences.extend(0..row.len());
+            // Stable sort: equal RSSI keeps the lower antenna index first.
+            self.preferences[start..].sort_by(|&a, &b| row[b].partial_cmp(&row[a]).unwrap());
+            self.tags
+                .extend_from_slice(&self.preferences[start..start + self.width]);
+            self.clients += 1;
         }
     }
 
     /// Number of clients covered by the table.
     pub fn num_clients(&self) -> usize {
-        self.tags.len()
+        self.clients
     }
 
     /// The configured tag width.
@@ -64,23 +92,25 @@ impl TagTable {
 
     /// Antennas tagged for `client`, strongest first.
     pub fn tags_of(&self, client: usize) -> &[usize] {
-        &self.tags[client]
+        assert!(client < self.clients, "client {client} not in the table");
+        &self.tags[client * self.width..(client + 1) * self.width]
     }
 
     /// Full antenna preference order for `client`, strongest first.
     pub fn preference_of(&self, client: usize) -> &[usize] {
-        &self.preferences[client]
+        assert!(client < self.clients, "client {client} not in the table");
+        &self.preferences[client * self.antennas..(client + 1) * self.antennas]
     }
 
     /// Whether `client`'s packets may ride on `antenna`.
     pub fn is_tagged(&self, client: usize, antenna: usize) -> bool {
-        self.tags[client].contains(&antenna)
+        self.tags_of(client).contains(&antenna)
     }
 
     /// Whether a packet for `client` is eligible given the set of available
     /// antennas: at least one tagged antenna must be available (§3.2.4).
     pub fn eligible(&self, client: usize, available_antennas: &[usize]) -> bool {
-        self.tags[client]
+        self.tags_of(client)
             .iter()
             .any(|a| available_antennas.contains(a))
     }
@@ -189,5 +219,32 @@ mod tests {
     fn tag_width_is_clamped_to_antenna_count() {
         let t = TagTable::from_rssi(&rssi_fixture(), 10);
         assert_eq!(t.tags_of(0).len(), 4);
+    }
+
+    #[test]
+    fn rebuild_in_place_equals_a_fresh_table() {
+        let fixture = rssi_fixture();
+        let mut t = TagTable::from_rssi(&fixture[..2], 1);
+        // Grow, shrink and regrow: every rebuild equals from_rssi on the
+        // same rows, and ties keep the lower antenna first.
+        let tied = vec![vec![-50.0, -40.0, -40.0, -60.0]; 3];
+        for rows in [&fixture[..], &tied[..], &fixture[1..3], &[][..]] {
+            t.rebuild(rows.iter().map(Vec::as_slice), 2);
+            assert_eq!(t, TagTable::from_rssi(rows, 2));
+        }
+        t.rebuild(tied.iter().map(Vec::as_slice), 2);
+        assert_eq!(t.tags_of(2), &[1, 2]);
+    }
+
+    #[test]
+    fn rebuild_keeps_its_buffers_once_warm() {
+        let fixture = rssi_fixture();
+        let mut t = TagTable::from_rssi(&fixture, 2);
+        let caps = (t.tags.capacity(), t.preferences.capacity());
+        for _ in 0..10 {
+            t.rebuild(fixture.iter().map(Vec::as_slice), 2);
+            t.rebuild(fixture[..1].iter().map(Vec::as_slice), 2);
+        }
+        assert_eq!((t.tags.capacity(), t.preferences.capacity()), caps);
     }
 }

@@ -114,6 +114,29 @@ impl DynamicsSpec {
     }
 }
 
+/// Deterministic work counts of the simulator's dynamics stage, summed
+/// over a run (see `NetworkSimulator::dynamics_counters`).  A finite
+/// interaction range gives each client channel rows only at the APs in
+/// range, so a step's work is proportional to what changed:
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DynamicsCounters {
+    /// Channel rows created when a client came within range of an AP or
+    /// roamed to it.
+    pub rows_born: usize,
+    /// Channel rows released when a client left an AP's range.
+    pub rows_freed: usize,
+    /// Surviving rows of moved clients rescaled to their new position.
+    pub rows_refreshed: usize,
+    /// Refreshed rows whose client crossed into another shadowing cell, so
+    /// the shadowing field was redrawn rather than reused.
+    pub shadow_redraws: usize,
+    /// Row-membership re-queries (moved clients that left their slack
+    /// disc of the interaction range).
+    pub membership_requeries: usize,
+    /// Roaming-candidate re-queries.
+    pub roaming_requeries: usize,
+}
+
 /// Mutable runtime state of the dynamics layer for one simulation.
 ///
 /// Owns the mobile-client set, waypoint/flow state and the persistent
@@ -141,7 +164,7 @@ pub struct DynamicsState {
 impl DynamicsState {
     /// Builds the runtime state for `topo`: the mobile subset is drawn from
     /// the dedicated dynamics RNG stream (`seed` is the simulation seed),
-    /// waypoints are initialised, and the roaming index is built.
+    /// waypoints are initialised, and the roaming candidates are queried.
     pub fn new(spec: &DynamicsSpec, topo: &Topology, env: &Environment, seed: u64) -> Self {
         let mut rng = SimRng::new(seed).fork(0xD1A);
         let n = topo.clients.len();
@@ -176,7 +199,7 @@ impl DynamicsState {
     }
 
     /// Advances every mobile client by one dynamics step of `period_rounds`
-    /// TXOPs, updating `topo` positions and the roaming index, and returns
+    /// TXOPs, updating `topo` positions and the roaming candidates, and returns
     /// the ids of the clients that actually moved (ascending).
     pub fn step_mobility(&mut self, spec: &DynamicsSpec, topo: &mut Topology) -> &[usize] {
         self.moved.clear();
@@ -280,6 +303,12 @@ impl DynamicsState {
     /// Total client moves performed over the simulation so far.
     pub fn moves_total(&self) -> usize {
         self.moves_total
+    }
+
+    /// Roaming-candidate re-queries performed so far (a moved client is
+    /// re-queried only once it leaves its slack disc).
+    pub fn roaming_requeries(&self) -> usize {
+        self.roam.requeries()
     }
 
     /// Bytes of heap the dynamics layer retains; stable once warm, which

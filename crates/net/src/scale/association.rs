@@ -10,7 +10,7 @@
 //! decreasing function of distance, so candidate pruning can ride the
 //! spatial index.
 
-use crate::scale::index::SpatialIndex;
+use crate::scale::index::{NeighborTracker, SpatialIndex};
 use midas_channel::topology::Topology;
 use midas_channel::{Environment, Point};
 
@@ -35,25 +35,43 @@ pub enum AssociationPolicy {
     },
 }
 
-/// Mean RSSI (dBm) of the best antenna of `ap` at `p` under `env` — or of
-/// the chassis itself when `chassis_only`.
-fn best_rssi_dbm(
-    env: &Environment,
-    topo: &Topology,
-    ap_id: usize,
-    p: &Point,
+/// Mean RSSI scoring of candidate APs under one environment, with the
+/// reference path loss evaluated once per pass instead of per candidate.
+struct RssiScore<'a> {
+    env: &'a Environment,
+    reference_loss_db: f64,
+    /// Score the chassis alone (what a CAS-style scan sees) rather than the
+    /// best individual antenna.
     chassis_only: bool,
-) -> f64 {
-    let ap = &topo.aps[ap_id];
-    let d = if chassis_only {
-        ap.position.distance(p)
-    } else {
-        ap.antennas
-            .iter()
-            .map(|a| a.distance(p))
-            .fold(ap.position.distance(p), f64::min)
-    };
-    env.tx_power_dbm - env.path_loss.path_loss_db(d)
+}
+
+impl<'a> RssiScore<'a> {
+    fn new(env: &'a Environment, chassis_only: bool) -> Self {
+        RssiScore {
+            env,
+            reference_loss_db: env.path_loss.reference_loss_db(),
+            chassis_only,
+        }
+    }
+
+    /// Mean RSSI (dBm) of the best antenna of `ap_id` at `p` — or of the
+    /// chassis itself when `chassis_only`.
+    fn best_rssi_dbm(&self, topo: &Topology, ap_id: usize, p: &Point) -> f64 {
+        let ap = &topo.aps[ap_id];
+        let d = if self.chassis_only {
+            ap.position.distance(p)
+        } else {
+            ap.antennas
+                .iter()
+                .map(|a| a.distance(p))
+                .fold(ap.position.distance(p), f64::min)
+        };
+        self.env.tx_power_dbm
+            - self
+                .env
+                .path_loss
+                .path_loss_db_from(self.reference_loss_db, d)
+    }
 }
 
 /// Re-associates every client of `topo` under `policy`.
@@ -81,6 +99,7 @@ pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPoli
     // global fallback below covers pathological floors.
     let candidate_radius = 2.0 * env.coverage_range_m();
 
+    let score = RssiScore::new(env, policy == AssociationPolicy::NearestAp);
     let mut loads = vec![0usize; topo.aps.len()];
     let positions: Vec<Point> = topo.clients.iter().map(|c| c.position).collect();
     let mut chosen: Vec<usize> = Vec::with_capacity(positions.len());
@@ -96,10 +115,9 @@ pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPoli
             candidates = (0..topo.aps.len()).collect();
         }
 
-        let chassis_only = policy == AssociationPolicy::NearestAp;
         let scored: Vec<(usize, f64)> = candidates
             .iter()
-            .map(|&ap| (ap, best_rssi_dbm(env, topo, ap, p, chassis_only)))
+            .map(|&ap| (ap, score.best_rssi_dbm(topo, ap, p)))
             .collect();
         let best = scored
             .iter()
@@ -145,11 +163,13 @@ pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPoli
 ///
 /// [`associate`] rebuilds its candidate index on every call — fine for
 /// one-shot topology generation, wasteful when the dynamics layer
-/// re-associates every round.  `Reassociator` keeps a persistent
-/// [`SpatialIndex`] over the *client* positions, updated incrementally via
-/// [`SpatialIndex::move_point`] as the mobility layer moves clients, and
-/// reuses its candidate/scratch buffers across rounds, so steady-state
-/// roaming allocates nothing.
+/// re-associates every round.  `Reassociator` keeps every client's
+/// candidate APs (those with a chassis or antenna within twice the
+/// coverage range) in a slack-tracked [`NeighborTracker`]: a moved client
+/// is re-queried only once it has travelled farther than its distance to
+/// the nearest candidate boundary, so a pass costs the scoring alone, and
+/// the candidate sets — hence every handoff decision — are exactly those a
+/// from-scratch query would find.  Steady-state roaming allocates nothing.
 ///
 /// ## Handoff semantics
 ///
@@ -171,48 +191,51 @@ pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPoli
 /// [`AntennaAware`]: AssociationPolicy::AntennaAware
 /// [`LoadBalanced`]: AssociationPolicy::LoadBalanced
 pub struct Reassociator {
-    clients: SpatialIndex,
-    candidate_radius: f64,
-    /// Candidate AP ids per client, rebuilt each pass from the index.
-    candidates: Vec<Vec<u32>>,
+    /// Candidate APs of every client: groups of the chassis + antenna
+    /// positions within twice the coverage range.
+    candidates: NeighborTracker,
     loads: Vec<usize>,
-    scratch: Vec<usize>,
 }
 
 impl Reassociator {
-    /// Builds the persistent client index for `topo` (client ids are the
-    /// index ids).
+    /// Builds the candidate tracker for `topo`, querying every client once.
     pub fn new(topo: &Topology, env: &Environment) -> Self {
-        let mut clients = SpatialIndex::new(topo.region, env.coverage_range_m().max(1.0));
-        for c in &topo.clients {
-            clients.insert(c.position);
+        let mut fixed = Vec::new();
+        let mut owner = Vec::new();
+        for ap in &topo.aps {
+            for &pos in std::iter::once(&ap.position).chain(ap.antennas.iter()) {
+                fixed.push(pos);
+                owner.push(ap.ap_id as u32);
+            }
         }
+        let clients: Vec<Point> = topo.clients.iter().map(|c| c.position).collect();
         Reassociator {
-            clients,
-            candidate_radius: 2.0 * env.coverage_range_m(),
-            candidates: vec![Vec::new(); topo.clients.len()],
+            candidates: NeighborTracker::new(
+                topo.region,
+                &fixed,
+                &owner,
+                2.0 * env.coverage_range_m(),
+                &clients,
+            ),
             loads: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 
-    /// Mirrors a client move into the persistent index (incremental
-    /// [`SpatialIndex::move_point`], not clear+rebuild).
+    /// Moves a client, re-querying its candidates only if it left its
+    /// slack disc.
     pub fn move_client(&mut self, client_id: usize, p: Point) {
-        self.clients.move_point(client_id, p);
+        self.candidates.update(client_id, p);
+    }
+
+    /// Candidate re-queries performed by client moves so far.
+    pub fn requeries(&self) -> usize {
+        self.candidates.requeries()
     }
 
     /// Bytes of heap the roaming engine retains; stable once warm.
     pub fn heap_footprint_bytes(&self) -> usize {
-        self.clients.heap_footprint_bytes()
-            + self.candidates.capacity() * std::mem::size_of::<Vec<u32>>()
-            + self
-                .candidates
-                .iter()
-                .map(|c| c.capacity() * std::mem::size_of::<u32>())
-                .sum::<usize>()
+        self.candidates.heap_footprint_bytes()
             + self.loads.capacity() * std::mem::size_of::<usize>()
-            + self.scratch.capacity() * std::mem::size_of::<usize>()
     }
 
     /// One incumbent-aware re-association pass over every client (in client
@@ -227,38 +250,21 @@ impl Reassociator {
         if topo.aps.is_empty() || topo.clients.is_empty() {
             return 0;
         }
-        for c in &mut self.candidates {
-            c.clear();
-        }
-        // Reversed candidate discovery: one query of the (moving) client
-        // index per static antenna/chassis position, instead of rebuilding
-        // an antenna index and querying it per client.
-        for ap in &topo.aps {
-            for pos in std::iter::once(&ap.position).chain(ap.antennas.iter()) {
-                self.clients
-                    .neighbors_within_into(pos, self.candidate_radius, &mut self.scratch);
-                for &cid in &self.scratch {
-                    self.candidates[cid].push(ap.ap_id as u32);
-                }
-            }
-        }
         self.loads.clear();
         self.loads.resize(topo.aps.len(), 0);
         for c in &topo.clients {
             self.loads[c.ap_id] += 1;
         }
 
-        let chassis_only = policy == AssociationPolicy::NearestAp;
+        let score = RssiScore::new(env, policy == AssociationPolicy::NearestAp);
         let hysteresis = hysteresis_db.max(0.0);
         let mut handoffs = 0usize;
         for cid in 0..topo.clients.len() {
             let p = topo.clients[cid].position;
             let incumbent = topo.clients[cid].ap_id;
-            let cands = &mut self.candidates[cid];
-            cands.sort_unstable();
-            cands.dedup();
+            let cands = self.candidates.groups(cid);
 
-            let incumbent_rssi = best_rssi_dbm(env, topo, incumbent, &p, chassis_only);
+            let incumbent_rssi = score.best_rssi_dbm(topo, incumbent, &p);
             let mut best_ap = incumbent;
             let mut best_rssi = incumbent_rssi;
             for &ap in cands.iter() {
@@ -266,7 +272,7 @@ impl Reassociator {
                 if ap == incumbent {
                     continue;
                 }
-                let s = best_rssi_dbm(env, topo, ap, &p, chassis_only);
+                let s = score.best_rssi_dbm(topo, ap, &p);
                 if s > best_rssi || (s == best_rssi && ap < best_ap) {
                     best_ap = ap;
                     best_rssi = s;
@@ -284,7 +290,7 @@ impl Reassociator {
                     let mut pick_load = self.loads[best_ap];
                     for &ap in cands.iter() {
                         let ap = ap as usize;
-                        let s = best_rssi_dbm(env, topo, ap, &p, chassis_only);
+                        let s = score.best_rssi_dbm(topo, ap, &p);
                         if s >= best_rssi - hysteresis && (self.loads[ap], ap) < (pick_load, pick) {
                             pick = ap;
                             pick_load = self.loads[ap];
@@ -444,8 +450,8 @@ mod tests {
         // Every client must land on an AP with the same best-antenna RSSI as
         // the fresh pass chose (ids can differ only on exact RSSI ties).
         for (a, b) in fresh.clients.iter().zip(roamed.clients.iter()) {
-            let ra = best_rssi_dbm(&env, &fresh, a.ap_id, &a.position, false);
-            let rb = best_rssi_dbm(&env, &roamed, b.ap_id, &b.position, false);
+            let ra = RssiScore::new(&env, false).best_rssi_dbm(&fresh, a.ap_id, &a.position);
+            let rb = RssiScore::new(&env, false).best_rssi_dbm(&roamed, b.ap_id, &b.position);
             assert!((ra - rb).abs() < 1e-9, "client {}: {ra} vs {rb}", a.id);
         }
         // And a fresh-associated topology is already a roaming fix-point.
@@ -468,9 +474,9 @@ mod tests {
         roam.move_client(0, far);
         let handoffs = roam.reassociate(&mut topo, &env, AssociationPolicy::AntennaAware, 0.0);
         assert!(handoffs >= 1, "a cross-floor move must hand off");
-        let own = best_rssi_dbm(&env, &topo, topo.clients[0].ap_id, &far, false);
+        let own = RssiScore::new(&env, false).best_rssi_dbm(&topo, topo.clients[0].ap_id, &far);
         for ap in 0..topo.aps.len() {
-            assert!(best_rssi_dbm(&env, &topo, ap, &far, false) <= own + 1e-9);
+            assert!(RssiScore::new(&env, false).best_rssi_dbm(&topo, ap, &far) <= own + 1e-9);
         }
     }
 

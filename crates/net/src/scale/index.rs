@@ -17,6 +17,13 @@
 //! list — same subset, same order, bit-identical floating-point sums — which
 //! is what lets the simulator swap scan implementations without perturbing a
 //! single figure (see `proptest_scale.rs` for the property tests).
+//!
+//! [`NeighborTracker`] layers moving query points on top: it answers "which
+//! groups (APs) have a point within range of this client?" under the same
+//! exact predicate, but re-queries a moving client only once it has
+//! travelled farther than its distance to the nearest range boundary — the
+//! one neighbour helper behind both the dynamic channel-row membership and
+//! the roaming candidate sets.
 
 use midas_channel::geometry::{Point, Rect};
 
@@ -122,50 +129,6 @@ impl SpatialIndex {
         id
     }
 
-    /// Moves an existing point to a new position, updating its cell
-    /// membership incrementally — O(cell occupancy) instead of the
-    /// clear+rebuild a naive caller would pay per round.
-    ///
-    /// Queries stay bit-identical to a rebuilt index: results are sorted by
-    /// id on the way out, so the within-cell order perturbation from the
-    /// `swap_remove` is unobservable.
-    pub fn move_point(&mut self, id: usize, p: Point) {
-        let old_cell = {
-            let (col, row) = self.cell_of(&self.points[id]);
-            row * self.cols + col
-        };
-        self.points[id] = p;
-        let (col, row) = self.cell_of(&p);
-        let new_cell = row * self.cols + col;
-        if new_cell == old_cell {
-            return;
-        }
-        let cell = &mut self.cells[old_cell];
-        let pos = cell
-            .iter()
-            .position(|&x| x as usize == id)
-            .expect("moved id is indexed in its old cell");
-        cell.swap_remove(pos);
-        if self.cells[new_cell].is_empty() {
-            // A cell that oscillates between empty and occupied is
-            // re-recorded on every empty→occupied transition, so `touched`
-            // accumulates duplicates (and entries for cells that emptied
-            // again).  Compact before the list would outgrow the number of
-            // cells that can actually be occupied — at most one per point —
-            // so it never reallocates once warm: amortized O(1) per move,
-            // and the index footprint stays flat over any move sequence.
-            let bound = self.points.len().min(self.cells.len()).max(1);
-            if self.touched.len() >= bound {
-                self.touched.sort_unstable();
-                self.touched.dedup();
-                let cells = &self.cells;
-                self.touched.retain(|&c| !cells[c as usize].is_empty());
-            }
-            self.touched.push(new_cell as u32);
-        }
-        self.cells[new_cell].push(id as u32);
-    }
-
     /// Empties the index while keeping every allocation (grid, per-cell id
     /// lists, point list).  Only the occupied cells are visited, so a
     /// clear-and-refill round costs O(points), not O(grid cells) — this is
@@ -209,8 +172,16 @@ impl SpatialIndex {
     /// `out` and fills it with the matching ids in ascending id order.  The
     /// round loop reuses one scratch buffer across every query of a round.
     pub fn neighbors_within_into(&self, p: &Point, radius: f64, out: &mut Vec<usize>) {
-        debug_assert!(radius >= 0.0, "negative query radius");
         out.clear();
+        self.for_each_within(p, radius, |id, _| out.push(id));
+        out.sort_unstable();
+    }
+
+    /// Calls `visit(id, distance)` for every indexed point within `radius`
+    /// of `p` (the exact predicate `point.distance(p) <= radius`), in
+    /// unspecified order.
+    fn for_each_within(&self, p: &Point, radius: f64, mut visit: impl FnMut(usize, f64)) {
+        debug_assert!(radius >= 0.0, "negative query radius");
         let col_lo = self.axis_cell(p.x - radius, self.bounds.min.x, self.cols);
         let col_hi = self.axis_cell(p.x + radius, self.bounds.min.x, self.cols);
         let row_lo = self.axis_cell(p.y - radius, self.bounds.min.y, self.rows);
@@ -218,13 +189,13 @@ impl SpatialIndex {
         for row in row_lo..=row_hi {
             for col in col_lo..=col_hi {
                 for &id in &self.cells[row * self.cols + col] {
-                    if self.points[id as usize].distance(p) <= radius {
-                        out.push(id as usize);
+                    let d = self.points[id as usize].distance(p);
+                    if d <= radius {
+                        visit(id as usize, d);
                     }
                 }
             }
         }
-        out.sort_unstable();
     }
 
     /// Reference implementation of [`SpatialIndex::neighbors_within`]: a
@@ -237,6 +208,140 @@ impl SpatialIndex {
             .filter(|(_, q)| q.distance(p) <= radius)
             .map(|(id, _)| id)
             .collect()
+    }
+}
+
+/// How far past the tracking radius a re-query looks, as a fraction of
+/// the radius: the slack it records is capped there.
+const SLACK_REACH: f64 = 0.25;
+
+/// Rounding margin (metres) taken off every slack, so floating-point error
+/// in the distances can never hide a membership flip.
+const SLACK_MARGIN_M: f64 = 1e-6;
+
+/// Slack-tracked radius membership of moving points against a fixed set
+/// of grouped points.
+///
+/// Each mover (a client) keeps the ascending, deduplicated list of groups
+/// (APs) that own a fixed point (an antenna or a chassis) within `radius`
+/// of it — the exact predicate `fixed.distance(mover) <= radius` of a
+/// fresh neighbourhood query.  A query also records the mover's *slack*:
+/// its distance to the nearest radius boundary, `min |d − radius|` over the
+/// fixed points (capped at `SLACK_REACH · radius`), less a rounding margin.
+/// By the triangle inequality no membership can flip while the mover stays
+/// within its slack of where it was queried, so [`NeighborTracker::update`]
+/// re-queries only once the mover has travelled farther than that — at
+/// walking speed, once every few dozen steps rather than every step.
+#[derive(Debug, Clone)]
+pub struct NeighborTracker {
+    /// The fixed points, indexed at the query reach.
+    fixed: SpatialIndex,
+    /// Group of each fixed point.
+    group_of: Vec<u32>,
+    radius: f64,
+    /// Query radius: `radius` plus the slack cap.
+    reach: f64,
+    /// Per mover: where it was last queried, and its slack there.
+    anchor: Vec<Point>,
+    slack: Vec<f64>,
+    /// Per mover: groups within `radius`, ascending.
+    groups: Vec<Vec<u32>>,
+    requeries: usize,
+}
+
+impl NeighborTracker {
+    /// Tracks `movers` against `fixed` (point `i` belongs to group
+    /// `group_of[i]`) at `radius`, querying every mover once.  `bounds` is
+    /// the floor the fixed points are indexed over.
+    pub fn new(
+        bounds: Rect,
+        fixed: &[Point],
+        group_of: &[u32],
+        radius: f64,
+        movers: &[Point],
+    ) -> Self {
+        assert_eq!(fixed.len(), group_of.len(), "one group per fixed point");
+        let reach = radius + radius * SLACK_REACH;
+        let mut tracker = NeighborTracker {
+            fixed: SpatialIndex::from_points(bounds, reach, fixed),
+            group_of: group_of.to_vec(),
+            radius,
+            reach,
+            anchor: movers.to_vec(),
+            slack: vec![0.0; movers.len()],
+            groups: vec![Vec::new(); movers.len()],
+            requeries: 0,
+        };
+        for (mover, &p) in movers.iter().enumerate() {
+            tracker.query(mover, p);
+        }
+        tracker
+    }
+
+    /// Groups with a fixed point within the radius of `mover`, ascending.
+    pub fn groups(&self, mover: usize) -> &[u32] {
+        &self.groups[mover]
+    }
+
+    /// Whether `mover`, now at `p`, is still inside its slack disc — no
+    /// membership can have changed since its last query.
+    pub fn is_settled(&self, mover: usize, p: &Point) -> bool {
+        self.anchor[mover].distance(p) < self.slack[mover]
+    }
+
+    /// Re-queries `mover` at `p` unconditionally.
+    pub fn requery(&mut self, mover: usize, p: Point) {
+        self.requeries += 1;
+        self.query(mover, p);
+    }
+
+    /// Moves `mover` to `p`, re-querying only if it left its slack disc;
+    /// returns whether it re-queried.
+    pub fn update(&mut self, mover: usize, p: Point) -> bool {
+        if self.is_settled(mover, &p) {
+            return false;
+        }
+        self.requery(mover, p);
+        true
+    }
+
+    /// Re-queries performed since construction.
+    pub fn requeries(&self) -> usize {
+        self.requeries
+    }
+
+    /// Bytes of heap the tracker retains (capacities, not lengths).
+    pub fn heap_footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.fixed.heap_footprint_bytes()
+            + self.group_of.capacity() * size_of::<u32>()
+            + self.anchor.capacity() * size_of::<Point>()
+            + self.slack.capacity() * size_of::<f64>()
+            + self.groups.capacity() * size_of::<Vec<u32>>()
+            + self
+                .groups
+                .iter()
+                .map(|g| g.capacity() * size_of::<u32>())
+                .sum::<usize>()
+    }
+
+    fn query(&mut self, mover: usize, p: Point) {
+        let groups = &mut self.groups[mover];
+        groups.clear();
+        let (radius, group_of) = (self.radius, &self.group_of);
+        let mut slack = radius * SLACK_REACH;
+        self.fixed.for_each_within(&p, self.reach, |id, d| {
+            if d <= radius {
+                groups.push(group_of[id]);
+                slack = slack.min(radius - d);
+            } else {
+                slack = slack.min(d - radius);
+            }
+        });
+        groups.sort_unstable();
+        groups.dedup();
+        self.anchor[mover] = p;
+        self.slack[mover] = slack - SLACK_MARGIN_M;
     }
 }
 
@@ -381,54 +486,90 @@ mod tests {
         }
     }
 
-    #[test]
-    fn move_point_matches_a_rebuilt_index() {
-        let region = Rect::new(Point::new(0.0, 0.0), 80.0, 60.0);
-        let mut rng = SimRng::new(11);
-        let mut pts = random_points(40, &region, &mut rng);
-        let mut index = SpatialIndex::from_points(region, 12.0, &pts);
-        for step in 0..200 {
-            let id = rng.uniform_usize(pts.len());
-            let p = Point::new(
-                rng.uniform_range(-10.0, 90.0),
-                rng.uniform_range(-10.0, 70.0),
-            );
-            pts[id] = p;
-            index.move_point(id, p);
-            let q = Point::new(rng.uniform_range(0.0, 80.0), rng.uniform_range(0.0, 60.0));
-            let r = rng.uniform_range(0.0, 40.0);
-            assert_eq!(
-                index.neighbors_within(&q, r),
-                SpatialIndex::brute_force_within(&pts, &q, r),
-                "step {step}"
-            );
-        }
-        assert_eq!(index.points(), pts.as_slice());
+    /// Brute-force groups of a mover: every group owning a fixed point
+    /// within `radius`, ascending.
+    fn brute_groups(fixed: &[Point], group_of: &[u32], p: &Point, radius: f64) -> Vec<u32> {
+        let mut g: Vec<u32> = SpatialIndex::brute_force_within(fixed, p, radius)
+            .into_iter()
+            .map(|id| group_of[id])
+            .collect();
+        g.sort_unstable();
+        g.dedup();
+        g
     }
 
     #[test]
-    fn move_point_does_not_grow_the_footprint() {
+    fn tracker_groups_match_brute_force_under_walks_and_jumps() {
+        let region = Rect::new(Point::new(0.0, 0.0), 80.0, 60.0);
+        let mut rng = SimRng::new(17);
+        let fixed = random_points(48, &region, &mut rng);
+        let group_of: Vec<u32> = (0..48).map(|i| i / 4).collect();
+        let mut movers = random_points(30, &region, &mut rng);
+        let radius = 15.0;
+        let mut tracker = NeighborTracker::new(region, &fixed, &group_of, radius, &movers);
+        let mut moves = 0usize;
+        for step in 0..400 {
+            for (m, p) in movers.iter_mut().enumerate() {
+                // Mostly short walking steps, occasionally a teleport.
+                *p = if rng.uniform() < 0.02 {
+                    Point::new(rng.uniform_range(-5.0, 85.0), rng.uniform_range(-5.0, 65.0))
+                } else {
+                    p.offset_polar(0.3, rng.uniform_range(0.0, 6.3))
+                };
+                tracker.update(m, *p);
+                moves += 1;
+                assert_eq!(
+                    tracker.groups(m),
+                    brute_groups(&fixed, &group_of, p, radius).as_slice(),
+                    "step {step} mover {m}"
+                );
+            }
+        }
+        // The slack saves most queries: far fewer re-queries than moves.
+        assert!(tracker.requeries() > 0);
+        assert!(
+            tracker.requeries() < moves / 2,
+            "{} re-queries for {moves} moves",
+            tracker.requeries()
+        );
+    }
+
+    #[test]
+    fn tracker_at_infinite_radius_never_requeries() {
+        let region = Rect::new(Point::new(0.0, 0.0), 40.0, 40.0);
+        let mut rng = SimRng::new(19);
+        let fixed = random_points(12, &region, &mut rng);
+        let group_of: Vec<u32> = (0..12).map(|i| i / 3).collect();
+        let movers = random_points(5, &region, &mut rng);
+        let mut tracker = NeighborTracker::new(region, &fixed, &group_of, f64::INFINITY, &movers);
+        for m in 0..5 {
+            assert!(!tracker.update(m, Point::new(39.0, 1.0)));
+            assert_eq!(tracker.groups(m), &[0, 1, 2, 3]);
+        }
+        assert_eq!(tracker.requeries(), 0);
+    }
+
+    #[test]
+    fn tracker_footprint_is_flat_once_warm() {
         let region = Rect::new(Point::new(0.0, 0.0), 60.0, 60.0);
-        let mut rng = SimRng::new(13);
-        let pts = random_points(32, &region, &mut rng);
-        let mut index = SpatialIndex::from_points(region, 10.0, &pts);
-        // Cycle every point through a fixed set of anchor cells; after one
-        // full cycle every visited cell has seen its maximum occupancy, so a
-        // second identical cycle must leave the footprint flat.
-        let anchors: Vec<Point> = (0..8)
-            .map(|i| Point::new(5.0 + (i % 4) as f64 * 15.0, 5.0 + (i / 4) as f64 * 30.0))
+        let mut rng = SimRng::new(23);
+        let fixed = random_points(32, &region, &mut rng);
+        let group_of: Vec<u32> = (0..32).collect();
+        let anchors: Vec<Point> = (0..6)
+            .map(|i| Point::new(5.0 + i as f64 * 10.0, 30.0))
             .collect();
-        let cycle = |index: &mut SpatialIndex| {
-            for &anchor in &anchors {
-                for id in 0..pts.len() {
-                    index.move_point(id, anchor);
+        let mut tracker = NeighborTracker::new(region, &fixed, &group_of, 12.0, &anchors[..3]);
+        let cycle = |t: &mut NeighborTracker| {
+            for &a in &anchors {
+                for m in 0..3 {
+                    t.update(m, a);
                 }
             }
         };
-        cycle(&mut index);
-        let warm = index.heap_footprint_bytes();
-        cycle(&mut index);
-        assert_eq!(index.heap_footprint_bytes(), warm);
+        cycle(&mut tracker);
+        let warm = tracker.heap_footprint_bytes();
+        cycle(&mut tracker);
+        assert_eq!(tracker.heap_footprint_bytes(), warm);
     }
 
     #[test]

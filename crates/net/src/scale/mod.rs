@@ -25,5 +25,5 @@ pub mod scenario;
 
 pub use association::{associate, AssociationPolicy, Reassociator};
 pub use grid::{ClientPlacement, FloorGrid, FloorGridError};
-pub use index::SpatialIndex;
+pub use index::{NeighborTracker, SpatialIndex};
 pub use scenario::{Scenario, ScenarioKind};

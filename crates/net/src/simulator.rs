@@ -14,14 +14,14 @@
 
 use crate::capture::ContentionModel;
 use crate::contention::ContentionGraph;
-use crate::dynamics::{DynamicsSpec, DynamicsState};
+use crate::dynamics::{DynamicsCounters, DynamicsSpec, DynamicsState};
 use crate::metrics::Cdf;
 use crate::observer::{Accumulate, Observer, RoundRecord};
-use crate::scale::index::SpatialIndex;
+use crate::scale::index::{NeighborTracker, SpatialIndex};
 use crate::traffic::{FullBuffer, TrafficKind, TrafficModel};
 use midas_channel::geometry::Point;
 use midas_channel::topology::Topology;
-use midas_channel::{ChannelMatrix, ChannelModel, Environment, FadingEngine, SimRng};
+use midas_channel::{ChannelMatrix, ChannelModel, Environment, FadingEngine, RowCache, SimRng};
 use midas_linalg::{CMat, Complex};
 use midas_mac::client_select::{select_clients_cas, select_clients_midas};
 use midas_mac::drr::DrrScheduler;
@@ -106,10 +106,10 @@ pub struct NetworkSimConfig {
     pub evolve_threads: usize,
     /// Long-horizon dynamics: client mobility and per-round roaming (see
     /// [`crate::dynamics`]).  `None` (the constructor default) is the
-    /// static simulator, byte-identical to every pre-dynamics golden; any
-    /// `Some` switches the per-AP channels to dense rows (every client has
-    /// a row at every AP) so moving and roaming clients always have channel
-    /// state wherever they end up.
+    /// static simulator, byte-identical to every pre-dynamics golden.  A
+    /// dynamic run starts from exactly the static channel rows and keeps
+    /// the row set exact every step: a row is born when a client comes
+    /// within range of an AP (or roams to it) and freed when it leaves.
     pub dynamics: Option<DynamicsSpec>,
 }
 
@@ -510,6 +510,13 @@ impl RoundWorkspace {
 /// shrinks from O(all clients) to O(clients in range), which is what turns
 /// the simulator's per-round cost from O(n²) into O(n·k) at enterprise
 /// scale.  Rows are indexed by *global* client id through `row_of`.
+///
+/// Static and dynamic runs share this one row set — the clients within
+/// interaction range of any of the AP's antennas, plus its own clients.
+/// Under dynamics it is kept exact every step: a row is born (drawn afresh)
+/// when a client comes within range or roams to the AP, and freed onto
+/// `free` when the client leaves.  A freed slot carries zero gain, so the
+/// legacy evolution sweep skips it without drawing.
 struct ApChannel {
     ch: ChannelMatrix,
     /// Global client id → row of `ch`; `None` when the client is out of
@@ -522,6 +529,11 @@ struct ApChannel {
     /// initial realisation has seen no evolution) and is never consulted by
     /// the legacy engine.
     next_boundary: Vec<u64>,
+    /// Dynamics only: per-row shadowing memo and the antenna correlation
+    /// births draw through (`None` in static runs).
+    cache: Option<RowCache>,
+    /// Dynamics only: freed row slots, reused last-in first-out by births.
+    free: Vec<u32>,
 }
 
 impl ApChannel {
@@ -538,6 +550,254 @@ impl ApChannel {
     fn select(&self, clients: &[usize], antennas: &[usize]) -> ChannelMatrix {
         let rows: Vec<usize> = clients.iter().map(|&c| self.row(c)).collect();
         self.ch.select(&rows, antennas)
+    }
+
+    /// Counter engine: replays the keyed innovations of every evolution
+    /// boundary from `row`'s bookmark through `through`, leaving the row
+    /// current (a no-op for a row already past `through`).
+    #[allow(clippy::too_many_arguments)] // the row, its stream key and the step
+    fn catch_up_row(
+        &mut self,
+        model: &ChannelModel,
+        ap: usize,
+        client: usize,
+        row: usize,
+        through: u64,
+        cadence: Cadence,
+        pairs: &mut Vec<(f64, f64)>,
+    ) {
+        let mut boundary = self.next_boundary[row];
+        if boundary > through {
+            return;
+        }
+        let h_row = self.ch.h.row_mut(row);
+        let g_row = self.ch.large_scale.row(row);
+        while boundary <= through {
+            model.evolve_row_counter(
+                h_row,
+                g_row,
+                cadence.rho,
+                ap as u64,
+                client as u64,
+                boundary,
+                pairs,
+            );
+            boundary += cadence.interval;
+        }
+        self.next_boundary[row] = boundary;
+    }
+}
+
+/// Counter-engine evolution cadence: boundaries every `interval` rounds,
+/// each a Gauss–Markov step of correlation `rho`.
+#[derive(Clone, Copy)]
+struct Cadence {
+    interval: u64,
+    rho: f64,
+}
+
+impl Cadence {
+    fn of(model: &ChannelModel, config: &NetworkSimConfig) -> Self {
+        let interval = config.coherence_interval_rounds.max(1);
+        let delay_s = interval as f64 * DEFAULT_TXOP_US as f64 * 1e-6;
+        Cadence {
+            interval: interval as u64,
+            rho: model.step_correlation(delay_s),
+        }
+    }
+
+    /// The last evolution boundary at or before `round`.
+    fn boundary_at(&self, round: u64) -> u64 {
+        (round / self.interval) * self.interval
+    }
+}
+
+/// Dynamics-only channel-row bookkeeping, built only when
+/// `config.dynamics` is set: which APs each client is in range of, the
+/// work counters, and the scratch the per-step row sync reuses.
+struct RowDynamics {
+    /// APs with an antenna within interaction range of each client; `None`
+    /// at infinite range, where every client is in range of every AP and
+    /// the row set never changes.
+    in_range: Option<NeighborTracker>,
+    /// Row work so far; its `roaming_requeries` stays 0 here (the roaming
+    /// engine counts those itself).
+    counters: DynamicsCounters,
+    /// A client's in-range APs before its re-query.
+    prev_in_range: Vec<u32>,
+    /// APs whose row for the client being synced may be born or freed.
+    affected: Vec<u32>,
+    /// One AP's own-client RSSI rows, flat (tag rebuild input).
+    rssi: Vec<f64>,
+}
+
+impl RowDynamics {
+    fn new(topo: &Topology, interaction_range_m: f64) -> Self {
+        let in_range = interaction_range_m.is_finite().then(|| {
+            let mut antennas = Vec::new();
+            let mut owner = Vec::new();
+            for ap in &topo.aps {
+                for &a in &ap.antennas {
+                    antennas.push(a);
+                    owner.push(ap.ap_id as u32);
+                }
+            }
+            let clients: Vec<Point> = topo.clients.iter().map(|c| c.position).collect();
+            NeighborTracker::new(
+                topo.region,
+                &antennas,
+                &owner,
+                interaction_range_m,
+                &clients,
+            )
+        });
+        RowDynamics {
+            in_range,
+            counters: DynamicsCounters::default(),
+            prev_in_range: Vec::new(),
+            affected: Vec::new(),
+            rssi: Vec::new(),
+        }
+    }
+
+    fn heap_footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.in_range
+            .as_ref()
+            .map_or(0, NeighborTracker::heap_footprint_bytes)
+            + (self.prev_in_range.capacity() + self.affected.capacity()) * size_of::<u32>()
+            + self.rssi.capacity() * size_of::<f64>()
+    }
+
+    /// Brings client `c`'s rows up to date after a step in which it moved
+    /// and/or roamed from `old_own` to its current AP.
+    ///
+    /// 1. A moved client's surviving rows are rescaled to its new position
+    ///    through the shadowing memo (under the counter engine a lagging
+    ///    row first replays the boundaries before `round`, so lazy
+    ///    evolution stays bit-identical to eager).
+    /// 2. Rows are born at APs the client joined — came into range of, or
+    ///    roamed to — and freed at APs it left, in ascending AP order.
+    #[allow(clippy::too_many_arguments)] // the client, its step and the state it syncs
+    fn sync_client(
+        &mut self,
+        c: usize,
+        moved: bool,
+        old_own: usize,
+        round: usize,
+        topo: &Topology,
+        channels: &mut [ApChannel],
+        model: &ChannelModel,
+        counter: Option<Cadence>,
+        pairs: &mut Vec<(f64, f64)>,
+    ) {
+        let p = topo.clients[c].position;
+        let own = topo.clients[c].ap_id;
+        let mut requeried = false;
+        if let Some(tracker) = self.in_range.as_mut() {
+            if moved && !tracker.is_settled(c, &p) {
+                self.prev_in_range.clear();
+                self.prev_in_range.extend_from_slice(tracker.groups(c));
+                tracker.requery(c, p);
+                self.counters.membership_requeries += 1;
+                requeried = true;
+            }
+        }
+
+        if moved {
+            let num_aps = channels.len();
+            let mut refresh = |ap: usize| {
+                let apch = &mut channels[ap];
+                let Some(row) = apch.row_of[c] else {
+                    return; // born below, at the new position
+                };
+                let row = row as usize;
+                if let Some(cadence) = counter {
+                    // Eager rows have absorbed every boundary before this
+                    // round; a lazily skipped row must too before its gain
+                    // changes under it.
+                    let through = cadence.boundary_at(round as u64 - 1);
+                    apch.catch_up_row(model, ap, c, row, through, cadence, pairs);
+                }
+                let cache = apch.cache.as_mut().expect("dynamic runs keep a row cache");
+                let redrawn =
+                    model.refresh_row_cached(&mut apch.ch, cache, row, &topo.aps[ap].antennas, &p);
+                self.counters.rows_refreshed += 1;
+                self.counters.shadow_redraws += usize::from(redrawn);
+            };
+            match &self.in_range {
+                Some(tracker) => {
+                    let groups = tracker.groups(c);
+                    for &ap in groups {
+                        refresh(ap as usize);
+                    }
+                    if groups.binary_search(&(own as u32)).is_err() {
+                        refresh(own);
+                    }
+                }
+                None => (0..num_aps).for_each(&mut refresh),
+            }
+        }
+
+        // Membership changes only through a re-query or a handoff, and
+        // never at infinite range (every client is in range of every AP).
+        let Some(tracker) = self.in_range.as_ref() else {
+            return;
+        };
+        if !requeried && old_own == own {
+            return;
+        }
+        let groups = tracker.groups(c);
+        self.affected.clear();
+        if requeried {
+            self.affected.extend_from_slice(&self.prev_in_range);
+        }
+        self.affected.extend_from_slice(groups);
+        self.affected.push(old_own as u32);
+        self.affected.push(own as u32);
+        self.affected.sort_unstable();
+        self.affected.dedup();
+        for &ap in &self.affected {
+            let ap = ap as usize;
+            let apch = &mut channels[ap];
+            let want = ap == own || groups.binary_search(&(ap as u32)).is_ok();
+            match (apch.row_of[c], want) {
+                (Some(row), false) => {
+                    apch.ch.zero_row(row as usize);
+                    apch.free.push(row);
+                    apch.row_of[c] = None;
+                    self.counters.rows_freed += 1;
+                }
+                (None, true) => {
+                    let row = apch
+                        .free
+                        .pop()
+                        .map_or(apch.ch.num_clients(), |r| r as usize);
+                    let cache = apch.cache.as_mut().expect("dynamic runs keep a row cache");
+                    model.birth_row(
+                        &mut apch.ch,
+                        cache,
+                        row,
+                        &topo.aps[ap].antennas,
+                        &p,
+                        ap as u64,
+                        c as u64,
+                        round as u64,
+                    );
+                    // A born row is a stationary draw for this round: it has
+                    // nothing to catch up until the next boundary.
+                    let current = counter.map_or(0, |k| k.boundary_at(round as u64) + k.interval);
+                    if row == apch.next_boundary.len() {
+                        apch.next_boundary.push(current);
+                    } else {
+                        apch.next_boundary[row] = current;
+                    }
+                    apch.row_of[c] = Some(row as u32);
+                    self.counters.rows_born += 1;
+                }
+                _ => {}
+            }
+        }
     }
 }
 
@@ -577,6 +837,9 @@ pub struct NetworkSimulator {
     /// Long-horizon dynamics runtime state; `Some` iff
     /// `config.dynamics.is_some()`.
     dynamics: Option<DynamicsState>,
+    /// Channel-row bookkeeping of the dynamics stage; `Some` iff
+    /// `config.dynamics.is_some()`.
+    rows: Option<RowDynamics>,
 }
 
 impl NetworkSimulator {
@@ -594,11 +857,8 @@ impl NetworkSimulator {
 
         let num_clients = topo.clients.len();
         let cutoff = config.interaction_range_m;
-        // With dynamics on, every client gets a row at every AP: mobility
-        // and roaming would otherwise need sparse row insertion as clients
-        // wander into range of new APs mid-run.
-        let dense_rows = config.dynamics.is_some();
-        let client_index = (cutoff.is_finite() && !dense_rows).then(|| {
+        let dynamic = config.dynamics.is_some();
+        let client_index = cutoff.is_finite().then(|| {
             SpatialIndex::from_points(
                 topo.region,
                 config.index_cell_m(),
@@ -634,7 +894,14 @@ impl NetworkSimulator {
                 visible.shrink_to_fit();
                 let positions: Vec<Point> =
                     visible.iter().map(|&c| topo.clients[c].position).collect();
-                let ch = model.realize_positions(&ap.antennas, &positions);
+                // Same draws either way; a dynamic run also keeps the
+                // shadowing memo its refreshes and births go through.
+                let (ch, cache) = if dynamic {
+                    let (ch, cache) = model.realize_positions_cached(&ap.antennas, &positions);
+                    (ch, Some(cache))
+                } else {
+                    (model.realize_positions(&ap.antennas, &positions), None)
+                };
                 let mut row_of = vec![None; num_clients];
                 for (row, &c) in visible.iter().enumerate() {
                     row_of[c] = Some(row as u32);
@@ -644,6 +911,8 @@ impl NetworkSimulator {
                     ch,
                     row_of,
                     next_boundary,
+                    cache,
+                    free: Vec::new(),
                 }
             })
             .collect();
@@ -669,6 +938,7 @@ impl NetworkSimulator {
         let dynamics = config
             .dynamics
             .map(|spec| DynamicsState::new(&spec, &topo, &config.env, config.seed));
+        let rows = dynamic.then(|| RowDynamics::new(&topo, cutoff));
         NetworkSimulator {
             topo,
             config,
@@ -685,6 +955,7 @@ impl NetworkSimulator {
             eager_counter_evolve: false,
             profile_stages: false,
             dynamics,
+            rows,
         }
     }
 
@@ -866,24 +1137,32 @@ impl NetworkSimulator {
     ///
     /// Per step (every `period_rounds`, never at round 0):
     /// 1. Mobility moves the mobile clients ([`DynamicsState::step_mobility`])
-    ///    and each moved client's row in every AP channel is rescaled to
-    ///    the large-scale gain at its new position
-    ///    ([`ChannelModel::refresh_large_scale_row`]) — the fading phase is
-    ///    preserved and no sequential RNG is consumed, so the static
-    ///    pipeline's draw order is untouched.
-    /// 2. Roaming re-associates clients with hysteresis
+    ///    and roaming re-associates them with hysteresis
     ///    ([`DynamicsState::step_roaming`]).
+    /// 2. Every AP's channel rows are brought back to the exact static row
+    ///    set (`RowDynamics::sync_client`, only for clients that moved or
+    ///    roamed): surviving rows are rescaled to the new position through
+    ///    the shadowing memo ([`ChannelModel::refresh_row_cached`],
+    ///    bit-identical to [`ChannelModel::refresh_large_scale_row`]), rows
+    ///    are born where a client came into range or roamed to
+    ///    ([`ChannelModel::birth_row`], keyed draws) and freed where it
+    ///    left.  No sequential RNG is consumed, so the static pipeline's
+    ///    draw order is untouched.
     /// 3. The MAC-facing views are repaired: the workspace's ownership maps
     ///    are rebuilt when any client handed off, DRR restarts for APs whose
     ///    membership changed (a handoff is a fresh association), and tag
-    ///    tables are rebuilt for any AP whose own-client RSSI picture moved.
+    ///    tables are rebuilt in place for any AP whose own-client RSSI
+    ///    picture moved.
     ///
+    /// [`ChannelModel::refresh_row_cached`]: midas_channel::ChannelModel::refresh_row_cached
     /// [`ChannelModel::refresh_large_scale_row`]: midas_channel::ChannelModel::refresh_large_scale_row
+    /// [`ChannelModel::birth_row`]: midas_channel::ChannelModel::birth_row
+    // lint: no_alloc — steady-state stage: rows, tags and DRR are rebuilt in retained buffers
     fn dynamics_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
         let Some(spec) = self.config.dynamics else {
             return;
         };
-        let Some(state) = self.dynamics.as_mut() else {
+        let (Some(state), Some(rows)) = (self.dynamics.as_mut(), self.rows.as_mut()) else {
             return;
         };
         let period = spec.period_rounds.max(1);
@@ -891,24 +1170,35 @@ impl NetworkSimulator {
             return;
         }
 
-        // 1. Move, then rescale the moved clients' gains everywhere.
+        // 1. Move and roam.
         state.step_mobility(&spec, &mut self.topo);
-        for &cid in state.moved() {
-            let p = self.topo.clients[cid].position;
-            for (ap_id, apch) in self.channels.iter_mut().enumerate() {
-                if let Some(row) = apch.row_of[cid] {
-                    self.model.refresh_large_scale_row(
-                        &mut apch.ch,
-                        row as usize,
-                        &self.topo.aps[ap_id].antennas,
-                        &p,
-                    );
-                }
-            }
-        }
-
-        // 2. Roam.
         state.step_roaming(&spec, &mut self.topo, &self.config.env);
+
+        // 2. Sync the rows of every client that moved or roamed, in
+        //    ascending id order (births claim free slots in that order).
+        let counter = (self.config.fading == FadingEngine::Counter)
+            .then(|| Cadence::of(&self.model, &self.config));
+        let moved = state.moved();
+        let mut next_moved = 0;
+        for c in 0..self.topo.clients.len() {
+            let is_moved = moved.get(next_moved) == Some(&c);
+            next_moved += usize::from(is_moved);
+            let old_own = state.previous_ap(c);
+            if !is_moved && old_own == self.topo.clients[c].ap_id {
+                continue;
+            }
+            rows.sync_client(
+                c,
+                is_moved,
+                old_own,
+                round,
+                &self.topo,
+                &mut self.channels,
+                &self.model,
+                counter,
+                &mut ws.pairs,
+            );
+        }
 
         // 3. Repair the MAC-facing views of whatever changed.
         let num_aps = self.topo.aps.len();
@@ -937,20 +1227,22 @@ impl NetworkSimulator {
         for ap_id in 0..num_aps {
             let membership = ws.dirty_membership[ap_id];
             if membership {
-                self.drr[ap_id] = DrrScheduler::new(ws.own_clients[ap_id].len());
+                self.drr[ap_id].restart(ws.own_clients[ap_id].len());
             }
             if membership || ws.dirty_tags[ap_id] {
-                let ap = &self.topo.aps[ap_id];
+                let antennas = self.topo.aps[ap_id].num_antennas();
                 let ch = &self.channels[ap_id];
-                let rssi: Vec<Vec<f64>> = ws.own_clients[ap_id]
-                    .iter()
-                    .map(|&c| {
-                        (0..ap.num_antennas())
-                            .map(|k| ch.mean_rssi_dbm(c, k))
-                            .collect()
-                    })
-                    .collect();
-                self.tags[ap_id] = TagTable::from_rssi(&rssi, self.config.tag_width);
+                let own = &ws.own_clients[ap_id];
+                rows.rssi.clear();
+                for &c in own {
+                    rows.rssi
+                        .extend((0..antennas).map(|k| ch.mean_rssi_dbm(c, k)));
+                }
+                let rssi = &rows.rssi;
+                self.tags[ap_id].rebuild(
+                    (0..own.len()).map(|i| &rssi[i * antennas..(i + 1) * antennas]),
+                    self.config.tag_width,
+                );
             }
         }
     }
@@ -963,12 +1255,55 @@ impl NetworkSimulator {
             .map(|d| (d.moves_total(), d.handoffs_total()))
     }
 
-    /// Bytes of heap the dynamics layer retains (0 when dynamics are off);
-    /// stable once warm, which the long-horizon footprint test pins.
+    /// Work counters of the dynamics stage so far — rows born, freed and
+    /// refreshed, shadowing redraws, membership and roaming re-queries;
+    /// `None` when dynamics are off.  Deterministic in the seed.
+    pub fn dynamics_counters(&self) -> Option<DynamicsCounters> {
+        let (rows, state) = (self.rows.as_ref()?, self.dynamics.as_ref()?);
+        Some(DynamicsCounters {
+            roaming_requeries: state.roaming_requeries(),
+            ..rows.counters
+        })
+    }
+
+    /// Clients holding a channel row at AP `ap`, ascending — the row set
+    /// the simulator maintains (clients within interaction range of any of
+    /// the AP's antennas, plus its own clients).
+    pub fn channel_rows(&self, ap: usize) -> impl Iterator<Item = usize> + '_ {
+        self.channels[ap]
+            .row_of
+            .iter()
+            .enumerate()
+            .filter_map(|(client, row)| row.map(|_| client))
+    }
+
+    /// Channel-row slots allocated over all APs, free slots included: the
+    /// row capacity a dynamic run has grown to.
+    pub fn channel_row_slots(&self) -> usize {
+        self.channels.iter().map(|c| c.ch.num_clients()).sum()
+    }
+
+    /// Bytes of heap the dynamics layer retains (0 when dynamics are off):
+    /// mobility and roaming state, the row-membership tracker, the per-row
+    /// shadowing memos and the free-slot lists.  Stable once warm, which
+    /// the long-horizon footprint tests pin.
     pub fn dynamics_heap_footprint_bytes(&self) -> usize {
+        let Some(rows) = self.rows.as_ref() else {
+            return 0;
+        };
+        let per_ap: usize = self
+            .channels
+            .iter()
+            .map(|c| {
+                c.cache.as_ref().map_or(0, RowCache::heap_footprint_bytes)
+                    + c.free.capacity() * std::mem::size_of::<u32>()
+            })
+            .sum();
         self.dynamics
             .as_ref()
             .map_or(0, DynamicsState::heap_footprint_bytes)
+            + rows.heap_footprint_bytes()
+            + per_ap
     }
 
     /// Pipeline stage 1 — legacy channel evolution.  Channels advance one
@@ -1220,14 +1555,13 @@ impl NetworkSimulator {
         if self.config.fading != FadingEngine::Counter {
             return;
         }
-        let interval = self.config.coherence_interval_rounds.max(1) as u64;
+        let cadence = Cadence::of(&self.model, &self.config);
+        let (interval, rho) = (cadence.interval, cadence.rho);
         // The last evolution boundary at or before this round; every row
         // read this round must have absorbed the innovations keyed by
         // boundaries 0, interval, …, current_boundary (matching the legacy
         // engine's cadence of evolving on rounds divisible by the interval).
-        let current_boundary = (round as u64 / interval) * interval;
-        let delay_s = interval as f64 * DEFAULT_TXOP_US as f64 * 1e-6;
-        let rho = self.model.step_correlation(delay_s);
+        let current_boundary = cadence.boundary_at(round as u64);
 
         let RoundWorkspace {
             transmissions,
@@ -1290,25 +1624,15 @@ impl NetworkSimulator {
                 let row = apch.row_of[client as usize]
                     .expect("touched row must be in range of its AP")
                     as usize;
-                let mut boundary = apch.next_boundary[row];
-                if boundary > current_boundary {
-                    continue; // up to date within this coherence interval
-                }
-                let h_row = apch.ch.h.row_mut(row);
-                let g_row = apch.ch.large_scale.row(row);
-                while boundary <= current_boundary {
-                    self.model.evolve_row_counter(
-                        h_row,
-                        g_row,
-                        rho,
-                        ap as u64,
-                        client as u64,
-                        boundary,
-                        pairs,
-                    );
-                    boundary += interval;
-                }
-                apch.next_boundary[row] = boundary;
+                apch.catch_up_row(
+                    &self.model,
+                    ap as usize,
+                    client as usize,
+                    row,
+                    current_boundary,
+                    cadence,
+                    pairs,
+                );
             }
             return;
         }

@@ -84,6 +84,71 @@ fn a_hundred_thousand_round_run_is_flat_in_memory() {
     assert!(summary.capacity_sum() > 0.0);
 }
 
+/// Roaming walkers on the tiny floor with an interaction range short
+/// enough that clients keep entering and leaving APs' ranges: channel rows
+/// are born and freed every few steps.
+fn finite_range_sim(rounds: usize, seed: u64) -> NetworkSimulator {
+    let (topo, env) = tiny_floor(seed);
+    let mut config = NetworkSimConfig::midas(env, seed);
+    config.rounds = rounds;
+    config.fading = FadingEngine::Counter;
+    config.interaction_range_m = FINITE_RANGE_M;
+    config.dynamics = Some(DynamicsSpec::roaming_walk(20.0));
+    NetworkSimulator::new(topo, config).with_traffic_kind(TrafficKind::Churn {
+        attached_fraction: 0.7,
+        mean_session_rounds: 30.0,
+    })
+}
+
+/// Interaction range of [`finite_range_sim`].
+const FINITE_RANGE_M: f64 = 10.0;
+
+#[test]
+fn a_hundred_thousand_round_finite_range_run_keeps_its_rows_flat() {
+    // The infinite-range test above never births or frees a row; here the
+    // row set churns all run long, and the row capacity (free slots
+    // included), the shadowing memos and the free lists must plateau at
+    // their high-water marks like every other account.
+    let mut warm = finite_range_sim(20_000, 42);
+    warm.run_with(&mut RunningSummary::new());
+    let mut long = finite_range_sim(100_000, 42);
+    let mut summary = RunningSummary::new();
+    long.run_with(&mut summary);
+    assert_eq!(summary.rounds(), 100_000);
+    assert_eq!(
+        long.channel_row_slots(),
+        warm.channel_row_slots(),
+        "channel-row capacity grew after the warm snapshot"
+    );
+    assert_eq!(
+        long.dynamics_heap_footprint_bytes(),
+        warm.dynamics_heap_footprint_bytes()
+    );
+    assert_eq!(
+        long.workspace_heap_footprint_bytes(),
+        warm.workspace_heap_footprint_bytes()
+    );
+    let c = long.dynamics_counters().expect("dynamics are on");
+    assert!(c.rows_born > 1_000 && c.rows_freed > 1_000, "{c:?}");
+    // And the row set is still exactly its definition at the end.
+    let topo = long.topology();
+    for ap in 0..topo.aps.len() {
+        let expected: Vec<usize> = topo
+            .clients
+            .iter()
+            .filter(|c| {
+                c.ap_id == ap
+                    || topo.aps[ap]
+                        .antennas
+                        .iter()
+                        .any(|a| a.distance(&c.position) <= FINITE_RANGE_M)
+            })
+            .map(|c| c.id)
+            .collect();
+        assert_eq!(long.channel_rows(ap).collect::<Vec<_>>(), expected);
+    }
+}
+
 #[test]
 fn dynamic_runs_are_bit_identical_across_evolve_thread_counts() {
     // Mobility, roaming and churn all draw from dedicated RNG streams, and
@@ -105,9 +170,8 @@ fn dynamic_runs_are_deterministic_in_the_seed() {
 fn dynamics_off_is_byte_identical_to_the_static_simulator() {
     // `config.dynamics = None` must take exactly the legacy code path:
     // same draws, same rows, same bytes.  (An *inactive* spec is filtered
-    // to `None` at the session layer — `Some` always switches to dense
-    // channel rows, which re-keys nothing but allocates differently, so
-    // the byte-identity contract lives on `None`.)
+    // to `None` at the session layer; a dynamic run whose dynamics never
+    // step is byte-identical too, pinned in `dynamic_rows.rs`.)
     let (topo, env) = tiny_floor(5);
     let mut config = NetworkSimConfig::midas(env, 5);
     config.rounds = 50;

@@ -24,6 +24,15 @@ use midas_channel::EnvironmentKind;
 use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec};
 use midas_net::scale::{AssociationPolicy, Scenario};
 
+/// Revision of the dynamic-run semantics, part of the cache key of every
+/// spec with a `dynamics` layer (and of no other): bumped whenever the
+/// same dynamic spec starts producing different result bytes, so an
+/// existing cache never serves results of the old semantics as hits.
+/// Revision 2: channel rows are kept exactly the static row set every step
+/// (births drawn from keyed streams, frees), and under the counter engine
+/// a lagging row replays its boundaries before a large-scale refresh.
+pub const DYNAMICS_REVISION: u64 = 2;
+
 /// A decode failure, locating the offending field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodeError {
@@ -438,6 +447,7 @@ impl JobSpec {
         // material (and cache id) byte for byte.
         if let Some(dynamics) = self.dynamics {
             members.push(("dynamics".into(), dynamics_to_json(&dynamics)));
+            members.push(("dynamics_revision".into(), Json::UInt(DYNAMICS_REVISION)));
         }
         Json::Obj(members).write_canonical()
     }
@@ -1483,6 +1493,23 @@ mod tests {
         });
         let back = JobSpec::from_json_str(&spec.to_json().write_pretty()).unwrap();
         assert_eq!(back, spec);
+    }
+
+    /// A dynamic spec's id moved when its results did (revision 2: exact
+    /// sparse channel rows), so a cache populated before the change cannot
+    /// serve stale hits; static ids stay pinned by
+    /// `cache_key_is_pinned_and_ignores_scheduling_knobs`.
+    #[test]
+    fn dynamic_spec_ids_carry_the_dynamics_revision() {
+        let mut spec = JobSpec::new(ExperimentSpec::fig15(), 5);
+        spec.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
+        // The id this spec had before the revision member existed.
+        const PRE_REVISION_ID: &str = "ef14547d42f1ad7f";
+        assert_ne!(spec.cache_key(), PRE_REVISION_ID);
+        assert_eq!(spec.cache_key(), "553482cafc907f15");
+        assert!(spec
+            .cache_key_material()
+            .contains(",\"dynamics_revision\":2,"));
     }
 
     #[test]
