@@ -10,46 +10,21 @@
 //! * `MIDAS_ENTERPRISE_ROUNDS` — TXOP rounds per realisation (default 10).
 
 use midas::sim::ExperimentSpec;
-use midas_bench::{Cell, Figure, Table, BENCH_SEED};
+use midas_bench::{env_knob, env_list, Cell, Figure, Table, BENCH_SEED};
 use midas_net::metrics::Cdf;
 use midas_net::scale::Scenario;
 
-fn env_list(name: &str, default: &str) -> Vec<String> {
-    std::env::var(name)
-        .unwrap_or_else(|_| default.to_string())
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect()
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let scenarios = env_list(
+    let scenarios: Vec<String> = env_list(
         "MIDAS_ENTERPRISE_SCENARIOS",
         "enterprise_office,auditorium,dense_apartment",
     );
-    let ap_counts: Vec<usize> = env_list("MIDAS_ENTERPRISE_AP_COUNTS", "8,16,32,64")
-        .iter()
-        .filter_map(|v| match v.parse() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("MIDAS_ENTERPRISE_AP_COUNTS: ignoring unparsable entry '{v}'");
-                None
-            }
-        })
-        .collect();
+    let ap_counts: Vec<usize> = env_list("MIDAS_ENTERPRISE_AP_COUNTS", "8,16,32,64");
     if ap_counts.is_empty() {
         eprintln!("MIDAS_ENTERPRISE_AP_COUNTS resolved to no AP counts — nothing to sweep");
     }
-    let topologies = env_usize("MIDAS_ENTERPRISE_TOPOLOGIES", 5).max(1);
-    let rounds = env_usize("MIDAS_ENTERPRISE_ROUNDS", 10).max(1);
+    let topologies = env_knob("MIDAS_ENTERPRISE_TOPOLOGIES").unwrap_or(5).max(1);
+    let rounds = env_knob("MIDAS_ENTERPRISE_ROUNDS").unwrap_or(10).max(1);
 
     let mut fig = Figure::new("enterprise_scaling").with_seed(BENCH_SEED);
     let mut table = Table::new(

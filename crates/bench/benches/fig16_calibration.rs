@@ -17,45 +17,20 @@
 
 use midas::experiment::{best_calibration_cell, CalibrationGrid, FIG16_GAIN_BAND};
 use midas::sim::ExperimentSpec;
-use midas_bench::{Cell, Figure, Table, BENCH_SEED};
+use midas_bench::{env_knob, env_list, Cell, Figure, Table, BENCH_SEED};
 use midas_net::capture::{ContentionModel, PhysicalConfig};
 use midas_net::metrics::{relative_gain, Cdf};
 
-fn env_f64_list(name: &str, default: &str) -> Vec<f64> {
-    std::env::var(name)
-        .unwrap_or_else(|_| default.to_string())
-        .split(',')
-        .filter_map(|v| {
-            let v = v.trim();
-            if v.is_empty() {
-                return None;
-            }
-            match v.parse() {
-                Ok(x) => Some(x),
-                Err(_) => {
-                    eprintln!("{name}: ignoring unparsable entry '{v}'");
-                    None
-                }
-            }
-        })
-        .collect()
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
     let grid = CalibrationGrid {
-        cs_thresholds_dbm: env_f64_list("MIDAS_CALIBRATION_CS_DBM", "-88,-86,-84"),
-        capture_margins_db: env_f64_list("MIDAS_CALIBRATION_MARGIN_DB", "6,8,10"),
-        sensing_sigmas_db: env_f64_list("MIDAS_CALIBRATION_SIGMA_DB", "3,4.5"),
+        cs_thresholds_dbm: env_list("MIDAS_CALIBRATION_CS_DBM", "-88,-86,-84"),
+        capture_margins_db: env_list("MIDAS_CALIBRATION_MARGIN_DB", "6,8,10"),
+        sensing_sigmas_db: env_list("MIDAS_CALIBRATION_SIGMA_DB", "3,4.5"),
     };
-    let topologies = env_usize("MIDAS_CALIBRATION_TOPOLOGIES", 15).max(1);
-    let rounds = env_usize("MIDAS_CALIBRATION_ROUNDS", 10).max(1);
+    let topologies = env_knob("MIDAS_CALIBRATION_TOPOLOGIES")
+        .unwrap_or(15)
+        .max(1);
+    let rounds = env_knob("MIDAS_CALIBRATION_ROUNDS").unwrap_or(10).max(1);
 
     let cells = ExperimentSpec::Fig16Calibration {
         grid,

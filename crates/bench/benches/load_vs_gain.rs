@@ -18,43 +18,13 @@
 //!   roaming entirely (default 1.4, a walking pace).
 
 use midas::sim::ExperimentSpec;
-use midas_bench::{Cell, Figure, Table, BENCH_SEED};
-
-fn env_f64_list(name: &str, default: &str) -> Vec<f64> {
-    std::env::var(name)
-        .unwrap_or_else(|_| default.to_string())
-        .split(',')
-        .map(|s| s.trim())
-        .filter(|s| !s.is_empty())
-        .filter_map(|v| match v.parse() {
-            Ok(x) => Some(x),
-            Err(_) => {
-                eprintln!("{name}: ignoring unparsable entry '{v}'");
-                None
-            }
-        })
-        .collect()
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
+use midas_bench::{env_knob, env_list, Cell, Figure, Table, BENCH_SEED};
 
 fn main() {
-    let duty_cycles = env_f64_list("MIDAS_LOAD_DUTY_CYCLES", "0.1,0.25,0.5,0.75,1.0");
-    let topologies = env_usize("MIDAS_LOAD_TOPOLOGIES", 20).max(1);
-    let rounds = env_usize("MIDAS_LOAD_ROUNDS", 40).max(1);
-    let speed_mps = env_f64("MIDAS_LOAD_SPEED_MPS", 1.4).max(0.0);
+    let duty_cycles = env_list("MIDAS_LOAD_DUTY_CYCLES", "0.1,0.25,0.5,0.75,1.0");
+    let topologies = env_knob("MIDAS_LOAD_TOPOLOGIES").unwrap_or(20).max(1);
+    let rounds = env_knob("MIDAS_LOAD_ROUNDS").unwrap_or(40).max(1);
+    let speed_mps = env_knob("MIDAS_LOAD_SPEED_MPS").unwrap_or(1.4_f64).max(0.0);
 
     let rows = ExperimentSpec::LoadVsGain {
         duty_cycles,

@@ -59,8 +59,8 @@
 //! Both modes resolve names through the one cell registry; an unknown
 //! cell name exits with status 2.
 
-use midas::experiment::{end_to_end_series_with_engine, enterprise_scaling_with_engine};
-use midas_bench::{Cell, Figure, Table, BENCH_SEED};
+use midas::sim::{ExperimentOutput, ExperimentSpec, SessionSeries, SessionTrial};
+use midas_bench::{env_knob, env_list, Cell, Figure, Table, BENCH_SEED};
 use midas_channel::FadingEngine;
 use midas_net::capture::ContentionModel;
 use midas_net::dynamics::DynamicsSpec;
@@ -72,20 +72,28 @@ use midas_svc::spec::JobSpec;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-fn env_list(name: &str, default: &str) -> Vec<String> {
-    std::env::var(name)
-        .unwrap_or_else(|_| default.to_string())
-        .split(',')
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .collect()
+/// A session-driven spec at [`BENCH_SEED`] under `engine`: the spec's own
+/// recipe with the engine set on its builder.
+fn run_under(spec: &ExperimentSpec, engine: FadingEngine) -> ExperimentOutput {
+    let builder = spec
+        .session_builder()
+        .expect("session-driven cell")
+        .fading_engine(engine);
+    spec.run_session(builder, BENCH_SEED, &|trial: &SessionTrial<'_>, mac| {
+        Some(trial.simulate(mac))
+    })
+    .expect("plain simulation never stops early")
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
+/// The Fig. 16 8-AP series (binary-graph contention) under `engine`.
+fn fig16_series(topologies: usize, rounds: usize, engine: FadingEngine) -> SessionSeries {
+    let spec = ExperimentSpec::EndToEnd {
+        eight_aps: true,
+        topologies,
+        rounds,
+        contention: ContentionModel::Graph,
+    };
+    run_under(&spec, engine).expect_end_to_end()
 }
 
 /// Every cell of the registry, in snapshot order: the default
@@ -156,14 +164,7 @@ fn cell_by_name(
             scenario: None,
             dynamics: None,
             run: Box::new(move || {
-                let s = end_to_end_series_with_engine(
-                    true,
-                    topologies,
-                    rounds,
-                    BENCH_SEED,
-                    ContentionModel::Graph,
-                    engine,
-                );
+                let s = fig16_series(topologies, rounds, engine);
                 s.network.cas.iter().sum::<f64>() + s.network.das.iter().sum::<f64>()
             }),
         }
@@ -180,13 +181,12 @@ fn cell_by_name(
             scenario: Some(Scenario::enterprise_office(aps)),
             dynamics: None,
             run: Box::new(move || {
-                let s = enterprise_scaling_with_engine(
-                    &Scenario::enterprise_office(aps),
+                let spec = ExperimentSpec::EnterpriseScaling {
+                    scenario: Scenario::enterprise_office(aps),
                     topologies,
                     rounds,
-                    BENCH_SEED,
-                    engine,
-                );
+                };
+                let s = run_under(&spec, engine).expect_enterprise();
                 s.cas.iter().sum::<f64>() + s.das.iter().sum::<f64>()
             }),
         }
@@ -379,7 +379,8 @@ fn profile(cell_name: &str, rounds: usize) {
             let mut config = scenario.sim_config(MacKind::Midas, rounds, BENCH_SEED);
             config.rounds = rounds;
             config.fading = engine;
-            config.coherence_interval_rounds = env_usize("MIDAS_PIPELINE_COHERENCE", 1).max(1);
+            config.coherence_interval_rounds =
+                env_knob("MIDAS_PIPELINE_COHERENCE").unwrap_or(1).max(1);
             config.dynamics = cell.dynamics;
             let mut sim = NetworkSimulator::new(pair.das, config).with_stage_profiling();
             let result = sim.run();
@@ -405,14 +406,7 @@ fn profile(cell_name: &str, rounds: usize) {
         None => {
             // The paper-scale cells: the 8-AP workload through the series
             // runner, rounds stretched for a long loop.
-            let s = end_to_end_series_with_engine(
-                true,
-                1,
-                rounds,
-                BENCH_SEED,
-                ContentionModel::Graph,
-                engine,
-            );
+            let s = fig16_series(1, rounds, engine);
             let checksum = s.network.cas.iter().sum::<f64>() + s.network.das.iter().sum::<f64>();
             println!(
                 "# profile {cell_name} ({}): {rounds} rounds, checksum {checksum:.3}",
@@ -424,17 +418,17 @@ fn profile(cell_name: &str, rounds: usize) {
 
 fn main() {
     if let Ok(cell) = std::env::var("MIDAS_PIPELINE_PROFILE") {
-        let rounds = env_usize("MIDAS_PIPELINE_PROFILE_ROUNDS", 400).max(1);
+        let rounds = env_knob("MIDAS_PIPELINE_PROFILE_ROUNDS")
+            .unwrap_or(400)
+            .max(1);
         profile(cell.trim(), rounds);
         return;
     }
 
-    let names = env_list("MIDAS_PIPELINE_CELLS", &CELL_NAMES.join(","));
-    let reps = env_usize("MIDAS_PIPELINE_REPS", 7).max(1);
-    let topologies_override = std::env::var("MIDAS_PIPELINE_TOPOLOGIES")
-        .ok()
-        .and_then(|v| v.trim().parse().ok());
-    let rounds = env_usize("MIDAS_PIPELINE_ROUNDS", 10).max(1);
+    let names: Vec<String> = env_list("MIDAS_PIPELINE_CELLS", &CELL_NAMES.join(","));
+    let reps = env_knob("MIDAS_PIPELINE_REPS").unwrap_or(7).max(1);
+    let topologies_override = env_knob("MIDAS_PIPELINE_TOPOLOGIES");
+    let rounds = env_knob("MIDAS_PIPELINE_ROUNDS").unwrap_or(10).max(1);
 
     let cells: Vec<PipelineCell> = names
         .iter()

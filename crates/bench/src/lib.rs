@@ -14,9 +14,11 @@
 #![forbid(unsafe_code)]
 
 pub mod figure;
+mod knob;
 pub mod sink;
 
 pub use figure::{Block, Cell, Figure, Table};
+pub use knob::{env_knob, env_list};
 pub use sink::{
     default_figure_dir, figure_dir, CsvSink, JsonSink, Sink, StdoutSink, FIGURE_DIR_ENV,
 };

@@ -32,16 +32,15 @@ use midas_linalg::Complex;
 ///   `(trial_seed, ap, link, round)` through a stateless counter-based
 ///   stream ([`CounterRng`](crate::rng::CounterRng)), making evolution
 ///   order-independent: rows can be evolved lazily (only when a round
-///   actually reads them, with exact keyed catch-up), in batch (one stream
-///   fills a whole row's innovations), and in parallel (bit-identical at
-///   any thread count).  Opting in changes per-draw values — statistics,
-///   not goldens, are the contract.
+///   actually reads them, with exact keyed catch-up) and in batch (one
+///   stream fills a whole row's innovations).  Opting in changes per-draw
+///   values — statistics, not goldens, are the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FadingEngine {
     /// Sequential draws from one shared generator (byte-stable goldens).
     #[default]
     Legacy,
-    /// Stateless counter-keyed draws (order-independent; lazy/parallel).
+    /// Stateless counter-keyed draws (order-independent; lazy).
     Counter,
 }
 

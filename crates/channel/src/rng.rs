@@ -11,7 +11,7 @@
 //! starting point is a pure function of a caller-supplied key, so the draw
 //! for `(seed, ap, link, round)` is the same no matter which draws ran
 //! before it.  The counter-based fading engine is built on it — evolution
-//! order-independence is what unlocks lazy and parallel channel evolution.
+//! order-independence is what unlocks lazy channel evolution.
 
 /// A small, fast, deterministic PRNG (xoshiro256** seeded via splitmix64).
 #[derive(Debug, Clone)]

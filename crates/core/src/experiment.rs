@@ -3,27 +3,28 @@
 //! Each function regenerates the data series behind one figure.  All
 //! runners are deterministic in the supplied seed and execute through the
 //! session layer ([`crate::sim`]): the multi-AP experiments compose a
-//! [`PairedRecipe`] / [`Scenario`] topology source into a [`Session`] and
-//! fan trials through the shared [`SeedSweep`] engine, so every series is
-//! bit-identical at any thread count (`MIDAS_THREADS`).  Callers should
-//! prefer driving these through [`crate::sim::ExperimentSpec`] values —
-//! the functions remain as the implementation layer the specs dispatch to.
+//! [`PairedRecipe`] / [`Scenario`] topology source into a
+//! [`Session`](crate::sim::Session) and fan trials through the shared
+//! [`SeedSweep`] engine, so every series is bit-identical at any thread
+//! count (`MIDAS_THREADS`).  Callers should prefer driving these through
+//! [`ExperimentSpec`] values — the functions remain as the implementation
+//! layer the specs dispatch to, except [`end_to_end_series`] and
+//! [`enterprise_scaling`], which run their spec's shared session recipe
+//! ([`ExperimentSpec::run_session`]).
 
 use crate::config::SystemConfig;
 use crate::runner::SeedSweep;
-use crate::sim::{PairedRecipe, Session, SessionBuilder, SessionTrial};
+use crate::sim::{ExperimentSpec, PairedRecipe, SessionBuilder, SessionTrial};
 use crate::system::SingleApSystem;
 use midas_channel::geometry::{Point, Rect};
 use midas_channel::topology::{single_ap, TopologyConfig};
-use midas_channel::{ChannelModel, Environment, EnvironmentKind, FadingEngine, SimRng};
+use midas_channel::{ChannelModel, Environment, EnvironmentKind, SimRng};
 use midas_mac::client_select::{select_clients_midas, select_clients_random};
 use midas_mac::drr::DrrScheduler;
 use midas_mac::tagging::TagTable;
 use midas_net::capture::{ContentionModel, PhysicalConfig};
-use midas_net::contention::ContentionGraph;
 use midas_net::coverage::{compare_deadzones, DeadzoneComparison};
 use midas_net::hidden_terminal::{HiddenTerminalComparison, HiddenTerminalScenario};
-use midas_net::scale::scenario::INTERACTION_MARGIN_DB;
 use midas_net::scale::Scenario;
 use midas_net::simulator::MacKind;
 use midas_net::spatial_reuse;
@@ -318,72 +319,13 @@ pub fn fig14_packet_tagging(topologies: usize, seed: u64) -> PairedSamples {
     }))
 }
 
-/// Deprecated alias: the network series of [`end_to_end_series`] under the
-/// legacy binary contention graph.
-#[deprecated(
-    since = "0.2.0",
-    note = "drive `midas::sim::ExperimentSpec::EndToEnd { contention: ContentionModel::Graph, .. }` \
-            or call `end_to_end_series(..).network`"
-)]
-pub fn end_to_end_capacity(
-    eight_aps: bool,
-    topologies: usize,
-    rounds: usize,
-    seed: u64,
-) -> PairedSamples {
-    end_to_end_series(eight_aps, topologies, rounds, seed, ContentionModel::Graph).network
-}
-
-/// Deprecated alias: the network series of [`end_to_end_series`].
-#[deprecated(
-    since = "0.2.0",
-    note = "drive `midas::sim::ExperimentSpec::EndToEnd` or call \
-            `end_to_end_series(..).network` — the single model-parameterised entry point"
-)]
-pub fn end_to_end_capacity_with_model(
-    eight_aps: bool,
-    topologies: usize,
-    rounds: usize,
-    seed: u64,
-    contention: ContentionModel,
-) -> PairedSamples {
-    end_to_end_series(eight_aps, topologies, rounds, seed, contention).network
-}
-
-/// The [`Session`] behind the Figs. 15 / 16 experiment: the paper layout
-/// recipe ([`PairedRecipe::eight_ap_paper`] / [`three_ap_paper`]) composed
-/// with the given contention model at the historical seed mix.
-///
-/// [`three_ap_paper`]: PairedRecipe::three_ap_paper
-pub fn end_to_end_session(eight_aps: bool, rounds: usize, contention: ContentionModel) -> Session {
-    end_to_end_builder(eight_aps, rounds, contention).build()
-}
-
-/// The [`SessionBuilder`] behind [`end_to_end_session`], exposed so engine
-/// variants compose the identical recipe/mix before overriding knobs.
-fn end_to_end_builder(
-    eight_aps: bool,
-    rounds: usize,
-    contention: ContentionModel,
-) -> SessionBuilder {
-    let recipe = if eight_aps {
-        PairedRecipe::eight_ap_paper()
-    } else {
-        PairedRecipe::three_ap_paper()
-    };
-    SessionBuilder::new(recipe)
-        .rounds(rounds)
-        .contention(contention)
-        .seed_mix(193, 61)
-}
-
 /// Figs. 15 / 16 — end-to-end network capacity of CAS vs MIDAS over random
 /// multi-AP topologies (3-AP testbed layout or 8-AP large-scale layout)
-/// under an explicit contention model; the single model-parameterised
-/// entry point ([`ContentionModel::Graph`] reproduces the legacy
-/// binary-graph series bit-for-bit).  Both MACs run the same model — the
-/// paper's testbed CAS is subject to the same physical carrier sensing and
-/// capture effects as MIDAS, only with co-located vantage points.
+/// under an explicit contention model: the [`ExperimentSpec::EndToEnd`]
+/// recipe ([`ContentionModel::Graph`] reproduces the legacy binary-graph
+/// series bit-for-bit).  Both MACs run the same model — the paper's
+/// testbed CAS is subject to the same physical carrier sensing and capture
+/// effects as MIDAS, only with co-located vantage points.
 pub fn end_to_end_series(
     eight_aps: bool,
     topologies: usize,
@@ -391,27 +333,14 @@ pub fn end_to_end_series(
     seed: u64,
     contention: ContentionModel,
 ) -> EndToEndSeries {
-    end_to_end_session(eight_aps, rounds, contention).run(topologies, seed)
-}
-
-/// [`end_to_end_series`] under an explicit [`FadingEngine`]: the identical
-/// workload (same recipe, contention, historical seed mix), differing only
-/// in where small-scale innovations come from.  `FadingEngine::Legacy`
-/// reproduces [`end_to_end_series`] bit for bit; `FadingEngine::Counter`
-/// runs the lazy counter-keyed path and is the series the Fig. 16 fidelity
-/// band is re-checked against under the new engine.
-pub fn end_to_end_series_with_engine(
-    eight_aps: bool,
-    topologies: usize,
-    rounds: usize,
-    seed: u64,
-    contention: ContentionModel,
-    engine: FadingEngine,
-) -> EndToEndSeries {
-    end_to_end_builder(eight_aps, rounds, contention)
-        .fading_engine(engine)
-        .build()
-        .run(topologies, seed)
+    ExperimentSpec::EndToEnd {
+        eight_aps,
+        topologies,
+        rounds,
+        contention,
+    }
+    .run(seed)
+    .expect_end_to_end()
 }
 
 /// The Fig. 16 headline band the calibration scores against: the median
@@ -580,7 +509,8 @@ pub struct EnterpriseScalingSeries {
 
 /// Enterprise scaling — the beyond-Fig.-16 experiment: end-to-end CAS vs
 /// MIDAS capacity of a named [`Scenario`] (`midas_net::scale`) over random
-/// floor realisations at the given AP count.  Runs with the finite
+/// floor realisations at the given AP count, through the
+/// [`ExperimentSpec::EnterpriseScaling`] recipe.  Runs with the finite
 /// interaction range that activates the spatial-index scan truncation, which
 /// is what keeps 64-AP / 512-client floors tractable.
 pub fn enterprise_scaling(
@@ -589,63 +519,13 @@ pub fn enterprise_scaling(
     rounds: usize,
     seed: u64,
 ) -> EnterpriseScalingSeries {
-    enterprise_scaling_with_engine(scenario, topologies, rounds, seed, FadingEngine::Legacy)
-}
-
-/// [`enterprise_scaling`] under an explicit [`FadingEngine`] — the same
-/// scenario workload including the contention-degree diagnostic, with
-/// `FadingEngine::Legacy` reproducing [`enterprise_scaling`] bit for bit
-/// and `FadingEngine::Counter` exercising the lazy counter-keyed evolution
-/// path (the configuration behind the counter benchmark cells).
-pub fn enterprise_scaling_with_engine(
-    scenario: &Scenario,
-    topologies: usize,
-    rounds: usize,
-    seed: u64,
-    engine: FadingEngine,
-) -> EnterpriseScalingSeries {
-    let env = scenario.environment();
-    let session = SessionBuilder::new(*scenario)
-        .rounds(rounds)
-        .seed_mix(1021, 101)
-        .fading_engine(engine)
-        .build();
-    let rows = session.run_trials(topologies, seed, &|trial: &SessionTrial<'_>| {
-        // Structural diagnostic: range-limited AP contention degree of the
-        // DAS deployment (same frozen shadowing field as the simulator).
-        let graph = ContentionGraph::new(env, trial.seed() ^ 0x5151);
-        let adjacency = graph.ap_adjacency_indexed(
-            &trial.pair().das,
-            env.interaction_range_m(INTERACTION_MARGIN_DB),
-        );
-        let degree = adjacency
-            .iter()
-            .map(|row| row.iter().filter(|&&x| x).count())
-            .sum::<usize>() as f64
-            / adjacency.len().max(1) as f64;
-        let cas = trial.simulate(MacKind::Cas);
-        let das = trial.simulate(MacKind::Midas);
-        (
-            cas.mean_capacity(),
-            das.mean_capacity(),
-            cas.mean_streams(),
-            das.mean_streams(),
-            das.per_ap_mean_capacity(),
-            das.per_ap_duty_cycle(),
-            degree,
-        )
-    });
-    let mut out = EnterpriseScalingSeries::default();
-    for (cas, das, cas_streams, das_streams, per_ap_cap, per_ap_duty, degree) in rows {
-        out.cas.push(cas);
-        out.das.push(das);
-        out.cas_streams.push(cas_streams);
-        out.das_streams.push(das_streams);
-        out.das_per_ap_capacity.extend(per_ap_cap);
-        out.das_per_ap_duty.extend(per_ap_duty);
-        out.das_contention_degree.push(degree);
+    ExperimentSpec::EnterpriseScaling {
+        scenario: *scenario,
+        topologies,
+        rounds,
     }
-    out
+    .run(seed)
+    .expect_enterprise()
 }
 
 /// Ablation — tag-width sweep (§3.2.4 discusses 1, 2 and "all" antennas per
@@ -798,25 +678,13 @@ mod tests {
     fn end_to_end_midas_beats_cas_on_three_aps() {
         // Per-topology variance is high at this small scale, so aggregate a
         // handful of topologies; the bench runs the full-size version.
-        let s = end_to_end_series(false, 6, 10, 100, ContentionModel::Graph).network;
-        let das: f64 = s.das.iter().sum();
-        let cas: f64 = s.cas.iter().sum();
+        let series = end_to_end_series(false, 6, 10, 100, ContentionModel::Graph);
+        let das: f64 = series.network.das.iter().sum();
+        let cas: f64 = series.network.cas.iter().sum();
         assert!(das > cas, "MIDAS {das:.1} vs CAS {cas:.1}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_capacity_shims_match_the_series_runner() {
-        // The migration shims are the network view of `end_to_end_series`;
-        // the per-client series must align with topologies × clients.
-        let series = end_to_end_series(false, 3, 5, 7, ContentionModel::Graph);
-        let capacity = end_to_end_capacity(false, 3, 5, 7);
-        assert_eq!(series.network.cas, capacity.cas);
-        assert_eq!(series.network.das, capacity.das);
-        let with_model = end_to_end_capacity_with_model(false, 3, 5, 7, ContentionModel::Graph);
-        assert_eq!(series.network.cas, with_model.cas);
-        assert_eq!(series.per_client.cas.len(), 3 * 12);
-        assert_eq!(series.per_client.das.len(), 3 * 12);
+        // The per-client series pairs every client of every topology.
+        assert_eq!(series.per_client.cas.len(), 6 * 12);
+        assert_eq!(series.per_client.das.len(), 6 * 12);
         assert!(series.per_client.das.iter().all(|c| c.is_finite()));
     }
 

@@ -28,11 +28,9 @@
 //! | `experiment::fig03_naive_scaling_drop(n, seed)` | `ExperimentSpec::NaiveScalingDrop { topologies: n }.run(seed)` |
 //! | `experiment::fig08_09_capacity(env, k, n, seed)` | `ExperimentSpec::MuMimoCapacity { environment: env, antennas: k, topologies: n }.run(seed)` |
 //! | `experiment::fig12_simultaneous_tx(n, seed)` | `ExperimentSpec::SimultaneousTx { topologies: n }.run(seed)` |
-//! | `experiment::end_to_end_capacity(eight, n, r, seed)` | `ExperimentSpec::EndToEnd { eight_aps: eight, topologies: n, rounds: r, contention: ContentionModel::Graph }.run(seed)` |
-//! | `experiment::end_to_end_capacity_with_model(…, model)` | same spec with `contention: model` |
-//! | `spatial_reuse_trial(_with_model)` | `midas_net::spatial_reuse::trial(pair, env, rng, &model)` |
-//! | `HiddenTerminalScenario::compare(_with_model)` | `HiddenTerminalScenario::comparison(spacing, rng, &model)` |
+//! | `experiment::end_to_end_series(eight, n, r, seed, model)` | `ExperimentSpec::EndToEnd { eight_aps: eight, topologies: n, rounds: r, contention: model }.run(seed)` |
 //! | bespoke `NetworkSimulator` loops | `SessionBuilder::new(source)…build()` + [`Session::run`] / [`Session::stream`] |
+//! | a figure recipe under other knobs (engine, traffic, dynamics) | [`ExperimentSpec::session_builder`] + the knobs, then [`ExperimentSpec::run_session`] |
 //!
 //! ## Example
 //!
@@ -58,7 +56,7 @@ mod spec;
 
 pub use session::{PairedSamples, Session, SessionBuilder, SessionSeries, SessionTrial};
 pub use source::{PairedRecipe, TopologySource};
-pub use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow, SpecParseError};
+pub use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow};
 
 // The building blocks a session composes, re-exported so `midas::sim` is a
 // one-stop import for session users.

@@ -89,7 +89,6 @@ pub struct SessionBuilder {
     tag_width: Option<usize>,
     coherence_interval_rounds: Option<usize>,
     fading: FadingEngine,
-    evolve_threads: usize,
     stage_profiling: bool,
     dynamics: Option<DynamicsSpec>,
     mix: (u64, u64),
@@ -107,7 +106,6 @@ impl SessionBuilder {
             tag_width: None,
             coherence_interval_rounds: None,
             fading: FadingEngine::Legacy,
-            evolve_threads: 1,
             stage_profiling: false,
             dynamics: None,
             mix: (1, 0),
@@ -156,20 +154,11 @@ impl SessionBuilder {
     /// [`FadingEngine::Legacy`], which keeps every historical series
     /// byte-identical).  [`FadingEngine::Counter`] derives each innovation
     /// from a stateless counter-based stream keyed by
-    /// `(trial_seed, ap, link, round)`, enabling lazy active-set evolution
-    /// and bit-identical intra-trial parallel evolve; its series are
-    /// statistically equivalent but not draw-for-draw identical to Legacy.
+    /// `(trial_seed, ap, link, round)`, enabling lazy active-set
+    /// evolution; its series are statistically equivalent but not
+    /// draw-for-draw identical to Legacy.
     pub fn fading_engine(mut self, engine: FadingEngine) -> Self {
         self.fading = engine;
-        self
-    }
-
-    /// Sets how many threads each trial's counter-engine channel evolution
-    /// may use (default: 1).  Results are bit-identical at any setting; the
-    /// knob has no effect under [`FadingEngine::Legacy`], whose pinned draw
-    /// order is inherently serial.
-    pub fn evolve_threads(mut self, threads: usize) -> Self {
-        self.evolve_threads = threads.max(1);
         self
     }
 
@@ -258,25 +247,41 @@ impl Session {
     /// Runs `topologies` paired trials and accumulates the network and
     /// per-client series (the Figs. 15 / 16 shape).
     pub fn run(&self, topologies: usize, seed: u64) -> SessionSeries {
+        self.run_with(topologies, seed, &|trial: &SessionTrial<'_>, mac| {
+            Some(trial.simulate(mac))
+        })
+        .expect("plain simulation never stops early")
+    }
+
+    /// [`Session::run`] with each trial's per-MAC simulation (CAS first,
+    /// then MIDAS) delegated to `simulate`; `None` from any call makes the
+    /// whole run `None`.
+    pub(crate) fn run_with(
+        &self,
+        topologies: usize,
+        seed: u64,
+        simulate: &(dyn Fn(&SessionTrial<'_>, MacKind) -> Option<TopologyResult> + Sync),
+    ) -> Option<SessionSeries> {
         let rows = self.run_trials(topologies, seed, &|trial: &SessionTrial<'_>| {
-            let cas = trial.simulate(MacKind::Cas);
-            let das = trial.simulate(MacKind::Midas);
-            (
+            let cas = simulate(trial, MacKind::Cas)?;
+            let das = simulate(trial, MacKind::Midas)?;
+            Some((
                 (cas.mean_capacity(), das.mean_capacity()),
                 (
                     cas.per_client_mean_capacity(),
                     das.per_client_mean_capacity(),
                 ),
-            )
+            ))
         });
         let mut out = SessionSeries::default();
-        for (net, clients) in rows {
+        for row in rows {
+            let (net, clients) = row?;
             out.network.cas.push(net.0);
             out.network.das.push(net.1);
             out.per_client.cas.extend(clients.0);
             out.per_client.das.extend(clients.1);
         }
-        out
+        Some(out)
     }
 
     /// Runs `topologies` trials through the sweep engine, mapping each
@@ -354,7 +359,6 @@ impl SessionTrial<'_> {
             config.coherence_interval_rounds = interval;
         }
         config.fading = inner.fading;
-        config.evolve_threads = inner.evolve_threads;
         config.dynamics = inner.dynamics;
         config
     }

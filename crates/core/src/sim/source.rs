@@ -114,11 +114,6 @@ impl PairedRecipe {
         let spacing = (60.0f64 * 60.0 / 8.0).sqrt();
         PairedRecipe::eight_ap(env, paper_das_config_dense(&env, 4, 4, spacing))
     }
-
-    /// The antenna-placement config this recipe deploys with.
-    pub fn config(&self) -> &TopologyConfig {
-        &self.config
-    }
 }
 
 impl TopologySource for PairedRecipe {

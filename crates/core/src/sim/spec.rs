@@ -13,20 +13,23 @@
 //! at `midas_bench::BENCH_SEED`).
 
 use crate::experiment::{
-    ablation_antenna_wait, ablation_das_radius, ablation_tag_width, end_to_end_series,
-    enterprise_scaling, fig03_naive_scaling_drop, fig07_link_snr, fig08_09_capacity,
-    fig10_smart_precoding, fig11_optimal_comparison, fig12_simultaneous_tx, fig13_deadzones,
-    fig14_packet_tagging, fig16_calibration, sec534_hidden_terminals, CalibrationCell,
-    CalibrationGrid, EnterpriseScalingSeries, SmartPrecodingSeries,
+    ablation_antenna_wait, ablation_das_radius, ablation_tag_width, fig03_naive_scaling_drop,
+    fig07_link_snr, fig08_09_capacity, fig10_smart_precoding, fig11_optimal_comparison,
+    fig12_simultaneous_tx, fig13_deadzones, fig14_packet_tagging, fig16_calibration,
+    sec534_hidden_terminals, CalibrationCell, CalibrationGrid, EnterpriseScalingSeries,
+    SmartPrecodingSeries,
 };
-use crate::sim::session::{PairedSamples, SessionBuilder, SessionSeries};
+use crate::sim::session::{PairedSamples, Session, SessionBuilder, SessionSeries, SessionTrial};
 use crate::sim::source::PairedRecipe;
-use midas_channel::EnvironmentKind;
+use midas_channel::{Environment, EnvironmentKind};
 use midas_net::capture::ContentionModel;
+use midas_net::contention::ContentionGraph;
 use midas_net::coverage::DeadzoneComparison;
 use midas_net::dynamics::DynamicsSpec;
 use midas_net::hidden_terminal::HiddenTerminalComparison;
+use midas_net::scale::scenario::INTERACTION_MARGIN_DB;
 use midas_net::scale::Scenario;
+use midas_net::simulator::{MacKind, TopologyResult};
 use midas_net::traffic::TrafficKind;
 
 /// One experiment of the paper's evaluation (plus the beyond-paper
@@ -298,33 +301,18 @@ impl ExperimentSpec {
             ExperimentSpec::PacketTagging { topologies } => {
                 ExperimentOutput::Paired(fig14_packet_tagging(*topologies, seed))
             }
-            ExperimentSpec::EndToEnd {
-                eight_aps,
-                topologies,
-                rounds,
-                contention,
-            } => ExperimentOutput::EndToEnd(end_to_end_series(
-                *eight_aps,
-                *topologies,
-                *rounds,
-                seed,
-                *contention,
-            )),
+            ExperimentSpec::EndToEnd { .. } | ExperimentSpec::EnterpriseScaling { .. } => {
+                let builder = self.session_builder().expect("session-driven experiment");
+                self.run_session(builder, seed, &|trial: &SessionTrial<'_>, mac| {
+                    Some(trial.simulate(mac))
+                })
+                .expect("plain simulation never stops early")
+            }
             ExperimentSpec::Fig16Calibration {
                 grid,
                 topologies,
                 rounds,
             } => ExperimentOutput::Calibration(fig16_calibration(grid, *topologies, *rounds, seed)),
-            ExperimentSpec::EnterpriseScaling {
-                scenario,
-                topologies,
-                rounds,
-            } => ExperimentOutput::Enterprise(enterprise_scaling(
-                scenario,
-                *topologies,
-                *rounds,
-                seed,
-            )),
             ExperimentSpec::LoadVsGain {
                 duty_cycles,
                 topologies,
@@ -349,6 +337,129 @@ impl ExperimentSpec {
             }
         }
     }
+
+    /// The session recipe of a session-driven experiment — the Figs. 15 /
+    /// 16 end-to-end runs and the enterprise sweep: topology source,
+    /// rounds, contention and the historical seed mix.  `None` for the
+    /// experiments that run their own fixed recipe.  Callers apply their
+    /// knobs (fading engine, traffic, dynamics, workers, …) to the returned
+    /// builder and pass it to [`ExperimentSpec::run_session`].
+    pub fn session_builder(&self) -> Option<SessionBuilder> {
+        match self {
+            ExperimentSpec::EndToEnd {
+                eight_aps,
+                rounds,
+                contention,
+                ..
+            } => {
+                let recipe = if *eight_aps {
+                    PairedRecipe::eight_ap_paper()
+                } else {
+                    PairedRecipe::three_ap_paper()
+                };
+                Some(
+                    SessionBuilder::new(recipe)
+                        .rounds(*rounds)
+                        .contention(*contention)
+                        .seed_mix(193, 61),
+                )
+            }
+            ExperimentSpec::EnterpriseScaling {
+                scenario, rounds, ..
+            } => Some(
+                SessionBuilder::new(*scenario)
+                    .rounds(*rounds)
+                    .seed_mix(1021, 101),
+            ),
+            _ => None,
+        }
+    }
+
+    /// Runs a session-driven experiment over `builder` (its
+    /// [`ExperimentSpec::session_builder`], with any caller knobs applied):
+    /// the spec's topology count, each trial's per-MAC simulation through
+    /// `simulate` (CAS first, then MIDAS), the per-trial reduction and the
+    /// row assembly order.  [`ExperimentSpec::run`] passes
+    /// [`SessionTrial::simulate`]; the job service passes a hook that also
+    /// streams the round log and stops on cancellation.  Returns `None` when
+    /// any call of `simulate` does.
+    ///
+    /// # Panics
+    /// Panics when the experiment is not session-driven.
+    pub fn run_session(
+        &self,
+        builder: SessionBuilder,
+        seed: u64,
+        simulate: &(dyn Fn(&SessionTrial<'_>, MacKind) -> Option<TopologyResult> + Sync),
+    ) -> Option<ExperimentOutput> {
+        let session = builder.build();
+        match self {
+            ExperimentSpec::EndToEnd { topologies, .. } => session
+                .run_with(*topologies, seed, simulate)
+                .map(ExperimentOutput::EndToEnd),
+            ExperimentSpec::EnterpriseScaling {
+                scenario,
+                topologies,
+                ..
+            } => enterprise_series(
+                &session,
+                scenario.environment(),
+                *topologies,
+                seed,
+                simulate,
+            )
+            .map(ExperimentOutput::Enterprise),
+            other => panic!("{} is not session-driven", other.name()),
+        }
+    }
+}
+
+/// The enterprise sweep's trials: paired simulations through `simulate`
+/// plus the DAS deployment's contention degree, one row per topology.
+fn enterprise_series(
+    session: &Session,
+    env: Environment,
+    topologies: usize,
+    seed: u64,
+    simulate: &(dyn Fn(&SessionTrial<'_>, MacKind) -> Option<TopologyResult> + Sync),
+) -> Option<EnterpriseScalingSeries> {
+    let rows = session.run_trials(topologies, seed, &|trial: &SessionTrial<'_>| {
+        let cas = simulate(trial, MacKind::Cas)?;
+        let das = simulate(trial, MacKind::Midas)?;
+        // Structural diagnostic: range-limited AP contention degree of the
+        // DAS deployment (same frozen shadowing field as the simulator).
+        let graph = ContentionGraph::new(env, trial.seed() ^ 0x5151);
+        let adjacency = graph.ap_adjacency_indexed(
+            &trial.pair().das,
+            env.interaction_range_m(INTERACTION_MARGIN_DB),
+        );
+        let degree = adjacency
+            .iter()
+            .map(|row| row.iter().filter(|&&x| x).count())
+            .sum::<usize>() as f64
+            / adjacency.len().max(1) as f64;
+        Some((
+            cas.mean_capacity(),
+            das.mean_capacity(),
+            cas.mean_streams(),
+            das.mean_streams(),
+            das.per_ap_mean_capacity(),
+            das.per_ap_duty_cycle(),
+            degree,
+        ))
+    });
+    let mut out = EnterpriseScalingSeries::default();
+    for row in rows {
+        let (cas, das, cas_streams, das_streams, per_ap_cap, per_ap_duty, degree) = row?;
+        out.cas.push(cas);
+        out.das.push(das);
+        out.cas_streams.push(cas_streams);
+        out.das_streams.push(das_streams);
+        out.das_per_ap_capacity.extend(per_ap_cap);
+        out.das_per_ap_duty.extend(per_ap_duty);
+        out.das_contention_degree.push(degree);
+    }
+    Some(out)
 }
 
 /// One offered-load point of an [`ExperimentSpec::LoadVsGain`] sweep.
@@ -559,511 +670,6 @@ impl ExperimentOutput {
             ExperimentOutput::DasRadius(_) => "DasRadius",
             ExperimentOutput::AntennaWait(_) => "AntennaWait",
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Canonical textual form
-// ---------------------------------------------------------------------------
-//
-// `Display` emits `name{key=value,…}` with the variant's fields in
-// declaration order and floats in shortest-round-trip (`{:?}`) form, and
-// `FromStr` parses exactly that form back.  The encoding is *canonical*:
-// one spec has one string, so hashes of the string (the capacity-planning
-// service's cache keys) are reproducible across runs and platforms.  The
-// golden strings are pinned in `crates/core/tests/spec_roundtrip.rs`.
-
-/// Error from parsing the canonical textual form of an [`ExperimentSpec`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecParseError {
-    /// Byte offset into the input where parsing failed.
-    pub offset: usize,
-    /// What the parser expected or found wrong.
-    pub message: String,
-}
-
-impl std::fmt::Display for SpecParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "spec parse error at byte {}: {}",
-            self.offset, self.message
-        )
-    }
-}
-
-impl std::error::Error for SpecParseError {}
-
-fn environment_kind_name(kind: EnvironmentKind) -> &'static str {
-    match kind {
-        EnvironmentKind::OfficeA => "office_a",
-        EnvironmentKind::OfficeB => "office_b",
-        EnvironmentKind::OpenPlan => "open_plan",
-    }
-}
-
-fn fmt_f64_list(values: &[f64]) -> String {
-    let items: Vec<String> = values.iter().map(|v| format!("{v:?}")).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn fmt_contention(model: &ContentionModel) -> String {
-    match model {
-        ContentionModel::Graph => "graph".to_string(),
-        ContentionModel::Physical(p) => {
-            let sigma = match p.sensing_sigma_db {
-                Some(s) => format!("{s:?}"),
-                None => "none".to_string(),
-            };
-            format!(
-                "physical(cs_threshold_dbm={:?},capture_margin_db={:?},sensing_sigma_db={sigma})",
-                p.cs_threshold_dbm, p.capture_margin_db
-            )
-        }
-    }
-}
-
-impl std::fmt::Display for ExperimentSpec {
-    /// The canonical textual form: `name{key=value,…}` (see the section
-    /// comment above).  An [`ExperimentSpec::EnterpriseScaling`] over a
-    /// scenario that is not one of the named library recipes renders its
-    /// scenario as `custom`, which [`FromStr`](std::str::FromStr) rejects —
-    /// custom floors have no stable textual identity.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = self.name();
-        match self {
-            ExperimentSpec::NaiveScalingDrop { topologies }
-            | ExperimentSpec::LinkSnr { topologies }
-            | ExperimentSpec::SmartPrecoding { topologies }
-            | ExperimentSpec::SimultaneousTx { topologies }
-            | ExperimentSpec::PacketTagging { topologies } => {
-                write!(f, "{name}{{topologies={topologies}}}")
-            }
-            ExperimentSpec::MuMimoCapacity {
-                environment,
-                antennas,
-                topologies,
-            } => write!(
-                f,
-                "{name}{{environment={},antennas={antennas},topologies={topologies}}}",
-                environment_kind_name(*environment)
-            ),
-            ExperimentSpec::OptimalComparison {
-                topologies,
-                stale_csi,
-            } => write!(f, "{name}{{topologies={topologies},stale_csi={stale_csi}}}"),
-            ExperimentSpec::Deadzones { deployments }
-            | ExperimentSpec::HiddenTerminals { deployments } => {
-                write!(f, "{name}{{deployments={deployments}}}")
-            }
-            ExperimentSpec::EndToEnd {
-                eight_aps: _,
-                topologies,
-                rounds,
-                contention,
-            } => write!(
-                f,
-                "{name}{{topologies={topologies},rounds={rounds},contention={}}}",
-                fmt_contention(contention)
-            ),
-            ExperimentSpec::Fig16Calibration {
-                grid,
-                topologies,
-                rounds,
-            } => write!(
-                f,
-                "{name}{{cs_thresholds_dbm={},capture_margins_db={},sensing_sigmas_db={},\
-                 topologies={topologies},rounds={rounds}}}",
-                fmt_f64_list(&grid.cs_thresholds_dbm),
-                fmt_f64_list(&grid.capture_margins_db),
-                fmt_f64_list(&grid.sensing_sigmas_db)
-            ),
-            ExperimentSpec::EnterpriseScaling {
-                scenario,
-                topologies,
-                rounds,
-            } => {
-                let aps = scenario.num_aps();
-                let label = if Scenario::by_name(scenario.name(), aps).as_ref() == Some(scenario) {
-                    scenario.name()
-                } else {
-                    "custom"
-                };
-                write!(
-                    f,
-                    "{name}{{scenario={label},aps={aps},topologies={topologies},rounds={rounds}}}"
-                )
-            }
-            ExperimentSpec::LoadVsGain {
-                duty_cycles,
-                topologies,
-                rounds,
-                speed_mps,
-            } => write!(
-                f,
-                "{name}{{duty_cycles={},topologies={topologies},rounds={rounds},\
-                 speed_mps={speed_mps:?}}}",
-                fmt_f64_list(duty_cycles)
-            ),
-            ExperimentSpec::TagWidth { widths, topologies } => {
-                let items: Vec<String> = widths.iter().map(|w| w.to_string()).collect();
-                write!(
-                    f,
-                    "{name}{{widths=[{}],topologies={topologies}}}",
-                    items.join(",")
-                )
-            }
-            ExperimentSpec::DasRadius {
-                fractions,
-                topologies,
-            } => {
-                let items: Vec<String> = fractions
-                    .iter()
-                    .map(|(lo, hi)| format!("({lo:?},{hi:?})"))
-                    .collect();
-                write!(
-                    f,
-                    "{name}{{fractions=[{}],topologies={topologies}}}",
-                    items.join(",")
-                )
-            }
-            ExperimentSpec::AntennaWait { windows_us, trials } => {
-                let items: Vec<String> = windows_us.iter().map(|w| w.to_string()).collect();
-                write!(
-                    f,
-                    "{name}{{windows_us=[{}],trials={trials}}}",
-                    items.join(",")
-                )
-            }
-        }
-    }
-}
-
-/// Strict cursor over the canonical form — every helper fails with the byte
-/// offset it stopped at, so errors point into the input.
-struct SpecCursor<'a> {
-    input: &'a str,
-    pos: usize,
-}
-
-impl<'a> SpecCursor<'a> {
-    fn new(input: &'a str) -> Self {
-        SpecCursor { input, pos: 0 }
-    }
-
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, SpecParseError> {
-        Err(SpecParseError {
-            offset: self.pos,
-            message: message.into(),
-        })
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.input[self.pos..]
-    }
-
-    fn lit(&mut self, token: &str) -> Result<(), SpecParseError> {
-        if self.rest().starts_with(token) {
-            self.pos += token.len();
-            Ok(())
-        } else {
-            self.err(format!(
-                "expected `{token}`, found `{}`",
-                self.rest().chars().take(24).collect::<String>()
-            ))
-        }
-    }
-
-    /// The longest identifier (`[a-z0-9_]+`) at the cursor.
-    fn ident(&mut self) -> Result<&'a str, SpecParseError> {
-        let rest = self.rest();
-        let len = rest
-            .bytes()
-            .take_while(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || *b == b'_')
-            .count();
-        if len == 0 {
-            return self.err("expected an identifier");
-        }
-        self.pos += len;
-        Ok(&rest[..len])
-    }
-
-    /// The longest number token (`[0-9+-.eE]+`) at the cursor, parsed as `T`.
-    fn number<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, SpecParseError> {
-        let rest = self.rest();
-        let len = rest
-            .bytes()
-            .take_while(|b| {
-                b.is_ascii_digit()
-                    || matches!(b, b'+' | b'-' | b'.' | b'e' | b'E' | b'i' | b'n' | b'f')
-            })
-            .count();
-        let token = &rest[..len];
-        match token.parse() {
-            Ok(v) if len > 0 => {
-                self.pos += len;
-                Ok(v)
-            }
-            _ => self.err(format!("expected {what}, found `{token}`")),
-        }
-    }
-
-    fn bool_value(&mut self) -> Result<bool, SpecParseError> {
-        if self.rest().starts_with("true") {
-            self.pos += 4;
-            Ok(true)
-        } else if self.rest().starts_with("false") {
-            self.pos += 5;
-            Ok(false)
-        } else {
-            self.err("expected `true` or `false`")
-        }
-    }
-
-    /// `key=<parsed value>` with the exact key (canonical field order is
-    /// strict).
-    fn field<T>(
-        &mut self,
-        key: &str,
-        parse: impl FnOnce(&mut Self) -> Result<T, SpecParseError>,
-    ) -> Result<T, SpecParseError> {
-        self.lit(key)?;
-        self.lit("=")?;
-        parse(self)
-    }
-
-    fn list<T>(
-        &mut self,
-        parse: impl Fn(&mut Self) -> Result<T, SpecParseError>,
-    ) -> Result<Vec<T>, SpecParseError> {
-        self.lit("[")?;
-        let mut out = Vec::new();
-        if self.rest().starts_with(']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(parse(self)?);
-            if self.rest().starts_with(',') {
-                self.pos += 1;
-            } else {
-                self.lit("]")?;
-                return Ok(out);
-            }
-        }
-    }
-
-    fn contention(&mut self) -> Result<ContentionModel, SpecParseError> {
-        if self.rest().starts_with("graph") {
-            self.pos += 5;
-            return Ok(ContentionModel::Graph);
-        }
-        self.lit("physical(")?;
-        let cs = self.field("cs_threshold_dbm", |c| c.number("a float"))?;
-        self.lit(",")?;
-        let margin = self.field("capture_margin_db", |c| c.number("a float"))?;
-        self.lit(",")?;
-        let sigma = self.field("sensing_sigma_db", |c| {
-            if c.rest().starts_with("none") {
-                c.pos += 4;
-                Ok(None)
-            } else {
-                c.number("a float or `none`").map(Some)
-            }
-        })?;
-        self.lit(")")?;
-        Ok(ContentionModel::Physical(
-            midas_net::capture::PhysicalConfig {
-                cs_threshold_dbm: cs,
-                capture_margin_db: margin,
-                sensing_sigma_db: sigma,
-            },
-        ))
-    }
-
-    fn environment_kind(&mut self) -> Result<EnvironmentKind, SpecParseError> {
-        let start = self.pos;
-        let name = self.ident()?;
-        match name {
-            "office_a" => Ok(EnvironmentKind::OfficeA),
-            "office_b" => Ok(EnvironmentKind::OfficeB),
-            "open_plan" => Ok(EnvironmentKind::OpenPlan),
-            other => {
-                self.pos = start;
-                self.err(format!(
-                    "unknown environment `{other}` (expected office_a, office_b or open_plan)"
-                ))
-            }
-        }
-    }
-}
-
-impl std::str::FromStr for ExperimentSpec {
-    type Err = SpecParseError;
-
-    /// Parses the canonical form [`Display`](std::fmt::Display) emits —
-    /// strict field order, no whitespace.
-    fn from_str(input: &str) -> Result<Self, Self::Err> {
-        let mut c = SpecCursor::new(input);
-        let name = c.ident()?.to_string();
-        c.lit("{")?;
-        let spec = match name.as_str() {
-            "fig03_naive_scaling_drop" => ExperimentSpec::NaiveScalingDrop {
-                topologies: c.field("topologies", |c| c.number("an integer"))?,
-            },
-            "fig07_link_snr" => ExperimentSpec::LinkSnr {
-                topologies: c.field("topologies", |c| c.number("an integer"))?,
-            },
-            "fig08_09_capacity" => {
-                let environment = c.field("environment", SpecCursor::environment_kind)?;
-                c.lit(",")?;
-                let antennas = c.field("antennas", |c| c.number("an integer"))?;
-                c.lit(",")?;
-                let topologies = c.field("topologies", |c| c.number("an integer"))?;
-                ExperimentSpec::MuMimoCapacity {
-                    environment,
-                    antennas,
-                    topologies,
-                }
-            }
-            "fig10_smart_precoding" => ExperimentSpec::SmartPrecoding {
-                topologies: c.field("topologies", |c| c.number("an integer"))?,
-            },
-            "fig11_optimal_comparison" => {
-                let topologies = c.field("topologies", |c| c.number("an integer"))?;
-                c.lit(",")?;
-                let stale_csi = c.field("stale_csi", SpecCursor::bool_value)?;
-                ExperimentSpec::OptimalComparison {
-                    topologies,
-                    stale_csi,
-                }
-            }
-            "fig12_simultaneous_tx" => ExperimentSpec::SimultaneousTx {
-                topologies: c.field("topologies", |c| c.number("an integer"))?,
-            },
-            "fig13_deadzone" => ExperimentSpec::Deadzones {
-                deployments: c.field("deployments", |c| c.number("an integer"))?,
-            },
-            "sec534_hidden_terminals" => ExperimentSpec::HiddenTerminals {
-                deployments: c.field("deployments", |c| c.number("an integer"))?,
-            },
-            "fig14_packet_tagging" => ExperimentSpec::PacketTagging {
-                topologies: c.field("topologies", |c| c.number("an integer"))?,
-            },
-            "fig15_three_ap_end_to_end" | "fig16_eight_ap_simulation" => {
-                let topologies = c.field("topologies", |c| c.number("an integer"))?;
-                c.lit(",")?;
-                let rounds = c.field("rounds", |c| c.number("an integer"))?;
-                c.lit(",")?;
-                let contention = c.field("contention", SpecCursor::contention)?;
-                ExperimentSpec::EndToEnd {
-                    eight_aps: name == "fig16_eight_ap_simulation",
-                    topologies,
-                    rounds,
-                    contention,
-                }
-            }
-            "fig16_calibration" => {
-                let cs = c.field("cs_thresholds_dbm", |c| c.list(|c| c.number("a float")))?;
-                c.lit(",")?;
-                let margins = c.field("capture_margins_db", |c| c.list(|c| c.number("a float")))?;
-                c.lit(",")?;
-                let sigmas = c.field("sensing_sigmas_db", |c| c.list(|c| c.number("a float")))?;
-                c.lit(",")?;
-                let topologies = c.field("topologies", |c| c.number("an integer"))?;
-                c.lit(",")?;
-                let rounds = c.field("rounds", |c| c.number("an integer"))?;
-                ExperimentSpec::Fig16Calibration {
-                    grid: CalibrationGrid {
-                        cs_thresholds_dbm: cs,
-                        capture_margins_db: margins,
-                        sensing_sigmas_db: sigmas,
-                    },
-                    topologies,
-                    rounds,
-                }
-            }
-            "enterprise_scaling" => {
-                let scenario_start = c.pos;
-                let scenario_name = c.field("scenario", |c| c.ident().map(str::to_string))?;
-                c.lit(",")?;
-                let aps: usize = c.field("aps", |c| c.number("an integer"))?;
-                c.lit(",")?;
-                let topologies = c.field("topologies", |c| c.number("an integer"))?;
-                c.lit(",")?;
-                let rounds = c.field("rounds", |c| c.number("an integer"))?;
-                let Some(scenario) = Scenario::by_name(&scenario_name, aps) else {
-                    return Err(SpecParseError {
-                        offset: scenario_start,
-                        message: format!(
-                            "unknown scenario `{scenario_name}` (expected enterprise_office, \
-                             auditorium or dense_apartment; custom floors have no textual form)"
-                        ),
-                    });
-                };
-                ExperimentSpec::EnterpriseScaling {
-                    scenario,
-                    topologies,
-                    rounds,
-                }
-            }
-            "load_vs_gain" => {
-                let duty_cycles = c.field("duty_cycles", |c| c.list(|c| c.number("a float")))?;
-                c.lit(",")?;
-                let topologies = c.field("topologies", |c| c.number("an integer"))?;
-                c.lit(",")?;
-                let rounds = c.field("rounds", |c| c.number("an integer"))?;
-                c.lit(",")?;
-                let speed_mps = c.field("speed_mps", |c| c.number("a float"))?;
-                ExperimentSpec::LoadVsGain {
-                    duty_cycles,
-                    topologies,
-                    rounds,
-                    speed_mps,
-                }
-            }
-            "ablation_tag_width" => {
-                let widths = c.field("widths", |c| c.list(|c| c.number("an integer")))?;
-                c.lit(",")?;
-                let topologies = c.field("topologies", |c| c.number("an integer"))?;
-                ExperimentSpec::TagWidth { widths, topologies }
-            }
-            "ablation_das_radius" => {
-                let fractions = c.field("fractions", |c| {
-                    c.list(|c| {
-                        c.lit("(")?;
-                        let lo = c.number("a float")?;
-                        c.lit(",")?;
-                        let hi = c.number("a float")?;
-                        c.lit(")")?;
-                        Ok((lo, hi))
-                    })
-                })?;
-                c.lit(",")?;
-                let topologies = c.field("topologies", |c| c.number("an integer"))?;
-                ExperimentSpec::DasRadius {
-                    fractions,
-                    topologies,
-                }
-            }
-            "ablation_antenna_wait" => {
-                let windows_us = c.field("windows_us", |c| c.list(|c| c.number("an integer")))?;
-                c.lit(",")?;
-                let trials = c.field("trials", |c| c.number("an integer"))?;
-                ExperimentSpec::AntennaWait { windows_us, trials }
-            }
-            other => {
-                return Err(SpecParseError {
-                    offset: 0,
-                    message: format!("unknown experiment `{other}`"),
-                })
-            }
-        };
-        c.lit("}")?;
-        if !c.rest().is_empty() {
-            return c.err("trailing input after the closing `}`");
-        }
-        Ok(spec)
     }
 }
 

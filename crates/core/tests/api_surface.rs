@@ -24,7 +24,7 @@ const SOURCES: &[(&str, &str)] = &[
 const PINNED: &[&str] = &[
     "sim/mod.rs: use session::{PairedSamples, Session, SessionBuilder, SessionSeries, SessionTrial}",
     "sim/mod.rs: use source::{PairedRecipe, TopologySource}",
-    "sim/mod.rs: use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow, SpecParseError}",
+    "sim/mod.rs: use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow}",
     "sim/mod.rs: use midas_channel::FadingEngine",
     "sim/mod.rs: use midas_net::capture::{ContentionModel, PhysicalConfig}",
     "sim/mod.rs: use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec}",
@@ -44,7 +44,6 @@ const PINNED: &[&str] = &[
     "sim/session.rs: fn tag_width",
     "sim/session.rs: fn coherence_interval_rounds",
     "sim/session.rs: fn fading_engine",
-    "sim/session.rs: fn evolve_threads",
     "sim/session.rs: fn stage_profiling",
     "sim/session.rs: fn dynamics",
     "sim/session.rs: fn seed_mix",
@@ -72,7 +71,6 @@ const PINNED: &[&str] = &[
     "sim/source.rs: fn three_ap_paper",
     "sim/source.rs: fn eight_ap",
     "sim/source.rs: fn eight_ap_paper",
-    "sim/source.rs: fn config",
     "sim/spec.rs: enum ExperimentSpec",
     "sim/spec.rs: fn fig03",
     "sim/spec.rs: fn fig07",
@@ -87,6 +85,8 @@ const PINNED: &[&str] = &[
     "sim/spec.rs: fn fig16",
     "sim/spec.rs: fn name",
     "sim/spec.rs: fn run",
+    "sim/spec.rs: fn session_builder",
+    "sim/spec.rs: fn run_session",
     "sim/spec.rs: struct LoadGainRow",
     "sim/spec.rs: enum ExperimentOutput",
     "sim/spec.rs: fn expect_paired",
@@ -101,7 +101,6 @@ const PINNED: &[&str] = &[
     "sim/spec.rs: fn expect_tag_width",
     "sim/spec.rs: fn expect_das_radius",
     "sim/spec.rs: fn expect_antenna_wait",
-    "sim/spec.rs: struct SpecParseError",
 ];
 
 /// Extracts `kind name` for every `pub` declaration in a source file, in

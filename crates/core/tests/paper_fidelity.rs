@@ -14,9 +14,9 @@
 //! keep physics regressions distinguishable from unit-test failures.
 
 use midas::experiment::{
-    end_to_end_series, end_to_end_series_with_engine, fig12_simultaneous_tx,
-    sec534_hidden_terminals, FIG16_GAIN_BAND,
+    end_to_end_series, fig12_simultaneous_tx, sec534_hidden_terminals, FIG16_GAIN_BAND,
 };
+use midas::sim::{ExperimentSpec, SessionTrial};
 use midas_channel::FadingEngine;
 use midas_net::capture::{ContentionModel, PhysicalConfig};
 use midas_net::metrics::{relative_gain, Cdf};
@@ -145,14 +145,22 @@ fn fig16_physical_gains_are_in_band() {
 /// construction and are not duplicated here.
 #[test]
 fn fig16_physical_gains_are_in_band_under_counter_engine() {
-    let s = end_to_end_series_with_engine(
-        true,
-        15,
-        10,
-        SEED,
-        ContentionModel::physical_calibrated(),
-        FadingEngine::Counter,
-    );
+    let spec = ExperimentSpec::EndToEnd {
+        eight_aps: true,
+        topologies: 15,
+        rounds: 10,
+        contention: ContentionModel::physical_calibrated(),
+    };
+    let builder = spec
+        .session_builder()
+        .expect("Fig. 16 is session-driven")
+        .fading_engine(FadingEngine::Counter);
+    let s = spec
+        .run_session(builder, SEED, &|trial: &SessionTrial<'_>, mac| {
+            Some(trial.simulate(mac))
+        })
+        .expect("plain simulation never stops early")
+        .expect_end_to_end();
 
     let client_gain = relative_gain(
         Cdf::new(&s.per_client.das).median(),

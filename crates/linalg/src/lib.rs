@@ -17,7 +17,6 @@
 //! * [`decompose`] — LU (partial pivoting), Householder QR and one-sided
 //!   Jacobi SVD factorisations.
 //! * [`pinv`] — Moore–Penrose pseudoinverse built on the SVD.
-//! * [`solve`] — linear system / least-squares solvers built on LU and QR.
 //!
 //! Everything is deterministic, allocation-light and sized for the small
 //! matrices MU-MIMO works with (typically 2×2 to 8×8), but correct for any
@@ -48,7 +47,6 @@ pub mod decompose;
 pub mod fmat;
 pub mod matrix;
 pub mod pinv;
-pub mod solve;
 
 pub use complex::Complex;
 pub use fmat::FMat;

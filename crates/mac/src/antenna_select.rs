@@ -1,15 +1,14 @@
 //! Opportunistic antenna selection (paper §3.2.3).
 //!
 //! When one antenna of a MIDAS AP wins channel access, the AP inspects the
-//! NAV timers of its other antennas.  Any antenna that is already idle is
-//! used immediately; an antenna whose reservation expires within one DIFS is
-//! *waited for* (DIFS is long enough to be useful but short enough not to
-//! squander the access that was just won); antennas busy for longer are left
-//! out of this MU-MIMO transmission.
+//! carrier-sense state of its other antennas.  Any antenna that is already
+//! idle is used immediately; an antenna whose reservation expires within one
+//! DIFS is *waited for* (DIFS is long enough to be useful but short enough
+//! not to squander the access that was just won); antennas busy for longer
+//! are left out of this MU-MIMO transmission.
 
 use crate::carrier_sense::CarrierSense;
-use crate::sim::MicroSeconds;
-use crate::timing::DIFS_US;
+use crate::timing::{MicroSeconds, DIFS_US};
 
 /// The outcome of opportunistic antenna selection.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,34 +1,28 @@
-//! Per-antenna channel state: physical + virtual carrier sensing.
+//! Per-antenna carrier sensing.
 //!
-//! The channel state of an antenna is *busy* if either
-//!
-//! * physical carrier sensing detects energy above the carrier-sense
-//!   threshold at that antenna's location, or
-//! * the antenna's NAV (virtual carrier sensing) has not yet expired.
-//!
-//! A CAS AP collapses its antennas into one state (busy if any is busy,
-//! because the co-located antennas all hear the same thing anyway); MIDAS
-//! keeps the states separate (§3.2.2).
+//! An antenna is *busy* until the end of the longest above-threshold
+//! transmission it has overheard (the frame plus the reservation it
+//! carries).  A CAS AP effectively collapses its antennas into one state
+//! (the co-located antennas all hear the same thing); MIDAS keeps one
+//! busy-until time per distributed antenna (§3.2.2).
 
-use crate::nav::NavBank;
-use crate::sim::MicroSeconds;
+use crate::timing::MicroSeconds;
 
 /// Channel state of a single antenna.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelState {
     /// The medium around the antenna is idle.
     Idle,
-    /// The medium around the antenna is busy (energy detected or NAV set).
+    /// The medium around the antenna is busy.
     Busy,
 }
 
-/// Per-antenna carrier sensing combining energy detection inputs with the
-/// NAV bank.
+/// Per-antenna carrier sensing: one busy-until time per antenna, fed by
+/// energy-detect observations.
 #[derive(Debug, Clone)]
 pub struct CarrierSense {
-    nav: NavBank,
-    /// Physical-carrier-sense busy-until time per antenna (energy detection).
-    phys_busy_until: Vec<MicroSeconds>,
+    /// Time until which each antenna's medium is busy.
+    busy_until: Vec<MicroSeconds>,
     /// Carrier-sense threshold in dBm; receptions below it do not mark the
     /// medium busy.
     threshold_dbm: f64,
@@ -39,15 +33,14 @@ impl CarrierSense {
     /// given energy-detection threshold.
     pub fn new(num_antennas: usize, threshold_dbm: f64) -> Self {
         CarrierSense {
-            nav: NavBank::new(num_antennas),
-            phys_busy_until: vec![0; num_antennas],
+            busy_until: vec![0; num_antennas],
             threshold_dbm,
         }
     }
 
     /// Number of antennas tracked.
     pub fn num_antennas(&self) -> usize {
-        self.phys_busy_until.len()
+        self.busy_until.len()
     }
 
     /// The energy-detection threshold in dBm.
@@ -55,58 +48,29 @@ impl CarrierSense {
         self.threshold_dbm
     }
 
-    /// Access to the NAV bank (for protocol-level reservations).
-    pub fn nav(&self) -> &NavBank {
-        &self.nav
-    }
-
-    /// Mutable access to the NAV bank.
-    pub fn nav_mut(&mut self) -> &mut NavBank {
-        &mut self.nav
-    }
-
     /// Reports an overheard transmission: antenna `idx` receives it at
-    /// `rx_power_dbm`, the frame (plus its NAV reservation) keeps the medium
+    /// `rx_power_dbm`, the frame (plus its reservation) keeps the medium
     /// busy until `busy_until`.  Below-threshold receptions are ignored,
-    /// which is exactly what creates hidden terminals.
+    /// which is exactly what creates hidden terminals; a shorter
+    /// reservation never cuts a longer one short.
     pub fn observe(&mut self, idx: usize, rx_power_dbm: f64, busy_until: MicroSeconds) {
-        if rx_power_dbm >= self.threshold_dbm {
-            if busy_until > self.phys_busy_until[idx] {
-                self.phys_busy_until[idx] = busy_until;
-            }
-            self.nav.set(idx, busy_until);
+        if rx_power_dbm >= self.threshold_dbm && busy_until > self.busy_until[idx] {
+            self.busy_until[idx] = busy_until;
         }
     }
 
     /// Channel state of antenna `idx` at time `now`.
     pub fn state(&self, idx: usize, now: MicroSeconds) -> ChannelState {
-        if now < self.phys_busy_until[idx] || self.nav.timer(idx).is_busy(now) {
+        if now < self.busy_until[idx] {
             ChannelState::Busy
         } else {
             ChannelState::Idle
         }
     }
 
-    /// Indices of antennas that are idle at `now` (the MIDAS fine-grained view).
-    pub fn idle_antennas(&self, now: MicroSeconds) -> Vec<usize> {
-        (0..self.num_antennas())
-            .filter(|&i| self.state(i, now) == ChannelState::Idle)
-            .collect()
-    }
-
-    /// Expiry time (max of physical and virtual busy-until) of antenna `idx`.
+    /// Time until which antenna `idx` is busy.
     pub fn busy_until(&self, idx: usize) -> MicroSeconds {
-        self.phys_busy_until[idx].max(self.nav.timer(idx).expiry())
-    }
-
-    /// The single coupled channel state a CAS MAC would report: busy if any
-    /// antenna is busy.
-    pub fn cas_state(&self, now: MicroSeconds) -> ChannelState {
-        if (0..self.num_antennas()).any(|i| self.state(i, now) == ChannelState::Busy) {
-            ChannelState::Busy
-        } else {
-            ChannelState::Idle
-        }
+        self.busy_until[idx]
     }
 }
 
@@ -128,21 +92,17 @@ mod tests {
     fn antennas_sense_independently() {
         let mut cs = CarrierSense::new(4, -82.0);
         cs.observe(2, -60.0, 500);
-        assert_eq!(cs.idle_antennas(100), vec![0, 1, 3]);
-        assert_eq!(cs.state(2, 100), ChannelState::Busy);
-        // The CAS single-state view is busy as soon as one antenna is busy.
-        assert_eq!(cs.cas_state(100), ChannelState::Busy);
-        assert_eq!(cs.cas_state(600), ChannelState::Idle);
-    }
-
-    #[test]
-    fn busy_until_combines_physical_and_virtual() {
-        let mut cs = CarrierSense::new(2, -82.0);
-        cs.observe(0, -60.0, 300);
-        cs.nav_mut().set(0, 800);
-        assert_eq!(cs.busy_until(0), 800);
-        assert_eq!(cs.state(0, 500), ChannelState::Busy);
-        assert_eq!(cs.state(0, 900), ChannelState::Idle);
+        let states: Vec<ChannelState> = (0..4).map(|a| cs.state(a, 100)).collect();
+        assert_eq!(
+            states,
+            [
+                ChannelState::Idle,
+                ChannelState::Idle,
+                ChannelState::Busy,
+                ChannelState::Idle
+            ]
+        );
+        assert_eq!(cs.state(2, 600), ChannelState::Idle);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `m` backlogged clients that were *not* served, steering the long-run
 //! schedule towards a fair allocation.
 
-use crate::sim::MicroSeconds;
+use crate::timing::MicroSeconds;
 
 /// Deficit-round-robin fairness state for the clients of one AP.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,49 +1,35 @@
 //! # midas-mac
 //!
-//! 802.11ac/e medium-access control for the MIDAS (CoNEXT'14) reproduction,
-//! including the paper's DAS-aware MAC mechanisms (§3.2):
+//! The paper's DAS-aware MAC mechanisms (§3.2) for the MIDAS (CoNEXT'14)
+//! reproduction:
 //!
-//! * [`timing`] / [`frames`] / [`edca`] — the 802.11 substrate: inter-frame
-//!   spaces, slot timing, frame durations and the four 802.11e access
-//!   categories that 802.11ac re-purposes for MU-MIMO.
-//! * [`sim`] — a microsecond-resolution discrete-event scheduling core used
-//!   by the network simulator.
-//! * [`backoff`] — CSMA/CA contention-window backoff.
-//! * [`nav`] + [`carrier_sense`] — *per-antenna* virtual and physical carrier
-//!   sensing: MIDAS provisions one NAV timer per distributed antenna
-//!   (§3.2.2), whereas a CAS AP keeps a single, coupled channel state.
+//! * [`timing`] — the 802.11 timing the mechanisms need: slot, SIFS and
+//!   DIFS, and the default MU-MIMO TXOP length.
+//! * [`carrier_sense`] — *per-antenna* carrier sensing: MIDAS keeps one
+//!   busy-until time per distributed antenna (§3.2.2), so it can see that
+//!   some antennas are free while others are busy.
 //! * [`antenna_select`] — opportunistic antenna selection: wait up to one
-//!   DIFS for antennas whose NAV is about to expire (§3.2.3).
+//!   DIFS for antennas whose reservation is about to expire (§3.2.3).
 //! * [`tagging`] — virtual packet tagging: each client's packets are tagged
 //!   with its strongest antennas (§3.2.4).
 //! * [`drr`] + [`client_select`] — deficit-round-robin fairness and the
 //!   antenna-specific, fairness-driven client selection (§3.2.5).
-//! * [`queue`] — per-client, per-access-category transmit queues.
-//! * [`ap`] — the composed AP-side MAC state machines for MIDAS and for the
-//!   CAS baseline.
 //!
-//! The crate is transport-agnostic: it never touches the channel model
-//! directly, it only consumes per-antenna busy/idle observations and
-//! RSSI-based antenna preferences that the network layer (`midas-net`)
-//! derives from `midas-channel`.
+//! The round-level network simulator (`midas-net`) calls [`tagging`],
+//! [`drr`], [`client_select`] and [`timing`] every round; the
+//! `ablation_antenna_wait` experiment (`midas`) drives [`carrier_sense`]
+//! and [`antenna_select`].  The crate is transport-agnostic: it never
+//! touches the channel model directly, it only consumes per-antenna
+//! busy/idle observations and RSSI-based antenna preferences that the
+//! network layer derives from `midas-channel`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod antenna_select;
-pub mod ap;
-pub mod backoff;
 pub mod carrier_sense;
 pub mod client_select;
 pub mod drr;
-pub mod edca;
-pub mod frames;
-pub mod nav;
-pub mod queue;
-pub mod sim;
 pub mod tagging;
 pub mod timing;
-
-pub use ap::{ApMac, CasApMac, MidasApMac, MuTransmissionPlan};
-pub use sim::MicroSeconds;

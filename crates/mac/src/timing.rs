@@ -3,7 +3,8 @@
 //! All values are in microseconds and follow the standard OFDM PHY timing
 //! that the paper's WARP 802.11 reference design also uses.
 
-use crate::sim::MicroSeconds;
+/// Simulation time in microseconds.
+pub type MicroSeconds = u64;
 
 /// Slot time (9 µs for OFDM in the 5 GHz band).
 pub const SLOT_US: MicroSeconds = 9;
@@ -14,40 +15,12 @@ pub const SIFS_US: MicroSeconds = 16;
 /// DCF inter-frame space: `SIFS + 2 * slot`.
 ///
 /// DIFS is also the window MIDAS waits to opportunistically accumulate
-/// antennas whose NAV is about to expire (§3.2.3).
+/// antennas whose reservation is about to expire (§3.2.3).
 pub const DIFS_US: MicroSeconds = SIFS_US + 2 * SLOT_US;
-
-/// PHY preamble + header duration for an OFDM frame (legacy + VHT preamble,
-/// rounded to a representative value).
-pub const PHY_HEADER_US: MicroSeconds = 40;
-
-/// Duration of an ACK / Block-ACK frame including its PHY header.
-pub const ACK_US: MicroSeconds = 44;
-
-/// Duration of an RTS frame including its PHY header.
-pub const RTS_US: MicroSeconds = 52;
-
-/// Duration of a CTS frame including its PHY header.
-pub const CTS_US: MicroSeconds = 44;
 
 /// Default TXOP duration used for MU-MIMO transmissions (§3.2.5's `T`, a
 /// contiguous set of time slots of a few milliseconds).
 pub const DEFAULT_TXOP_US: MicroSeconds = 3_000;
-
-/// Arbitration inter-frame space for a given AIFSN value:
-/// `AIFS = SIFS + AIFSN * slot`.
-pub fn aifs_us(aifsn: u32) -> MicroSeconds {
-    SIFS_US + aifsn as MicroSeconds * SLOT_US
-}
-
-/// Air time (µs) of a data payload of `bytes` bytes at `rate_mbps`, including
-/// the PHY header.  The MAC header and FCS are folded into the payload size
-/// by the caller if it cares about them.
-pub fn data_frame_us(bytes: usize, rate_mbps: f64) -> MicroSeconds {
-    assert!(rate_mbps > 0.0, "rate must be positive");
-    let payload_us = (bytes as f64 * 8.0) / rate_mbps;
-    PHY_HEADER_US + payload_us.ceil() as MicroSeconds
-}
 
 #[cfg(test)]
 mod tests {
@@ -55,25 +28,6 @@ mod tests {
 
     #[test]
     fn difs_is_sifs_plus_two_slots() {
-        assert_eq!(DIFS_US, 34);
-        assert_eq!(aifs_us(2), DIFS_US);
-        assert!(aifs_us(7) > aifs_us(2));
-    }
-
-    #[test]
-    fn data_frame_duration_scales_with_size_and_rate() {
-        let short = data_frame_us(500, 54.0);
-        let long = data_frame_us(1500, 54.0);
-        let fast = data_frame_us(1500, 150.0);
-        assert!(long > short);
-        assert!(fast < long);
-        // 1500 B at 54 Mb/s is ~222 us of payload plus the header.
-        assert_eq!(long, PHY_HEADER_US + 223);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn zero_rate_panics() {
-        let _ = data_frame_us(100, 0.0);
+        assert_eq!((SLOT_US, SIFS_US, DIFS_US), (9, 16, 34));
     }
 }

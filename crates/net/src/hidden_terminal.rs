@@ -244,31 +244,6 @@ impl HiddenTerminalScenario {
             total_spots: total,
         }
     }
-
-    /// Deprecated alias of [`HiddenTerminalScenario::comparison`] under
-    /// [`ContentionModel::Graph`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `comparison(spacing_m, rng, &ContentionModel::Graph)` \
-                or drive the experiment through `midas::sim::ExperimentSpec`"
-    )]
-    pub fn compare(&self, spacing_m: f64, rng: &mut SimRng) -> HiddenTerminalComparison {
-        self.comparison(spacing_m, rng, &ContentionModel::Graph)
-    }
-
-    /// Deprecated alias of [`HiddenTerminalScenario::comparison`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `comparison` — the model-parameterised entry point"
-    )]
-    pub fn compare_with_model(
-        &self,
-        spacing_m: f64,
-        rng: &mut SimRng,
-        contention: &ContentionModel,
-    ) -> HiddenTerminalComparison {
-        self.comparison(spacing_m, rng, contention)
-    }
 }
 
 #[cfg(test)]

@@ -94,16 +94,10 @@ pub struct NetworkSimConfig {
     pub contention: ContentionModel,
     /// Small-scale fading engine.  `Legacy` (the constructor default) keeps
     /// every golden byte-identical; `Counter` switches evolution to
-    /// stateless counter-keyed draws, enabling lazy (active-set) and
-    /// parallel evolution — same Gauss–Markov statistics, different draw
-    /// values (see [`FadingEngine`]).
+    /// stateless counter-keyed draws, enabling lazy (active-set)
+    /// evolution — same Gauss–Markov statistics, different draw values (see
+    /// [`FadingEngine`]).
     pub fading: FadingEngine,
-    /// Worker threads for the `Counter` engine's evolve stage (`1`, the
-    /// constructor default, stays on the calling thread).  Results are
-    /// bit-identical at any thread count — draws are keyed, not sequenced —
-    /// which `tests/proptest_fading.rs` pins.  Ignored under `Legacy`,
-    /// whose pinned draw order is inherently serial.
-    pub evolve_threads: usize,
     /// Long-horizon dynamics: client mobility and per-round roaming (see
     /// [`crate::dynamics`]).  `None` (the constructor default) is the
     /// static simulator, byte-identical to every pre-dynamics golden.  A
@@ -128,7 +122,6 @@ impl NetworkSimConfig {
             contention: ContentionModel::Graph,
             coherence_interval_rounds: 1,
             fading: FadingEngine::Legacy,
-            evolve_threads: 1,
             dynamics: None,
         }
     }
@@ -147,7 +140,6 @@ impl NetworkSimConfig {
             contention: ContentionModel::Graph,
             coherence_interval_rounds: 1,
             fading: FadingEngine::Legacy,
-            evolve_threads: 1,
             dynamics: None,
         }
     }
@@ -421,13 +413,8 @@ struct RoundWorkspace {
     /// `(ap, client)` channel rows the current round reads — the counter
     /// engine's active set (serving rows plus interferer rows).
     touched: Vec<(u32, u32)>,
-    /// Gaussian-pair scratch of the serial counter evolve path.
+    /// Gaussian-pair scratch of the counter evolve path.
     pairs: Vec<(f64, f64)>,
-    /// Evolved-row staging of the parallel counter evolve path: each job
-    /// writes its row into a disjoint segment, copied back serially.
-    evolve_scratch: Vec<Complex>,
-    /// Per-job segment offsets into `evolve_scratch` (prefix sums).
-    job_offsets: Vec<usize>,
     /// Stage wall-clock totals (all-zero unless profiling is enabled).
     timings: StageTimings,
 }
@@ -497,8 +484,6 @@ impl RoundWorkspace {
             + self.stream_bounds.capacity() * size_of::<usize>()
             + self.touched.capacity() * size_of::<(u32, u32)>()
             + self.pairs.capacity() * size_of::<(f64, f64)>()
-            + self.evolve_scratch.capacity() * size_of::<Complex>()
-            + self.job_offsets.capacity() * size_of::<usize>()
     }
 }
 
@@ -1545,18 +1530,13 @@ impl NetworkSimulator {
     /// set are left behind; their `next_boundary` bookmark lets a later
     /// round replay the identical keyed innovations they skipped, boundary
     /// by boundary, so lazy evolution is bit-identical to eager (pinned by
-    /// `proptest_fading.rs`).  Because every row's update is a pure
-    /// function of `(key, prior state)`, the catch-up shards freely across
-    /// `config.evolve_threads` workers: phase A computes evolved rows into
-    /// disjoint scratch segments in parallel, phase B copies them back
-    /// serially — no draw order exists to violate.
+    /// `proptest_fading.rs`).
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn counter_fading_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
         if self.config.fading != FadingEngine::Counter {
             return;
         }
         let cadence = Cadence::of(&self.model, &self.config);
-        let (interval, rho) = (cadence.interval, cadence.rho);
         // The last evolution boundary at or before this round; every row
         // read this round must have absorbed the innovations keyed by
         // boundaries 0, interval, …, current_boundary (matching the legacy
@@ -1570,8 +1550,6 @@ impl NetworkSimulator {
             stream_bounds,
             touched,
             pairs,
-            evolve_scratch,
-            job_offsets,
             ..
         } = ws;
         let transmissions = &transmissions[..*live];
@@ -1617,103 +1595,19 @@ impl NetworkSimulator {
         touched.sort_unstable();
         touched.dedup();
 
-        let threads = self.config.evolve_threads.max(1).min(touched.len().max(1));
-        if threads <= 1 {
-            for &(ap, client) in touched.iter() {
-                let apch = &mut self.channels[ap as usize];
-                let row = apch.row_of[client as usize]
-                    .expect("touched row must be in range of its AP")
-                    as usize;
-                apch.catch_up_row(
-                    &self.model,
-                    ap as usize,
-                    client as usize,
-                    row,
-                    current_boundary,
-                    cadence,
-                    pairs,
-                );
-            }
-            return;
-        }
-
-        // Parallel catch-up.  Phase A: each worker evolves a contiguous
-        // chunk of the (sorted, deduped — hence disjoint) touched rows into
-        // its disjoint slice of one scratch buffer, reading the channel
-        // state immutably.
-        job_offsets.clear();
-        job_offsets.push(0);
-        let mut total = 0usize;
-        for &(ap, _) in touched.iter() {
-            total += self.channels[ap as usize].ch.num_antennas();
-            job_offsets.push(total);
-        }
-        evolve_scratch.clear();
-        evolve_scratch.resize(total, Complex::ZERO);
-
-        let channels = &self.channels;
-        let model = &self.model;
-        let jobs = &touched[..];
-        let per_thread = jobs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let mut rest = evolve_scratch.as_mut_slice();
-            let mut job_lo = 0usize;
-            for _ in 0..threads {
-                let job_hi = (job_lo + per_thread).min(jobs.len());
-                if job_hi <= job_lo {
-                    break;
-                }
-                let base = job_offsets[job_lo];
-                let elems = job_offsets[job_hi] - base;
-                let (mine, tail) = rest.split_at_mut(elems);
-                rest = tail;
-                let my_jobs = &jobs[job_lo..job_hi];
-                let my_offsets = &job_offsets[job_lo..=job_hi];
-                scope.spawn(move || {
-                    // lint: allow(no-alloc-stage) — per-worker Box–Muller carry scratch, local to the
-                    // parallel-evolve thread scope; only allocated when evolve_threads > 1 asks for
-                    // intra-trial parallelism, and sized O(1) (one cached Gaussian pair per worker).
-                    let mut pairs = Vec::new();
-                    for (i, &(ap, client)) in my_jobs.iter().enumerate() {
-                        let apch = &channels[ap as usize];
-                        let row = apch.row_of[client as usize]
-                            .expect("touched row must be in range of its AP")
-                            as usize;
-                        let seg = &mut mine[my_offsets[i] - base..my_offsets[i + 1] - base];
-                        seg.copy_from_slice(apch.ch.h.row(row));
-                        let g_row = apch.ch.large_scale.row(row);
-                        let mut boundary = apch.next_boundary[row];
-                        while boundary <= current_boundary {
-                            model.evolve_row_counter(
-                                seg,
-                                g_row,
-                                rho,
-                                ap as u64,
-                                client as u64,
-                                boundary,
-                                &mut pairs,
-                            );
-                            boundary += interval;
-                        }
-                    }
-                });
-                job_lo = job_hi;
-            }
-        });
-
-        // Phase B: serial copy-back + bookkeeping.
-        for (i, &(ap, client)) in touched.iter().enumerate() {
+        for &(ap, client) in touched.iter() {
             let apch = &mut self.channels[ap as usize];
             let row = apch.row_of[client as usize].expect("touched row must be in range of its AP")
                 as usize;
-            if apch.next_boundary[row] > current_boundary {
-                continue; // was already up to date; scratch holds an unchanged copy
-            }
-            apch.ch
-                .h
-                .row_mut(row)
-                .copy_from_slice(&evolve_scratch[job_offsets[i]..job_offsets[i + 1]]);
-            apch.next_boundary[row] = current_boundary + interval;
+            apch.catch_up_row(
+                &self.model,
+                ap as usize,
+                client as usize,
+                row,
+                current_boundary,
+                cadence,
+                pairs,
+            );
         }
     }
 

@@ -11,8 +11,8 @@
 //!   `refresh_large_scale_row`, shadowing-cell crossings included;
 //! * the slack-tracked `Reassociator` makes exactly the handoffs of a
 //!   from-scratch pass under all three policies;
-//! * lazy counter-engine evolution stays bit-identical to eager (and to 4
-//!   evolve threads) with dynamics on;
+//! * lazy counter-engine evolution stays bit-identical to eager with
+//!   dynamics on;
 //! * the dynamics stage's work counters are pinned for one small seed.
 
 use midas_channel::topology::{Topology, TopologyConfig};
@@ -41,7 +41,6 @@ fn sim(
     dynamics: Option<DynamicsSpec>,
     rounds: usize,
     seed: u64,
-    evolve_threads: usize,
     eager: bool,
 ) -> NetworkSimulator {
     let scenario = Scenario::enterprise_office(8);
@@ -54,7 +53,6 @@ fn sim(
     config.interaction_range_m = RANGE_M;
     config.scan = scan;
     config.fading = fading;
-    config.evolve_threads = evolve_threads;
     config.dynamics = dynamics;
     let sim = NetworkSimulator::new(topo, config);
     if eager {
@@ -89,7 +87,7 @@ fn rows_equal_the_brute_force_set_after_every_round() {
                 // A run of `rounds` rounds ends right after the dynamics
                 // step of round `rounds - 1`: the prefixes cover every step.
                 for rounds in 1..=14 {
-                    let mut s = sim(mac, scan, fading, Some(fast_walk()), rounds, 3, 1, false);
+                    let mut s = sim(mac, scan, fading, Some(fast_walk()), rounds, 3, false);
                     s.run();
                     let topo = s.topology();
                     for ap in 0..topo.aps.len() {
@@ -141,17 +139,7 @@ fn a_dynamic_runs_round_zero_and_a_never_stepping_run_match_the_static_run() {
             let rounds = 8;
             let capture = |dynamics| {
                 let mut obs = RoundCapture::default();
-                sim(
-                    mac,
-                    ScanMode::Indexed,
-                    fading,
-                    dynamics,
-                    rounds,
-                    5,
-                    1,
-                    false,
-                )
-                .run_with(&mut obs);
+                sim(mac, ScanMode::Indexed, fading, dynamics, rounds, 5, false).run_with(&mut obs);
                 obs
             };
             let fixed = capture(None);
@@ -166,7 +154,7 @@ fn a_dynamic_runs_round_zero_and_a_never_stepping_run_match_the_static_run() {
                 period_rounds: rounds + 1,
                 ..fast_walk()
             };
-            let static_run = sim(mac, ScanMode::Indexed, fading, None, rounds, 5, 1, false).run();
+            let static_run = sim(mac, ScanMode::Indexed, fading, None, rounds, 5, false).run();
             let dormant_run = sim(
                 mac,
                 ScanMode::Indexed,
@@ -174,7 +162,6 @@ fn a_dynamic_runs_round_zero_and_a_never_stepping_run_match_the_static_run() {
                 Some(dormant),
                 rounds,
                 5,
-                1,
                 false,
             )
             .run();
@@ -290,7 +277,7 @@ fn the_incremental_reassociator_matches_a_full_pass_under_every_policy() {
 }
 
 #[test]
-fn lazy_counter_evolution_matches_eager_and_parallel_with_dynamics_on() {
+fn lazy_counter_evolution_matches_eager_with_dynamics_on() {
     for seed in [7, 8] {
         for traffic in [
             TrafficKind::FullBuffer,
@@ -300,7 +287,7 @@ fn lazy_counter_evolution_matches_eager_and_parallel_with_dynamics_on() {
             },
         ] {
             for mac in [MacKind::Midas, MacKind::Cas] {
-                let run = |threads, eager| {
+                let run = |eager| {
                     sim(
                         mac,
                         ScanMode::Indexed,
@@ -308,15 +295,12 @@ fn lazy_counter_evolution_matches_eager_and_parallel_with_dynamics_on() {
                         Some(fast_walk()),
                         12,
                         seed,
-                        threads,
                         eager,
                     )
                     .with_traffic_kind(traffic)
                     .run()
                 };
-                let lazy = run(1, false);
-                assert_eq!(lazy, run(1, true), "{mac:?}/{traffic:?}: lazy vs eager");
-                assert_eq!(lazy, run(4, false), "{mac:?}/{traffic:?}: 1 vs 4 threads");
+                assert_eq!(run(false), run(true), "{mac:?}/{traffic:?}: lazy vs eager");
             }
         }
     }
@@ -331,7 +315,6 @@ fn dynamics_counters_are_pinned_for_a_small_seed() {
         Some(fast_walk()),
         20,
         11,
-        1,
         false,
     );
     s.run();
@@ -355,7 +338,6 @@ fn dynamics_counters_are_pinned_for_a_small_seed() {
         None,
         2,
         11,
-        1,
         false,
     );
     assert!(off.dynamics_counters().is_none());

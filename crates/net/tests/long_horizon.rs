@@ -1,7 +1,7 @@
 //! Long-horizon dynamics suite: a network that runs for 10⁵ rounds with
-//! mobility, roaming and churn must stay flat in memory, bit-identical
-//! across evolve-thread counts, and — with dynamics off — byte-identical
-//! to the static simulator.
+//! mobility, roaming and churn must stay flat in memory, deterministic in
+//! the seed, and — with dynamics off — byte-identical to the static
+//! simulator.
 //!
 //! These are the acceptance tests for the dynamics layer: everything here
 //! runs on a deliberately tiny floor (2 APs, 8 clients) so the 10⁵-round
@@ -30,12 +30,11 @@ fn tiny_floor(seed: u64) -> (Topology, Environment) {
 }
 
 /// Roaming walkers plus churn traffic under the counter engine.
-fn dynamic_sim(rounds: usize, seed: u64, evolve_threads: usize) -> NetworkSimulator {
+fn dynamic_sim(rounds: usize, seed: u64) -> NetworkSimulator {
     let (topo, env) = tiny_floor(seed);
     let mut config = NetworkSimConfig::midas(env, seed);
     config.rounds = rounds;
     config.fading = FadingEngine::Counter;
-    config.evolve_threads = evolve_threads;
     config.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
     NetworkSimulator::new(topo, config).with_traffic_kind(TrafficKind::Churn {
         attached_fraction: 0.7,
@@ -51,13 +50,13 @@ fn a_hundred_thousand_round_run_is_flat_in_memory() {
     // O(network size), not O(rounds).  Warm-up is 20 000 rounds because
     // the last high-water marks (worst-case handoff membership, waypoint
     // clustering) are rare events, not first-round allocations.
-    let mut sim = dynamic_sim(20_000, 42, 1);
+    let mut sim = dynamic_sim(20_000, 42);
     let mut warm_summary = RunningSummary::new();
     sim.run_with(&mut warm_summary);
     let warm_workspace = sim.workspace_heap_footprint_bytes();
     let warm_dynamics = sim.dynamics_heap_footprint_bytes();
 
-    let mut long = dynamic_sim(100_000, 42, 1);
+    let mut long = dynamic_sim(100_000, 42);
     let mut summary = RunningSummary::new();
     long.run_with(&mut summary);
     assert_eq!(summary.rounds(), 100_000);
@@ -150,19 +149,9 @@ fn a_hundred_thousand_round_finite_range_run_keeps_its_rows_flat() {
 }
 
 #[test]
-fn dynamic_runs_are_bit_identical_across_evolve_thread_counts() {
-    // Mobility, roaming and churn all draw from dedicated RNG streams, and
-    // counter-engine evolution is keyed rather than sequenced — so a
-    // 4-thread run must reproduce the single-thread run bit for bit.
-    let serial = dynamic_sim(400, 7, 1).run();
-    let parallel = dynamic_sim(400, 7, 4).run();
-    assert_eq!(serial, parallel);
-}
-
-#[test]
 fn dynamic_runs_are_deterministic_in_the_seed() {
-    let a = dynamic_sim(300, 11, 2).run();
-    let b = dynamic_sim(300, 11, 2).run();
+    let a = dynamic_sim(300, 11).run();
+    let b = dynamic_sim(300, 11).run();
     assert_eq!(a, b);
 }
 

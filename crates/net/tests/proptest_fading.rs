@@ -4,11 +4,10 @@
 //! The engine's whole value proposition is order-independence: because every
 //! small-scale innovation is a pure function of `(trial_seed, ap, link,
 //! round)`, the simulator may evolve channel rows lazily (only the rows a
-//! round actually reads, caught up boundary by boundary) and in parallel
-//! (any thread count) without changing a single bit of the results.  The
-//! first two properties pin exactly that, over the same
-//! `{scan} × {contention} × {mac} × {traffic}` grid the workspace
-//! equivalence tests use.  The third pins what the engines *share*: both
+//! round actually reads, caught up boundary by boundary) without changing a
+//! single bit of the results.  The first property pins exactly that, over
+//! the same `{scan} × {contention} × {mac} × {traffic}` grid the workspace
+//! equivalence tests use.  The others pin what the engines *share*: both
 //! realise the same first-order Gauss–Markov process, so evolved fading
 //! must keep unit mean power and show lag-1 autocorrelation `rho` under
 //! either engine.
@@ -31,7 +30,6 @@ fn build_counter_sim(
     traffic: TrafficKind,
     rounds: usize,
     seed: u64,
-    evolve_threads: usize,
     eager: bool,
 ) -> NetworkSimulator {
     let pair = scenario.build(seed).expect("buildable scenario");
@@ -43,7 +41,6 @@ fn build_counter_sim(
     config.scan = scan;
     config.contention = contention;
     config.fading = FadingEngine::Counter;
-    config.evolve_threads = evolve_threads;
     let sim = NetworkSimulator::new(topo, config).with_traffic_kind(traffic);
     if eager {
         sim.with_eager_counter_evolve()
@@ -83,45 +80,15 @@ proptest! {
         };
         for mac in [MacKind::Midas, MacKind::Cas] {
             let lazy = build_counter_sim(
-                &scenario, mac, scan, contention, traffic, 6, seed, 1, false,
+                &scenario, mac, scan, contention, traffic, 6, seed, false,
             ).run();
             let eager = build_counter_sim(
-                &scenario, mac, scan, contention, traffic, 6, seed, 1, true,
+                &scenario, mac, scan, contention, traffic, 6, seed, true,
             ).run();
             prop_assert_eq!(
                 &lazy, &eager,
                 "{:?}/{:?}/{:?}/{:?}: lazy evolution diverged from eager",
                 mac, scan, contention, traffic
-            );
-        }
-    }
-
-    /// Intra-trial parallel evolve is bit-identical to serial: the full
-    /// `TopologyResult` at 4 evolve threads equals the 1-thread run.
-    #[test]
-    fn parallel_evolve_is_bit_identical_to_serial(
-        seed in 0u64..1_000_000,
-        contention_sel in 0usize..2,
-    ) {
-        let scenario = Scenario::enterprise_office(8);
-        let contention = if contention_sel == 0 {
-            ContentionModel::Graph
-        } else {
-            ContentionModel::physical_calibrated()
-        };
-        for mac in [MacKind::Midas, MacKind::Cas] {
-            let serial = build_counter_sim(
-                &scenario, mac, ScanMode::Indexed, contention,
-                TrafficKind::FullBuffer, 6, seed, 1, false,
-            ).run();
-            let parallel = build_counter_sim(
-                &scenario, mac, ScanMode::Indexed, contention,
-                TrafficKind::FullBuffer, 6, seed, 4, false,
-            ).run();
-            prop_assert_eq!(
-                &serial, &parallel,
-                "{:?}/{:?}: 4-thread evolve diverged from serial",
-                mac, contention
             );
         }
     }
@@ -231,7 +198,6 @@ fn counter_engine_differs_from_legacy_but_is_deterministic() {
         TrafficKind::FullBuffer,
         6,
         3,
-        1,
         false,
     )
     .run();
@@ -243,7 +209,6 @@ fn counter_engine_differs_from_legacy_but_is_deterministic() {
         TrafficKind::FullBuffer,
         6,
         3,
-        1,
         false,
     )
     .run();

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 use midas_svc::cache;
 use midas_svc::json::Json;
 use midas_svc::pool::{resolve_workers, JobOutcome, JobQueue};
-use midas_svc::runner::{result_bytes, summarize};
+use midas_svc::runner::{decode_output, summarize};
 use midas_svc::spec::JobSpec;
 
 fn main() -> ExitCode {
@@ -170,154 +170,14 @@ fn cmd_run(opts: Options) -> Result<ExitCode, String> {
     }
 }
 
-/// Reads back the typed output the runner wrote, as parsed JSON — the CLI
-/// summary re-derives from the file so what it prints is what is cached.
+/// Reads back the typed output the runner wrote — the CLI summary
+/// re-derives from the file so what it prints is what is cached (a cache
+/// hit has no in-memory output at all).
 fn read_output(dir: &std::path::Path) -> Result<midas::sim::ExperimentOutput, String> {
-    // The runner returned the output to the pool, but the pool drops it
-    // (cache hits have no in-memory output at all) — so recompute nothing:
-    // decode result.json's kind and re-summarise from the raw series.
-    // Simplest faithful route: re-run summarize on a decoded output is a
-    // large decoder; instead the summary comes from the in-memory run when
-    // available.  To keep one code path we parse the JSON and rebuild only
-    // the pieces summarize needs.
     let text = std::fs::read_to_string(dir.join("result.json"))
         .map_err(|e| format!("reading result.json: {e}"))?;
     let json = Json::parse(&text).map_err(|e| format!("result.json: {e}"))?;
     decode_output(&json).ok_or_else(|| "result.json has an unknown shape".to_string())
-}
-
-/// Decodes a `result.json` back into a typed output (inverse of
-/// `runner::encode_output` for the series the summary uses).
-fn decode_output(v: &Json) -> Option<midas::sim::ExperimentOutput> {
-    use midas::sim::{ExperimentOutput, PairedSamples, SessionSeries};
-    let floats = |v: &Json| -> Option<Vec<f64>> { v.as_arr()?.iter().map(Json::as_f64).collect() };
-    let paired = |v: &Json| -> Option<PairedSamples> {
-        Some(PairedSamples {
-            cas: floats(v.get("cas")?)?,
-            das: floats(v.get("das")?)?,
-        })
-    };
-    Some(match v.get("kind")?.as_str()? {
-        "paired" => ExperimentOutput::Paired(paired(v)?),
-        "ratios" => ExperimentOutput::Ratios(floats(v.get("ratios")?)?),
-        "end_to_end" => ExperimentOutput::EndToEnd(SessionSeries {
-            network: paired(v.get("network")?)?,
-            per_client: paired(v.get("per_client")?)?,
-        }),
-        "enterprise" => {
-            let series = midas::experiment::EnterpriseScalingSeries {
-                cas: floats(v.get("cas")?)?,
-                das: floats(v.get("das")?)?,
-                cas_streams: floats(v.get("cas_streams")?)?,
-                das_streams: floats(v.get("das_streams")?)?,
-                das_per_ap_capacity: floats(v.get("das_per_ap_capacity")?)?,
-                das_per_ap_duty: floats(v.get("das_per_ap_duty")?)?,
-                das_contention_degree: floats(v.get("das_contention_degree")?)?,
-            };
-            ExperimentOutput::Enterprise(series)
-        }
-        "smart_precoding" => {
-            ExperimentOutput::SmartPrecoding(midas::experiment::SmartPrecodingSeries {
-                cas_naive: floats(v.get("cas_naive")?)?,
-                cas_smart: floats(v.get("cas_smart")?)?,
-                das_naive: floats(v.get("das_naive")?)?,
-                das_smart: floats(v.get("das_smart")?)?,
-            })
-        }
-        "tag_width" => ExperimentOutput::TagWidth(
-            v.get("rows")?
-                .as_arr()?
-                .iter()
-                .map(|row| {
-                    Some((
-                        row.get("width")?.as_u64()? as usize,
-                        row.get("mean_capacity")?.as_f64()?,
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        "das_radius" => ExperimentOutput::DasRadius(
-            v.get("rows")?
-                .as_arr()?
-                .iter()
-                .map(|row| {
-                    Some((
-                        (row.get("lo")?.as_f64()?, row.get("hi")?.as_f64()?),
-                        row.get("median_capacity")?.as_f64()?,
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        "antenna_wait" => ExperimentOutput::AntennaWait(
-            v.get("rows")?
-                .as_arr()?
-                .iter()
-                .map(|row| {
-                    Some((
-                        row.get("window_us")?.as_u64()?,
-                        row.get("gain_fraction")?.as_f64()?,
-                    ))
-                })
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        "deadzones" => ExperimentOutput::Deadzones(
-            v.get("rows")?
-                .as_arr()?
-                .iter()
-                .map(|row| {
-                    Some(midas_net::coverage::DeadzoneComparison {
-                        cas_dead: row.get("cas_dead")?.as_u64()? as usize,
-                        das_dead: row.get("das_dead")?.as_u64()? as usize,
-                        total_spots: row.get("total_spots")?.as_u64()? as usize,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        "hidden_terminals" => ExperimentOutput::HiddenTerminals(
-            v.get("rows")?
-                .as_arr()?
-                .iter()
-                .map(|row| {
-                    Some(midas_net::hidden_terminal::HiddenTerminalComparison {
-                        cas_spots: row.get("cas_spots")?.as_u64()? as usize,
-                        das_spots: row.get("das_spots")?.as_u64()? as usize,
-                        total_spots: row.get("total_spots")?.as_u64()? as usize,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?,
-        ),
-        "calibration" => {
-            // Summaries need the full cell list; rebuild it.
-            use midas::experiment::CalibrationCell;
-            use midas::sim::PhysicalConfig;
-            ExperimentOutput::Calibration(
-                v.get("cells")?
-                    .as_arr()?
-                    .iter()
-                    .map(|cell| {
-                        Some(CalibrationCell {
-                            config: PhysicalConfig {
-                                cs_threshold_dbm: cell.get("cs_threshold_dbm")?.as_f64()?,
-                                capture_margin_db: cell.get("capture_margin_db")?.as_f64()?,
-                                sensing_sigma_db: match cell.get("sensing_sigma_db") {
-                                    Some(Json::Null) | None => None,
-                                    Some(sigma) => Some(sigma.as_f64()?),
-                                },
-                            },
-                            cas_network_median: cell.get("cas_network_median")?.as_f64()?,
-                            das_network_median: cell.get("das_network_median")?.as_f64()?,
-                            network_gain: cell.get("network_gain")?.as_f64()?,
-                            cas_client_median: cell.get("cas_client_median")?.as_f64()?,
-                            das_client_median: cell.get("das_client_median")?.as_f64()?,
-                            client_median_gain: cell.get("client_median_gain")?.as_f64()?,
-                            score: cell.get("score")?.as_f64()?,
-                        })
-                    })
-                    .collect::<Option<Vec<_>>>()?,
-            )
-        }
-        _ => return None,
-    })
 }
 
 /// Writes `<figure-dir>/<kind>.json`: the job's identity plus summary rows
@@ -475,12 +335,4 @@ fn cmd_cache(args: &[String]) -> Result<ExitCode, String> {
         }
         other => Err(format!("unknown cache subcommand {other:?}\n{USAGE}")),
     }
-}
-
-// `result_bytes` is exercised by the integration tests through the library;
-// the binary links it here so the byte-identity contract is visible from
-// the CLI crate too.
-#[allow(dead_code)]
-fn _assert_result_encoding_linked(output: &midas::sim::ExperimentOutput) -> String {
-    result_bytes(output)
 }

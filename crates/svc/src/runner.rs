@@ -5,23 +5,28 @@
 //! ## Byte identity
 //!
 //! `result.json` is **byte-identical** to encoding the in-process
-//! [`ExperimentSpec::run`] output, because the session-driven paths here
-//! replicate the exact recipes the spec runner uses (same
-//! [`PairedRecipe`], contention, seed mix and assembly order) and stream
-//! through [`Accumulate`] — which rebuilds the legacy result bit for bit —
-//! while a [`JsonlObserver`] tees the same rounds to disk.  The integration
-//! tests pin this equivalence for both fading engines.
+//! [`ExperimentSpec::run`] output, because session-driven jobs run the
+//! spec's own recipe ([`ExperimentSpec::session_builder`] +
+//! [`ExperimentSpec::run_session`]) with the job's knobs applied, and each
+//! simulation streams through [`Accumulate`] — which rebuilds the legacy
+//! result bit for bit — while a [`JsonlObserver`] tees the same rounds to
+//! disk.  The integration tests pin this equivalence for both fading
+//! engines.  [`encode_output`] and [`decode_output`] own the `result.json`
+//! format.
+//!
+//! [`ExperimentSpec::run`]: midas::sim::ExperimentSpec::run
+//! [`ExperimentSpec::session_builder`]: midas::sim::ExperimentSpec::session_builder
+//! [`ExperimentSpec::run_session`]: midas::sim::ExperimentSpec::run_session
 //!
 //! ## Cancellation
 //!
-//! Cooperative, at *round* granularity: every sweep closure checks the
-//! [`CancelToken`] before building its topology, and a `DeadlineProbe`
-//! observer rides in each trial's observer tee, polling the token after
-//! every round through [`Observer::stop_requested`] — so even a 1-trial,
-//! many-round job stops within one round of the deadline instead of
-//! running its trial to completion.  The direct (non-session) experiments
-//! check once up front — they run a single library call with no interior
-//! yield points.
+//! Cooperative, at *round* granularity: every simulation checks the
+//! [`CancelToken`] before it starts, and a `DeadlineProbe` observer rides
+//! in each simulation's observer tee, polling the token after every round
+//! through [`Observer::stop_requested`] — so even a 1-trial, many-round
+//! job stops within one round of the deadline instead of running its trial
+//! to completion.  The direct (non-session) experiments check once up
+//! front — they run a single library call with no interior yield points.
 
 use std::fs;
 use std::io;
@@ -35,11 +40,11 @@ use crate::observer::{JsonlObserver, JsonlSink};
 use crate::spec::JobSpec;
 use midas::experiment::{CalibrationCell, EnterpriseScalingSeries, SmartPrecodingSeries};
 use midas::sim::{
-    Accumulate, ExperimentOutput, ExperimentSpec, MacKind, Observer, PairedRecipe, PairedSamples,
+    Accumulate, ExperimentOutput, LoadGainRow, MacKind, Observer, PairedSamples, PhysicalConfig,
     RoundRecord, SessionBuilder, SessionSeries, SessionTrial, Tee,
 };
-use midas_net::contention::ContentionGraph;
-use midas_net::scale::scenario::INTERACTION_MARGIN_DB;
+use midas_net::coverage::DeadzoneComparison;
+use midas_net::hidden_terminal::HiddenTerminalComparison;
 use midas_net::simulator::TopologyResult;
 
 /// Why a run stopped early.
@@ -131,121 +136,30 @@ pub fn run_job(
     token: &CancelToken,
 ) -> Result<ExperimentOutput, RunError> {
     fs::create_dir_all(job_dir)?;
-    let output = match &spec.experiment {
-        ExperimentSpec::EndToEnd {
-            eight_aps,
-            topologies,
-            rounds,
-            contention,
-        } => {
-            let recipe = if *eight_aps {
-                PairedRecipe::eight_ap_paper()
-            } else {
-                PairedRecipe::three_ap_paper()
-            };
-            let builder = SessionBuilder::new(recipe)
-                .rounds(*rounds)
-                .contention(*contention)
-                .seed_mix(193, 61);
-            let session = apply_knobs(builder, spec).build();
+    let output = match spec.experiment.session_builder() {
+        Some(builder) => {
             let sink = JsonlSink::create(&job_dir.join("rounds.jsonl"))?;
-            let rows = session.run_trials(*topologies, spec.seed, &|trial: &SessionTrial<'_>| {
-                if token.stop_reason().is_some() {
-                    return None;
-                }
-                let (cas, das) = observe_pair(trial, &sink, token);
-                Some((
-                    (cas.mean_capacity(), das.mean_capacity()),
-                    (
-                        cas.per_client_mean_capacity(),
-                        das.per_client_mean_capacity(),
-                    ),
-                ))
-            });
+            let output = spec.experiment.run_session(
+                apply_knobs(builder, spec),
+                spec.seed,
+                &|trial: &SessionTrial<'_>, mac| observe(trial, mac, &sink, token),
+            );
             sink.finish()?;
-            if let Some(reason) = token.stop_reason() {
-                return Err(RunError::Stopped(reason));
-            }
-            // The exact assembly order of `Session::run`, which is what
-            // keeps the series bit-identical to `ExperimentSpec::run`.
-            let mut out = SessionSeries::default();
-            for row in rows {
-                let (net, clients) = row.expect("no stop reason, so every trial ran");
-                out.network.cas.push(net.0);
-                out.network.das.push(net.1);
-                out.per_client.cas.extend(clients.0);
-                out.per_client.das.extend(clients.1);
-            }
-            ExperimentOutput::EndToEnd(out)
+            output
         }
-        ExperimentSpec::EnterpriseScaling {
-            scenario,
-            topologies,
-            rounds,
-        } => {
-            let env = scenario.environment();
-            let builder = SessionBuilder::new(*scenario)
-                .rounds(*rounds)
-                .seed_mix(1021, 101);
-            let session = apply_knobs(builder, spec).build();
-            let sink = JsonlSink::create(&job_dir.join("rounds.jsonl"))?;
-            let rows = session.run_trials(*topologies, spec.seed, &|trial: &SessionTrial<'_>| {
-                if token.stop_reason().is_some() {
-                    return None;
-                }
-                // The structural contention-degree diagnostic, exactly as
-                // `enterprise_scaling_with_engine` computes it.
-                let graph = ContentionGraph::new(env, trial.seed() ^ 0x5151);
-                let adjacency = graph.ap_adjacency_indexed(
-                    &trial.pair().das,
-                    env.interaction_range_m(INTERACTION_MARGIN_DB),
-                );
-                let degree = adjacency
-                    .iter()
-                    .map(|row| row.iter().filter(|&&x| x).count())
-                    .sum::<usize>() as f64
-                    / adjacency.len().max(1) as f64;
-                let (cas, das) = observe_pair(trial, &sink, token);
-                Some((
-                    cas.mean_capacity(),
-                    das.mean_capacity(),
-                    cas.mean_streams(),
-                    das.mean_streams(),
-                    das.per_ap_mean_capacity(),
-                    das.per_ap_duty_cycle(),
-                    degree,
-                ))
-            });
-            sink.finish()?;
-            if let Some(reason) = token.stop_reason() {
-                return Err(RunError::Stopped(reason));
-            }
-            let mut out = EnterpriseScalingSeries::default();
-            for row in rows {
-                let (cas, das, cas_streams, das_streams, per_ap_cap, per_ap_duty, degree) =
-                    row.expect("no stop reason, so every trial ran");
-                out.cas.push(cas);
-                out.das.push(das);
-                out.cas_streams.push(cas_streams);
-                out.das_streams.push(das_streams);
-                out.das_per_ap_capacity.extend(per_ap_cap);
-                out.das_per_ap_duty.extend(per_ap_duty);
-                out.das_contention_degree.push(degree);
-            }
-            ExperimentOutput::Enterprise(out)
-        }
-        direct => {
+        None => {
             // Single library call — cancellation is checked at the only
             // yield point there is.
             if let Some(reason) = token.stop_reason() {
                 return Err(RunError::Stopped(reason));
             }
-            direct.run(spec.seed)
+            Some(spec.experiment.run(spec.seed))
         }
     };
     if let Some(reason) = token.stop_reason() {
         return Err(RunError::Stopped(reason));
     }
+    let output = output.expect("a run stops early only once the token fires");
     write_result(job_dir, &output)?;
     Ok(output)
 }
@@ -284,24 +198,28 @@ impl Observer for DeadlineProbe<'_> {
     }
 }
 
-/// Runs both MACs of one trial, teeing rounds into the JSONL sink while
-/// accumulating the bit-exact [`TopologyResult`]s.  A [`DeadlineProbe`]
-/// rides along so a fired token stops mid-trial, after the current round.
-fn observe_pair(
+/// Runs one MAC of one trial, teeing rounds into the JSONL sink while
+/// accumulating the bit-exact [`TopologyResult`].  A [`DeadlineProbe`]
+/// rides along so a fired token stops mid-trial, after the current round;
+/// `None` means the token fired and the result is incomplete.
+fn observe(
     trial: &SessionTrial<'_>,
+    mac: MacKind,
     sink: &JsonlSink,
     token: &CancelToken,
-) -> (TopologyResult, TopologyResult) {
-    let run = |mac: MacKind, label: &'static str| {
-        let mut acc = Accumulate::new();
-        let mut log = JsonlObserver::new(sink, trial.index(), label);
-        let mut probe = DeadlineProbe { token };
-        trial.observe(mac, &mut Tee::new(vec![&mut acc, &mut log, &mut probe]));
-        acc.into_result()
+) -> Option<TopologyResult> {
+    if token.stop_reason().is_some() {
+        return None;
+    }
+    let label = match mac {
+        MacKind::Cas => "cas",
+        MacKind::Midas => "midas",
     };
-    let cas = run(MacKind::Cas, "cas");
-    let das = run(MacKind::Midas, "midas");
-    (cas, das)
+    let mut acc = Accumulate::new();
+    let mut log = JsonlObserver::new(sink, trial.index(), label);
+    let mut probe = DeadlineProbe { token };
+    trial.observe(mac, &mut Tee::new(vec![&mut acc, &mut log, &mut probe]));
+    token.stop_reason().is_none().then(|| acc.into_result())
 }
 
 /// Writes `result.json` atomically (tmp + rename): the compact encoding of
@@ -527,6 +445,117 @@ fn calibration_cell_to_json(cell: &CalibrationCell) -> Json {
     ])
 }
 
+/// Decodes a `result.json` document back into the typed output — the
+/// inverse of [`encode_output`], which writes non-finite floats as `null`
+/// (they decode as NaN, so re-encoding reproduces the same bytes).  `None`
+/// when the document is not an encoded output.
+pub fn decode_output(v: &Json) -> Option<ExperimentOutput> {
+    fn num(v: &Json) -> Option<f64> {
+        match v {
+            Json::Null => Some(f64::NAN),
+            v => v.as_f64(),
+        }
+    }
+    fn field(v: &Json, key: &str) -> Option<f64> {
+        num(v.get(key)?)
+    }
+    fn count(v: &Json, key: &str) -> Option<usize> {
+        usize::try_from(v.get(key)?.as_u64()?).ok()
+    }
+    fn floats(v: &Json, key: &str) -> Option<Vec<f64>> {
+        v.get(key)?.as_arr()?.iter().map(num).collect()
+    }
+    fn paired(v: &Json) -> Option<PairedSamples> {
+        Some(PairedSamples {
+            cas: floats(v, "cas")?,
+            das: floats(v, "das")?,
+        })
+    }
+    fn rows<T>(v: &Json, key: &str, row: impl Fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+        v.get(key)?.as_arr()?.iter().map(row).collect()
+    }
+    Some(match v.get("kind")?.as_str()? {
+        "paired" => ExperimentOutput::Paired(paired(v)?),
+        "smart_precoding" => ExperimentOutput::SmartPrecoding(SmartPrecodingSeries {
+            cas_naive: floats(v, "cas_naive")?,
+            cas_smart: floats(v, "cas_smart")?,
+            das_naive: floats(v, "das_naive")?,
+            das_smart: floats(v, "das_smart")?,
+        }),
+        "ratios" => ExperimentOutput::Ratios(floats(v, "ratios")?),
+        "deadzones" => ExperimentOutput::Deadzones(rows(v, "rows", |row| {
+            Some(DeadzoneComparison {
+                cas_dead: count(row, "cas_dead")?,
+                das_dead: count(row, "das_dead")?,
+                total_spots: count(row, "total_spots")?,
+            })
+        })?),
+        "hidden_terminals" => ExperimentOutput::HiddenTerminals(rows(v, "rows", |row| {
+            Some(HiddenTerminalComparison {
+                cas_spots: count(row, "cas_spots")?,
+                das_spots: count(row, "das_spots")?,
+                total_spots: count(row, "total_spots")?,
+            })
+        })?),
+        "end_to_end" => ExperimentOutput::EndToEnd(SessionSeries {
+            network: paired(v.get("network")?)?,
+            per_client: paired(v.get("per_client")?)?,
+        }),
+        "calibration" => ExperimentOutput::Calibration(rows(v, "cells", |cell| {
+            Some(CalibrationCell {
+                config: PhysicalConfig {
+                    cs_threshold_dbm: field(cell, "cs_threshold_dbm")?,
+                    capture_margin_db: field(cell, "capture_margin_db")?,
+                    sensing_sigma_db: match cell.get("sensing_sigma_db")? {
+                        Json::Null => None,
+                        sigma => Some(sigma.as_f64()?),
+                    },
+                },
+                cas_network_median: field(cell, "cas_network_median")?,
+                das_network_median: field(cell, "das_network_median")?,
+                network_gain: field(cell, "network_gain")?,
+                cas_client_median: field(cell, "cas_client_median")?,
+                das_client_median: field(cell, "das_client_median")?,
+                client_median_gain: field(cell, "client_median_gain")?,
+                score: field(cell, "score")?,
+            })
+        })?),
+        "enterprise" => ExperimentOutput::Enterprise(EnterpriseScalingSeries {
+            cas: floats(v, "cas")?,
+            das: floats(v, "das")?,
+            cas_streams: floats(v, "cas_streams")?,
+            das_streams: floats(v, "das_streams")?,
+            das_per_ap_capacity: floats(v, "das_per_ap_capacity")?,
+            das_per_ap_duty: floats(v, "das_per_ap_duty")?,
+            das_contention_degree: floats(v, "das_contention_degree")?,
+        }),
+        "load_vs_gain" => ExperimentOutput::LoadVsGain(rows(v, "rows", |row| {
+            Some(LoadGainRow {
+                duty: field(row, "duty")?,
+                cas_median: field(row, "cas_median")?,
+                das_median: field(row, "das_median")?,
+                gain: field(row, "gain")?,
+            })
+        })?),
+        "tag_width" => ExperimentOutput::TagWidth(rows(v, "rows", |row| {
+            Some((count(row, "width")?, field(row, "mean_capacity")?))
+        })?),
+        "das_radius" => ExperimentOutput::DasRadius(rows(v, "rows", |row| {
+            Some((
+                (field(row, "lo")?, field(row, "hi")?),
+                field(row, "median_capacity")?,
+            ))
+        })?),
+        "antenna_wait" => ExperimentOutput::AntennaWait(rows(v, "rows", |row| {
+            Some((
+                row.get("window_us")?.as_u64()?,
+                field(row, "gain_fraction")?,
+            ))
+        })?),
+        _ => return None,
+    })
+}
+
 /// A compact human summary of an output, for the CLI's post-run report:
 /// `(label, value)` rows.
 pub fn summarize(output: &ExperimentOutput) -> Vec<(String, f64)> {
@@ -636,5 +665,104 @@ mod tests {
             "{\"kind\":\"paired\",\"cas\":[1.5,2.25],\"das\":[3.0,4.125]}\n"
         );
         assert_eq!(result_bytes(&output), bytes);
+    }
+
+    #[test]
+    fn decode_inverts_encode_for_every_output_kind() {
+        let paired = PairedSamples {
+            cas: vec![1.5, 2.0],
+            das: vec![3.25, 0.0],
+        };
+        let cell = |sensing_sigma_db| CalibrationCell {
+            config: PhysicalConfig {
+                cs_threshold_dbm: -86.0,
+                capture_margin_db: 10.0,
+                sensing_sigma_db,
+            },
+            cas_network_median: 4.0,
+            das_network_median: 5.5,
+            network_gain: 0.375,
+            cas_client_median: 0.5,
+            das_client_median: 1.0,
+            client_median_gain: 1.0,
+            score: 0.0,
+        };
+        // One value of every `ExperimentOutput` variant; the idle load point
+        // carries the NaN gain that `result.json` stores as `null`.
+        let outputs = vec![
+            ExperimentOutput::Paired(paired.clone()),
+            ExperimentOutput::SmartPrecoding(SmartPrecodingSeries {
+                cas_naive: vec![1.0],
+                cas_smart: vec![2.0],
+                das_naive: vec![3.0],
+                das_smart: vec![4.5],
+            }),
+            ExperimentOutput::Ratios(vec![1.25, 0.5]),
+            ExperimentOutput::Deadzones(vec![DeadzoneComparison {
+                cas_dead: 3,
+                das_dead: 1,
+                total_spots: 40,
+            }]),
+            ExperimentOutput::HiddenTerminals(vec![HiddenTerminalComparison {
+                cas_spots: 5,
+                das_spots: 2,
+                total_spots: 30,
+            }]),
+            ExperimentOutput::EndToEnd(SessionSeries {
+                network: paired.clone(),
+                per_client: PairedSamples {
+                    cas: vec![0.125],
+                    das: vec![0.25],
+                },
+            }),
+            ExperimentOutput::Calibration(vec![cell(Some(3.0)), cell(None)]),
+            ExperimentOutput::Enterprise(EnterpriseScalingSeries {
+                cas: vec![1.0],
+                das: vec![2.0],
+                cas_streams: vec![3.0],
+                das_streams: vec![4.0],
+                das_per_ap_capacity: vec![0.5, 0.75],
+                das_per_ap_duty: vec![0.25, 1.0],
+                das_contention_degree: vec![2.5],
+            }),
+            ExperimentOutput::LoadVsGain(vec![
+                LoadGainRow {
+                    duty: 0.0,
+                    cas_median: 0.0,
+                    das_median: 0.0,
+                    gain: f64::NAN,
+                },
+                LoadGainRow {
+                    duty: 1.0,
+                    cas_median: 2.0,
+                    das_median: 3.0,
+                    gain: 1.5,
+                },
+            ]),
+            ExperimentOutput::TagWidth(vec![(1, 2.5), (2, 3.0)]),
+            ExperimentOutput::DasRadius(vec![((0.2, 0.4), 5.0)]),
+            ExperimentOutput::AntennaWait(vec![(0, 0.0), (34, 0.25)]),
+        ];
+        for output in &outputs {
+            let bytes = result_bytes(output);
+            let json = Json::parse(&bytes).unwrap();
+            let decoded = decode_output(&json).unwrap_or_else(|| panic!("undecodable: {bytes}"));
+            assert_eq!(result_bytes(&decoded), bytes);
+        }
+    }
+
+    #[test]
+    fn decode_rejects_documents_that_are_not_outputs() {
+        for text in [
+            "{}",
+            "{\"kind\":\"nope\"}",
+            "{\"kind\":\"ratios\",\"ratios\":[\"x\"]}",
+            "{\"kind\":\"tag_width\",\"rows\":[{\"width\":1.5,\"mean_capacity\":1}]}",
+        ] {
+            assert!(
+                decode_output(&Json::parse(text).unwrap()).is_none(),
+                "{text}"
+            );
+        }
     }
 }

@@ -138,10 +138,7 @@ impl JobSpec {
     /// Whether the experiment runs through the session machinery (and so
     /// accepts engine/traffic/coherence knobs and streams a round log).
     pub fn is_session_driven(&self) -> bool {
-        matches!(
-            self.experiment,
-            ExperimentSpec::EndToEnd { .. } | ExperimentSpec::EnterpriseScaling { .. }
-        )
+        self.experiment.session_builder().is_some()
     }
 
     /// Parses and validates spec text.

@@ -5,8 +5,10 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use midas::experiment::end_to_end_series_with_engine;
-use midas::sim::{ContentionModel, ExperimentOutput, ExperimentSpec, FadingEngine};
+use midas::sim::{
+    ContentionModel, DynamicsSpec, ExperimentOutput, ExperimentSpec, FadingEngine, SessionBuilder,
+    SessionTrial,
+};
 use midas_net::scale::Scenario;
 use midas_svc::json::Json;
 use midas_svc::pool::{JobOutcome, JobQueue};
@@ -20,6 +22,33 @@ fn scratch(tag: &str) -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// The in-process run of a session-driven spec over `builder` (its
+/// recipe with the job's knobs applied).
+fn in_process(spec: &ExperimentSpec, builder: SessionBuilder, seed: u64) -> ExperimentOutput {
+    spec.run_session(builder, seed, &|trial: &SessionTrial<'_>, mac| {
+        Some(trial.simulate(mac))
+    })
+    .expect("plain simulation never stops early")
+}
+
+/// Runs `spec` through a fresh queue and returns its `result.json`.
+fn service_result(tag: &str, spec: JobSpec) -> String {
+    let jobs = scratch(tag);
+    let queue = JobQueue::new(jobs.clone(), 1).unwrap();
+    let job = queue.submit(spec).unwrap();
+    assert!(matches!(
+        job.wait(),
+        JobOutcome::Done {
+            cache_hit: false,
+            ..
+        }
+    ));
+    queue.drain();
+    let got = std::fs::read_to_string(job.dir().join("result.json")).unwrap();
+    std::fs::remove_dir_all(&jobs).ok();
+    got
 }
 
 /// A small session-driven workload: 3-AP testbed, 2 topologies, 3 rounds.
@@ -40,27 +69,41 @@ fn small_end_to_end(seed: u64, engine: FadingEngine) -> JobSpec {
 #[test]
 fn result_json_is_byte_identical_to_the_in_process_run() {
     for engine in [FadingEngine::Legacy, FadingEngine::Counter] {
-        let jobs = scratch(&format!("ident-{engine:?}"));
         let spec = small_end_to_end(9001, engine);
-        let queue = JobQueue::new(jobs.clone(), 1).unwrap();
-        let job = queue.submit(spec).unwrap();
-        assert!(matches!(
-            job.wait(),
-            JobOutcome::Done {
-                cache_hit: false,
-                ..
-            }
+        // The in-process reference: the spec's own recipe with the engine
+        // set on its builder.
+        let builder = spec.experiment.session_builder().unwrap();
+        let expect = result_bytes(&in_process(
+            &spec.experiment,
+            builder.fading_engine(engine),
+            spec.seed,
         ));
-        queue.drain();
-
-        // The in-process reference: the identical recipe through the
-        // library's own engine-parameterised entry point.
-        let series =
-            end_to_end_series_with_engine(false, 2, 3, 9001, ContentionModel::Graph, engine);
-        let expect = result_bytes(&ExperimentOutput::EndToEnd(series));
-        let got = std::fs::read_to_string(job.dir().join("result.json")).unwrap();
+        let got = service_result(&format!("ident-{engine:?}"), spec);
         assert_eq!(got, expect, "engine {engine:?}");
-        std::fs::remove_dir_all(&jobs).ok();
+    }
+}
+
+#[test]
+fn enterprise_result_json_is_byte_identical_to_the_in_process_run() {
+    // The other recipe the shared runner carries: the contention-degree
+    // diagnostic and the per-AP series, static and with roaming walkers.
+    for dynamics in [None, Some(DynamicsSpec::roaming_walk(1.4))] {
+        let mut spec = JobSpec::new(
+            ExperimentSpec::EnterpriseScaling {
+                scenario: Scenario::enterprise_office(8),
+                topologies: 2,
+                rounds: 3,
+            },
+            77,
+        );
+        spec.dynamics = dynamics;
+        let mut builder = spec.experiment.session_builder().unwrap();
+        if let Some(dynamics) = dynamics {
+            builder = builder.dynamics(dynamics);
+        }
+        let expect = result_bytes(&in_process(&spec.experiment, builder, spec.seed));
+        let got = service_result(&format!("enterprise-{}", dynamics.is_some()), spec);
+        assert_eq!(got, expect, "dynamics {dynamics:?}");
     }
 }
 
