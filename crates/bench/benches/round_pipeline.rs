@@ -3,8 +3,8 @@
 //!
 //! Times the simulator's round loop end-to-end (topology build + channel
 //! realisation + `rounds` TXOP rounds, CAS and MIDAS back to back) at several
-//! scales under both fading engines and writes `BENCH_round_pipeline.json`
-//! at the **repo root** so the numbers are diffable PR-over-PR:
+//! scales and writes `BENCH_round_pipeline.json` at the **repo root** so the
+//! numbers are diffable PR-over-PR, one cell per workload:
 //!
 //! * `fig16_8ap` — the paper's 8-AP end-to-end workload (binary graph).
 //! * `fig16_8ap_svc` — the same workload dispatched through the `midas-svc`
@@ -14,26 +14,24 @@
 //! * `enterprise_64ap` — the 64-AP / 512-client enterprise_office floor
 //!   (finite interaction range, indexed scans) — the acceptance workload.
 //! * `enterprise_256ap` — a beyond-ROADMAP 256-AP / 2048-client point.
-//! * `*_counter` — the same three workloads under `FadingEngine::Counter`
-//!   (counter-keyed lazy evolution; the A cells above are the legacy B side).
-//! * `metro_1024ap` — a 1024-AP / 8192-client counter-engine point, only
-//!   tractable because lazy evolution never materialises the quadratic
-//!   share of out-of-range fading state per boundary.
-//! * `mobility_64ap` / `mobility_64ap_off` — the 64-AP counter-engine
-//!   workload with the long-horizon dynamics layer on
-//!   (`DynamicsSpec::roaming_walk`: every client random-waypoint walking +
-//!   antenna-aware roaming per round) and its dynamics-off twin, identical
-//!   in every other knob — their interleaved A/B difference is the
-//!   per-round cost of the dynamics stage.
+//! * `metro_1024ap` — a 1024-AP / 8192-client point, only tractable
+//!   because lazy evolution never materialises the quadratic share of
+//!   out-of-range fading state per boundary.
+//! * `mobility_64ap` / `mobility_64ap_off` — the 64-AP workload with the
+//!   long-horizon dynamics layer on (`DynamicsSpec::roaming_walk`: every
+//!   client random-waypoint walking + antenna-aware roaming per round) and
+//!   its dynamics-off twin, identical in every other knob — their
+//!   interleaved A/B difference is the per-round cost of the dynamics
+//!   stage.
 //!
 //! Repetitions are **interleaved round-robin across cells** (rep 1 of every
-//! cell, then rep 2, …) so legacy/counter pairs of the same workload are
-//! timed A/B within one binary and one machine state — thermal drift and
-//! cache warm-up land evenly on both sides.  Each cell reports the
-//! per-repetition wall-clock median plus a 95 % normal-approximation
-//! confidence interval on the mean, following the measured-claims
-//! discipline (accept a speedup only when the A/B CIs do not overlap;
-//! record negative results).
+//! cell, then rep 2, …) so A/B pairs of cells (`fig16_8ap` vs
+//! `fig16_8ap_svc`, the mobility pair) are timed within one binary and one
+//! machine state — thermal drift and cache warm-up land evenly on both
+//! sides.  Each cell reports the per-repetition wall-clock median plus a
+//! 95 % normal-approximation confidence interval on the mean, following
+//! the measured-claims discipline (accept a speedup only when the A/B CIs
+//! do not overlap; record negative results).
 //!
 //! Knobs (CI smoke + quick local iterations):
 //! * `MIDAS_PIPELINE_CELLS` — comma-separated cell names (default: all of
@@ -45,23 +43,21 @@
 //!
 //! Profiling mode (flamegraph-friendly):
 //! * `MIDAS_PIPELINE_PROFILE=<cell>` runs that registry cell's MIDAS round
-//!   loop — its floor, engine and dynamics layer — in a flat hot loop (one
-//!   long simulation, no timing machinery in the way) so
+//!   loop — its floor and dynamics layer — in a flat hot loop (one long
+//!   simulation, no timing machinery in the way) so
 //!   `perf record --call-graph dwarf` / `flamegraph` see clean stacks, and
-//!   prints the per-stage wall-clock breakdown (`StageTimings`, plus the
-//!   dynamics work counters for the `mobility_64ap` cell);
-//!   `MIDAS_PIPELINE_PROFILE_ROUNDS` (default 400) sets the round count,
-//!   `MIDAS_PIPELINE_ENGINE` (`legacy`/`counter`, default the cell's)
-//!   the fading engine, and `MIDAS_PIPELINE_COHERENCE` (default 1) the
-//!   coherence interval in rounds (> 1 caches channel realisations —
+//!   prints the per-stage wall-clock breakdown (`StageTimings`), the fading
+//!   work counters (`# fading work:`) and, for the `mobility_64ap` cell,
+//!   the dynamics work counters; `MIDAS_PIPELINE_PROFILE_ROUNDS` (default
+//!   400) sets the round count and `MIDAS_PIPELINE_COHERENCE` (default 1)
+//!   the coherence interval in rounds (> 1 caches channel realisations —
 //!   opt-in, changes outputs; handy for A/B-profiling the evolve stage).
 //!
 //! Both modes resolve names through the one cell registry; an unknown
 //! cell name exits with status 2.
 
-use midas::sim::{ExperimentOutput, ExperimentSpec, SessionSeries, SessionTrial};
+use midas::sim::{ExperimentSpec, SessionSeries};
 use midas_bench::{env_knob, env_list, Cell, Figure, Table, BENCH_SEED};
-use midas_channel::FadingEngine;
 use midas_net::capture::ContentionModel;
 use midas_net::dynamics::DynamicsSpec;
 use midas_net::metrics::Cdf;
@@ -72,40 +68,24 @@ use midas_svc::spec::JobSpec;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// A session-driven spec at [`BENCH_SEED`] under `engine`: the spec's own
-/// recipe with the engine set on its builder.
-fn run_under(spec: &ExperimentSpec, engine: FadingEngine) -> ExperimentOutput {
-    let builder = spec
-        .session_builder()
-        .expect("session-driven cell")
-        .fading_engine(engine);
-    spec.run_session(builder, BENCH_SEED, &|trial: &SessionTrial<'_>, mac| {
-        Some(trial.simulate(mac))
-    })
-    .expect("plain simulation never stops early")
-}
-
-/// The Fig. 16 8-AP series (binary-graph contention) under `engine`.
-fn fig16_series(topologies: usize, rounds: usize, engine: FadingEngine) -> SessionSeries {
+/// The Fig. 16 8-AP series (binary-graph contention) at [`BENCH_SEED`].
+fn fig16_series(topologies: usize, rounds: usize) -> SessionSeries {
     let spec = ExperimentSpec::EndToEnd {
         eight_aps: true,
         topologies,
         rounds,
         contention: ContentionModel::Graph,
     };
-    run_under(&spec, engine).expect_end_to_end()
+    spec.run(BENCH_SEED).expect_end_to_end()
 }
 
 /// Every cell of the registry, in snapshot order: the default
 /// `MIDAS_PIPELINE_CELLS` list and the names profile mode accepts.
 const CELL_NAMES: &[&str] = &[
     "fig16_8ap",
-    "fig16_8ap_counter",
     "fig16_8ap_svc",
     "enterprise_64ap",
-    "enterprise_64ap_counter",
     "enterprise_256ap",
-    "enterprise_256ap_counter",
     "metro_1024ap",
     "mobility_64ap",
     "mobility_64ap_off",
@@ -120,7 +100,6 @@ struct PipelineCell {
     clients: usize,
     topologies: usize,
     rounds: usize,
-    engine: FadingEngine,
     /// The floor profile mode runs one long MIDAS simulation on; `None`
     /// profiles the paper-scale 8-AP series instead.
     scenario: Option<Scenario>,
@@ -140,19 +119,12 @@ fn cell_or_exit(name: &str, topologies_override: Option<usize>, rounds: usize) -
     })
 }
 
-fn engine_label(engine: FadingEngine) -> &'static str {
-    match engine {
-        FadingEngine::Legacy => "legacy",
-        FadingEngine::Counter => "counter",
-    }
-}
-
 fn cell_by_name(
     name: &str,
     topologies_override: Option<usize>,
     rounds: usize,
 ) -> Option<PipelineCell> {
-    let fig16 = |name, engine, default_topologies| {
+    let fig16 = |name, default_topologies| {
         let topologies = topologies_override.unwrap_or(default_topologies).max(1);
         PipelineCell {
             name,
@@ -160,16 +132,15 @@ fn cell_by_name(
             clients: 32,
             topologies,
             rounds,
-            engine,
             scenario: None,
             dynamics: None,
             run: Box::new(move || {
-                let s = fig16_series(topologies, rounds, engine);
+                let s = fig16_series(topologies, rounds);
                 s.network.cas.iter().sum::<f64>() + s.network.das.iter().sum::<f64>()
             }),
         }
     };
-    let enterprise = |name, aps: usize, engine, default_topologies| {
+    let enterprise = |name, aps: usize, default_topologies| {
         let topologies = topologies_override.unwrap_or(default_topologies).max(1);
         PipelineCell {
             name,
@@ -177,7 +148,6 @@ fn cell_by_name(
             clients: aps * 8,
             topologies,
             rounds,
-            engine,
             scenario: Some(Scenario::enterprise_office(aps)),
             dynamics: None,
             run: Box::new(move || {
@@ -186,7 +156,7 @@ fn cell_by_name(
                     topologies,
                     rounds,
                 };
-                let s = run_under(&spec, engine).expect_enterprise();
+                let s = spec.run(BENCH_SEED).expect_enterprise();
                 s.cas.iter().sum::<f64>() + s.das.iter().sum::<f64>()
             }),
         }
@@ -206,7 +176,6 @@ fn cell_by_name(
             clients: 32,
             topologies,
             rounds,
-            engine: FadingEngine::Legacy,
             scenario: None,
             dynamics: None,
             run: Box::new(move || {
@@ -225,10 +194,10 @@ fn cell_by_name(
             }),
         }
     };
-    // The dynamics A/B pair: the 64-AP counter-engine workload with the
-    // dynamics layer on (roaming walkers) and its off twin.  Both run the
-    // simulator directly so the only difference between the cells is
-    // `config.dynamics` — the interleaved median gap is the dynamics tax.
+    // The dynamics A/B pair: the 64-AP workload with the dynamics layer on
+    // (roaming walkers) and its off twin.  Both run the simulator directly
+    // so the only difference between the cells is `config.dynamics` — the
+    // interleaved median gap is the dynamics tax.
     let mobility = |name, dynamics: Option<DynamicsSpec>, default_topologies| {
         let topologies = topologies_override.unwrap_or(default_topologies).max(1);
         PipelineCell {
@@ -237,7 +206,6 @@ fn cell_by_name(
             clients: 512,
             topologies,
             rounds,
-            engine: FadingEngine::Counter,
             scenario: Some(Scenario::enterprise_office(64)),
             dynamics,
             run: Box::new(move || {
@@ -248,7 +216,6 @@ fn cell_by_name(
                     let pair = scenario.build(seed).expect("floor fits the grid");
                     for (mac, topo) in [(MacKind::Cas, pair.cas), (MacKind::Midas, pair.das)] {
                         let mut config = scenario.sim_config(mac, rounds, seed);
-                        config.fading = FadingEngine::Counter;
                         config.dynamics = dynamics;
                         sum += NetworkSimulator::new(topo, config).run().mean_capacity();
                     }
@@ -258,24 +225,11 @@ fn cell_by_name(
         }
     };
     match name {
-        "fig16_8ap" => Some(fig16("fig16_8ap", FadingEngine::Legacy, 4)),
-        "fig16_8ap_counter" => Some(fig16("fig16_8ap_counter", FadingEngine::Counter, 4)),
+        "fig16_8ap" => Some(fig16("fig16_8ap", 4)),
         "fig16_8ap_svc" => Some(svc("fig16_8ap_svc", 4)),
-        "enterprise_64ap" => Some(enterprise("enterprise_64ap", 64, FadingEngine::Legacy, 3)),
-        "enterprise_64ap_counter" => Some(enterprise(
-            "enterprise_64ap_counter",
-            64,
-            FadingEngine::Counter,
-            3,
-        )),
-        "enterprise_256ap" => Some(enterprise("enterprise_256ap", 256, FadingEngine::Legacy, 1)),
-        "enterprise_256ap_counter" => Some(enterprise(
-            "enterprise_256ap_counter",
-            256,
-            FadingEngine::Counter,
-            1,
-        )),
-        "metro_1024ap" => Some(enterprise("metro_1024ap", 1024, FadingEngine::Counter, 1)),
+        "enterprise_64ap" => Some(enterprise("enterprise_64ap", 64, 3)),
+        "enterprise_256ap" => Some(enterprise("enterprise_256ap", 256, 1)),
+        "metro_1024ap" => Some(enterprise("metro_1024ap", 1024, 1)),
         "mobility_64ap" => Some(mobility(
             "mobility_64ap",
             Some(DynamicsSpec::roaming_walk(1.4)),
@@ -363,33 +317,31 @@ fn print_stage_breakdown(timings: &StageTimings) {
 }
 
 /// Flat MIDAS hot loop for profilers: one long simulation of the named
-/// registry cell (its floor, engine and dynamics), no timers in the round
-/// path (stage timings accumulate coarse per-stage `Instant` reads, cheap
-/// next to a 64-AP round).  An unknown cell name exits non-zero.
+/// registry cell (its floor and dynamics), no timers in the round path
+/// (stage timings accumulate coarse per-stage `Instant` reads, cheap next
+/// to a 64-AP round).  An unknown cell name exits non-zero.
 fn profile(cell_name: &str, rounds: usize) {
     let cell = cell_or_exit(cell_name, Some(1), rounds);
-    let engine = match std::env::var("MIDAS_PIPELINE_ENGINE").as_deref() {
-        Ok("legacy") => FadingEngine::Legacy,
-        Ok("counter") => FadingEngine::Counter,
-        _ => cell.engine,
-    };
     match cell.scenario {
         Some(scenario) => {
             let pair = scenario.build(BENCH_SEED).expect("floor fits the grid");
             let mut config = scenario.sim_config(MacKind::Midas, rounds, BENCH_SEED);
             config.rounds = rounds;
-            config.fading = engine;
             config.coherence_interval_rounds =
                 env_knob("MIDAS_PIPELINE_COHERENCE").unwrap_or(1).max(1);
             config.dynamics = cell.dynamics;
             let mut sim = NetworkSimulator::new(pair.das, config).with_stage_profiling();
             let result = sim.run();
             println!(
-                "# profile {cell_name} ({}): {rounds} rounds, mean capacity {:.3} bit/s/Hz",
-                engine_label(engine),
+                "# profile {cell_name}: {rounds} rounds, mean capacity {:.3} bit/s/Hz",
                 result.mean_capacity()
             );
             print_stage_breakdown(&sim.stage_timings());
+            let f = sim.fading_counters();
+            println!(
+                "# fading work: {} rows caught up, {} row steps, {} Gaussian pairs",
+                f.rows_caught_up, f.row_steps, f.gaussian_pairs
+            );
             if let Some(c) = sim.dynamics_counters() {
                 println!(
                     "# dynamics work: {} rows refreshed, {} born, {} freed, {} shadowing \
@@ -406,12 +358,9 @@ fn profile(cell_name: &str, rounds: usize) {
         None => {
             // The paper-scale cells: the 8-AP workload through the series
             // runner, rounds stretched for a long loop.
-            let s = fig16_series(1, rounds, engine);
+            let s = fig16_series(1, rounds);
             let checksum = s.network.cas.iter().sum::<f64>() + s.network.das.iter().sum::<f64>();
-            println!(
-                "# profile {cell_name} ({}): {rounds} rounds, checksum {checksum:.3}",
-                engine_label(engine)
-            );
+            println!("# profile {cell_name}: {rounds} rounds, checksum {checksum:.3}");
         }
     }
 }
@@ -455,7 +404,6 @@ fn main() {
         "pipeline",
         &[
             "cell",
-            "engine",
             "aps",
             "clients",
             "topologies",
@@ -475,9 +423,8 @@ fn main() {
         let s = stats(cell_samples);
         let throughput = sim_rounds(cell) as f64 / s.median_s;
         println!(
-            "# {} ({}): median {:.3} s, mean {:.3} s (95% CI [{:.3}, {:.3}]), {:.1} sim rounds/s (checksum {sink:.1})",
+            "# {}: median {:.3} s, mean {:.3} s (95% CI [{:.3}, {:.3}]), {:.1} sim rounds/s (checksum {sink:.1})",
             cell.name,
-            engine_label(cell.engine),
             s.median_s,
             s.mean_s,
             s.ci95_lo_s,
@@ -486,7 +433,6 @@ fn main() {
         );
         table.row([
             Cell::from(cell.name),
-            Cell::from(engine_label(cell.engine)),
             Cell::from(cell.aps),
             Cell::from(cell.clients),
             Cell::from(cell.topologies),
@@ -501,12 +447,11 @@ fn main() {
         ]);
         cells_json.push(format!(
             concat!(
-                "{{\"name\":\"{}\",\"engine\":\"{}\",\"aps\":{},\"clients\":{},",
+                "{{\"name\":\"{}\",\"aps\":{},\"clients\":{},",
                 "\"topologies\":{},\"rounds\":{},\"reps\":{},\"median_s\":{},\"mean_s\":{},",
                 "\"sd_s\":{},\"ci95_lo_s\":{},\"ci95_hi_s\":{},\"sim_rounds_per_s\":{}}}"
             ),
             cell.name,
-            engine_label(cell.engine),
             cell.aps,
             cell.clients,
             cell.topologies,

@@ -88,8 +88,8 @@ impl ChannelMatrix {
     }
 
     /// Zeroes client row `row` — composite and large-scale gains alike — so
-    /// the slot carries no channel: the legacy evolution sweep skips
-    /// zero-gain links without drawing.
+    /// the slot carries no channel: evolution leaves zero-gain links at
+    /// zero.
     pub fn zero_row(&mut self, row: usize) {
         self.h.row_mut(row).fill(Complex::ZERO);
         self.large_scale.row_mut(row).fill(0.0);
@@ -176,8 +176,7 @@ fn amp_from_db(pl_db: f64, shadow_db: f64) -> f64 {
 }
 
 /// Lane bit marking the keyed stream a row born mid-run draws from, so it
-/// can never coincide with a counter-engine evolution key (AP ids stay far
-/// below 2⁶³).
+/// can never coincide with an evolution key (AP ids stay far below 2⁶³).
 const BIRTH_LANE: u64 = 1 << 63;
 
 /// Where a channel row's random draws come from: the model's sequential
@@ -262,8 +261,8 @@ pub struct ChannelModel {
     rng: SimRng,
     /// Seed of the frozen shadowing field (shared by all links of this model).
     shadow_field_seed: u64,
-    /// Seed lane of the counter-keyed fading streams (see
-    /// [`ChannelModel::evolve_row_counter`]); derived from the trial seed so
+    /// Seed lane of the keyed fading streams (see
+    /// [`ChannelModel::evolve_row`]); derived from the trial seed so
     /// different trials draw independent fading histories.
     fading_seed: u64,
     /// The environment's reference path loss (dB), evaluated once.
@@ -499,64 +498,35 @@ impl ChannelModel {
         }
     }
 
-    /// Evolves a channel realisation forward by `delay_s` seconds using the
-    /// environment's coherence time (Gauss–Markov small-scale evolution; the
-    /// large-scale part is unchanged).
-    pub fn evolve(&mut self, channel: &ChannelMatrix, delay_s: f64) -> ChannelMatrix {
-        let mut out = channel.clone();
-        self.evolve_in_place(&mut out, delay_s);
-        out
-    }
-
-    /// In-place variant of [`ChannelModel::evolve`]: updates `channel.h`
-    /// without cloning the matrix or its large-scale gains.
-    ///
-    /// Consumes RNG draws in exactly the same link order as `evolve`, so the
-    /// two are bit-interchangeable; the round loop uses this form to avoid
-    /// one `h` + one `large_scale` allocation per AP per round.
-    pub fn evolve_in_place(&mut self, channel: &mut ChannelMatrix, delay_s: f64) {
-        let rho = fading::correlation_for_delay(delay_s, self.env.coherence_time_s);
-        for j in 0..channel.num_clients() {
-            for k in 0..channel.num_antennas() {
-                let g = channel.large_scale.get(j, k);
-                if g <= 0.0 {
-                    continue;
-                }
-                // Normalise out the large-scale gain, evolve the unit-power
-                // fading coefficient, re-apply the gain.
-                let f = channel.h.get(j, k).scale(1.0 / g);
-                let f2 = fading::evolve(f, rho, &mut self.rng);
-                channel.h.set(j, k, f2.scale(g));
-            }
-        }
-    }
-
     /// Gauss–Markov correlation over a delay of `delay_s` seconds in this
     /// model's environment — the `rho` of one evolution step.
     pub fn step_correlation(&self, delay_s: f64) -> f64 {
         fading::correlation_for_delay(delay_s, self.env.coherence_time_s)
     }
 
-    /// One counter-keyed Gauss–Markov step over a single channel row
-    /// (`FadingEngine::Counter`; see [`CounterRng`]).
+    /// One keyed first-order Gauss–Markov (AR(1)) step over a single
+    /// channel row: the row `link` of AP `ap` at evolution boundary `round`.
     ///
-    /// The row's innovations come from the stateless stream keyed by
-    /// `(fading_seed, ap, link, round)`, so the update is a pure function of
-    /// the key and the row's prior state: the same step can be applied
-    /// eagerly, lazily (catching a row up boundary by boundary), or on
-    /// another thread and produce identical bits.  `&self`, not `&mut self`
-    /// — the model's sequential generator is untouched, which is what keeps
-    /// the `Legacy` engine's draws byte-stable when `Counter` is in use
-    /// elsewhere.
+    /// The row's innovations come from the stateless [`CounterRng`] stream
+    /// keyed by `(fading_seed, ap, link, round)`, so the update is a pure
+    /// function of the key and the row's prior state: the same step can be
+    /// applied eagerly, lazily (catching a row up boundary by boundary) or
+    /// in any row order and produce identical bits.  `&self`, not
+    /// `&mut self` — the model's sequential generator, which set-up
+    /// realisation draws from, is untouched.
     ///
-    /// The update works in the scaled domain: where the legacy path
-    /// normalises `h` by the large-scale gain `g`, evolves the unit-power
-    /// coefficient and re-applies `g`, this computes
-    /// `h ← rho·h + sqrt(1−rho²)·g·CN(0,1)` directly — the same process
-    /// without the divide.  `pairs` is caller-provided scratch (one slot per
-    /// antenna) so steady-state evolution allocates nothing.
+    /// The unit-power coefficient `f` evolves as
+    /// `f ← rho·f + sqrt(1−rho²)·CN(0,1)`; the update works in the scaled
+    /// domain, `h ← rho·h + sqrt(1−rho²)·g·CN(0,1)` with `g` the link's
+    /// large-scale gain, so no divide is needed.  `rho = 1` freezes the row
+    /// without drawing, `rho = 0` redraws it from its stationary
+    /// distribution, and a zero-gain link (a freed row slot) stays zero.
+    /// `pairs` is caller-provided scratch (one slot per antenna) so
+    /// steady-state evolution allocates nothing.  Returns the number of
+    /// Gaussian pairs drawn: one per antenna, or none when `rho = 1`.
+    // lint: no_alloc — keyed row step: innovations fill the caller's retained scratch
     #[allow(clippy::too_many_arguments)] // the argument list IS the stream key + row state
-    pub fn evolve_row_counter(
+    pub fn evolve_row(
         &self,
         h_row: &mut [Complex],
         g_row: &[f64],
@@ -565,11 +535,11 @@ impl ChannelModel {
         link: u64,
         round: u64,
         pairs: &mut Vec<(f64, f64)>,
-    ) {
+    ) -> usize {
         assert!((0.0..=1.0).contains(&rho), "correlation must be in [0, 1]");
         assert_eq!(h_row.len(), g_row.len());
         if rho >= 1.0 {
-            return;
+            return 0;
         }
         // Components of CN(0,1) are N(0, 1/2).
         let s = (1.0 - rho * rho).sqrt() * std::f64::consts::FRAC_1_SQRT_2;
@@ -584,6 +554,7 @@ impl ChannelModel {
             let sg = s * g;
             *h = h.scale(rho) + Complex::new(zr * sg, zi * sg);
         }
+        pairs.len()
     }
 
     /// Re-derives one client row's large-scale gains after the client moved
@@ -700,12 +671,13 @@ impl ChannelModel {
         );
     }
 
-    /// Counter-engine counterpart of [`ChannelModel::evolve_in_place`]:
-    /// evolves every row of `channel` by one step keyed at `round`, with
-    /// rows keyed by their index under AP lane `ap`.  Convenience for tests
-    /// and single-matrix callers; the round loop calls
-    /// [`evolve_row_counter`](Self::evolve_row_counter) per touched row.
-    pub fn evolve_in_place_counter(
+    /// Evolves every row of `channel` by one keyed step over `delay_s`
+    /// seconds (the environment's coherence time sets `rho`) at boundary
+    /// `round`, rows keyed by their index under AP lane `ap`; the
+    /// large-scale gains are unchanged.  The single-matrix form of
+    /// [`evolve_row`](Self::evolve_row), for stale-CSI experiments and
+    /// tests; the round loop evolves only the rows it reads.
+    pub fn evolve_matrix(
         &self,
         channel: &mut ChannelMatrix,
         delay_s: f64,
@@ -717,7 +689,7 @@ impl ChannelModel {
         for j in 0..channel.num_clients() {
             let h_row = channel.h.row_mut(j);
             let g_row = channel.large_scale.row(j);
-            self.evolve_row_counter(h_row, g_row, rho, ap, j as u64, round, pairs);
+            self.evolve_row(h_row, g_row, rho, ap, j as u64, round, pairs);
         }
     }
 }
@@ -820,7 +792,8 @@ mod tests {
         let (topo, mut model) = das_topology(5);
         let clients = topo.clients_of(0);
         let ch = model.realize(&topo.aps[0], &clients);
-        let same = model.evolve(&ch, 0.0);
+        let mut same = ch.clone();
+        model.evolve_matrix(&mut same, 0.0, 0, 0, &mut Vec::new());
         assert!(same.h.approx_eq(&ch.h, 1e-12));
     }
 
@@ -829,8 +802,10 @@ mod tests {
         let (topo, mut model) = das_topology(6);
         let clients = topo.clients_of(0);
         let ch = model.realize(&topo.aps[0], &clients);
-        let later = model.evolve(&ch, 10.0); // >> coherence time
-                                             // Large-scale structure retained, small-scale changed.
+        let mut later = ch.clone();
+        // A delay far beyond the coherence time: large-scale structure
+        // retained, small-scale changed.
+        model.evolve_matrix(&mut later, 10.0, 0, 0, &mut Vec::new());
         assert_eq!(later.large_scale, ch.large_scale);
         assert!(!later.h.approx_eq(&ch.h, 1e-6));
     }

@@ -9,40 +9,12 @@
 //!   to its nearest DAS antenna often has LoS): deterministic LoS component
 //!   plus scattered component.
 //!
-//! The module also provides first-order Gauss–Markov temporal evolution so
-//! that CSI can go stale between sounding and transmission (used by the
-//! sounding-staleness model in `midas-phy`).
+//! The module also provides the temporal correlation of first-order
+//! Gauss–Markov evolution over a delay; the keyed evolution step itself is
+//! [`ChannelModel::evolve_row`](crate::ChannelModel::evolve_row).
 
 use crate::rng::SimRng;
 use midas_linalg::Complex;
-
-/// Which machinery drives small-scale fading evolution in the simulator.
-///
-/// Both engines realise the same first-order Gauss–Markov process — same
-/// `rho`, same innovation distribution — and the paper's evaluation depends
-/// only on those statistics, not on one particular draw sequence
-/// (`paper_fidelity` bands pass under either engine).  They differ in *where
-/// the randomness comes from*:
-///
-/// * [`Legacy`](FadingEngine::Legacy) (the default) threads one sequential
-///   generator through every link in a fixed order.  Every historical golden
-///   stays byte-identical, but the pinned draw order forces eager, serial
-///   evolution of the full channel state each coherence interval.
-/// * [`Counter`](FadingEngine::Counter) keys each innovation by
-///   `(trial_seed, ap, link, round)` through a stateless counter-based
-///   stream ([`CounterRng`](crate::rng::CounterRng)), making evolution
-///   order-independent: rows can be evolved lazily (only when a round
-///   actually reads them, with exact keyed catch-up) and in batch (one
-///   stream fills a whole row's innovations).  Opting in changes per-draw
-///   values — statistics, not goldens, are the contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FadingEngine {
-    /// Sequential draws from one shared generator (byte-stable goldens).
-    #[default]
-    Legacy,
-    /// Stateless counter-keyed draws (order-independent; lazy).
-    Counter,
-}
 
 /// Small-scale fading distribution for one link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,19 +56,6 @@ pub fn sample_cn01(rng: &mut SimRng) -> Complex {
     Complex::new(rng.gaussian() * scale, rng.gaussian() * scale)
 }
 
-/// First-order Gauss–Markov (AR(1)) fading evolution.
-///
-/// Given the current coefficient `h`, the coefficient after a delay with
-/// temporal correlation `rho` is `rho * h + sqrt(1 - rho^2) * CN(0,1)`.
-/// `rho = 1` freezes the channel, `rho = 0` draws an independent channel.
-pub fn evolve(h: Complex, rho: f64, rng: &mut SimRng) -> Complex {
-    assert!((0.0..=1.0).contains(&rho), "correlation must be in [0, 1]");
-    if rho >= 1.0 {
-        return h;
-    }
-    h.scale(rho) + sample_cn01(rng).scale((1.0 - rho * rho).sqrt())
-}
-
 /// Temporal correlation implied by Clarke's model for a wait of
 /// `delay_s` seconds in a channel with coherence time `coherence_s`.
 ///
@@ -111,6 +70,7 @@ pub fn correlation_for_delay(delay_s: f64, coherence_s: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ChannelModel, Environment};
 
     #[test]
     fn rayleigh_has_unit_mean_power() {
@@ -154,20 +114,33 @@ mod tests {
         assert_eq!(FadingKind::None.sample(&mut rng), Complex::ONE);
     }
 
+    // The evolution step is the keyed `ChannelModel::evolve_row`; these pin
+    // its Gauss–Markov endpoints and its unit power on unit-gain links.
+
     #[test]
     fn evolve_with_rho_one_keeps_channel() {
-        let mut rng = SimRng::new(4);
-        let h = Complex::new(0.3, -0.8);
-        assert_eq!(evolve(h, 1.0, &mut rng), h);
+        let model = ChannelModel::new(Environment::office_a(), 4);
+        let mut h = [Complex::new(0.3, -0.8), Complex::new(-0.1, 0.2)];
+        let before = h;
+        let drawn = model.evolve_row(&mut h, &[1.0, 0.5], 1.0, 0, 0, 0, &mut Vec::new());
+        assert_eq!(h, before);
+        assert_eq!(drawn, 0, "a frozen row draws nothing");
     }
 
     #[test]
     fn evolve_with_rho_zero_is_independent_unit_power() {
-        let mut rng = SimRng::new(5);
-        let h = Complex::new(10.0, 10.0); // large value should not leak through
+        let model = ChannelModel::new(Environment::office_a(), 5);
+        let mut pairs = Vec::new();
         let n = 20_000;
         let mean_power: f64 = (0..n)
-            .map(|_| evolve(h, 0.0, &mut rng).norm_sqr())
+            .map(|round| {
+                // A large prior value must not leak through; a zero-gain
+                // link (a freed row slot) stays zero.
+                let mut h = [Complex::new(10.0, 10.0), Complex::ZERO];
+                model.evolve_row(&mut h, &[1.0, 0.0], 0.0, 0, 0, round, &mut pairs);
+                assert_eq!(h[1], Complex::ZERO);
+                h[0].norm_sqr()
+            })
             .sum::<f64>()
             / n as f64;
         assert!((mean_power - 1.0).abs() < 0.05, "mean power {mean_power}");
@@ -175,13 +148,16 @@ mod tests {
 
     #[test]
     fn evolve_preserves_unit_power_statistically() {
+        let model = ChannelModel::new(Environment::office_a(), 6);
         let mut rng = SimRng::new(6);
+        let mut pairs = Vec::new();
         let n = 20_000;
         let rho = 0.7;
         let mean_power: f64 = (0..n)
-            .map(|_| {
-                let h = sample_cn01(&mut rng);
-                evolve(h, rho, &mut rng).norm_sqr()
+            .map(|round| {
+                let mut h = [sample_cn01(&mut rng)];
+                model.evolve_row(&mut h, &[1.0], rho, 0, 0, round, &mut pairs);
+                h[0].norm_sqr()
             })
             .sum::<f64>()
             / n as f64;

@@ -19,11 +19,17 @@
 //!   CAS spacing, 5–10 m DAS radius, 60° sector separation, minimum antenna
 //!   spacing).
 //! * [`channel`] — generation of the complex downlink channel matrix **H**
-//!   and derived link metrics (RSSI, SNR), with coherence-time evolution.
+//!   and derived link metrics (RSSI, SNR), with coherence-time evolution:
+//!   one keyed Gauss–Markov step ([`ChannelModel::evolve_row`]) whose
+//!   innovations are a pure function of `(trial seed, AP, link, boundary)`,
+//!   so a simulator may evolve only the rows it reads, catching each up
+//!   exactly when it is next read.
 //! * [`trace`] — record / replay of channel realisations ("trace-driven
 //!   simulation" in the paper).
-//! * [`rng`] — a small deterministic PRNG wrapper so every experiment is
-//!   reproducible from a seed.
+//! * [`rng`] — deterministic generators so every experiment is reproducible
+//!   from a seed: the sequential [`SimRng`] (set-up realisation, topology
+//!   draws) and the stateless, keyed [`CounterRng`] (fading evolution and
+//!   rows born mid-run).
 //!
 //! The crate knows nothing about precoding or MAC behaviour; it only models
 //! propagation.
@@ -44,7 +50,6 @@ pub mod trace;
 
 pub use channel::{ChannelMatrix, ChannelModel, LinkStats, RowCache};
 pub use environment::{Environment, EnvironmentKind};
-pub use fading::FadingEngine;
 pub use geometry::Point;
 pub use rng::{CounterRng, SimRng};
 pub use topology::{AntennaDeployment, Deployment, DeploymentKind, Topology};

@@ -1,17 +1,18 @@
 //! Deterministic pseudo-random number generation for the simulator.
 //!
-//! Every stochastic component of the reproduction — antenna placement,
-//! shadowing, small-scale fading, MAC backoff — draws from [`SimRng`], a thin
-//! wrapper over a splitmix64/xoshiro-style generator.  Seeding every
-//! experiment makes figures and tests exactly reproducible, and the
-//! `fork`/`stream` helpers give independent sub-streams to independent model
-//! components so that adding draws to one component does not perturb another.
+//! Every sequential stochastic component of the reproduction — antenna
+//! placement, shadowing, set-up fading realisation, MAC access order —
+//! draws from [`SimRng`], a thin wrapper over a splitmix64/xoshiro-style
+//! generator.  Seeding every experiment makes figures and tests exactly
+//! reproducible, and the `fork`/`stream` helpers give independent
+//! sub-streams to independent model components so that adding draws to one
+//! component does not perturb another.
 //!
 //! [`CounterRng`] is the stateless counterpart: a splitmix64 stream whose
 //! starting point is a pure function of a caller-supplied key, so the draw
 //! for `(seed, ap, link, round)` is the same no matter which draws ran
-//! before it.  The counter-based fading engine is built on it — evolution
-//! order-independence is what unlocks lazy channel evolution.
+//! before it.  Fading evolution is built on it — order-independence is
+//! what lets the simulator evolve only the channel rows a round reads.
 
 /// A small, fast, deterministic PRNG (xoshiro256** seeded via splitmix64).
 #[derive(Debug, Clone)]
@@ -204,8 +205,8 @@ impl SimRng {
 /// Where [`SimRng`] threads one mutable state through every consumer (so a
 /// draw's value depends on every draw before it), `CounterRng::from_key`
 /// makes the draw sequence for a key — e.g. `(trial_seed, ap, link, round)`
-/// — a pure function of that key.  Two consequences the counter-based
-/// fading engine relies on:
+/// — a pure function of that key.  Two consequences keyed fading
+/// evolution relies on:
 ///
 /// * **Order independence** — evolving link A before or after link B cannot
 ///   change either link's draws, so work can be skipped, reordered, or
@@ -271,7 +272,7 @@ impl CounterRng {
     }
 
     /// Fills `out` with independent standard normal pairs — the batched
-    /// Gaussian kernel of the counter fading engine: one stream keyed per
+    /// Gaussian kernel of fading evolution: one stream keyed per
     /// `(link, round)` fills a whole channel row's innovations at once.
     pub fn fill_gaussian_pairs(&mut self, out: &mut [(f64, f64)]) {
         for slot in out {

@@ -184,13 +184,13 @@ pub fn fig11_optimal_comparison(topologies: usize, stale_csi: bool, seed: u64) -
             // channel has moved on.
             let mut est_rng = SimRng::new(s ^ 0xBEEF);
             let old = sounding.estimate(&ch.h, &mut est_rng);
-            let old_ch = midas_channel::ChannelMatrix {
+            let mut evolved = midas_channel::ChannelMatrix {
                 h: old,
                 large_scale: ch.large_scale.clone(),
                 tx_power_mw: ch.tx_power_mw,
                 noise_mw: ch.noise_mw,
             };
-            let evolved = model.evolve(&old_ch, 2.0);
+            model.evolve_matrix(&mut evolved, 2.0, 0, 0, &mut Vec::new());
             let v = OptimalPrecoder::with_iterations(1500)
                 .precode_channel(&evolved)
                 .v;

@@ -30,7 +30,7 @@
 //! | `experiment::fig12_simultaneous_tx(n, seed)` | `ExperimentSpec::SimultaneousTx { topologies: n }.run(seed)` |
 //! | `experiment::end_to_end_series(eight, n, r, seed, model)` | `ExperimentSpec::EndToEnd { eight_aps: eight, topologies: n, rounds: r, contention: model }.run(seed)` |
 //! | bespoke `NetworkSimulator` loops | `SessionBuilder::new(source)…build()` + [`Session::run`] / [`Session::stream`] |
-//! | a figure recipe under other knobs (engine, traffic, dynamics) | [`ExperimentSpec::session_builder`] + the knobs, then [`ExperimentSpec::run_session`] |
+//! | a figure recipe under other knobs (traffic, dynamics) | [`ExperimentSpec::session_builder`] + the knobs, then [`ExperimentSpec::run_session`] |
 //!
 //! ## Example
 //!
@@ -60,7 +60,6 @@ pub use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow};
 
 // The building blocks a session composes, re-exported so `midas::sim` is a
 // one-stop import for session users.
-pub use midas_channel::FadingEngine;
 pub use midas_net::capture::{ContentionModel, PhysicalConfig};
 pub use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec};
 pub use midas_net::observer::{Accumulate, Observer, RoundRecord, RunningSummary, Tee};

@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use crate::runner::SeedSweep;
 use crate::sim::source::TopologySource;
-use midas_channel::FadingEngine;
 use midas_net::capture::ContentionModel;
 use midas_net::deployment::PairedTopology;
 use midas_net::dynamics::DynamicsSpec;
@@ -88,7 +87,6 @@ pub struct SessionBuilder {
     rounds: usize,
     tag_width: Option<usize>,
     coherence_interval_rounds: Option<usize>,
-    fading: FadingEngine,
     stage_profiling: bool,
     dynamics: Option<DynamicsSpec>,
     mix: (u64, u64),
@@ -105,7 +103,6 @@ impl SessionBuilder {
             rounds: 20,
             tag_width: None,
             coherence_interval_rounds: None,
-            fading: FadingEngine::Legacy,
             stage_profiling: false,
             dynamics: None,
             mix: (1, 0),
@@ -141,24 +138,12 @@ impl SessionBuilder {
     }
 
     /// Sets the channel coherence interval in TXOP rounds (default: 1 —
-    /// channels evolve every round, the paper's legacy behaviour).  Larger
+    /// channels evolve every round, one Gauss–Markov step per TXOP).  Larger
     /// intervals reuse the cached channel realisation (and its precoding
     /// inputs) for `interval` consecutive rounds, evolving once per
     /// interval with a correspondingly longer delay.
     pub fn coherence_interval_rounds(mut self, interval: usize) -> Self {
         self.coherence_interval_rounds = Some(interval.max(1));
-        self
-    }
-
-    /// Selects the small-scale fading engine (default:
-    /// [`FadingEngine::Legacy`], which keeps every historical series
-    /// byte-identical).  [`FadingEngine::Counter`] derives each innovation
-    /// from a stateless counter-based stream keyed by
-    /// `(trial_seed, ap, link, round)`, enabling lazy active-set
-    /// evolution; its series are statistically equivalent but not
-    /// draw-for-draw identical to Legacy.
-    pub fn fading_engine(mut self, engine: FadingEngine) -> Self {
-        self.fading = engine;
         self
     }
 
@@ -358,7 +343,6 @@ impl SessionTrial<'_> {
         if let Some(interval) = inner.coherence_interval_rounds {
             config.coherence_interval_rounds = interval;
         }
-        config.fading = inner.fading;
         config.dynamics = inner.dynamics;
         config
     }

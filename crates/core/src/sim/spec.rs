@@ -342,7 +342,7 @@ impl ExperimentSpec {
     /// 16 end-to-end runs and the enterprise sweep: topology source,
     /// rounds, contention and the historical seed mix.  `None` for the
     /// experiments that run their own fixed recipe.  Callers apply their
-    /// knobs (fading engine, traffic, dynamics, workers, …) to the returned
+    /// knobs (traffic, dynamics, workers, …) to the returned
     /// builder and pass it to [`ExperimentSpec::run_session`].
     pub fn session_builder(&self) -> Option<SessionBuilder> {
         match self {

@@ -25,7 +25,6 @@ const PINNED: &[&str] = &[
     "sim/mod.rs: use session::{PairedSamples, Session, SessionBuilder, SessionSeries, SessionTrial}",
     "sim/mod.rs: use source::{PairedRecipe, TopologySource}",
     "sim/mod.rs: use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow}",
-    "sim/mod.rs: use midas_channel::FadingEngine",
     "sim/mod.rs: use midas_net::capture::{ContentionModel, PhysicalConfig}",
     "sim/mod.rs: use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec}",
     "sim/mod.rs: use midas_net::observer::{Accumulate, Observer, RoundRecord, RunningSummary, Tee}",
@@ -43,7 +42,6 @@ const PINNED: &[&str] = &[
     "sim/session.rs: fn rounds",
     "sim/session.rs: fn tag_width",
     "sim/session.rs: fn coherence_interval_rounds",
-    "sim/session.rs: fn fading_engine",
     "sim/session.rs: fn stage_profiling",
     "sim/session.rs: fn dynamics",
     "sim/session.rs: fn seed_mix",

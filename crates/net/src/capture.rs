@@ -77,10 +77,10 @@ impl PhysicalConfig {
     /// `midas::experiment::best_calibration_cell`).
     ///
     /// At these values the 8-AP simulation reports a MIDAS median
-    /// per-client capacity gain of +84 % at the bench seed (+51…+84 %
-    /// across other seeds — always inside the accepted +50…+150 % band
-    /// pinned by `crates/core/tests/paper_fidelity.rs`) and a network
-    /// capacity gain of ≈ +21 %, against the graph model's +46 % / +8 %.
+    /// per-client capacity gain of +67 % at the bench seed (inside the
+    /// accepted +50…+150 % band pinned by
+    /// `crates/core/tests/paper_fidelity.rs`) and a network capacity gain
+    /// of ≈ +15 %, against the graph model's +32 % / +8.5 %.
     pub fn calibrated() -> Self {
         PhysicalConfig {
             cs_threshold_dbm: -86.0,

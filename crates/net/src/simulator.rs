@@ -21,7 +21,7 @@ use crate::scale::index::{NeighborTracker, SpatialIndex};
 use crate::traffic::{FullBuffer, TrafficKind, TrafficModel};
 use midas_channel::geometry::Point;
 use midas_channel::topology::Topology;
-use midas_channel::{ChannelMatrix, ChannelModel, Environment, FadingEngine, RowCache, SimRng};
+use midas_channel::{ChannelMatrix, ChannelModel, Environment, RowCache, SimRng};
 use midas_linalg::{CMat, Complex};
 use midas_mac::client_select::{select_clients_cas, select_clients_midas};
 use midas_mac::drr::DrrScheduler;
@@ -82,22 +82,16 @@ pub struct NetworkSimConfig {
     /// Neighbourhood scan implementation (results are bit-identical).
     pub scan: ScanMode,
     /// Channel-realisation cache length in rounds: channels evolve (fresh
-    /// fading draws) only every this-many rounds, covering the elapsed time
-    /// in one step.  `1` (the constructor default) evolves every round and
-    /// reproduces the legacy simulator bit for bit; larger values model a
-    /// coherence interval longer than one TXOP and skip the evolution work
-    /// on the cached rounds entirely.
+    /// keyed fading draws) only at every this-many-th round, covering the
+    /// elapsed time in one Gauss–Markov step.  `1` (the constructor default)
+    /// evolves every round — one step per TXOP, as the paper-scale figures
+    /// assume; larger values model a coherence interval longer than one
+    /// TXOP and need one row step per interval instead of per round.
     pub coherence_interval_rounds: usize,
     /// Contention semantics: the legacy binary carrier-sense graph
     /// (default, bit-identical to the pre-capture simulator) or the
     /// physical energy-detect + SINR-capture model (`crate::capture`).
     pub contention: ContentionModel,
-    /// Small-scale fading engine.  `Legacy` (the constructor default) keeps
-    /// every golden byte-identical; `Counter` switches evolution to
-    /// stateless counter-keyed draws, enabling lazy (active-set)
-    /// evolution — same Gauss–Markov statistics, different draw values (see
-    /// [`FadingEngine`]).
-    pub fading: FadingEngine,
     /// Long-horizon dynamics: client mobility and per-round roaming (see
     /// [`crate::dynamics`]).  `None` (the constructor default) is the
     /// static simulator, byte-identical to every pre-dynamics golden.  A
@@ -121,7 +115,6 @@ impl NetworkSimConfig {
             scan: ScanMode::Indexed,
             contention: ContentionModel::Graph,
             coherence_interval_rounds: 1,
-            fading: FadingEngine::Legacy,
             dynamics: None,
         }
     }
@@ -139,7 +132,6 @@ impl NetworkSimConfig {
             scan: ScanMode::Indexed,
             contention: ContentionModel::Graph,
             coherence_interval_rounds: 1,
-            fading: FadingEngine::Legacy,
             dynamics: None,
         }
     }
@@ -252,14 +244,14 @@ impl TopologyResult {
 ///
 /// All-zero when profiling is off — the hot path then never reads a clock.
 /// The gather of per-stream interferer neighbourhoods is attributed to
-/// `evaluate_s` (it is the evaluate stage's discovery half, hoisted so the
-/// counter fading engine knows which rows the round will read).
+/// `evaluate_s` (it is the evaluate stage's discovery half, hoisted so
+/// fading evolution knows which rows the round will read).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Dynamics: mobility, large-scale refresh, roaming and the MAC-state
     /// rebuilds they trigger (0.0 when dynamics are off).
     pub dynamics_s: f64,
-    /// Channel evolution (legacy eager sweep or counter lazy catch-up).
+    /// Channel evolution: keyed catch-up of the rows the round reads.
     pub evolve_s: f64,
     /// Carrier sensing against the antennas already on the air.
     pub sense_s: f64,
@@ -304,6 +296,21 @@ impl StageTimings {
     }
 }
 
+/// Deterministic work counts of keyed fading evolution, summed over a run
+/// (see [`NetworkSimulator::fading_counters`]).  Always on — plain integer
+/// adds next to the work they count — and they include the replays the
+/// dynamics stage runs before it rescales a lagging row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FadingCounters {
+    /// Row catch-ups that moved a channel row forward by at least one
+    /// evolution boundary.
+    pub rows_caught_up: usize,
+    /// Keyed Gauss–Markov row steps applied: one per row per boundary.
+    pub row_steps: usize,
+    /// Gaussian pairs those steps drew: one per antenna per step.
+    pub gaussian_pairs: usize,
+}
+
 /// `Some(now)` when stage profiling is on — the pipeline's "maybe read the
 /// clock" primitive.
 #[inline]
@@ -346,7 +353,7 @@ impl ActiveTransmission {
 }
 
 /// All per-round scratch of the staged round pipeline
-/// (`evolve → backlog → sense → select → gather → fading → precode →
+/// (`dynamics → backlog → sense → select → gather → fading → precode →
 /// evaluate → settle`).
 ///
 /// The simulator owns exactly one of these and threads it through every
@@ -410,10 +417,10 @@ struct RoundWorkspace {
     stream_interferers: Vec<usize>,
     /// Per-stream end offsets into `stream_interferers`, in stream order.
     stream_bounds: Vec<usize>,
-    /// `(ap, client)` channel rows the current round reads — the counter
-    /// engine's active set (serving rows plus interferer rows).
+    /// `(ap, client)` channel rows the current round reads — the fading
+    /// stage's active set (serving rows plus interferer rows).
     touched: Vec<(u32, u32)>,
-    /// Gaussian-pair scratch of the counter evolve path.
+    /// Gaussian-pair scratch of the keyed row step.
     pairs: Vec<(f64, f64)>,
     /// Stage wall-clock totals (all-zero unless profiling is enabled).
     timings: StageTimings,
@@ -500,19 +507,18 @@ impl RoundWorkspace {
 /// interaction range of any of the AP's antennas, plus its own clients.
 /// Under dynamics it is kept exact every step: a row is born (drawn afresh)
 /// when a client comes within range or roams to the AP, and freed onto
-/// `free` when the client leaves.  A freed slot carries zero gain, so the
-/// legacy evolution sweep skips it without drawing.
+/// `free` when the client leaves.  A freed slot carries zero gain and is
+/// never read.
 struct ApChannel {
     ch: ChannelMatrix,
     /// Global client id → row of `ch`; `None` when the client is out of
     /// radio range of every antenna of this AP (its channel is never read).
     row_of: Vec<Option<u32>>,
-    /// Counter engine only: per-row next evolution boundary (round number).
-    /// A row whose entry is `b` has absorbed every keyed innovation for
-    /// boundaries `< b`; lazy catch-up replays boundaries `b, b+interval, …`
-    /// up to the current round before the row is read.  Starts at 0 (the
-    /// initial realisation has seen no evolution) and is never consulted by
-    /// the legacy engine.
+    /// Per-row next evolution boundary (round number).  A row whose entry
+    /// is `b` has absorbed every keyed innovation for boundaries `< b`;
+    /// lazy catch-up replays boundaries `b, b+interval, …` up to the
+    /// current round before the row is read.  Starts at 0 (the initial
+    /// realisation has seen no evolution).
     next_boundary: Vec<u64>,
     /// Dynamics only: per-row shadowing memo and the antenna correlation
     /// births draw through (`None` in static runs).
@@ -537,10 +543,10 @@ impl ApChannel {
         self.ch.select(&rows, antennas)
     }
 
-    /// Counter engine: replays the keyed innovations of every evolution
-    /// boundary from `row`'s bookmark through `through`, leaving the row
-    /// current (a no-op for a row already past `through`).
-    #[allow(clippy::too_many_arguments)] // the row, its stream key and the step
+    /// Replays the keyed innovations of every evolution boundary from
+    /// `row`'s bookmark through `through`, leaving the row current (a no-op
+    /// for a row already past `through`), and counts the work into `work`.
+    #[allow(clippy::too_many_arguments)] // the row, its stream key, the step and its tally
     fn catch_up_row(
         &mut self,
         model: &ChannelModel,
@@ -550,6 +556,7 @@ impl ApChannel {
         through: u64,
         cadence: Cadence,
         pairs: &mut Vec<(f64, f64)>,
+        work: &mut FadingCounters,
     ) {
         let mut boundary = self.next_boundary[row];
         if boundary > through {
@@ -558,7 +565,7 @@ impl ApChannel {
         let h_row = self.ch.h.row_mut(row);
         let g_row = self.ch.large_scale.row(row);
         while boundary <= through {
-            model.evolve_row_counter(
+            work.gaussian_pairs += model.evolve_row(
                 h_row,
                 g_row,
                 cadence.rho,
@@ -567,14 +574,16 @@ impl ApChannel {
                 boundary,
                 pairs,
             );
+            work.row_steps += 1;
             boundary += cadence.interval;
         }
+        work.rows_caught_up += 1;
         self.next_boundary[row] = boundary;
     }
 }
 
-/// Counter-engine evolution cadence: boundaries every `interval` rounds,
-/// each a Gauss–Markov step of correlation `rho`.
+/// Fading evolution cadence: boundaries every `interval` rounds, each a
+/// Gauss–Markov step of correlation `rho`.
 #[derive(Clone, Copy)]
 struct Cadence {
     interval: u64,
@@ -658,8 +667,8 @@ impl RowDynamics {
     /// and/or roamed from `old_own` to its current AP.
     ///
     /// 1. A moved client's surviving rows are rescaled to its new position
-    ///    through the shadowing memo (under the counter engine a lagging
-    ///    row first replays the boundaries before `round`, so lazy
+    ///    through the shadowing memo (a lagging row first replays the
+    ///    boundaries before `round`, counted into `work`, so lazy
     ///    evolution stays bit-identical to eager).
     /// 2. Rows are born at APs the client joined — came into range of, or
     ///    roamed to — and freed at APs it left, in ascending AP order.
@@ -673,8 +682,9 @@ impl RowDynamics {
         topo: &Topology,
         channels: &mut [ApChannel],
         model: &ChannelModel,
-        counter: Option<Cadence>,
+        cadence: Cadence,
         pairs: &mut Vec<(f64, f64)>,
+        work: &mut FadingCounters,
     ) {
         let p = topo.clients[c].position;
         let own = topo.clients[c].ap_id;
@@ -697,13 +707,11 @@ impl RowDynamics {
                     return; // born below, at the new position
                 };
                 let row = row as usize;
-                if let Some(cadence) = counter {
-                    // Eager rows have absorbed every boundary before this
-                    // round; a lazily skipped row must too before its gain
-                    // changes under it.
-                    let through = cadence.boundary_at(round as u64 - 1);
-                    apch.catch_up_row(model, ap, c, row, through, cadence, pairs);
-                }
+                // Eager rows have absorbed every boundary before this round;
+                // a lazily skipped row must too before its gain changes
+                // under it.
+                let through = cadence.boundary_at(round as u64 - 1);
+                apch.catch_up_row(model, ap, c, row, through, cadence, pairs, work);
                 let cache = apch.cache.as_mut().expect("dynamic runs keep a row cache");
                 let redrawn =
                     model.refresh_row_cached(&mut apch.ch, cache, row, &topo.aps[ap].antennas, &p);
@@ -771,7 +779,7 @@ impl RowDynamics {
                     );
                     // A born row is a stationary draw for this round: it has
                     // nothing to catch up until the next boundary.
-                    let current = counter.map_or(0, |k| k.boundary_at(round as u64) + k.interval);
+                    let current = cadence.boundary_at(round as u64) + cadence.interval;
                     if row == apch.next_boundary.len() {
                         apch.next_boundary.push(current);
                     } else {
@@ -812,11 +820,12 @@ pub struct NetworkSimulator {
     /// Test knob: rebuild `workspace` from scratch every round, to prove
     /// reuse is observationally free (see `proptest_workspace.rs`).
     fresh_workspace_per_round: bool,
-    /// Test knob: under the counter engine, evolve *every* in-range row
-    /// every round instead of only the rows the round reads.  Lazy
-    /// evolution must be — and is pinned by `proptest_fading.rs` to be —
-    /// bit-identical to this eager reference.
+    /// Test knob: evolve *every* in-range row every round instead of only
+    /// the rows the round reads.  Lazy evolution must be — and is pinned by
+    /// `proptest_fading.rs` to be — bit-identical to this eager reference.
     eager_counter_evolve: bool,
+    /// Keyed evolution work so far (always on).
+    fading_work: FadingCounters,
     /// Collect per-stage wall-clock into the workspace's [`StageTimings`].
     profile_stages: bool,
     /// Long-horizon dynamics runtime state; `Some` iff
@@ -938,6 +947,7 @@ impl NetworkSimulator {
             workspace,
             fresh_workspace_per_round: false,
             eager_counter_evolve: false,
+            fading_work: FadingCounters::default(),
             profile_stages: false,
             dynamics,
             rows,
@@ -960,15 +970,21 @@ impl NetworkSimulator {
         self.workspace.heap_footprint_bytes()
     }
 
-    /// Test knob: with [`FadingEngine::Counter`], evolve every in-range
-    /// channel row every round instead of only the rows the round reads.
-    /// Results must be — and are pinned by property tests to be —
-    /// bit-identical to the default lazy evolution; this exists only so
-    /// that equivalence is checkable.  No effect under `Legacy` (which is
-    /// always eager).
+    /// Test knob: evolve every in-range channel row every round instead of
+    /// only the rows the round reads.  Results must be — and are pinned by
+    /// property tests to be — bit-identical to the default lazy evolution;
+    /// this exists only so that equivalence (and the work lazy evolution
+    /// saves, see [`fading_counters`](Self::fading_counters)) is checkable.
     pub fn with_eager_counter_evolve(mut self) -> Self {
         self.eager_counter_evolve = true;
         self
+    }
+
+    /// Work counters of keyed fading evolution so far — rows caught up,
+    /// row steps and Gaussian pairs drawn, dynamics-stage replays
+    /// included.  Deterministic in the seed.
+    pub fn fading_counters(&self) -> FadingCounters {
+        self.fading_work
     }
 
     /// Enables per-stage wall-clock accumulation into [`StageTimings`]
@@ -1024,15 +1040,14 @@ impl NetworkSimulator {
     /// observer's, flat in the round count for fixed-size observers.
     ///
     /// Each round is an explicit staged pipeline —
-    /// `evolve → backlog → sense → select → gather → fading → precode →
+    /// `dynamics → backlog → sense → select → gather → fading → precode →
     /// evaluate → settle` — threaded through the simulator's round
-    /// workspace: `evolve_stage` advances the channels eagerly under the
-    /// legacy fading engine, `plan_stage` covers backlog through client
-    /// selection, `gather_stage` records each stream's interferers,
-    /// `counter_fading_stage` lazily catches up exactly the channel rows
-    /// the round reads under the counter engine, `precode_stage` computes
-    /// the precoding matrices, `evaluate_stage` computes deliveries, and
-    /// `settle_stage` updates fairness and queues.
+    /// workspace: `dynamics_stage` moves and roams clients (dynamic runs
+    /// only), `plan_stage` covers backlog through client selection,
+    /// `gather_stage` records each stream's interferers, `fading_stage`
+    /// lazily catches up exactly the channel rows the round reads,
+    /// `precode_stage` computes the precoding matrices, `evaluate_stage`
+    /// computes deliveries, and `settle_stage` updates fairness and queues.
     pub fn run_with(&mut self, observer: &mut dyn Observer) {
         observer.on_start(
             self.topo.clients.len(),
@@ -1057,23 +1072,18 @@ impl NetworkSimulator {
             self.dynamics_stage(round, &mut ws);
             ws.timings.dynamics_s += secs_since(t);
 
-            let t = tick(self.profile_stages);
-            self.evolve_stage(round);
-            ws.timings.evolve_s += secs_since(t);
-
             self.plan_stage(round, &mut ws);
 
             // The gather half of evaluation runs before precoding so the
-            // counter engine knows every channel row the round will read
+            // fading stage knows every channel row the round will read
             // (serving rows and interferer rows alike) and can catch
-            // exactly those up; it reads only positions, so hoisting it is
-            // invisible to the legacy engine.
+            // exactly those up; it reads only positions.
             let t = tick(self.profile_stages);
             self.gather_stage(&mut ws);
             ws.timings.evaluate_s += secs_since(t);
 
             let t = tick(self.profile_stages);
-            self.counter_fading_stage(round, &mut ws);
+            self.fading_stage(round, &mut ws);
             ws.timings.evolve_s += secs_since(t);
 
             let t = tick(self.profile_stages);
@@ -1161,8 +1171,7 @@ impl NetworkSimulator {
 
         // 2. Sync the rows of every client that moved or roamed, in
         //    ascending id order (births claim free slots in that order).
-        let counter = (self.config.fading == FadingEngine::Counter)
-            .then(|| Cadence::of(&self.model, &self.config));
+        let cadence = Cadence::of(&self.model, &self.config);
         let moved = state.moved();
         let mut next_moved = 0;
         for c in 0..self.topo.clients.len() {
@@ -1180,8 +1189,9 @@ impl NetworkSimulator {
                 &self.topo,
                 &mut self.channels,
                 &self.model,
-                counter,
+                cadence,
                 &mut ws.pairs,
+                &mut self.fading_work,
             );
         }
 
@@ -1291,34 +1301,13 @@ impl NetworkSimulator {
             + per_ap
     }
 
-    /// Pipeline stage 1 — legacy channel evolution.  Channels advance one
-    /// coherence interval (default: every round, one TXOP) in place; rounds
-    /// inside the interval reuse the cached realisation.  The counter
-    /// engine evolves later in the round — lazily, once the plan and gather
-    /// stages have determined which rows the round reads (see
-    /// [`counter_fading_stage`](Self::counter_fading_stage)).
-    // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
-    fn evolve_stage(&mut self, round: usize) {
-        if self.config.fading != FadingEngine::Legacy {
-            return;
-        }
-        let interval = self.config.coherence_interval_rounds.max(1);
-        if !round.is_multiple_of(interval) {
-            return;
-        }
-        let delay_s = interval as f64 * DEFAULT_TXOP_US as f64 * 1e-6;
-        for apch in &mut self.channels {
-            self.model.evolve_in_place(&mut apch.ch, delay_s);
-        }
-    }
-
-    /// Pipeline stages 2–4 — backlog, sense, select: decides who transmits
+    /// Pipeline stages 1–3 — backlog, sense, select: decides who transmits
     /// this round, filling the workspace's transmission slots with the
     /// chosen clients and antennas.  Precoding happens in a later stage
-    /// ([`precode_stage`](Self::precode_stage)) so the counter fading
-    /// engine can bring the selected rows up to date in between; sensing
-    /// and selection never read small-scale fading (tags and DRR run on
-    /// large-scale RSSI), so the split is invisible to the legacy engine.
+    /// ([`precode_stage`](Self::precode_stage)) so the fading stage can
+    /// bring the selected rows up to date in between; sensing and
+    /// selection never read small-scale fading (tags and DRR run on
+    /// large-scale RSSI).
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn plan_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
         let num_aps = self.topo.aps.len();
@@ -1448,14 +1437,14 @@ impl NetworkSimulator {
         }
     }
 
-    /// Pipeline stage 5 — gather: discovers each stream's interfering
+    /// Pipeline stage 4 — gather: discovers each stream's interfering
     /// transmissions (position-only neighbourhood queries) and stores them
     /// in the workspace for the evaluate stage to replay.
     ///
     /// Hoisted out of evaluation so the full set of channel rows the round
     /// reads — serving rows *and* interferer rows — is known before any
-    /// fading value is consumed; that set is exactly what the counter
-    /// engine's lazy evolution catches up.  A concurrent transmission only
+    /// fading value is consumed; that set is exactly what lazy evolution
+    /// catches up.  A concurrent transmission only
     /// interferes with a client when at least one of its transmitting
     /// antennas is within the interaction range; both scan modes apply that
     /// rule and visit interferers in transmission order, so the stored
@@ -1521,8 +1510,8 @@ impl NetworkSimulator {
         }
     }
 
-    /// Pipeline stage 6 — counter-engine fading: brings exactly the channel
-    /// rows this round reads up to the current evolution boundary.
+    /// Pipeline stage 5 — fading: brings exactly the channel rows this
+    /// round reads up to the current evolution boundary.
     ///
     /// The active set is the union of each live slot's serving rows and
     /// each stream's interferer rows (from the gather stage): those — and
@@ -1532,15 +1521,12 @@ impl NetworkSimulator {
     /// by boundary, so lazy evolution is bit-identical to eager (pinned by
     /// `proptest_fading.rs`).
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
-    fn counter_fading_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
-        if self.config.fading != FadingEngine::Counter {
-            return;
-        }
+    fn fading_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
         let cadence = Cadence::of(&self.model, &self.config);
         // The last evolution boundary at or before this round; every row
         // read this round must have absorbed the innovations keyed by
-        // boundaries 0, interval, …, current_boundary (matching the legacy
-        // engine's cadence of evolving on rounds divisible by the interval).
+        // boundaries 0, interval, …, current_boundary (channels evolve on
+        // rounds divisible by the interval).
         let current_boundary = cadence.boundary_at(round as u64);
 
         let RoundWorkspace {
@@ -1607,15 +1593,15 @@ impl NetworkSimulator {
                 current_boundary,
                 cadence,
                 pairs,
+                &mut self.fading_work,
             );
         }
     }
 
-    /// Pipeline stage 7 — precode: computes each live slot's precoding
+    /// Pipeline stage 6 — precode: computes each live slot's precoding
     /// matrix over the (selected clients × available antennas) channel.
     /// Runs after the fading stage so it reads the current round's channel
-    /// state; the precoder is pure (no RNG), so extracting it from the plan
-    /// loop leaves the legacy engine's outputs untouched.
+    /// state; the precoder is pure (no RNG).
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn precode_stage(&self, ws: &mut RoundWorkspace) {
         let RoundWorkspace {
@@ -1630,7 +1616,7 @@ impl NetworkSimulator {
         }
     }
 
-    /// Pipeline stage 8 — evaluate: computes per-client capacities including
+    /// Pipeline stage 7 — evaluate: computes per-client capacities including
     /// cross-AP interference, filling `ws.capacities` with
     /// `(client, serving AP, capacity)` triples.  Interferers come from the
     /// lists the gather stage stored, replayed in stream order.
@@ -1723,7 +1709,7 @@ impl NetworkSimulator {
         }
     }
 
-    /// Pipeline stage 7 — settle: per-AP fairness (DRR) and traffic-queue
+    /// Pipeline stage 8 — settle: per-AP fairness (DRR) and traffic-queue
     /// bookkeeping for the round that just ran.
     ///
     /// Served clients are mapped from global ids back to AP-local ids through

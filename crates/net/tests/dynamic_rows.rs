@@ -3,24 +3,24 @@
 //!
 //! * the row set after every round equals its brute-force definition
 //!   (clients within interaction range of any of the AP's antennas, plus
-//!   its own clients), over {Legacy, Counter} × {Indexed, BruteForce} ×
-//!   {MIDAS, CAS} with fast walkers that force births and frees;
+//!   its own clients), over {Indexed, BruteForce} × {MIDAS, CAS} with fast
+//!   walkers that force births and frees;
 //! * a dynamic run's round 0, and a run whose dynamics never step, are
 //!   byte-identical to the static run;
 //! * the memoised large-scale refresh is bit-identical to
 //!   `refresh_large_scale_row`, shadowing-cell crossings included;
 //! * the slack-tracked `Reassociator` makes exactly the handoffs of a
 //!   from-scratch pass under all three policies;
-//! * lazy counter-engine evolution stays bit-identical to eager with
-//!   dynamics on;
-//! * the dynamics stage's work counters are pinned for one small seed.
+//! * lazy keyed evolution stays bit-identical to eager with dynamics on;
+//! * the dynamics stage's and fading evolution's work counters are pinned
+//!   for one small seed.
 
 use midas_channel::topology::{Topology, TopologyConfig};
-use midas_channel::{ChannelModel, Environment, FadingEngine, Point, SimRng};
+use midas_channel::{ChannelModel, Environment, Point, SimRng};
 use midas_net::dynamics::{DynamicsCounters, DynamicsSpec};
 use midas_net::observer::{Observer, RoundRecord};
 use midas_net::scale::{AssociationPolicy, FloorGrid, Reassociator, Scenario};
-use midas_net::simulator::{MacKind, NetworkSimConfig, NetworkSimulator, ScanMode};
+use midas_net::simulator::{FadingCounters, MacKind, NetworkSimConfig, NetworkSimulator, ScanMode};
 use midas_net::traffic::TrafficKind;
 
 /// Interaction range of the test floors: shorter than the enterprise
@@ -37,7 +37,6 @@ fn fast_walk() -> DynamicsSpec {
 fn sim(
     mac: MacKind,
     scan: ScanMode,
-    fading: FadingEngine,
     dynamics: Option<DynamicsSpec>,
     rounds: usize,
     seed: u64,
@@ -52,7 +51,6 @@ fn sim(
     let mut config = scenario.sim_config(mac, rounds, seed);
     config.interaction_range_m = RANGE_M;
     config.scan = scan;
-    config.fading = fading;
     config.dynamics = dynamics;
     let sim = NetworkSimulator::new(topo, config);
     if eager {
@@ -81,27 +79,25 @@ fn brute_force_rows(topo: &Topology, ap: usize, range: f64) -> Vec<usize> {
 #[test]
 fn rows_equal_the_brute_force_set_after_every_round() {
     let mut totals = DynamicsCounters::default();
-    for fading in [FadingEngine::Legacy, FadingEngine::Counter] {
-        for scan in [ScanMode::Indexed, ScanMode::BruteForce] {
-            for mac in [MacKind::Midas, MacKind::Cas] {
-                // A run of `rounds` rounds ends right after the dynamics
-                // step of round `rounds - 1`: the prefixes cover every step.
-                for rounds in 1..=14 {
-                    let mut s = sim(mac, scan, fading, Some(fast_walk()), rounds, 3, false);
-                    s.run();
-                    let topo = s.topology();
-                    for ap in 0..topo.aps.len() {
-                        assert_eq!(
-                            s.channel_rows(ap).collect::<Vec<_>>(),
-                            brute_force_rows(topo, ap, RANGE_M),
-                            "{fading:?}/{scan:?}/{mac:?}: AP {ap} after {rounds} rounds"
-                        );
-                    }
-                    if rounds == 14 {
-                        let c = s.dynamics_counters().expect("dynamics are on");
-                        totals.rows_born += c.rows_born;
-                        totals.rows_freed += c.rows_freed;
-                    }
+    for scan in [ScanMode::Indexed, ScanMode::BruteForce] {
+        for mac in [MacKind::Midas, MacKind::Cas] {
+            // A run of `rounds` rounds ends right after the dynamics step
+            // of round `rounds - 1`: the prefixes cover every step.
+            for rounds in 1..=14 {
+                let mut s = sim(mac, scan, Some(fast_walk()), rounds, 3, false);
+                s.run();
+                let topo = s.topology();
+                for ap in 0..topo.aps.len() {
+                    assert_eq!(
+                        s.channel_rows(ap).collect::<Vec<_>>(),
+                        brute_force_rows(topo, ap, RANGE_M),
+                        "{scan:?}/{mac:?}: AP {ap} after {rounds} rounds"
+                    );
+                }
+                if rounds == 14 {
+                    let c = s.dynamics_counters().expect("dynamics are on");
+                    totals.rows_born += c.rows_born;
+                    totals.rows_freed += c.rows_freed;
                 }
             }
         }
@@ -134,39 +130,28 @@ impl Observer for RoundCapture {
 
 #[test]
 fn a_dynamic_runs_round_zero_and_a_never_stepping_run_match_the_static_run() {
-    for fading in [FadingEngine::Legacy, FadingEngine::Counter] {
-        for mac in [MacKind::Midas, MacKind::Cas] {
-            let rounds = 8;
-            let capture = |dynamics| {
-                let mut obs = RoundCapture::default();
-                sim(mac, ScanMode::Indexed, fading, dynamics, rounds, 5, false).run_with(&mut obs);
-                obs
-            };
-            let fixed = capture(None);
-            let walking = capture(Some(fast_walk()));
-            assert!(!fixed.deliveries.is_empty());
-            assert_eq!(fixed.deliveries, walking.deliveries, "{fading:?}/{mac:?}");
-            assert_eq!(fixed.transmitting, walking.transmitting);
+    for mac in [MacKind::Midas, MacKind::Cas] {
+        let rounds = 8;
+        let capture = |dynamics| {
+            let mut obs = RoundCapture::default();
+            sim(mac, ScanMode::Indexed, dynamics, rounds, 5, false).run_with(&mut obs);
+            obs
+        };
+        let fixed = capture(None);
+        let walking = capture(Some(fast_walk()));
+        assert!(!fixed.deliveries.is_empty());
+        assert_eq!(fixed.deliveries, walking.deliveries, "{mac:?}");
+        assert_eq!(fixed.transmitting, walking.transmitting);
 
-            // Dynamics that never step (period beyond the horizon) leave the
-            // whole run byte-identical to the static simulator.
-            let dormant = DynamicsSpec {
-                period_rounds: rounds + 1,
-                ..fast_walk()
-            };
-            let static_run = sim(mac, ScanMode::Indexed, fading, None, rounds, 5, false).run();
-            let dormant_run = sim(
-                mac,
-                ScanMode::Indexed,
-                fading,
-                Some(dormant),
-                rounds,
-                5,
-                false,
-            )
-            .run();
-            assert_eq!(static_run, dormant_run, "{fading:?}/{mac:?}");
-        }
+        // Dynamics that never step (period beyond the horizon) leave the
+        // whole run byte-identical to the static simulator.
+        let dormant = DynamicsSpec {
+            period_rounds: rounds + 1,
+            ..fast_walk()
+        };
+        let static_run = sim(mac, ScanMode::Indexed, None, rounds, 5, false).run();
+        let dormant_run = sim(mac, ScanMode::Indexed, Some(dormant), rounds, 5, false).run();
+        assert_eq!(static_run, dormant_run, "{mac:?}");
     }
 }
 
@@ -288,17 +273,9 @@ fn lazy_counter_evolution_matches_eager_with_dynamics_on() {
         ] {
             for mac in [MacKind::Midas, MacKind::Cas] {
                 let run = |eager| {
-                    sim(
-                        mac,
-                        ScanMode::Indexed,
-                        FadingEngine::Counter,
-                        Some(fast_walk()),
-                        12,
-                        seed,
-                        eager,
-                    )
-                    .with_traffic_kind(traffic)
-                    .run()
+                    sim(mac, ScanMode::Indexed, Some(fast_walk()), 12, seed, eager)
+                        .with_traffic_kind(traffic)
+                        .run()
                 };
                 assert_eq!(run(false), run(true), "{mac:?}/{traffic:?}: lazy vs eager");
             }
@@ -311,7 +288,6 @@ fn dynamics_counters_are_pinned_for_a_small_seed() {
     let mut s = sim(
         MacKind::Midas,
         ScanMode::Indexed,
-        FadingEngine::Legacy,
         Some(fast_walk()),
         20,
         11,
@@ -330,16 +306,19 @@ fn dynamics_counters_are_pinned_for_a_small_seed() {
             roaming_requeries: 557,
         }
     );
-    // Off means no counters at all.
-    let off = sim(
-        MacKind::Midas,
-        ScanMode::Indexed,
-        FadingEngine::Legacy,
-        None,
-        2,
-        11,
-        false,
+    // Fading work includes the replays a lagging row runs before each
+    // refresh (these walkers move every round, so every surviving row is
+    // caught up one boundary at a time).
+    assert_eq!(
+        s.fading_counters(),
+        FadingCounters {
+            rows_caught_up: 5139,
+            row_steps: 5139,
+            gaussian_pairs: 20556,
+        }
     );
+    // Off means no dynamics counters at all.
+    let off = sim(MacKind::Midas, ScanMode::Indexed, None, 2, 11, false);
     assert!(off.dynamics_counters().is_none());
 }
 

@@ -9,7 +9,7 @@
 //! `proptest_scale.rs` and the bench suite.
 
 use midas_channel::topology::{Topology, TopologyConfig};
-use midas_channel::{Environment, FadingEngine, SimRng};
+use midas_channel::{Environment, SimRng};
 use midas_net::dynamics::DynamicsSpec;
 use midas_net::observer::RunningSummary;
 use midas_net::scale::FloorGrid;
@@ -29,12 +29,11 @@ fn tiny_floor(seed: u64) -> (Topology, Environment) {
     (topo, Environment::open_plan())
 }
 
-/// Roaming walkers plus churn traffic under the counter engine.
+/// Roaming walkers plus churn traffic.
 fn dynamic_sim(rounds: usize, seed: u64) -> NetworkSimulator {
     let (topo, env) = tiny_floor(seed);
     let mut config = NetworkSimConfig::midas(env, seed);
     config.rounds = rounds;
-    config.fading = FadingEngine::Counter;
     config.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
     NetworkSimulator::new(topo, config).with_traffic_kind(TrafficKind::Churn {
         attached_fraction: 0.7,
@@ -90,7 +89,6 @@ fn finite_range_sim(rounds: usize, seed: u64) -> NetworkSimulator {
     let (topo, env) = tiny_floor(seed);
     let mut config = NetworkSimConfig::midas(env, seed);
     config.rounds = rounds;
-    config.fading = FadingEngine::Counter;
     config.interaction_range_m = FINITE_RANGE_M;
     config.dynamics = Some(DynamicsSpec::roaming_walk(20.0));
     NetworkSimulator::new(topo, config).with_traffic_kind(TrafficKind::Churn {

@@ -1,28 +1,27 @@
-//! Property tests for the counter-keyed fading engine
-//! ([`FadingEngine::Counter`]).
+//! Property tests for keyed fading evolution.
 //!
-//! The engine's whole value proposition is order-independence: because every
+//! Its whole value proposition is order-independence: because every
 //! small-scale innovation is a pure function of `(trial_seed, ap, link,
 //! round)`, the simulator may evolve channel rows lazily (only the rows a
 //! round actually reads, caught up boundary by boundary) without changing a
 //! single bit of the results.  The first property pins exactly that, over
 //! the same `{scan} × {contention} × {mac} × {traffic}` grid the workspace
-//! equivalence tests use.  The others pin what the engines *share*: both
-//! realise the same first-order Gauss–Markov process, so evolved fading
-//! must keep unit mean power and show lag-1 autocorrelation `rho` under
-//! either engine.
+//! equivalence tests use, and the work counters pin what laziness saves.
+//! The others pin the statistics: evolution realises a first-order
+//! Gauss–Markov process, so evolved fading must keep unit mean power and
+//! show lag-1 autocorrelation `rho`.
 
-use midas_channel::{ChannelModel, Environment, FadingEngine, Point};
+use midas_channel::{ChannelModel, Environment, Point};
 use midas_linalg::Complex;
 use midas_net::capture::ContentionModel;
 use midas_net::scale::Scenario;
-use midas_net::simulator::{MacKind, NetworkSimulator, ScanMode};
+use midas_net::simulator::{FadingCounters, MacKind, NetworkSimulator, ScanMode};
 use midas_net::traffic::TrafficKind;
 use proptest::prelude::*;
 
-/// Builds a counter-engine simulator for one configuration point.
+/// Builds a simulator for one configuration point.
 #[allow(clippy::too_many_arguments)] // test helper: the grid IS the arguments
-fn build_counter_sim(
+fn build_sim(
     scenario: &Scenario,
     mac: MacKind,
     scan: ScanMode,
@@ -40,7 +39,6 @@ fn build_counter_sim(
     let mut config = scenario.sim_config(mac, rounds, seed);
     config.scan = scan;
     config.contention = contention;
-    config.fading = FadingEngine::Counter;
     let sim = NetworkSimulator::new(topo, config).with_traffic_kind(traffic);
     if eager {
         sim.with_eager_counter_evolve()
@@ -79,10 +77,10 @@ proptest! {
             TrafficKind::OnOff { duty: 0.2, mean_burst_rounds: 2.0 }
         };
         for mac in [MacKind::Midas, MacKind::Cas] {
-            let lazy = build_counter_sim(
+            let lazy = build_sim(
                 &scenario, mac, scan, contention, traffic, 6, seed, false,
             ).run();
-            let eager = build_counter_sim(
+            let eager = build_sim(
                 &scenario, mac, scan, contention, traffic, 6, seed, true,
             ).run();
             prop_assert_eq!(
@@ -94,15 +92,10 @@ proptest! {
     }
 }
 
-/// Evolves one realisation `steps` times under the given engine, returning
-/// the large-scale-normalised fading coefficient of every link at every
-/// step (the unit-power CN process both engines must realise).
-fn evolved_coefficients(
-    engine: FadingEngine,
-    steps: usize,
-    seed: u64,
-    delay_s: f64,
-) -> Vec<Vec<Complex>> {
+/// Evolves one realisation `steps` times, returning the
+/// large-scale-normalised fading coefficient of every link at every step
+/// (the unit-power CN process evolution must realise).
+fn evolved_coefficients(steps: usize, seed: u64, delay_s: f64) -> Vec<Vec<Complex>> {
     let mut model = ChannelModel::new(Environment::office_a(), seed);
     // A 4-antenna DAS-like spread with a grid of clients: metres of antenna
     // separation keeps the initial realisation's spatial correlation low.
@@ -129,96 +122,131 @@ fn evolved_coefficients(
     let mut pairs = Vec::new();
     let mut series = Vec::with_capacity(steps);
     for step in 0..steps {
-        match engine {
-            FadingEngine::Legacy => model.evolve_in_place(&mut channel, delay_s),
-            FadingEngine::Counter => {
-                model.evolve_in_place_counter(&mut channel, delay_s, 0, step as u64, &mut pairs)
-            }
-        }
+        model.evolve_matrix(&mut channel, delay_s, 0, step as u64, &mut pairs);
         series.push(normalised(&channel));
     }
     series
 }
 
 #[test]
-fn both_engines_realise_unit_power_gauss_markov_fading() {
-    // Statistical bands shared by both engines: the evolved unit-power
-    // coefficients must keep E[|f|^2] = 1 and show lag-1 autocorrelation
-    // Re E[f_t conj(f_{t-1})] / E[|f|^2] = rho.  ~10 ms steps in an office
-    // coherence time give a rho well inside (0, 1), so both failure modes
-    // (frozen channel rho->1, iid redraw rho->0) sit far outside the band.
+fn keyed_evolution_realises_unit_power_gauss_markov_fading() {
+    // The evolved unit-power coefficients must keep E[|f|^2] = 1 and show
+    // lag-1 autocorrelation Re E[f_t conj(f_{t-1})] / E[|f|^2] = rho.
+    // ~10 ms steps in an office coherence time give a rho well inside
+    // (0, 1), so both failure modes (frozen channel rho->1, iid redraw
+    // rho->0) sit far outside the band.
     let delay_s = 0.010;
     let steps = 400;
-    for engine in [FadingEngine::Legacy, FadingEngine::Counter] {
-        let model = ChannelModel::new(Environment::office_a(), 9);
-        let rho = model.step_correlation(delay_s);
-        assert!(rho > 0.2 && rho < 0.98, "step rho {rho} outside test band");
-        let series = evolved_coefficients(engine, steps, 9, delay_s);
-        let links = series[0].len();
-        let mut power_sum = 0.0;
-        let mut corr_sum = 0.0;
-        let mut corr_n = 0usize;
-        for t in 0..steps {
-            for (l, f) in series[t].iter().enumerate() {
-                power_sum += f.norm_sqr();
-                if t > 0 {
-                    corr_sum += (*f * series[t - 1][l].conj()).re;
-                    corr_n += 1;
-                }
+    let model = ChannelModel::new(Environment::office_a(), 9);
+    let rho = model.step_correlation(delay_s);
+    assert!(rho > 0.2 && rho < 0.98, "step rho {rho} outside test band");
+    let series = evolved_coefficients(steps, 9, delay_s);
+    let links = series[0].len();
+    let mut power_sum = 0.0;
+    let mut corr_sum = 0.0;
+    let mut corr_n = 0usize;
+    for t in 0..steps {
+        for (l, f) in series[t].iter().enumerate() {
+            power_sum += f.norm_sqr();
+            if t > 0 {
+                corr_sum += (*f * series[t - 1][l].conj()).re;
+                corr_n += 1;
             }
         }
-        let mean_power = power_sum / (steps * links) as f64;
-        let autocorr = corr_sum / corr_n as f64 / mean_power;
-        assert!(
-            (mean_power - 1.0).abs() < 0.05,
-            "{engine:?}: evolved mean power {mean_power} not ~1"
-        );
-        assert!(
-            (autocorr - rho).abs() < 0.05,
-            "{engine:?}: lag-1 autocorrelation {autocorr} vs rho {rho}"
-        );
     }
+    let mean_power = power_sum / (steps * links) as f64;
+    let autocorr = corr_sum / corr_n as f64 / mean_power;
+    assert!(
+        (mean_power - 1.0).abs() < 0.05,
+        "evolved mean power {mean_power} not ~1"
+    );
+    assert!(
+        (autocorr - rho).abs() < 0.05,
+        "lag-1 autocorrelation {autocorr} vs rho {rho}"
+    );
 }
 
 #[test]
-fn counter_engine_differs_from_legacy_but_is_deterministic() {
-    // Opting into the counter engine changes per-draw values (statistics,
-    // not goldens, are the contract) — but it is exactly reproducible.
+fn keyed_evolution_is_deterministic() {
+    // Statistics, not one draw order, are the contract — but a run is
+    // exactly reproducible from its seed.
     let scenario = Scenario::enterprise_office(8);
-    let legacy = {
+    let first = build_sim(
+        &scenario,
+        MacKind::Midas,
+        ScanMode::Indexed,
+        ContentionModel::Graph,
+        TrafficKind::FullBuffer,
+        6,
+        3,
+        false,
+    )
+    .run();
+    let again = build_sim(
+        &scenario,
+        MacKind::Midas,
+        ScanMode::Indexed,
+        ContentionModel::Graph,
+        TrafficKind::FullBuffer,
+        6,
+        3,
+        false,
+    )
+    .run();
+    assert_eq!(first, again, "keyed evolution must be deterministic");
+    assert!(first.mean_capacity().is_finite() && first.mean_capacity() > 0.0);
+}
+
+#[test]
+fn fading_work_is_pinned_and_eager_work_is_rows_times_boundaries() {
+    // 8-AP enterprise floor, MIDAS, 12 rounds; a coherence interval of k
+    // rounds puts an evolution boundary on every k-th round.
+    let scenario = Scenario::enterprise_office(8);
+    let rounds = 12;
+    let run = |interval: usize, eager: bool| {
         let pair = scenario.build(3).expect("buildable scenario");
-        let config = scenario.sim_config(MacKind::Midas, 6, 3);
-        NetworkSimulator::new(pair.das, config).run()
+        let mut config = scenario.sim_config(MacKind::Midas, rounds, 3);
+        config.coherence_interval_rounds = interval;
+        let sim = NetworkSimulator::new(pair.das, config);
+        let mut sim = if eager {
+            sim.with_eager_counter_evolve()
+        } else {
+            sim
+        };
+        sim.run();
+        sim
     };
-    let counter = build_counter_sim(
-        &scenario,
-        MacKind::Midas,
-        ScanMode::Indexed,
-        ContentionModel::Graph,
-        TrafficKind::FullBuffer,
-        6,
-        3,
-        false,
-    )
-    .run();
-    let counter_again = build_counter_sim(
-        &scenario,
-        MacKind::Midas,
-        ScanMode::Indexed,
-        ContentionModel::Graph,
-        TrafficKind::FullBuffer,
-        6,
-        3,
-        false,
-    )
-    .run();
+    for interval in [1, 4] {
+        let eager = run(interval, true);
+        let topo = eager.topology();
+        let rows: usize = (0..topo.aps.len())
+            .map(|ap| eager.channel_rows(ap).count())
+            .sum();
+        let links: usize = (0..topo.aps.len())
+            .map(|ap| eager.channel_rows(ap).count() * topo.aps[ap].num_antennas())
+            .sum();
+        assert_eq!(rows, 481, "in-range rows of the floor");
+        // The eager oracle steps every in-range row once per boundary:
+        // 481 × 12 = 5,772 row steps at interval 1.
+        let boundaries = rounds.div_ceil(interval);
+        assert_eq!(
+            eager.fading_counters(),
+            FadingCounters {
+                rows_caught_up: rows * boundaries,
+                row_steps: rows * boundaries,
+                gaussian_pairs: links * boundaries,
+            },
+            "interval {interval}"
+        );
+    }
+    // Lazy evolution steps only the rows the rounds read, each catch-up
+    // replaying every boundary the row skipped: 2,222 of the eager 5,772.
     assert_eq!(
-        counter, counter_again,
-        "counter engine must be deterministic"
+        run(1, false).fading_counters(),
+        FadingCounters {
+            rows_caught_up: 516,
+            row_steps: 2222,
+            gaussian_pairs: 8888,
+        }
     );
-    assert_ne!(
-        legacy, counter,
-        "counter engine unexpectedly reproduced the legacy draw sequence"
-    );
-    assert!(counter.mean_capacity().is_finite() && counter.mean_capacity() > 0.0);
 }

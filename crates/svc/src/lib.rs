@@ -6,7 +6,7 @@
 //!
 //! * [`spec`] — experiment specs as JSON files: [`spec::JobSpec`] couples an
 //!   [`ExperimentSpec`](midas::sim::ExperimentSpec) with the session knobs
-//!   (fading engine, traffic, coherence interval, threads, deadline), with
+//!   (traffic, coherence interval, dynamics, threads, deadline), with
 //!   strict dotted-path decode errors and a pinned canonical encoding.
 //! * [`json`] / [`hash`] — the dependency-free JSON parser/writers and
 //!   SHA-256 behind it (the container has no crates.io access).

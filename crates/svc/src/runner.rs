@@ -10,8 +10,8 @@
 //! [`ExperimentSpec::run_session`]) with the job's knobs applied, and each
 //! simulation streams through [`Accumulate`] — which rebuilds the legacy
 //! result bit for bit — while a [`JsonlObserver`] tees the same rounds to
-//! disk.  The integration tests pin this equivalence for both fading
-//! engines.  [`encode_output`] and [`decode_output`] own the `result.json`
+//! disk.  The integration tests pin this equivalence, static and with
+//! dynamics.  [`encode_output`] and [`decode_output`] own the `result.json`
 //! format.
 //!
 //! [`ExperimentSpec::run`]: midas::sim::ExperimentSpec::run
@@ -167,7 +167,6 @@ pub fn run_job(
 /// Applies the spec's session knobs onto a figure-pinned builder.
 fn apply_knobs(builder: SessionBuilder, spec: &JobSpec) -> SessionBuilder {
     let mut builder = builder
-        .fading_engine(spec.engine)
         .traffic(spec.traffic)
         .stage_profiling(spec.stage_profiling);
     if let Some(interval) = spec.coherence_interval_rounds {

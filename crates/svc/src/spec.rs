@@ -1,16 +1,19 @@
 //! The on-disk experiment spec: a JSON encoding of [`ExperimentSpec`] plus
 //! the [`SessionBuilder`](midas::sim::SessionBuilder) knobs a capacity-
-//! planning job may turn (fading engine, traffic workload, coherence
-//! interval, worker threads, deadline).
+//! planning job may turn (traffic workload, coherence interval, dynamics,
+//! worker threads, deadline).
 //!
 //! Decoding is strict: unknown keys, wrong types and out-of-range knobs are
 //! errors, each carrying the `$.dotted.path` of the offending field.  The
-//! encoding is total — [`JobSpec::to_json`] writes every field explicitly —
-//! so a written spec re-reads to the identical value.
+//! removed `engine` key gets its own error: every run uses keyed fading
+//! evolution, so a spec that still picks an engine is rejected rather than
+//! silently run under another one.  The encoding is total —
+//! [`JobSpec::to_json`] writes every field explicitly — so a written spec
+//! re-reads to the identical value.
 //!
 //! The content address ([`JobSpec::cache_key`]) hashes only the fields that
-//! affect the result bytes: experiment, seed, engine, traffic and coherence
-//! interval.  Scheduling knobs (threads, deadline, stage profiling) are
+//! affect the result bytes: experiment, seed, traffic, coherence interval
+//! and dynamics.  Scheduling knobs (threads, deadline, stage profiling) are
 //! excluded — the same experiment at a different worker count is the same
 //! cached result, which the determinism tests guarantee.
 
@@ -19,7 +22,7 @@ use std::fmt;
 use crate::hash::sha256_hex;
 use crate::json::{Json, JsonError};
 use midas::experiment::CalibrationGrid;
-use midas::sim::{ContentionModel, ExperimentSpec, FadingEngine, PhysicalConfig, TrafficKind};
+use midas::sim::{ContentionModel, ExperimentSpec, PhysicalConfig, TrafficKind};
 use midas_channel::EnvironmentKind;
 use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec};
 use midas_net::scale::{AssociationPolicy, Scenario};
@@ -29,8 +32,8 @@ use midas_net::scale::{AssociationPolicy, Scenario};
 /// same dynamic spec starts producing different result bytes, so an
 /// existing cache never serves results of the old semantics as hits.
 /// Revision 2: channel rows are kept exactly the static row set every step
-/// (births drawn from keyed streams, frees), and under the counter engine
-/// a lagging row replays its boundaries before a large-scale refresh.
+/// (births drawn from keyed streams, frees), and a lagging row replays its
+/// evolution boundaries before a large-scale refresh.
 pub const DYNAMICS_REVISION: u64 = 2;
 
 /// A decode failure, locating the offending field.
@@ -100,8 +103,6 @@ pub struct JobSpec {
     /// The sweep seed (required in every spec file — reproducibility is
     /// explicit, never ambient).
     pub seed: u64,
-    /// Small-scale fading engine (session-driven experiments only).
-    pub engine: FadingEngine,
     /// Downlink traffic workload (session-driven experiments only).
     pub traffic: TrafficKind,
     /// Channel coherence interval override, in TXOP rounds.
@@ -125,7 +126,6 @@ impl JobSpec {
         JobSpec {
             experiment,
             seed,
-            engine: FadingEngine::Legacy,
             traffic: TrafficKind::FullBuffer,
             coherence_interval_rounds: None,
             threads: None,
@@ -136,7 +136,7 @@ impl JobSpec {
     }
 
     /// Whether the experiment runs through the session machinery (and so
-    /// accepts engine/traffic/coherence knobs and streams a round log).
+    /// accepts traffic/coherence/dynamics knobs and streams a round log).
     pub fn is_session_driven(&self) -> bool {
         self.experiment.session_builder().is_some()
     }
@@ -153,13 +153,19 @@ impl JobSpec {
     /// [`JobSpec::validate`] for the cross-field rules).
     pub fn from_json(json: &Json) -> Result<JobSpec, DecodeError> {
         let path = "$";
+        if json.get("engine").is_some() {
+            return Err(DecodeError::new(
+                "$.engine",
+                "the \"engine\" key was removed: every run uses the keyed fading engine, \
+                 so delete the key",
+            ));
+        }
         check_keys(
             json,
             path,
             &[
                 "experiment",
                 "seed",
-                "engine",
                 "traffic",
                 "coherence_interval_rounds",
                 "threads",
@@ -170,10 +176,6 @@ impl JobSpec {
         )?;
         let experiment = experiment_from_json(field(json, path, "experiment")?, "$.experiment")?;
         let seed = take_u64(field(json, path, "seed")?, "$.seed")?;
-        let engine = match opt_field(json, "engine") {
-            None => FadingEngine::Legacy,
-            Some(v) => engine_from_json(v, "$.engine")?,
-        };
         let traffic = match opt_field(json, "traffic") {
             None => TrafficKind::FullBuffer,
             Some(v) => traffic_from_json(v, "$.traffic")?,
@@ -201,7 +203,6 @@ impl JobSpec {
         Ok(JobSpec {
             experiment,
             seed,
-            engine,
             traffic,
             coherence_interval_rounds,
             threads,
@@ -215,16 +216,6 @@ impl JobSpec {
     /// experiments, and numeric knobs must be in range.
     pub fn validate(&self) -> Result<(), DecodeError> {
         if !self.is_session_driven() {
-            if self.engine != FadingEngine::Legacy {
-                return Err(DecodeError::new(
-                    "$.engine",
-                    format!(
-                        "the fading engine only applies to session-driven experiments \
-                         (end-to-end, enterprise scaling); {} runs its own fixed recipe",
-                        self.experiment.name()
-                    ),
-                ));
-            }
             if self.traffic != TrafficKind::FullBuffer {
                 return Err(DecodeError::new(
                     "$.traffic",
@@ -407,7 +398,6 @@ impl JobSpec {
         Json::Obj(vec![
             ("experiment".into(), experiment_to_json(&self.experiment)),
             ("seed".into(), Json::UInt(self.seed)),
-            ("engine".into(), engine_to_json(self.engine)),
             ("traffic".into(), traffic_to_json(self.traffic)),
             (
                 "coherence_interval_rounds".into(),
@@ -433,7 +423,6 @@ impl JobSpec {
         let mut members = vec![
             ("experiment".into(), experiment_to_json(&self.experiment)),
             ("seed".into(), Json::UInt(self.seed)),
-            ("engine".into(), engine_to_json(self.engine)),
             ("traffic".into(), traffic_to_json(self.traffic)),
             (
                 "coherence_interval_rounds".into(),
@@ -563,27 +552,6 @@ fn u64_list(v: &Json, path: &str) -> Result<Vec<u64>, DecodeError> {
 
 // ---------------------------------------------------------------------------
 // Leaf codecs
-
-fn engine_to_json(engine: FadingEngine) -> Json {
-    Json::Str(
-        match engine {
-            FadingEngine::Legacy => "legacy",
-            FadingEngine::Counter => "counter",
-        }
-        .into(),
-    )
-}
-
-fn engine_from_json(v: &Json, path: &str) -> Result<FadingEngine, DecodeError> {
-    match take_str(v, path)? {
-        "legacy" => Ok(FadingEngine::Legacy),
-        "counter" => Ok(FadingEngine::Counter),
-        other => Err(DecodeError::new(
-            path,
-            format!("unknown fading engine {other:?} (expected \"legacy\" or \"counter\")"),
-        )),
-    }
-}
 
 fn traffic_to_json(traffic: TrafficKind) -> Json {
     match traffic {
@@ -1414,7 +1382,6 @@ mod tests {
     #[test]
     fn job_spec_round_trips_with_all_knobs() {
         let mut spec = JobSpec::new(ExperimentSpec::fig16(ContentionModel::Graph), 99);
-        spec.engine = FadingEngine::Counter;
         spec.traffic = TrafficKind::OnOff {
             duty: 0.3,
             mean_burst_rounds: 4.0,
@@ -1492,18 +1459,21 @@ mod tests {
         assert_eq!(back, spec);
     }
 
-    /// A dynamic spec's id moved when its results did (revision 2: exact
-    /// sparse channel rows), so a cache populated before the change cannot
-    /// serve stale hits; static ids stay pinned by
+    /// A dynamic spec's id moved when its results did — revision 2 (exact
+    /// sparse channel rows), then the removal of the engine member (keyed
+    /// fading evolution only) — so a cache populated before either change
+    /// cannot serve stale hits; static ids stay pinned by
     /// `cache_key_is_pinned_and_ignores_scheduling_knobs`.
     #[test]
     fn dynamic_spec_ids_carry_the_dynamics_revision() {
         let mut spec = JobSpec::new(ExperimentSpec::fig15(), 5);
         spec.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
-        // The id this spec had before the revision member existed.
-        const PRE_REVISION_ID: &str = "ef14547d42f1ad7f";
-        assert_ne!(spec.cache_key(), PRE_REVISION_ID);
-        assert_eq!(spec.cache_key(), "553482cafc907f15");
+        // The ids this spec had before the revision member existed and
+        // while the material still named the (legacy) engine.
+        for old_id in ["ef14547d42f1ad7f", "553482cafc907f15"] {
+            assert_ne!(spec.cache_key(), old_id);
+        }
+        assert_eq!(spec.cache_key(), "63c62673e3b25cad");
         assert!(spec
             .cache_key_material()
             .contains(",\"dynamics_revision\":2,"));
@@ -1524,7 +1494,6 @@ mod tests {
             "seed": 73125
         }"#;
         let spec = JobSpec::from_json_str(text).unwrap();
-        assert_eq!(spec.engine, FadingEngine::Legacy);
         assert_eq!(spec.traffic, TrafficKind::FullBuffer);
         assert_eq!(spec.coherence_interval_rounds, None);
         assert!(!spec.stage_profiling);
@@ -1532,12 +1501,13 @@ mod tests {
 
     /// The cache-key material is a pinned golden: if these bytes drift, the
     /// whole on-disk cache silently invalidates, so any change here must be
-    /// deliberate.
+    /// deliberate.  (The last deliberate change dropped the `"engine"`
+    /// member, so no id of a legacy-engine result is ever served again.)
     #[test]
     fn cache_key_material_is_pinned() {
         assert_eq!(
             fig16_spec().cache_key_material(),
-            "{\"coherence_interval_rounds\":null,\"engine\":\"legacy\",\
+            "{\"coherence_interval_rounds\":null,\
              \"experiment\":{\"contention\":{\"model\":\"graph\"},\
              \"kind\":\"fig16_eight_ap_simulation\",\"rounds\":10,\"topologies\":15},\
              \"seed\":73125,\"traffic\":{\"model\":\"full_buffer\"}}"
@@ -1562,9 +1532,27 @@ mod tests {
         let mut reseeded = base.clone();
         reseeded.seed = 73126;
         assert_ne!(reseeded.cache_key(), key);
-        let mut counter = base.clone();
-        counter.engine = FadingEngine::Counter;
-        assert_ne!(counter.cache_key(), key);
+        let mut cached = base.clone();
+        cached.coherence_interval_rounds = Some(4);
+        assert_ne!(cached.cache_key(), key);
+    }
+
+    #[test]
+    fn the_removed_engine_key_is_rejected_with_a_migration_message() {
+        for engine in ["legacy", "counter"] {
+            let text = format!(
+                r#"{{"experiment": {{"kind": "fig16_eight_ap_simulation",
+                     "topologies": 2, "rounds": 3, "contention": {{"model": "graph"}}}},
+                    "seed": 5, "engine": "{engine}"}}"#
+            );
+            let err = match JobSpec::from_json_str(&text) {
+                Err(SpecError::Decode(err)) => err,
+                other => panic!("engine {engine:?} must fail to decode, got {other:?}"),
+            };
+            assert_eq!(err.path, "$.engine");
+            assert!(err.message.contains("was removed"), "{err}");
+            assert!(err.message.contains("keyed fading engine"), "{err}");
+        }
     }
 
     #[test]
@@ -1606,7 +1594,10 @@ mod tests {
     #[test]
     fn session_knobs_are_rejected_on_non_session_experiments() {
         let mut spec = JobSpec::new(ExperimentSpec::fig07(), 1);
-        spec.engine = FadingEngine::Counter;
+        spec.traffic = TrafficKind::OnOff {
+            duty: 0.5,
+            mean_burst_rounds: 2.0,
+        };
         let err = spec.validate().unwrap_err();
         assert!(err.to_string().contains("session-driven"), "{err}");
 

@@ -79,7 +79,9 @@ pub struct StatusRecord {
     pub kind: String,
     /// The sweep seed.
     pub seed: u64,
-    /// The fading engine token.
+    /// The fading engine token: `"counter"` for every record written now
+    /// (keyed fading evolution is the only engine); older records may say
+    /// `"legacy"`.
     pub engine: String,
     /// Current lifecycle state.
     pub state: JobState,
@@ -108,10 +110,7 @@ impl StatusRecord {
             id: id.to_string(),
             kind: spec.experiment.name().to_string(),
             seed: spec.seed,
-            engine: match spec.engine {
-                midas::sim::FadingEngine::Legacy => "legacy".to_string(),
-                midas::sim::FadingEngine::Counter => "counter".to_string(),
-            },
+            engine: "counter".to_string(),
             state: JobState::Queued,
             queued_unix_ms: unix_ms(),
             started_unix_ms: None,

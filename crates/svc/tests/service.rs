@@ -6,8 +6,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use midas::sim::{
-    ContentionModel, DynamicsSpec, ExperimentOutput, ExperimentSpec, FadingEngine, SessionBuilder,
-    SessionTrial,
+    ContentionModel, DynamicsSpec, ExperimentOutput, ExperimentSpec, SessionBuilder, SessionTrial,
 };
 use midas_net::scale::Scenario;
 use midas_svc::json::Json;
@@ -52,8 +51,8 @@ fn service_result(tag: &str, spec: JobSpec) -> String {
 }
 
 /// A small session-driven workload: 3-AP testbed, 2 topologies, 3 rounds.
-fn small_end_to_end(seed: u64, engine: FadingEngine) -> JobSpec {
-    let mut spec = JobSpec::new(
+fn small_end_to_end(seed: u64) -> JobSpec {
+    JobSpec::new(
         ExperimentSpec::EndToEnd {
             eight_aps: false,
             topologies: 2,
@@ -61,26 +60,17 @@ fn small_end_to_end(seed: u64, engine: FadingEngine) -> JobSpec {
             contention: ContentionModel::Graph,
         },
         seed,
-    );
-    spec.engine = engine;
-    spec
+    )
 }
 
 #[test]
 fn result_json_is_byte_identical_to_the_in_process_run() {
-    for engine in [FadingEngine::Legacy, FadingEngine::Counter] {
-        let spec = small_end_to_end(9001, engine);
-        // The in-process reference: the spec's own recipe with the engine
-        // set on its builder.
-        let builder = spec.experiment.session_builder().unwrap();
-        let expect = result_bytes(&in_process(
-            &spec.experiment,
-            builder.fading_engine(engine),
-            spec.seed,
-        ));
-        let got = service_result(&format!("ident-{engine:?}"), spec);
-        assert_eq!(got, expect, "engine {engine:?}");
-    }
+    let spec = small_end_to_end(9001);
+    // The in-process reference: the spec's own recipe.
+    let builder = spec.experiment.session_builder().unwrap();
+    let expect = result_bytes(&in_process(&spec.experiment, builder, spec.seed));
+    let got = service_result("ident", spec);
+    assert_eq!(got, expect);
 }
 
 #[test]
@@ -112,7 +102,7 @@ fn legacy_service_run_matches_experiment_spec_run() {
     // The acceptance contract: the service result for a default-knob spec
     // is byte-for-byte the encoding of `ExperimentSpec::run(seed)`.
     let jobs = scratch("spec-run");
-    let spec = small_end_to_end(4242, FadingEngine::Legacy);
+    let spec = small_end_to_end(4242);
     let reference = result_bytes(&spec.experiment.run(spec.seed));
 
     let queue = JobQueue::new(jobs.clone(), 1).unwrap();
@@ -134,7 +124,7 @@ fn legacy_service_run_matches_experiment_spec_run() {
 #[test]
 fn second_submission_is_a_byte_identical_cache_hit() {
     let jobs = scratch("cache");
-    let spec = small_end_to_end(7, FadingEngine::Legacy);
+    let spec = small_end_to_end(7);
 
     let queue = JobQueue::new(jobs.clone(), 1).unwrap();
     let fresh = queue.submit(spec.clone()).unwrap();
@@ -173,7 +163,7 @@ fn second_submission_is_a_byte_identical_cache_hit() {
 #[test]
 fn concurrent_identical_submissions_share_one_job() {
     let jobs = scratch("dedup");
-    let spec = small_end_to_end(55, FadingEngine::Legacy);
+    let spec = small_end_to_end(55);
 
     let queue = JobQueue::new(jobs.clone(), 2).unwrap();
     let first = queue.submit(spec.clone()).unwrap();
@@ -194,7 +184,7 @@ fn concurrent_identical_submissions_share_one_job() {
 #[test]
 fn exceeded_deadline_reports_timeout_and_the_pool_keeps_serving() {
     let jobs = scratch("deadline");
-    let mut doomed = small_end_to_end(11, FadingEngine::Legacy);
+    let mut doomed = small_end_to_end(11);
     doomed.deadline_ms = Some(0); // expired before the first trial
 
     let queue = JobQueue::new(jobs.clone(), 1).unwrap();
@@ -210,9 +200,7 @@ fn exceeded_deadline_reports_timeout_and_the_pool_keeps_serving() {
     );
 
     // The same worker must still serve healthy jobs afterwards.
-    let healthy = queue
-        .submit(small_end_to_end(12, FadingEngine::Legacy))
-        .unwrap();
+    let healthy = queue.submit(small_end_to_end(12)).unwrap();
     assert!(matches!(healthy.wait(), JobOutcome::Done { .. }));
     queue.drain();
     std::fs::remove_dir_all(&jobs).ok();
@@ -245,9 +233,7 @@ fn panicking_job_fails_alone_and_the_pool_keeps_serving() {
     assert_eq!(status.state, JobState::Failed);
     assert!(status.error.unwrap().contains("panicked"));
 
-    let healthy = queue
-        .submit(small_end_to_end(13, FadingEngine::Legacy))
-        .unwrap();
+    let healthy = queue.submit(small_end_to_end(13)).unwrap();
     assert!(matches!(healthy.wait(), JobOutcome::Done { .. }));
     queue.drain();
     std::fs::remove_dir_all(&jobs).ok();
@@ -256,7 +242,7 @@ fn panicking_job_fails_alone_and_the_pool_keeps_serving() {
 #[test]
 fn pre_cancelled_token_stops_the_run_before_any_result() {
     let dir = scratch("cancel").join("job");
-    let spec = small_end_to_end(21, FadingEngine::Legacy);
+    let spec = small_end_to_end(21);
     let token = CancelToken::new();
     token.cancel();
     match run_job(&spec, &dir, &token) {
@@ -270,7 +256,7 @@ fn pre_cancelled_token_stops_the_run_before_any_result() {
 #[test]
 fn round_log_covers_every_trial_and_mac() {
     let jobs = scratch("jsonl");
-    let spec = small_end_to_end(31, FadingEngine::Legacy);
+    let spec = small_end_to_end(31);
     let queue = JobQueue::new(jobs.clone(), 1).unwrap();
     let job = queue.submit(spec).unwrap();
     assert!(matches!(job.wait(), JobOutcome::Done { .. }));
@@ -358,7 +344,7 @@ fn fig16_acceptance_spec_is_byte_identical_to_experiment_spec_run() {
 #[test]
 fn status_lifecycle_timestamps_are_ordered() {
     let jobs = scratch("status");
-    let spec = small_end_to_end(41, FadingEngine::Legacy);
+    let spec = small_end_to_end(41);
     let queue = JobQueue::new(jobs.clone(), 1).unwrap();
     let job = queue.submit(spec.clone()).unwrap();
     assert!(matches!(job.wait(), JobOutcome::Done { .. }));
@@ -368,6 +354,7 @@ fn status_lifecycle_timestamps_are_ordered() {
     assert_eq!(status.state, JobState::Done);
     assert_eq!(status.kind, spec.experiment.name());
     assert_eq!(status.seed, spec.seed);
+    assert_eq!(status.engine, "counter", "keyed fading is the only engine");
     let queued = status.queued_unix_ms;
     let started = status.started_unix_ms.unwrap();
     let finished = status.finished_unix_ms.unwrap();
