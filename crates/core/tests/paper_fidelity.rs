@@ -16,6 +16,7 @@
 use midas::experiment::{
     end_to_end_series, fig12_simultaneous_tx, sec534_hidden_terminals, FIG16_GAIN_BAND,
 };
+use midas::sim::{ExperimentSpec, SessionTrial};
 use midas_net::capture::{ContentionModel, PhysicalConfig};
 use midas_net::metrics::{relative_gain, Cdf};
 
@@ -129,6 +130,58 @@ fn fig16_physical_gains_are_in_band() {
     assert!(
         (0.0..=0.6).contains(&network_gain),
         "Fig. 16 network capacity gain {:.1} % outside accepted band [0 %, 60 %]",
+        100.0 * network_gain
+    );
+}
+
+/// Fig. 16 under the counter-keyed fading engine, driven through the
+/// session path (`ExperimentSpec::session_builder` + `run_session`, the
+/// route the service takes) rather than the `end_to_end_series` wrapper.
+/// Keyed, lazy evolution is the only fading engine, and the paper band is
+/// a property of the *physics*, not of one draw sequence, so a session run
+/// must land inside the same accepted bands (client gain
+/// **[+50 %, +150 %]**, network gain **[0 %, +60 %]**) at the bench seed
+/// and scale.  The other fidelity headlines (Fig. 12, §5.3.4) build their
+/// topologies and sensing fields without ever invoking channel
+/// *evolution*, so they are not duplicated here.
+#[test]
+fn fig16_physical_gains_are_in_band_under_counter_engine() {
+    let spec = ExperimentSpec::EndToEnd {
+        eight_aps: true,
+        topologies: 15,
+        rounds: 10,
+        contention: ContentionModel::physical_calibrated(),
+    };
+    let builder = spec.session_builder().expect("Fig. 16 is session-driven");
+    let s = spec
+        .run_session(builder, SEED, &|trial: &SessionTrial<'_>, mac| {
+            Some(trial.simulate(mac))
+        })
+        .expect("plain simulation never stops early")
+        .expect_end_to_end();
+
+    let client_gain = relative_gain(
+        Cdf::new(&s.per_client.das).median(),
+        Cdf::new(&s.per_client.cas).median(),
+    );
+    let (lo, hi) = FIG16_GAIN_BAND;
+    assert!(
+        (lo..=hi).contains(&client_gain),
+        "Fig. 16 (counter engine) median per-client gain {:.1} % outside accepted band \
+         [{:.0} %, {:.0} %]",
+        100.0 * client_gain,
+        100.0 * lo,
+        100.0 * hi
+    );
+
+    let network_gain = relative_gain(
+        Cdf::new(&s.network.das).median(),
+        Cdf::new(&s.network.cas).median(),
+    );
+    assert!(
+        (0.0..=0.6).contains(&network_gain),
+        "Fig. 16 (counter engine) network capacity gain {:.1} % outside accepted band \
+         [0 %, 60 %]",
         100.0 * network_gain
     );
 }
