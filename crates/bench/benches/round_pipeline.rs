@@ -251,7 +251,7 @@ fn svc_scratch_root() -> PathBuf {
     std::env::temp_dir().join(format!("midas-bench-svc-{}", std::process::id()))
 }
 
-/// The repo root, resolved like `midas_bench::default_figure_dir` does —
+/// The repo root, resolved like the default figure directory is —
 /// from this crate's manifest path, so the snapshot lands at the workspace
 /// root no matter where `cargo bench` chdirs to.
 fn repo_root() -> PathBuf {

@@ -2,9 +2,9 @@
 //!
 //! Each bench target in `benches/` regenerates one table or figure of the
 //! paper (plus `enterprise_scaling`, which sweeps the beyond-paper
-//! `midas_net::scale` scenario library) by calling the corresponding runner
-//! in `midas::experiment`, builds a structured [`Figure`] from the resulting
-//! series, and emits it through the sink layer ([`sink`]): the classic
+//! `midas_net::scale` scenario library) by running the corresponding
+//! `midas::sim::ExperimentSpec`, builds a structured [`Figure`] from the
+//! resulting series, and emits it through the sink layer ([`sink`]): the classic
 //! console report is always printed, and
 //! when a figure directory is selected (`MIDAS_FIGURE_DIR=<dir>` or
 //! `--figure-dir <dir>`, default `target/figures/`) the same series also land
@@ -19,9 +19,7 @@ pub mod sink;
 
 pub use figure::{Block, Cell, Figure, Table};
 pub use knob::{env_knob, env_list};
-pub use sink::{
-    default_figure_dir, figure_dir, CsvSink, JsonSink, Sink, StdoutSink, FIGURE_DIR_ENV,
-};
+pub use sink::{figure_dir, CsvSink, JsonSink, Sink, StdoutSink};
 
 /// Default seed used by every bench so results are reproducible run-to-run.
 pub const BENCH_SEED: u64 = 0x11DA5;

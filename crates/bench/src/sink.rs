@@ -21,7 +21,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Environment variable selecting the figure output directory.
-pub const FIGURE_DIR_ENV: &str = "MIDAS_FIGURE_DIR";
+const FIGURE_DIR_ENV: &str = "MIDAS_FIGURE_DIR";
 
 /// A destination figures can be rendered to.
 pub trait Sink {
@@ -235,7 +235,7 @@ fn json_cell(c: &Cell) -> String {
 }
 
 /// Renders the whole figure as a JSON document.
-pub fn figure_json(figure: &Figure) -> String {
+fn figure_json(figure: &Figure) -> String {
     let mut blocks = Vec::new();
     for block in &figure.blocks {
         blocks.push(match block {
@@ -306,7 +306,7 @@ pub fn figure_json(figure: &Figure) -> String {
 /// Resolved from this crate's compile-time manifest path so it lands in the
 /// workspace `target/` no matter which directory the bench binary runs from
 /// (`cargo bench` sets the bench's working directory to the *crate* root).
-pub fn default_figure_dir() -> PathBuf {
+fn default_figure_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -320,7 +320,7 @@ pub fn default_figure_dir() -> PathBuf {
 ///
 /// Precedence: `--figure-dir` flag, then `MIDAS_FIGURE_DIR`.  A flag or
 /// variable present with an empty value selects [`default_figure_dir`].
-pub fn figure_dir_from<I: IntoIterator<Item = String>>(
+fn figure_dir_from<I: IntoIterator<Item = String>>(
     args: I,
     env_value: Option<String>,
 ) -> Option<PathBuf> {

@@ -26,18 +26,6 @@ use crate::topology::{Client, Deployment};
 use crate::{dbm_to_mw, mw_to_dbm};
 use midas_linalg::{CMat, Complex, FMat};
 
-/// Per-link statistics of a single antenna → client link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkStats {
-    /// Distance in metres.
-    pub distance_m: f64,
-    /// Mean (large-scale) received power in dBm at the environment's
-    /// per-antenna transmit power.
-    pub mean_rssi_dbm: f64,
-    /// Mean SNR in dB implied by the noise floor.
-    pub mean_snr_db: f64,
-}
-
 /// A channel realisation between one AP's antennas and a set of clients.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelMatrix {
@@ -76,15 +64,6 @@ impl ChannelMatrix {
     pub fn siso_snr_db(&self, client: usize, antenna: usize) -> f64 {
         let p_rx = self.tx_power_mw * self.h.get(client, antenna).norm_sqr();
         10.0 * (p_rx / self.noise_mw).log10()
-    }
-
-    /// Antenna indices sorted by decreasing mean RSSI for the given client —
-    /// the "preference list" used by virtual packet tagging.
-    pub fn antenna_preference(&self, client: usize) -> Vec<usize> {
-        let gains = self.large_scale.row(client);
-        let mut idx: Vec<usize> = (0..self.num_antennas()).collect();
-        idx.sort_by(|&a, &b| gains[b].partial_cmp(&gains[a]).unwrap());
-        idx
     }
 
     /// Zeroes client row `row` — composite and large-scale gains alike — so
@@ -351,18 +330,6 @@ impl ChannelModel {
         let d = tx.distance(rx);
         let amp = self.large_scale_amp(tx, rx) * self.sample_fading(d).norm();
         mw_to_dbm(dbm_to_mw(self.env.tx_power_dbm) * amp * amp)
-    }
-
-    /// Statistics of the SISO link from one antenna position to one client position.
-    pub fn link_stats(&self, antenna: &Point, client: &Point) -> LinkStats {
-        let d = antenna.distance(client);
-        let pl_db = self.path_loss_db(d);
-        let rssi = self.env.tx_power_dbm - pl_db;
-        LinkStats {
-            distance_m: d,
-            mean_rssi_dbm: rssi,
-            mean_snr_db: rssi - self.env.noise_floor_dbm,
-        }
     }
 
     /// Generates a full channel realisation between one AP's antennas and the
@@ -724,31 +691,17 @@ mod tests {
     fn closer_links_have_larger_mean_gain() {
         let model = ChannelModel::new(Environment::office_a(), 2);
         let antenna = Point::new(0.0, 0.0);
-        let near = model.link_stats(&antenna, &Point::new(2.0, 0.0));
-        let far = model.link_stats(&antenna, &Point::new(20.0, 0.0));
-        assert!(near.mean_rssi_dbm > far.mean_rssi_dbm);
-        assert!(near.mean_snr_db > far.mean_snr_db);
+        let near = model.mean_rx_power_dbm(&antenna, &Point::new(2.0, 0.0));
+        let far = model.mean_rx_power_dbm(&antenna, &Point::new(20.0, 0.0));
+        assert!(near > far);
     }
 
     #[test]
     fn snr_is_positive_at_short_range_in_office_a() {
         let model = ChannelModel::new(Environment::office_a(), 3);
-        let stats = model.link_stats(&Point::new(0.0, 0.0), &Point::new(5.0, 0.0));
-        assert!(stats.mean_snr_db > 15.0, "SNR {}", stats.mean_snr_db);
-    }
-
-    #[test]
-    fn antenna_preference_is_sorted_by_gain() {
-        let (topo, mut model) = das_topology(4);
-        let clients = topo.clients_of(0);
-        let ch = model.realize(&topo.aps[0], &clients);
-        for j in 0..ch.num_clients() {
-            let pref = ch.antenna_preference(j);
-            assert_eq!(pref.len(), 4);
-            for w in pref.windows(2) {
-                assert!(ch.large_scale.get(j, w[0]) >= ch.large_scale.get(j, w[1]));
-            }
-        }
+        let rssi = model.mean_rx_power_dbm(&Point::new(0.0, 0.0), &Point::new(5.0, 0.0));
+        let snr_db = rssi - model.env.noise_floor_dbm;
+        assert!(snr_db > 15.0, "SNR {snr_db}");
     }
 
     #[test]

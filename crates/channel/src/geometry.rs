@@ -15,9 +15,6 @@ impl Point {
         Point { x, y }
     }
 
-    /// The origin `(0, 0)`.
-    pub const ORIGIN: Point = Point { x: 0.0, y: 0.0 };
-
     /// Euclidean distance to another point.
     pub fn distance(&self, other: &Point) -> f64 {
         (self.x - other.x).hypot(self.y - other.y)

@@ -24,8 +24,6 @@
 //!   innovations are a pure function of `(trial seed, AP, link, boundary)`,
 //!   so a simulator may evolve only the rows it reads, catching each up
 //!   exactly when it is next read.
-//! * [`trace`] — record / replay of channel realisations ("trace-driven
-//!   simulation" in the paper).
 //! * [`rng`] — deterministic generators so every experiment is reproducible
 //!   from a seed: the sequential [`SimRng`] (set-up realisation, topology
 //!   draws) and the stateless, keyed [`CounterRng`] (fading evolution and
@@ -46,13 +44,12 @@ pub mod pathloss;
 pub mod rng;
 pub mod shadowing;
 pub mod topology;
-pub mod trace;
 
-pub use channel::{ChannelMatrix, ChannelModel, LinkStats, RowCache};
+pub use channel::{ChannelMatrix, ChannelModel, RowCache};
 pub use environment::{Environment, EnvironmentKind};
 pub use geometry::Point;
 pub use rng::{CounterRng, SimRng};
-pub use topology::{AntennaDeployment, Deployment, DeploymentKind, Topology};
+pub use topology::{Deployment, DeploymentKind, Topology};
 
 /// Speed of light in metres per second.
 pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
@@ -68,11 +65,6 @@ pub fn wavelength_m() -> f64 {
 /// Converts a linear power ratio to decibels.
 pub fn lin_to_db(lin: f64) -> f64 {
     10.0 * lin.log10()
-}
-
-/// Converts decibels to a linear power ratio.
-pub fn db_to_lin(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
 }
 
 /// Converts dBm to milliwatts.
@@ -98,9 +90,9 @@ mod tests {
     #[test]
     fn db_conversions_round_trip() {
         for &db in &[-20.0, -3.0, 0.0, 3.0, 10.0, 30.0] {
-            assert!((lin_to_db(db_to_lin(db)) - db).abs() < 1e-9);
+            assert!((lin_to_db(dbm_to_mw(db)) - db).abs() < 1e-9);
         }
-        assert!((db_to_lin(3.0) - 1.995).abs() < 0.01);
+        assert!((dbm_to_mw(3.0) - 1.995).abs() < 0.01);
         assert!((dbm_to_mw(0.0) - 1.0).abs() < 1e-12);
         assert!((mw_to_dbm(100.0) - 20.0).abs() < 1e-12);
     }

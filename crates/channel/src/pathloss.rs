@@ -17,7 +17,7 @@
 use crate::{lin_to_db, CARRIER_FREQ_HZ, SPEED_OF_LIGHT};
 
 /// Reference distance for the log-distance model, in metres.
-pub const REFERENCE_DISTANCE_M: f64 = 1.0;
+const REFERENCE_DISTANCE_M: f64 = 1.0;
 
 /// Parameters of the indoor log-distance path loss model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,30 +78,6 @@ impl PathLossModel {
         reference_loss_db
             + 10.0 * self.exponent * (d / REFERENCE_DISTANCE_M).log10()
             + self.wall_loss_db_per_m * (d - REFERENCE_DISTANCE_M).max(0.0)
-    }
-
-    /// Linear amplitude gain (not power) corresponding to the path loss at
-    /// `d` metres: `10^(-PL/20)`.
-    pub fn amplitude_gain(&self, distance_m: f64) -> f64 {
-        10f64.powf(-self.path_loss_db(distance_m) / 20.0)
-    }
-
-    /// Linear power gain corresponding to the path loss at `d` metres.
-    pub fn power_gain(&self, distance_m: f64) -> f64 {
-        10f64.powf(-self.path_loss_db(distance_m) / 10.0)
-    }
-
-    /// Distance (metres) at which the log-distance part of the path loss
-    /// reaches `loss_db`, ignoring the wall-loss term.
-    ///
-    /// This closed form is an upper bound on the true distance; use
-    /// [`PathLossModel::distance_for_loss_db`] when the wall term matters.
-    pub fn distance_for_loss_db_no_walls(&self, loss_db: f64) -> f64 {
-        let excess = loss_db - self.reference_loss_db();
-        if excess <= 0.0 {
-            return REFERENCE_DISTANCE_M;
-        }
-        REFERENCE_DISTANCE_M * 10f64.powf(excess / (10.0 * self.exponent))
     }
 
     /// Distance (metres) at which the full path loss (including the wall
@@ -168,26 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn power_gain_is_amplitude_gain_squared() {
-        let m = PathLossModel::default();
-        for d in [1.0, 3.0, 12.0] {
-            let a = m.amplitude_gain(d);
-            let p = m.power_gain(d);
-            assert!((a * a - p).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn distance_for_loss_inverts_loss_without_walls() {
-        let m = PathLossModel::new(3.0, 0.0);
-        for d in [2.0, 8.0, 25.0] {
-            let pl = m.path_loss_db(d);
-            let back = m.distance_for_loss_db_no_walls(pl);
-            assert!((back - d).abs() / d < 1e-9, "{back} vs {d}");
-        }
-    }
-
-    #[test]
     fn distance_for_loss_inverts_loss_with_walls() {
         let m = PathLossModel::new(3.1, 0.4);
         for d in [2.0, 8.0, 25.0, 60.0] {
@@ -195,9 +151,6 @@ mod tests {
             let back = m.distance_for_loss_db(pl);
             assert!((back - d).abs() < 1e-3, "{back} vs {d}");
         }
-        // The wall-free closed form over-estimates the range.
-        let pl = m.path_loss_db(30.0);
-        assert!(m.distance_for_loss_db_no_walls(pl) > m.distance_for_loss_db(pl));
     }
 
     #[test]

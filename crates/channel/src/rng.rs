@@ -125,9 +125,8 @@ impl SimRng {
     }
 
     /// Uniform sample in `(0, 1)`, bounded away from zero so `ln()` stays
-    /// finite — the shared rejection step of [`gaussian`](Self::gaussian)
-    /// and [`exponential`](Self::exponential).
-    pub fn nonzero_uniform(&mut self) -> f64 {
+    /// finite — the rejection step of [`gaussian`](Self::gaussian).
+    fn nonzero_uniform(&mut self) -> f64 {
         loop {
             let u = self.uniform();
             if u > 1e-300 {
@@ -167,13 +166,6 @@ impl SimRng {
     /// Normal sample with the given mean and standard deviation.
     pub fn gaussian_with(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.gaussian()
-    }
-
-    /// Exponential sample with the given rate parameter `lambda`.
-    pub fn exponential(&mut self, lambda: f64) -> f64 {
-        assert!(lambda > 0.0);
-        let u = self.nonzero_uniform();
-        -u.ln() / lambda
     }
 
     /// Returns `true` with probability `p`.
@@ -251,10 +243,10 @@ impl CounterRng {
     }
 
     /// Uniform sample in `(0, 1)`, bounded away from zero (see
-    /// [`SimRng::nonzero_uniform`]).  The rejection loop is safe here too:
+    /// `SimRng::nonzero_uniform`).  The rejection loop is safe here too:
     /// the keyed stream is deterministic, so a rejection consumes the same
     /// draws on every replay.
-    pub fn nonzero_uniform(&mut self) -> f64 {
+    fn nonzero_uniform(&mut self) -> f64 {
         loop {
             let u = self.uniform();
             if u > 1e-300 {
@@ -335,15 +327,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn exponential_has_mean_one_over_lambda() {
-        let mut rng = SimRng::new(9);
-        let n = 50_000;
-        let lambda = 2.5;
-        let mean = (0..n).map(|_| rng.exponential(lambda)).sum::<f64>() / n as f64;
-        assert!((mean - 1.0 / lambda).abs() < 0.02, "mean {mean}");
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! a topology, which matches how the paper's testbed topologies behave over a
 //! 10-second measurement.
 
-use crate::rng::SimRng;
-
 /// Log-normal shadowing generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Shadowing {
@@ -21,85 +19,11 @@ impl Shadowing {
         assert!(sigma_db >= 0.0, "shadowing sigma must be non-negative");
         Shadowing { sigma_db }
     }
-
-    /// Disabled shadowing (deterministic path loss).
-    pub fn none() -> Self {
-        Shadowing { sigma_db: 0.0 }
-    }
-
-    /// Draws one shadowing realisation in dB (zero-mean Gaussian).
-    pub fn sample_db(&self, rng: &mut SimRng) -> f64 {
-        if self.sigma_db == 0.0 {
-            0.0
-        } else {
-            rng.gaussian_with(0.0, self.sigma_db)
-        }
-    }
-
-    /// Draws a correlated pair of shadowing values (in dB) with correlation
-    /// coefficient `rho`.  Links from nearby antennas to the same client see
-    /// correlated obstructions; the DAS topology generator uses a modest
-    /// positive correlation for antennas of the same AP.
-    pub fn sample_correlated_db(&self, rng: &mut SimRng, rho: f64) -> (f64, f64) {
-        assert!(
-            (-1.0..=1.0).contains(&rho),
-            "correlation must be in [-1, 1]"
-        );
-        let z1 = rng.gaussian();
-        let z2 = rng.gaussian();
-        let a = self.sigma_db * z1;
-        let b = self.sigma_db * (rho * z1 + (1.0 - rho * rho).sqrt() * z2);
-        (a, b)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn zero_sigma_is_deterministic_zero() {
-        let s = Shadowing::none();
-        let mut rng = SimRng::new(1);
-        for _ in 0..10 {
-            assert_eq!(s.sample_db(&mut rng), 0.0);
-        }
-    }
-
-    #[test]
-    fn samples_have_requested_std_dev() {
-        let s = Shadowing::new(6.0);
-        let mut rng = SimRng::new(2);
-        let n = 40_000;
-        let samples: Vec<f64> = (0..n).map(|_| s.sample_db(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!((var.sqrt() - 6.0).abs() < 0.15, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn correlated_samples_have_requested_correlation() {
-        let s = Shadowing::new(4.0);
-        let mut rng = SimRng::new(3);
-        let n = 40_000;
-        let rho = 0.6;
-        let pairs: Vec<(f64, f64)> = (0..n)
-            .map(|_| s.sample_correlated_db(&mut rng, rho))
-            .collect();
-        let mean_a = pairs.iter().map(|p| p.0).sum::<f64>() / n as f64;
-        let mean_b = pairs.iter().map(|p| p.1).sum::<f64>() / n as f64;
-        let mut cov = 0.0;
-        let mut var_a = 0.0;
-        let mut var_b = 0.0;
-        for (a, b) in &pairs {
-            cov += (a - mean_a) * (b - mean_b);
-            var_a += (a - mean_a).powi(2);
-            var_b += (b - mean_b).powi(2);
-        }
-        let corr = cov / (var_a.sqrt() * var_b.sqrt());
-        assert!((corr - rho).abs() < 0.03, "corr {corr}");
-    }
 
     #[test]
     #[should_panic(expected = "non-negative")]

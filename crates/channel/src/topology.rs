@@ -31,17 +31,6 @@ pub enum DeploymentKind {
     Das,
 }
 
-/// One AP antenna with its physical position.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AntennaDeployment {
-    /// Index of the AP this antenna belongs to.
-    pub ap_id: usize,
-    /// Index of the antenna within its AP (0-based).
-    pub antenna_id: usize,
-    /// Physical position of the antenna.
-    pub position: Point,
-}
-
 /// One AP: its own position plus the positions of its antennas.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Deployment {
@@ -59,24 +48,6 @@ impl Deployment {
     /// Number of antennas at this AP.
     pub fn num_antennas(&self) -> usize {
         self.antennas.len()
-    }
-
-    /// Returns this AP's antennas as [`AntennaDeployment`] records.
-    pub fn antenna_records(&self) -> Vec<AntennaDeployment> {
-        self.antennas
-            .iter()
-            .enumerate()
-            .map(|(antenna_id, &position)| AntennaDeployment {
-                ap_id: self.ap_id,
-                antenna_id,
-                position,
-            })
-            .collect()
-    }
-
-    /// Distance from antenna `i` to a point.
-    pub fn antenna_distance(&self, i: usize, p: &Point) -> f64 {
-        self.antennas[i].distance(p)
     }
 }
 
@@ -104,19 +75,9 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Total number of antennas across all APs.
-    pub fn total_antennas(&self) -> usize {
-        self.aps.iter().map(|a| a.num_antennas()).sum()
-    }
-
     /// Clients associated with the given AP.
     pub fn clients_of(&self, ap_id: usize) -> Vec<&Client> {
         self.clients.iter().filter(|c| c.ap_id == ap_id).collect()
-    }
-
-    /// Flat list of all antennas in the topology.
-    pub fn all_antennas(&self) -> Vec<AntennaDeployment> {
-        self.aps.iter().flat_map(|a| a.antenna_records()).collect()
     }
 }
 
@@ -230,7 +191,7 @@ impl TopologyConfig {
     /// degenerate placements (empty DAS annulus, impossible sector
     /// constraint, negative clearances).
     ///
-    /// The generation functions ([`place_antennas`], [`place_clients`],
+    /// The generation functions ([`place_antennas`], `place_clients`,
     /// [`multi_ap`]) call this and panic with the descriptive error, so a
     /// contradictory config fails loudly at the first use instead of
     /// spinning the rejection samplers into their relaxation fallback.
@@ -352,7 +313,7 @@ pub fn place_antennas(
 }
 
 /// Generates the client positions for a single AP.
-pub fn place_clients(
+fn place_clients(
     ap: &Deployment,
     config: &TopologyConfig,
     region: &Rect,
@@ -599,7 +560,7 @@ mod tests {
         let cfg = TopologyConfig::das(4, 6);
         let topo = single_ap(&cfg, region(), &mut rng);
         assert_eq!(topo.aps.len(), 1);
-        assert_eq!(topo.total_antennas(), 4);
+        assert_eq!(topo.aps[0].num_antennas(), 4);
         assert_eq!(topo.clients.len(), 6);
         assert_eq!(topo.clients_of(0).len(), 6);
         assert!(topo
@@ -748,17 +709,5 @@ mod tests {
             msg.contains("das_radius_min_m") && msg.contains("annulus"),
             "panic message not descriptive: {msg}"
         );
-    }
-
-    #[test]
-    fn antenna_records_index_correctly() {
-        let mut rng = SimRng::new(9);
-        let topo = single_ap(&TopologyConfig::das(3, 2), region(), &mut rng);
-        let recs = topo.all_antennas();
-        assert_eq!(recs.len(), 3);
-        for (i, r) in recs.iter().enumerate() {
-            assert_eq!(r.ap_id, 0);
-            assert_eq!(r.antenna_id, i);
-        }
     }
 }

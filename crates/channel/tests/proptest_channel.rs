@@ -80,10 +80,6 @@ proptest! {
         prop_assert_eq!(ch.num_clients(), 4);
         prop_assert_eq!(ch.num_antennas(), 4);
         for j in 0..4 {
-            // The preference list must be a permutation of the antennas.
-            let mut pref = ch.antenna_preference(j);
-            pref.sort_unstable();
-            prop_assert_eq!(pref, vec![0, 1, 2, 3]);
             for k in 0..4 {
                 prop_assert!(ch.large_scale.get(j, k) > 0.0);
                 // Composite gain magnitude should be within a plausible factor of the

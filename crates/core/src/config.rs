@@ -42,13 +42,6 @@ impl SystemConfig {
         Environment::preset(self.environment)
     }
 
-    /// A 2×2 variant of this configuration (two antennas, two clients).
-    pub fn two_by_two(mut self) -> Self {
-        self.antennas = 2;
-        self.clients = 2;
-        self
-    }
-
     /// Switches the environment preset.
     pub fn with_environment(mut self, kind: EnvironmentKind) -> Self {
         self.environment = kind;
@@ -72,11 +65,7 @@ mod tests {
 
     #[test]
     fn builders_adjust_fields() {
-        let c = SystemConfig::default()
-            .two_by_two()
-            .with_environment(EnvironmentKind::OfficeB);
-        assert_eq!(c.antennas, 2);
-        assert_eq!(c.clients, 2);
+        let c = SystemConfig::default().with_environment(EnvironmentKind::OfficeB);
         assert_eq!(c.environment, EnvironmentKind::OfficeB);
         assert_eq!(c.environment().kind, EnvironmentKind::OfficeB);
     }

@@ -1,20 +1,21 @@
 //! Experiment runners — one per table/figure of the paper's evaluation (§5).
 //!
-//! Each function regenerates the data series behind one figure.  All
-//! runners are deterministic in the supplied seed and execute through the
-//! session layer ([`crate::sim`]): the multi-AP experiments compose a
-//! [`PairedRecipe`] / [`Scenario`] topology source into a
-//! [`Session`](crate::sim::Session) and fan trials through the shared
-//! [`SeedSweep`] engine, so every series is bit-identical at any thread
-//! count (`MIDAS_THREADS`).  Callers should prefer driving these through
-//! [`ExperimentSpec`] values — the functions remain as the implementation
-//! layer the specs dispatch to, except [`end_to_end_series`] and
-//! [`enterprise_scaling`], which run their spec's shared session recipe
-//! ([`ExperimentSpec::run_session`]).
+//! [`ExperimentSpec::run`](crate::sim::ExperimentSpec::run) is the one
+//! public way to run an experiment; the crate-private runners here are the
+//! implementation layer it dispatches to (the Figs. 15 / 16 end-to-end runs
+//! and the enterprise sweep run their spec's session recipe instead).  This
+//! module keeps the public types of the outputs, the Fig. 16 calibration
+//! band [`FIG16_GAIN_BAND`] and [`best_calibration_cell`].
+//!
+//! All runners are deterministic in the supplied seed and execute through
+//! the session layer ([`crate::sim`]): the multi-AP experiments compose a
+//! [`PairedRecipe`] topology source into a [`Session`](crate::sim::Session)
+//! and fan trials through the shared [`SeedSweep`] engine, so every series
+//! is bit-identical at any thread count (`MIDAS_THREADS`).
 
 use crate::config::SystemConfig;
 use crate::runner::SeedSweep;
-use crate::sim::{ExperimentSpec, PairedRecipe, SessionBuilder, SessionTrial};
+use crate::sim::{ExperimentSpec, PairedRecipe, PairedSamples, SessionBuilder, SessionTrial};
 use crate::system::SingleApSystem;
 use midas_channel::geometry::{Point, Rect};
 use midas_channel::topology::{single_ap, TopologyConfig};
@@ -25,7 +26,6 @@ use midas_mac::tagging::TagTable;
 use midas_net::capture::{ContentionModel, PhysicalConfig};
 use midas_net::coverage::{compare_deadzones, DeadzoneComparison};
 use midas_net::hidden_terminal::{HiddenTerminalComparison, HiddenTerminalScenario};
-use midas_net::scale::Scenario;
 use midas_net::simulator::MacKind;
 use midas_net::spatial_reuse;
 use midas_phy::precoder::{
@@ -34,12 +34,10 @@ use midas_phy::precoder::{
 };
 use midas_phy::sounding::{SoundingConfig, SoundingProcess};
 
-pub use crate::sim::{PairedSamples, SessionSeries as EndToEndSeries};
-
 /// Fig. 3 — CDF of the capacity *drop* caused by naïve per-antenna power
 /// scaling (unconstrained ZFBF capacity minus naïvely-scaled capacity) for
 /// 4×4 MU-MIMO, CAS vs DAS.
-pub fn fig03_naive_scaling_drop(topologies: usize, seed: u64) -> PairedSamples {
+pub(crate) fn fig03_naive_scaling_drop(topologies: usize, seed: u64) -> PairedSamples {
     let sweep = SeedSweep::new(seed).with_mix(7919, 1);
     PairedSamples::from_pairs(sweep.run(topologies, &|_t: usize, s: u64| {
         let sys = SingleApSystem::generate(&SystemConfig::default(), s);
@@ -55,7 +53,7 @@ pub fn fig03_naive_scaling_drop(topologies: usize, seed: u64) -> PairedSamples {
 /// Fig. 7 — CDF of SISO link SNR (dB) across clients, CAS vs DAS, using the
 /// paper's greedy client→antenna mapping (strongest pair first, each antenna
 /// used once).
-pub fn fig07_link_snr(topologies: usize, seed: u64) -> PairedSamples {
+pub(crate) fn fig07_link_snr(topologies: usize, seed: u64) -> PairedSamples {
     let env = Environment::office_a();
     let session = SessionBuilder::new(PairedRecipe::single_ap(
         env,
@@ -100,7 +98,7 @@ pub fn fig07_link_snr(topologies: usize, seed: u64) -> PairedSamples {
 /// Figs. 8 and 9 — MU-MIMO sum-capacity CDF (bit/s/Hz), CAS (baseline
 /// precoding) vs MIDAS (power-balanced precoding), for the given antenna /
 /// client count and office environment.
-pub fn fig08_09_capacity(
+pub(crate) fn fig08_09_capacity(
     environment: EnvironmentKind,
     antennas: usize,
     topologies: usize,
@@ -135,7 +133,7 @@ pub struct SmartPrecodingSeries {
 }
 
 /// Runs the Fig. 10 experiment (4×4, Office B in the paper).
-pub fn fig10_smart_precoding(topologies: usize, seed: u64) -> SmartPrecodingSeries {
+pub(crate) fn fig10_smart_precoding(topologies: usize, seed: u64) -> SmartPrecodingSeries {
     let config = SystemConfig::default().with_environment(EnvironmentKind::OfficeB);
     let sweep = SeedSweep::new(seed).with_mix(4513, 17);
     let rows = sweep.run(topologies, &|_t: usize, s: u64| {
@@ -163,7 +161,11 @@ pub fn fig10_smart_precoding(topologies: usize, seed: u64) -> SmartPrecodingSeri
 /// optimal precoder.  `stale_csi` reproduces the "testbed" panel, where the
 /// optimal precoder's long compute time means it is applied to an outdated
 /// channel (the paper's explanation for MIDAS occasionally winning).
-pub fn fig11_optimal_comparison(topologies: usize, stale_csi: bool, seed: u64) -> PairedSamples {
+pub(crate) fn fig11_optimal_comparison(
+    topologies: usize,
+    stale_csi: bool,
+    seed: u64,
+) -> PairedSamples {
     // `cas` field holds the optimal precoder series, `das` the MIDAS series.
     let env = Environment::office_a();
     let sounding = SoundingProcess::new(SoundingConfig::default());
@@ -212,7 +214,7 @@ pub fn fig11_optimal_comparison(topologies: usize, stale_csi: bool, seed: u64) -
 /// Fig. 12 — ratio of simultaneous transmissions (MIDAS / CAS) over random
 /// 3-AP topologies.  Each trial derives its own contention RNG from the
 /// mixed trial seed, so the series is independent of execution order.
-pub fn fig12_simultaneous_tx(topologies: usize, seed: u64) -> Vec<f64> {
+pub(crate) fn fig12_simultaneous_tx(topologies: usize, seed: u64) -> Vec<f64> {
     let session = SessionBuilder::new(PairedRecipe::three_ap_paper())
         .seed_mix(1409, 31)
         .build();
@@ -226,7 +228,7 @@ pub fn fig12_simultaneous_tx(topologies: usize, seed: u64) -> Vec<f64> {
 }
 
 /// Fig. 13 / §5.3.3 — dead-zone comparison over random DAS deployments.
-pub fn fig13_deadzones(deployments: usize, seed: u64) -> Vec<DeadzoneComparison> {
+pub(crate) fn fig13_deadzones(deployments: usize, seed: u64) -> Vec<DeadzoneComparison> {
     let env = Environment::office_b();
     let radius = env.coverage_range_m() * 0.9;
     let cfg = TopologyConfig {
@@ -250,7 +252,10 @@ pub fn fig13_deadzones(deployments: usize, seed: u64) -> Vec<DeadzoneComparison>
 
 /// §5.3.4 — hidden-terminal spot comparison over random antenna deployments.
 /// Each deployment draws from an RNG derived from its own mixed trial seed.
-pub fn sec534_hidden_terminals(deployments: usize, seed: u64) -> Vec<HiddenTerminalComparison> {
+pub(crate) fn sec534_hidden_terminals(
+    deployments: usize,
+    seed: u64,
+) -> Vec<HiddenTerminalComparison> {
     let scenario = HiddenTerminalScenario::new(Environment::office_a());
     let sweep = SeedSweep::new(seed).with_mix(523, 89);
     sweep.run(deployments, &|_d: usize, s: u64| {
@@ -263,7 +268,7 @@ pub fn sec534_hidden_terminals(deployments: usize, seed: u64) -> Vec<HiddenTermi
 /// selection vs random client selection, when only 2 of 4 antennas are
 /// available and 4 clients are backlogged.  The `cas` field holds the random
 /// selection, `das` the tagged selection.
-pub fn fig14_packet_tagging(topologies: usize, seed: u64) -> PairedSamples {
+pub(crate) fn fig14_packet_tagging(topologies: usize, seed: u64) -> PairedSamples {
     let config = SystemConfig::default();
     let sweep = SeedSweep::new(seed).with_mix(677, 53);
     PairedSamples::from_pairs(sweep.run(topologies, &|_t: usize, s: u64| {
@@ -317,30 +322,6 @@ pub fn fig14_packet_tagging(topologies: usize, seed: u64) -> PairedSamples {
         };
         (capacity(&random_clients), capacity(&tagged_clients))
     }))
-}
-
-/// Figs. 15 / 16 — end-to-end network capacity of CAS vs MIDAS over random
-/// multi-AP topologies (3-AP testbed layout or 8-AP large-scale layout)
-/// under an explicit contention model: the [`ExperimentSpec::EndToEnd`]
-/// recipe ([`ContentionModel::Graph`] reproduces the legacy binary-graph
-/// series bit-for-bit).  Both MACs run the same model — the paper's
-/// testbed CAS is subject to the same physical carrier sensing and capture
-/// effects as MIDAS, only with co-located vantage points.
-pub fn end_to_end_series(
-    eight_aps: bool,
-    topologies: usize,
-    rounds: usize,
-    seed: u64,
-    contention: ContentionModel,
-) -> EndToEndSeries {
-    ExperimentSpec::EndToEnd {
-        eight_aps,
-        topologies,
-        rounds,
-        contention,
-    }
-    .run(seed)
-    .expect_end_to_end()
 }
 
 /// The Fig. 16 headline band the calibration scores against: the median
@@ -419,7 +400,7 @@ impl CalibrationCell {
 /// gain against the paper's Fig. 16 band.  Cells are returned in grid order
 /// (thresholds outermost); [`best_calibration_cell`] picks the winner that
 /// [`PhysicalConfig::calibrated`] promotes.
-pub fn fig16_calibration(
+pub(crate) fn fig16_calibration(
     grid: &CalibrationGrid,
     topologies: usize,
     rounds: usize,
@@ -434,13 +415,14 @@ pub fn fig16_calibration(
                     capture_margin_db: margin,
                     sensing_sigma_db: Some(sigma),
                 };
-                let s = end_to_end_series(
-                    true,
+                let s = ExperimentSpec::EndToEnd {
+                    eight_aps: true,
                     topologies,
                     rounds,
-                    seed,
-                    ContentionModel::Physical(config),
-                );
+                    contention: ContentionModel::Physical(config),
+                }
+                .run(seed)
+                .expect_end_to_end();
                 let median = |v: &[f64]| midas_net::metrics::Cdf::new(v).median();
                 let cas_network_median = median(&s.network.cas);
                 let das_network_median = median(&s.network.das);
@@ -507,30 +489,13 @@ pub struct EnterpriseScalingSeries {
     pub das_contention_degree: Vec<f64>,
 }
 
-/// Enterprise scaling — the beyond-Fig.-16 experiment: end-to-end CAS vs
-/// MIDAS capacity of a named [`Scenario`] (`midas_net::scale`) over random
-/// floor realisations at the given AP count, through the
-/// [`ExperimentSpec::EnterpriseScaling`] recipe.  Runs with the finite
-/// interaction range that activates the spatial-index scan truncation, which
-/// is what keeps 64-AP / 512-client floors tractable.
-pub fn enterprise_scaling(
-    scenario: &Scenario,
-    topologies: usize,
-    rounds: usize,
-    seed: u64,
-) -> EnterpriseScalingSeries {
-    ExperimentSpec::EnterpriseScaling {
-        scenario: *scenario,
-        topologies,
-        rounds,
-    }
-    .run(seed)
-    .expect_enterprise()
-}
-
 /// Ablation — tag-width sweep (§3.2.4 discusses 1, 2 and "all" antennas per
 /// client): mean end-to-end capacity of the 3-AP MIDAS network per tag width.
-pub fn ablation_tag_width(widths: &[usize], topologies: usize, seed: u64) -> Vec<(usize, f64)> {
+pub(crate) fn ablation_tag_width(
+    widths: &[usize],
+    topologies: usize,
+    seed: u64,
+) -> Vec<(usize, f64)> {
     widths
         .iter()
         .map(|&w| {
@@ -550,7 +515,7 @@ pub fn ablation_tag_width(widths: &[usize], topologies: usize, seed: u64) -> Vec
 /// Ablation — DAS antenna placement radius sweep (§7 recommends 50–75 % of
 /// the CAS coverage range): median single-AP MU-MIMO capacity per radius
 /// fraction band.
-pub fn ablation_das_radius(
+pub(crate) fn ablation_das_radius(
     fractions: &[(f64, f64)],
     topologies: usize,
     seed: u64,
@@ -585,7 +550,11 @@ pub fn ablation_das_radius(
 /// attempts in which waiting up to the window adds at least one antenna,
 /// over random busy patterns.  Busy patterns are derived per trial from the
 /// mixed seed, so every window is evaluated against the same patterns.
-pub fn ablation_antenna_wait(windows_us: &[u64], trials: usize, seed: u64) -> Vec<(u64, f64)> {
+pub(crate) fn ablation_antenna_wait(
+    windows_us: &[u64],
+    trials: usize,
+    seed: u64,
+) -> Vec<(u64, f64)> {
     use midas_mac::antenna_select::select_opportunistic;
     use midas_mac::carrier_sense::CarrierSense;
     let sweep = SeedSweep::new(seed).with_mix(149, 97);
@@ -617,6 +586,7 @@ pub fn ablation_antenna_wait(windows_us: &[u64], trials: usize, seed: u64) -> Ve
 mod tests {
     use super::*;
     use midas_net::metrics::Cdf;
+    use midas_net::scale::Scenario;
 
     #[test]
     fn fig03_das_drop_exceeds_cas_drop() {
@@ -678,7 +648,14 @@ mod tests {
     fn end_to_end_midas_beats_cas_on_three_aps() {
         // Per-topology variance is high at this small scale, so aggregate a
         // handful of topologies; the bench runs the full-size version.
-        let series = end_to_end_series(false, 6, 10, 100, ContentionModel::Graph);
+        let series = ExperimentSpec::EndToEnd {
+            eight_aps: false,
+            topologies: 6,
+            rounds: 10,
+            contention: ContentionModel::Graph,
+        }
+        .run(100)
+        .expect_end_to_end();
         let das: f64 = series.network.das.iter().sum();
         let cas: f64 = series.network.cas.iter().sum();
         assert!(das > cas, "MIDAS {das:.1} vs CAS {cas:.1}");
@@ -733,7 +710,13 @@ mod tests {
     #[test]
     fn enterprise_scaling_produces_full_series_at_small_scale() {
         let scenario = Scenario::enterprise_office(8);
-        let s = enterprise_scaling(&scenario, 2, 4, 42);
+        let s = ExperimentSpec::EnterpriseScaling {
+            scenario,
+            topologies: 2,
+            rounds: 4,
+        }
+        .run(42)
+        .expect_enterprise();
         assert_eq!(s.cas.len(), 2);
         assert_eq!(s.das.len(), 2);
         assert_eq!(s.das_per_ap_capacity.len(), 2 * 8);

@@ -18,9 +18,10 @@
 //! session layer ([`sim`]): topology sources, paired experiment sessions,
 //! pluggable traffic models, streaming observers, and one declarative
 //! [`sim::ExperimentSpec`] per table/figure of the paper's evaluation,
-//! which the benchmark harness (`crates/bench`) and the examples drive.
-//! The per-figure runner functions live in [`experiment`] and execute
-//! through the session machinery.
+//! which the benchmark harness (`crates/bench`) and the examples drive;
+//! [`sim::ExperimentSpec::run`] is the one public way to run an
+//! experiment.  [`experiment`] holds the figures' output types and the
+//! Fig. 16 calibration band.
 //!
 //! ## Quick start
 //!

@@ -9,7 +9,9 @@
 //!
 //! Worker count defaults to the machine's available parallelism and can be
 //! overridden with the `MIDAS_THREADS` environment variable (clamped to
-//! `[1, 512]`); a sweep never uses more workers than it has trials.
+//! `[1, 512]`); a sweep never uses more workers than it has trials.  A value
+//! that does not parse is an error, never a silent fallback: a sweep that
+//! reads one panics with a message naming the knob and the value.
 //!
 //! ```
 //! use midas::runner::SeedSweep;
@@ -26,10 +28,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Environment variable overriding the worker count of every [`SeedSweep`].
-pub const THREADS_ENV: &str = "MIDAS_THREADS";
+const THREADS_ENV: &str = "MIDAS_THREADS";
 
 /// Upper bound on the worker count, however it was requested.
-pub const MAX_WORKERS: usize = 512;
+const MAX_WORKERS: usize = 512;
 
 /// One independent experiment trial: maps `(trial_index, trial_seed)` to a
 /// sample. Implemented for every `Fn(usize, u64) -> Sample + Sync` closure,
@@ -50,26 +52,42 @@ impl<S: Send, F: Fn(usize, u64) -> S + Sync> Trial for F {
     }
 }
 
-/// Parses a `MIDAS_THREADS`-style value; `None` for absent/unparsable input.
-///
-/// `0` is accepted and clamped to one worker, values above [`MAX_WORKERS`]
-/// clamp down to it.
-pub fn parse_thread_override(value: Option<&str>) -> Option<usize> {
-    value
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.clamp(1, MAX_WORKERS))
+/// Parses a `MIDAS_THREADS` value: `Ok(None)` when absent or blank, an
+/// error naming the knob and the value when it is not a non-negative
+/// integer.  `0` clamps up to one worker, values above `MAX_WORKERS` clamp
+/// down to it.
+fn parse_thread_override(value: Option<&str>) -> Result<Option<usize>, String> {
+    match value.filter(|v| !v.trim().is_empty()) {
+        None => Ok(None),
+        Some(v) => v
+            .trim()
+            .parse::<usize>()
+            .map(|n| Some(n.clamp(1, MAX_WORKERS)))
+            .map_err(|_| format!("{THREADS_ENV}: cannot parse {v:?}")),
+    }
+}
+
+/// The `MIDAS_THREADS` override of the environment: `Ok(None)` when unset,
+/// an error naming the knob and the value when it does not parse.  The
+/// `midas` CLI checks it before starting its pool.
+pub fn threads_from_env() -> Result<Option<usize>, String> {
+    parse_thread_override(std::env::var(THREADS_ENV).ok().as_deref())
 }
 
 /// Worker count a sweep without an explicit override uses: `MIDAS_THREADS`
-/// when set to a parsable integer, otherwise the machine's available
-/// parallelism.
-pub fn default_workers() -> usize {
-    parse_thread_override(std::env::var(THREADS_ENV).ok().as_deref()).unwrap_or_else(|| {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, MAX_WORKERS)
-    })
+/// when set, otherwise the machine's available parallelism.
+///
+/// # Panics
+/// Panics when `MIDAS_THREADS` is set but does not parse.
+fn default_workers() -> usize {
+    threads_from_env()
+        .unwrap_or_else(|message| panic!("{message}"))
+        .unwrap_or_else(|| {
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .clamp(1, MAX_WORKERS)
+        })
 }
 
 /// A deterministic parallel sweep over seeded trials.
@@ -300,14 +318,20 @@ mod tests {
 
     #[test]
     fn thread_override_parsing_clamps_and_rejects_garbage() {
-        assert_eq!(parse_thread_override(None), None);
-        assert_eq!(parse_thread_override(Some("")), None);
-        assert_eq!(parse_thread_override(Some("not a number")), None);
-        assert_eq!(parse_thread_override(Some("-2")), None);
-        assert_eq!(parse_thread_override(Some("0")), Some(1));
-        assert_eq!(parse_thread_override(Some("1")), Some(1));
-        assert_eq!(parse_thread_override(Some(" 8 ")), Some(8));
-        assert_eq!(parse_thread_override(Some("99999")), Some(MAX_WORKERS));
+        assert_eq!(parse_thread_override(None), Ok(None));
+        assert_eq!(parse_thread_override(Some("")), Ok(None));
+        assert_eq!(
+            parse_thread_override(Some("not a number")),
+            Err("MIDAS_THREADS: cannot parse \"not a number\"".to_string())
+        );
+        assert_eq!(
+            parse_thread_override(Some("-2")),
+            Err("MIDAS_THREADS: cannot parse \"-2\"".to_string())
+        );
+        assert_eq!(parse_thread_override(Some("0")), Ok(Some(1)));
+        assert_eq!(parse_thread_override(Some("1")), Ok(Some(1)));
+        assert_eq!(parse_thread_override(Some(" 8 ")), Ok(Some(8)));
+        assert_eq!(parse_thread_override(Some("99999")), Ok(Some(MAX_WORKERS)));
     }
 
     #[test]

@@ -23,14 +23,12 @@
 //!
 //! ## Migration from the free-function zoo
 //!
-//! | Old free function | Session-API replacement |
-//! |---|---|
-//! | `experiment::fig03_naive_scaling_drop(n, seed)` | `ExperimentSpec::NaiveScalingDrop { topologies: n }.run(seed)` |
-//! | `experiment::fig08_09_capacity(env, k, n, seed)` | `ExperimentSpec::MuMimoCapacity { environment: env, antennas: k, topologies: n }.run(seed)` |
-//! | `experiment::fig12_simultaneous_tx(n, seed)` | `ExperimentSpec::SimultaneousTx { topologies: n }.run(seed)` |
-//! | `experiment::end_to_end_series(eight, n, r, seed, model)` | `ExperimentSpec::EndToEnd { eight_aps: eight, topologies: n, rounds: r, contention: model }.run(seed)` |
-//! | bespoke `NetworkSimulator` loops | `SessionBuilder::new(source)…build()` + [`Session::run`] / [`Session::stream`] |
-//! | a figure recipe under other knobs (traffic, dynamics) | [`ExperimentSpec::session_builder`] + the knobs, then [`ExperimentSpec::run_session`] |
+//! Each former `midas::experiment` runner is one [`ExperimentSpec`]
+//! variant run with [`ExperimentSpec::run`]; a bespoke `NetworkSimulator`
+//! loop is `SessionBuilder::new(source)…build()` plus [`Session::run`] or
+//! [`Session::stream`], and a figure recipe under other knobs is
+//! [`ExperimentSpec::session_builder`] plus the knobs, then
+//! [`ExperimentSpec::run_session`].
 //!
 //! ## Example
 //!

@@ -96,7 +96,7 @@ impl PairedRecipe {
     }
 
     /// The §5.5 eight-AP large-scale layout with the given placement config.
-    pub fn eight_ap(env: Environment, config: TopologyConfig) -> Self {
+    fn eight_ap(env: Environment, config: TopologyConfig) -> Self {
         PairedRecipe {
             env,
             config,

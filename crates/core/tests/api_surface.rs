@@ -67,7 +67,6 @@ const PINNED: &[&str] = &[
     "sim/source.rs: fn single_ap",
     "sim/source.rs: fn three_ap",
     "sim/source.rs: fn three_ap_paper",
-    "sim/source.rs: fn eight_ap",
     "sim/source.rs: fn eight_ap_paper",
     "sim/spec.rs: enum ExperimentSpec",
     "sim/spec.rs: fn fig03",

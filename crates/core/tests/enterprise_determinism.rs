@@ -4,6 +4,7 @@
 //! environment mutation — see `midas_threads_env.rs` for the env-var path).
 
 use midas::runner::SeedSweep;
+use midas::sim::ExperimentSpec;
 use midas_net::scale::Scenario;
 use midas_net::simulator::{MacKind, NetworkSimulator};
 
@@ -51,12 +52,21 @@ fn every_scenario_is_bit_identical_at_1_and_4_threads() {
 
 #[test]
 fn enterprise_scaling_runner_is_thread_invariant_end_to_end() {
-    // The public runner fans through the engine internally; two consecutive
+    // The spec fans through the engine internally; two consecutive
     // invocations (whatever the ambient worker count) must agree with each
     // other and with the raw per-trial closure above.
     let scenario = Scenario::dense_apartment(8);
-    let a = midas::experiment::enterprise_scaling(&scenario, 3, 3, 7);
-    let b = midas::experiment::enterprise_scaling(&scenario, 3, 3, 7);
+    let run = || {
+        ExperimentSpec::EnterpriseScaling {
+            scenario,
+            topologies: 3,
+            rounds: 3,
+        }
+        .run(7)
+        .expect_enterprise()
+    };
+    let a = run();
+    let b = run();
     assert_eq!(a.cas, b.cas);
     assert_eq!(a.das, b.das);
     assert_eq!(a.das_per_ap_capacity, b.das_per_ap_capacity);

@@ -6,19 +6,43 @@
 //! (every `SeedSweep::run` does).  With a single `#[test]`, all mutation and
 //! all reads happen on one thread.
 
-use midas::experiment::{end_to_end_series, fig07_link_snr, fig08_09_capacity};
-use midas::runner::THREADS_ENV;
+use midas::sim::{ExperimentSpec, PairedSamples};
 use midas_channel::EnvironmentKind;
 use midas_net::capture::ContentionModel;
 
-fn end_to_end_network(topologies: usize, rounds: usize, seed: u64) -> midas::sim::PairedSamples {
-    end_to_end_series(false, topologies, rounds, seed, ContentionModel::Graph).network
+/// The knob under test, named as users set it.
+const THREADS_ENV: &str = "MIDAS_THREADS";
+
+fn fig07_link_snr(topologies: usize, seed: u64) -> PairedSamples {
+    ExperimentSpec::LinkSnr { topologies }
+        .run(seed)
+        .expect_paired()
+}
+
+fn end_to_end_network(topologies: usize, rounds: usize, seed: u64) -> PairedSamples {
+    ExperimentSpec::EndToEnd {
+        eight_aps: false,
+        topologies,
+        rounds,
+        contention: ContentionModel::Graph,
+    }
+    .run(seed)
+    .expect_end_to_end()
+    .network
 }
 
 #[test]
 fn runner_series_are_identical_at_any_midas_threads_setting() {
     // Representative single-sample-per-trial runner at 1 vs 4 workers.
-    let run = || fig08_09_capacity(EnvironmentKind::OfficeA, 4, 20, 1234);
+    let run = || {
+        ExperimentSpec::MuMimoCapacity {
+            environment: EnvironmentKind::OfficeA,
+            antennas: 4,
+            topologies: 20,
+        }
+        .run(1234)
+        .expect_paired()
+    };
     std::env::set_var(THREADS_ENV, "1");
     let serial = run();
     std::env::set_var(THREADS_ENV, "4");

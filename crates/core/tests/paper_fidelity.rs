@@ -13,9 +13,7 @@
 //! print.  CI runs this file as its own named step ("Paper fidelity") to
 //! keep physics regressions distinguishable from unit-test failures.
 
-use midas::experiment::{
-    end_to_end_series, fig12_simultaneous_tx, sec534_hidden_terminals, FIG16_GAIN_BAND,
-};
+use midas::experiment::FIG16_GAIN_BAND;
 use midas::sim::{ExperimentSpec, SessionTrial};
 use midas_net::capture::{ContentionModel, PhysicalConfig};
 use midas_net::metrics::{relative_gain, Cdf};
@@ -38,7 +36,9 @@ const SEED: u64 = 0x11DA5;
 #[test]
 fn fig12_simultaneous_tx_ratio_is_in_band() {
     // Same (topologies, seed) as the fig12_simultaneous_tx bench target.
-    let ratios = fig12_simultaneous_tx(30, SEED);
+    let ratios = ExperimentSpec::SimultaneousTx { topologies: 30 }
+        .run(SEED)
+        .expect_ratios();
     let median = Cdf::new(&ratios).median();
     assert!(
         (1.1..=2.5).contains(&median),
@@ -62,7 +62,9 @@ fn fig12_simultaneous_tx_ratio_is_in_band() {
 #[test]
 fn sec534_hidden_terminal_reduction_is_in_band() {
     // Same (deployments, seed) as the sec534_hidden_terminals bench target.
-    let comparisons = sec534_hidden_terminals(10, SEED);
+    let comparisons = ExperimentSpec::HiddenTerminals { deployments: 10 }
+        .run(SEED)
+        .expect_hidden_terminals();
     let cas: usize = comparisons.iter().map(|c| c.cas_spots).sum();
     let das: usize = comparisons.iter().map(|c| c.das_spots).sum();
     assert!(cas > 0, "CAS deployment must exhibit hidden-terminal spots");
@@ -102,7 +104,14 @@ fn sec534_hidden_terminal_reduction_is_in_band() {
 fn fig16_physical_gains_are_in_band() {
     // Same (topologies, rounds, seed) as the fig16_eight_ap_simulation
     // bench target.
-    let s = end_to_end_series(true, 15, 10, SEED, ContentionModel::physical_calibrated());
+    let s = ExperimentSpec::EndToEnd {
+        eight_aps: true,
+        topologies: 15,
+        rounds: 10,
+        contention: ContentionModel::physical_calibrated(),
+    }
+    .run(SEED)
+    .expect_end_to_end();
 
     let client_gain = relative_gain(
         Cdf::new(&s.per_client.das).median(),
@@ -136,7 +145,8 @@ fn fig16_physical_gains_are_in_band() {
 
 /// Fig. 16 under the counter-keyed fading engine, driven through the
 /// session path (`ExperimentSpec::session_builder` + `run_session`, the
-/// route the service takes) rather than the `end_to_end_series` wrapper.
+/// route the service takes, with the caller's own simulate hook) rather
+/// than `ExperimentSpec::run`.
 /// Keyed, lazy evolution is the only fading engine, and the paper band is
 /// a property of the *physics*, not of one draw sequence, so a session run
 /// must land inside the same accepted bands (client gain

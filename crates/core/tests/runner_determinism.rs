@@ -1,5 +1,5 @@
-//! Golden-median regression tests for the `SeedSweep`-based experiment
-//! runners: series are unchanged vs pinned values — the exact medians the
+//! Golden-median regression tests for every `ExperimentSpec` variant the
+//! `SeedSweep`-based runners serve: series are unchanged vs pinned values — the exact medians the
 //! serial, hand-rolled loops produced before the engine refactor (for the
 //! two historically RNG-sharing runners, the values pinned are the
 //! per-trial-RNG ones introduced with the engine).
@@ -8,7 +8,7 @@
 //! (`midas_threads_env.rs`): mutating the environment from a test that runs
 //! in parallel with siblings reading it would be a libc-level data race.
 
-use midas::experiment::*;
+use midas::sim::ExperimentSpec;
 use midas_channel::EnvironmentKind;
 use midas_net::capture::ContentionModel;
 use midas_net::metrics::Cdf;
@@ -28,28 +28,40 @@ fn median(samples: &[f64]) -> f64 {
 
 #[test]
 fn fig03_golden_medians() {
-    let s = fig03_naive_scaling_drop(15, 1);
+    let s = ExperimentSpec::NaiveScalingDrop { topologies: 15 }
+        .run(1)
+        .expect_paired();
     assert_eq!(median(&s.cas), 2.2461738755511247);
     assert_eq!(median(&s.das), 4.743334572147058);
 }
 
 #[test]
 fn fig07_golden_medians() {
-    let s = fig07_link_snr(15, 2);
+    let s = ExperimentSpec::LinkSnr { topologies: 15 }
+        .run(2)
+        .expect_paired();
     assert_eq!(median(&s.cas), 12.800544789561846);
     assert_eq!(median(&s.das), 22.6635266629569);
 }
 
 #[test]
 fn fig08_09_golden_medians() {
-    let s = fig08_09_capacity(EnvironmentKind::OfficeA, 4, 12, 3);
+    let s = ExperimentSpec::MuMimoCapacity {
+        environment: EnvironmentKind::OfficeA,
+        antennas: 4,
+        topologies: 12,
+    }
+    .run(3)
+    .expect_paired();
     assert_eq!(median(&s.cas), 16.821446945959018);
     assert_eq!(median(&s.das), 24.414304691170656);
 }
 
 #[test]
 fn fig10_golden_medians() {
-    let s = fig10_smart_precoding(15, 4);
+    let s = ExperimentSpec::SmartPrecoding { topologies: 15 }
+        .run(4)
+        .expect_smart_precoding();
     assert_eq!(median(&s.cas_naive), 10.659644196843498);
     assert_eq!(median(&s.cas_smart), 10.869870637224388);
     assert_eq!(median(&s.das_naive), 28.714182421525102);
@@ -58,22 +70,35 @@ fn fig10_golden_medians() {
 
 #[test]
 fn fig11_golden_medians() {
-    let fresh = fig11_optimal_comparison(8, false, 5);
+    let optimal = |topologies, stale_csi| {
+        ExperimentSpec::OptimalComparison {
+            topologies,
+            stale_csi,
+        }
+        .run(5)
+        .expect_paired()
+    };
+    let fresh = optimal(8, false);
     assert_eq!(median(&fresh.cas), 20.278352869423458);
     assert_eq!(median(&fresh.das), 20.278352869423458);
-    let stale = fig11_optimal_comparison(4, true, 5);
+    let stale = optimal(4, true);
     assert_eq!(median(&stale.cas), 1.9960180885575085);
     assert_eq!(median(&stale.das), 17.576011050142867);
 }
 
 #[test]
 fn fig12_golden_median() {
-    assert_eq!(median(&fig12_simultaneous_tx(20, 6)), 1.25);
+    let ratios = ExperimentSpec::SimultaneousTx { topologies: 20 }
+        .run(6)
+        .expect_ratios();
+    assert_eq!(median(&ratios), 1.25);
 }
 
 #[test]
 fn fig13_golden_median() {
-    let dead: Vec<f64> = fig13_deadzones(6, 8)
+    let dead: Vec<f64> = ExperimentSpec::Deadzones { deployments: 6 }
+        .run(8)
+        .expect_deadzones()
         .iter()
         .map(|d| d.das_dead as f64)
         .collect();
@@ -82,7 +107,9 @@ fn fig13_golden_median() {
 
 #[test]
 fn sec534_golden_median() {
-    let spots: Vec<f64> = sec534_hidden_terminals(6, 12)
+    let spots: Vec<f64> = ExperimentSpec::HiddenTerminals { deployments: 6 }
+        .run(12)
+        .expect_hidden_terminals()
         .iter()
         .map(|h| h.cas_spots as f64)
         .collect();
@@ -91,7 +118,9 @@ fn sec534_golden_median() {
 
 #[test]
 fn fig14_golden_medians() {
-    let s = fig14_packet_tagging(25, 7);
+    let s = ExperimentSpec::PacketTagging { topologies: 25 }
+        .run(7)
+        .expect_paired();
     assert_eq!(median(&s.cas), 11.207076621945118);
     assert_eq!(median(&s.das), 12.2485520098635);
 }
@@ -100,7 +129,15 @@ fn fig14_golden_medians() {
 fn end_to_end_golden_medians() {
     // Same golden values the pre-session `end_to_end_capacity` runner
     // pinned: the session path must reproduce them bit for bit.
-    let s = end_to_end_series(false, 6, 10, 100, ContentionModel::Graph).network;
+    let s = ExperimentSpec::EndToEnd {
+        eight_aps: false,
+        topologies: 6,
+        rounds: 10,
+        contention: ContentionModel::Graph,
+    }
+    .run(100)
+    .expect_end_to_end()
+    .network;
     assert_eq!(median(&s.cas), 21.225899122528798);
     assert_eq!(median(&s.das), 21.465779129410837);
 }
@@ -108,18 +145,33 @@ fn end_to_end_golden_medians() {
 #[test]
 fn ablation_golden_values() {
     assert_eq!(
-        ablation_tag_width(&[1, 2], 1, 9),
+        ExperimentSpec::TagWidth {
+            widths: vec![1, 2],
+            topologies: 1
+        }
+        .run(9)
+        .expect_tag_width(),
         vec![(1, 20.8697553972558), (2, 17.703903706543336)]
     );
     assert_eq!(
-        ablation_das_radius(&[(0.2, 0.4), (0.5, 0.75)], 4, 10),
+        ExperimentSpec::DasRadius {
+            fractions: vec![(0.2, 0.4), (0.5, 0.75)],
+            topologies: 4
+        }
+        .run(10)
+        .expect_das_radius(),
         vec![
             ((0.2, 0.4), 28.81614118545318),
             ((0.5, 0.75), 24.77614935936384)
         ]
     );
     assert_eq!(
-        ablation_antenna_wait(&[0, 34], 200, 11),
+        ExperimentSpec::AntennaWait {
+            windows_us: vec![0, 34],
+            trials: 200
+        }
+        .run(11)
+        .expect_antenna_wait(),
         vec![(0, 0.0), (34, 0.615)]
     );
 }

@@ -9,16 +9,11 @@
 //!   the session layer;
 //! * an explicit full-buffer traffic model is byte-identical to the
 //!   default;
-//! * every `ExperimentSpec` variant reproduces its legacy runner function
-//!   byte for byte;
 //! * non-saturation traffic models are deterministic in the seed.
 
-use midas::experiment;
 use midas::sim::{
-    ContentionModel, DynamicsSpec, ExperimentSpec, MacKind, PairedRecipe, RunningSummary,
-    SessionBuilder, SessionTrial, TrafficKind,
+    DynamicsSpec, MacKind, PairedRecipe, RunningSummary, SessionBuilder, SessionTrial, TrafficKind,
 };
-use midas_channel::EnvironmentKind;
 use midas_net::scale::Scenario;
 
 fn three_ap_session(threads: usize) -> midas::sim::Session {
@@ -183,97 +178,6 @@ fn an_inactive_dynamics_spec_is_byte_identical_to_no_dynamics() {
     assert_eq!(base.network.das, inactive.network.das);
     assert_eq!(base.per_client.cas, inactive.per_client.cas);
     assert_eq!(base.per_client.das, inactive.per_client.das);
-}
-
-#[test]
-fn experiment_specs_reproduce_the_legacy_runners_byte_for_byte() {
-    // One spec per legacy runner family, at quick scales.
-    let paired = |out: midas::sim::ExperimentOutput| out.expect_paired();
-
-    let s = paired(ExperimentSpec::NaiveScalingDrop { topologies: 4 }.run(1));
-    let l = experiment::fig03_naive_scaling_drop(4, 1);
-    assert_eq!((s.cas, s.das), (l.cas, l.das));
-
-    let s = paired(ExperimentSpec::LinkSnr { topologies: 3 }.run(2));
-    let l = experiment::fig07_link_snr(3, 2);
-    assert_eq!((s.cas, s.das), (l.cas, l.das));
-
-    let s = paired(
-        ExperimentSpec::MuMimoCapacity {
-            environment: EnvironmentKind::OfficeA,
-            antennas: 4,
-            topologies: 3,
-        }
-        .run(3),
-    );
-    let l = experiment::fig08_09_capacity(EnvironmentKind::OfficeA, 4, 3, 3);
-    assert_eq!((s.cas, s.das), (l.cas, l.das));
-
-    let s = ExperimentSpec::SmartPrecoding { topologies: 3 }
-        .run(4)
-        .expect_smart_precoding();
-    let l = experiment::fig10_smart_precoding(3, 4);
-    assert_eq!(s.cas_naive, l.cas_naive);
-    assert_eq!(s.das_smart, l.das_smart);
-
-    let s = ExperimentSpec::SimultaneousTx { topologies: 5 }
-        .run(6)
-        .expect_ratios();
-    assert_eq!(s, experiment::fig12_simultaneous_tx(5, 6));
-
-    let s = ExperimentSpec::Deadzones { deployments: 2 }
-        .run(8)
-        .expect_deadzones();
-    assert_eq!(s, experiment::fig13_deadzones(2, 8));
-
-    let s = ExperimentSpec::HiddenTerminals { deployments: 2 }
-        .run(12)
-        .expect_hidden_terminals();
-    assert_eq!(s, experiment::sec534_hidden_terminals(2, 12));
-
-    let s = paired(ExperimentSpec::PacketTagging { topologies: 4 }.run(7));
-    let l = experiment::fig14_packet_tagging(4, 7);
-    assert_eq!((s.cas, s.das), (l.cas, l.das));
-
-    let spec_e2e = ExperimentSpec::EndToEnd {
-        eight_aps: false,
-        topologies: 2,
-        rounds: 3,
-        contention: ContentionModel::Graph,
-    }
-    .run(100)
-    .expect_end_to_end();
-    let legacy_e2e = experiment::end_to_end_series(false, 2, 3, 100, ContentionModel::Graph);
-    assert_eq!(spec_e2e.network.cas, legacy_e2e.network.cas);
-    assert_eq!(spec_e2e.per_client.das, legacy_e2e.per_client.das);
-
-    let s = ExperimentSpec::EnterpriseScaling {
-        scenario: Scenario::enterprise_office(8),
-        topologies: 1,
-        rounds: 2,
-    }
-    .run(42)
-    .expect_enterprise();
-    let l = experiment::enterprise_scaling(&Scenario::enterprise_office(8), 1, 2, 42);
-    assert_eq!(s.cas, l.cas);
-    assert_eq!(s.das, l.das);
-    assert_eq!(s.das_per_ap_duty, l.das_per_ap_duty);
-
-    let s = ExperimentSpec::TagWidth {
-        widths: vec![1, 2],
-        topologies: 1,
-    }
-    .run(9)
-    .expect_tag_width();
-    assert_eq!(s, experiment::ablation_tag_width(&[1, 2], 1, 9));
-
-    let s = ExperimentSpec::AntennaWait {
-        windows_us: vec![0, 34],
-        trials: 50,
-    }
-    .run(11)
-    .expect_antenna_wait();
-    assert_eq!(s, experiment::ablation_antenna_wait(&[0, 34], 50, 11));
 }
 
 #[test]

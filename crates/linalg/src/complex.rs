@@ -121,12 +121,6 @@ impl Complex {
         self.re.is_finite() && self.im.is_finite()
     }
 
-    /// Returns `true` when the magnitude is below `eps`.
-    #[inline]
-    pub fn is_zero_eps(self, eps: f64) -> bool {
-        self.norm() < eps
-    }
-
     /// Checks approximate equality within an absolute tolerance per component.
     #[inline]
     pub fn approx_eq(self, other: Complex, tol: f64) -> bool {

@@ -1,20 +1,15 @@
-//! Matrix factorisations: LU with partial pivoting, Householder QR and a
-//! one-sided Jacobi SVD.
+//! Matrix factorisations: Householder QR and a one-sided Jacobi SVD.
 //!
-//! These are the three factorisations the PHY layer needs:
+//! These are the two factorisations the PHY layer needs:
 //!
-//! * **LU** backs exact linear solves and determinants/inverses of the small
-//!   square Gram matrices that appear in the zero-forcing pseudoinverse.
-//! * **QR** backs least-squares solves and provides an orthonormalisation
-//!   primitive.
+//! * **QR** backs the full-row-rank pseudoinverse on the precoding hot path
+//!   ([`crate::pinv::qr_right_pseudo_inverse`]).
 //! * **SVD** backs the rank-revealing Moore–Penrose pseudoinverse used for
 //!   ZFBF with rank-deficient or non-square channel matrices, and gives
 //!   singular values used in channel-conditioning diagnostics.
 
-pub mod lu;
 pub mod qr;
 pub mod svd;
 
-pub use lu::LuDecomposition;
 pub use qr::QrDecomposition;
 pub use svd::Svd;

@@ -114,42 +114,11 @@ impl QrDecomposition {
         self.r
             .select(&(0..n).collect::<Vec<_>>(), &(0..n).collect::<Vec<_>>())
     }
-
-    /// Solves the least-squares problem `min ||A x - b||` for full-column-rank A.
-    ///
-    /// Returns `None` when R has a (near-)zero diagonal entry.
-    pub fn solve_least_squares(&self, b: &[Complex], eps: f64) -> Option<Vec<Complex>> {
-        let m = self.q.rows();
-        let n = self.r.cols();
-        assert_eq!(b.len(), m, "solve_least_squares: rhs length mismatch");
-        // y = Q^H b, take first n entries
-        let qh = self.q.hermitian();
-        let y = qh.mul_vec(b);
-        // Back substitution on the n x n upper-triangular block of R.
-        let mut x = vec![Complex::ZERO; n];
-        for i in (0..n).rev() {
-            let rii = self.r.get(i, i);
-            if rii.norm() < eps {
-                return None;
-            }
-            let mut acc = y[i];
-            for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                acc -= self.r.get(i, j) * xj;
-            }
-            x[i] = acc / rii;
-        }
-        Some(x)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DEFAULT_EPS;
-
-    fn c(re: f64, im: f64) -> Complex {
-        Complex::new(re, im)
-    }
 
     fn random_like(rows: usize, cols: usize, seed: u64) -> CMat {
         // Small deterministic pseudo-random fill (LCG) — avoids a rand dep here.
@@ -197,37 +166,6 @@ mod tests {
                     qr.r().get(r, cidx)
                 );
             }
-        }
-    }
-
-    #[test]
-    fn least_squares_solves_exact_square_system() {
-        let a = CMat::from_rows(&[
-            vec![c(2.0, 1.0), c(0.0, -1.0)],
-            vec![c(1.0, 0.0), c(3.0, 2.0)],
-        ]);
-        let x_true = vec![c(1.0, 1.0), c(-0.5, 0.25)];
-        let b = a.mul_vec(&x_true);
-        let qr = QrDecomposition::new(&a);
-        let x = qr.solve_least_squares(&b, DEFAULT_EPS).unwrap();
-        for (xi, ti) in x.iter().zip(x_true.iter()) {
-            assert!(xi.approx_eq(*ti, 1e-10));
-        }
-    }
-
-    #[test]
-    fn least_squares_minimises_residual_for_tall_system() {
-        // Overdetermined 4x2 system; check the normal equations hold at the solution:
-        // A^H (A x - b) ~= 0.
-        let a = random_like(4, 2, 3);
-        let b: Vec<Complex> = (0..4).map(|i| c(i as f64, -(i as f64) / 2.0)).collect();
-        let qr = QrDecomposition::new(&a);
-        let x = qr.solve_least_squares(&b, DEFAULT_EPS).unwrap();
-        let ax = a.mul_vec(&x);
-        let resid: Vec<Complex> = ax.iter().zip(b.iter()).map(|(&p, &q)| p - q).collect();
-        let grad = a.hermitian().mul_vec(&resid);
-        for g in grad {
-            assert!(g.norm() < 1e-9, "normal equations violated: {g}");
         }
     }
 

@@ -150,6 +150,7 @@ impl Svd {
 
     /// Numerical rank with relative tolerance `tol` (entries below
     /// `tol * s_max` count as zero).
+    // lint: allow(unreachable-pub) — proptest_linalg and proptest_precoding keep only full-rank draws
     pub fn rank(&self, tol: f64) -> usize {
         let smax = self.s.first().copied().unwrap_or(0.0);
         if smax == 0.0 {
@@ -159,6 +160,7 @@ impl Svd {
     }
 
     /// Condition number `s_max / s_min` (infinite when rank deficient).
+    // lint: allow(unreachable-pub) — proptest_linalg and proptest_precoding skip ill-conditioned draws
     pub fn condition_number(&self) -> f64 {
         match (self.s.first(), self.s.last()) {
             (Some(&max), Some(&min)) if min > 0.0 => max / min,
@@ -167,6 +169,7 @@ impl Svd {
     }
 
     /// Reconstructs `U * diag(s) * V^H` (mainly for testing).
+    // lint: allow(unreachable-pub) — proptest_linalg::svd_reconstructs_any_shape checks the factors with it
     pub fn reconstruct(&self) -> CMat {
         let r = self.s.len();
         let mut us = self.u.clone();

@@ -24,25 +24,6 @@ impl FMat {
         }
     }
 
-    /// Builds a matrix from row vectors.
-    ///
-    /// # Panics
-    /// Panics when the rows have unequal lengths.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        let n_rows = rows.len();
-        let n_cols = rows.first().map_or(0, Vec::len);
-        let mut data = Vec::with_capacity(n_rows * n_cols);
-        for row in rows {
-            assert_eq!(row.len(), n_cols, "FMat::from_rows: ragged rows");
-            data.extend_from_slice(row);
-        }
-        FMat {
-            rows: n_rows,
-            cols: n_cols,
-            data,
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -123,6 +104,27 @@ impl FMat {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FMat {
+        /// Builds a matrix from row vectors.
+        ///
+        /// # Panics
+        /// Panics when the rows have unequal lengths.
+        fn from_rows(rows: &[Vec<f64>]) -> Self {
+            let n_rows = rows.len();
+            let n_cols = rows.first().map_or(0, Vec::len);
+            let mut data = Vec::with_capacity(n_rows * n_cols);
+            for row in rows {
+                assert_eq!(row.len(), n_cols, "FMat::from_rows: ragged rows");
+                data.extend_from_slice(row);
+            }
+            FMat {
+                rows: n_rows,
+                cols: n_cols,
+                data,
+            }
+        }
+    }
 
     #[test]
     fn from_rows_round_trips_indices() {

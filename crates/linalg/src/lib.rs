@@ -4,8 +4,7 @@
 //! reproduction.
 //!
 //! MU-MIMO precoding is built on a handful of matrix primitives: complex
-//! arithmetic, dense matrix products, Hermitian transposes, linear solves,
-//! and — most importantly for zero-forcing beamforming — the Moore–Penrose
+//! arithmetic, dense matrix products, Hermitian transposes, and — most importantly for zero-forcing beamforming — the Moore–Penrose
 //! pseudoinverse.  The reproduction deliberately avoids external math crates,
 //! so this crate implements those primitives from scratch:
 //!
@@ -14,8 +13,8 @@
 //!   arithmetic, slicing helpers and norms.
 //! * [`FMat`] — its real (`f64`) counterpart, the structure-of-arrays store
 //!   for per-link scalar state such as large-scale gains.
-//! * [`decompose`] — LU (partial pivoting), Householder QR and one-sided
-//!   Jacobi SVD factorisations.
+//! * [`decompose`] — Householder QR and one-sided Jacobi SVD
+//!   factorisations.
 //! * [`pinv`] — Moore–Penrose pseudoinverse built on the SVD.
 //!
 //! Everything is deterministic, allocation-light and sized for the small
@@ -50,10 +49,8 @@ pub mod pinv;
 
 pub use complex::Complex;
 pub use fmat::FMat;
-pub use matrix::{caxpy, cdot, CMat};
+pub use matrix::CMat;
 
-/// Convenience alias used across the workspace for real scalars.
-pub type Real = f64;
-
-/// Numerical tolerance used as the default rank / convergence threshold.
-pub const DEFAULT_EPS: f64 = 1e-12;
+/// Numerical tolerance the unit tests use as the rank threshold.
+#[cfg(test)]
+const DEFAULT_EPS: f64 = 1e-12;

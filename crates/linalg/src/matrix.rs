@@ -11,31 +11,12 @@ use crate::complex::Complex;
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-/// Complex dot product `sum_k a[k] * b[k]` (no conjugation), accumulated in
-/// ascending index order.
-///
-/// The plain left-to-right accumulation is deliberate: every caller in the
-/// simulator relies on bit-reproducible sums, so this must stay a simple
-/// ordered loop (no pairwise/tree reduction).
-///
-/// # Panics
-/// Panics when the slices differ in length.
-#[inline]
-pub fn cdot(a: &[Complex], b: &[Complex]) -> Complex {
-    assert_eq!(a.len(), b.len(), "cdot: length mismatch");
-    let mut acc = Complex::ZERO;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        acc += x * y;
-    }
-    acc
-}
-
 /// Complex axpy: `y[k] += alpha * x[k]` in place, ascending index order.
 ///
 /// # Panics
 /// Panics when the slices differ in length.
 #[inline]
-pub fn caxpy(alpha: Complex, x: &[Complex], y: &mut [Complex]) {
+fn caxpy(alpha: Complex, x: &[Complex], y: &mut [Complex]) {
     assert_eq!(x.len(), y.len(), "caxpy: length mismatch");
     for (o, &v) in y.iter_mut().zip(x.iter()) {
         *o += alpha * v;
@@ -73,6 +54,7 @@ impl CMat {
     ///
     /// # Panics
     /// Panics if `data.len() != rows * cols`.
+    // lint: allow(unreachable-pub) — proptest_linalg and proptest_precoding build random matrices with it
     pub fn from_vec(rows: usize, cols: usize, data: Vec<Complex>) -> Self {
         assert_eq!(
             data.len(),
@@ -89,6 +71,7 @@ impl CMat {
     ///
     /// # Panics
     /// Panics if the rows have differing lengths or there are no rows.
+    // lint: allow(unreachable-pub) — per_antenna_boundary builds its matrices with it
     pub fn from_rows(rows: &[Vec<Complex>]) -> Self {
         assert!(!rows.is_empty(), "CMat::from_rows: no rows supplied");
         let cols = rows[0].len();
@@ -101,35 +84,6 @@ impl CMat {
             rows: rows.len(),
             cols,
             data,
-        }
-    }
-
-    /// Creates a matrix from a real-valued row-major slice (imaginary parts zero).
-    pub fn from_real(rows: usize, cols: usize, data: &[f64]) -> Self {
-        assert_eq!(data.len(), rows * cols);
-        CMat {
-            rows,
-            cols,
-            data: data.iter().map(|&x| Complex::from_re(x)).collect(),
-        }
-    }
-
-    /// Creates a square diagonal matrix from the supplied diagonal entries.
-    pub fn from_diag(diag: &[Complex]) -> Self {
-        let n = diag.len();
-        let mut m = CMat::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m.set(i, i, d);
-        }
-        m
-    }
-
-    /// Creates a column vector (`n x 1`) from a slice.
-    pub fn col_vector(v: &[Complex]) -> Self {
-        CMat {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
         }
     }
 
@@ -147,14 +101,8 @@ impl CMat {
 
     /// Returns `(rows, cols)`.
     #[inline]
-    pub fn shape(&self) -> (usize, usize) {
+    pub(crate) fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
-    }
-
-    /// Returns `true` for a square matrix.
-    #[inline]
-    pub fn is_square(&self) -> bool {
-        self.rows == self.cols
     }
 
     /// Element accessor.
@@ -299,18 +247,8 @@ impl CMat {
         }
     }
 
-    /// Matrix–vector product `self * v` where `v` has `cols` entries.
-    pub fn mul_vec(&self, v: &[Complex]) -> Vec<Complex> {
-        assert_eq!(self.cols, v.len(), "CMat::mul_vec: dimension mismatch");
-        let mut out = vec![Complex::ZERO; self.rows];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = cdot(self.row(i), v);
-        }
-        out
-    }
-
     /// Element-wise sum.
-    pub fn add_mat(&self, rhs: &CMat) -> CMat {
+    fn add_mat(&self, rhs: &CMat) -> CMat {
         assert_eq!(self.shape(), rhs.shape(), "CMat::add_mat: shape mismatch");
         CMat {
             rows: self.rows,
@@ -325,7 +263,7 @@ impl CMat {
     }
 
     /// Element-wise difference.
-    pub fn sub_mat(&self, rhs: &CMat) -> CMat {
+    fn sub_mat(&self, rhs: &CMat) -> CMat {
         assert_eq!(self.shape(), rhs.shape(), "CMat::sub_mat: shape mismatch");
         CMat {
             rows: self.rows,
@@ -370,21 +308,13 @@ impl CMat {
         }
     }
 
-    /// Scales a single row in place by a real factor.
-    pub fn scale_row(&mut self, r: usize, w: f64) {
-        assert!(r < self.rows);
-        for c in 0..self.cols {
-            let v = self.get(r, c);
-            self.set(r, c, v.scale(w));
-        }
-    }
-
     /// Squared Frobenius norm (sum of squared magnitudes of all entries).
-    pub fn frobenius_norm_sqr(&self) -> f64 {
+    fn frobenius_norm_sqr(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum()
     }
 
     /// Frobenius norm.
+    // lint: allow(unreachable-pub) — proptest_linalg::frobenius_norm_is_subadditive checks it
     pub fn frobenius_norm(&self) -> f64 {
         self.frobenius_norm_sqr().sqrt()
     }
@@ -403,11 +333,6 @@ impl CMat {
         (0..self.rows).map(|r| self.get(r, c).norm_sqr()).sum()
     }
 
-    /// Maximum element magnitude.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().map(|z| z.norm()).fold(0.0, f64::max)
-    }
-
     /// Extracts the sub-matrix made of the given row and column indices, in
     /// the order supplied.  Used to restrict a channel matrix to the selected
     /// clients / available antennas.
@@ -422,6 +347,7 @@ impl CMat {
     }
 
     /// Checks approximate element-wise equality within an absolute tolerance.
+    // lint: allow(unreachable-pub) — proptest_linalg compares matrices with it
     pub fn approx_eq(&self, other: &CMat, tol: f64) -> bool {
         self.shape() == other.shape()
             && self
@@ -475,6 +401,15 @@ impl Mul for &CMat {
 mod tests {
     use super::*;
 
+    impl CMat {
+        /// A matrix from a real-valued row-major slice (imaginary parts zero).
+        fn from_real(rows: usize, cols: usize, data: &[f64]) -> Self {
+            assert_eq!(data.len(), rows * cols);
+            let data = data.iter().map(|&x| Complex::from_re(x)).collect();
+            CMat::from_vec(rows, cols, data)
+        }
+    }
+
     fn c(re: f64, im: f64) -> Complex {
         Complex::new(re, im)
     }
@@ -507,17 +442,6 @@ mod tests {
         assert_eq!(m.row(0), before.row(0));
         assert_eq!(m.row(1), before.row(1));
         assert!(m.row(2).iter().all(|&z| z == Complex::ZERO));
-    }
-
-    #[test]
-    fn cdot_matches_manual_accumulation() {
-        let a = [c(1.0, 2.0), c(-0.5, 0.25), c(3.0, -1.0)];
-        let b = [c(0.5, -1.5), c(2.0, 2.0), c(-1.0, 0.0)];
-        let mut acc = Complex::ZERO;
-        for k in 0..3 {
-            acc += a[k] * b[k];
-        }
-        assert_eq!(cdot(&a, &b), acc);
     }
 
     #[test]
@@ -660,17 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_vec_matches_matrix_product() {
-        let a = CMat::from_real(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let v = vec![c(1.0, 0.0), c(0.0, 1.0), c(-1.0, 0.0)];
-        let out = a.mul_vec(&v);
-        let as_mat = a.mul(&CMat::col_vector(&v));
-        assert_eq!(out.len(), 2);
-        assert!(out[0].approx_eq(as_mat.get(0, 0), 1e-12));
-        assert!(out[1].approx_eq(as_mat.get(1, 0), 1e-12));
-    }
-
-    #[test]
     fn select_extracts_submatrix() {
         let a = CMat::from_real(3, 3, &[1., 2., 3., 4., 5., 6., 7., 8., 9.]);
         let s = a.select(&[0, 2], &[1, 2]);
@@ -679,14 +592,6 @@ mod tests {
         assert_eq!(s.get(0, 1), c(3.0, 0.0));
         assert_eq!(s.get(1, 0), c(8.0, 0.0));
         assert_eq!(s.get(1, 1), c(9.0, 0.0));
-    }
-
-    #[test]
-    fn from_diag_builds_diagonal() {
-        let d = CMat::from_diag(&[c(1.0, 0.0), c(0.0, 2.0)]);
-        assert_eq!(d.get(0, 0), c(1.0, 0.0));
-        assert_eq!(d.get(1, 1), c(0.0, 2.0));
-        assert_eq!(d.get(0, 1), Complex::ZERO);
     }
 
     #[test]

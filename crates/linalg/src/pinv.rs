@@ -2,7 +2,7 @@
 //!
 //! Zero-forcing beamforming's closed-form solution is the pseudoinverse of the
 //! downlink channel matrix (paper §3.1.1: "the best precoder is the
-//! pseudoinverse of the channel matrix, H†").  Three routes are provided:
+//! pseudoinverse of the channel matrix, H†").  Two routes are provided:
 //!
 //! * [`pseudo_inverse`] — the general, rank-revealing SVD route; works for
 //!   any shape and any rank and is the fallback for degenerate inputs.
@@ -10,11 +10,8 @@
 //!   (clients ≤ antennas) channel matrices: `H† = Q R^{-H}` where
 //!   `H^H = QR`.  The diagonal of `R` doubles as the rank check, so the hot
 //!   path never pays for an SVD; this is what the precoders use.
-//! * [`right_pseudo_inverse`] — the classical `H^H (H H^H)^{-1}` formula for
-//!   full-row-rank channel matrices; used as a cross-check in tests.
 
 use crate::complex::Complex;
-use crate::decompose::lu::LuDecomposition;
 use crate::decompose::qr::QrDecomposition;
 use crate::decompose::svd::Svd;
 use crate::matrix::CMat;
@@ -101,24 +98,6 @@ pub fn qr_right_pseudo_inverse(a: &CMat, tol: f64) -> Option<CMat> {
     Some(qr.thin_q().mul(&x))
 }
 
-/// Right pseudoinverse `A^H (A A^H)^{-1}` for a full-row-rank matrix
-/// (rows ≤ cols).  Returns `None` when `A A^H` is singular.
-pub fn right_pseudo_inverse(a: &CMat, eps: f64) -> Option<CMat> {
-    let gram = a.mul(&a.hermitian());
-    let lu = LuDecomposition::new(&gram, eps);
-    let inv = lu.inverse()?;
-    Some(a.hermitian().mul(&inv))
-}
-
-/// Left pseudoinverse `(A^H A)^{-1} A^H` for a full-column-rank matrix
-/// (rows ≥ cols).  Returns `None` when `A^H A` is singular.
-pub fn left_pseudo_inverse(a: &CMat, eps: f64) -> Option<CMat> {
-    let gram = a.hermitian().mul(a);
-    let lu = LuDecomposition::new(&gram, eps);
-    let inv = lu.inverse()?;
-    Some(inv.mul(&a.hermitian()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,22 +144,6 @@ mod tests {
         let p = pseudo_inverse(&h, DEFAULT_EPS);
         assert_eq!(p.shape(), (3, 5));
         assert!(p.mul(&h).approx_eq(&CMat::identity(3), 1e-8));
-    }
-
-    #[test]
-    fn svd_and_right_formula_agree_for_full_row_rank() {
-        let h = random_like(4, 6, 7);
-        let p1 = pseudo_inverse(&h, DEFAULT_EPS);
-        let p2 = right_pseudo_inverse(&h, DEFAULT_EPS).unwrap();
-        assert!(p1.approx_eq(&p2, 1e-7));
-    }
-
-    #[test]
-    fn svd_and_left_formula_agree_for_full_col_rank() {
-        let h = random_like(6, 4, 8);
-        let p1 = pseudo_inverse(&h, DEFAULT_EPS);
-        let p2 = left_pseudo_inverse(&h, DEFAULT_EPS).unwrap();
-        assert!(p1.approx_eq(&p2, 1e-7));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! reproduction — the source-level enforcement of the invariants every
 //! measured claim in this repo rests on: bit-identical results at any
 //! thread count, no ambient randomness or wall-clock reads in
-//! result-affecting code, zero steady-state allocation in the round
-//! pipeline, `#![forbid(unsafe_code)]` everywhere, and a README knob table
-//! that matches the `MIDAS_*` variables the code actually reads.
+//! result-affecting code, no allocating call written in a round-pipeline
+//! stage body, `#![forbid(unsafe_code)]` everywhere, a README knob table
+//! that matches the `MIDAS_*` variables the code actually reads, and no
+//! `pub` item that nothing outside its own file uses.
 //!
 //! Before this crate those invariants were guarded only by runtime property
 //! tests sampling a few configurations; a regression (a `HashMap` iteration
@@ -42,10 +43,10 @@ use std::path::{Path, PathBuf};
 /// Directories never scanned: build output, vendored third-party API
 /// stand-ins (they legitimately read clocks — criterion measures time),
 /// and VCS metadata.
-pub const SKIP_DIRS: &[&str] = &["target", "vendor", ".git"];
+const SKIP_DIRS: &[&str] = &["target", "vendor", ".git"];
 
 /// Lints the workspace rooted at `root`: every `.rs` file outside
-/// [`SKIP_DIRS`], plus the README knob table.
+/// `SKIP_DIRS`, plus the README knob table.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     for path in workspace_rs_files(root)? {
@@ -65,9 +66,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     Ok(rules::lint_files(&files, readme.as_deref()))
 }
 
-/// Collects every `.rs` file under `root` (outside [`SKIP_DIRS`] and
+/// Collects every `.rs` file under `root` (outside `SKIP_DIRS` and
 /// hidden directories), sorted by path so reports are deterministic.
-pub fn workspace_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
+fn workspace_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {

@@ -38,6 +38,8 @@ pub struct Report {
     pub files_scanned: usize,
     /// Functions annotated `// lint: no_alloc` that were checked.
     pub no_alloc_fns: usize,
+    /// `pub` items `unreachable-pub` checked.
+    pub pub_items: usize,
     /// Violations (empty on a clean tree).
     pub findings: Vec<Finding>,
     /// Pragmas that suppressed a hit, with their reasons.
@@ -72,11 +74,12 @@ impl Report {
         }
         let _ = writeln!(
             out,
-            "midas-lint: {} finding{} across {} files ({} no_alloc fns, {} reasoned pragmas, {} knobs registered)",
+            "midas-lint: {} finding{} across {} files ({} no_alloc fns, {} pub items, {} reasoned pragmas, {} knobs registered)",
             self.findings.len(),
             if self.findings.len() == 1 { "" } else { "s" },
             self.files_scanned,
             self.no_alloc_fns,
+            self.pub_items,
             self.pragmas.len(),
             self.knobs_source.len(),
         );

@@ -24,16 +24,25 @@
 //! * `no-alloc-stage` — a function annotated `// lint: no_alloc` may not
 //!   call `Vec::new`/`vec!`/`Box::new`/`to_vec`/`collect`/`clone`/
 //!   `to_owned`/`to_string`/`String::new`/`format!`.  The seven round-
-//!   pipeline stage functions carry the annotation, turning the PR 6
-//!   zero-steady-state-allocation property test into a source guarantee.
+//!   pipeline stage functions carry the annotation.  The check is
+//!   token-level and cannot see into callees, so it does not make a round
+//!   allocation-free: the helpers a stage calls still allocate (ROADMAP
+//!   item 4).
 //! * `unsafe-forbidden` — every crate root must carry
 //!   `#![forbid(unsafe_code)]`.
 //! * `env-knob-registry` — every `MIDAS_*` name appearing in a source
 //!   string literal must have a row in the README knob table, and every
 //!   table row must correspond to a name actually read in source.
+//! * `unreachable-pub` — every `pub fn`/`pub const fn`/`pub const`/
+//!   `pub static` declared in the non-test code of `crates/*/src/` must be
+//!   named by the non-test code of another file.  Test code (`tests/`
+//!   directories, everything after a column-0 `#[cfg(test)]`) and
+//!   `pub use` re-exports do not count as uses.  Names are matched as bare
+//!   identifiers, so a collision can hide a finding but never invent one.
 
 use crate::report::{Finding, HonoredPragma, Report};
 use crate::scanner::{scan, Pragma, PragmaKind, Scan};
+use std::collections::BTreeSet;
 
 /// `(name, one-line description)` of every rule, meta-rules included —
 /// the source of truth for `--list-rules` and the JSON report.
@@ -61,6 +70,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "env-knob-registry",
         "every MIDAS_* env knob read in source must be in the README knob table, and vice versa",
+    ),
+    (
+        "unreachable-pub",
+        "every pub fn/const/static under crates/*/src must be named by another file's non-test code",
     ),
     (
         "malformed-pragma",
@@ -123,12 +136,37 @@ pub fn lint_files(files: &[FileInput], readme: Option<&str>) -> Report {
         files_scanned: files.len(),
         ..Report::default()
     };
+    let scans: Vec<Scan> = files.iter().map(|f| scan(&f.source)).collect();
+    // What each file's non-test code names: the uses `unreachable-pub` sees.
+    let uses: Vec<BTreeSet<&str>> = files
+        .iter()
+        .zip(&scans)
+        .map(|(file, scanned)| used_idents(&file.path, scanned))
+        .collect();
     // (knob, file, line) of the first sighting of each MIDAS_* literal.
     let mut knob_sites: Vec<(String, String, usize)> = Vec::new();
 
-    for file in files {
-        let scanned = scan(&file.source);
-        lint_one_file(file, &scanned, &mut report);
+    for (i, (file, scanned)) in files.iter().zip(&scans).enumerate() {
+        let mut candidates = Vec::new();
+        for (line, kind, name) in pub_items(&file.path, scanned) {
+            report.pub_items += 1;
+            let used_elsewhere = uses
+                .iter()
+                .enumerate()
+                .any(|(j, idents)| j != i && idents.contains(name));
+            if !used_elsewhere {
+                candidates.push(finding(
+                    "unreachable-pub",
+                    &file.path,
+                    line,
+                    format!(
+                        "`pub {kind} {name}` is not used outside `{}`: delete it, or make it private if this file uses it",
+                        file.path
+                    ),
+                ));
+            }
+        }
+        lint_one_file(file, scanned, candidates, &mut report);
         for (line, text) in &scanned.strings {
             for knob in midas_tokens(text) {
                 if !knob_sites.iter().any(|(k, _, _)| *k == knob) {
@@ -144,11 +182,15 @@ pub fn lint_files(files: &[FileInput], readme: Option<&str>) -> Report {
     report
 }
 
-/// Applies the per-file rules (everything except the env-knob registry).
-fn lint_one_file(file: &FileInput, scanned: &Scan, report: &mut Report) {
-    // Candidate findings before pragma suppression.
-    let mut candidates: Vec<Finding> = Vec::new();
-
+/// Applies the per-file rules (everything except the env-knob registry)
+/// and pragma suppression; `candidates` holds this file's cross-file
+/// findings, found before suppression.
+fn lint_one_file(
+    file: &FileInput,
+    scanned: &Scan,
+    mut candidates: Vec<Finding>,
+    report: &mut Report,
+) {
     for (idx, code) in scanned.code.iter().enumerate() {
         let line = idx + 1;
         for ident in MAP_ORDER_IDENTS {
@@ -303,6 +345,84 @@ fn is_crate_root(path: &str) -> bool {
         ["crates", _, "src", f] => *f == "lib.rs" || *f == "main.rs",
         _ => false,
     }
+}
+
+/// The 0-based index of the first column-0 `#[cfg(test)]` line: where a
+/// file's test code starts (its length when it has none).
+fn test_boundary(scanned: &Scan) -> usize {
+    scanned
+        .code
+        .iter()
+        .position(|c| c.starts_with("#[cfg(test)]"))
+        .unwrap_or(scanned.code.len())
+}
+
+/// `true` for files under a `tests/` directory: test code throughout.
+fn is_test_file(path: &str) -> bool {
+    path.split('/').any(|part| part == "tests")
+}
+
+/// The identifiers of one code line.  Lifetimes (`'a`), blanked char
+/// literals and numeric literals (`1e3f64`) are not identifiers.
+fn idents(code: &str) -> Vec<&str> {
+    code.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '\''))
+        .filter(|t| t.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+        .collect()
+}
+
+/// The identifiers a file's non-test code names, minus declaration names
+/// (the identifier after `fn`, `const` or `static`) and `pub use`
+/// statements: a re-export forwards a name, it does not use it.  Files
+/// under `tests/` name nothing.
+fn used_idents<'a>(path: &str, scanned: &'a Scan) -> BTreeSet<&'a str> {
+    let mut out = BTreeSet::new();
+    if is_test_file(path) {
+        return out;
+    }
+    let mut in_pub_use = false;
+    for code in &scanned.code[..test_boundary(scanned)] {
+        let words: Vec<&str> = code.split_whitespace().collect();
+        in_pub_use |= words.windows(2).any(|w| w == ["pub", "use"]);
+        if in_pub_use {
+            in_pub_use = !code.contains(';');
+            continue;
+        }
+        let toks = idents(code);
+        for (k, tok) in toks.iter().enumerate() {
+            if k == 0 || !matches!(toks[k - 1], "fn" | "const" | "static") {
+                out.insert(*tok);
+            }
+        }
+    }
+    out
+}
+
+/// The `pub fn`, `pub const fn`, `pub const` and `pub static` items a file
+/// declares in its non-test code, as `(1-based line, kind, name)`.  Only
+/// library sources under `crates/*/src/` are checked; `pub(crate)` (one
+/// word, so it never matches), `pub use` and types are not.
+fn pub_items<'a>(path: &str, scanned: &'a Scan) -> Vec<(usize, &'static str, &'a str)> {
+    let mut out = Vec::new();
+    let parts: Vec<&str> = path.split('/').collect();
+    if !matches!(parts[..], ["crates", _, "src", ..]) || is_test_file(path) {
+        return out;
+    }
+    for (idx, code) in scanned.code[..test_boundary(scanned)].iter().enumerate() {
+        let words: Vec<&str> = code.split_whitespace().collect();
+        for k in 0..words.len() {
+            let (kind, word) = match words[k..] {
+                ["pub", "fn", word, ..] => ("fn", word),
+                ["pub", "const", "fn", word, ..] => ("const fn", word),
+                ["pub", "const", word, ..] => ("const", word),
+                ["pub", "static", word, ..] => ("static", word),
+                _ => continue,
+            };
+            if let Some(&name) = idents(word).first() {
+                out.push((idx + 1, kind, name));
+            }
+        }
+    }
+    out
 }
 
 /// Substring search requiring non-identifier characters on both sides of

@@ -84,13 +84,14 @@ impl Scan {
 
 /// The rule names pragmas may reference, kept in one place so the scanner
 /// can reject `allow(typo-rule)` at parse time.
-pub const ALLOWABLE_RULES: &[&str] = &[
+const ALLOWABLE_RULES: &[&str] = &[
     "map-order",
     "wall-clock",
     "ambient-rng",
     "no-alloc-stage",
     "unsafe-forbidden",
     "env-knob-registry",
+    "unreachable-pub",
 ];
 
 /// Scans one file into code lines, string literals and pragmas.

@@ -281,3 +281,128 @@ fn pragma_on_its_own_line_targets_the_next_code_line() {
     assert!(report.is_clean(), "{:#?}", report.findings);
     assert_eq!(report.pragmas.len(), 1);
 }
+
+// ---------------------------------------------------------- unreachable-pub
+
+/// Lints several in-memory files together (no README): `unreachable-pub`
+/// decides across files.
+fn lint_set(files: &[(&str, &str)]) -> Report {
+    let inputs: Vec<FileInput> = files
+        .iter()
+        .map(|(path, source)| FileInput {
+            path: path.to_string(),
+            source: source.to_string(),
+        })
+        .collect();
+    lint_files(&inputs, None)
+}
+
+/// A library file whose `pub fn helper` only its own file calls.
+const LIB: &str = "pub fn entry() {\n    helper();\n}\n\npub fn helper() {}\n";
+
+/// A caller of `entry` (and nothing else) in another crate.
+const CALLER: &str = "fn run() {\n    x::entry();\n}\n";
+
+#[test]
+fn unreachable_pub_fires_on_a_fn_only_its_own_file_calls() {
+    let report = lint_set(&[
+        ("crates/x/src/util.rs", LIB),
+        ("crates/y/src/run.rs", CALLER),
+    ]);
+    let found: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "unreachable-pub")
+        .collect();
+    assert_eq!(found.len(), 1, "{:#?}", report.findings);
+    assert_eq!(
+        (found[0].file.as_str(), found[0].line),
+        ("crates/x/src/util.rs", 5)
+    );
+    assert!(
+        found[0].message.starts_with(
+            "`pub fn helper` is not used outside `crates/x/src/util.rs`: delete it, or make it private"
+        ),
+        "{}",
+        found[0].message
+    );
+}
+
+#[test]
+fn unreachable_pub_is_quiet_once_another_file_names_the_item() {
+    let user = "fn run() {\n    x::entry();\n    let f = x::helper;\n}\n";
+    let report = lint_set(&[("crates/x/src/util.rs", LIB), ("crates/y/src/run.rs", user)]);
+    assert!(report.is_clean(), "{:#?}", report.findings);
+    assert_eq!(report.pub_items, 2);
+}
+
+#[test]
+fn tests_comments_strings_and_reexports_are_not_uses() {
+    let in_cfg_test =
+        "fn run() {\n    x::entry();\n}\n\n#[cfg(test)]\nmod tests {\n    fn t() {\n        x::helper();\n    }\n}\n";
+    let in_comment = "fn run() {\n    x::entry(); // x::helper() is documented only\n}\n";
+    let in_string = "fn run() {\n    x::entry();\n    let s = \"helper\";\n}\n";
+    let reexport = "pub use crate::util::{\n    entry,\n    helper,\n};\n";
+    for (path, other) in [
+        ("crates/y/src/run.rs", in_cfg_test),
+        (
+            "crates/y/tests/it.rs",
+            "fn t() {\n    x::entry();\n    x::helper();\n}\n",
+        ),
+        ("crates/y/src/run.rs", in_comment),
+        ("crates/y/src/run.rs", in_string),
+        ("crates/x/src/lib.rs", reexport),
+    ] {
+        let report = lint_set(&[
+            ("crates/x/src/util.rs", LIB),
+            (path, other),
+            ("src/cli.rs", "fn f() {\n    x::entry();\n}\n"),
+        ]);
+        assert!(
+            report
+                .findings
+                .iter()
+                .any(|f| f.rule == "unreachable-pub" && f.line == 5),
+            "{path} counted as a use of `helper`:\n{other}"
+        );
+    }
+}
+
+#[test]
+fn crate_private_items_and_types_are_not_checked() {
+    let lib = "pub(crate) fn inner() {}\npub struct Shape;\npub(crate) const K: u32 = 1;\n";
+    let report = lint_set(&[("crates/x/src/util.rs", lib)]);
+    assert!(report.is_clean(), "{:#?}", report.findings);
+    assert_eq!(report.pub_items, 0);
+}
+
+#[test]
+fn perfbench_declarations_are_not_checked_but_its_uses_count() {
+    let bench = "pub fn report() {}\nfn run() {\n    x::helper();\n    report();\n}\n";
+    let lib = "pub fn helper() {}\n";
+    let report = lint_set(&[
+        ("crates/x/src/util.rs", lib),
+        ("perfbench/src/sim.rs", bench),
+    ]);
+    assert!(report.is_clean(), "{:#?}", report.findings);
+    assert_eq!(report.pub_items, 1);
+}
+
+#[test]
+fn unreachable_pub_pragma_suppresses_and_a_stale_one_is_flagged() {
+    let allowed = "pub fn entry() {}\n\n// lint: allow(unreachable-pub) — it_helper.rs checks it\npub fn helper() {}\n";
+    let report = lint_set(&[("crates/x/src/util.rs", allowed), ("src/cli.rs", CALLER)]);
+    assert!(report.is_clean(), "{:#?}", report.findings);
+    assert_eq!(report.pragmas.len(), 1);
+    assert_eq!(report.pragmas[0].rule, "unreachable-pub");
+    assert_eq!(report.pragmas[0].reason, "it_helper.rs checks it");
+
+    // The same allow on an item another file uses suppresses nothing.
+    let stale = "// lint: allow(unreachable-pub) — stale: cli.rs calls it\npub fn entry() {}\n";
+    assert_single(
+        &lint_set(&[("crates/x/src/util.rs", stale), ("src/cli.rs", CALLER)]),
+        "unused-pragma",
+        "crates/x/src/util.rs",
+        1,
+    );
+}

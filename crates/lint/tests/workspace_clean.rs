@@ -3,8 +3,9 @@
 //!
 //! Running this under plain `cargo test` makes the lint part of tier-1:
 //! a `HashMap` sneaking into a result path, a stray `Instant::now`, an
-//! allocation in a pipeline stage, a dropped `#![forbid(unsafe_code)]`, or
-//! a README knob-table drift fails the build locally, not just in CI.
+//! allocation in a pipeline stage, a dropped `#![forbid(unsafe_code)]`, a
+//! README knob-table drift, or a `pub` item nothing else uses fails the
+//! build locally, not just in CI.
 
 use midas_lint::lint_workspace;
 use std::path::Path;
@@ -43,6 +44,14 @@ fn the_scan_covers_the_whole_workspace() {
         report.no_alloc_fns >= 8,
         "expected at least the 8 annotated hot-path functions, saw {}",
         report.no_alloc_fns
+    );
+    // `unreachable-pub` checks every `pub fn`/`const`/`static` of the
+    // library sources: 506 at the time of writing.  Far fewer means the
+    // declaration scan broke and the rule is vacuous.
+    assert!(
+        report.pub_items >= 506,
+        "expected at least 506 checked pub items, saw {}",
+        report.pub_items
     );
     // Every honored pragma carries a written reason (the scanner rejects
     // reasonless allows, so this is a belt-and-braces re-check).

@@ -8,7 +8,7 @@
 //! are left out of this MU-MIMO transmission.
 
 use crate::carrier_sense::CarrierSense;
-use crate::timing::{MicroSeconds, DIFS_US};
+use crate::timing::MicroSeconds;
 
 /// The outcome of opportunistic antenna selection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,11 +30,6 @@ impl AntennaSelection {
     /// Whether no antenna was selected.
     pub fn is_empty(&self) -> bool {
         self.antennas.is_empty()
-    }
-
-    /// The primary antenna (the one that won channel access), if any.
-    pub fn primary(&self) -> Option<usize> {
-        self.antennas.first().copied()
     }
 }
 
@@ -71,24 +66,12 @@ pub fn select_opportunistic(
     }
 }
 
-/// The selection the paper's default MIDAS MAC performs: wait up to one DIFS.
-pub fn select_with_difs_wait(
-    cs: &CarrierSense,
-    primary: usize,
-    now: MicroSeconds,
-) -> AntennaSelection {
-    select_opportunistic(cs, primary, now, DIFS_US)
-}
-
-/// The non-opportunistic alternative (ablation): use only the antennas that
-/// are idle right now.
-pub fn select_idle_only(cs: &CarrierSense, primary: usize, now: MicroSeconds) -> AntennaSelection {
-    select_opportunistic(cs, primary, now, 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One DIFS (SIFS + 2 slots = 16 + 2·9 µs): the window MIDAS waits.
+    const DIFS_US: MicroSeconds = 34;
 
     fn cs_with_busy(busy: &[(usize, MicroSeconds)]) -> CarrierSense {
         let mut cs = CarrierSense::new(4, -82.0);
@@ -101,9 +84,9 @@ mod tests {
     #[test]
     fn all_idle_antennas_join_immediately() {
         let cs = cs_with_busy(&[]);
-        let sel = select_with_difs_wait(&cs, 2, 1_000);
+        let sel = select_opportunistic(&cs, 2, 1_000, DIFS_US);
         assert_eq!(sel.len(), 4);
-        assert_eq!(sel.primary(), Some(2));
+        assert_eq!(sel.antennas[0], 2);
         assert_eq!(sel.start_time, 1_000);
     }
 
@@ -112,7 +95,7 @@ mod tests {
         // Antenna 1 busy until now+20 (< DIFS=34), antenna 3 busy until now+10_000.
         let now = 1_000;
         let cs = cs_with_busy(&[(1, now + 20), (3, now + 10_000)]);
-        let sel = select_with_difs_wait(&cs, 0, now);
+        let sel = select_opportunistic(&cs, 0, now, DIFS_US);
         assert_eq!(sel.antennas, vec![0, 2, 1]);
         assert_eq!(sel.start_time, now + 20);
         assert!(!sel.antennas.contains(&3));
@@ -122,7 +105,7 @@ mod tests {
     fn idle_only_selection_skips_soon_to_expire_antennas() {
         let now = 1_000;
         let cs = cs_with_busy(&[(1, now + 20)]);
-        let sel = select_idle_only(&cs, 0, now);
+        let sel = select_opportunistic(&cs, 0, now, 0);
         assert_eq!(sel.antennas, vec![0, 2, 3]);
         assert_eq!(sel.start_time, now);
     }
@@ -131,7 +114,7 @@ mod tests {
     fn antenna_busy_beyond_the_window_is_excluded() {
         let now = 500;
         let cs = cs_with_busy(&[(2, now + DIFS_US + 1)]);
-        let sel = select_with_difs_wait(&cs, 0, now);
+        let sel = select_opportunistic(&cs, 0, now, DIFS_US);
         assert!(!sel.antennas.contains(&2));
         // A custom, longer window picks it up.
         let sel_wide = select_opportunistic(&cs, 0, now, DIFS_US + 10);
@@ -143,7 +126,7 @@ mod tests {
     fn primary_is_always_first_even_if_others_free_earlier() {
         let now = 100;
         let cs = cs_with_busy(&[]);
-        let sel = select_with_difs_wait(&cs, 3, now);
+        let sel = select_opportunistic(&cs, 3, now, DIFS_US);
         assert_eq!(sel.antennas[0], 3);
         assert_eq!(sel.len(), 4);
     }

@@ -29,11 +29,6 @@ impl DrrScheduler {
         self.deficits.len()
     }
 
-    /// Current deficit of a client (µs of pending service).
-    pub fn deficit(&self, client: usize) -> f64 {
-        self.deficits[client]
-    }
-
     /// Picks, among `candidates`, the client with the largest deficit counter.
     /// Ties are broken by the lower client index for determinism.  Returns
     /// `None` when the candidate list is empty.
@@ -69,13 +64,6 @@ impl DrrScheduler {
         }
     }
 
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        for d in &mut self.deficits {
-            *d = 0.0;
-        }
-    }
-
     /// Restarts the scheduler for a new client population of `num_clients`
     /// in place — equal to `DrrScheduler::new(num_clients)`, but keeping the
     /// counter buffer.
@@ -100,8 +88,8 @@ mod tests {
         s.update_after_txop(&[1], &[2, 3], 1_000);
         // Client 1 now has -1000, clients 2 and 3 have +500 each.
         assert_eq!(s.select(&[1, 2, 3]), Some(2));
-        assert!(s.deficit(1) < 0.0);
-        assert!((s.deficit(2) - 500.0).abs() < 1e-9);
+        assert!(s.deficits[1] < 0.0);
+        assert!((s.deficits[2] - 500.0).abs() < 1e-9);
         assert_eq!(s.select(&[]), None);
     }
 
@@ -121,13 +109,13 @@ mod tests {
         let mut s = DrrScheduler::new(5);
         // n = 2 served, m = 3 backlogged-unserved, T = 3000.
         s.update_after_txop(&[0, 1], &[2, 3, 4], 3_000);
-        assert!((s.deficit(0) + 3_000.0).abs() < 1e-9);
-        assert!((s.deficit(1) + 3_000.0).abs() < 1e-9);
+        assert!((s.deficits[0] + 3_000.0).abs() < 1e-9);
+        assert!((s.deficits[1] + 3_000.0).abs() < 1e-9);
         for c in 2..5 {
-            assert!((s.deficit(c) - 2_000.0).abs() < 1e-9, "client {c}");
+            assert!((s.deficits[c] - 2_000.0).abs() < 1e-9, "client {c}");
         }
         // Total service is conserved: sum of deficits stays zero.
-        let sum: f64 = (0..5).map(|c| s.deficit(c)).sum();
+        let sum: f64 = (0..5).map(|c| s.deficits[c]).sum();
         assert!(sum.abs() < 1e-9);
     }
 
@@ -135,8 +123,8 @@ mod tests {
     fn no_unserved_clients_means_no_credit() {
         let mut s = DrrScheduler::new(2);
         s.update_after_txop(&[0, 1], &[], 1_000);
-        assert!((s.deficit(0) + 1_000.0).abs() < 1e-9);
-        assert!((s.deficit(1) + 1_000.0).abs() < 1e-9);
+        assert!((s.deficits[0] + 1_000.0).abs() < 1e-9);
+        assert!((s.deficits[1] + 1_000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -166,15 +154,5 @@ mod tests {
             max / min < 1.05,
             "long-run service counts too unequal: {served_count:?}"
         );
-    }
-
-    #[test]
-    fn reset_zeroes_counters() {
-        let mut s = DrrScheduler::new(3);
-        s.update_after_txop(&[0], &[1, 2], 500);
-        s.reset();
-        for c in 0..3 {
-            assert_eq!(s.deficit(c), 0.0);
-        }
     }
 }

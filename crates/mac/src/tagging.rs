@@ -91,15 +91,9 @@ impl TagTable {
     }
 
     /// Antennas tagged for `client`, strongest first.
-    pub fn tags_of(&self, client: usize) -> &[usize] {
+    fn tags_of(&self, client: usize) -> &[usize] {
         assert!(client < self.clients, "client {client} not in the table");
         &self.tags[client * self.width..(client + 1) * self.width]
-    }
-
-    /// Full antenna preference order for `client`, strongest first.
-    pub fn preference_of(&self, client: usize) -> &[usize] {
-        assert!(client < self.clients, "client {client} not in the table");
-        &self.preferences[client * self.antennas..(client + 1) * self.antennas]
     }
 
     /// Whether `client`'s packets may ride on `antenna`.
@@ -121,13 +115,6 @@ impl TagTable {
             .iter()
             .copied()
             .filter(|&c| self.eligible(c, available_antennas))
-            .collect()
-    }
-
-    /// Clients tagged to a specific antenna (used by per-antenna client selection).
-    pub fn clients_tagged_to(&self, antenna: usize) -> Vec<usize> {
-        (0..self.num_clients())
-            .filter(|&c| self.is_tagged(c, antenna))
             .collect()
     }
 }
@@ -160,8 +147,8 @@ mod tests {
     #[test]
     fn preference_is_a_full_ordering() {
         let t = TagTable::from_rssi(&rssi_fixture(), 2);
-        assert_eq!(t.preference_of(0), &[0, 3, 1, 2]);
-        assert_eq!(t.preference_of(2), &[2, 1, 3, 0]);
+        assert_eq!(&t.preferences[0..4], &[0, 3, 1, 2]);
+        assert_eq!(&t.preferences[8..12], &[2, 1, 3, 0]);
     }
 
     #[test]
@@ -206,13 +193,6 @@ mod tests {
             assert_eq!(t.tags_of(c).len(), 4);
             assert!(t.eligible(c, &[1]));
         }
-    }
-
-    #[test]
-    fn clients_tagged_to_inverts_the_mapping() {
-        let t = TagTable::from_rssi(&rssi_fixture(), 2);
-        assert_eq!(t.clients_tagged_to(0), vec![0, 3]);
-        assert_eq!(t.clients_tagged_to(2), vec![1, 2]);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! semantics bit-for-bit; the property tests in
 //! `crates/net/tests/proptest_capture.rs` pin that equivalence, and the
 //! calibrated `Physical` defaults come from the
-//! `midas::experiment::fig16_calibration` grid sweep.
+//! `midas::sim::ExperimentSpec::Fig16Calibration` grid sweep.
 
 use crate::contention::ContentionGraph;
 use midas_channel::shadowing::Shadowing;
@@ -92,7 +92,7 @@ impl PhysicalConfig {
     /// The environment the *sensing* decisions run in: the data environment
     /// with this config's CS threshold (and sensing shadowing spread, when
     /// set) substituted.
-    pub fn sensing_environment(&self, env: Environment) -> Environment {
+    fn sensing_environment(&self, env: Environment) -> Environment {
         let mut sensing = env;
         sensing.carrier_sense_dbm = self.cs_threshold_dbm;
         if let Some(sigma) = self.sensing_sigma_db {
@@ -109,19 +109,13 @@ impl PhysicalConfig {
         ContentionGraph::new(self.sensing_environment(env), seed)
     }
 
-    /// Minimum expected SINR (dB) at which a transmitter sends at all: the
-    /// lowest VHT MCS decode threshold plus the capture margin (rate
-    /// adaptation refuses links without that much headroom).
-    pub fn capture_threshold_db(&self) -> f64 {
-        VHT_MCS_TABLE[0].min_sinr_db + self.capture_margin_db
-    }
-
     /// The VHT MCS rate adaptation selects from the *expected*
     /// (interference-free) SINR: the highest MCS whose decode threshold it
     /// clears by the capture margin, so every transmitted stream carries at
     /// least `capture_margin_db` of headroom against interference it cannot
     /// foresee.  `None` when even MCS 0 lacks the margin — the link is too
     /// weak to transmit on.
+    // lint: allow(unreachable-pub) — proptest_capture checks that capture is monotone through it
     pub fn select_mcs(&self, expected_sinr_db: f64) -> Option<McsEntry> {
         VHT_MCS_TABLE
             .iter()
@@ -231,9 +225,9 @@ mod tests {
             capture_margin_db: 4.0,
             sensing_sigma_db: None,
         };
-        assert_eq!(p.capture_threshold_db(), VHT_MCS_TABLE[0].min_sinr_db + 4.0);
-        assert!(p.select_mcs(p.capture_threshold_db()).is_some());
-        assert!(p.select_mcs(p.capture_threshold_db() - 1e-9).is_none());
+        let threshold_db = VHT_MCS_TABLE[0].min_sinr_db + 4.0;
+        assert!(p.select_mcs(threshold_db).is_some());
+        assert!(p.select_mcs(threshold_db - 1e-9).is_none());
     }
 
     #[test]

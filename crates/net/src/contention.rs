@@ -35,18 +35,6 @@ impl ContentionGraph {
         }
     }
 
-    /// Creates the helper with an explicit energy-detect threshold instead of
-    /// the environment's CCA preset — the physical contention model
-    /// (`crate::capture`) sweeps this during the Fig. 16 calibration.  The
-    /// frozen shadowing field is untouched, so two graphs over the same
-    /// `(env, seed)` differ only in where they cut the same received powers.
-    pub fn with_threshold(env: Environment, threshold_dbm: f64, seed: u64) -> Self {
-        ContentionGraph {
-            threshold_dbm,
-            model: ChannelModel::new(env, seed),
-        }
-    }
-
     /// The energy-detect threshold (dBm) sensing decisions compare against.
     pub fn threshold_dbm(&self) -> f64 {
         self.threshold_dbm
@@ -54,14 +42,8 @@ impl ContentionGraph {
 
     /// Whether a receiver at `rx` senses a single transmitter at `tx`
     /// (large-scale received power above the carrier-sense threshold).
-    pub fn can_sense(&self, tx: &Point, rx: &Point) -> bool {
+    pub(crate) fn can_sense(&self, tx: &Point, rx: &Point) -> bool {
         self.model.large_scale_rx_power_dbm(tx, rx) >= self.threshold_dbm
-    }
-
-    /// Sensing decision based on the distance-only mean path loss (no
-    /// shadowing); used for deterministic range arguments.
-    pub fn can_sense_mean(&self, tx: &Point, rx: &Point) -> bool {
-        self.model.mean_rx_power_dbm(tx, rx) >= self.threshold_dbm
     }
 
     /// Whether a single antenna position senses the *aggregate* energy of the
@@ -105,7 +87,7 @@ impl ContentionGraph {
 
     /// Whether any antenna of AP `a` can sense any antenna of AP `b` in the
     /// given topology (i.e. the two APs share a contention domain).
-    pub fn aps_share_domain(&self, topo: &Topology, a: usize, b: usize) -> bool {
+    fn aps_share_domain(&self, topo: &Topology, a: usize, b: usize) -> bool {
         topo.aps[a].antennas.iter().any(|ta| {
             topo.aps[b]
                 .antennas
@@ -114,14 +96,8 @@ impl ContentionGraph {
         })
     }
 
-    /// Number of other APs that AP `a` can overhear (any-antenna-to-any-antenna).
-    pub fn overheard_count(&self, topo: &Topology, a: usize) -> usize {
-        (0..topo.aps.len())
-            .filter(|&b| b != a && self.aps_share_domain(topo, a, b))
-            .count()
-    }
-
     /// Adjacency matrix of the AP contention graph.
+    // lint: allow(unreachable-pub) — proptest_capture compares contention graphs through it
     pub fn ap_adjacency(&self, topo: &Topology) -> Vec<Vec<bool>> {
         let n = topo.aps.len();
         (0..n)
@@ -133,10 +109,11 @@ impl ContentionGraph {
             .collect()
     }
 
-    /// Range-limited [`ContentionGraph::aps_share_domain`]: antenna pairs
+    /// Range-limited `ContentionGraph::aps_share_domain`: antenna pairs
     /// farther apart than `cutoff_m` are treated as unable to sense each
     /// other (receiver sensitivity floor).  Reference semantics for
     /// [`ContentionGraph::ap_adjacency_indexed`].
+    // lint: allow(unreachable-pub) — proptest_scale checks ap_adjacency_indexed against it
     pub fn aps_share_domain_within(
         &self,
         topo: &Topology,
@@ -205,8 +182,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         assert!(g.can_sense(&a, &Point::new(5.0, 0.0)));
         assert!(!g.can_sense(&a, &Point::new(200.0, 0.0)));
-        assert!(g.can_sense_mean(&a, &Point::new(5.0, 0.0)));
-        assert!(!g.can_sense_mean(&a, &Point::new(200.0, 0.0)));
     }
 
     #[test]
@@ -242,11 +217,6 @@ mod tests {
             for (b, &reaches) in row.iter().enumerate() {
                 assert_eq!(reaches, adj[b][a]);
             }
-        }
-        // Overheard count is consistent with the adjacency matrix.
-        for (a, row) in adj.iter().enumerate() {
-            let expect = row.iter().filter(|&&x| x).count();
-            assert_eq!(g.overheard_count(&topo, a), expect);
         }
     }
 

@@ -25,16 +25,8 @@ pub struct CoverageMap {
 
 impl CoverageMap {
     /// Number of dead spots.
-    pub fn dead_spots(&self) -> usize {
+    fn dead_spots(&self) -> usize {
         self.dead.iter().filter(|&&d| d).count()
-    }
-
-    /// Fraction of sampled spots that are dead.
-    pub fn dead_fraction(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.dead_spots() as f64 / self.points.len() as f64
     }
 }
 
@@ -43,7 +35,7 @@ impl CoverageMap {
 /// A spot is covered if the best (strongest) antenna's sampled SNR at that
 /// spot is at least the environment's coverage threshold; the sample includes
 /// shadowing and fading, mirroring the paper's measurement-based maps.
-pub fn coverage_map(
+fn coverage_map(
     ap: &Deployment,
     region: &Rect,
     env: &Environment,
@@ -134,7 +126,7 @@ mod tests {
         let map = coverage_map(&pair.das.aps[0], &region, &env, &mut model, 0.5);
         assert_eq!(map.points.len(), map.dead.len());
         assert_eq!(map.points.len(), 21 * 21);
-        assert!(map.dead_fraction() <= 1.0);
+        assert!(map.dead_spots() <= map.points.len());
     }
 
     #[test]

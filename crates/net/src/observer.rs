@@ -185,6 +185,7 @@ impl RunningSummary {
     }
 
     /// Total concurrent streams across all rounds.
+    // lint: allow(unreachable-pub) — proptest_observer checks the running sums against the per-round records
     pub fn streams_sum(&self) -> usize {
         self.streams_sum
     }

@@ -392,7 +392,7 @@ mod tests {
             .expect("valid grid");
         assert_eq!(topo.aps.len(), 9);
         assert_eq!(topo.clients.len(), 9 * grid.clients_per_ap);
-        assert_eq!(topo.total_antennas(), 36);
+        assert!(topo.aps.iter().all(|ap| ap.num_antennas() == 4));
         for c in &topo.clients {
             assert!(topo.region.contains(&c.position));
             // Nearest-AP association: no other AP is strictly closer.

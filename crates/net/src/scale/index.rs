@@ -201,6 +201,7 @@ impl SpatialIndex {
     /// Reference implementation of [`SpatialIndex::neighbors_within`]: a
     /// linear scan over the insertion list.  Used by the equivalence property
     /// tests and usable by callers that want the brute-force path explicitly.
+    // lint: allow(unreachable-pub) — proptest_scale checks neighbors_within against it
     pub fn brute_force_within(points: &[Point], p: &Point, radius: f64) -> Vec<usize> {
         points
             .iter()

@@ -2,8 +2,8 @@
 //!
 //! Each scenario bundles a floor grid, a propagation environment, an
 //! antenna-placement config and an association policy into one reproducible
-//! recipe, parameterised only by AP count and seed.  The experiment runner
-//! (`midas::experiment::enterprise_scaling`) sweeps these through
+//! recipe, parameterised only by AP count and seed.  The experiment spec
+//! (`midas::sim::ExperimentSpec::EnterpriseScaling`) sweeps these through
 //! `SeedSweep`, and the `enterprise_scaling` bench target emits the series
 //! through the figure sinks.
 
@@ -64,6 +64,7 @@ impl Scenario {
     /// Auditorium with `aps` APs: tighter 14 m spacing, the audience packed
     /// into a few hotspots, antenna-aware association (the DAS antennas
     /// reach into the crowd).
+    // lint: allow(unreachable-pub) — proptest_scale and proptest_observer build this floor directly
     pub fn auditorium(aps: usize) -> Self {
         Scenario {
             kind: ScenarioKind::Auditorium,
@@ -83,6 +84,7 @@ impl Scenario {
     /// Dense apartment floor with `aps` APs: 12 m spacing, heavy wall
     /// attenuation (0.8 dB/m on the Office-B base), clients in the
     /// corridors, conventional nearest-AP association.
+    // lint: allow(unreachable-pub) — proptest_scale, proptest_observer and enterprise_determinism build this floor directly
     pub fn dense_apartment(aps: usize) -> Self {
         Scenario {
             kind: ScenarioKind::DenseApartment,
@@ -152,7 +154,7 @@ impl Scenario {
     /// same over-deployment regime behind the Fig. 16 fidelity gap tracked
     /// in the ROADMAP.  Keeping antennas inside ~45 % of the AP spacing
     /// restores spatial reuse at enterprise density.
-    pub fn topology_config(&self) -> TopologyConfig {
+    fn topology_config(&self) -> TopologyConfig {
         paper_das_config_dense(
             &self.environment(),
             4,

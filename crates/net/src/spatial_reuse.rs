@@ -38,7 +38,7 @@ impl SpatialReuseResult {
 ///
 /// `first_ap_streams` limits how many antennas the first AP activates
 /// (the paper randomises this between 1 and the antenna count).
-pub fn count_simultaneous_streams(
+fn count_simultaneous_streams(
     topo: &Topology,
     graph: &ContentionGraph,
     first_ap_streams: usize,

@@ -300,7 +300,7 @@ impl Diurnal {
     }
 
     /// The offered duty at `round`: a raised cosine through the day.
-    pub fn duty_at(&self, round: usize) -> f64 {
+    fn duty_at(&self, round: usize) -> f64 {
         let phase = (round % self.day_rounds) as f64 / self.day_rounds as f64;
         let mid = 0.5 * (self.low_duty + self.high_duty);
         let amp = 0.5 * (self.high_duty - self.low_duty);
@@ -370,7 +370,7 @@ impl FlashCrowd {
     }
 
     /// Whether `round` falls inside a flash event.
-    pub fn in_flash(&self, round: usize) -> bool {
+    fn in_flash(&self, round: usize) -> bool {
         let epoch = round / self.flash_every_rounds;
         // An event jittered late in epoch k-1 can spill into epoch k.
         for k in epoch.saturating_sub(1)..=epoch {
@@ -444,11 +444,6 @@ impl Churn {
             ),
             inner,
         }
-    }
-
-    /// Whether the client is attached (present on the floor) in `round`.
-    pub fn is_attached(&self, ap_id: usize, client: usize, round: usize) -> bool {
-        self.presence.is_on(ap_id, client, round)
     }
 }
 
@@ -773,7 +768,10 @@ mod tests {
         for round in 0..400 {
             let backlogged = churn.backlogged(0, 8, round);
             for &c in &backlogged {
-                assert!(churn.is_attached(0, c, round), "round {round} client {c}");
+                assert!(
+                    churn.presence.is_on(0, c, round),
+                    "round {round} client {c}"
+                );
             }
             attached_total += backlogged.len();
         }

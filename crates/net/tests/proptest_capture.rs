@@ -45,8 +45,12 @@ proptest! {
         let env = env_for(env_sel);
         let mut rng = SimRng::new(seed);
         let pair = PairedTopology::three_ap(&paper_das_config(&env, 4, 4), &mut rng);
-        let strict = ContentionGraph::with_threshold(env, low_dbm, seed);
-        let lax = ContentionGraph::with_threshold(env, low_dbm + delta_db, seed);
+        let sensing = |cs_threshold_dbm| {
+            PhysicalConfig { cs_threshold_dbm, sensing_sigma_db: None, ..PhysicalConfig::calibrated() }
+                .sensing_graph(env, seed)
+        };
+        let strict = sensing(low_dbm);
+        let lax = sensing(low_dbm + delta_db);
         prop_assert_eq!(strict.threshold_dbm(), low_dbm);
         for topo in [&pair.cas, &pair.das] {
             let dense = strict.ap_adjacency(topo);
@@ -102,7 +106,6 @@ proptest! {
             }
             (None, Some(_)) => prop_assert!(false, "wider margin cannot unlock a link"),
         }
-        prop_assert!(wider.capture_threshold_db() >= p.capture_threshold_db());
     }
 
     /// `ContentionModel::Graph` reproduces the legacy contention graph

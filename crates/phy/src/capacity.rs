@@ -11,11 +11,6 @@ pub fn shannon_capacity_bps_hz(sinr_linear: f64) -> f64 {
     (1.0 + sinr_linear.max(0.0)).log2()
 }
 
-/// Shannon capacity for an SINR given in dB.
-pub fn shannon_capacity_from_db(sinr_db: f64) -> f64 {
-    shannon_capacity_bps_hz(10f64.powf(sinr_db / 10.0))
-}
-
 /// Sum capacity (bit/s/Hz) of a MU-MIMO transmission described by an SINR matrix.
 pub fn sum_capacity(s: &SinrMatrix) -> f64 {
     s.sinrs().into_iter().map(shannon_capacity_bps_hz).sum()
@@ -38,14 +33,6 @@ mod tests {
         assert!((shannon_capacity_bps_hz(0.0) - 0.0).abs() < 1e-12);
         // Negative SINR (impossible physically) is clamped instead of NaN.
         assert_eq!(shannon_capacity_bps_hz(-0.5), 0.0);
-    }
-
-    #[test]
-    fn db_and_linear_forms_agree() {
-        for &db in &[-10.0, 0.0, 10.0, 20.0, 30.0] {
-            let lin = 10f64.powf(db / 10.0);
-            assert!((shannon_capacity_from_db(db) - shannon_capacity_bps_hz(lin)).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The paper reports capacity directly from SINR via the Shannon formula, but
 //! a practical 802.11ac AP quantises the rate to one of the VHT MCS levels.
-//! This module provides that mapping so the examples and the MAC simulator
-//! can also report realistic PHY data rates.  SNR thresholds are the common
+//! This module provides the table; the physical contention model's rate
+//! adaptation (`midas_net::capture::PhysicalConfig::select_mcs`) selects
+//! from it.  SNR thresholds are the common
 //! "waterfall" operating points used in rate-vs-range studies (they are not
 //! standardised; vendors differ by a dB or two).
 
@@ -90,28 +91,6 @@ pub const VHT_MCS_TABLE: [McsEntry; 9] = [
     },
 ];
 
-/// Highest MCS sustainable at the given SINR, or `None` when even MCS 0 cannot
-/// be decoded (the client is in a dead zone for data).
-pub fn select_mcs(sinr_db: f64) -> Option<McsEntry> {
-    VHT_MCS_TABLE
-        .iter()
-        .rev()
-        .find(|e| sinr_db >= e.min_sinr_db)
-        .copied()
-}
-
-/// PHY data rate (Mb/s) at the given SINR: the selected MCS rate or 0 when no
-/// MCS is decodable.
-pub fn rate_mbps(sinr_db: f64) -> f64 {
-    select_mcs(sinr_db).map_or(0.0, |e| e.rate_mbps)
-}
-
-/// Scales a single-stream MCS rate to `num_streams` spatial streams
-/// (802.11ac rates scale linearly with streams).
-pub fn rate_mbps_streams(sinr_db: f64, num_streams: usize) -> f64 {
-    rate_mbps(sinr_db) * num_streams as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,37 +102,5 @@ mod tests {
             assert!(w[1].min_sinr_db > w[0].min_sinr_db);
             assert_eq!(w[1].index, w[0].index + 1);
         }
-    }
-
-    #[test]
-    fn low_sinr_gets_no_mcs() {
-        assert!(select_mcs(-3.0).is_none());
-        assert_eq!(rate_mbps(-3.0), 0.0);
-    }
-
-    #[test]
-    fn selection_picks_highest_sustainable_mcs() {
-        let e = select_mcs(16.0).unwrap();
-        assert_eq!(e.index, 4);
-        let e = select_mcs(35.0).unwrap();
-        assert_eq!(e.index, 8);
-        let e = select_mcs(2.0).unwrap();
-        assert_eq!(e.index, 0);
-    }
-
-    #[test]
-    fn rate_is_monotone_in_sinr() {
-        let mut prev = -1.0;
-        for db in (-5..40).map(|x| x as f64) {
-            let r = rate_mbps(db);
-            assert!(r >= prev);
-            prev = r;
-        }
-    }
-
-    #[test]
-    fn multi_stream_rate_scales_linearly() {
-        assert!((rate_mbps_streams(20.0, 4) - 4.0 * rate_mbps(20.0)).abs() < 1e-12);
-        assert_eq!(rate_mbps_streams(-10.0, 4), 0.0);
     }
 }

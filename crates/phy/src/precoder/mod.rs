@@ -83,13 +83,6 @@ impl Precoding {
             iterations,
         }
     }
-
-    /// Per-client SINRs in dB.
-    pub fn sinr_db(&self) -> Vec<f64> {
-        (0..self.sinr.num_clients())
-            .map(|j| self.sinr.sinr_db(j))
-            .collect()
-    }
 }
 
 /// Common interface of all precoders.

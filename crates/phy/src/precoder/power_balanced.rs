@@ -48,15 +48,6 @@ impl Default for PowerBalancedPrecoder {
 }
 
 impl PowerBalancedPrecoder {
-    /// Creates a precoder with a custom minimum stream weight.
-    pub fn with_min_weight(min_weight: f64) -> Self {
-        assert!((0.0..1.0).contains(&min_weight));
-        PowerBalancedPrecoder {
-            min_weight,
-            ..Default::default()
-        }
-    }
-
     /// Reverse water-filling for one violating row (paper Eqn. 7–9).
     ///
     /// * `row_powers[j] = |v_{k*,j}|^2` — power stream `j` currently places on
@@ -330,7 +321,10 @@ mod tests {
 
     #[test]
     fn reverse_waterfill_handles_tiny_budget_with_floor() {
-        let p = PowerBalancedPrecoder::with_min_weight(0.05);
+        let p = PowerBalancedPrecoder {
+            min_weight: 0.05,
+            ..Default::default()
+        };
         let w = p.reverse_waterfill(&[1.0, 1.0], &[10.0, 10.0], 1e-9);
         assert!(w.iter().all(|&x| (x - 0.05).abs() < 1e-12));
     }
@@ -340,7 +334,7 @@ mod tests {
         for (antennas, clients, seed) in [(2usize, 2usize, 1u64), (4, 2, 2), (4, 3, 3)] {
             let ch = channel(DeploymentKind::Das, antennas, clients, 8000 + seed);
             let out = PowerBalancedPrecoder::default().precode(&ch.h, ch.tx_power_mw, ch.noise_mw);
-            assert_eq!(out.v.shape(), (antennas, clients));
+            assert_eq!((out.v.rows(), out.v.cols()), (antennas, clients));
             assert!(power::satisfies_per_antenna(&out.v, ch.tx_power_mw));
             assert!(out.sum_capacity > 0.0);
         }

@@ -101,14 +101,13 @@ mod tests {
     fn equal_split_uses_full_total_power() {
         let ch = channel(DeploymentKind::Das, 4, 4, 3);
         let out = ZfbfPrecoder.precode(&ch.h, ch.tx_power_mw, ch.noise_mw);
-        let total = power::total_power(&out.v);
+        let total: f64 = power::per_antenna_powers(&out.v).iter().sum();
         assert!(
             (total - 4.0 * ch.tx_power_mw).abs() / (4.0 * ch.tx_power_mw) < 1e-9,
             "total {total}"
         );
         // Equal power per stream.
-        let per_stream = power::per_stream_powers(&out.v);
-        for p in &per_stream {
+        for p in (0..out.v.cols()).map(|j| out.v.col_power(j)) {
             assert!((p - ch.tx_power_mw).abs() / ch.tx_power_mw < 1e-9);
         }
     }
@@ -156,7 +155,7 @@ mod tests {
     fn works_with_fewer_clients_than_antennas() {
         let ch = channel(DeploymentKind::Das, 4, 2, 5);
         let out = ZfbfPrecoder.precode(&ch.h, ch.tx_power_mw, ch.noise_mw);
-        assert_eq!(out.v.shape(), (4, 2));
+        assert_eq!((out.v.rows(), out.v.cols()), (4, 2));
         assert!(out.sinr.max_interference() < 1e-6);
         assert!(out.sum_capacity > 0.0);
     }

@@ -64,11 +64,6 @@ impl SinrMatrix {
         self.s.first().map_or(0, |r| r.len())
     }
 
-    /// Noise-normalised power of stream `i` at client `j`.
-    pub fn stream_power(&self, stream: usize, client: usize) -> f64 {
-        self.s[stream][client]
-    }
-
     /// Desired-signal power (noise-normalised) at client `j`, i.e. `s_jj`.
     pub fn signal(&self, client: usize) -> f64 {
         self.s[client][client]
@@ -88,11 +83,6 @@ impl SinrMatrix {
         self.signal(client) / (1.0 + self.interference(client))
     }
 
-    /// SINR in dB.
-    pub fn sinr_db(&self, client: usize) -> f64 {
-        10.0 * self.sinr(client).log10()
-    }
-
     /// SINRs of all clients.
     pub fn sinrs(&self) -> Vec<f64> {
         (0..self.num_clients().min(self.num_streams()))
@@ -102,6 +92,7 @@ impl SinrMatrix {
 
     /// Maximum off-diagonal (interference) entry — zero for ideal ZFBF with
     /// perfect CSI; used in tests to verify the zero-forcing property.
+    // lint: allow(unreachable-pub) — proptest_precoding checks the zero-forcing property with it
     pub fn max_interference(&self) -> f64 {
         let mut max = 0.0f64;
         for i in 0..self.num_streams() {

@@ -1,5 +1,4 @@
-//! 802.11ac channel sounding: CSI acquisition overhead, estimation error and
-//! staleness.
+//! 802.11ac channel sounding: CSI estimation error and staleness.
 //!
 //! 802.11ac acquires CSI with an explicit sounding exchange (§3.3 of the
 //! paper): the AP sends a VHT NDP-Announcement and an NDP (null data packet);
@@ -25,28 +24,12 @@ pub struct SoundingConfig {
     /// Relative CSI error: standard deviation of the additive error as a
     /// fraction of each entry's magnitude (0.05 ≈ −26 dB NMSE).
     pub csi_error_std: f64,
-    /// Duration of the NDP announcement frame in microseconds.
-    pub ndpa_us: f64,
-    /// Duration of the NDP itself in microseconds.
-    pub ndp_us: f64,
-    /// Duration of one client's compressed beamforming report in microseconds
-    /// (scales with the number of AP antennas).
-    pub report_us_per_antenna: f64,
-    /// Duration of a beamforming report poll frame in microseconds.
-    pub poll_us: f64,
-    /// Short inter-frame space in microseconds.
-    pub sifs_us: f64,
 }
 
 impl Default for SoundingConfig {
     fn default() -> Self {
         SoundingConfig {
             csi_error_std: 0.05,
-            ndpa_us: 50.0,
-            ndp_us: 44.0,
-            report_us_per_antenna: 60.0,
-            poll_us: 40.0,
-            sifs_us: 16.0,
         }
     }
 }
@@ -62,24 +45,6 @@ impl SoundingProcess {
     /// Creates a sounding process with the given configuration.
     pub fn new(config: SoundingConfig) -> Self {
         SoundingProcess { config }
-    }
-
-    /// Total air-time overhead (µs) of sounding `num_clients` clients from an
-    /// AP with `num_antennas` antennas.
-    ///
-    /// NDPA + NDP + first report + (poll + report) per additional client, with
-    /// a SIFS between consecutive frames.
-    pub fn overhead_us(&self, num_antennas: usize, num_clients: usize) -> f64 {
-        if num_clients == 0 {
-            return 0.0;
-        }
-        let c = &self.config;
-        let report = c.report_us_per_antenna * num_antennas as f64;
-        let mut total = c.ndpa_us + c.sifs_us + c.ndp_us + c.sifs_us + report;
-        for _ in 1..num_clients {
-            total += c.sifs_us + c.poll_us + c.sifs_us + report;
-        }
-        total
     }
 
     /// Applies CSI estimation error to a true channel matrix, producing the
@@ -115,24 +80,8 @@ mod tests {
     }
 
     #[test]
-    fn overhead_grows_with_clients_and_antennas() {
-        let s = SoundingProcess::default();
-        assert_eq!(s.overhead_us(4, 0), 0.0);
-        let one = s.overhead_us(4, 1);
-        let two = s.overhead_us(4, 2);
-        let four = s.overhead_us(4, 4);
-        assert!(one < two && two < four);
-        assert!(s.overhead_us(2, 2) < s.overhead_us(4, 2));
-        // A 4-antenna, 4-client sounding exchange is of order a millisecond.
-        assert!(four > 500.0 && four < 3000.0, "overhead {four} us");
-    }
-
-    #[test]
     fn zero_error_estimate_is_exact() {
-        let cfg = SoundingConfig {
-            csi_error_std: 0.0,
-            ..Default::default()
-        };
+        let cfg = SoundingConfig { csi_error_std: 0.0 };
         let s = SoundingProcess::new(cfg);
         let h = true_channel();
         let mut rng = SimRng::new(1);
@@ -141,10 +90,7 @@ mod tests {
 
     #[test]
     fn estimation_error_has_requested_relative_magnitude() {
-        let s = SoundingProcess::new(SoundingConfig {
-            csi_error_std: 0.1,
-            ..Default::default()
-        });
+        let s = SoundingProcess::new(SoundingConfig { csi_error_std: 0.1 });
         let h = true_channel();
         let mut rng = SimRng::new(2);
         let n = 2000;
@@ -167,10 +113,7 @@ mod tests {
 
     #[test]
     fn imperfect_csi_causes_residual_interference() {
-        let s = SoundingProcess::new(SoundingConfig {
-            csi_error_std: 0.1,
-            ..Default::default()
-        });
+        let s = SoundingProcess::new(SoundingConfig { csi_error_std: 0.1 });
         let h = true_channel();
         let mut rng = SimRng::new(3);
         let est = s.estimate(&h, &mut rng);

@@ -69,7 +69,7 @@ impl Sha256 {
     }
 
     /// Finishes the padding and returns the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_bytes.wrapping_mul(8);
         self.update(&[0x80]);
         while self.buffered != 56 {
@@ -128,7 +128,7 @@ impl Sha256 {
 }
 
 /// Lower-case hex of a byte string.
-pub fn hex(bytes: &[u8]) -> String {
+fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 

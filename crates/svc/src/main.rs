@@ -108,6 +108,16 @@ fn load_spec(path: &str, deadline_override: Option<u64>) -> Result<JobSpec, Stri
     Ok(spec)
 }
 
+/// Starts the job pool once both worker knobs parse: a mistyped
+/// `MIDAS_SVC_WORKERS` or `MIDAS_THREADS` exits 2 here, before any job
+/// runs, instead of falling back to a default or failing every job.
+fn start_pool(jobs_dir: Option<PathBuf>, workers: Option<usize>) -> Result<JobQueue, String> {
+    let workers = resolve_workers(workers)?;
+    midas::runner::threads_from_env()?;
+    JobQueue::new(cache::resolve_jobs_dir(jobs_dir), workers)
+        .map_err(|e| format!("starting pool: {e}"))
+}
+
 fn cmd_run(opts: Options) -> Result<ExitCode, String> {
     let [path] = opts.positional.as_slice() else {
         return Err(format!("run needs exactly one spec file\n{USAGE}"));
@@ -119,9 +129,7 @@ fn cmd_run(opts: Options) -> Result<ExitCode, String> {
             return Ok(ExitCode::from(3));
         }
     };
-    let jobs_dir = cache::resolve_jobs_dir(opts.jobs_dir);
-    let queue = JobQueue::new(jobs_dir, resolve_workers(opts.workers))
-        .map_err(|e| format!("starting pool: {e}"))?;
+    let queue = start_pool(opts.jobs_dir, opts.workers)?;
     let job = queue
         .submit_with(spec, opts.force)
         .map_err(|e| format!("submitting job: {e}"))?;
@@ -238,9 +246,7 @@ fn cmd_batch(opts: Options) -> Result<ExitCode, String> {
         return Ok(ExitCode::from(3));
     }
 
-    let jobs_dir = cache::resolve_jobs_dir(opts.jobs_dir);
-    let queue = JobQueue::new(jobs_dir, resolve_workers(opts.workers))
-        .map_err(|e| format!("starting pool: {e}"))?;
+    let queue = start_pool(opts.jobs_dir, opts.workers)?;
     let jobs: Vec<_> = specs
         .into_iter()
         .map(|(path, spec)| {

@@ -43,7 +43,7 @@ impl JsonlSink {
     /// are latched and surfaced by [`JsonlSink::finish`] — observers run
     /// inside the sweep's parallel closures, where propagating is not an
     /// option.
-    pub fn append_block(&self, lines: &[String]) {
+    fn append_block(&self, lines: &[String]) {
         let mut inner = self.inner.lock().expect("jsonl sink poisoned");
         if inner.error.is_some() {
             return;

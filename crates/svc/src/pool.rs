@@ -88,11 +88,6 @@ impl Job {
         &self.dir
     }
 
-    /// Requests cooperative cancellation.
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
     /// The outcome, if the job has finished.
     pub fn outcome(&self) -> Option<JobOutcome> {
         self.outcome.lock().expect("job outcome lock").clone()
@@ -144,19 +139,24 @@ pub struct JobQueue {
 }
 
 /// Resolves the worker count: explicit request, else `MIDAS_SVC_WORKERS`,
-/// else `min(4, available parallelism)`; clamped to `1..=64`.
-pub fn resolve_workers(requested: Option<usize>) -> usize {
-    let ambient = || {
-        std::env::var("MIDAS_SVC_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get().min(4))
-                    .unwrap_or(1)
-            })
+/// else `min(4, available parallelism)`; clamped to `1..=64`.  A set
+/// `MIDAS_SVC_WORKERS` that does not parse is an error naming the knob and
+/// the value, whether or not a request overrides it.
+pub fn resolve_workers(requested: Option<usize>) -> Result<usize, String> {
+    let ambient = match std::env::var("MIDAS_SVC_WORKERS") {
+        Ok(v) if !v.trim().is_empty() => Some(
+            v.trim()
+                .parse::<usize>()
+                .map_err(|_| format!("MIDAS_SVC_WORKERS: cannot parse {v:?}"))?,
+        ),
+        _ => None,
     };
-    requested.unwrap_or_else(ambient).clamp(1, 64)
+    let workers = requested.or(ambient).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get().min(4))
+            .unwrap_or(1)
+    });
+    Ok(workers.clamp(1, 64))
 }
 
 impl JobQueue {

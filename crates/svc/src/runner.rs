@@ -11,7 +11,7 @@
 //! simulation streams through [`Accumulate`] — which rebuilds the legacy
 //! result bit for bit — while a [`JsonlObserver`] tees the same rounds to
 //! disk.  The integration tests pin this equivalence, static and with
-//! dynamics.  [`encode_output`] and [`decode_output`] own the `result.json`
+//! dynamics.  `encode_output` and [`decode_output`] own the `result.json`
 //! format.
 //!
 //! [`ExperimentSpec::run`]: midas::sim::ExperimentSpec::run
@@ -75,6 +75,7 @@ impl CancelToken {
     }
 
     /// Requests cancellation; checkpoints observe it on their next check.
+    // lint: allow(unreachable-pub) — service.rs::pre_cancelled_token_stops_the_run_before_any_result cancels through it
     pub fn cancel(&self) {
         self.inner.cancelled.store(true, Ordering::SeqCst);
     }
@@ -86,7 +87,7 @@ impl CancelToken {
 
     /// Whether the run should stop, and why.  Explicit cancellation wins
     /// over an elapsed deadline.
-    pub fn stop_reason(&self) -> Option<StopReason> {
+    fn stop_reason(&self) -> Option<StopReason> {
         if self.inner.cancelled.load(Ordering::SeqCst) {
             return Some(StopReason::Cancelled);
         }
@@ -223,7 +224,7 @@ fn observe(
 
 /// Writes `result.json` atomically (tmp + rename): the compact encoding of
 /// the typed output plus a trailing newline.
-pub fn write_result(job_dir: &Path, output: &ExperimentOutput) -> io::Result<()> {
+fn write_result(job_dir: &Path, output: &ExperimentOutput) -> io::Result<()> {
     let tmp = job_dir.join("result.json.tmp");
     fs::write(&tmp, result_bytes(output))?;
     fs::rename(&tmp, job_dir.join("result.json"))
@@ -247,7 +248,7 @@ fn paired_to_json(samples: &PairedSamples) -> Json {
 }
 
 /// Encodes a typed experiment output as `{"kind": ..., ...series}`.
-pub fn encode_output(output: &ExperimentOutput) -> Json {
+fn encode_output(output: &ExperimentOutput) -> Json {
     let kind = |name: &str| ("kind".to_string(), Json::Str(name.into()));
     match output {
         ExperimentOutput::Paired(samples) => Json::Obj(vec![
@@ -445,7 +446,7 @@ fn calibration_cell_to_json(cell: &CalibrationCell) -> Json {
 }
 
 /// Decodes a `result.json` document back into the typed output — the
-/// inverse of [`encode_output`], which writes non-finite floats as `null`
+/// inverse of `encode_output`, which writes non-finite floats as `null`
 /// (they decode as NaN, so re-encoding reproduces the same bytes).  `None`
 /// when the document is not an encoded output.
 pub fn decode_output(v: &Json) -> Option<ExperimentOutput> {

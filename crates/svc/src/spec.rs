@@ -34,7 +34,7 @@ use midas_net::scale::{AssociationPolicy, Scenario};
 /// Revision 2: channel rows are kept exactly the static row set every step
 /// (births drawn from keyed streams, frees), and a lagging row replays its
 /// evolution boundaries before a large-scale refresh.
-pub const DYNAMICS_REVISION: u64 = 2;
+const DYNAMICS_REVISION: u64 = 2;
 
 /// A decode failure, locating the offending field.
 #[derive(Debug, Clone, PartialEq)]
@@ -419,7 +419,7 @@ impl JobSpec {
     /// The canonical content-address material: the result-affecting fields
     /// only, canonically written (sorted keys, no whitespace).  One logical
     /// job, one string — scheduling knobs do not fork the cache.
-    pub fn cache_key_material(&self) -> String {
+    fn cache_key_material(&self) -> String {
         let mut members = vec![
             ("experiment".into(), experiment_to_json(&self.experiment)),
             ("seed".into(), Json::UInt(self.seed)),
@@ -439,7 +439,7 @@ impl JobSpec {
     }
 
     /// The job id: the first 16 hex chars (64 bits) of the SHA-256 of
-    /// [`JobSpec::cache_key_material`].
+    /// `JobSpec::cache_key_material`.
     pub fn cache_key(&self) -> String {
         sha256_hex(self.cache_key_material().as_bytes())[..16].to_string()
     }
@@ -855,7 +855,7 @@ pub fn dynamics_to_json(spec: &DynamicsSpec) -> Json {
 }
 
 /// Decodes the [`dynamics_to_json`] form back into a [`DynamicsSpec`].
-pub fn dynamics_from_json(v: &Json, path: &str) -> Result<DynamicsSpec, DecodeError> {
+fn dynamics_from_json(v: &Json, path: &str) -> Result<DynamicsSpec, DecodeError> {
     check_keys(
         v,
         path,
@@ -976,7 +976,7 @@ pub fn dynamics_from_json(v: &Json, path: &str) -> Result<DynamicsSpec, DecodeEr
 
 /// Encodes an experiment as `{"kind": <figure slug>, ...fields}` — the slug
 /// is [`ExperimentSpec::name`], the fields mirror the variant.
-pub fn experiment_to_json(spec: &ExperimentSpec) -> Json {
+fn experiment_to_json(spec: &ExperimentSpec) -> Json {
     let mut members = vec![("kind".to_string(), Json::Str(spec.name().into()))];
     let mut push = |key: &str, value: Json| members.push((key.to_string(), value));
     match spec {
@@ -1111,7 +1111,7 @@ pub fn experiment_to_json(spec: &ExperimentSpec) -> Json {
 }
 
 /// Decodes `{"kind": ..., ...}` back into an [`ExperimentSpec`].
-pub fn experiment_from_json(v: &Json, path: &str) -> Result<ExperimentSpec, DecodeError> {
+fn experiment_from_json(v: &Json, path: &str) -> Result<ExperimentSpec, DecodeError> {
     let kind_path = format!("{path}.kind");
     let kind = take_str(field(v, path, "kind")?, &kind_path)?.to_string();
     let req_usize = |key: &str| take_usize(field(v, path, key)?, &format!("{path}.{key}"));

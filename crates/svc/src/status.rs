@@ -57,11 +57,6 @@ impl JobState {
             _ => return None,
         })
     }
-
-    /// Whether the state is final.
-    pub fn is_terminal(self) -> bool {
-        !matches!(self, JobState::Queued | JobState::Running)
-    }
 }
 
 impl fmt::Display for JobState {
@@ -228,10 +223,6 @@ mod tests {
             JobState::Timeout,
         ] {
             assert_eq!(JobState::parse(state.as_str()), Some(state));
-            assert_eq!(
-                state.is_terminal(),
-                !matches!(state, JobState::Queued | JobState::Running)
-            );
         }
         assert_eq!(JobState::parse("exploded"), None);
     }

@@ -2,7 +2,6 @@
 //! (topology -> channel -> tagging/MAC -> precoding -> capacity) through the
 //! public APIs only.
 
-use midas::experiment;
 use midas::prelude::*;
 use midas_net::metrics::Cdf;
 use midas_phy::power;
@@ -44,8 +43,17 @@ fn precoding_respects_the_per_antenna_constraint_through_the_public_api() {
 
 #[test]
 fn experiment_runners_are_deterministic_in_the_seed() {
-    let a = experiment::fig08_09_capacity(EnvironmentKind::OfficeA, 4, 5, 99);
-    let b = experiment::fig08_09_capacity(EnvironmentKind::OfficeA, 4, 5, 99);
+    let run = || {
+        ExperimentSpec::MuMimoCapacity {
+            environment: EnvironmentKind::OfficeA,
+            antennas: 4,
+            topologies: 5,
+        }
+        .run(99)
+        .expect_paired()
+    };
+    let a = run();
+    let b = run();
     assert_eq!(a.cas, b.cas);
     assert_eq!(a.das, b.das);
 }
@@ -73,7 +81,9 @@ fn spatial_reuse_and_end_to_end_runners_produce_sane_output() {
 
 #[test]
 fn deadzone_and_hidden_terminal_runners_show_das_benefit() {
-    let dead = experiment::fig13_deadzones(3, 21);
+    let dead = ExperimentSpec::Deadzones { deployments: 3 }
+        .run(21)
+        .expect_deadzones();
     let cas: usize = dead.iter().map(|d| d.cas_dead).sum();
     let das: usize = dead.iter().map(|d| d.das_dead).sum();
     assert!(
@@ -81,7 +91,9 @@ fn deadzone_and_hidden_terminal_runners_show_das_benefit() {
         "DAS dead spots {das} should not exceed CAS {cas}"
     );
 
-    let hidden = experiment::sec534_hidden_terminals(4, 22);
+    let hidden = ExperimentSpec::HiddenTerminals { deployments: 4 }
+        .run(22)
+        .expect_hidden_terminals();
     let cas_h: usize = hidden.iter().map(|h| h.cas_spots).sum();
     let das_h: usize = hidden.iter().map(|h| h.das_spots).sum();
     assert!(das_h <= cas_h, "DAS hidden spots {das_h} vs CAS {cas_h}");
