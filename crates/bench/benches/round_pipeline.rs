@@ -63,6 +63,7 @@ use midas_net::dynamics::DynamicsSpec;
 use midas_net::metrics::Cdf;
 use midas_net::scale::Scenario;
 use midas_net::simulator::{MacKind, NetworkSimulator, StageTimings};
+use midas_svc::json::Json;
 use midas_svc::runner::{run_job, CancelToken};
 use midas_svc::spec::JobSpec;
 use std::path::{Path, PathBuf};
@@ -262,14 +263,6 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
 struct CellStats {
     median_s: f64,
     mean_s: f64,
@@ -417,7 +410,7 @@ fn main() {
             "sim_rounds_per_s",
         ],
     );
-    let mut cells_json: Vec<String> = Vec::new();
+    let mut cells_json = Vec::new();
 
     for (cell, (cell_samples, sink)) in cells.iter().zip(samples.iter().zip(&sinks)) {
         let s = stats(cell_samples);
@@ -445,25 +438,20 @@ fn main() {
             Cell::from(s.ci95_hi_s),
             Cell::from(throughput),
         ]);
-        cells_json.push(format!(
-            concat!(
-                "{{\"name\":\"{}\",\"aps\":{},\"clients\":{},",
-                "\"topologies\":{},\"rounds\":{},\"reps\":{},\"median_s\":{},\"mean_s\":{},",
-                "\"sd_s\":{},\"ci95_lo_s\":{},\"ci95_hi_s\":{},\"sim_rounds_per_s\":{}}}"
-            ),
-            cell.name,
-            cell.aps,
-            cell.clients,
-            cell.topologies,
-            cell.rounds,
-            reps,
-            json_num(s.median_s),
-            json_num(s.mean_s),
-            json_num(s.sd_s),
-            json_num(s.ci95_lo_s),
-            json_num(s.ci95_hi_s),
-            json_num(throughput),
-        ));
+        cells_json.push(Json::Obj(vec![
+            ("name".into(), Json::Str(cell.name.into())),
+            ("aps".into(), Json::UInt(cell.aps as u64)),
+            ("clients".into(), Json::UInt(cell.clients as u64)),
+            ("topologies".into(), Json::UInt(cell.topologies as u64)),
+            ("rounds".into(), Json::UInt(cell.rounds as u64)),
+            ("reps".into(), Json::UInt(reps as u64)),
+            ("median_s".into(), Json::Num(s.median_s)),
+            ("mean_s".into(), Json::Num(s.mean_s)),
+            ("sd_s".into(), Json::Num(s.sd_s)),
+            ("ci95_lo_s".into(), Json::Num(s.ci95_lo_s)),
+            ("ci95_hi_s".into(), Json::Num(s.ci95_hi_s)),
+            ("sim_rounds_per_s".into(), Json::Num(throughput)),
+        ]));
     }
 
     std::fs::remove_dir_all(svc_scratch_root()).ok();
@@ -510,10 +498,13 @@ fn main() {
     );
     fig.table(table);
 
-    let snapshot = format!(
-        "{{\"bench\":\"round_pipeline\",\"seed\":{BENCH_SEED},\"cells\":[{}]}}\n",
-        cells_json.join(",")
-    );
+    let snapshot = Json::Obj(vec![
+        ("bench".into(), Json::Str("round_pipeline".into())),
+        ("seed".into(), Json::UInt(BENCH_SEED)),
+        ("cells".into(), Json::Arr(cells_json)),
+    ])
+    .write_compact()
+        + "\n";
     let path = repo_root().join("BENCH_round_pipeline.json");
     match std::fs::write(&path, &snapshot) {
         Ok(()) => println!("# wrote {}", path.display()),

@@ -16,6 +16,7 @@
 
 use crate::figure::{Block, Cell, Figure};
 use midas_net::metrics::Cdf;
+use midas_svc::json::Json;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -199,106 +200,87 @@ fn csv_escape(field: &str) -> String {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_num(v: f64) -> String {
-    // JSON has no NaN/Infinity literals.
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_cell(c: &Cell) -> String {
-    match c {
-        Cell::Num(v) => json_num(*v),
-        Cell::Int(v) => v.to_string(),
-        Cell::Text(v) => json_string(v),
-    }
-}
-
 /// Renders the whole figure as a JSON document.
 fn figure_json(figure: &Figure) -> String {
-    let mut blocks = Vec::new();
-    for block in &figure.blocks {
-        blocks.push(match block {
-            Block::Cdf { label, samples } => {
-                let cdf = Cdf::new(samples);
-                let stats = if cdf.is_empty() {
-                    "\"median\":null,\"mean\":null,\"p10\":null,\"p90\":null".to_string()
+    let text = |s: &str| Json::Str(s.to_string());
+    let blocks = figure.blocks.iter().map(|block| match block {
+        Block::Cdf { label, samples } => {
+            let cdf = Cdf::new(samples);
+            // An empty CDF has no statistics (its quantiles panic).
+            let stat = |f: fn(&Cdf) -> f64| {
+                if cdf.is_empty() {
+                    Json::Null
                 } else {
-                    format!(
-                        "\"median\":{},\"mean\":{},\"p10\":{},\"p90\":{}",
-                        json_num(cdf.median()),
-                        json_num(cdf.mean()),
-                        json_num(cdf.quantile(0.1)),
-                        json_num(cdf.quantile(0.9))
-                    )
-                };
-                let samples_json: Vec<String> = samples.iter().map(|&v| json_num(v)).collect();
-                format!(
-                    "{{\"kind\":\"cdf\",\"label\":{},\"n\":{},{stats},\"samples\":[{}]}}",
-                    json_string(label),
-                    cdf.len(),
-                    samples_json.join(",")
-                )
-            }
-            Block::Gain { label, baseline_median, improved_median } => format!(
-                "{{\"kind\":\"gain\",\"label\":{},\"baseline_median\":{},\"improved_median\":{},\"gain_pct\":{}}}",
-                json_string(label),
-                json_num(*baseline_median),
-                json_num(*improved_median),
-                json_num((improved_median / baseline_median - 1.0) * 100.0)
+                    Json::Num(f(&cdf))
+                }
+            };
+            Json::Obj(vec![
+                ("kind".into(), text("cdf")),
+                ("label".into(), text(label)),
+                ("n".into(), Json::UInt(cdf.len() as u64)),
+                ("median".into(), stat(Cdf::median)),
+                ("mean".into(), stat(Cdf::mean)),
+                ("p10".into(), stat(|c| c.quantile(0.1))),
+                ("p90".into(), stat(|c| c.quantile(0.9))),
+                (
+                    "samples".into(),
+                    Json::Arr(samples.iter().map(|&v| Json::Num(v)).collect()),
+                ),
+            ])
+        }
+        Block::Gain {
+            label,
+            baseline_median,
+            improved_median,
+        } => Json::Obj(vec![
+            ("kind".into(), text("gain")),
+            ("label".into(), text(label)),
+            ("baseline_median".into(), Json::Num(*baseline_median)),
+            ("improved_median".into(), Json::Num(*improved_median)),
+            (
+                "gain_pct".into(),
+                Json::Num((improved_median / baseline_median - 1.0) * 100.0),
             ),
-            Block::Table(table) => {
-                let columns: Vec<String> =
-                    table.columns.iter().map(|c| json_string(c)).collect();
-                let rows: Vec<String> = table
-                    .rows
-                    .iter()
-                    .map(|row| {
-                        let cells: Vec<String> = row.iter().map(json_cell).collect();
-                        format!("[{}]", cells.join(","))
-                    })
-                    .collect();
-                format!(
-                    "{{\"kind\":\"table\",\"name\":{},\"columns\":[{}],\"rows\":[{}]}}",
-                    json_string(&table.name),
-                    columns.join(","),
-                    rows.join(",")
-                )
-            }
-            Block::Note(text) => {
-                format!("{{\"kind\":\"note\",\"text\":{}}}", json_string(text))
-            }
-        });
+        ]),
+        Block::Table(table) => Json::Obj(vec![
+            ("kind".into(), text("table")),
+            ("name".into(), text(&table.name)),
+            (
+                "columns".into(),
+                Json::Arr(table.columns.iter().map(|c| text(c)).collect()),
+            ),
+            (
+                "rows".into(),
+                Json::Arr(
+                    table
+                        .rows
+                        .iter()
+                        .map(|row| Json::Arr(row.iter().map(cell_json).collect()))
+                        .collect(),
+                ),
+            ),
+        ]),
+        Block::Note(note) => Json::Obj(vec![
+            ("kind".into(), text("note")),
+            ("text".into(), text(note)),
+        ]),
+    });
+    let document = Json::Obj(vec![
+        ("figure".into(), text(&figure.name)),
+        ("seed".into(), figure.seed.map_or(Json::Null, Json::UInt)),
+        ("blocks".into(), Json::Arr(blocks.collect())),
+    ]);
+    document.write_compact() + "\n"
+}
+
+/// A table cell as JSON.  JSON has no signed-integer form in
+/// [`Json`], so a negative count would be written as a float (`-3.0`).
+fn cell_json(cell: &Cell) -> Json {
+    match cell {
+        Cell::Num(v) => Json::Num(*v),
+        Cell::Int(v) => u64::try_from(*v).map_or(Json::Num(*v as f64), Json::UInt),
+        Cell::Text(v) => Json::Str(v.clone()),
     }
-    let seed = match figure.seed {
-        Some(s) => s.to_string(),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"figure\":{},\"seed\":{seed},\"blocks\":[{}]}}\n",
-        json_string(&figure.name),
-        blocks.join(",")
-    )
 }
 
 /// The workspace-level default output directory, `<workspace>/target/figures`.

@@ -223,7 +223,7 @@ pub(crate) fn fig12_simultaneous_tx(topologies: usize, seed: u64) -> Vec<f64> {
     let env = session.source().environment();
     session.run_trials(topologies, seed, &|trial: &SessionTrial<'_>| {
         let mut reuse_rng = SimRng::new(trial.seed() ^ 0x5EED);
-        spatial_reuse::trial(trial.pair(), &env, &mut reuse_rng, &ContentionModel::Graph).ratio()
+        spatial_reuse::trial(trial.pair(), &env, &mut reuse_rng).ratio()
     })
 }
 
@@ -260,7 +260,7 @@ pub(crate) fn sec534_hidden_terminals(
     let sweep = SeedSweep::new(seed).with_mix(523, 89);
     sweep.run(deployments, &|_d: usize, s: u64| {
         let mut rng = SimRng::new(s);
-        scenario.comparison(1.0, &mut rng, &ContentionModel::Graph)
+        scenario.comparison(1.0, &mut rng)
     })
 }
 

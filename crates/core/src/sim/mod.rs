@@ -9,8 +9,9 @@
 //!    large-scale), the enterprise [`Scenario`](midas_net::scale::Scenario)
 //!    library, or a custom impl.
 //! 2. **[`SessionBuilder`] → [`Session`]** — composes a source with a
-//!    [`ContentionModel`], a [`TrafficKind`] workload, round count, seed
-//!    mix and worker count, then fans paired trials through the
+//!    [`ContentionModel`], a [`TrafficKind`] workload (the closed set of
+//!    library workloads; there is no custom traffic model), round count,
+//!    seed mix and worker count, then fans paired trials through the
 //!    deterministic `SeedSweep` engine.  Results stream through the
 //!    [`Observer`] trait: [`Accumulate`] rebuilds the full
 //!    [`TopologyResult`](midas_net::simulator::TopologyResult) bit for
@@ -62,5 +63,4 @@ pub use midas_net::capture::{ContentionModel, PhysicalConfig};
 pub use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec};
 pub use midas_net::observer::{Accumulate, Observer, RoundRecord, RunningSummary, Tee};
 pub use midas_net::simulator::{MacKind, ScanMode, StageTimings};
-pub use midas_net::traffic::{Churn, Diurnal, FlashCrowd};
-pub use midas_net::traffic::{FullBuffer, OnOff, Poisson, TrafficKind, TrafficModel};
+pub use midas_net::traffic::TrafficKind;

@@ -36,11 +36,12 @@
 //!   so concurrent CAS transmissions destroy each other where MIDAS ones
 //!   survive.
 //!
-//! [`ContentionModel::Graph`] (the default everywhere) preserves the legacy
-//! semantics bit-for-bit; the property tests in
-//! `crates/net/tests/proptest_capture.rs` pin that equivalence, and the
-//! calibrated `Physical` defaults come from the
-//! `midas::sim::ExperimentSpec::Fig16Calibration` grid sweep.
+//! [`ContentionModel::Graph`] (the default) preserves the legacy semantics
+//! bit-for-bit; the property tests in `crates/net/tests/proptest_capture.rs`
+//! pin that equivalence, and the calibrated `Physical` defaults come from the
+//! `midas::sim::ExperimentSpec::Fig16Calibration` grid sweep.  The model is
+//! a knob of the end-to-end simulator only: the Fig. 12 spatial-reuse and
+//! §5.3.4 hidden-terminal analyses always run the paper's binary graph.
 
 use crate::contention::ContentionGraph;
 use midas_channel::shadowing::Shadowing;
@@ -134,6 +135,7 @@ impl PhysicalConfig {
     /// that was promised more picks a more fragile rate.  This is what
     /// replaces "any overlap ⇒ collision": overlap only costs the frame
     /// when it eats through the stream's actual decode headroom.
+    // lint: allow(unreachable-pub) — proptest_capture checks capture monotonicity and the margin guarantee through it
     pub fn frame_captured(&self, expected_sinr_db: f64, realized_sinr_db: f64) -> bool {
         match self.select_mcs(expected_sinr_db) {
             Some(mcs) => realized_sinr_db >= mcs.min_sinr_db,

@@ -13,11 +13,11 @@
 //! spread more evenly over the area.  The paper reports that ≈ 94 % of the
 //! hidden-terminal spots disappear.
 
-use crate::capture::ContentionModel;
+use crate::contention::ContentionGraph;
 use crate::scale::index::SpatialIndex;
 use midas_channel::geometry::{Point, Rect};
 use midas_channel::topology::{place_antennas, Deployment, TopologyConfig};
-use midas_channel::{dbm_to_mw, mw_to_dbm, ChannelModel, DeploymentKind, Environment, SimRng};
+use midas_channel::{ChannelModel, DeploymentKind, Environment, SimRng};
 
 /// Result of one paired hidden-terminal comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,24 +102,21 @@ impl HiddenTerminalScenario {
         (ap1, ap2)
     }
 
-    /// Counts hidden-terminal spots for one deployment pair under the given
-    /// contention model.
+    /// Counts hidden-terminal spots for one deployment pair.
     fn count_spots(
         &self,
         ap1: &Deployment,
         ap2: &Deployment,
         spacing_m: f64,
         seed: u64,
-        contention: &ContentionModel,
     ) -> (usize, usize) {
-        let graph = contention.sensing_graph(self.env, seed);
+        let graph = ContentionGraph::new(self.env, seed);
         let model = ChannelModel::new(self.env, seed);
 
         // Can the transmitters defer to each other at all?  Each AP's antennas
         // sense the aggregate energy of the other AP's full transmission; one
         // sensing antenna on either side is enough for CSMA to serialise
-        // them.  The contention model only changes which threshold / sensing
-        // field `graph` was built from.
+        // them.
         let transmitters_hear_each_other = ap1
             .antennas
             .iter()
@@ -146,17 +143,8 @@ impl HiddenTerminalScenario {
         // *lower* of the two thresholds can never flip either boolean.
         // Query only that neighbourhood through a spatial index instead of
         // scanning every antenna per spot: O(spots·k) instead of O(spots·n).
-        // Under the physical model interference enters the capture SINR
-        // continuously rather than through a boolean, so the relevant range
-        // extends to where interference drops 10 dB below the noise floor
-        // (beyond that it moves the SINR by < 0.5 dB and cannot flip a
-        // capture decision by more than the sub-dB tail).
-        let interference_floor_dbm = match contention.physical() {
-            None => interference_threshold_dbm,
-            Some(_) => self.env.noise_floor_dbm - 10.0,
-        };
         let lower_threshold_dbm =
-            interference_floor_dbm.min(self.env.noise_floor_dbm + self.env.coverage_snr_db);
+            interference_threshold_dbm.min(self.env.noise_floor_dbm + self.env.coverage_snr_db);
         let relevant_range_m = self
             .env
             .path_loss
@@ -187,57 +175,26 @@ impl HiddenTerminalScenario {
                 }
                 let covered_by_1 = rx1 - self.env.noise_floor_dbm >= self.env.coverage_snr_db;
                 let covered_by_2 = rx2 - self.env.noise_floor_dbm >= self.env.coverage_snr_db;
-                match contention.physical() {
-                    // Binary model — hidden spot: served by one AP,
-                    // interfered by the other (any overlap ⇒ collision).
-                    None => {
-                        (covered_by_1 && rx2 >= interference_threshold_dbm)
-                            || (covered_by_2 && rx1 >= interference_threshold_dbm)
-                    }
-                    // Physical model — hidden spot: served by one AP at the
-                    // MCS its interference-free SNR selects, and the other
-                    // AP's interference defeats SINR capture at that MCS,
-                    // so the overlap actually costs the frame.
-                    // (`dbm_to_mw(NEG_INFINITY)` is 0, so an absent
-                    // interferer contributes nothing.)
-                    Some(phy) => {
-                        let noise_mw = dbm_to_mw(self.env.noise_floor_dbm);
-                        let collided = |signal_dbm: f64, interferer_dbm: f64| {
-                            let expected_db = signal_dbm - self.env.noise_floor_dbm;
-                            let realized_db =
-                                signal_dbm - mw_to_dbm(noise_mw + dbm_to_mw(interferer_dbm));
-                            !phy.frame_captured(expected_db, realized_db)
-                        };
-                        (covered_by_1 && collided(rx1, rx2)) || (covered_by_2 && collided(rx2, rx1))
-                    }
-                }
+                // Hidden spot: served by one AP, interfered by the other
+                // (any overlap ⇒ collision).
+                (covered_by_1 && rx2 >= interference_threshold_dbm)
+                    || (covered_by_2 && rx1 >= interference_threshold_dbm)
             })
             .count();
         (hidden, total)
     }
 
     /// Runs one paired CAS/DAS hidden-terminal comparison at the given grid
-    /// spacing (the paper uses 1 m) under the given contention model — the
-    /// single model-parameterised entry point.
-    ///
-    /// [`ContentionModel::Graph`] applies the paper's binary semantics (any
-    /// coverage/interference overlap between mutually-hidden transmitters
-    /// is a hidden spot); the physical model senses at its configurable
-    /// threshold and only counts a spot as hidden when the collision
-    /// defeats SINR capture — the §5.3.4 experiment as the Fig. 16
-    /// calibration re-runs it.  Both draw the same RNG sequence, so
-    /// switching models never perturbs the deployment stream.
-    pub fn comparison(
-        &self,
-        spacing_m: f64,
-        rng: &mut SimRng,
-        contention: &ContentionModel,
-    ) -> HiddenTerminalComparison {
+    /// spacing (the paper uses 1 m) under the paper's binary semantics: the
+    /// transmitters sense each other through the carrier-sense graph at the
+    /// environment's CCA threshold, and any coverage/interference overlap
+    /// between mutually-hidden transmitters is a hidden spot.
+    pub fn comparison(&self, spacing_m: f64, rng: &mut SimRng) -> HiddenTerminalComparison {
         let seed = rng.next_u64();
         let (cas1, cas2) = self.deploy(DeploymentKind::Cas, rng);
         let (das1, das2) = self.deploy(DeploymentKind::Das, rng);
-        let (cas_spots, total) = self.count_spots(&cas1, &cas2, spacing_m, seed, contention);
-        let (das_spots, _) = self.count_spots(&das1, &das2, spacing_m, seed, contention);
+        let (cas_spots, total) = self.count_spots(&cas1, &cas2, spacing_m, seed);
+        let (das_spots, _) = self.count_spots(&das1, &das2, spacing_m, seed);
         HiddenTerminalComparison {
             cas_spots,
             das_spots,
@@ -271,7 +228,7 @@ mod tests {
         let mut cas_total = 0usize;
         let mut spots_total = 0usize;
         for _ in 0..5 {
-            let cmp = s.comparison(4.0, &mut rng, &ContentionModel::Graph);
+            let cmp = s.comparison(4.0, &mut rng);
             cas_total += cmp.cas_spots;
             spots_total += cmp.total_spots;
         }
@@ -290,7 +247,7 @@ mod tests {
         let mut cas_total = 0usize;
         let mut das_total = 0usize;
         for _ in 0..10 {
-            let cmp = s.comparison(4.0, &mut rng, &ContentionModel::Graph);
+            let cmp = s.comparison(4.0, &mut rng);
             cas_total += cmp.cas_spots;
             das_total += cmp.das_spots;
         }

@@ -20,8 +20,8 @@
 //! * [`dynamics`] — the long-horizon mutation layer: client mobility
 //!   (random waypoint, corridor flow), per-round roaming with hysteresis,
 //!   all off by default (static runs stay byte-identical).
-//! * [`traffic`] — pluggable downlink workloads (`FullBuffer`, `OnOff`,
-//!   `Poisson`, plus the diurnal / flash-crowd / churn long-horizon
+//! * [`traffic`] — the downlink workloads of [`TrafficKind`] (full buffer,
+//!   on/off, Poisson, plus the diurnal / flash-crowd / churn long-horizon
 //!   envelopes) deciding which clients are backlogged each round.
 //! * [`observer`] — streaming per-round result consumers (`Accumulate`
 //!   rebuilds `TopologyResult` bit-for-bit; `RunningSummary` is
@@ -54,4 +54,4 @@ pub use metrics::Cdf;
 pub use observer::{Accumulate, Observer, RoundRecord, RunningSummary};
 pub use scale::{AssociationPolicy, FloorGrid, Scenario, SpatialIndex};
 pub use simulator::{NetworkSimConfig, NetworkSimulator, ScanMode, TopologyResult};
-pub use traffic::{FullBuffer, TrafficKind, TrafficModel};
+pub use traffic::TrafficKind;

@@ -18,7 +18,7 @@ use crate::dynamics::{DynamicsCounters, DynamicsSpec, DynamicsState};
 use crate::metrics::Cdf;
 use crate::observer::{Accumulate, Observer, RoundRecord};
 use crate::scale::index::{NeighborTracker, SpatialIndex};
-use crate::traffic::{FullBuffer, TrafficKind, TrafficModel};
+use crate::traffic::{TrafficKind, TrafficState};
 use midas_channel::geometry::Point;
 use midas_channel::topology::Topology;
 use midas_channel::{ChannelMatrix, ChannelModel, Environment, RowCache, SimRng};
@@ -794,9 +794,9 @@ pub struct NetworkSimulator {
     /// Per-AP tag tables over the AP's own clients (AP-local indices).
     tags: Vec<TagTable>,
     /// Downlink workload: which clients are backlogged each round.
-    /// Defaults to [`FullBuffer`], which reproduces the pre-traffic-model
-    /// simulator byte for byte.
-    traffic: Box<dyn TrafficModel>,
+    /// Defaults to [`TrafficKind::FullBuffer`], which reproduces the
+    /// pre-traffic-model simulator byte for byte.
+    traffic: TrafficState,
     /// The precoder every AP runs, constructed once at build time — the
     /// round loop used to re-box one per AP per round.
     precoder: Box<dyn Precoder + Send + Sync>,
@@ -927,7 +927,7 @@ impl NetworkSimulator {
             channels,
             drr,
             tags,
-            traffic: Box::new(FullBuffer),
+            traffic: TrafficState::new(TrafficKind::FullBuffer, config.seed),
             precoder: make_precoder(config.precoder),
             workspace,
             fresh_workspace_per_round: false,
@@ -989,19 +989,12 @@ impl NetworkSimulator {
         self.workspace.timings
     }
 
-    /// Replaces the traffic model (default: [`FullBuffer`]) with a custom
-    /// [`TrafficModel`] implementation.  Consumes and returns the simulator
-    /// so it composes with construction.
-    fn with_traffic(mut self, traffic: Box<dyn TrafficModel>) -> Self {
-        self.traffic = traffic;
+    /// Replaces the workload (default: [`TrafficKind::FullBuffer`]) with
+    /// `kind`, seeded from this simulation's seed.  Consumes and returns the
+    /// simulator so it composes with construction.
+    pub fn with_traffic_kind(mut self, kind: TrafficKind) -> Self {
+        self.traffic = TrafficState::new(kind, self.config.seed);
         self
-    }
-
-    /// Replaces the traffic model with a library workload described by
-    /// `kind`, seeded from this simulation's seed.
-    pub fn with_traffic_kind(self, kind: TrafficKind) -> Self {
-        let seed = self.config.seed;
-        self.with_traffic(kind.instantiate(seed))
     }
 
     /// The topology being simulated.

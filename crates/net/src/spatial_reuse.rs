@@ -9,7 +9,6 @@
 //! additional transmissions AP B and then AP C can support given their
 //! per-antenna carrier sensing.
 
-use crate::capture::ContentionModel;
 use crate::contention::ContentionGraph;
 use crate::deployment::PairedTopology;
 use midas_channel::geometry::Point;
@@ -83,25 +82,15 @@ fn count_simultaneous_streams(
     total
 }
 
-/// Runs one paired spatial-reuse trial on a 3-AP paired topology under the
-/// given contention model — the single model-parameterised entry point.
+/// Runs one paired spatial-reuse trial on a 3-AP paired topology.
 ///
 /// Following §5.3.1: in MIDAS the first AP randomly enables 1–4 transmissions
 /// and the other APs add whatever their per-antenna sensing allows; in CAS
 /// exactly one AP can be active at a time, so the baseline is the antenna
-/// count of a single AP.  [`ContentionModel::Graph`] senses at the
-/// environment's CCA through the legacy graph (the paper's binary
-/// semantics); the physical model senses at its own configurable threshold
-/// through its own sensing field, which is how the Fig. 16 calibration
-/// re-runs this experiment.  Both draw the same RNG sequence, so switching
-/// models never perturbs the topology stream.
-pub fn trial(
-    pair: &PairedTopology,
-    env: &Environment,
-    rng: &mut SimRng,
-    model: &ContentionModel,
-) -> SpatialReuseResult {
-    let graph = model.sensing_graph(*env, rng.next_u64());
+/// count of a single AP.  Sensing uses the paper's binary semantics: the
+/// carrier-sense graph at the environment's CCA threshold.
+pub fn trial(pair: &PairedTopology, env: &Environment, rng: &mut SimRng) -> SpatialReuseResult {
+    let graph = ContentionGraph::new(*env, rng.next_u64());
     let antennas_per_ap = pair.das.aps[0].num_antennas();
     let first = 1 + rng.uniform_usize(antennas_per_ap);
     let das_streams = count_simultaneous_streams(&pair.das, &graph, first, true);
@@ -141,7 +130,7 @@ mod tests {
         let mut rng = SimRng::new(2);
         for seed in 0..10 {
             let p = pair(100 + seed);
-            let r = trial(&p, &env, &mut rng, &ContentionModel::Graph);
+            let r = trial(&p, &env, &mut rng);
             assert!(
                 r.cas_streams >= 4 && r.cas_streams <= 12,
                 "CAS {}",
@@ -165,7 +154,7 @@ mod tests {
         let mut ratios: Vec<f64> = Vec::new();
         for seed in 0..30 {
             let p = pair(200 + seed);
-            ratios.push(trial(&p, &env, &mut rng, &ContentionModel::Graph).ratio());
+            ratios.push(trial(&p, &env, &mut rng).ratio());
         }
         ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = ratios[ratios.len() / 2];

@@ -4,12 +4,14 @@
 //! worker threads, deadline).
 //!
 //! Decoding is strict: unknown keys, wrong types and out-of-range knobs are
-//! errors, each carrying the `$.dotted.path` of the offending field.  The
-//! removed `engine` key gets its own error: every run uses keyed fading
-//! evolution, so a spec that still picks an engine is rejected rather than
-//! silently run under another one.  The encoding is total —
-//! [`JobSpec::to_json`] writes every field explicitly — so a written spec
-//! re-reads to the identical value.
+//! errors, each carrying the `$.dotted.path` of the offending field.  Every
+//! field is read once, through a private field reader that names the key,
+//! derives its path and applies the field's range rule; only the rules that
+//! span fields wait for [`JobSpec::validate`].  The removed `engine` key
+//! gets its own error: every run uses keyed fading evolution, so a spec
+//! that still picks an engine is rejected rather than silently run under
+//! another one.  The encoding is total — [`JobSpec::to_json`] writes every
+//! field explicitly — so a written spec re-reads to the identical value.
 //!
 //! The content address ([`JobSpec::cache_key`]) hashes only the fields that
 //! affect the result bytes: experiment, seed, traffic, coherence interval
@@ -149,10 +151,9 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Decodes a parsed JSON document (structure only; see
-    /// [`JobSpec::validate`] for the cross-field rules).
+    /// Decodes a parsed JSON document, applying every per-field rule as the
+    /// field is read (see [`JobSpec::validate`] for the cross-field rules).
     pub fn from_json(json: &Json) -> Result<JobSpec, DecodeError> {
-        let path = "$";
         if json.get("engine").is_some() {
             return Err(DecodeError::new(
                 "$.engine",
@@ -160,224 +161,52 @@ impl JobSpec {
                  so delete the key",
             ));
         }
-        check_keys(
-            json,
-            path,
-            &[
-                "experiment",
-                "seed",
-                "traffic",
-                "coherence_interval_rounds",
-                "threads",
-                "deadline_ms",
-                "stage_profiling",
-                "dynamics",
-            ],
-        )?;
-        let experiment = experiment_from_json(field(json, path, "experiment")?, "$.experiment")?;
-        let seed = take_u64(field(json, path, "seed")?, "$.seed")?;
-        let traffic = match opt_field(json, "traffic") {
-            None => TrafficKind::FullBuffer,
-            Some(v) => traffic_from_json(v, "$.traffic")?,
+        let root = Field {
+            value: json,
+            path: "$".to_string(),
         };
-        let coherence_interval_rounds = match opt_field(json, "coherence_interval_rounds") {
-            None => None,
-            Some(v) => Some(take_usize(v, "$.coherence_interval_rounds")?),
-        };
-        let threads = match opt_field(json, "threads") {
-            None => None,
-            Some(v) => Some(take_usize(v, "$.threads")?),
-        };
-        let deadline_ms = match opt_field(json, "deadline_ms") {
-            None => None,
-            Some(v) => Some(take_u64(v, "$.deadline_ms")?),
-        };
-        let stage_profiling = match opt_field(json, "stage_profiling") {
-            None => false,
-            Some(v) => take_bool(v, "$.stage_profiling")?,
-        };
-        let dynamics = match opt_field(json, "dynamics") {
-            None => None,
-            Some(v) => Some(dynamics_from_json(v, "$.dynamics")?),
-        };
-        Ok(JobSpec {
-            experiment,
-            seed,
-            traffic,
-            coherence_interval_rounds,
-            threads,
-            deadline_ms,
-            stage_profiling,
-            dynamics,
+        root.object(|f| {
+            Ok(JobSpec {
+                experiment: experiment_from_json(f.req("experiment")?)?,
+                seed: f.req("seed")?.u64()?,
+                traffic: f
+                    .opt("traffic")
+                    .map_or(Ok(TrafficKind::FullBuffer), traffic_from_json)?,
+                coherence_interval_rounds: f
+                    .opt("coherence_interval_rounds")
+                    .map(|v| v.count())
+                    .transpose()?,
+                threads: f.opt("threads").map(|v| v.count()).transpose()?,
+                deadline_ms: f.opt("deadline_ms").map(|v| v.u64()).transpose()?,
+                stage_profiling: f.opt("stage_profiling").map_or(Ok(false), |v| v.bool())?,
+                dynamics: f.opt("dynamics").map(dynamics_from_json).transpose()?,
+            })
         })
     }
 
     /// Cross-field rules: session knobs only apply to session-driven
-    /// experiments, and numeric knobs must be in range.
+    /// experiments, and a scenario must be one of the library's.
     pub fn validate(&self) -> Result<(), DecodeError> {
         if !self.is_session_driven() {
-            if self.traffic != TrafficKind::FullBuffer {
-                return Err(DecodeError::new(
-                    "$.traffic",
-                    format!(
-                        "traffic workloads only apply to session-driven experiments; \
-                         {} runs its own fixed recipe",
-                        self.experiment.name()
-                    ),
-                ));
-            }
-            if self.coherence_interval_rounds.is_some() {
-                return Err(DecodeError::new(
+            let knob = if self.traffic != TrafficKind::FullBuffer {
+                Some(("$.traffic", "traffic workloads only apply"))
+            } else if self.coherence_interval_rounds.is_some() {
+                Some((
                     "$.coherence_interval_rounds",
-                    format!(
-                        "the coherence interval only applies to session-driven \
-                         experiments; {} runs its own fixed recipe",
-                        self.experiment.name()
-                    ),
-                ));
-            }
-            if self.dynamics.is_some() {
-                return Err(DecodeError::new(
-                    "$.dynamics",
-                    format!(
-                        "the dynamics layer only applies to session-driven \
-                         experiments; {} runs its own fixed recipe",
-                        self.experiment.name()
-                    ),
-                ));
-            }
-        }
-        if let Some(dynamics) = &self.dynamics {
-            if !(0.0..=1.0).contains(&dynamics.mobile_fraction) {
-                return Err(DecodeError::new(
-                    "$.dynamics.mobile_fraction",
-                    "must be in [0, 1]",
-                ));
-            }
-            if dynamics.period_rounds == 0 {
-                return Err(DecodeError::new(
-                    "$.dynamics.period_rounds",
-                    "must be at least 1",
-                ));
-            }
-            let speed = match dynamics.mobility {
-                Some(MobilityModel::RandomWaypoint { speed_mps, .. })
-                | Some(MobilityModel::CorridorFlow { speed_mps }) => speed_mps,
-                None => 0.0,
+                    "the coherence interval only applies",
+                ))
+            } else if self.dynamics.is_some() {
+                Some(("$.dynamics", "the dynamics layer only applies"))
+            } else {
+                None
             };
-            if speed.is_nan() || speed < 0.0 {
+            if let Some((path, what)) = knob {
                 return Err(DecodeError::new(
-                    "$.dynamics.mobility.speed_mps",
-                    "must be non-negative",
-                ));
-            }
-            if let Some(reassociation) = dynamics.reassociation {
-                if reassociation.hysteresis_db.is_nan() || reassociation.hysteresis_db < 0.0 {
-                    return Err(DecodeError::new(
-                        "$.dynamics.reassociation.hysteresis_db",
-                        "must be non-negative",
-                    ));
-                }
-            }
-        }
-        if self.coherence_interval_rounds == Some(0) {
-            return Err(DecodeError::new(
-                "$.coherence_interval_rounds",
-                "must be at least 1",
-            ));
-        }
-        if self.threads == Some(0) {
-            return Err(DecodeError::new("$.threads", "must be at least 1"));
-        }
-        if let TrafficKind::OnOff {
-            duty,
-            mean_burst_rounds,
-        } = self.traffic
-        {
-            if !(0.0..=1.0).contains(&duty) {
-                return Err(DecodeError::new("$.traffic.duty", "must be in [0, 1]"));
-            }
-            if mean_burst_rounds.is_nan() || mean_burst_rounds <= 0.0 {
-                return Err(DecodeError::new(
-                    "$.traffic.mean_burst_rounds",
-                    "must be positive",
-                ));
-            }
-        }
-        if let TrafficKind::Poisson {
-            mean_arrivals_per_round,
-        } = self.traffic
-        {
-            if mean_arrivals_per_round.is_nan() || mean_arrivals_per_round < 0.0 {
-                return Err(DecodeError::new(
-                    "$.traffic.mean_arrivals_per_round",
-                    "must be non-negative",
-                ));
-            }
-        }
-        if let TrafficKind::Diurnal {
-            low_duty,
-            high_duty,
-            day_rounds,
-            mean_burst_rounds,
-        } = self.traffic
-        {
-            if !(0.0..=1.0).contains(&low_duty) {
-                return Err(DecodeError::new("$.traffic.low_duty", "must be in [0, 1]"));
-            }
-            if !(0.0..=1.0).contains(&high_duty) {
-                return Err(DecodeError::new("$.traffic.high_duty", "must be in [0, 1]"));
-            }
-            if day_rounds < 2 {
-                return Err(DecodeError::new(
-                    "$.traffic.day_rounds",
-                    "must be at least 2",
-                ));
-            }
-            if mean_burst_rounds.is_nan() || mean_burst_rounds <= 0.0 {
-                return Err(DecodeError::new(
-                    "$.traffic.mean_burst_rounds",
-                    "must be positive",
-                ));
-            }
-        }
-        if let TrafficKind::FlashCrowd {
-            base_duty,
-            flash_every_rounds,
-            flash_rounds,
-        } = self.traffic
-        {
-            if !(0.0..=1.0).contains(&base_duty) {
-                return Err(DecodeError::new("$.traffic.base_duty", "must be in [0, 1]"));
-            }
-            if flash_every_rounds < 2 {
-                return Err(DecodeError::new(
-                    "$.traffic.flash_every_rounds",
-                    "must be at least 2",
-                ));
-            }
-            if flash_rounds == 0 || flash_rounds > flash_every_rounds {
-                return Err(DecodeError::new(
-                    "$.traffic.flash_rounds",
-                    "must be in [1, flash_every_rounds]",
-                ));
-            }
-        }
-        if let TrafficKind::Churn {
-            attached_fraction,
-            mean_session_rounds,
-        } = self.traffic
-        {
-            if !(0.0..=1.0).contains(&attached_fraction) {
-                return Err(DecodeError::new(
-                    "$.traffic.attached_fraction",
-                    "must be in [0, 1]",
-                ));
-            }
-            if mean_session_rounds.is_nan() || mean_session_rounds < 1.0 {
-                return Err(DecodeError::new(
-                    "$.traffic.mean_session_rounds",
-                    "must be at least 1",
+                    path,
+                    format!(
+                        "{what} to session-driven experiments; {} runs its own fixed recipe",
+                        self.experiment.name()
+                    ),
                 ));
             }
         }
@@ -453,101 +282,182 @@ fn opt_uint(v: Option<u64>) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Field helpers
+// Field reader
 
-fn check_keys(obj: &Json, path: &str, allowed: &[&str]) -> Result<(), DecodeError> {
-    let members = obj.as_obj().ok_or_else(|| {
-        DecodeError::new(
-            path,
-            format!("expected an object, found {}", obj.type_name()),
-        )
-    })?;
-    for (key, _) in members {
-        if !allowed.contains(&key.as_str()) {
-            return Err(DecodeError::new(
-                path,
-                format!("unknown key {key:?} (allowed: {})", allowed.join(", ")),
-            ));
+/// One JSON value under decode, with its `$.dotted.path`.  Each typed read
+/// carries its field's rule, so a rejected value names its own path.
+struct Field<'a> {
+    value: &'a Json,
+    path: String,
+}
+
+/// The members of one JSON object under decode.  Each read names its key
+/// once, which both derives the member's path and allows the key;
+/// [`Fields::finish`] rejects every member no read asked for.
+struct Fields<'a> {
+    members: &'a [(String, Json)],
+    path: String,
+    allowed: Vec<&'static str>,
+}
+
+impl<'a> Field<'a> {
+    fn error(&self, message: impl Into<String>) -> DecodeError {
+        DecodeError::new(&self.path, message)
+    }
+
+    fn expected(&self, what: &str) -> DecodeError {
+        self.error(format!("expected {what}, found {}", self.value.type_name()))
+    }
+
+    fn u64(&self) -> Result<u64, DecodeError> {
+        self.value
+            .as_u64()
+            .ok_or_else(|| self.expected("an unsigned integer"))
+    }
+
+    fn usize(&self) -> Result<usize, DecodeError> {
+        usize::try_from(self.u64()?).map_err(|_| self.error("integer out of range"))
+    }
+
+    /// An unsigned integer that must satisfy `ok`, else `rule` is the error.
+    fn usize_where(
+        &self,
+        ok: impl FnOnce(usize) -> bool,
+        rule: &str,
+    ) -> Result<usize, DecodeError> {
+        let n = self.usize()?;
+        if ok(n) {
+            Ok(n)
+        } else {
+            Err(self.error(rule))
         }
     }
-    Ok(())
-}
 
-fn field<'a>(obj: &'a Json, path: &str, key: &str) -> Result<&'a Json, DecodeError> {
-    obj.get(key)
-        .ok_or_else(|| DecodeError::new(path, format!("missing required key {key:?}")))
-}
+    /// A count of things to run or build: at least 1.
+    fn count(&self) -> Result<usize, DecodeError> {
+        self.usize_where(|n| n >= 1, "must be at least 1")
+    }
 
-/// A present, non-null member.
-fn opt_field<'a>(obj: &'a Json, key: &str) -> Option<&'a Json> {
-    match obj.get(key) {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(v),
+    fn f64(&self) -> Result<f64, DecodeError> {
+        self.value.as_f64().ok_or_else(|| self.expected("a number"))
+    }
+
+    /// A number that must satisfy `ok`, else `rule` is the error.
+    fn f64_where(&self, ok: impl FnOnce(f64) -> bool, rule: &str) -> Result<f64, DecodeError> {
+        let x = self.f64()?;
+        if ok(x) {
+            Ok(x)
+        } else {
+            Err(self.error(rule))
+        }
+    }
+
+    fn unit_interval(&self) -> Result<f64, DecodeError> {
+        self.f64_where(|x| (0.0..=1.0).contains(&x), "must be in [0, 1]")
+    }
+
+    fn positive(&self) -> Result<f64, DecodeError> {
+        self.f64_where(|x| x > 0.0, "must be positive")
+    }
+
+    fn non_negative(&self) -> Result<f64, DecodeError> {
+        self.f64_where(|x| x >= 0.0, "must be non-negative")
+    }
+
+    fn bool(&self) -> Result<bool, DecodeError> {
+        self.value
+            .as_bool()
+            .ok_or_else(|| self.expected("a boolean"))
+    }
+
+    fn str(&self) -> Result<&'a str, DecodeError> {
+        self.value.as_str().ok_or_else(|| self.expected("a string"))
+    }
+
+    /// The elements of an array, each at its `path[i]`.
+    fn list(&self) -> Result<Vec<Field<'a>>, DecodeError> {
+        let items = self
+            .value
+            .as_arr()
+            .ok_or_else(|| self.expected("an array"))?;
+        Ok(items
+            .iter()
+            .enumerate()
+            .map(|(i, value)| Field {
+                value,
+                path: format!("{}[{i}]", self.path),
+            })
+            .collect())
+    }
+
+    /// Every element of an array, read by `read`.
+    fn each<T>(
+        &self,
+        read: impl Fn(&Field<'a>) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        self.list()?.iter().map(read).collect()
+    }
+
+    /// Decodes an object: `read` asks for its members, then every member
+    /// it did not ask for is rejected.
+    fn object<T>(
+        &self,
+        read: impl FnOnce(&mut Fields<'a>) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        let members = self
+            .value
+            .as_obj()
+            .ok_or_else(|| self.expected("an object"))?;
+        let mut fields = Fields {
+            members,
+            path: self.path.clone(),
+            allowed: Vec::new(),
+        };
+        let value = read(&mut fields)?;
+        fields.finish()?;
+        Ok(value)
     }
 }
 
-fn take_u64(v: &Json, path: &str) -> Result<u64, DecodeError> {
-    v.as_u64().ok_or_else(|| {
-        DecodeError::new(
-            path,
-            format!("expected an unsigned integer, found {}", v.type_name()),
-        )
-    })
-}
+impl<'a> Fields<'a> {
+    /// The member `key`, present or not (a `null` member is present).
+    fn member(&mut self, key: &'static str) -> Option<Field<'a>> {
+        self.allowed.push(key);
+        let value = self
+            .members
+            .iter()
+            .find_map(|(k, v)| (k == key).then_some(v))?;
+        Some(Field {
+            value,
+            path: format!("{}.{key}", self.path),
+        })
+    }
 
-fn take_usize(v: &Json, path: &str) -> Result<usize, DecodeError> {
-    usize::try_from(take_u64(v, path)?).map_err(|_| DecodeError::new(path, "integer out of range"))
-}
+    /// A required member.
+    fn req(&mut self, key: &'static str) -> Result<Field<'a>, DecodeError> {
+        self.member(key)
+            .ok_or_else(|| DecodeError::new(&self.path, format!("missing required key {key:?}")))
+    }
 
-fn take_f64(v: &Json, path: &str) -> Result<f64, DecodeError> {
-    v.as_f64().ok_or_else(|| {
-        DecodeError::new(path, format!("expected a number, found {}", v.type_name()))
-    })
-}
+    /// An optional member: `None` when absent or `null`.
+    fn opt(&mut self, key: &'static str) -> Option<Field<'a>> {
+        self.member(key).filter(|f| *f.value != Json::Null)
+    }
 
-fn take_bool(v: &Json, path: &str) -> Result<bool, DecodeError> {
-    v.as_bool().ok_or_else(|| {
-        DecodeError::new(path, format!("expected a boolean, found {}", v.type_name()))
-    })
-}
-
-fn take_str<'a>(v: &'a Json, path: &str) -> Result<&'a str, DecodeError> {
-    v.as_str().ok_or_else(|| {
-        DecodeError::new(path, format!("expected a string, found {}", v.type_name()))
-    })
-}
-
-fn f64_list(v: &Json, path: &str) -> Result<Vec<f64>, DecodeError> {
-    let items = v.as_arr().ok_or_else(|| {
-        DecodeError::new(path, format!("expected an array, found {}", v.type_name()))
-    })?;
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| take_f64(item, &format!("{path}[{i}]")))
-        .collect()
-}
-
-fn usize_list(v: &Json, path: &str) -> Result<Vec<usize>, DecodeError> {
-    let items = v.as_arr().ok_or_else(|| {
-        DecodeError::new(path, format!("expected an array, found {}", v.type_name()))
-    })?;
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| take_usize(item, &format!("{path}[{i}]")))
-        .collect()
-}
-
-fn u64_list(v: &Json, path: &str) -> Result<Vec<u64>, DecodeError> {
-    let items = v.as_arr().ok_or_else(|| {
-        DecodeError::new(path, format!("expected an array, found {}", v.type_name()))
-    })?;
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| take_u64(item, &format!("{path}[{i}]")))
-        .collect()
+    /// Rejects the first member no read asked for.
+    fn finish(self) -> Result<(), DecodeError> {
+        match self
+            .members
+            .iter()
+            .find(|(key, _)| !self.allowed.contains(&key.as_str()))
+        {
+            Some((key, _)) => Err(DecodeError::new(
+                &self.path,
+                format!("unknown key {key:?} (allowed: {})", self.allowed.join(", ")),
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -611,100 +521,54 @@ fn traffic_to_json(traffic: TrafficKind) -> Json {
     }
 }
 
-fn traffic_from_json(v: &Json, path: &str) -> Result<TrafficKind, DecodeError> {
-    let model_path = format!("{path}.model");
-    match take_str(field(v, path, "model")?, &model_path)? {
-        "full_buffer" => {
-            check_keys(v, path, &["model"])?;
-            Ok(TrafficKind::FullBuffer)
-        }
-        "on_off" => {
-            check_keys(v, path, &["model", "duty", "mean_burst_rounds"])?;
-            Ok(TrafficKind::OnOff {
-                duty: take_f64(field(v, path, "duty")?, &format!("{path}.duty"))?,
-                mean_burst_rounds: take_f64(
-                    field(v, path, "mean_burst_rounds")?,
-                    &format!("{path}.mean_burst_rounds"),
-                )?,
-            })
-        }
-        "poisson" => {
-            check_keys(v, path, &["model", "mean_arrivals_per_round"])?;
-            Ok(TrafficKind::Poisson {
-                mean_arrivals_per_round: take_f64(
-                    field(v, path, "mean_arrivals_per_round")?,
-                    &format!("{path}.mean_arrivals_per_round"),
-                )?,
-            })
-        }
-        "diurnal" => {
-            check_keys(
-                v,
-                path,
-                &[
-                    "model",
-                    "low_duty",
-                    "high_duty",
-                    "day_rounds",
-                    "mean_burst_rounds",
-                ],
-            )?;
-            Ok(TrafficKind::Diurnal {
-                low_duty: take_f64(field(v, path, "low_duty")?, &format!("{path}.low_duty"))?,
-                high_duty: take_f64(field(v, path, "high_duty")?, &format!("{path}.high_duty"))?,
-                day_rounds: take_usize(
-                    field(v, path, "day_rounds")?,
-                    &format!("{path}.day_rounds"),
-                )?,
-                mean_burst_rounds: take_f64(
-                    field(v, path, "mean_burst_rounds")?,
-                    &format!("{path}.mean_burst_rounds"),
-                )?,
-            })
-        }
-        "flash_crowd" => {
-            check_keys(
-                v,
-                path,
-                &["model", "base_duty", "flash_every_rounds", "flash_rounds"],
-            )?;
-            Ok(TrafficKind::FlashCrowd {
-                base_duty: take_f64(field(v, path, "base_duty")?, &format!("{path}.base_duty"))?,
-                flash_every_rounds: take_usize(
-                    field(v, path, "flash_every_rounds")?,
-                    &format!("{path}.flash_every_rounds"),
-                )?,
-                flash_rounds: take_usize(
-                    field(v, path, "flash_rounds")?,
-                    &format!("{path}.flash_rounds"),
-                )?,
-            })
-        }
-        "churn" => {
-            check_keys(
-                v,
-                path,
-                &["model", "attached_fraction", "mean_session_rounds"],
-            )?;
-            Ok(TrafficKind::Churn {
-                attached_fraction: take_f64(
-                    field(v, path, "attached_fraction")?,
-                    &format!("{path}.attached_fraction"),
-                )?,
-                mean_session_rounds: take_f64(
-                    field(v, path, "mean_session_rounds")?,
-                    &format!("{path}.mean_session_rounds"),
-                )?,
-            })
-        }
-        other => Err(DecodeError::new(
-            &model_path,
-            format!(
-                "unknown traffic model {other:?} (expected \"full_buffer\", \"on_off\", \
-                 \"poisson\", \"diurnal\", \"flash_crowd\" or \"churn\")"
-            ),
-        )),
-    }
+fn traffic_from_json(v: Field<'_>) -> Result<TrafficKind, DecodeError> {
+    v.object(|f| {
+        let model = f.req("model")?;
+        Ok(match model.str()? {
+            "full_buffer" => TrafficKind::FullBuffer,
+            "on_off" => TrafficKind::OnOff {
+                duty: f.req("duty")?.unit_interval()?,
+                mean_burst_rounds: f.req("mean_burst_rounds")?.positive()?,
+            },
+            "poisson" => TrafficKind::Poisson {
+                mean_arrivals_per_round: f.req("mean_arrivals_per_round")?.non_negative()?,
+            },
+            "diurnal" => TrafficKind::Diurnal {
+                low_duty: f.req("low_duty")?.unit_interval()?,
+                high_duty: f.req("high_duty")?.unit_interval()?,
+                day_rounds: f
+                    .req("day_rounds")?
+                    .usize_where(|n| n >= 2, "must be at least 2")?,
+                mean_burst_rounds: f.req("mean_burst_rounds")?.positive()?,
+            },
+            "flash_crowd" => {
+                let base_duty = f.req("base_duty")?.unit_interval()?;
+                let every = f
+                    .req("flash_every_rounds")?
+                    .usize_where(|n| n >= 2, "must be at least 2")?;
+                TrafficKind::FlashCrowd {
+                    base_duty,
+                    flash_every_rounds: every,
+                    flash_rounds: f.req("flash_rounds")?.usize_where(
+                        |n| (1..=every).contains(&n),
+                        "must be in [1, flash_every_rounds]",
+                    )?,
+                }
+            }
+            "churn" => TrafficKind::Churn {
+                attached_fraction: f.req("attached_fraction")?.unit_interval()?,
+                mean_session_rounds: f
+                    .req("mean_session_rounds")?
+                    .f64_where(|x| x >= 1.0, "must be at least 1")?,
+            },
+            other => {
+                return Err(model.error(format!(
+                    "unknown traffic model {other:?} (expected \"full_buffer\", \"on_off\", \
+                     \"poisson\", \"diurnal\", \"flash_crowd\" or \"churn\")"
+                )))
+            }
+        })
+    })
 }
 
 fn environment_to_json(kind: EnvironmentKind) -> Json {
@@ -718,18 +582,15 @@ fn environment_to_json(kind: EnvironmentKind) -> Json {
     )
 }
 
-fn environment_from_json(v: &Json, path: &str) -> Result<EnvironmentKind, DecodeError> {
-    match take_str(v, path)? {
+fn environment_from_json(v: Field<'_>) -> Result<EnvironmentKind, DecodeError> {
+    match v.str()? {
         "office_a" => Ok(EnvironmentKind::OfficeA),
         "office_b" => Ok(EnvironmentKind::OfficeB),
         "open_plan" => Ok(EnvironmentKind::OpenPlan),
-        other => Err(DecodeError::new(
-            path,
-            format!(
-                "unknown environment {other:?} (expected \"office_a\", \"office_b\" or \
-                 \"open_plan\")"
-            ),
-        )),
+        other => Err(v.error(format!(
+            "unknown environment {other:?} (expected \"office_a\", \"office_b\" or \
+             \"open_plan\")"
+        ))),
     }
 }
 
@@ -757,44 +618,24 @@ fn contention_to_json(model: ContentionModel) -> Json {
     }
 }
 
-fn contention_from_json(v: &Json, path: &str) -> Result<ContentionModel, DecodeError> {
-    let model_path = format!("{path}.model");
-    match take_str(field(v, path, "model")?, &model_path)? {
-        "graph" => {
-            check_keys(v, path, &["model"])?;
-            Ok(ContentionModel::Graph)
+fn contention_from_json(v: Field<'_>) -> Result<ContentionModel, DecodeError> {
+    v.object(|f| {
+        let model = f.req("model")?;
+        match model.str()? {
+            "graph" => Ok(ContentionModel::Graph),
+            "physical" => Ok(ContentionModel::Physical(PhysicalConfig {
+                cs_threshold_dbm: f.req("cs_threshold_dbm")?.f64()?,
+                capture_margin_db: f.req("capture_margin_db")?.f64()?,
+                sensing_sigma_db: f
+                    .opt("sensing_sigma_db")
+                    .map(|v| v.non_negative())
+                    .transpose()?,
+            })),
+            other => Err(model.error(format!(
+                "unknown contention model {other:?} (expected \"graph\" or \"physical\")"
+            ))),
         }
-        "physical" => {
-            check_keys(
-                v,
-                path,
-                &[
-                    "model",
-                    "cs_threshold_dbm",
-                    "capture_margin_db",
-                    "sensing_sigma_db",
-                ],
-            )?;
-            Ok(ContentionModel::Physical(PhysicalConfig {
-                cs_threshold_dbm: take_f64(
-                    field(v, path, "cs_threshold_dbm")?,
-                    &format!("{path}.cs_threshold_dbm"),
-                )?,
-                capture_margin_db: take_f64(
-                    field(v, path, "capture_margin_db")?,
-                    &format!("{path}.capture_margin_db"),
-                )?,
-                sensing_sigma_db: match opt_field(v, "sensing_sigma_db") {
-                    None => None,
-                    Some(sigma) => Some(take_f64(sigma, &format!("{path}.sensing_sigma_db"))?),
-                },
-            }))
-        }
-        other => Err(DecodeError::new(
-            &model_path,
-            format!("unknown contention model {other:?} (expected \"graph\" or \"physical\")"),
-        )),
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -855,119 +696,61 @@ pub fn dynamics_to_json(spec: &DynamicsSpec) -> Json {
 }
 
 /// Decodes the [`dynamics_to_json`] form back into a [`DynamicsSpec`].
-fn dynamics_from_json(v: &Json, path: &str) -> Result<DynamicsSpec, DecodeError> {
-    check_keys(
-        v,
-        path,
-        &[
-            "mobility",
-            "mobile_fraction",
-            "reassociation",
-            "period_rounds",
-        ],
-    )?;
-    let mobility = match opt_field(v, "mobility") {
-        None => None,
-        Some(m) => {
-            let mobility_path = format!("{path}.mobility");
-            let model_path = format!("{mobility_path}.model");
-            let speed_path = format!("{mobility_path}.speed_mps");
-            Some(
-                match take_str(field(m, &mobility_path, "model")?, &model_path)? {
-                    "random_waypoint" => {
-                        check_keys(m, &mobility_path, &["model", "speed_mps", "pause_rounds"])?;
-                        MobilityModel::RandomWaypoint {
-                            speed_mps: take_f64(
-                                field(m, &mobility_path, "speed_mps")?,
-                                &speed_path,
-                            )?,
-                            pause_rounds: take_usize(
-                                field(m, &mobility_path, "pause_rounds")?,
-                                &format!("{mobility_path}.pause_rounds"),
-                            )?,
-                        }
-                    }
-                    "corridor_flow" => {
-                        check_keys(m, &mobility_path, &["model", "speed_mps"])?;
-                        MobilityModel::CorridorFlow {
-                            speed_mps: take_f64(
-                                field(m, &mobility_path, "speed_mps")?,
-                                &speed_path,
-                            )?,
-                        }
-                    }
+fn dynamics_from_json(v: Field<'_>) -> Result<DynamicsSpec, DecodeError> {
+    v.object(|f| {
+        let mobility = f.opt("mobility").map(|m| {
+            m.object(|m| {
+                let model = m.req("model")?;
+                Ok(match model.str()? {
+                    "random_waypoint" => MobilityModel::RandomWaypoint {
+                        speed_mps: m.req("speed_mps")?.non_negative()?,
+                        pause_rounds: m.req("pause_rounds")?.usize()?,
+                    },
+                    "corridor_flow" => MobilityModel::CorridorFlow {
+                        speed_mps: m.req("speed_mps")?.non_negative()?,
+                    },
                     other => {
-                        return Err(DecodeError::new(
-                            &model_path,
-                            format!(
-                                "unknown mobility model {other:?} (expected \
-                                 \"random_waypoint\" or \"corridor_flow\")"
-                            ),
-                        ))
+                        return Err(model.error(format!(
+                            "unknown mobility model {other:?} (expected \
+                             \"random_waypoint\" or \"corridor_flow\")"
+                        )))
                     }
-                },
-            )
-        }
-    };
-    let mobile_fraction = match opt_field(v, "mobile_fraction") {
-        None => 1.0,
-        Some(f) => take_f64(f, &format!("{path}.mobile_fraction"))?,
-    };
-    let reassociation = match opt_field(v, "reassociation") {
-        None => None,
-        Some(r) => {
-            let reassoc_path = format!("{path}.reassociation");
-            let policy_path = format!("{reassoc_path}.policy");
-            let policy = match take_str(field(r, &reassoc_path, "policy")?, &policy_path)? {
-                "nearest_ap" => {
-                    check_keys(r, &reassoc_path, &["policy", "hysteresis_db"])?;
-                    AssociationPolicy::NearestAp
-                }
-                "antenna_aware" => {
-                    check_keys(r, &reassoc_path, &["policy", "hysteresis_db"])?;
-                    AssociationPolicy::AntennaAware
-                }
-                "load_balanced" => {
-                    check_keys(
-                        r,
-                        &reassoc_path,
-                        &["policy", "load_hysteresis_db", "hysteresis_db"],
-                    )?;
-                    AssociationPolicy::LoadBalanced {
-                        hysteresis_db: take_f64(
-                            field(r, &reassoc_path, "load_hysteresis_db")?,
-                            &format!("{reassoc_path}.load_hysteresis_db"),
-                        )?,
-                    }
-                }
-                other => {
-                    return Err(DecodeError::new(
-                        &policy_path,
-                        format!(
+                })
+            })
+        });
+        let mobility = mobility.transpose()?;
+        let mobile_fraction = f
+            .opt("mobile_fraction")
+            .map_or(Ok(1.0), |v| v.unit_interval())?;
+        let reassociation = f.opt("reassociation").map(|r| {
+            r.object(|r| {
+                let policy = r.req("policy")?;
+                let policy = match policy.str()? {
+                    "nearest_ap" => AssociationPolicy::NearestAp,
+                    "antenna_aware" => AssociationPolicy::AntennaAware,
+                    "load_balanced" => AssociationPolicy::LoadBalanced {
+                        hysteresis_db: r.req("load_hysteresis_db")?.f64()?,
+                    },
+                    other => {
+                        return Err(policy.error(format!(
                             "unknown association policy {other:?} (expected \"nearest_ap\", \
                              \"antenna_aware\" or \"load_balanced\")"
-                        ),
-                    ))
-                }
-            };
-            Some(ReassociationSpec {
-                policy,
-                hysteresis_db: take_f64(
-                    field(r, &reassoc_path, "hysteresis_db")?,
-                    &format!("{reassoc_path}.hysteresis_db"),
-                )?,
+                        )))
+                    }
+                };
+                Ok(ReassociationSpec {
+                    policy,
+                    hysteresis_db: r.req("hysteresis_db")?.non_negative()?,
+                })
             })
-        }
-    };
-    let period_rounds = match opt_field(v, "period_rounds") {
-        None => 1,
-        Some(p) => take_usize(p, &format!("{path}.period_rounds"))?,
-    };
-    Ok(DynamicsSpec {
-        mobility,
-        mobile_fraction,
-        reassociation,
-        period_rounds,
+        });
+        let reassociation = reassociation.transpose()?;
+        Ok(DynamicsSpec {
+            mobility,
+            mobile_fraction,
+            reassociation,
+            period_rounds: f.opt("period_rounds").map_or(Ok(1), |v| v.count())?,
+        })
     })
 }
 
@@ -1111,200 +894,102 @@ fn experiment_to_json(spec: &ExperimentSpec) -> Json {
 }
 
 /// Decodes `{"kind": ..., ...}` back into an [`ExperimentSpec`].
-fn experiment_from_json(v: &Json, path: &str) -> Result<ExperimentSpec, DecodeError> {
-    let kind_path = format!("{path}.kind");
-    let kind = take_str(field(v, path, "kind")?, &kind_path)?.to_string();
-    let req_usize = |key: &str| take_usize(field(v, path, key)?, &format!("{path}.{key}"));
-    let spec = match kind.as_str() {
-        "fig03_naive_scaling_drop" => {
-            check_keys(v, path, &["kind", "topologies"])?;
-            ExperimentSpec::NaiveScalingDrop {
-                topologies: req_usize("topologies")?,
-            }
-        }
-        "fig07_link_snr" => {
-            check_keys(v, path, &["kind", "topologies"])?;
-            ExperimentSpec::LinkSnr {
-                topologies: req_usize("topologies")?,
-            }
-        }
-        "fig08_09_capacity" => {
-            check_keys(v, path, &["kind", "environment", "antennas", "topologies"])?;
-            ExperimentSpec::MuMimoCapacity {
-                environment: environment_from_json(
-                    field(v, path, "environment")?,
-                    &format!("{path}.environment"),
-                )?,
-                antennas: req_usize("antennas")?,
-                topologies: req_usize("topologies")?,
-            }
-        }
-        "fig10_smart_precoding" => {
-            check_keys(v, path, &["kind", "topologies"])?;
-            ExperimentSpec::SmartPrecoding {
-                topologies: req_usize("topologies")?,
-            }
-        }
-        "fig11_optimal_comparison" => {
-            check_keys(v, path, &["kind", "topologies", "stale_csi"])?;
-            ExperimentSpec::OptimalComparison {
-                topologies: req_usize("topologies")?,
-                stale_csi: take_bool(field(v, path, "stale_csi")?, &format!("{path}.stale_csi"))?,
-            }
-        }
-        "fig12_simultaneous_tx" => {
-            check_keys(v, path, &["kind", "topologies"])?;
-            ExperimentSpec::SimultaneousTx {
-                topologies: req_usize("topologies")?,
-            }
-        }
-        "fig13_deadzone" => {
-            check_keys(v, path, &["kind", "deployments"])?;
-            ExperimentSpec::Deadzones {
-                deployments: req_usize("deployments")?,
-            }
-        }
-        "sec534_hidden_terminals" => {
-            check_keys(v, path, &["kind", "deployments"])?;
-            ExperimentSpec::HiddenTerminals {
-                deployments: req_usize("deployments")?,
-            }
-        }
-        "fig14_packet_tagging" => {
-            check_keys(v, path, &["kind", "topologies"])?;
-            ExperimentSpec::PacketTagging {
-                topologies: req_usize("topologies")?,
-            }
-        }
-        "fig15_three_ap_end_to_end" | "fig16_eight_ap_simulation" => {
-            check_keys(v, path, &["kind", "topologies", "rounds", "contention"])?;
-            ExperimentSpec::EndToEnd {
-                eight_aps: kind == "fig16_eight_ap_simulation",
-                topologies: req_usize("topologies")?,
-                rounds: req_usize("rounds")?,
-                contention: contention_from_json(
-                    field(v, path, "contention")?,
-                    &format!("{path}.contention"),
-                )?,
-            }
-        }
-        "fig16_calibration" => {
-            check_keys(
-                v,
-                path,
-                &[
-                    "kind",
-                    "cs_thresholds_dbm",
-                    "capture_margins_db",
-                    "sensing_sigmas_db",
-                    "topologies",
-                    "rounds",
-                ],
-            )?;
-            ExperimentSpec::Fig16Calibration {
+fn experiment_from_json(v: Field<'_>) -> Result<ExperimentSpec, DecodeError> {
+    v.object(|f| {
+        let kind = f.req("kind")?;
+        let name = kind.str()?;
+        Ok(match name {
+            "fig03_naive_scaling_drop" => ExperimentSpec::NaiveScalingDrop {
+                topologies: f.req("topologies")?.count()?,
+            },
+            "fig07_link_snr" => ExperimentSpec::LinkSnr {
+                topologies: f.req("topologies")?.count()?,
+            },
+            "fig08_09_capacity" => ExperimentSpec::MuMimoCapacity {
+                environment: environment_from_json(f.req("environment")?)?,
+                antennas: f.req("antennas")?.count()?,
+                topologies: f.req("topologies")?.count()?,
+            },
+            "fig10_smart_precoding" => ExperimentSpec::SmartPrecoding {
+                topologies: f.req("topologies")?.count()?,
+            },
+            "fig11_optimal_comparison" => ExperimentSpec::OptimalComparison {
+                topologies: f.req("topologies")?.count()?,
+                stale_csi: f.req("stale_csi")?.bool()?,
+            },
+            "fig12_simultaneous_tx" => ExperimentSpec::SimultaneousTx {
+                topologies: f.req("topologies")?.count()?,
+            },
+            "fig13_deadzone" => ExperimentSpec::Deadzones {
+                deployments: f.req("deployments")?.count()?,
+            },
+            "sec534_hidden_terminals" => ExperimentSpec::HiddenTerminals {
+                deployments: f.req("deployments")?.count()?,
+            },
+            "fig14_packet_tagging" => ExperimentSpec::PacketTagging {
+                topologies: f.req("topologies")?.count()?,
+            },
+            "fig15_three_ap_end_to_end" | "fig16_eight_ap_simulation" => ExperimentSpec::EndToEnd {
+                eight_aps: name == "fig16_eight_ap_simulation",
+                topologies: f.req("topologies")?.count()?,
+                rounds: f.req("rounds")?.count()?,
+                contention: contention_from_json(f.req("contention")?)?,
+            },
+            "fig16_calibration" => ExperimentSpec::Fig16Calibration {
                 grid: CalibrationGrid {
-                    cs_thresholds_dbm: f64_list(
-                        field(v, path, "cs_thresholds_dbm")?,
-                        &format!("{path}.cs_thresholds_dbm"),
-                    )?,
-                    capture_margins_db: f64_list(
-                        field(v, path, "capture_margins_db")?,
-                        &format!("{path}.capture_margins_db"),
-                    )?,
-                    sensing_sigmas_db: f64_list(
-                        field(v, path, "sensing_sigmas_db")?,
-                        &format!("{path}.sensing_sigmas_db"),
-                    )?,
+                    cs_thresholds_dbm: f.req("cs_thresholds_dbm")?.each(Field::f64)?,
+                    capture_margins_db: f.req("capture_margins_db")?.each(Field::f64)?,
+                    sensing_sigmas_db: f.req("sensing_sigmas_db")?.each(Field::non_negative)?,
                 },
-                topologies: req_usize("topologies")?,
-                rounds: req_usize("rounds")?,
+                topologies: f.req("topologies")?.count()?,
+                rounds: f.req("rounds")?.count()?,
+            },
+            "enterprise_scaling" => {
+                let scenario = f.req("scenario")?;
+                let library_name = scenario.str()?;
+                let aps = f.req("aps")?.count()?;
+                ExperimentSpec::EnterpriseScaling {
+                    scenario: Scenario::by_name(library_name, aps).ok_or_else(|| {
+                        scenario.error(format!(
+                            "unknown scenario {library_name:?} (expected \"enterprise_office\", \
+                             \"auditorium\" or \"dense_apartment\")"
+                        ))
+                    })?,
+                    topologies: f.req("topologies")?.count()?,
+                    rounds: f.req("rounds")?.count()?,
+                }
             }
-        }
-        "enterprise_scaling" => {
-            check_keys(
-                v,
-                path,
-                &["kind", "scenario", "aps", "topologies", "rounds"],
-            )?;
-            let scenario_path = format!("{path}.scenario");
-            let name = take_str(field(v, path, "scenario")?, &scenario_path)?;
-            let aps = req_usize("aps")?;
-            let scenario = Scenario::by_name(name, aps).ok_or_else(|| {
-                DecodeError::new(
-                    &scenario_path,
-                    format!(
-                        "unknown scenario {name:?} (expected \"enterprise_office\", \
-                         \"auditorium\" or \"dense_apartment\")"
-                    ),
-                )
-            })?;
-            ExperimentSpec::EnterpriseScaling {
-                scenario,
-                topologies: req_usize("topologies")?,
-                rounds: req_usize("rounds")?,
-            }
-        }
-        "load_vs_gain" => {
-            check_keys(
-                v,
-                path,
-                &["kind", "duty_cycles", "topologies", "rounds", "speed_mps"],
-            )?;
-            ExperimentSpec::LoadVsGain {
-                duty_cycles: f64_list(
-                    field(v, path, "duty_cycles")?,
-                    &format!("{path}.duty_cycles"),
-                )?,
-                topologies: req_usize("topologies")?,
-                rounds: req_usize("rounds")?,
-                speed_mps: take_f64(field(v, path, "speed_mps")?, &format!("{path}.speed_mps"))?,
-            }
-        }
-        "ablation_tag_width" => {
-            check_keys(v, path, &["kind", "widths", "topologies"])?;
-            ExperimentSpec::TagWidth {
-                widths: usize_list(field(v, path, "widths")?, &format!("{path}.widths"))?,
-                topologies: req_usize("topologies")?,
-            }
-        }
-        "ablation_das_radius" => {
-            check_keys(v, path, &["kind", "fractions", "topologies"])?;
-            let fractions_path = format!("{path}.fractions");
-            let items = field(v, path, "fractions")?.as_arr().ok_or_else(|| {
-                DecodeError::new(&fractions_path, "expected an array of [lo, hi] pairs")
-            })?;
-            let mut fractions = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let pair_path = format!("{fractions_path}[{i}]");
-                let pair = item
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| DecodeError::new(&pair_path, "expected a [lo, hi] pair"))?;
-                fractions.push((
-                    take_f64(&pair[0], &format!("{pair_path}[0]"))?,
-                    take_f64(&pair[1], &format!("{pair_path}[1]"))?,
-                ));
-            }
-            ExperimentSpec::DasRadius {
-                fractions,
-                topologies: req_usize("topologies")?,
-            }
-        }
-        "ablation_antenna_wait" => {
-            check_keys(v, path, &["kind", "windows_us", "trials"])?;
-            ExperimentSpec::AntennaWait {
-                windows_us: u64_list(field(v, path, "windows_us")?, &format!("{path}.windows_us"))?,
-                trials: req_usize("trials")?,
-            }
-        }
-        other => {
-            return Err(DecodeError::new(
-                &kind_path,
-                format!("unknown experiment kind {other:?}"),
-            ))
-        }
-    };
-    Ok(spec)
+            "load_vs_gain" => ExperimentSpec::LoadVsGain {
+                duty_cycles: f.req("duty_cycles")?.each(Field::unit_interval)?,
+                topologies: f.req("topologies")?.count()?,
+                rounds: f.req("rounds")?.count()?,
+                speed_mps: f.req("speed_mps")?.non_negative()?,
+            },
+            "ablation_tag_width" => ExperimentSpec::TagWidth {
+                widths: f.req("widths")?.each(Field::count)?,
+                topologies: f.req("topologies")?.count()?,
+            },
+            "ablation_das_radius" => ExperimentSpec::DasRadius {
+                fractions: f.req("fractions")?.each(|pair| {
+                    let ends = pair.list().unwrap_or_default();
+                    let [lo, hi] = ends.as_slice() else {
+                        return Err(pair.error("expected a [lo, hi] pair"));
+                    };
+                    let (lo, hi) = (lo.positive()?, hi.f64()?);
+                    if lo > hi {
+                        return Err(pair.error("expected lo <= hi"));
+                    }
+                    Ok((lo, hi))
+                })?,
+                topologies: f.req("topologies")?.count()?,
+            },
+            "ablation_antenna_wait" => ExperimentSpec::AntennaWait {
+                windows_us: f.req("windows_us")?.each(Field::u64)?,
+                trials: f.req("trials")?.count()?,
+            },
+            other => return Err(kind.error(format!("unknown experiment kind {other:?}"))),
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1371,7 +1056,11 @@ mod tests {
         ];
         for spec in specs {
             let json = experiment_to_json(&spec);
-            let back = experiment_from_json(&json, "$")
+            let root = Field {
+                value: &json,
+                path: "$".to_string(),
+            };
+            let back = experiment_from_json(root)
                 .unwrap_or_else(|e| panic!("decode failed for {}: {e}", json.write_compact()));
             assert_eq!(back, spec, "round trip changed {}", json.write_compact());
             // And the re-encoding is a fixed point (stable bytes).
@@ -1631,6 +1320,207 @@ mod tests {
                 ..
             } => assert_eq!(config.sensing_sigma_db, None),
             other => panic!("wrong decode: {other:?}"),
+        }
+    }
+
+    /// Every per-field rule rejects its field as the field is read, naming
+    /// the field's path: one case per rule.
+    #[test]
+    fn each_field_rule_rejects_its_field_by_path() {
+        let e2e = r#""kind": "fig15_three_ap_end_to_end", "topologies": 2, "rounds": 3,
+                     "contention": {"model": "graph"}"#;
+        let traffic =
+            |t: &str| format!(r#"{{"experiment": {{{e2e}}}, "seed": 1, "traffic": {t}}}"#);
+        let dynamics =
+            |d: &str| format!(r#"{{"experiment": {{{e2e}}}, "seed": 1, "dynamics": {d}}}"#);
+        let experiment = |x: &str| format!(r#"{{"experiment": {x}, "seed": 1}}"#);
+        let cases = [
+            (
+                experiment(r#"{"kind": "fig07_link_snr", "topologies": 0}"#),
+                "$.experiment.topologies",
+            ),
+            (
+                experiment(r#"{"kind": "fig13_deadzone", "deployments": 0}"#),
+                "$.experiment.deployments",
+            ),
+            (
+                experiment(r#"{"kind": "ablation_antenna_wait", "windows_us": [0], "trials": 0}"#),
+                "$.experiment.trials",
+            ),
+            (
+                experiment(
+                    r#"{"kind": "fig15_three_ap_end_to_end", "topologies": 2, "rounds": 0,
+                               "contention": {"model": "graph"}}"#,
+                ),
+                "$.experiment.rounds",
+            ),
+            (
+                experiment(
+                    r#"{"kind": "fig08_09_capacity", "environment": "office_a",
+                               "antennas": 0, "topologies": 2}"#,
+                ),
+                "$.experiment.antennas",
+            ),
+            (
+                experiment(
+                    r#"{"kind": "enterprise_scaling", "scenario": "auditorium", "aps": 0,
+                               "topologies": 1, "rounds": 2}"#,
+                ),
+                "$.experiment.aps",
+            ),
+            (
+                experiment(r#"{"kind": "ablation_tag_width", "widths": [1, 0], "topologies": 2}"#),
+                "$.experiment.widths[1]",
+            ),
+            (
+                experiment(
+                    r#"{"kind": "ablation_das_radius", "fractions": [[0, 0.5]],
+                               "topologies": 2}"#,
+                ),
+                "$.experiment.fractions[0][0]",
+            ),
+            (
+                experiment(
+                    r#"{"kind": "ablation_das_radius", "fractions": [[0.25, 0.5], [0.5, 0.25]],
+                               "topologies": 2}"#,
+                ),
+                "$.experiment.fractions[1]",
+            ),
+            (
+                experiment(
+                    r#"{"kind": "load_vs_gain", "duty_cycles": [0.5, 1.5], "topologies": 2,
+                               "rounds": 3, "speed_mps": 0}"#,
+                ),
+                "$.experiment.duty_cycles[1]",
+            ),
+            (
+                experiment(
+                    r#"{"kind": "load_vs_gain", "duty_cycles": [0.5], "topologies": 2,
+                               "rounds": 3, "speed_mps": -1}"#,
+                ),
+                "$.experiment.speed_mps",
+            ),
+            (
+                experiment(
+                    r#"{"kind": "fig16_eight_ap_simulation", "topologies": 2, "rounds": 3,
+                               "contention": {"model": "physical", "cs_threshold_dbm": -86,
+                                              "capture_margin_db": 10, "sensing_sigma_db": -1}}"#,
+                ),
+                "$.experiment.contention.sensing_sigma_db",
+            ),
+            (
+                experiment(
+                    r#"{"kind": "fig16_calibration", "cs_thresholds_dbm": [-86],
+                               "capture_margins_db": [10], "sensing_sigmas_db": [3, -1],
+                               "topologies": 2, "rounds": 3}"#,
+                ),
+                "$.experiment.sensing_sigmas_db[1]",
+            ),
+            (
+                format!(
+                    r#"{{"experiment": {{{e2e}}}, "seed": 1, "coherence_interval_rounds": 0}}"#
+                ),
+                "$.coherence_interval_rounds",
+            ),
+            (
+                format!(r#"{{"experiment": {{{e2e}}}, "seed": 1, "threads": 0}}"#),
+                "$.threads",
+            ),
+            (
+                traffic(r#"{"model": "on_off", "duty": 1.5, "mean_burst_rounds": 4}"#),
+                "$.traffic.duty",
+            ),
+            (
+                traffic(r#"{"model": "on_off", "duty": 0.5, "mean_burst_rounds": 0}"#),
+                "$.traffic.mean_burst_rounds",
+            ),
+            (
+                traffic(r#"{"model": "poisson", "mean_arrivals_per_round": -1}"#),
+                "$.traffic.mean_arrivals_per_round",
+            ),
+            (
+                traffic(
+                    r#"{"model": "diurnal", "low_duty": -0.1, "high_duty": 0.9,
+                            "day_rounds": 200, "mean_burst_rounds": 4}"#,
+                ),
+                "$.traffic.low_duty",
+            ),
+            (
+                traffic(
+                    r#"{"model": "diurnal", "low_duty": 0.1, "high_duty": 1.1,
+                            "day_rounds": 200, "mean_burst_rounds": 4}"#,
+                ),
+                "$.traffic.high_duty",
+            ),
+            (
+                traffic(
+                    r#"{"model": "diurnal", "low_duty": 0.1, "high_duty": 0.9,
+                            "day_rounds": 1, "mean_burst_rounds": 4}"#,
+                ),
+                "$.traffic.day_rounds",
+            ),
+            (
+                traffic(
+                    r#"{"model": "diurnal", "low_duty": 0.1, "high_duty": 0.9,
+                            "day_rounds": 200, "mean_burst_rounds": 0}"#,
+                ),
+                "$.traffic.mean_burst_rounds",
+            ),
+            (
+                traffic(
+                    r#"{"model": "flash_crowd", "base_duty": 2, "flash_every_rounds": 50,
+                            "flash_rounds": 5}"#,
+                ),
+                "$.traffic.base_duty",
+            ),
+            (
+                traffic(
+                    r#"{"model": "flash_crowd", "base_duty": 0.2, "flash_every_rounds": 1,
+                            "flash_rounds": 1}"#,
+                ),
+                "$.traffic.flash_every_rounds",
+            ),
+            (
+                traffic(
+                    r#"{"model": "flash_crowd", "base_duty": 0.2, "flash_every_rounds": 50,
+                            "flash_rounds": 51}"#,
+                ),
+                "$.traffic.flash_rounds",
+            ),
+            (
+                traffic(
+                    r#"{"model": "churn", "attached_fraction": 1.5, "mean_session_rounds": 30}"#,
+                ),
+                "$.traffic.attached_fraction",
+            ),
+            (
+                traffic(
+                    r#"{"model": "churn", "attached_fraction": 0.5, "mean_session_rounds": 0.5}"#,
+                ),
+                "$.traffic.mean_session_rounds",
+            ),
+            (
+                dynamics(r#"{"mobile_fraction": 1.5}"#),
+                "$.dynamics.mobile_fraction",
+            ),
+            (
+                dynamics(r#"{"period_rounds": 0}"#),
+                "$.dynamics.period_rounds",
+            ),
+            (
+                dynamics(r#"{"mobility": {"model": "corridor_flow", "speed_mps": -1}}"#),
+                "$.dynamics.mobility.speed_mps",
+            ),
+            (
+                dynamics(r#"{"reassociation": {"policy": "nearest_ap", "hysteresis_db": -1}}"#),
+                "$.dynamics.reassociation.hysteresis_db",
+            ),
+        ];
+        for (text, path) in &cases {
+            match JobSpec::from_json_str(text) {
+                Err(SpecError::Decode(err)) => assert_eq!(err.path, *path, "{text}: {err}"),
+                other => panic!("{text} must fail at {path}, got {other:?}"),
+            }
         }
     }
 }
