@@ -263,6 +263,34 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
+/// The revision of the checkout when it is a git work tree (the snapshot
+/// header names the code it measured).
+fn git_rev(root: &Path) -> String {
+    let read = |p: PathBuf| {
+        std::fs::read_to_string(p)
+            .ok()
+            .map(|s| s.trim().to_string())
+    };
+    match read(root.join(".git/HEAD")) {
+        Some(head) => match head.strip_prefix("ref: ") {
+            Some(r) => read(root.join(".git").join(r)).unwrap_or(head),
+            None => head,
+        },
+        None => "unknown (not a git work tree)".into(),
+    }
+}
+
+/// `rustc -V` of the toolchain on the path, or `unknown`.
+fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
+}
+
 struct CellStats {
     median_s: f64,
     mean_s: f64,
@@ -498,9 +526,14 @@ fn main() {
     );
     fig.table(table);
 
+    // The header names the machine and the code, as perfbench's does.
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
     let snapshot = Json::Obj(vec![
         ("bench".into(), Json::Str("round_pipeline".into())),
         ("seed".into(), Json::UInt(BENCH_SEED)),
+        ("git_rev".into(), Json::Str(git_rev(&repo_root()))),
+        ("nproc".into(), Json::UInt(nproc as u64)),
+        ("rustc".into(), Json::Str(rustc_version())),
         ("cells".into(), Json::Arr(cells_json)),
     ])
     .write_compact()

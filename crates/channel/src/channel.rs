@@ -477,10 +477,15 @@ impl ChannelModel {
     /// The row's innovations come from the stateless [`CounterRng`] stream
     /// keyed by `(fading_seed, ap, link, round)`, so the update is a pure
     /// function of the key and the row's prior state: the same step can be
-    /// applied eagerly, lazily (catching a row up boundary by boundary) or
-    /// in any row order and produce identical bits.  `&self`, not
-    /// `&mut self` — the model's sequential generator, which set-up
-    /// realisation draws from, is untouched.
+    /// applied in any row order, or on any thread, and produce identical
+    /// bits.  `&self`, not `&mut self` — the model's sequential generator,
+    /// which set-up realisation draws from, is untouched.
+    ///
+    /// `n` steps of correlation `rho` compose to one step of correlation
+    /// `rhoⁿ` (the innovations' variances sum to `1 − rho²ⁿ`), so a caller
+    /// that skips `n` boundaries applies the exact `n`-step transition by
+    /// passing `rhoⁿ` — the simulator's lazy catch-up does, keyed by the
+    /// last boundary the row absorbs.
     ///
     /// The unit-power coefficient `f` evolves as
     /// `f ← rho·f + sqrt(1−rho²)·CN(0,1)`; the update works in the scaled

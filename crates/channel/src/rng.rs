@@ -203,9 +203,9 @@ impl SimRng {
 /// * **Order independence** — evolving link A before or after link B cannot
 ///   change either link's draws, so work can be skipped, reordered, or
 ///   sharded across threads without changing a single output bit.
-/// * **Lazy exactness** — the draws a skipped round *would* have produced
-///   can be reproduced later from the key alone, so catch-up replays are
-///   bit-identical to eager evolution.
+/// * **Lazy determinism** — a row caught up late draws from the key of the
+///   boundary it catches up to, whenever that happens, so the result does
+///   not depend on when (or on which thread) the work is done.
 ///
 /// Statistical quality matches [`SimRng`]'s seeding path: both are built on
 /// the splitmix64 mixer, which passes standard test batteries at 64-bit

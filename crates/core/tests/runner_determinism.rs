@@ -127,8 +127,10 @@ fn fig14_golden_medians() {
 
 #[test]
 fn end_to_end_golden_medians() {
-    // Same golden values the pre-session `end_to_end_capacity` runner
-    // pinned: the session path must reproduce them bit for bit.
+    // Re-pinned when a lagging channel row began catching up in one
+    // skip-ahead fading step (the round loop's statistics are the same,
+    // its draws are not); the session path must reproduce them bit for
+    // bit.
     let s = ExperimentSpec::EndToEnd {
         eight_aps: false,
         topologies: 6,
@@ -138,12 +140,15 @@ fn end_to_end_golden_medians() {
     .run(100)
     .expect_end_to_end()
     .network;
-    assert_eq!(median(&s.cas), 21.225899122528798);
-    assert_eq!(median(&s.das), 21.465779129410837);
+    assert_eq!(median(&s.cas), 20.422312254218184);
+    assert_eq!(median(&s.das), 21.325016455597222);
 }
 
 #[test]
 fn ablation_golden_values() {
+    // The tag-width ablation runs the round loop: re-pinned with the
+    // end-to-end medians above.  The DAS-radius and antenna-wait ablations
+    // never evolve a channel and keep their original values.
     assert_eq!(
         ExperimentSpec::TagWidth {
             widths: vec![1, 2],
@@ -151,7 +156,7 @@ fn ablation_golden_values() {
         }
         .run(9)
         .expect_tag_width(),
-        vec![(1, 20.8697553972558), (2, 17.703903706543336)]
+        vec![(1, 22.404063691271112), (2, 16.880086775657634)]
     );
     assert_eq!(
         ExperimentSpec::DasRadius {

@@ -114,10 +114,11 @@ impl DynamicsSpec {
     }
 }
 
-/// Deterministic work counts of the simulator's dynamics stage, summed
+/// Deterministic work counts of the simulator's dynamics layer, summed
 /// over a run (see `NetworkSimulator::dynamics_counters`).  A finite
 /// interaction range gives each client channel rows only at the APs in
-/// range, so a step's work is proportional to what changed:
+/// range, and a moved client's rows are refreshed only when read, so a
+/// step's work is proportional to what changed and what is read:
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DynamicsCounters {
     /// Channel rows created when a client came within range of an AP or
@@ -125,7 +126,9 @@ pub struct DynamicsCounters {
     pub rows_born: usize,
     /// Channel rows released when a client left an AP's range.
     pub rows_freed: usize,
-    /// Surviving rows of moved clients rescaled to their new position.
+    /// Rows of moved clients rescaled to their current position when read:
+    /// by the fading stage (rows the round reads) or by a tag rebuild (the
+    /// AP's own rows).
     pub rows_refreshed: usize,
     /// Refreshed rows whose client crossed into another shadowing cell, so
     /// the shadowing field was redrawn rather than reused.

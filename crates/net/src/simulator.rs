@@ -233,10 +233,12 @@ impl TopologyResult {
 /// fading evolution knows which rows the round will read).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
-    /// Dynamics: mobility, large-scale refresh, roaming and the MAC-state
-    /// rebuilds they trigger (0.0 when dynamics are off).
+    /// Dynamics: mobility, roaming, row membership and the MAC-state
+    /// rebuilds they trigger, including the large-scale refresh of the
+    /// rows a tag rebuild reads (0.0 when dynamics are off).
     pub dynamics_s: f64,
-    /// Channel evolution: keyed catch-up of the rows the round reads.
+    /// Channel evolution: keyed catch-up of the rows the round reads, and
+    /// their large-scale refresh when their client moved.
     pub evolve_s: f64,
     /// Carrier sensing against the antennas already on the air.
     pub sense_s: f64,
@@ -283,14 +285,14 @@ impl StageTimings {
 
 /// Deterministic work counts of keyed fading evolution, summed over a run
 /// (see [`NetworkSimulator::fading_counters`]).  Always on — plain integer
-/// adds next to the work they count — and they include the replays the
-/// dynamics stage runs before it rescales a lagging row.
+/// adds next to the work they count.  A catch-up is one skip-ahead step
+/// however many boundaries it spans, so `row_steps == rows_caught_up`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FadingCounters {
     /// Row catch-ups that moved a channel row forward by at least one
     /// evolution boundary.
     pub rows_caught_up: usize,
-    /// Keyed Gauss–Markov row steps applied: one per row per boundary.
+    /// Keyed Gauss–Markov row steps applied: one per catch-up.
     pub row_steps: usize,
     /// Gaussian pairs those steps drew: one per antenna per step.
     pub gaussian_pairs: usize,
@@ -494,22 +496,33 @@ impl RoundWorkspace {
 /// when a client comes within range or roams to the AP, and freed onto
 /// `free` when the client leaves.  A freed slot carries zero gain and is
 /// never read.
+///
+/// A row is brought current only when a round reads it, at a cost that
+/// does not depend on how long it sat unread: its fading takes one keyed
+/// skip-ahead step over every boundary it missed
+/// ([`catch_up_row`](Self::catch_up_row)), and in a dynamic run its
+/// large-scale gains are re-derived at the client's current position when
+/// the client moved since they were last derived
+/// ([`refresh_stale_row`](Self::refresh_stale_row)).
 struct ApChannel {
     ch: ChannelMatrix,
     /// Global client id → row of `ch`; `None` when the client is out of
     /// radio range of every antenna of this AP (its channel is never read).
     row_of: Vec<Option<u32>>,
     /// Per-row next evolution boundary (round number).  A row whose entry
-    /// is `b` has absorbed every keyed innovation for boundaries `< b`;
-    /// lazy catch-up replays boundaries `b, b+interval, …` up to the
-    /// current round before the row is read.  Starts at 0 (the initial
-    /// realisation has seen no evolution).
+    /// is `b` has absorbed every evolution boundary `< b`; catch-up moves
+    /// it past every boundary up to the current round in one step before
+    /// the row is read.  Starts at 0 (the initial realisation has seen no
+    /// evolution).
     next_boundary: Vec<u64>,
     /// Dynamics only: per-row shadowing memo and the antenna correlation
     /// births draw through (`None` in static runs).
     cache: Option<RowCache>,
     /// Dynamics only: freed row slots, reused last-in first-out by births.
     free: Vec<u32>,
+    /// Dynamics only (empty in static runs): per row, the client's move
+    /// epoch ([`RowDynamics::epoch`]) its large-scale gains were derived at.
+    epoch: Vec<u32>,
 }
 
 impl ApChannel {
@@ -528,9 +541,16 @@ impl ApChannel {
         self.ch.select(&rows, antennas)
     }
 
-    /// Replays the keyed innovations of every evolution boundary from
-    /// `row`'s bookmark through `through`, leaving the row current (a no-op
-    /// for a row already past `through`), and counts the work into `work`.
+    /// Moves `row` past every evolution boundary from its bookmark through
+    /// `through` (a no-op for a row already past `through`), and counts the
+    /// work into `work`.
+    ///
+    /// A row that lags `n` boundaries takes one keyed Gauss–Markov step at
+    /// correlation `ρⁿ`: the exact `n`-step transition of the AR(1) fading
+    /// process, `f ← ρⁿ·f + √(1−ρ²ⁿ)·CN(0,1)`, so the work is one row step
+    /// however long the row sat unread.  The step is keyed by the last
+    /// boundary it absorbs and the bookmark moves past that boundary, so
+    /// no `(row, boundary)` key is ever drawn twice.
     #[allow(clippy::too_many_arguments)] // the row, its stream key, the step and its tally
     fn catch_up_row(
         &mut self,
@@ -543,27 +563,48 @@ impl ApChannel {
         pairs: &mut Vec<(f64, f64)>,
         work: &mut FadingCounters,
     ) {
-        let mut boundary = self.next_boundary[row];
-        if boundary > through {
+        let next = self.next_boundary[row];
+        if next > through {
             return;
         }
-        let h_row = self.ch.h.row_mut(row);
-        let g_row = self.ch.large_scale.row(row);
-        while boundary <= through {
-            work.gaussian_pairs += model.evolve_row(
-                h_row,
-                g_row,
-                cadence.rho,
-                ap as u64,
-                client as u64,
-                boundary,
-                pairs,
-            );
-            work.row_steps += 1;
-            boundary += cadence.interval;
-        }
+        let lag = (through - next) / cadence.interval + 1;
+        let last = next + (lag - 1) * cadence.interval;
+        work.gaussian_pairs += model.evolve_row(
+            self.ch.h.row_mut(row),
+            self.ch.large_scale.row(row),
+            cadence.rho_over(lag),
+            ap as u64,
+            client as u64,
+            last,
+            pairs,
+        );
+        work.row_steps += 1;
         work.rows_caught_up += 1;
-        self.next_boundary[row] = boundary;
+        self.next_boundary[row] = last + cadence.interval;
+    }
+
+    /// Dynamics only: re-derives `row`'s large-scale gains at `position`
+    /// through the shadowing memo when they predate the client's move
+    /// epoch `epoch`, counting the refresh into `counters`.  A rescale
+    /// commutes with a fading step, so a refreshed row may be caught up
+    /// before or after.
+    fn refresh_stale_row(
+        &mut self,
+        model: &ChannelModel,
+        row: usize,
+        antennas: &[Point],
+        position: &Point,
+        epoch: u32,
+        counters: &mut DynamicsCounters,
+    ) {
+        if self.epoch[row] == epoch {
+            return;
+        }
+        let cache = self.cache.as_mut().expect("dynamic runs keep a row cache");
+        let redrawn = model.refresh_row_cached(&mut self.ch, cache, row, antennas, position);
+        self.epoch[row] = epoch;
+        counters.rows_refreshed += 1;
+        counters.shadow_redraws += usize::from(redrawn);
     }
 }
 
@@ -589,16 +630,29 @@ impl Cadence {
     fn boundary_at(&self, round: u64) -> u64 {
         (round / self.interval) * self.interval
     }
+
+    /// The correlation across `n` boundaries, `ρⁿ`.  The exponent is
+    /// clamped to `i32::MAX` so a very long lag cannot overflow; `ρⁿ` has
+    /// underflowed to 0 (a fresh stationary draw, the exact limit) long
+    /// before that for any `ρ < 1`.
+    fn rho_over(&self, n: u64) -> f64 {
+        self.rho.powi(n.min(i32::MAX as u64) as i32)
+    }
 }
 
 /// Dynamics-only channel-row bookkeeping, built only when
-/// `config.dynamics` is set: which APs each client is in range of, the
-/// work counters, and the scratch the per-step row sync reuses.
+/// `config.dynamics` is set: which APs each client is in range of, each
+/// client's move epoch, the work counters, and the scratch the per-step
+/// row sync reuses.
 struct RowDynamics {
     /// APs with an antenna within interaction range of each client; `None`
     /// at infinite range, where every client is in range of every AP and
     /// the row set never changes.
     in_range: Option<NeighborTracker>,
+    /// Per client, the number of dynamics steps it moved in (wrapping).  A
+    /// row whose [`ApChannel::epoch`] differs holds gains of an older
+    /// position and is refreshed when it is next read.
+    epoch: Vec<u32>,
     /// Row work so far; its `roaming_requeries` stays 0 here (the roaming
     /// engine counts those itself).
     counters: DynamicsCounters,
@@ -632,6 +686,7 @@ impl RowDynamics {
         });
         RowDynamics {
             in_range,
+            epoch: vec![0; topo.clients.len()],
             counters: DynamicsCounters::default(),
             prev_in_range: Vec::new(),
             affected: Vec::new(),
@@ -644,19 +699,19 @@ impl RowDynamics {
         self.in_range
             .as_ref()
             .map_or(0, NeighborTracker::heap_footprint_bytes)
-            + (self.prev_in_range.capacity() + self.affected.capacity()) * size_of::<u32>()
+            + (self.epoch.capacity() + self.prev_in_range.capacity() + self.affected.capacity())
+                * size_of::<u32>()
             + self.rssi.capacity() * size_of::<f64>()
     }
 
-    /// Brings client `c`'s rows up to date after a step in which it moved
-    /// and/or roamed from `old_own` to its current AP.
+    /// Brings client `c`'s row membership up to date after a step in which
+    /// it moved and/or roamed from `old_own` to its current AP.
     ///
-    /// 1. A moved client's surviving rows are rescaled to its new position
-    ///    through the shadowing memo (a lagging row first replays the
-    ///    boundaries before `round`, counted into `work`, so lazy
-    ///    evolution stays bit-identical to eager).
-    /// 2. Rows are born at APs the client joined — came into range of, or
-    ///    roamed to — and freed at APs it left, in ascending AP order.
+    /// A move bumps the client's epoch; its surviving rows keep their old
+    /// gains until a read refreshes them
+    /// ([`ApChannel::refresh_stale_row`]).  Rows are born at APs the client
+    /// joined — came into range of, or roamed to — stamped with the current
+    /// epoch, and freed at APs it left, in ascending AP order.
     #[allow(clippy::too_many_arguments)] // the client, its step and the state it syncs
     fn sync_client(
         &mut self,
@@ -668,52 +723,20 @@ impl RowDynamics {
         channels: &mut [ApChannel],
         model: &ChannelModel,
         cadence: Cadence,
-        pairs: &mut Vec<(f64, f64)>,
-        work: &mut FadingCounters,
     ) {
         let p = topo.clients[c].position;
         let own = topo.clients[c].ap_id;
         let mut requeried = false;
-        if let Some(tracker) = self.in_range.as_mut() {
-            if moved && !tracker.is_settled(c, &p) {
-                self.prev_in_range.clear();
-                self.prev_in_range.extend_from_slice(tracker.groups(c));
-                tracker.requery(c, p);
-                self.counters.membership_requeries += 1;
-                requeried = true;
-            }
-        }
-
         if moved {
-            let num_aps = channels.len();
-            let mut refresh = |ap: usize| {
-                let apch = &mut channels[ap];
-                let Some(row) = apch.row_of[c] else {
-                    return; // born below, at the new position
-                };
-                let row = row as usize;
-                // Eager rows have absorbed every boundary before this round;
-                // a lazily skipped row must too before its gain changes
-                // under it.
-                let through = cadence.boundary_at(round as u64 - 1);
-                apch.catch_up_row(model, ap, c, row, through, cadence, pairs, work);
-                let cache = apch.cache.as_mut().expect("dynamic runs keep a row cache");
-                let redrawn =
-                    model.refresh_row_cached(&mut apch.ch, cache, row, &topo.aps[ap].antennas, &p);
-                self.counters.rows_refreshed += 1;
-                self.counters.shadow_redraws += usize::from(redrawn);
-            };
-            match &self.in_range {
-                Some(tracker) => {
-                    let groups = tracker.groups(c);
-                    for &ap in groups {
-                        refresh(ap as usize);
-                    }
-                    if groups.binary_search(&(own as u32)).is_err() {
-                        refresh(own);
-                    }
+            self.epoch[c] = self.epoch[c].wrapping_add(1);
+            if let Some(tracker) = self.in_range.as_mut() {
+                if !tracker.is_settled(c, &p) {
+                    self.prev_in_range.clear();
+                    self.prev_in_range.extend_from_slice(tracker.groups(c));
+                    tracker.requery(c, p);
+                    self.counters.membership_requeries += 1;
+                    requeried = true;
                 }
-                None => (0..num_aps).for_each(&mut refresh),
             }
         }
 
@@ -762,13 +785,17 @@ impl RowDynamics {
                         c as u64,
                         round as u64,
                     );
-                    // A born row is a stationary draw for this round: it has
-                    // nothing to catch up until the next boundary.
+                    // A born row is a stationary draw for this round at the
+                    // client's current position: it has nothing to catch up
+                    // until the next boundary and nothing to refresh until
+                    // the client moves again.
                     let current = cadence.boundary_at(round as u64) + cadence.interval;
                     if row == apch.next_boundary.len() {
                         apch.next_boundary.push(current);
+                        apch.epoch.push(self.epoch[c]);
                     } else {
                         apch.next_boundary[row] = current;
+                        apch.epoch[row] = self.epoch[c];
                     }
                     apch.row_of[c] = Some(row as u32);
                     self.counters.rows_born += 1;
@@ -805,10 +832,6 @@ pub struct NetworkSimulator {
     /// Test knob: rebuild `workspace` from scratch every round, to prove
     /// reuse is observationally free (see `proptest_workspace.rs`).
     fresh_workspace_per_round: bool,
-    /// Test knob: evolve *every* in-range row every round instead of only
-    /// the rows the round reads.  Lazy evolution must be — and is pinned by
-    /// `proptest_fading.rs` to be — bit-identical to this eager reference.
-    eager_counter_evolve: bool,
     /// Keyed evolution work so far (always on).
     fading_work: FadingCounters,
     /// Collect per-stage wall-clock into the workspace's [`StageTimings`].
@@ -886,12 +909,18 @@ impl NetworkSimulator {
                     row_of[c] = Some(row as u32);
                 }
                 let next_boundary = vec![0; visible.len()];
+                let epoch = if dynamic {
+                    vec![0; visible.len()]
+                } else {
+                    Vec::new()
+                };
                 ApChannel {
                     ch,
                     row_of,
                     next_boundary,
                     cache,
                     free: Vec::new(),
+                    epoch,
                 }
             })
             .collect();
@@ -931,7 +960,6 @@ impl NetworkSimulator {
             precoder: make_precoder(config.precoder),
             workspace,
             fresh_workspace_per_round: false,
-            eager_counter_evolve: false,
             fading_work: FadingCounters::default(),
             profile_stages: false,
             dynamics,
@@ -956,20 +984,8 @@ impl NetworkSimulator {
         self.workspace.heap_footprint_bytes()
     }
 
-    /// Test knob: evolve every in-range channel row every round instead of
-    /// only the rows the round reads.  Results must be — and are pinned by
-    /// property tests to be — bit-identical to the default lazy evolution;
-    /// this exists only so that equivalence (and the work lazy evolution
-    /// saves, see [`fading_counters`](Self::fading_counters)) is checkable.
-    // lint: allow(unreachable-pub) — proptest_fading and dynamic_rows check lazy evolution against it
-    pub fn with_eager_counter_evolve(mut self) -> Self {
-        self.eager_counter_evolve = true;
-        self
-    }
-
     /// Work counters of keyed fading evolution so far — rows caught up,
-    /// row steps and Gaussian pairs drawn, dynamics-stage replays
-    /// included.  Deterministic in the seed.
+    /// row steps and Gaussian pairs drawn.  Deterministic in the seed.
     pub fn fading_counters(&self) -> FadingCounters {
         self.fading_work
     }
@@ -1105,10 +1121,10 @@ impl NetworkSimulator {
         self.workspace = ws;
     }
 
-    /// Pipeline stage 0 — dynamics: client mobility, large-scale channel
-    /// refresh, roaming, and the MAC-state rebuilds those trigger.  A
-    /// no-op (and never installed) when `config.dynamics` is `None`, so
-    /// static runs are byte-identical to the pre-dynamics simulator.
+    /// Pipeline stage 0 — dynamics: client mobility, roaming, channel-row
+    /// membership, and the MAC-state rebuilds those trigger.  A no-op (and
+    /// never installed) when `config.dynamics` is `None`, so static runs
+    /// are byte-identical to the pre-dynamics simulator.
     ///
     /// Per step (every `period_rounds`, never at round 0):
     /// 1. Mobility moves the mobile clients ([`DynamicsState::step_mobility`])
@@ -1116,18 +1132,21 @@ impl NetworkSimulator {
     ///    ([`DynamicsState::step_roaming`]).
     /// 2. Every AP's channel rows are brought back to the exact static row
     ///    set (`RowDynamics::sync_client`, only for clients that moved or
-    ///    roamed): surviving rows are rescaled to the new position through
-    ///    the shadowing memo ([`ChannelModel::refresh_row_cached`],
-    ///    bit-identical to [`ChannelModel::refresh_large_scale_row`]), rows
-    ///    are born where a client came into range or roamed to
-    ///    ([`ChannelModel::birth_row`], keyed draws) and freed where it
-    ///    left.  No sequential RNG is consumed, so the static pipeline's
-    ///    draw order is untouched.
+    ///    roamed): a move bumps the client's epoch, rows are born where a
+    ///    client came into range or roamed to ([`ChannelModel::birth_row`],
+    ///    keyed draws) and freed where it left.  Surviving rows are not
+    ///    touched here: a read refreshes them (see
+    ///    [`fading_stage`](Self::fading_stage)).  No sequential RNG is
+    ///    consumed, so the static pipeline's draw order is untouched.
     /// 3. The MAC-facing views are repaired: the workspace's ownership maps
     ///    are rebuilt when any client handed off, DRR restarts for APs whose
     ///    membership changed (a handoff is a fresh association), and tag
     ///    tables are rebuilt in place for any AP whose own-client RSSI
-    ///    picture moved.
+    ///    picture moved.  A tag rebuild reads the large-scale gains of the
+    ///    AP's own rows, so it first refreshes the stale ones through the
+    ///    shadowing memo ([`ChannelModel::refresh_row_cached`],
+    ///    bit-identical to [`ChannelModel::refresh_large_scale_row`]); tags
+    ///    never read fading, so those rows are not caught up.
     ///
     /// [`ChannelModel::refresh_row_cached`]: midas_channel::ChannelModel::refresh_row_cached
     /// [`ChannelModel::refresh_large_scale_row`]: midas_channel::ChannelModel::refresh_large_scale_row
@@ -1149,8 +1168,8 @@ impl NetworkSimulator {
         state.step_mobility(&spec, &mut self.topo);
         state.step_roaming(&spec, &mut self.topo, &self.config.env);
 
-        // 2. Sync the rows of every client that moved or roamed, in
-        //    ascending id order (births claim free slots in that order).
+        // 2. Sync the row membership of every client that moved or roamed,
+        //    in ascending id order (births claim free slots in that order).
         let cadence = Cadence::of(&self.model, &self.config);
         let moved = state.moved();
         let mut next_moved = 0;
@@ -1170,8 +1189,6 @@ impl NetworkSimulator {
                 &mut self.channels,
                 &self.model,
                 cadence,
-                &mut ws.pairs,
-                &mut self.fading_work,
             );
         }
 
@@ -1205,17 +1222,25 @@ impl NetworkSimulator {
                 self.drr[ap_id].restart(ws.own_clients[ap_id].len());
             }
             if membership || ws.dirty_tags[ap_id] {
-                let antennas = self.topo.aps[ap_id].num_antennas();
-                let ch = &self.channels[ap_id];
+                let antennas = &self.topo.aps[ap_id].antennas;
+                let n = antennas.len();
+                let apch = &mut self.channels[ap_id];
                 let own = &ws.own_clients[ap_id];
                 rows.rssi.clear();
                 for &c in own {
-                    rows.rssi
-                        .extend((0..antennas).map(|k| ch.mean_rssi_dbm(c, k)));
+                    apch.refresh_stale_row(
+                        &self.model,
+                        apch.row(c),
+                        antennas,
+                        &self.topo.clients[c].position,
+                        rows.epoch[c],
+                        &mut rows.counters,
+                    );
+                    rows.rssi.extend((0..n).map(|k| apch.mean_rssi_dbm(c, k)));
                 }
                 let rssi = &rows.rssi;
                 self.tags[ap_id].rebuild(
-                    (0..own.len()).map(|i| &rssi[i * antennas..(i + 1) * antennas]),
+                    (0..own.len()).map(|i| &rssi[i * n..(i + 1) * n]),
                     self.config.tag_width,
                 );
             }
@@ -1262,8 +1287,8 @@ impl NetworkSimulator {
 
     /// Bytes of heap the dynamics layer retains (0 when dynamics are off):
     /// mobility and roaming state, the row-membership tracker, the per-row
-    /// shadowing memos and the free-slot lists.  Stable once warm, which
-    /// the long-horizon footprint tests pin.
+    /// shadowing memos, the free-slot lists and the move epochs.  Stable
+    /// once warm, which the long-horizon footprint tests pin.
     pub fn dynamics_heap_footprint_bytes(&self) -> usize {
         let Some(rows) = self.rows.as_ref() else {
             return 0;
@@ -1273,7 +1298,7 @@ impl NetworkSimulator {
             .iter()
             .map(|c| {
                 c.cache.as_ref().map_or(0, RowCache::heap_footprint_bytes)
-                    + c.free.capacity() * std::mem::size_of::<u32>()
+                    + (c.free.capacity() + c.epoch.capacity()) * std::mem::size_of::<u32>()
             })
             .sum();
         self.dynamics
@@ -1493,15 +1518,20 @@ impl NetworkSimulator {
     }
 
     /// Pipeline stage 5 — fading: brings exactly the channel rows this
-    /// round reads up to the current evolution boundary.
+    /// round reads up to date.
     ///
     /// The active set is the union of each live slot's serving rows and
     /// each stream's interferer rows (from the gather stage): those — and
-    /// only those — feed the precode and evaluate stages.  Rows not in the
-    /// set are left behind; their `next_boundary` bookmark lets a later
-    /// round replay the identical keyed innovations they skipped, boundary
-    /// by boundary, so lazy evolution is bit-identical to eager (pinned by
-    /// `proptest_fading.rs`).
+    /// only those — feed the precode and evaluate stages.  In a dynamic
+    /// run, a row whose client moved since its gains were derived is first
+    /// refreshed at the client's current position
+    /// ([`ApChannel::refresh_stale_row`]).  Each row then catches up to the
+    /// current evolution boundary in one keyed skip-ahead step
+    /// ([`ApChannel::catch_up_row`]), whatever its lag.  Rows not in the
+    /// set are left behind; their `next_boundary` bookmark and gain epoch
+    /// say what a later read must do.  The keyed steps make the result a
+    /// pure function of the seed, bit-identical at any thread or worker
+    /// count.
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn fading_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
         let cadence = Cadence::of(&self.model, &self.config);
@@ -1523,39 +1553,28 @@ impl NetworkSimulator {
         let transmissions = &transmissions[..*live];
 
         touched.clear();
-        if self.eager_counter_evolve {
-            // Test reference: every in-range row of every AP, every round.
-            for (ap_id, apch) in self.channels.iter().enumerate() {
-                for (client, row) in apch.row_of.iter().enumerate() {
-                    if row.is_some() {
-                        touched.push((ap_id as u32, client as u32));
-                    }
-                }
+        // Serving rows: read by precode and by the evaluate stage's
+        // signal/intra-interference terms.
+        for t in transmissions.iter() {
+            for &client in t.clients.iter() {
+                touched.push((t.ap_id as u32, client as u32));
             }
-        } else {
-            // Serving rows: read by precode and by the evaluate stage's
-            // signal/intra-interference terms.
-            for t in transmissions.iter() {
-                for &client in t.clients.iter() {
-                    touched.push((t.ap_id as u32, client as u32));
-                }
-            }
-            // Interferer rows: each served client's row in every other
-            // transmission within radio range of it.
-            let mut stream_no = 0;
-            for (tx_idx, t) in transmissions.iter().enumerate() {
-                for &client in t.clients.iter() {
-                    let lo = if stream_no == 0 {
-                        0
-                    } else {
-                        stream_bounds[stream_no - 1]
-                    };
-                    let hi = stream_bounds[stream_no];
-                    stream_no += 1;
-                    for &o in &stream_interferers[lo..hi] {
-                        if o != tx_idx {
-                            touched.push((transmissions[o].ap_id as u32, client as u32));
-                        }
+        }
+        // Interferer rows: each served client's row in every other
+        // transmission within radio range of it.
+        let mut stream_no = 0;
+        for (tx_idx, t) in transmissions.iter().enumerate() {
+            for &client in t.clients.iter() {
+                let lo = if stream_no == 0 {
+                    0
+                } else {
+                    stream_bounds[stream_no - 1]
+                };
+                let hi = stream_bounds[stream_no];
+                stream_no += 1;
+                for &o in &stream_interferers[lo..hi] {
+                    if o != tx_idx {
+                        touched.push((transmissions[o].ap_id as u32, client as u32));
                     }
                 }
             }
@@ -1567,6 +1586,16 @@ impl NetworkSimulator {
             let apch = &mut self.channels[ap as usize];
             let row = apch.row_of[client as usize].expect("touched row must be in range of its AP")
                 as usize;
+            if let Some(rows) = self.rows.as_mut() {
+                apch.refresh_stale_row(
+                    &self.model,
+                    row,
+                    &self.topo.aps[ap as usize].antennas,
+                    &self.topo.clients[client as usize].position,
+                    rows.epoch[client as usize],
+                    &mut rows.counters,
+                );
+            }
             apch.catch_up_row(
                 &self.model,
                 ap as usize,
@@ -1725,6 +1754,7 @@ impl NetworkSimulator {
 mod tests {
     use super::*;
     use crate::deployment::PairedTopology;
+    use crate::dynamics::DynamicsSpec;
 
     fn three_ap_pair(seed: u64) -> PairedTopology {
         let mut rng = SimRng::new(seed);
@@ -1795,6 +1825,141 @@ mod tests {
             das_streams > cas_streams,
             "MIDAS mean streams {das_streams} should exceed CAS {cas_streams}"
         );
+    }
+
+    /// `(mean, standard error of the mean)` of a sample.
+    fn mean_and_se(samples: &[f64]) -> (f64, f64) {
+        let n = samples.len() as f64;
+        let mean = samples.iter().sum::<f64>() / n;
+        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
+        (mean, (var / n).sqrt())
+    }
+
+    /// The catch-up the fading stage applies is the exact k-step
+    /// Gauss–Markov transition: over 10⁴ keyed rows, a lag of k boundaries
+    /// leaves unit power and lag correlation ρᵏ, each within 4 standard
+    /// errors, at a coherence interval of 1 round and of 4.
+    #[test]
+    fn a_skip_ahead_catch_up_is_the_exact_k_step_transition() {
+        const ROWS: usize = 10_000;
+        let env = Environment::office_a();
+        let mut model = ChannelModel::new(env, 17);
+        let antenna = [Point::new(0.0, 0.0)];
+        let positions: Vec<Point> = (0..ROWS)
+            .map(|i| Point::new(2.0 + (i % 100) as f64 * 0.3, 2.0 + (i / 100) as f64 * 0.3))
+            .collect();
+        let start = model.realize_positions(&antenna, &positions);
+        let unit = |ch: &ChannelMatrix, row: usize| {
+            ch.h.get(row, 0).scale(1.0 / ch.large_scale.get(row, 0))
+        };
+        let mut pairs = Vec::new();
+        for interval in [1, 4] {
+            let mut config = NetworkSimConfig::midas(env, 17);
+            config.coherence_interval_rounds = interval;
+            let cadence = Cadence::of(&model, &config);
+            for k in [1u64, 2, 5, 17] {
+                let mut apch = ApChannel {
+                    ch: start.clone(),
+                    row_of: (0..ROWS as u32).map(Some).collect(),
+                    next_boundary: vec![0; ROWS],
+                    cache: None,
+                    free: Vec::new(),
+                    epoch: Vec::new(),
+                };
+                // Every row last absorbed no boundary; reading it at the
+                // k-th boundary catches it up over k of them.
+                let through = (k - 1) * cadence.interval;
+                let mut work = FadingCounters::default();
+                for row in 0..ROWS {
+                    apch.catch_up_row(&model, 0, row, row, through, cadence, &mut pairs, &mut work);
+                }
+                let one_step_each = FadingCounters {
+                    rows_caught_up: ROWS,
+                    row_steps: ROWS,
+                    gaussian_pairs: ROWS,
+                };
+                assert_eq!(work, one_step_each, "interval {interval}, lag {k}");
+                assert!(apch
+                    .next_boundary
+                    .iter()
+                    .all(|&b| b == through + cadence.interval));
+                // The bookmark moved past the keyed boundary: reading the
+                // row again before the next one draws nothing.
+                apch.catch_up_row(&model, 0, 0, 0, through, cadence, &mut pairs, &mut work);
+                assert_eq!(work, one_step_each);
+
+                let power: Vec<f64> = (0..ROWS).map(|r| unit(&apch.ch, r).norm_sqr()).collect();
+                let lagged: Vec<f64> = (0..ROWS)
+                    .map(|r| (unit(&apch.ch, r) * unit(&start, r).conj()).re)
+                    .collect();
+                let rho_k = cadence.rho.powi(k as i32);
+                let (p, p_se) = mean_and_se(&power);
+                let (c, c_se) = mean_and_se(&lagged);
+                assert!(
+                    (p - 1.0).abs() <= 4.0 * p_se,
+                    "interval {interval}, lag {k}: power {p:.4} ± {p_se:.4}"
+                );
+                assert!(
+                    (c - rho_k).abs() <= 4.0 * c_se,
+                    "interval {interval}, lag {k}: correlation {c:.4} ± {c_se:.4}, ρᵏ = {rho_k:.4}"
+                );
+            }
+        }
+    }
+
+    /// With dynamics on, every row a round reads — and every own row of an
+    /// AP whose tags that round's dynamics step rebuilt — carries its
+    /// client's current large-scale gains, bit-equal to
+    /// `refresh_large_scale_row` at the client's position.
+    #[test]
+    fn rows_a_round_reads_carry_their_clients_current_gains() {
+        let scenario = crate::scale::Scenario::enterprise_office(8);
+        let mut checked = 0;
+        for range in [20.0, f64::INFINITY] {
+            for mac in [MacKind::Midas, MacKind::Cas] {
+                // A run of `rounds` rounds leaves the workspace holding
+                // its last round's reads and tag rebuilds.
+                for rounds in 1..=8 {
+                    let pair = scenario.build(3).expect("buildable scenario");
+                    let topo = match mac {
+                        MacKind::Midas => pair.das,
+                        MacKind::Cas => pair.cas,
+                    };
+                    let mut config = scenario.sim_config(mac, rounds, 3);
+                    config.interaction_range_m = range;
+                    config.dynamics = Some(DynamicsSpec::roaming_walk(300.0));
+                    let mut sim = NetworkSimulator::new(topo, config);
+                    sim.run();
+                    let ws = &sim.workspace;
+                    let rebuilt = |ap: usize| {
+                        ws.dirty_tags.get(ap).copied().unwrap_or(false)
+                            || ws.dirty_membership.get(ap).copied().unwrap_or(false)
+                    };
+                    let own_rows = (0..sim.topo.aps.len())
+                        .filter(|&ap| rebuilt(ap))
+                        .flat_map(|ap| ws.own_clients[ap].iter().map(move |&c| (ap, c)));
+                    let read = ws.touched.iter().map(|&(ap, c)| (ap as usize, c as usize));
+                    for (ap, c) in read.chain(own_rows) {
+                        let apch = &sim.channels[ap];
+                        let antennas = &sim.topo.aps[ap].antennas;
+                        let all: Vec<usize> = (0..antennas.len()).collect();
+                        let mut expected = apch.ch.select(&[apch.row(c)], &all);
+                        let position = sim.topo.clients[c].position;
+                        sim.model
+                            .refresh_large_scale_row(&mut expected, 0, antennas, &position);
+                        let bits = |g: &[f64]| g.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(apch.ch.large_scale.row(apch.row(c))),
+                            bits(expected.large_scale.row(0)),
+                            "range {range}, {mac:?}, round {}: AP {ap}, client {c}",
+                            rounds - 1
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} rows checked");
     }
 
     #[test]

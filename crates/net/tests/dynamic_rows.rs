@@ -11,9 +11,11 @@
 //!   `refresh_large_scale_row`, shadowing-cell crossings included;
 //! * the slack-tracked `Reassociator` makes exactly the handoffs of a
 //!   from-scratch pass under all three policies;
-//! * lazy keyed evolution stays bit-identical to eager with dynamics on;
-//! * the dynamics stage's and fading evolution's work counters are pinned
-//!   for one small seed.
+//! * the dynamics layer's and fading evolution's work counters are pinned
+//!   for one small seed;
+//! * a moved client's rows are refreshed only when read: a step refreshes
+//!   at most the rows its round reads plus the own rows of the APs whose
+//!   tags it rebuilt.
 
 use midas_channel::topology::{Topology, TopologyConfig};
 use midas_channel::{ChannelModel, Environment, Point, SimRng};
@@ -21,7 +23,6 @@ use midas_net::dynamics::{DynamicsCounters, DynamicsSpec};
 use midas_net::observer::{Observer, RoundRecord};
 use midas_net::scale::{AssociationPolicy, FloorGrid, Reassociator, Scenario};
 use midas_net::simulator::{FadingCounters, MacKind, NetworkSimConfig, NetworkSimulator, ScanMode};
-use midas_net::traffic::TrafficKind;
 
 /// Interaction range of the test floors: shorter than the enterprise
 /// default so walkers cross many AP boundaries on an 8-AP floor.
@@ -33,14 +34,12 @@ fn fast_walk() -> DynamicsSpec {
 }
 
 /// An 8-AP enterprise floor with a finite interaction range.
-#[allow(clippy::too_many_arguments)] // test helper: the grid IS the arguments
 fn sim(
     mac: MacKind,
     scan: ScanMode,
     dynamics: Option<DynamicsSpec>,
     rounds: usize,
     seed: u64,
-    eager: bool,
 ) -> NetworkSimulator {
     let scenario = Scenario::enterprise_office(8);
     let pair = scenario.build(seed).expect("buildable scenario");
@@ -52,12 +51,7 @@ fn sim(
     config.interaction_range_m = RANGE_M;
     config.scan = scan;
     config.dynamics = dynamics;
-    let sim = NetworkSimulator::new(topo, config);
-    if eager {
-        sim.with_eager_counter_evolve()
-    } else {
-        sim
-    }
+    NetworkSimulator::new(topo, config)
 }
 
 /// Brute-force row set of `ap`: every client within range of one of its
@@ -84,7 +78,7 @@ fn rows_equal_the_brute_force_set_after_every_round() {
             // A run of `rounds` rounds ends right after the dynamics step
             // of round `rounds - 1`: the prefixes cover every step.
             for rounds in 1..=14 {
-                let mut s = sim(mac, scan, Some(fast_walk()), rounds, 3, false);
+                let mut s = sim(mac, scan, Some(fast_walk()), rounds, 3);
                 s.run();
                 let topo = s.topology();
                 for ap in 0..topo.aps.len() {
@@ -134,7 +128,7 @@ fn a_dynamic_runs_round_zero_and_a_never_stepping_run_match_the_static_run() {
         let rounds = 8;
         let capture = |dynamics| {
             let mut obs = RoundCapture::default();
-            sim(mac, ScanMode::Indexed, dynamics, rounds, 5, false).run_with(&mut obs);
+            sim(mac, ScanMode::Indexed, dynamics, rounds, 5).run_with(&mut obs);
             obs
         };
         let fixed = capture(None);
@@ -149,8 +143,8 @@ fn a_dynamic_runs_round_zero_and_a_never_stepping_run_match_the_static_run() {
             period_rounds: rounds + 1,
             ..fast_walk()
         };
-        let static_run = sim(mac, ScanMode::Indexed, None, rounds, 5, false).run();
-        let dormant_run = sim(mac, ScanMode::Indexed, Some(dormant), rounds, 5, false).run();
+        let static_run = sim(mac, ScanMode::Indexed, None, rounds, 5).run();
+        let dormant_run = sim(mac, ScanMode::Indexed, Some(dormant), rounds, 5).run();
         assert_eq!(static_run, dormant_run, "{mac:?}");
     }
 }
@@ -262,37 +256,8 @@ fn the_incremental_reassociator_matches_a_full_pass_under_every_policy() {
 }
 
 #[test]
-fn lazy_counter_evolution_matches_eager_with_dynamics_on() {
-    for seed in [7, 8] {
-        for traffic in [
-            TrafficKind::FullBuffer,
-            TrafficKind::OnOff {
-                duty: 0.3,
-                mean_burst_rounds: 2.0,
-            },
-        ] {
-            for mac in [MacKind::Midas, MacKind::Cas] {
-                let run = |eager| {
-                    sim(mac, ScanMode::Indexed, Some(fast_walk()), 12, seed, eager)
-                        .with_traffic_kind(traffic)
-                        .run()
-                };
-                assert_eq!(run(false), run(true), "{mac:?}/{traffic:?}: lazy vs eager");
-            }
-        }
-    }
-}
-
-#[test]
 fn dynamics_counters_are_pinned_for_a_small_seed() {
-    let mut s = sim(
-        MacKind::Midas,
-        ScanMode::Indexed,
-        Some(fast_walk()),
-        20,
-        11,
-        false,
-    );
+    let mut s = sim(MacKind::Midas, ScanMode::Indexed, Some(fast_walk()), 20, 11);
     s.run();
     let c = s.dynamics_counters().expect("dynamics are on");
     assert_eq!(
@@ -300,44 +265,90 @@ fn dynamics_counters_are_pinned_for_a_small_seed() {
         DynamicsCounters {
             rows_born: 111,
             rows_freed: 58,
-            rows_refreshed: 5215,
-            shadow_redraws: 2622,
+            rows_refreshed: 1456,
+            shadow_redraws: 834,
             membership_requeries: 1059,
             roaming_requeries: 557,
         }
     );
-    // Fading work includes the replays a lagging row runs before each
-    // refresh (these walkers move every round, so every surviving row is
-    // caught up one boundary at a time).
+    // Fading work: one skip-ahead step per catch-up, whatever the lag.
     assert_eq!(
         s.fading_counters(),
         FadingCounters {
-            rows_caught_up: 5139,
-            row_steps: 5139,
-            gaussian_pairs: 20556,
+            rows_caught_up: 513,
+            row_steps: 513,
+            gaussian_pairs: 2052,
         }
     );
     // Off means no dynamics counters at all.
-    let off = sim(MacKind::Midas, ScanMode::Indexed, None, 2, 11, false);
+    let off = sim(MacKind::Midas, ScanMode::Indexed, None, 2, 11);
     assert!(off.dynamics_counters().is_none());
 }
 
 #[test]
 fn a_finite_range_walk_refreshes_only_the_rows_in_range() {
-    // The enterprise default range at 64 APs: each step refreshes a
-    // client's rows at the APs in range, not at all 64.
+    // The enterprise default range at 64 APs.  A moved client's rows are
+    // refreshed only when read, so a step refreshes at most the rows its
+    // round reads plus the own rows of the APs whose tags it rebuilt — not
+    // every surviving row of every moved client.
     let scenario = Scenario::enterprise_office(64);
-    let pair = scenario.build(1).expect("buildable scenario");
-    let mut config: NetworkSimConfig = scenario.sim_config(MacKind::Midas, 3, 1);
-    config.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
-    let mut s = NetworkSimulator::new(pair.das, config);
-    let rows: usize = (0..64).map(|ap| s.channel_rows(ap).count()).sum();
-    s.run();
-    let c = s.dynamics_counters().expect("dynamics are on");
-    // Two steps, every client moving: each refreshes the static row set
-    // (plus any rows born in the first step), under half of the 64 × 512
-    // rows a dense row set would refresh.
-    let per_step = c.rows_refreshed / 2;
-    assert!(per_step <= rows + c.rows_born, "{c:?}");
-    assert!(2 * per_step < 64 * 512, "{c:?}");
+    let run = |rounds: usize| {
+        let pair = scenario.build(1).expect("buildable scenario");
+        let mut config: NetworkSimConfig = scenario.sim_config(MacKind::Midas, rounds, 1);
+        config.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
+        let range = config.interaction_range_m;
+        let mut s = NetworkSimulator::new(pair.das, config);
+        let rows: usize = (0..64).map(|ap| s.channel_rows(ap).count()).sum();
+        let mut last = RoundCapture {
+            round: rounds - 1,
+            ..RoundCapture::default()
+        };
+        s.run_with(&mut last);
+        (s, last, range, rows)
+    };
+    // A run of `rounds` rounds ends right after round `rounds - 1`, whose
+    // dynamics step left the topology where that round read it; the
+    // counters' increments over the prefixes are the steps' own work.
+    let mut refreshed = 0;
+    for rounds in 1..=3 {
+        let (s, last, range, rows) = run(rounds);
+        let topo = s.topology();
+        let c = s.dynamics_counters().expect("dynamics are on");
+        let step = c.rows_refreshed - refreshed;
+        refreshed = c.rows_refreshed;
+        // Rows the round read: each served client's row at its serving AP,
+        // and at every other transmitting AP with an antenna in range of it
+        // (a superset of the gather stage's interferer rows, which count
+        // only the antennas on the air).
+        let read: usize = last
+            .deliveries
+            .iter()
+            .map(|&(client, serving, _)| {
+                let p = &topo.clients[client].position;
+                1 + last
+                    .transmitting
+                    .iter()
+                    .filter(|&&ap| {
+                        ap != serving
+                            && topo.aps[ap].antennas.iter().any(|a| a.distance(p) <= range)
+                    })
+                    .count()
+            })
+            .sum();
+        // Every client walks, so every AP with a client rebuilds its tags
+        // each step: their own rows are all the clients.
+        let own_rows = if rounds == 1 { 0 } else { topo.clients.len() };
+        assert!(
+            step <= read + own_rows,
+            "round {}: {step} refreshes for {read} rows read + {own_rows} own rows ({c:?})",
+            rounds - 1
+        );
+        // Refreshing every surviving row of every moved client instead
+        // would touch the whole static row set each step.
+        assert!(
+            4 * step < rows,
+            "round {}: {step} of {rows} rows",
+            rounds - 1
+        );
+    }
 }

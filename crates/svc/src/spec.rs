@@ -29,14 +29,13 @@ use midas_channel::EnvironmentKind;
 use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec};
 use midas_net::scale::{AssociationPolicy, Scenario};
 
-/// Revision of the dynamic-run semantics, part of the cache key of every
-/// spec with a `dynamics` layer (and of no other): bumped whenever the
-/// same dynamic spec starts producing different result bytes, so an
-/// existing cache never serves results of the old semantics as hits.
-/// Revision 2: channel rows are kept exactly the static row set every step
-/// (births drawn from keyed streams, frees), and a lagging row replays its
-/// evolution boundaries before a large-scale refresh.
-const DYNAMICS_REVISION: u64 = 2;
+/// Revision of the simulation's results, part of the cache key of every
+/// spec: bump it whenever any spec's result bytes change, so an existing
+/// cache never serves results of the old code as hits.
+/// Revision 3: a lagging channel row catches up in one skip-ahead fading
+/// step, and a moved client's rows are refreshed when read.  (Revisions 1
+/// and 2 covered dynamic specs only, as `dynamics_revision`.)
+const RESULT_REVISION: u64 = 3;
 
 /// A decode failure, locating the offending field.
 #[derive(Debug, Clone, PartialEq)]
@@ -246,8 +245,9 @@ impl JobSpec {
     }
 
     /// The canonical content-address material: the result-affecting fields
-    /// only, canonically written (sorted keys, no whitespace).  One logical
-    /// job, one string — scheduling knobs do not fork the cache.
+    /// and the [`RESULT_REVISION`], canonically written (sorted keys, no
+    /// whitespace).  One logical job, one string — scheduling knobs do not
+    /// fork the cache.
     fn cache_key_material(&self) -> String {
         let mut members = vec![
             ("experiment".into(), experiment_to_json(&self.experiment)),
@@ -257,12 +257,10 @@ impl JobSpec {
                 "coherence_interval_rounds".into(),
                 opt_uint(self.coherence_interval_rounds.map(|n| n as u64)),
             ),
+            ("result_revision".into(), Json::UInt(RESULT_REVISION)),
         ];
-        // Only when set, so every pre-dynamics spec keeps its pinned
-        // material (and cache id) byte for byte.
         if let Some(dynamics) = self.dynamics {
             members.push(("dynamics".into(), dynamics_to_json(&dynamics)));
-            members.push(("dynamics_revision".into(), Json::UInt(DYNAMICS_REVISION)));
         }
         Json::Obj(members).write_canonical()
     }
@@ -1148,24 +1146,33 @@ mod tests {
         assert_eq!(back, spec);
     }
 
-    /// A dynamic spec's id moved when its results did — revision 2 (exact
-    /// sparse channel rows), then the removal of the engine member (keyed
-    /// fading evolution only) — so a cache populated before either change
-    /// cannot serve stale hits; static ids stay pinned by
-    /// `cache_key_is_pinned_and_ignores_scheduling_knobs`.
+    /// Every spec's id moves when results do: the result revision is in
+    /// the material of static and dynamic specs alike, so a cache
+    /// populated before the last change to any result bytes cannot serve
+    /// stale hits.
     #[test]
-    fn dynamic_spec_ids_carry_the_dynamics_revision() {
-        let mut spec = JobSpec::new(ExperimentSpec::fig15(), 5);
-        spec.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
-        // The ids this spec had before the revision member existed and
-        // while the material still named the (legacy) engine.
-        for old_id in ["ef14547d42f1ad7f", "553482cafc907f15"] {
-            assert_ne!(spec.cache_key(), old_id);
+    fn spec_ids_carry_the_result_revision() {
+        let static_spec = fig16_spec();
+        let mut dynamic_spec = JobSpec::new(ExperimentSpec::fig15(), 5);
+        dynamic_spec.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
+        // The ids these specs had before revision 3: the static one before
+        // any revision member, the dynamic one at `dynamics_revision` 2
+        // and at the earlier materials.
+        let old_ids: [(&JobSpec, &[&str]); 2] = [
+            (&static_spec, &["b7fbebced12cdef5"]),
+            (
+                &dynamic_spec,
+                &["63c62673e3b25cad", "ef14547d42f1ad7f", "553482cafc907f15"],
+            ),
+        ];
+        for (spec, old) in old_ids {
+            assert!(!old.contains(&spec.cache_key().as_str()), "{spec:?}");
+            assert!(spec
+                .cache_key_material()
+                .contains(",\"result_revision\":3,"));
         }
-        assert_eq!(spec.cache_key(), "63c62673e3b25cad");
-        assert!(spec
-            .cache_key_material()
-            .contains(",\"dynamics_revision\":2,"));
+        assert_eq!(static_spec.cache_key(), "6ffb66078732c51e");
+        assert_eq!(dynamic_spec.cache_key(), "68beade84a3550ab");
     }
 
     #[test]
@@ -1190,8 +1197,9 @@ mod tests {
 
     /// The cache-key material is a pinned golden: if these bytes drift, the
     /// whole on-disk cache silently invalidates, so any change here must be
-    /// deliberate.  (The last deliberate change dropped the `"engine"`
-    /// member, so no id of a legacy-engine result is ever served again.)
+    /// deliberate.  (The last deliberate change added `"result_revision"`
+    /// to every spec, so no result of the old fading catch-up is served
+    /// again.)
     #[test]
     fn cache_key_material_is_pinned() {
         assert_eq!(
@@ -1199,6 +1207,7 @@ mod tests {
             "{\"coherence_interval_rounds\":null,\
              \"experiment\":{\"contention\":{\"model\":\"graph\"},\
              \"kind\":\"fig16_eight_ap_simulation\",\"rounds\":10,\"topologies\":15},\
+             \"result_revision\":3,\
              \"seed\":73125,\"traffic\":{\"model\":\"full_buffer\"}}"
         );
     }
