@@ -47,9 +47,10 @@
 //!   simulation, no timing machinery in the way) so
 //!   `perf record --call-graph dwarf` / `flamegraph` see clean stacks, and
 //!   prints the per-stage wall-clock breakdown (`StageTimings`), the fading
-//!   work counters (`# fading work:`) and, for the `mobility_64ap` cell,
-//!   the dynamics work counters; `MIDAS_PIPELINE_PROFILE_ROUNDS` (default
-//!   400) sets the round count and `MIDAS_PIPELINE_COHERENCE` (default 1)
+//!   work counters (`# fading work:`), the sensing work counters and the
+//!   sensing table's bytes (`# sensing work:`) and, for the `mobility_64ap`
+//!   cell, the dynamics work counters; `MIDAS_PIPELINE_PROFILE_ROUNDS`
+//!   (default 400) sets the round count and `MIDAS_PIPELINE_COHERENCE` (default 1)
 //!   the coherence interval in rounds (> 1 caches channel realisations —
 //!   opt-in, changes outputs; handy for A/B-profiling the evolve stage).
 //!
@@ -362,6 +363,16 @@ fn profile(cell_name: &str, rounds: usize) {
             println!(
                 "# fading work: {} rows caught up, {} row steps, {} Gaussian pairs",
                 f.rows_caught_up, f.row_steps, f.gaussian_pairs
+            );
+            let s = sim.sensing_counters();
+            println!(
+                "# sensing work: {} rows built, {} powers evaluated, {} pushes, {} decisions, \
+                 table {} bytes",
+                s.rows_built,
+                s.powers_evaluated,
+                s.pushes,
+                s.decisions,
+                sim.sensing_heap_footprint_bytes()
             );
             if let Some(c) = sim.dynamics_counters() {
                 println!(

@@ -77,11 +77,10 @@ impl PhysicalConfig {
     /// the same name for the full grid and the promotion rule in
     /// `midas::experiment::best_calibration_cell`).
     ///
-    /// At these values the 8-AP simulation reports a MIDAS median
-    /// per-client capacity gain of +67 % at the bench seed (inside the
-    /// accepted +50…+150 % band pinned by
-    /// `crates/core/tests/paper_fidelity.rs`) and a network capacity gain
-    /// of ≈ +15 %, against the graph model's +32 % / +8.5 %.
+    /// The gains the 8-AP simulation reports at these values, against the
+    /// graph model's, are quoted in README's Fig. 16 paragraph (section
+    /// "Contention models"); the accepted per-client band is pinned by
+    /// `crates/core/tests/paper_fidelity.rs` and `fig16_pooled.rs`.
     pub fn calibrated() -> Self {
         PhysicalConfig {
             cs_threshold_dbm: -86.0,

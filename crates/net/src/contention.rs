@@ -13,6 +13,13 @@
 //! Energy detection sums the power of every concurrent transmitter, so four
 //! co-located CAS antennas are 6 dB easier to detect than one distant DAS
 //! antenna.
+//!
+//! [`ContentionGraph::rx_mw`] is the one per-pair term of that sum, and
+//! two callers fold it.  [`ContentionGraph::senses_any`] folds it over an
+//! explicit transmitter list for the §5.3.1 spatial-reuse and §5.3.4
+//! hidden-terminal analyses.  The end-to-end simulator folds the same term
+//! through its sensing table (`crate::simulator`), which evaluates each
+//! in-range antenna pair once per run, the first time a round reads it.
 
 use midas_channel::geometry::Point;
 use midas_channel::topology::Topology;
@@ -46,43 +53,30 @@ impl ContentionGraph {
         self.model.large_scale_rx_power_dbm(tx, rx) >= self.threshold_dbm
     }
 
+    /// Received sensing power (mW) at a sensing antenna at `rx` from one
+    /// transmitter at `tx`: large-scale path loss plus the frozen shadowing
+    /// field.  The one per-pair term every energy-detection decision sums —
+    /// [`ContentionGraph::senses_any`] here and the simulator's sensing
+    /// table alike.
+    pub fn rx_mw(&self, tx: &Point, rx: &Point) -> f64 {
+        dbm_to_mw(self.model.large_scale_rx_power_dbm(tx, rx))
+    }
+
+    /// Whether an antenna that heard at least one transmitter, at an
+    /// aggregate received power of `total_mw`, finds the medium busy.
+    pub(crate) fn detects(&self, total_mw: f64) -> bool {
+        mw_to_dbm(total_mw) >= self.threshold_dbm
+    }
+
     /// Whether a single antenna position senses the *aggregate* energy of the
-    /// given active transmitter positions (energy-detection carrier sensing).
+    /// given active transmitter positions (energy-detection carrier sensing):
+    /// a fold of [`ContentionGraph::rx_mw`] over the transmitters, in order,
+    /// from 0.0.
     pub fn senses_any(&self, antenna: &Point, active_transmitters: &[Point]) -> bool {
-        self.senses_any_within(antenna, active_transmitters, f64::INFINITY)
-    }
-
-    /// Range-limited [`ContentionGraph::senses_any`]: transmitters farther
-    /// than `cutoff_m` are below the receiver sensitivity floor and
-    /// contribute nothing to the energy sum.
-    ///
-    /// With `cutoff_m = f64::INFINITY` this is exactly `senses_any`.  The
-    /// enterprise-scale spatial index (`crate::scale`) feeds this the
-    /// pre-filtered neighbourhood via [`ContentionGraph::senses_aggregate`];
-    /// both paths visit the surviving transmitters in the same order, so the
-    /// floating-point sum — and the decision — is bit-identical.
-    pub fn senses_any_within(&self, antenna: &Point, active: &[Point], cutoff_m: f64) -> bool {
-        self.senses_aggregate(
-            antenna,
-            active.iter().filter(|tx| tx.distance(antenna) <= cutoff_m),
-        )
-    }
-
-    /// Energy-detection decision over an explicit set of transmitters (no
-    /// further filtering); the building block both scan implementations
-    /// share.
-    pub fn senses_aggregate<'a>(
-        &self,
-        antenna: &Point,
-        transmitters: impl IntoIterator<Item = &'a Point>,
-    ) -> bool {
-        let mut total_mw = 0.0;
-        let mut any = false;
-        for tx in transmitters {
-            any = true;
-            total_mw += dbm_to_mw(self.model.large_scale_rx_power_dbm(tx, antenna));
-        }
-        any && mw_to_dbm(total_mw) >= self.threshold_dbm
+        let total_mw = active_transmitters
+            .iter()
+            .fold(0.0, |total, tx| total + self.rx_mw(tx, antenna));
+        !active_transmitters.is_empty() && self.detects(total_mw)
     }
 
     /// Whether any antenna of AP `a` can sense any antenna of AP `b` in the

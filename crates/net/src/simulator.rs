@@ -40,20 +40,25 @@ pub enum MacKind {
     Cas,
 }
 
-/// How the simulator answers "who is near this point?" — carrier-sense and
-/// cross-AP interference neighbourhoods.
+/// How the simulator answers "who is near this point?".  Two lookups ask
+/// it: the sensing table's row discovery (the antennas within interaction
+/// range of an antenna that first goes on the air, once per run) and the
+/// gather stage's interferer lookup (the transmissions within range of each
+/// served client, every round).
 ///
-/// Both modes apply the same interaction-range truncation and visit the
+/// Both modes apply the same interaction-range truncation and return the
 /// surviving points in the same (insertion) order, so they produce
 /// **bit-identical** results; the property tests in `tests/proptest_scale.rs`
-/// pin that equivalence.  `Indexed` is the default: O(n·k) per round via the
-/// uniform-grid [`SpatialIndex`] instead of the O(n²) pairwise sweeps, which
-/// is what keeps 64-AP / 512-client floors tractable.
+/// and the sensing-table test in this module pin that equivalence.
+/// `Indexed` is the default: O(k) per lookup via the uniform-grid
+/// [`SpatialIndex`] instead of an O(n) sweep, which is what keeps 64-AP /
+/// 512-client floors tractable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanMode {
     /// Uniform-grid spatial-index neighbourhood queries (default).
     Indexed,
-    /// Reference all-pairs sweep, kept for equivalence testing.
+    /// Linear scans over every point: the oracle the equivalence tests
+    /// hold `Indexed` against.
     BruteForce,
 }
 
@@ -240,7 +245,11 @@ pub struct StageTimings {
     /// Channel evolution: keyed catch-up of the rows the round reads, and
     /// their large-scale refresh when their client moved.
     pub evolve_s: f64,
-    /// Carrier sensing against the antennas already on the air.
+    /// Carrier sensing: each sensing antenna's fold over the antennas
+    /// already on the air (including the first-read evaluation of a
+    /// sensing-table entry), the appends a claimed antenna makes to the
+    /// lists of the antennas that sense after it, and the per-round list
+    /// reset.
     pub sense_s: f64,
     /// Access-order shuffle, backlog queries, client selection, slot claims.
     pub select_s: f64,
@@ -298,6 +307,26 @@ pub struct FadingCounters {
     pub gaussian_pairs: usize,
 }
 
+/// Deterministic work counts of carrier sensing, summed over a run (see
+/// [`NetworkSimulator::sensing_counters`]).  Always on — plain integer
+/// adds next to the work they count.  `powers_evaluated` is bounded by the
+/// directed in-range antenna pairs and stops growing once every pair a run
+/// reads has been read once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SensingCounters {
+    /// Sensing-table rows built: one per antenna, the first time it goes
+    /// on the air.
+    pub rows_built: usize,
+    /// Antenna-pair powers evaluated: one per table entry, the first time
+    /// a sensing decision reads it.
+    pub powers_evaluated: usize,
+    /// Entries appended to sensing lists: one per (claimed antenna,
+    /// in-range antenna of an AP that senses later in the round).
+    pub pushes: usize,
+    /// Per-antenna sensing decisions.
+    pub decisions: usize,
+}
+
 /// `Some(now)` when stage profiling is on — the pipeline's "maybe read the
 /// clock" primitive.
 #[inline]
@@ -339,29 +368,275 @@ impl ActiveTransmission {
     }
 }
 
+/// The end of a sensing list.
+const NIL: u32 = u32::MAX;
+
+/// The received sensing power of every in-range antenna pair, for the
+/// whole run.
+///
+/// Antennas are numbered AP-major (AP 0's antennas, then AP 1's, …).  An
+/// antenna gets a row the first time it goes on the air: the antennas of
+/// other APs within interaction range of it, ascending, found through a
+/// static [`SpatialIndex`] over every antenna when the indexed scan is on
+/// and by a linear scan otherwise (including at infinite range).  The range
+/// predicate is symmetric, so the row of `a` holds exactly the antennas
+/// whose sensing sum `a` enters.  Same-AP antennas are left out: an AP
+/// senses before it claims, so its own antennas never hear each other.
+///
+/// Each entry is [`ContentionGraph::rx_mw`] from the row's antenna to the
+/// target on the contention model's own sensing graph, evaluated the first
+/// time a decision reads it (NaN until then).  Antennas never move —
+/// dynamics moves only clients — so an entry stays valid for the run, and
+/// set-up does no pair work at all.
+struct SensingTable {
+    /// The contention model's sensing graph: the per-pair term and the
+    /// energy-detect threshold.
+    graph: ContentionGraph,
+    /// Antenna positions by global id.
+    positions: Vec<Point>,
+    /// The AP owning each antenna.
+    owner: Vec<u32>,
+    /// The global id of each AP's first antenna.
+    first: Vec<u32>,
+    /// Static index over `positions` (ids are global ids); `None` unless
+    /// the indexed scan is on.
+    index: Option<SpatialIndex>,
+    cutoff_m: f64,
+    /// Per antenna, its row once it has gone on the air.
+    rows: Vec<Option<SensingRow>>,
+    counters: SensingCounters,
+}
+
+/// One antenna's row of the [`SensingTable`], sized exactly.
+struct SensingRow {
+    /// Antennas of other APs within interaction range, ascending.
+    targets: Box<[u32]>,
+    /// Received power (mW) at each target; NaN until first read.
+    powers: Box<[f64]>,
+}
+
+impl SensingTable {
+    /// O(antennas): ids, owners and (indexed scan) the static index; no row
+    /// and no pair power is computed here.
+    fn new(topo: &Topology, graph: ContentionGraph, config: &NetworkSimConfig) -> Self {
+        let mut positions = Vec::new();
+        let mut owner = Vec::new();
+        let mut first = Vec::with_capacity(topo.aps.len());
+        for ap in &topo.aps {
+            first.push(positions.len() as u32);
+            positions.extend_from_slice(&ap.antennas);
+            owner.resize(positions.len(), ap.ap_id as u32);
+        }
+        let index = config
+            .use_index()
+            .then(|| SpatialIndex::from_points(topo.region, config.index_cell_m(), &positions));
+        SensingTable {
+            graph,
+            rows: (0..positions.len()).map(|_| None).collect(),
+            positions,
+            owner,
+            first,
+            index,
+            cutoff_m: config.interaction_range_m,
+            counters: SensingCounters::default(),
+        }
+    }
+
+    /// Global id of AP `ap`'s antenna `k`.
+    fn antenna(&self, ap: usize, k: usize) -> usize {
+        self.first[ap] as usize + k
+    }
+
+    /// Builds the row of antenna `a` unless it exists.
+    fn build_row(&mut self, a: usize) {
+        if self.rows[a].is_none() {
+            let own = self.owner[a];
+            let at = self.positions[a];
+            let targets: Box<[u32]> = match &self.index {
+                Some(index) => index
+                    .neighbors_within(&at, self.cutoff_m)
+                    .into_iter()
+                    .filter(|&b| self.owner[b] != own)
+                    .map(|b| b as u32)
+                    .collect(),
+                None => (0..self.positions.len())
+                    .filter(|&b| {
+                        self.owner[b] != own && self.positions[b].distance(&at) <= self.cutoff_m
+                    })
+                    .map(|b| b as u32)
+                    .collect(),
+            };
+            let powers = vec![f64::NAN; targets.len()].into_boxed_slice();
+            self.rows[a] = Some(SensingRow { targets, powers });
+            self.counters.rows_built += 1;
+        }
+    }
+
+    /// Puts antenna `a` on the air: appends its entry to the list of every
+    /// target whose AP senses later this round, building its row on first
+    /// use.
+    fn go_on_air(&mut self, a: usize, lists: &mut SenseLists) {
+        self.build_row(a);
+        let row = self.rows[a].as_ref().expect("row built above");
+        let turn = lists.turn[self.owner[a] as usize];
+        for (entry, &b) in row.targets.iter().enumerate() {
+            if lists.turn[self.owner[b as usize] as usize] > turn {
+                lists.append(b, a as u32, entry as u32);
+                self.counters.pushes += 1;
+            }
+        }
+    }
+
+    /// Whether antenna `b` senses the medium busy (one decision).
+    fn senses(&mut self, b: usize, lists: &SenseLists) -> bool {
+        self.counters.decisions += 1;
+        self.sensed_mw(b, lists)
+            .is_some_and(|total_mw| self.graph.detects(total_mw))
+    }
+
+    /// The aggregate power antenna `b` hears, `None` when its list is
+    /// empty: the list folded in append (activation) order from 0.0, each
+    /// entry evaluated on its first read.
+    fn sensed_mw(&mut self, b: usize, lists: &SenseLists) -> Option<f64> {
+        let mut next = lists.head[b];
+        let heard = next != NIL;
+        let mut total_mw = 0.0;
+        while next != NIL {
+            let push = lists.pushes[next as usize];
+            let from = push.from as usize;
+            let row = self.rows[from]
+                .as_mut()
+                .expect("an on-air antenna has a row");
+            let power = &mut row.powers[push.entry as usize];
+            if power.is_nan() {
+                *power = self.graph.rx_mw(&self.positions[from], &self.positions[b]);
+                self.counters.powers_evaluated += 1;
+            }
+            total_mw += *power;
+            next = push.next;
+        }
+        heard.then_some(total_mw)
+    }
+
+    /// Bytes of heap the table retains: 12 per built entry (a `u32` target
+    /// and an `f64` power) plus O(antennas) of ids, positions and index.
+    fn heap_footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.positions.capacity() * size_of::<Point>()
+            + (self.owner.capacity() + self.first.capacity()) * size_of::<u32>()
+            + self
+                .index
+                .as_ref()
+                .map_or(0, SpatialIndex::heap_footprint_bytes)
+            + self.rows.capacity() * size_of::<Option<SensingRow>>()
+            + self
+                .rows
+                .iter()
+                .flatten()
+                .map(|r| r.targets.len() * size_of::<u32>() + r.powers.len() * size_of::<f64>())
+                .sum::<usize>()
+    }
+}
+
+/// One entry of a sensing list: the on-air antenna, the entry of its
+/// [`SensingRow`] that holds the power, and the next push of the same list.
+#[derive(Clone, Copy)]
+struct Push {
+    from: u32,
+    entry: u32,
+    next: u32,
+}
+
+/// Per-round sensing lists: for each antenna, the antennas already on the
+/// air within range of it, in activation order, as pushes linked in
+/// append order.
+#[derive(Default)]
+struct SenseLists {
+    /// Per AP, its turn (position) in this round's access order.
+    turn: Vec<u32>,
+    /// Per antenna, the first and last push of its list (`head` is `NIL`
+    /// for an empty list; `tail` is meaningful only when it is not).
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// This round's pushes, in append order.
+    pushes: Vec<Push>,
+    /// Antennas whose list is non-empty: the touched list the reset walks.
+    listed: Vec<u32>,
+}
+
+impl SenseLists {
+    fn new(aps: usize, antennas: usize) -> Self {
+        SenseLists {
+            turn: vec![0; aps],
+            head: vec![NIL; antennas],
+            tail: vec![NIL; antennas],
+            ..SenseLists::default()
+        }
+    }
+
+    /// Empties every list and records the round's access order.
+    fn begin_round(&mut self, order: &[usize]) {
+        for &b in &self.listed {
+            self.head[b as usize] = NIL;
+        }
+        self.listed.clear();
+        self.pushes.clear();
+        for (turn, &ap) in order.iter().enumerate() {
+            self.turn[ap] = turn as u32;
+        }
+    }
+
+    /// Appends `(from, entry)` to antenna `b`'s list.
+    fn append(&mut self, b: u32, from: u32, entry: u32) {
+        let id = self.pushes.len() as u32;
+        self.pushes.push(Push {
+            from,
+            entry,
+            next: NIL,
+        });
+        let b = b as usize;
+        if self.head[b] == NIL {
+            self.head[b] = id;
+            self.listed.push(b as u32);
+        } else {
+            self.pushes[self.tail[b] as usize].next = id;
+        }
+        self.tail[b] = id;
+    }
+
+    fn heap_footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.turn.capacity()
+            + self.head.capacity()
+            + self.tail.capacity()
+            + self.listed.capacity())
+            * size_of::<u32>()
+            + self.pushes.capacity() * size_of::<Push>()
+    }
+}
+
 /// All per-round scratch of the staged round pipeline
 /// (`dynamics → backlog → sense → select → gather → fading → precode →
 /// evaluate → settle`).
 ///
 /// The simulator owns exactly one of these and threads it through every
 /// stage; every buffer is cleared — never reallocated — between rounds, the
-/// spatial indexes are emptied in place, and the global↔local client id maps
-/// are prebuilt at construction time.  Once warm, a steady-state round
-/// allocates nothing from this struct (the remaining per-round allocations
-/// are the precoder's internal matrices and the small selection vectors the
-/// `midas-mac` helpers return); `NetworkSimulator::workspace_heap_footprint_bytes`
-/// exposes the retained capacity so tests can pin that it stops growing.
+/// interferer index is emptied in place, the sensing lists are reset
+/// through their touched list, and the global↔local client id maps are
+/// prebuilt at construction time.  The sensing table the lists point into
+/// is not scratch: the simulator owns it for the whole run.  Once warm, a
+/// steady-state round allocates nothing from this struct (the remaining
+/// per-round allocations are the precoder's internal matrices and the
+/// small selection vectors the `midas-mac` helpers return);
+/// `NetworkSimulator::workspace_heap_footprint_bytes` exposes the retained
+/// capacity so tests can pin that it stops growing.
 #[derive(Default)]
 struct RoundWorkspace {
     /// AP access order, reshuffled every round (the backoff race).
     order: Vec<usize>,
-    /// Positions of the antennas already on the air this round.
-    active_antenna_positions: Vec<Point>,
-    /// Persistent spatial mirror of `active_antenna_positions` supporting
-    /// O(k) "who can I hear?" queries; ids are insertion-ordered, so folding
-    /// over a neighbourhood reproduces the brute-force sweep bit-for-bit.
-    /// `None` when the indexed scan is disabled.
-    active_index: Option<SpatialIndex>,
+    /// Per-antenna lists of the antennas already on the air within range,
+    /// in activation order (the sense stage's input).
+    sense: SenseLists,
     /// Persistent index over the round's transmitting antennas, for the
     /// cross-AP interferer lookup in the evaluate stage.
     interferer_index: Option<SpatialIndex>,
@@ -414,8 +689,9 @@ struct RoundWorkspace {
 }
 
 impl RoundWorkspace {
-    /// Builds the workspace for a topology: id maps prebuilt, spatial
-    /// indexes constructed (empty) when the indexed scan is active.
+    /// Builds the workspace for a topology: id maps prebuilt, sensing lists
+    /// sized, the interferer index constructed (empty) when the indexed
+    /// scan is active.
     fn for_simulator(topo: &Topology, config: &NetworkSimConfig) -> Self {
         let mut own_clients: Vec<Vec<usize>> = vec![Vec::new(); topo.aps.len()];
         let mut local_of = vec![0u32; topo.clients.len()];
@@ -423,14 +699,12 @@ impl RoundWorkspace {
             local_of[c.id] = own_clients[c.ap_id].len() as u32;
             own_clients[c.ap_id].push(c.id);
         }
-        let make_index = || {
-            config
-                .use_index()
-                .then(|| SpatialIndex::new(topo.region, config.index_cell_m()))
-        };
+        let antennas = topo.aps.iter().map(|ap| ap.antennas.len()).sum();
         RoundWorkspace {
-            active_index: make_index(),
-            interferer_index: make_index(),
+            sense: SenseLists::new(topo.aps.len(), antennas),
+            interferer_index: config
+                .use_index()
+                .then(|| SpatialIndex::new(topo.region, config.index_cell_m())),
             own_clients,
             local_of,
             ..RoundWorkspace::default()
@@ -443,12 +717,12 @@ impl RoundWorkspace {
     /// round's stream counts rather than retained scratch.
     fn heap_footprint_bytes(&self) -> usize {
         use std::mem::size_of;
-        let idx =
-            |i: &Option<SpatialIndex>| i.as_ref().map_or(0, SpatialIndex::heap_footprint_bytes);
         self.order.capacity() * size_of::<usize>()
-            + self.active_antenna_positions.capacity() * size_of::<Point>()
-            + idx(&self.active_index)
-            + idx(&self.interferer_index)
+            + self.sense.heap_footprint_bytes()
+            + self
+                .interferer_index
+                .as_ref()
+                .map_or(0, SpatialIndex::heap_footprint_bytes)
             + self.tx_of_antenna.capacity() * size_of::<usize>()
             + self.backlogged.capacity() * size_of::<usize>()
             + self.available.capacity() * size_of::<usize>()
@@ -811,7 +1085,8 @@ pub struct NetworkSimulator {
     topo: Topology,
     config: NetworkSimConfig,
     model: ChannelModel,
-    graph: ContentionGraph,
+    /// Per-pair sensing powers, filled on first read and kept for the run.
+    sensing: SensingTable,
     rng: SimRng,
     /// Per-AP channel to the clients within radio range (all clients when
     /// the interaction range is infinite).
@@ -942,6 +1217,7 @@ impl NetworkSimulator {
             tags.push(TagTable::from_rssi(&rssi, config.tag_width));
         }
 
+        let sensing = SensingTable::new(&topo, graph, &config);
         let workspace = RoundWorkspace::for_simulator(&topo, &config);
         let dynamics = config
             .dynamics
@@ -951,7 +1227,7 @@ impl NetworkSimulator {
             topo,
             config,
             model,
-            graph,
+            sensing,
             rng,
             channels,
             drr,
@@ -988,6 +1264,20 @@ impl NetworkSimulator {
     /// row steps and Gaussian pairs drawn.  Deterministic in the seed.
     pub fn fading_counters(&self) -> FadingCounters {
         self.fading_work
+    }
+
+    /// Work counters of carrier sensing so far — sensing-table rows built,
+    /// pair powers evaluated, list appends and decisions.  Deterministic in
+    /// the seed.
+    pub fn sensing_counters(&self) -> SensingCounters {
+        self.sensing.counters
+    }
+
+    /// Bytes of heap the sensing table retains: 12 per entry of every row
+    /// built so far, plus O(antennas).  It lives for the whole run, so it
+    /// is not part of the workspace footprint.
+    pub fn sensing_heap_footprint_bytes(&self) -> usize {
+        self.sensing.heap_footprint_bytes()
     }
 
     /// Enables per-stage wall-clock accumulation into [`StageTimings`]
@@ -1315,24 +1605,27 @@ impl NetworkSimulator {
     /// bring the selected rows up to date in between; sensing and
     /// selection never read small-scale fading (tags and DRR run on
     /// large-scale RSSI).
-    // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
+    ///
+    /// Sensing is push-based.  After the shuffle the sensing lists record
+    /// each AP's access position; when an AP claims a slot, each claimed
+    /// antenna appends its sensing-table entry to the list of every
+    /// in-range antenna whose AP senses later this round.  A sensing
+    /// antenna then folds its list in append order from 0.0, which is the
+    /// activation order of the in-range antennas on the air, evaluating
+    /// each entry on its first read in the run.  CAS stops at the first
+    /// busy antenna of an AP, as `any` does.
+    // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace; a sensing-table row is built once per antenna per run
     fn plan_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
         let num_aps = self.topo.aps.len();
-        let cutoff = self.config.interaction_range_m;
         let profile = self.profile_stages;
         let plan_start = tick(profile);
         let mut sense_s = 0.0;
 
-        // Split the workspace into per-field borrows so the sensing closure
-        // (reading active antennas) and the slot writes (mutating buffers)
-        // coexist without aliasing.
         let RoundWorkspace {
             order,
-            active_antenna_positions,
-            active_index,
+            sense,
             backlogged,
             available,
-            neighbors,
             transmissions,
             live,
             own_clients,
@@ -1344,10 +1637,9 @@ impl NetworkSimulator {
         order.extend(0..num_aps);
         self.rng.shuffle(order);
 
-        active_antenna_positions.clear();
-        if let Some(index) = active_index.as_mut() {
-            index.clear();
-        }
+        let t = tick(profile);
+        sense.begin_round(order);
+        sense_s += secs_since(t);
         *live = 0;
 
         for &ap_id in order.iter() {
@@ -1367,36 +1659,20 @@ impl NetworkSimulator {
                 continue;
             }
 
-            // Sense: energy-detection carrier sensing against the
-            // transmitters already on the air, truncated at the interaction
-            // range.  The contention model only changes which graph
-            // (threshold / sensing field) `self.graph` was built from — the
-            // sensing arithmetic is shared, so both models and both scan
-            // modes visit the surviving antennas in the same order.
-            let graph = &self.graph;
-            let positions = &*active_antenna_positions;
-            let index_ref = active_index.as_ref();
-            let senses = |antenna: &Point, scratch: &mut Vec<usize>| -> bool {
-                match index_ref {
-                    None => graph.senses_any_within(antenna, positions, cutoff),
-                    Some(index) => {
-                        index.neighbors_within_into(antenna, cutoff, scratch);
-                        graph.senses_aggregate(antenna, scratch.iter().map(|&id| &positions[id]))
-                    }
-                }
-            };
-
-            // Which antennas may transmit given what is already on the air?
+            // Sense: which antennas may transmit given what is already on
+            // the air?  The contention model only changes which graph
+            // (threshold / sensing field) the table evaluates on.
             let t_sense = tick(profile);
+            let first = self.sensing.antenna(ap_id, 0);
+            let n = ap.num_antennas();
             available.clear();
             match self.config.mac {
-                MacKind::Midas => available.extend(
-                    (0..ap.num_antennas()).filter(|&k| !senses(&ap.antennas[k], neighbors)),
-                ),
+                MacKind::Midas => {
+                    available.extend((0..n).filter(|&k| !self.sensing.senses(first + k, sense)))
+                }
                 MacKind::Cas => {
-                    let busy = ap.antennas.iter().any(|a| senses(a, neighbors));
-                    if !busy {
-                        available.extend(0..ap.num_antennas());
+                    if !(0..n).any(|k| self.sensing.senses(first + k, sense)) {
+                        available.extend(0..n);
                     }
                 }
             }
@@ -1429,12 +1705,11 @@ impl NetworkSimulator {
             slot.antenna_idx.clear();
             slot.antenna_idx.extend_from_slice(available);
 
+            let t_push = tick(profile);
             for &k in slot.antenna_idx.iter() {
-                active_antenna_positions.push(ap.antennas[k]);
-                if let Some(index) = active_index.as_mut() {
-                    index.insert(ap.antennas[k]);
-                }
+                self.sensing.go_on_air(first + k, sense);
             }
+            sense_s += secs_since(t_push);
             *live += 1;
         }
 
@@ -1960,6 +2235,180 @@ mod tests {
             }
         }
         assert!(checked > 1000, "only {checked} rows checked");
+    }
+
+    /// The pull-path fold sensing used before the table, kept as its
+    /// oracle: the power at `antenna` from the on-air positions within
+    /// `cutoff_m`, summed in activation order from 0.0; `None` when none is
+    /// in range.
+    fn oracle_sensed_mw(
+        graph: &ContentionGraph,
+        antenna: &Point,
+        on_air: &[Point],
+        cutoff_m: f64,
+    ) -> Option<f64> {
+        let mut total_mw = 0.0;
+        let mut heard = false;
+        for tx in on_air.iter().filter(|tx| tx.distance(antenna) <= cutoff_m) {
+            heard = true;
+            total_mw += graph.rx_mw(tx, antenna);
+        }
+        heard.then_some(total_mw)
+    }
+
+    /// The sensing table against its oracle.  Over random access orders and
+    /// claim sets, on the 8-AP paper floor at infinite range and the 64-AP
+    /// enterprise floor at its range, under Graph and calibrated Physical
+    /// contention, MIDAS and CAS: every decision's total is bit-equal to the
+    /// oracle's fold, on first read and on cached reads alike, and the work
+    /// counters are exactly the oracle's work.
+    #[test]
+    fn the_sensing_table_matches_a_fold_over_the_antennas_on_the_air() {
+        let paper_env = Environment::office_a();
+        let enterprise = crate::scale::Scenario::enterprise_office(64);
+        let mut floors = Vec::new();
+        for seed in [1, 2] {
+            let mut rng = SimRng::new(seed);
+            let cfg = crate::deployment::paper_das_config(&paper_env, 4, 4);
+            let pair = PairedTopology::eight_ap(&cfg, &paper_env, &mut rng);
+            floors.push((pair, NetworkSimConfig::midas(paper_env, seed)));
+            let pair = enterprise.build(seed).expect("buildable scenario");
+            floors.push((pair, enterprise.sim_config(MacKind::Midas, 1, seed)));
+        }
+        let mut decisions_checked = 0;
+        for (pair, base) in &floors {
+            let cutoff = base.interaction_range_m;
+            for contention in [
+                ContentionModel::Graph,
+                ContentionModel::physical_calibrated(),
+            ] {
+                for mac in [MacKind::Midas, MacKind::Cas] {
+                    let topo = match mac {
+                        MacKind::Midas => &pair.das,
+                        MacKind::Cas => &pair.cas,
+                    };
+                    let config = NetworkSimConfig {
+                        mac,
+                        contention,
+                        ..*base
+                    };
+                    let graph = contention.sensing_graph(config.env, config.seed ^ 0x5151);
+                    let mut table = SensingTable::new(topo, graph.clone(), &config);
+                    let aps = topo.aps.len();
+                    let first: Vec<usize> = topo
+                        .aps
+                        .iter()
+                        .scan(0, |next, ap| {
+                            let id = *next;
+                            *next += ap.antennas.len();
+                            Some(id)
+                        })
+                        .collect();
+                    let antennas = first[aps - 1] + topo.aps[aps - 1].antennas.len();
+                    let mut lists = SenseLists::new(aps, antennas);
+                    let mut rng = SimRng::new(config.seed).fork(0x5E);
+                    let mut expected = SensingCounters::default();
+                    let mut read = std::collections::BTreeSet::new();
+                    let mut built = vec![false; antennas];
+                    for _round in 0..4 {
+                        let mut order: Vec<usize> = (0..aps).collect();
+                        rng.shuffle(&mut order);
+                        lists.begin_round(&order);
+                        let mut turn = vec![0; aps];
+                        for (position, &ap) in order.iter().enumerate() {
+                            turn[ap] = position;
+                        }
+                        // Global ids and positions on the air, in
+                        // activation order.
+                        let mut on_air: Vec<(usize, Point)> = Vec::new();
+                        for &ap in &order {
+                            if rng.uniform() < 0.15 {
+                                continue; // nothing queued: no sensing, no claim
+                            }
+                            let ants = &topo.aps[ap].antennas;
+                            for (k, antenna) in ants.iter().enumerate() {
+                                let b = first[ap] + k;
+                                let points: Vec<Point> = on_air.iter().map(|&(_, p)| p).collect();
+                                let want = oracle_sensed_mw(&graph, antenna, &points, cutoff);
+                                for &(a, p) in &on_air {
+                                    if p.distance(antenna) <= cutoff {
+                                        read.insert((a, b));
+                                    }
+                                }
+                                let busy = table.senses(b, &lists);
+                                expected.decisions += 1;
+                                assert_eq!(busy, want.is_some_and(|t| graph.detects(t)));
+                                assert_eq!(
+                                    table.sensed_mw(b, &lists).map(f64::to_bits),
+                                    want.map(f64::to_bits),
+                                    "{contention:?} {mac:?}: AP {ap} antenna {k}"
+                                );
+                                decisions_checked += 1;
+                                if busy && mac == MacKind::Cas {
+                                    break;
+                                }
+                            }
+                            let claim: Vec<usize> = match mac {
+                                MacKind::Midas => {
+                                    (0..ants.len()).filter(|_| rng.uniform() < 0.5).collect()
+                                }
+                                MacKind::Cas if rng.uniform() < 0.5 => (0..ants.len()).collect(),
+                                MacKind::Cas => Vec::new(),
+                            };
+                            for k in claim {
+                                let a = first[ap] + k;
+                                table.go_on_air(a, &mut lists);
+                                expected.rows_built += usize::from(!built[a]);
+                                built[a] = true;
+                                expected.pushes += (0..aps)
+                                    .filter(|&other| turn[other] > turn[ap])
+                                    .flat_map(|other| topo.aps[other].antennas.iter())
+                                    .filter(|b| b.distance(&ants[k]) <= cutoff)
+                                    .count();
+                                on_air.push((a, ants[k]));
+                            }
+                        }
+                    }
+                    expected.powers_evaluated = read.len();
+                    assert_eq!(table.counters, expected, "{contention:?} {mac:?}");
+                }
+            }
+        }
+        assert!(
+            decisions_checked > 5000,
+            "only {decisions_checked} decisions"
+        );
+    }
+
+    /// Sensing-table rows found through the spatial index equal the rows a
+    /// linear scan finds, id for id: the antennas of other APs within range.
+    #[test]
+    fn sensing_rows_through_the_index_equal_brute_force_rows() {
+        let scenario = crate::scale::Scenario::enterprise_office(64);
+        let pair = scenario.build(5).expect("buildable scenario");
+        let base = scenario.sim_config(MacKind::Midas, 1, 5);
+        let graph = || base.contention.sensing_graph(base.env, 5);
+        for cutoff in [base.interaction_range_m, 25.0] {
+            let rows = |scan: ScanMode| {
+                let config = NetworkSimConfig {
+                    scan,
+                    interaction_range_m: cutoff,
+                    ..base
+                };
+                let mut table = SensingTable::new(&pair.das, graph(), &config);
+                assert_eq!(table.index.is_some(), scan == ScanMode::Indexed);
+                (0..table.positions.len())
+                    .map(|a| {
+                        table.build_row(a);
+                        table.rows[a].as_ref().expect("built").targets.to_vec()
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let (indexed, brute) = (rows(ScanMode::Indexed), rows(ScanMode::BruteForce));
+            assert_eq!(indexed, brute, "cutoff {cutoff}");
+            let entries: usize = brute.iter().map(Vec::len).sum();
+            assert!(entries > 1000, "cutoff {cutoff}: {entries} entries");
+        }
     }
 
     #[test]

@@ -5,17 +5,18 @@
 //! the rows a round actually reads, each caught up in one keyed skip-ahead
 //! step at correlation `ρⁿ` over the `n` boundaries it missed — and still
 //! be exactly reproducible from its seed.  The work counters pin what
-//! laziness and skip-ahead save.  The statistics tests pin that evolution
-//! realises a first-order Gauss–Markov process: evolved fading keeps unit
-//! mean power and shows lag-1 autocorrelation `rho` (the skip-ahead
-//! catch-up's own `ρᵏ` statistics are pinned next to it, in the simulator's
-//! unit tests).
+//! laziness and skip-ahead save, and next to them the sensing counters pin
+//! the work of the lazily filled antenna-pair sensing table.  The
+//! statistics tests pin that evolution realises a first-order Gauss–Markov
+//! process: evolved fading keeps unit mean power and shows lag-1
+//! autocorrelation `rho` (the skip-ahead catch-up's own `ρᵏ` statistics
+//! are pinned next to it, in the simulator's unit tests).
 
 use midas_channel::{ChannelModel, Environment, Point};
 use midas_linalg::Complex;
 use midas_net::capture::ContentionModel;
 use midas_net::scale::Scenario;
-use midas_net::simulator::{FadingCounters, MacKind, NetworkSimulator, ScanMode};
+use midas_net::simulator::{FadingCounters, MacKind, NetworkSimulator, ScanMode, SensingCounters};
 use midas_net::traffic::TrafficKind;
 
 /// Builds a simulator for one configuration point.
@@ -185,4 +186,82 @@ fn fading_work_is_pinned_and_eager_work_is_rows_times_boundaries() {
             },
         ]
     );
+}
+
+#[test]
+fn sensing_work_is_pinned_and_bounded_by_the_in_range_pairs() {
+    // 8-AP enterprise floor, 12 rounds, MIDAS and CAS: the same floor and
+    // seed as the fading pin above.
+    let scenario = Scenario::enterprise_office(8);
+    let rounds = 12;
+    let mut pinned = Vec::new();
+    let mut plateaus = Vec::new();
+    for mac in [MacKind::Midas, MacKind::Cas] {
+        let pair = scenario.build(3).expect("buildable scenario");
+        let topo = match mac {
+            MacKind::Midas => pair.das,
+            MacKind::Cas => pair.cas,
+        };
+        let config = scenario.sim_config(mac, rounds, 3);
+        let range = config.interaction_range_m;
+        // Directed in-range pairs between antennas of different APs, by
+        // brute force: every sensing-table entry there could ever be.
+        let antennas: Vec<(usize, Point)> = topo
+            .aps
+            .iter()
+            .flat_map(|ap| ap.antennas.iter().map(move |&p| (ap.ap_id, p)))
+            .collect();
+        let in_range_pairs = antennas
+            .iter()
+            .flat_map(|a| antennas.iter().map(move |b| (a, b)))
+            .filter(|(a, b)| a.0 != b.0 && a.1.distance(&b.1) <= range)
+            .count();
+        let mut sim = NetworkSimulator::new(topo, config);
+        sim.run();
+        let work = sim.sensing_counters();
+        assert!(work.rows_built <= antennas.len(), "{mac:?}: {work:?}");
+        assert!(
+            work.powers_evaluated <= in_range_pairs,
+            "{mac:?}: {work:?} over {in_range_pairs} pairs"
+        );
+        pinned.push(work);
+        // The table lives as long as the simulator and no pair is evaluated
+        // twice, so over a long run evaluations stop growing once every
+        // pair the run reads has been read.
+        let mut evaluated = vec![work.powers_evaluated];
+        for _ in 0..40 {
+            sim.run();
+            evaluated.push(sim.sensing_counters().powers_evaluated);
+        }
+        assert!(
+            evaluated.windows(2).all(|w| w[0] <= w[1]),
+            "{mac:?}: {evaluated:?}"
+        );
+        assert!(
+            evaluated[20..].iter().all(|&e| e == evaluated[40]),
+            "{mac:?}: still growing after 252 rounds: {evaluated:?}"
+        );
+        assert!(evaluated[40] <= in_range_pairs, "{mac:?}: {evaluated:?}");
+        plateaus.push((evaluated[40], in_range_pairs));
+    }
+    assert_eq!(
+        pinned,
+        [
+            SensingCounters {
+                rows_built: 32,
+                powers_evaluated: 784,
+                pushes: 2386,
+                decisions: 384,
+            },
+            SensingCounters {
+                rows_built: 32,
+                powers_evaluated: 492,
+                pushes: 2768,
+                decisions: 237,
+            },
+        ]
+    );
+    // MIDAS reads every in-range pair within 12 rounds; CAS stops at an
+    // AP's first busy antenna, so some pairs are never read.
+    assert_eq!(plateaus, [(784, 784), (612, 768)]);
 }
