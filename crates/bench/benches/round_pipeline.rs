@@ -12,7 +12,7 @@
 //!   streamed `rounds.jsonl`, atomic `result.json`) — the CLI-dispatch
 //!   overhead cell; its median over `fig16_8ap`'s is the service tax.
 //! * `enterprise_64ap` — the 64-AP / 512-client enterprise_office floor
-//!   (finite interaction range, indexed scans) — the acceptance workload.
+//!   (finite interaction range, indexed lookups) — the acceptance workload.
 //! * `enterprise_256ap` — a beyond-ROADMAP 256-AP / 2048-client point.
 //! * `metro_1024ap` — a 1024-AP / 8192-client point, only tractable
 //!   because lazy evolution never materialises the quadratic share of
@@ -361,8 +361,8 @@ fn profile(cell_name: &str, rounds: usize) {
             print_stage_breakdown(&sim.stage_timings());
             let f = sim.fading_counters();
             println!(
-                "# fading work: {} rows caught up, {} row steps, {} Gaussian pairs",
-                f.rows_caught_up, f.row_steps, f.gaussian_pairs
+                "# fading work: {} rows caught up, {} Gaussian pairs",
+                f.rows_caught_up, f.gaussian_pairs
             );
             let s = sim.sensing_counters();
             println!(

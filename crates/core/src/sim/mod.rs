@@ -62,5 +62,5 @@ pub use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow};
 pub use midas_net::capture::{ContentionModel, PhysicalConfig};
 pub use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec};
 pub use midas_net::observer::{Accumulate, Observer, RoundRecord, RunningSummary, Tee};
-pub use midas_net::simulator::{MacKind, ScanMode, StageTimings};
+pub use midas_net::simulator::{MacKind, StageTimings};
 pub use midas_net::traffic::TrafficKind;

@@ -28,7 +28,7 @@ const PINNED: &[&str] = &[
     "sim/mod.rs: use midas_net::capture::{ContentionModel, PhysicalConfig}",
     "sim/mod.rs: use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec}",
     "sim/mod.rs: use midas_net::observer::{Accumulate, Observer, RoundRecord, RunningSummary, Tee}",
-    "sim/mod.rs: use midas_net::simulator::{MacKind, ScanMode, StageTimings}",
+    "sim/mod.rs: use midas_net::simulator::{MacKind, StageTimings}",
     "sim/mod.rs: use midas_net::traffic::TrafficKind",
     "sim/session.rs: struct PairedSamples",
     "sim/session.rs: fn from_pairs",

@@ -46,11 +46,11 @@ fn the_scan_covers_the_whole_workspace() {
         report.no_alloc_fns
     );
     // `unreachable-pub` checks every `pub fn`/`const`/`static` of the
-    // library sources: 500 at the time of writing.  Far fewer means the
+    // library sources: 499 at the time of writing.  Far fewer means the
     // declaration scan broke and the rule is vacuous.
     assert!(
-        report.pub_items >= 500,
-        "expected at least 500 checked pub items, saw {}",
+        report.pub_items >= 499,
+        "expected at least 499 checked pub items, saw {}",
         report.pub_items
     );
     // Every honored pragma carries a written reason (the scanner rejects

@@ -79,35 +79,12 @@ impl ContentionGraph {
         !active_transmitters.is_empty() && self.detects(total_mw)
     }
 
-    /// Whether any antenna of AP `a` can sense any antenna of AP `b` in the
-    /// given topology (i.e. the two APs share a contention domain).
-    fn aps_share_domain(&self, topo: &Topology, a: usize, b: usize) -> bool {
-        topo.aps[a].antennas.iter().any(|ta| {
-            topo.aps[b]
-                .antennas
-                .iter()
-                .any(|tb| self.can_sense(ta, tb) || self.can_sense(tb, ta))
-        })
-    }
-
-    /// Adjacency matrix of the AP contention graph.
-    // lint: allow(unreachable-pub) — proptest_capture compares contention graphs through it
-    pub fn ap_adjacency(&self, topo: &Topology) -> Vec<Vec<bool>> {
-        let n = topo.aps.len();
-        (0..n)
-            .map(|a| {
-                (0..n)
-                    .map(|b| a != b && self.aps_share_domain(topo, a, b))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Range-limited `ContentionGraph::aps_share_domain`: antenna pairs
-    /// farther apart than `cutoff_m` are treated as unable to sense each
-    /// other (receiver sensitivity floor).  Reference semantics for
-    /// [`ContentionGraph::ap_adjacency_indexed`].
-    // lint: allow(unreachable-pub) — proptest_scale checks ap_adjacency_indexed against it
+    /// Whether any antenna of AP `a` can sense any antenna of AP `b` (or
+    /// the reverse) in the given topology, i.e. the two APs share a
+    /// contention domain; antenna pairs farther apart than `cutoff_m` are
+    /// treated as unable to sense each other (receiver sensitivity floor).
+    /// Reference semantics for [`ContentionGraph::ap_adjacency_indexed`].
+    // lint: allow(unreachable-pub) — proptest_scale and proptest_capture check ap_adjacency_indexed against it
     pub fn aps_share_domain_within(
         &self,
         topo: &Topology,
@@ -122,11 +99,12 @@ impl ContentionGraph {
         })
     }
 
-    /// Adjacency matrix of the AP contention graph at enterprise scale:
-    /// candidate AP pairs are discovered through a spatial index over every
-    /// antenna position — O(n·k) instead of the all-pairs antenna sweep —
-    /// and links longer than `cutoff_m` (derive it from
-    /// `Environment::interaction_range_m`) are below the sensitivity floor.
+    /// Adjacency matrix of the AP contention graph: candidate AP pairs are
+    /// discovered through a spatial index over every antenna position —
+    /// O(n·k) instead of the all-pairs antenna sweep — and links longer
+    /// than `cutoff_m` (derive it from `Environment::interaction_range_m`,
+    /// or pass `f64::INFINITY` for no cutoff) are below the sensitivity
+    /// floor.
     ///
     /// Equivalent by construction to running
     /// [`ContentionGraph::aps_share_domain_within`] over all pairs: the
@@ -205,7 +183,7 @@ mod tests {
         let mut rng = SimRng::new(3);
         let topo = three_ap_testbed(&TopologyConfig::das(4, 4), &mut rng);
         let g = ContentionGraph::new(Environment::office_a(), 3);
-        let adj = g.ap_adjacency(&topo);
+        let adj = g.ap_adjacency_indexed(&topo, f64::INFINITY);
         for (a, row) in adj.iter().enumerate() {
             assert!(!row[a]);
             for (b, &reaches) in row.iter().enumerate() {

@@ -20,9 +20,10 @@
 //!   bit-identical at any worker-thread count (dynamics run serially inside
 //!   a trial; parallelism is across trials).
 //!
-//! The simulator owns one [`DynamicsState`] per run and drives it from its
-//! dynamics stage; this module knows nothing about channels or MAC state —
-//! it only moves points and re-labels `client.ap_id`.
+//! The simulator owns one [`DynamicsState`] per run, which keeps the spec
+//! it was built from, and steps it from its dynamics stage; this module
+//! knows nothing about channels or MAC state — it only moves points and
+//! re-labels `client.ap_id`.
 
 use crate::scale::association::{AssociationPolicy, Reassociator};
 use midas_channel::geometry::Point;
@@ -142,10 +143,12 @@ pub struct DynamicsCounters {
 
 /// Mutable runtime state of the dynamics layer for one simulation.
 ///
-/// Owns the mobile-client set, waypoint/flow state and the persistent
-/// roaming engine; every buffer is sized at construction and steady-state
-/// steps allocate nothing (waypoint draws are scalar).
+/// Owns the spec it was built from, the mobile-client set, waypoint/flow
+/// state and the persistent roaming engine; every buffer is sized at
+/// construction and steady-state steps allocate nothing (waypoint draws
+/// are scalar).
 pub struct DynamicsState {
+    spec: DynamicsSpec,
     rng: SimRng,
     /// Mobile client ids, ascending.
     mobile: Vec<usize>,
@@ -188,6 +191,7 @@ impl DynamicsState {
             .map(|_| if rng.bernoulli(0.5) { 1.0 } else { -1.0 })
             .collect();
         DynamicsState {
+            spec: *spec,
             rng,
             pause_left: vec![0; mobile.len()],
             targets,
@@ -201,15 +205,21 @@ impl DynamicsState {
         }
     }
 
+    /// Whether a dynamics step runs at `round`: every `period_rounds`,
+    /// never at round 0.
+    pub(crate) fn steps_at(&self, round: usize) -> bool {
+        round != 0 && round.is_multiple_of(self.spec.period_rounds.max(1))
+    }
+
     /// Advances every mobile client by one dynamics step of `period_rounds`
-    /// TXOPs, updating `topo` positions and the roaming candidates, and returns
-    /// the ids of the clients that actually moved (ascending).
-    pub fn step_mobility(&mut self, spec: &DynamicsSpec, topo: &mut Topology) -> &[usize] {
+    /// TXOPs, updating `topo` positions and the roaming candidates; the
+    /// clients that actually moved are then [`moved`](Self::moved).
+    pub fn step_mobility(&mut self, topo: &mut Topology) {
         self.moved.clear();
-        let Some(model) = spec.mobility else {
-            return &self.moved;
+        let Some(model) = self.spec.mobility else {
+            return;
         };
-        let step_s = spec.period_rounds.max(1) as f64 * DEFAULT_TXOP_US as f64 * 1e-6;
+        let step_s = self.spec.period_rounds.max(1) as f64 * DEFAULT_TXOP_US as f64 * 1e-6;
         let region = topo.region;
         for i in 0..self.mobile.len() {
             let cid = self.mobile[i];
@@ -259,16 +269,15 @@ impl DynamicsState {
             }
         }
         self.moves_total += self.moved.len();
-        &self.moved
     }
 
-    /// Runs one roaming pass if the spec enables it, returning the ids of
-    /// the clients that handed off (their `ap_id` in `topo` is updated).
-    /// Empty when roaming is off or nobody moved AP.
-    pub fn step_roaming(&mut self, spec: &DynamicsSpec, topo: &mut Topology, env: &Environment) {
+    /// Runs one roaming pass if the spec enables it, updating the `ap_id`
+    /// in `topo` of every client that hands off; those clients are then
+    /// [`handed_off`](Self::handed_off) (none when roaming is off).
+    pub fn step_roaming(&mut self, topo: &mut Topology, env: &Environment) {
         self.prev_ap.clear();
         self.prev_ap.extend(topo.clients.iter().map(|c| c.ap_id));
-        if let Some(re) = spec.reassociation {
+        if let Some(re) = self.spec.reassociation {
             let n = self
                 .roam
                 .reassociate(topo, env, re.policy, re.hysteresis_db.max(0.0));
@@ -354,7 +363,7 @@ mod tests {
         let run = |mut topo: Topology| {
             let mut state = DynamicsState::new(&spec, &topo, &env, 7);
             for _ in 0..50 {
-                state.step_mobility(&spec, &mut topo);
+                state.step_mobility(&mut topo);
             }
             (
                 topo.clients.iter().map(|c| c.position).collect::<Vec<_>>(),
@@ -389,7 +398,7 @@ mod tests {
         let before: Vec<Point> = topo.clients.iter().map(|c| c.position).collect();
         let mut state = DynamicsState::new(&spec, &topo, &env, 11);
         for _ in 0..40 {
-            state.step_mobility(&spec, &mut topo);
+            state.step_mobility(&mut topo);
         }
         for (c, b) in topo.clients.iter().zip(&before) {
             assert_eq!(c.position.y, b.y, "corridor flow must not change y");
@@ -408,7 +417,7 @@ mod tests {
         let before: Vec<Point> = topo.clients.iter().map(|c| c.position).collect();
         let mut state = DynamicsState::new(&spec, &topo, &env, 13);
         for _ in 0..30 {
-            state.step_mobility(&spec, &mut topo);
+            state.step_mobility(&mut topo);
         }
         let movers = topo
             .clients
@@ -431,8 +440,8 @@ mod tests {
         let mut state = DynamicsState::new(&spec, &topo, &env, 17);
         let mut total_handed_off = 0usize;
         for _ in 0..60 {
-            state.step_mobility(&spec, &mut topo);
-            state.step_roaming(&spec, &mut topo, &env);
+            state.step_mobility(&mut topo);
+            state.step_roaming(&mut topo, &env);
             total_handed_off += state.handed_off(&topo).count();
         }
         assert!(
@@ -448,13 +457,13 @@ mod tests {
         let spec = walk_spec(200.0);
         let mut state = DynamicsState::new(&spec, &topo, &env, 19);
         for _ in 0..200 {
-            state.step_mobility(&spec, &mut topo);
-            state.step_roaming(&spec, &mut topo, &env);
+            state.step_mobility(&mut topo);
+            state.step_roaming(&mut topo, &env);
         }
         let warm = state.heap_footprint_bytes();
         for _ in 0..200 {
-            state.step_mobility(&spec, &mut topo);
-            state.step_roaming(&spec, &mut topo, &env);
+            state.step_mobility(&mut topo);
+            state.step_roaming(&mut topo, &env);
         }
         assert_eq!(state.heap_footprint_bytes(), warm);
     }
@@ -468,8 +477,8 @@ mod tests {
         let aps: Vec<usize> = topo.clients.iter().map(|c| c.ap_id).collect();
         let mut state = DynamicsState::new(&spec, &topo, &env, 23);
         for _ in 0..10 {
-            state.step_mobility(&spec, &mut topo);
-            state.step_roaming(&spec, &mut topo, &env);
+            state.step_mobility(&mut topo);
+            state.step_roaming(&mut topo, &env);
         }
         assert_eq!(
             topo.clients.iter().map(|c| c.position).collect::<Vec<_>>(),

@@ -23,12 +23,12 @@
 //! * [`traffic`] — the downlink workloads of [`TrafficKind`] (full buffer,
 //!   on/off, Poisson, plus the diurnal / flash-crowd / churn long-horizon
 //!   envelopes) deciding which clients are backlogged each round.
-//! * [`observer`] — streaming per-round result consumers (`Accumulate`
-//!   rebuilds `TopologyResult` bit-for-bit; `RunningSummary` is
-//!   memory-flat in the round count).
+//! * [`observer`] — streaming per-round result consumers (`RunningSummary`
+//!   is memory-flat in the round count; `Accumulate`, one plus the
+//!   per-round series, rebuilds `TopologyResult` bit-for-bit).
 //! * [`scale`] — the enterprise-scale subsystem: arbitrary floor grids,
-//!   a uniform-grid spatial index replacing the O(n²) sweeps, pluggable
-//!   client-association policies, and the named scenario library.
+//!   a uniform-grid spatial index that answers every finite-range lookup,
+//!   pluggable client-association policies, and the named scenarios.
 //! * [`metrics`] — CDFs and summary statistics used by every experiment.
 
 #![forbid(unsafe_code)]
@@ -53,5 +53,5 @@ pub use dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec};
 pub use metrics::Cdf;
 pub use observer::{Accumulate, Observer, RoundRecord, RunningSummary};
 pub use scale::{AssociationPolicy, FloorGrid, Scenario, SpatialIndex};
-pub use simulator::{NetworkSimConfig, NetworkSimulator, ScanMode, TopologyResult};
+pub use simulator::{NetworkSimConfig, NetworkSimulator, TopologyResult};
 pub use traffic::TrafficKind;

@@ -10,16 +10,15 @@
 //! keeps whatever state it wants.  Two library observers cover the common
 //! cases:
 //!
-//! * [`Accumulate`] rebuilds the full [`TopologyResult`] **bit for bit** —
-//!   it performs the exact floating-point accumulation, in the exact order,
-//!   the legacy `run()` loop did, which is what `NetworkSimulator::run`
-//!   itself now uses (so every pre-redesign golden is unchanged by
-//!   construction).
 //! * [`RunningSummary`] keeps only fixed-size running sums (per-client,
 //!   per-AP, totals): its memory footprint is **flat in the round count**,
-//!   which is what makes memory-bounded long-horizon runs possible.  Its
-//!   per-client / per-AP sums are bit-identical to [`Accumulate`]'s, because
-//!   both add the same deliveries in the same order.
+//!   which is what makes memory-bounded long-horizon runs possible.
+//! * [`Accumulate`] is a [`RunningSummary`] plus the two per-round series
+//!   (capacity and streams), and rebuilds the full [`TopologyResult`]
+//!   **bit for bit**: the summary performs the exact floating-point
+//!   accumulation, in the exact order, the legacy `run()` loop did.
+//!   `NetworkSimulator::run` itself uses it, so every pre-redesign golden
+//!   is unchanged by construction.
 //!
 //! [`TopologyResult`]: crate::simulator::TopologyResult
 
@@ -86,16 +85,14 @@ pub trait Observer {
     }
 }
 
-/// The accumulate-everything observer: reproduces the legacy
-/// [`TopologyResult`] bit for bit (same additions, same order).
+/// The accumulate-everything observer: a [`RunningSummary`] plus the two
+/// per-round series, which together make the legacy [`TopologyResult`]
+/// bit for bit (same additions, same order).
 #[derive(Debug, Clone, Default)]
 pub struct Accumulate {
+    summary: RunningSummary,
     per_round_capacity: Vec<f64>,
     per_round_streams: Vec<usize>,
-    per_client_airtime_us: Vec<f64>,
-    per_client_capacity: Vec<f64>,
-    per_ap_capacity: Vec<f64>,
-    per_ap_active_rounds: Vec<usize>,
 }
 
 impl Accumulate {
@@ -109,45 +106,35 @@ impl Accumulate {
         TopologyResult {
             per_round_capacity: self.per_round_capacity,
             per_round_streams: self.per_round_streams,
-            per_client_airtime_us: self.per_client_airtime_us,
-            per_client_capacity: self.per_client_capacity,
-            per_ap_capacity: self.per_ap_capacity,
-            per_ap_active_rounds: self.per_ap_active_rounds,
+            per_client_airtime_us: self.summary.per_client_airtime_us,
+            per_client_capacity: self.summary.per_client_capacity,
+            per_ap_capacity: self.summary.per_ap_capacity,
+            per_ap_active_rounds: self.summary.per_ap_active_rounds,
         }
     }
 }
 
 impl Observer for Accumulate {
     fn on_start(&mut self, num_clients: usize, num_aps: usize, rounds: usize) {
+        self.summary.on_start(num_clients, num_aps, rounds);
         self.per_round_capacity = Vec::with_capacity(rounds);
         self.per_round_streams = Vec::with_capacity(rounds);
-        self.per_client_airtime_us = vec![0.0; num_clients];
-        self.per_client_capacity = vec![0.0; num_clients];
-        self.per_ap_capacity = vec![0.0; num_aps];
-        self.per_ap_active_rounds = vec![0; num_aps];
     }
 
     fn on_round(&mut self, record: &RoundRecord<'_>) {
         self.per_round_capacity.push(record.total_capacity());
         self.per_round_streams.push(record.streams);
-        for (client, ap, c) in record.deliveries {
-            self.per_client_airtime_us[*client] += DEFAULT_TXOP_US as f64;
-            self.per_client_capacity[*client] += c;
-            self.per_ap_capacity[*ap] += c;
-        }
-        for &ap in record.transmitting_aps {
-            self.per_ap_active_rounds[ap] += 1;
-        }
+        self.summary.on_round(record);
     }
 }
 
 /// The memory-bounded observer: fixed-size running sums whose footprint
 /// does not grow with the round count.
 ///
-/// Per-client and per-AP sums are bit-identical to [`Accumulate`]'s (same
-/// additions in the same order); the scalar totals (`capacity_sum`,
-/// `streams_sum`) are the round values summed in round order, i.e. exactly
-/// the sum of `Accumulate`'s `per_round_*` vectors taken front to back.
+/// Its per-client and per-AP sums are the ones [`Accumulate`] reports (it
+/// keeps one of these); the scalar totals (`capacity_sum`, `streams_sum`)
+/// are the round values summed in round order, i.e. exactly the sum of
+/// `Accumulate`'s `per_round_*` vectors taken front to back.
 #[derive(Debug, Clone, Default)]
 pub struct RunningSummary {
     rounds: usize,

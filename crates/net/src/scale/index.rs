@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn infinite_cell_size_is_sized_from_the_bounding_box() {
-        // Regression: an infinite cell size (ScanMode::Indexed with an
+        // Regression: an infinite cell size (an index built for an
         // infinite interaction range) used to build a degenerate one-cell
         // grid whose query windows computed ∞/∞ = NaN cell coordinates.
         // The cell size now falls back to the bounding-box extent, so the

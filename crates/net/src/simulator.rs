@@ -40,28 +40,6 @@ pub enum MacKind {
     Cas,
 }
 
-/// How the simulator answers "who is near this point?".  Two lookups ask
-/// it: the sensing table's row discovery (the antennas within interaction
-/// range of an antenna that first goes on the air, once per run) and the
-/// gather stage's interferer lookup (the transmissions within range of each
-/// served client, every round).
-///
-/// Both modes apply the same interaction-range truncation and return the
-/// surviving points in the same (insertion) order, so they produce
-/// **bit-identical** results; the property tests in `tests/proptest_scale.rs`
-/// and the sensing-table test in this module pin that equivalence.
-/// `Indexed` is the default: O(k) per lookup via the uniform-grid
-/// [`SpatialIndex`] instead of an O(n) sweep, which is what keeps 64-AP /
-/// 512-client floors tractable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanMode {
-    /// Uniform-grid spatial-index neighbourhood queries (default).
-    Indexed,
-    /// Linear scans over every point: the oracle the equivalence tests
-    /// hold `Indexed` against.
-    BruteForce,
-}
-
 /// Configuration of an end-to-end simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkSimConfig {
@@ -83,9 +61,11 @@ pub struct NetworkSimConfig {
     /// contributes no interference.  `f64::INFINITY` (the constructor
     /// default, matching the paper-scale figures) disables truncation;
     /// enterprise scenarios set it from `Environment::interaction_range_m`.
+    /// A finite range is answered through uniform-grid [`SpatialIndex`]es
+    /// with the range as cell size (a query touches at most 3×3 cells); an
+    /// infinite one by linear scans, since every point is then in range.
+    /// [`NetworkSimulator::new`] panics unless the range is `> 0.0`.
     pub interaction_range_m: f64,
-    /// Neighbourhood scan implementation (results are bit-identical).
-    pub scan: ScanMode,
     /// Channel-realisation cache length in rounds: channels evolve (fresh
     /// keyed fading draws) only at every this-many-th round, covering the
     /// elapsed time in one Gauss–Markov step.  `1` (the constructor default)
@@ -117,7 +97,6 @@ impl NetworkSimConfig {
             tag_width: 2,
             seed,
             interaction_range_m: f64::INFINITY,
-            scan: ScanMode::Indexed,
             contention: ContentionModel::Graph,
             coherence_interval_rounds: 1,
             dynamics: None,
@@ -127,33 +106,10 @@ impl NetworkSimConfig {
     /// The conventional 802.11ac CAS configuration.
     pub fn cas(env: Environment, seed: u64) -> Self {
         NetworkSimConfig {
-            env,
             mac: MacKind::Cas,
             precoder: PrecoderKind::NaiveScaled,
-            rounds: 20,
-            tag_width: 2,
-            seed,
-            interaction_range_m: f64::INFINITY,
-            scan: ScanMode::Indexed,
-            contention: ContentionModel::Graph,
-            coherence_interval_rounds: 1,
-            dynamics: None,
+            ..NetworkSimConfig::midas(env, seed)
         }
-    }
-
-    /// Cell size the simulator's spatial indices use: the interaction range
-    /// (radius-`r` queries then touch at most a 3×3 window).
-    fn index_cell_m(&self) -> f64 {
-        self.interaction_range_m
-    }
-
-    /// Whether the indexed scan actually runs.  With an infinite interaction
-    /// range a neighbourhood query degenerates to "every point" — provably
-    /// the same result, but the query/sort machinery would be pure overhead
-    /// on the paper-scale figures — so the index is only engaged when a
-    /// finite range gives it something to prune.
-    fn use_index(&self) -> bool {
-        self.scan == ScanMode::Indexed && self.interaction_range_m.is_finite()
     }
 }
 
@@ -294,15 +250,13 @@ impl StageTimings {
 
 /// Deterministic work counts of keyed fading evolution, summed over a run
 /// (see [`NetworkSimulator::fading_counters`]).  Always on — plain integer
-/// adds next to the work they count.  A catch-up is one skip-ahead step
-/// however many boundaries it spans, so `row_steps == rows_caught_up`.
+/// adds next to the work they count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FadingCounters {
     /// Row catch-ups that moved a channel row forward by at least one
-    /// evolution boundary.
+    /// evolution boundary: one keyed skip-ahead step each, however many
+    /// boundaries it spans.
     pub rows_caught_up: usize,
-    /// Keyed Gauss–Markov row steps applied: one per catch-up.
-    pub row_steps: usize,
     /// Gaussian pairs those steps drew: one per antenna per step.
     pub gaussian_pairs: usize,
 }
@@ -374,14 +328,16 @@ const NIL: u32 = u32::MAX;
 /// The received sensing power of every in-range antenna pair, for the
 /// whole run.
 ///
-/// Antennas are numbered AP-major (AP 0's antennas, then AP 1's, …).  An
-/// antenna gets a row the first time it goes on the air: the antennas of
-/// other APs within interaction range of it, ascending, found through a
-/// static [`SpatialIndex`] over every antenna when the indexed scan is on
-/// and by a linear scan otherwise (including at infinite range).  The range
-/// predicate is symmetric, so the row of `a` holds exactly the antennas
-/// whose sensing sum `a` enters.  Same-AP antennas are left out: an AP
-/// senses before it claims, so its own antennas never hear each other.
+/// Antennas are numbered AP-major (AP 0's antennas, then AP 1's, …): the
+/// one antenna numbering of the simulator, which also sizes the sensing
+/// lists and feeds the dynamics layer's in-range tracker.  An antenna gets
+/// a row the first time it goes on the air: the antennas of other APs
+/// within interaction range of it, ascending, found through a static
+/// [`SpatialIndex`] over every antenna at a finite range and by a linear
+/// scan at infinite range.  The range predicate is symmetric, so the row
+/// of `a` holds exactly the antennas whose sensing sum `a` enters.
+/// Same-AP antennas are left out: an AP senses before it claims, so its
+/// own antennas never hear each other.
 ///
 /// Each entry is [`ContentionGraph::rx_mw`] from the row's antenna to the
 /// target on the contention model's own sensing graph, evaluated the first
@@ -398,8 +354,8 @@ struct SensingTable {
     owner: Vec<u32>,
     /// The global id of each AP's first antenna.
     first: Vec<u32>,
-    /// Static index over `positions` (ids are global ids); `None` unless
-    /// the indexed scan is on.
+    /// Static index over `positions` (ids are global ids); `None` at
+    /// infinite range.
     index: Option<SpatialIndex>,
     cutoff_m: f64,
     /// Per antenna, its row once it has gone on the air.
@@ -416,9 +372,9 @@ struct SensingRow {
 }
 
 impl SensingTable {
-    /// O(antennas): ids, owners and (indexed scan) the static index; no row
-    /// and no pair power is computed here.
-    fn new(topo: &Topology, graph: ContentionGraph, config: &NetworkSimConfig) -> Self {
+    /// O(antennas): ids, owners and (finite range) the static index; no
+    /// row and no pair power is computed here.
+    fn new(topo: &Topology, graph: ContentionGraph, cutoff_m: f64) -> Self {
         let mut positions = Vec::new();
         let mut owner = Vec::new();
         let mut first = Vec::with_capacity(topo.aps.len());
@@ -427,9 +383,11 @@ impl SensingTable {
             positions.extend_from_slice(&ap.antennas);
             owner.resize(positions.len(), ap.ap_id as u32);
         }
-        let index = config
-            .use_index()
-            .then(|| SpatialIndex::from_points(topo.region, config.index_cell_m(), &positions));
+        // At infinite range a query returns every point, so the index
+        // would be pure overhead on the paper-scale figures.
+        let index = cutoff_m
+            .is_finite()
+            .then(|| SpatialIndex::from_points(topo.region, cutoff_m, &positions));
         SensingTable {
             graph,
             rows: (0..positions.len()).map(|_| None).collect(),
@@ -437,7 +395,7 @@ impl SensingTable {
             owner,
             first,
             index,
-            cutoff_m: config.interaction_range_m,
+            cutoff_m,
             counters: SensingCounters::default(),
         }
     }
@@ -638,7 +596,8 @@ struct RoundWorkspace {
     /// in activation order (the sense stage's input).
     sense: SenseLists,
     /// Persistent index over the round's transmitting antennas, for the
-    /// cross-AP interferer lookup in the evaluate stage.
+    /// cross-AP interferer lookup in the evaluate stage; present exactly
+    /// when the sensing table holds its static index (a finite range).
     interferer_index: Option<SpatialIndex>,
     /// Active-antenna id (insertion order) → index into the live
     /// transmissions, aligned with `interferer_index`.
@@ -677,7 +636,8 @@ struct RoundWorkspace {
     /// Flattened interfering-transmission ids of every stream this round,
     /// in stream order (gather stage output, evaluate stage input).
     stream_interferers: Vec<usize>,
-    /// Per-stream end offsets into `stream_interferers`, in stream order.
+    /// Offsets into `stream_interferers`, starting with 0: stream `s`
+    /// (in stream order) owns `stream_bounds[s]..stream_bounds[s + 1]`.
     stream_bounds: Vec<usize>,
     /// `(ap, client)` channel rows the current round reads — the fading
     /// stage's active set (serving rows plus interferer rows).
@@ -690,21 +650,21 @@ struct RoundWorkspace {
 
 impl RoundWorkspace {
     /// Builds the workspace for a topology: id maps prebuilt, sensing lists
-    /// sized, the interferer index constructed (empty) when the indexed
-    /// scan is active.
-    fn for_simulator(topo: &Topology, config: &NetworkSimConfig) -> Self {
+    /// sized to the sensing table's antennas, the interferer index
+    /// constructed (empty) when the table has its static index.
+    fn for_simulator(topo: &Topology, sensing: &SensingTable) -> Self {
         let mut own_clients: Vec<Vec<usize>> = vec![Vec::new(); topo.aps.len()];
         let mut local_of = vec![0u32; topo.clients.len()];
         for c in &topo.clients {
             local_of[c.id] = own_clients[c.ap_id].len() as u32;
             own_clients[c.ap_id].push(c.id);
         }
-        let antennas = topo.aps.iter().map(|ap| ap.antennas.len()).sum();
         RoundWorkspace {
-            sense: SenseLists::new(topo.aps.len(), antennas),
-            interferer_index: config
-                .use_index()
-                .then(|| SpatialIndex::new(topo.region, config.index_cell_m())),
+            sense: SenseLists::new(topo.aps.len(), sensing.positions.len()),
+            interferer_index: sensing
+                .index
+                .as_ref()
+                .map(|_| SpatialIndex::new(topo.region, sensing.cutoff_m)),
             own_clients,
             local_of,
             ..RoundWorkspace::default()
@@ -767,9 +727,9 @@ impl RoundWorkspace {
 /// Static and dynamic runs share this one row set — the clients within
 /// interaction range of any of the AP's antennas, plus its own clients.
 /// Under dynamics it is kept exact every step: a row is born (drawn afresh)
-/// when a client comes within range or roams to the AP, and freed onto
-/// `free` when the client leaves.  A freed slot carries zero gain and is
-/// never read.
+/// when a client comes within range or roams to the AP, and freed when the
+/// client leaves ([`RowDynamics::sync_client`]).  A freed slot carries zero
+/// gain and is never read.
 ///
 /// A row is brought current only when a round reads it, at a cost that
 /// does not depend on how long it sat unread: its fading takes one keyed
@@ -777,7 +737,7 @@ impl RoundWorkspace {
 /// ([`catch_up_row`](Self::catch_up_row)), and in a dynamic run its
 /// large-scale gains are re-derived at the client's current position when
 /// the client moved since they were last derived
-/// ([`refresh_stale_row`](Self::refresh_stale_row)).
+/// ([`RowDynamics::refresh_stale_row`]).
 struct ApChannel {
     ch: ChannelMatrix,
     /// Global client id → row of `ch`; `None` when the client is out of
@@ -789,14 +749,6 @@ struct ApChannel {
     /// the row is read.  Starts at 0 (the initial realisation has seen no
     /// evolution).
     next_boundary: Vec<u64>,
-    /// Dynamics only: per-row shadowing memo and the antenna correlation
-    /// births draw through (`None` in static runs).
-    cache: Option<RowCache>,
-    /// Dynamics only: freed row slots, reused last-in first-out by births.
-    free: Vec<u32>,
-    /// Dynamics only (empty in static runs): per row, the client's move
-    /// epoch ([`RowDynamics::epoch`]) its large-scale gains were derived at.
-    epoch: Vec<u32>,
 }
 
 impl ApChannel {
@@ -852,33 +804,8 @@ impl ApChannel {
             last,
             pairs,
         );
-        work.row_steps += 1;
         work.rows_caught_up += 1;
         self.next_boundary[row] = last + cadence.interval;
-    }
-
-    /// Dynamics only: re-derives `row`'s large-scale gains at `position`
-    /// through the shadowing memo when they predate the client's move
-    /// epoch `epoch`, counting the refresh into `counters`.  A rescale
-    /// commutes with a fading step, so a refreshed row may be caught up
-    /// before or after.
-    fn refresh_stale_row(
-        &mut self,
-        model: &ChannelModel,
-        row: usize,
-        antennas: &[Point],
-        position: &Point,
-        epoch: u32,
-        counters: &mut DynamicsCounters,
-    ) {
-        if self.epoch[row] == epoch {
-            return;
-        }
-        let cache = self.cache.as_mut().expect("dynamic runs keep a row cache");
-        let redrawn = model.refresh_row_cached(&mut self.ch, cache, row, antennas, position);
-        self.epoch[row] = epoch;
-        counters.rows_refreshed += 1;
-        counters.shadow_redraws += usize::from(redrawn);
     }
 }
 
@@ -914,19 +841,23 @@ impl Cadence {
     }
 }
 
-/// Dynamics-only channel-row bookkeeping, built only when
-/// `config.dynamics` is set: which APs each client is in range of, each
-/// client's move epoch, the work counters, and the scratch the per-step
-/// row sync reuses.
+/// Everything only a dynamic run keeps, built only when `config.dynamics`
+/// is set: the mobility and roaming state, which APs each client is in
+/// range of, each client's move epoch, each AP's row bookkeeping, the work
+/// counters, and the scratch the per-step row sync reuses.
 struct RowDynamics {
+    /// Mobility and roaming, with the spec they were built from.
+    state: DynamicsState,
     /// APs with an antenna within interaction range of each client; `None`
     /// at infinite range, where every client is in range of every AP and
     /// the row set never changes.
     in_range: Option<NeighborTracker>,
     /// Per client, the number of dynamics steps it moved in (wrapping).  A
-    /// row whose [`ApChannel::epoch`] differs holds gains of an older
+    /// row whose [`ApRows::epoch`] differs holds gains of an older
     /// position and is refreshed when it is next read.
     epoch: Vec<u32>,
+    /// Per AP, the row bookkeeping next to its [`ApChannel`].
+    aps: Vec<ApRows>,
     /// Row work so far; its `roaming_requeries` stays 0 here (the roaming
     /// engine counts those itself).
     counters: DynamicsCounters,
@@ -938,29 +869,41 @@ struct RowDynamics {
     rssi: Vec<f64>,
 }
 
+/// One AP's dynamic-only row bookkeeping.
+struct ApRows {
+    /// Per-row shadowing memo and the antenna correlation births draw
+    /// through.
+    cache: RowCache,
+    /// Freed row slots, reused last-in first-out by births.
+    free: Vec<u32>,
+    /// Per row, the client's move epoch ([`RowDynamics::epoch`]) its
+    /// large-scale gains were derived at.
+    epoch: Vec<u32>,
+}
+
 impl RowDynamics {
-    fn new(topo: &Topology, interaction_range_m: f64) -> Self {
-        let in_range = interaction_range_m.is_finite().then(|| {
-            let mut antennas = Vec::new();
-            let mut owner = Vec::new();
-            for ap in &topo.aps {
-                for &a in &ap.antennas {
-                    antennas.push(a);
-                    owner.push(ap.ap_id as u32);
-                }
-            }
+    /// The in-range tracker indexes the sensing table's antenna numbering.
+    fn new(
+        state: DynamicsState,
+        aps: Vec<ApRows>,
+        topo: &Topology,
+        sensing: &SensingTable,
+    ) -> Self {
+        let in_range = sensing.cutoff_m.is_finite().then(|| {
             let clients: Vec<Point> = topo.clients.iter().map(|c| c.position).collect();
             NeighborTracker::new(
                 topo.region,
-                &antennas,
-                &owner,
-                interaction_range_m,
+                &sensing.positions,
+                &sensing.owner,
+                sensing.cutoff_m,
                 &clients,
             )
         });
         RowDynamics {
+            state,
             in_range,
             epoch: vec![0; topo.clients.len()],
+            aps,
             counters: DynamicsCounters::default(),
             prev_in_range: Vec::new(),
             affected: Vec::new(),
@@ -970,12 +913,48 @@ impl RowDynamics {
 
     fn heap_footprint_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.in_range
-            .as_ref()
-            .map_or(0, NeighborTracker::heap_footprint_bytes)
+        self.state.heap_footprint_bytes()
+            + self
+                .in_range
+                .as_ref()
+                .map_or(0, NeighborTracker::heap_footprint_bytes)
             + (self.epoch.capacity() + self.prev_in_range.capacity() + self.affected.capacity())
                 * size_of::<u32>()
             + self.rssi.capacity() * size_of::<f64>()
+            + self
+                .aps
+                .iter()
+                .map(|a| {
+                    a.cache.heap_footprint_bytes()
+                        + (a.free.capacity() + a.epoch.capacity()) * size_of::<u32>()
+                })
+                .sum::<usize>()
+    }
+
+    /// Re-derives client `c`'s row at AP `ap` at the client's current
+    /// position through the shadowing memo when its gains predate the
+    /// client's move epoch, counting the refresh.  A rescale commutes with
+    /// a fading step, so a refreshed row may be caught up before or after.
+    fn refresh_stale_row(
+        &mut self,
+        model: &ChannelModel,
+        topo: &Topology,
+        ap: usize,
+        apch: &mut ApChannel,
+        c: usize,
+    ) {
+        let row = apch.row(c);
+        let rows = &mut self.aps[ap];
+        if rows.epoch[row] == self.epoch[c] {
+            return;
+        }
+        let antennas = &topo.aps[ap].antennas;
+        let position = &topo.clients[c].position;
+        let redrawn =
+            model.refresh_row_cached(&mut apch.ch, &mut rows.cache, row, antennas, position);
+        rows.epoch[row] = self.epoch[c];
+        self.counters.rows_refreshed += 1;
+        self.counters.shadow_redraws += usize::from(redrawn);
     }
 
     /// Brings client `c`'s row membership up to date after a step in which
@@ -983,9 +962,10 @@ impl RowDynamics {
     ///
     /// A move bumps the client's epoch; its surviving rows keep their old
     /// gains until a read refreshes them
-    /// ([`ApChannel::refresh_stale_row`]).  Rows are born at APs the client
-    /// joined — came into range of, or roamed to — stamped with the current
-    /// epoch, and freed at APs it left, in ascending AP order.
+    /// ([`refresh_stale_row`](Self::refresh_stale_row)).  Rows are born at
+    /// APs the client joined — came into range of, or roamed to — stamped
+    /// with the current epoch, and freed at APs it left, in ascending AP
+    /// order.
     #[allow(clippy::too_many_arguments)] // the client, its step and the state it syncs
     fn sync_client(
         &mut self,
@@ -1035,23 +1015,23 @@ impl RowDynamics {
         for &ap in &self.affected {
             let ap = ap as usize;
             let apch = &mut channels[ap];
+            let rows = &mut self.aps[ap];
             let want = ap == own || groups.binary_search(&(ap as u32)).is_ok();
             match (apch.row_of[c], want) {
                 (Some(row), false) => {
                     apch.ch.zero_row(row as usize);
-                    apch.free.push(row);
+                    rows.free.push(row);
                     apch.row_of[c] = None;
                     self.counters.rows_freed += 1;
                 }
                 (None, true) => {
-                    let row = apch
+                    let row = rows
                         .free
                         .pop()
                         .map_or(apch.ch.num_clients(), |r| r as usize);
-                    let cache = apch.cache.as_mut().expect("dynamic runs keep a row cache");
                     model.birth_row(
                         &mut apch.ch,
-                        cache,
+                        &mut rows.cache,
                         row,
                         &topo.aps[ap].antennas,
                         &p,
@@ -1066,10 +1046,10 @@ impl RowDynamics {
                     let current = cadence.boundary_at(round as u64) + cadence.interval;
                     if row == apch.next_boundary.len() {
                         apch.next_boundary.push(current);
-                        apch.epoch.push(self.epoch[c]);
+                        rows.epoch.push(self.epoch[c]);
                     } else {
                         apch.next_boundary[row] = current;
-                        apch.epoch[row] = self.epoch[c];
+                        rows.epoch[row] = self.epoch[c];
                     }
                     apch.row_of[c] = Some(row as u32);
                     self.counters.rows_born += 1;
@@ -1085,6 +1065,8 @@ pub struct NetworkSimulator {
     topo: Topology,
     config: NetworkSimConfig,
     model: ChannelModel,
+    /// Fading evolution cadence of `config` under `model`.
+    cadence: Cadence,
     /// Per-pair sensing powers, filled on first read and kept for the run.
     sensing: SensingTable,
     rng: SimRng,
@@ -1111,17 +1093,23 @@ pub struct NetworkSimulator {
     fading_work: FadingCounters,
     /// Collect per-stage wall-clock into the workspace's [`StageTimings`].
     profile_stages: bool,
-    /// Long-horizon dynamics runtime state; `Some` iff
-    /// `config.dynamics.is_some()`.
-    dynamics: Option<DynamicsState>,
-    /// Channel-row bookkeeping of the dynamics stage; `Some` iff
-    /// `config.dynamics.is_some()`.
-    rows: Option<RowDynamics>,
+    /// Long-horizon dynamics; `Some` iff `config.dynamics.is_some()`.
+    dynamics: Option<RowDynamics>,
 }
 
 impl NetworkSimulator {
     /// Creates a simulator for a topology.
+    ///
+    /// # Panics
+    ///
+    /// If `config.interaction_range_m` is not `> 0.0` (NaN included): such
+    /// a range would silently remove all sensing and interference.
     pub fn new(topo: Topology, config: NetworkSimConfig) -> Self {
+        let cutoff = config.interaction_range_m;
+        assert!(
+            cutoff > 0.0,
+            "NetworkSimConfig::interaction_range_m must be > 0 (f64::INFINITY for no cutoff), got {cutoff}"
+        );
         let mut model = ChannelModel::new(config.env, config.seed);
         // For `ContentionModel::Graph` this is exactly the legacy
         // `ContentionGraph::new(env, seed ^ 0x5151)`; the physical model
@@ -1133,15 +1121,14 @@ impl NetworkSimulator {
         let rng = SimRng::new(config.seed).fork(0xAC);
 
         let num_clients = topo.clients.len();
-        let cutoff = config.interaction_range_m;
-        let dynamic = config.dynamics.is_some();
         let client_index = cutoff.is_finite().then(|| {
             SpatialIndex::from_points(
                 topo.region,
-                config.index_cell_m(),
+                cutoff,
                 &topo.clients.iter().map(|c| c.position).collect::<Vec<_>>(),
             )
         });
+        let mut dynamic_aps = Vec::new();
         let channels: Vec<ApChannel> = topo
             .aps
             .iter()
@@ -1173,29 +1160,25 @@ impl NetworkSimulator {
                     visible.iter().map(|&c| topo.clients[c].position).collect();
                 // Same draws either way; a dynamic run also keeps the
                 // shadowing memo its refreshes and births go through.
-                let (ch, cache) = if dynamic {
+                let ch = if config.dynamics.is_some() {
                     let (ch, cache) = model.realize_positions_cached(&ap.antennas, &positions);
-                    (ch, Some(cache))
+                    dynamic_aps.push(ApRows {
+                        cache,
+                        free: Vec::new(),
+                        epoch: vec![0; visible.len()],
+                    });
+                    ch
                 } else {
-                    (model.realize_positions(&ap.antennas, &positions), None)
+                    model.realize_positions(&ap.antennas, &positions)
                 };
                 let mut row_of = vec![None; num_clients];
                 for (row, &c) in visible.iter().enumerate() {
                     row_of[c] = Some(row as u32);
                 }
-                let next_boundary = vec![0; visible.len()];
-                let epoch = if dynamic {
-                    vec![0; visible.len()]
-                } else {
-                    Vec::new()
-                };
                 ApChannel {
                     ch,
                     row_of,
-                    next_boundary,
-                    cache,
-                    free: Vec::new(),
-                    epoch,
+                    next_boundary: vec![0; visible.len()],
                 }
             })
             .collect();
@@ -1217,13 +1200,14 @@ impl NetworkSimulator {
             tags.push(TagTable::from_rssi(&rssi, config.tag_width));
         }
 
-        let sensing = SensingTable::new(&topo, graph, &config);
-        let workspace = RoundWorkspace::for_simulator(&topo, &config);
-        let dynamics = config
-            .dynamics
-            .map(|spec| DynamicsState::new(&spec, &topo, &config.env, config.seed));
-        let rows = dynamic.then(|| RowDynamics::new(&topo, cutoff));
+        let sensing = SensingTable::new(&topo, graph, cutoff);
+        let workspace = RoundWorkspace::for_simulator(&topo, &sensing);
+        let dynamics = config.dynamics.map(|spec| {
+            let state = DynamicsState::new(&spec, &topo, &config.env, config.seed);
+            RowDynamics::new(state, dynamic_aps, &topo, &sensing)
+        });
         NetworkSimulator {
+            cadence: Cadence::of(&model, &config),
             topo,
             config,
             model,
@@ -1239,7 +1223,6 @@ impl NetworkSimulator {
             fading_work: FadingCounters::default(),
             profile_stages: false,
             dynamics,
-            rows,
         }
     }
 
@@ -1260,8 +1243,8 @@ impl NetworkSimulator {
         self.workspace.heap_footprint_bytes()
     }
 
-    /// Work counters of keyed fading evolution so far — rows caught up,
-    /// row steps and Gaussian pairs drawn.  Deterministic in the seed.
+    /// Work counters of keyed fading evolution so far — rows caught up
+    /// and Gaussian pairs drawn.  Deterministic in the seed.
     pub fn fading_counters(&self) -> FadingCounters {
         self.fading_work
     }
@@ -1346,12 +1329,12 @@ impl NetworkSimulator {
         if ws.own_clients.len() != self.topo.aps.len() {
             // Defensive: a default-constructed workspace (nothing prebuilt)
             // can only appear if a previous run panicked mid-flight.
-            ws = RoundWorkspace::for_simulator(&self.topo, &self.config);
+            ws = RoundWorkspace::for_simulator(&self.topo, &self.sensing);
         }
         for round in 0..self.config.rounds {
             if self.fresh_workspace_per_round {
                 let carried = ws.timings;
-                ws = RoundWorkspace::for_simulator(&self.topo, &self.config);
+                ws = RoundWorkspace::for_simulator(&self.topo, &self.sensing);
                 ws.timings = carried;
             }
             let t = tick(self.profile_stages);
@@ -1443,34 +1426,28 @@ impl NetworkSimulator {
     /// [`ChannelModel::birth_row`]: midas_channel::ChannelModel::birth_row
     // lint: no_alloc — steady-state stage: rows, tags and DRR are rebuilt in retained buffers
     fn dynamics_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
-        let Some(spec) = self.config.dynamics else {
+        let Some(dynamic) = self.dynamics.as_mut() else {
             return;
         };
-        let (Some(state), Some(rows)) = (self.dynamics.as_mut(), self.rows.as_mut()) else {
-            return;
-        };
-        let period = spec.period_rounds.max(1);
-        if round == 0 || !round.is_multiple_of(period) {
+        if !dynamic.state.steps_at(round) {
             return;
         }
 
         // 1. Move and roam.
-        state.step_mobility(&spec, &mut self.topo);
-        state.step_roaming(&spec, &mut self.topo, &self.config.env);
+        dynamic.state.step_mobility(&mut self.topo);
+        dynamic.state.step_roaming(&mut self.topo, &self.config.env);
 
         // 2. Sync the row membership of every client that moved or roamed,
         //    in ascending id order (births claim free slots in that order).
-        let cadence = Cadence::of(&self.model, &self.config);
-        let moved = state.moved();
         let mut next_moved = 0;
         for c in 0..self.topo.clients.len() {
-            let is_moved = moved.get(next_moved) == Some(&c);
+            let is_moved = dynamic.state.moved().get(next_moved) == Some(&c);
             next_moved += usize::from(is_moved);
-            let old_own = state.previous_ap(c);
+            let old_own = dynamic.state.previous_ap(c);
             if !is_moved && old_own == self.topo.clients[c].ap_id {
                 continue;
             }
-            rows.sync_client(
+            dynamic.sync_client(
                 c,
                 is_moved,
                 old_own,
@@ -1478,7 +1455,7 @@ impl NetworkSimulator {
                 &self.topo,
                 &mut self.channels,
                 &self.model,
-                cadence,
+                self.cadence,
             );
         }
 
@@ -1489,6 +1466,7 @@ impl NetworkSimulator {
         ws.dirty_tags.clear();
         ws.dirty_tags.resize(num_aps, false);
         let mut any_handoff = false;
+        let state = &dynamic.state;
         for cid in state.handed_off(&self.topo) {
             ws.dirty_membership[state.previous_ap(cid)] = true;
             ws.dirty_membership[self.topo.clients[cid].ap_id] = true;
@@ -1512,23 +1490,17 @@ impl NetworkSimulator {
                 self.drr[ap_id].restart(ws.own_clients[ap_id].len());
             }
             if membership || ws.dirty_tags[ap_id] {
-                let antennas = &self.topo.aps[ap_id].antennas;
-                let n = antennas.len();
+                let n = self.topo.aps[ap_id].antennas.len();
                 let apch = &mut self.channels[ap_id];
                 let own = &ws.own_clients[ap_id];
-                rows.rssi.clear();
+                dynamic.rssi.clear();
                 for &c in own {
-                    apch.refresh_stale_row(
-                        &self.model,
-                        apch.row(c),
-                        antennas,
-                        &self.topo.clients[c].position,
-                        rows.epoch[c],
-                        &mut rows.counters,
-                    );
-                    rows.rssi.extend((0..n).map(|k| apch.mean_rssi_dbm(c, k)));
+                    dynamic.refresh_stale_row(&self.model, &self.topo, ap_id, apch, c);
+                    dynamic
+                        .rssi
+                        .extend((0..n).map(|k| apch.mean_rssi_dbm(c, k)));
                 }
-                let rssi = &rows.rssi;
+                let rssi = &dynamic.rssi;
                 self.tags[ap_id].rebuild(
                     (0..own.len()).map(|i| &rssi[i * n..(i + 1) * n]),
                     self.config.tag_width,
@@ -1542,17 +1514,16 @@ impl NetworkSimulator {
     pub fn dynamics_stats(&self) -> Option<(usize, usize)> {
         self.dynamics
             .as_ref()
-            .map(|d| (d.moves_total(), d.handoffs_total()))
+            .map(|d| (d.state.moves_total(), d.state.handoffs_total()))
     }
 
     /// Work counters of the dynamics stage so far — rows born, freed and
     /// refreshed, shadowing redraws, membership and roaming re-queries;
     /// `None` when dynamics are off.  Deterministic in the seed.
     pub fn dynamics_counters(&self) -> Option<DynamicsCounters> {
-        let (rows, state) = (self.rows.as_ref()?, self.dynamics.as_ref()?);
-        Some(DynamicsCounters {
-            roaming_requeries: state.roaming_requeries(),
-            ..rows.counters
+        self.dynamics.as_ref().map(|d| DynamicsCounters {
+            roaming_requeries: d.state.roaming_requeries(),
+            ..d.counters
         })
     }
 
@@ -1580,22 +1551,9 @@ impl NetworkSimulator {
     /// shadowing memos, the free-slot lists and the move epochs.  Stable
     /// once warm, which the long-horizon footprint tests pin.
     pub fn dynamics_heap_footprint_bytes(&self) -> usize {
-        let Some(rows) = self.rows.as_ref() else {
-            return 0;
-        };
-        let per_ap: usize = self
-            .channels
-            .iter()
-            .map(|c| {
-                c.cache.as_ref().map_or(0, RowCache::heap_footprint_bytes)
-                    + (c.free.capacity() + c.epoch.capacity()) * std::mem::size_of::<u32>()
-            })
-            .sum();
         self.dynamics
             .as_ref()
-            .map_or(0, DynamicsState::heap_footprint_bytes)
-            + rows.heap_footprint_bytes()
-            + per_ap
+            .map_or(0, RowDynamics::heap_footprint_bytes)
     }
 
     /// Pipeline stages 1–3 — backlog, sense, select: decides who transmits
@@ -1726,11 +1684,11 @@ impl NetworkSimulator {
     /// Hoisted out of evaluation so the full set of channel rows the round
     /// reads — serving rows *and* interferer rows — is known before any
     /// fading value is consumed; that set is exactly what lazy evolution
-    /// catches up.  A concurrent transmission only
-    /// interferes with a client when at least one of its transmitting
-    /// antennas is within the interaction range; both scan modes apply that
-    /// rule and visit interferers in transmission order, so the stored
-    /// lists are bit-identical between them.
+    /// catches up.  A concurrent transmission only interferes with a client
+    /// when at least one of its transmitting antennas is within the
+    /// interaction range.  The interferer index (finite range) and the
+    /// linear scan (infinite range) both apply that rule and list the
+    /// interferers in ascending transmission order.
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn gather_stage(&self, ws: &mut RoundWorkspace) {
         let cutoff = self.config.interaction_range_m;
@@ -1749,10 +1707,7 @@ impl NetworkSimulator {
 
         // Map every active antenna back to its transmission for the indexed
         // interferer lookup.
-        if self.config.use_index() {
-            let index = interferer_index.get_or_insert_with(|| {
-                SpatialIndex::new(self.topo.region, self.config.index_cell_m())
-            });
+        if let Some(index) = interferer_index.as_mut() {
             index.clear();
             tx_of_antenna.clear();
             for (tx_idx, t) in transmissions.iter().enumerate() {
@@ -1765,6 +1720,7 @@ impl NetworkSimulator {
 
         stream_interferers.clear();
         stream_bounds.clear();
+        stream_bounds.push(0);
         for t in transmissions.iter() {
             for &client in t.clients.iter() {
                 let client_pos = &self.topo.clients[client].position;
@@ -1800,8 +1756,8 @@ impl NetworkSimulator {
     /// only those — feed the precode and evaluate stages.  In a dynamic
     /// run, a row whose client moved since its gains were derived is first
     /// refreshed at the client's current position
-    /// ([`ApChannel::refresh_stale_row`]).  Each row then catches up to the
-    /// current evolution boundary in one keyed skip-ahead step
+    /// ([`RowDynamics::refresh_stale_row`]).  Each row then catches up to
+    /// the current evolution boundary in one keyed skip-ahead step
     /// ([`ApChannel::catch_up_row`]), whatever its lag.  Rows not in the
     /// set are left behind; their `next_boundary` bookmark and gain epoch
     /// say what a later read must do.  The keyed steps make the result a
@@ -1809,12 +1765,11 @@ impl NetworkSimulator {
     /// count.
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn fading_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
-        let cadence = Cadence::of(&self.model, &self.config);
         // The last evolution boundary at or before this round; every row
         // read this round must have absorbed the innovations keyed by
         // boundaries 0, interval, …, current_boundary (channels evolve on
         // rounds divisible by the interval).
-        let current_boundary = cadence.boundary_at(round as u64);
+        let current_boundary = self.cadence.boundary_at(round as u64);
 
         let RoundWorkspace {
             transmissions,
@@ -1827,57 +1782,39 @@ impl NetworkSimulator {
         } = ws;
         let transmissions = &transmissions[..*live];
 
+        // Each served client's serving row (read by precode and by the
+        // evaluate stage's signal/intra-interference terms) and its row in
+        // every other transmission within radio range of it.
         touched.clear();
-        // Serving rows: read by precode and by the evaluate stage's
-        // signal/intra-interference terms.
-        for t in transmissions.iter() {
-            for &client in t.clients.iter() {
-                touched.push((t.ap_id as u32, client as u32));
-            }
-        }
-        // Interferer rows: each served client's row in every other
-        // transmission within radio range of it.
-        let mut stream_no = 0;
+        let mut s = 0;
         for (tx_idx, t) in transmissions.iter().enumerate() {
             for &client in t.clients.iter() {
-                let lo = if stream_no == 0 {
-                    0
-                } else {
-                    stream_bounds[stream_no - 1]
-                };
-                let hi = stream_bounds[stream_no];
-                stream_no += 1;
-                for &o in &stream_interferers[lo..hi] {
+                touched.push((t.ap_id as u32, client as u32));
+                for &o in &stream_interferers[stream_bounds[s]..stream_bounds[s + 1]] {
                     if o != tx_idx {
                         touched.push((transmissions[o].ap_id as u32, client as u32));
                     }
                 }
+                s += 1;
             }
         }
         touched.sort_unstable();
         touched.dedup();
 
         for &(ap, client) in touched.iter() {
-            let apch = &mut self.channels[ap as usize];
-            let row = apch.row_of[client as usize].expect("touched row must be in range of its AP")
-                as usize;
-            if let Some(rows) = self.rows.as_mut() {
-                apch.refresh_stale_row(
-                    &self.model,
-                    row,
-                    &self.topo.aps[ap as usize].antennas,
-                    &self.topo.clients[client as usize].position,
-                    rows.epoch[client as usize],
-                    &mut rows.counters,
-                );
+            let (ap, client) = (ap as usize, client as usize);
+            let apch = &mut self.channels[ap];
+            if let Some(dynamic) = self.dynamics.as_mut() {
+                dynamic.refresh_stale_row(&self.model, &self.topo, ap, apch, client);
             }
+            let row = apch.row(client);
             apch.catch_up_row(
                 &self.model,
-                ap as usize,
-                client as usize,
+                ap,
+                client,
                 row,
                 current_boundary,
-                cadence,
+                self.cadence,
                 pairs,
                 &mut self.fading_work,
             );
@@ -1919,7 +1856,7 @@ impl NetworkSimulator {
         let transmissions = &transmissions[..*live];
 
         capacities.clear();
-        let mut stream_no = 0;
+        let mut s = 0;
         for (tx_idx, t) in transmissions.iter().enumerate() {
             let ch = &self.channels[t.ap_id];
             for (stream_idx, &client) in t.clients.iter().enumerate() {
@@ -1948,14 +1885,7 @@ impl NetworkSimulator {
                 let mut interference = intra_interference;
                 // Cross-AP interference from the concurrent transmissions in
                 // radio range of this client, in transmission order.
-                let lo = if stream_no == 0 {
-                    0
-                } else {
-                    stream_bounds[stream_no - 1]
-                };
-                let hi = stream_bounds[stream_no];
-                stream_no += 1;
-                for &o in &stream_interferers[lo..hi] {
+                for &o in &stream_interferers[stream_bounds[s]..stream_bounds[s + 1]] {
                     if o == tx_idx {
                         continue;
                     }
@@ -1970,6 +1900,7 @@ impl NetworkSimulator {
                         interference += amp.norm_sqr();
                     }
                 }
+                s += 1;
                 let noise = ch.ch.noise_mw;
                 let sinr = signal / (noise + interference);
                 // Graph model: every transmitted stream earns its Shannon
@@ -2137,9 +2068,6 @@ mod tests {
                     ch: start.clone(),
                     row_of: (0..ROWS as u32).map(Some).collect(),
                     next_boundary: vec![0; ROWS],
-                    cache: None,
-                    free: Vec::new(),
-                    epoch: Vec::new(),
                 };
                 // Every row last absorbed no boundary; reading it at the
                 // k-th boundary catches it up over k of them.
@@ -2150,7 +2078,6 @@ mod tests {
                 }
                 let one_step_each = FadingCounters {
                     rows_caught_up: ROWS,
-                    row_steps: ROWS,
                     gaussian_pairs: ROWS,
                 };
                 assert_eq!(work, one_step_each, "interval {interval}, lag {k}");
@@ -2293,7 +2220,7 @@ mod tests {
                         ..*base
                     };
                     let graph = contention.sensing_graph(config.env, config.seed ^ 0x5151);
-                    let mut table = SensingTable::new(topo, graph.clone(), &config);
+                    let mut table = SensingTable::new(topo, graph.clone(), cutoff);
                     let aps = topo.aps.len();
                     let first: Vec<usize> = topo
                         .aps
@@ -2381,34 +2308,135 @@ mod tests {
     }
 
     /// Sensing-table rows found through the spatial index equal the rows a
-    /// linear scan finds, id for id: the antennas of other APs within range.
+    /// linear scan finds, id for id: the antennas of other APs within
+    /// range, ascending.
     #[test]
     fn sensing_rows_through_the_index_equal_brute_force_rows() {
         let scenario = crate::scale::Scenario::enterprise_office(64);
         let pair = scenario.build(5).expect("buildable scenario");
         let base = scenario.sim_config(MacKind::Midas, 1, 5);
-        let graph = || base.contention.sensing_graph(base.env, 5);
+        let antennas: Vec<(usize, Point)> = pair
+            .das
+            .aps
+            .iter()
+            .flat_map(|ap| ap.antennas.iter().map(move |&p| (ap.ap_id, p)))
+            .collect();
         for cutoff in [base.interaction_range_m, 25.0] {
-            let rows = |scan: ScanMode| {
-                let config = NetworkSimConfig {
-                    scan,
-                    interaction_range_m: cutoff,
-                    ..base
-                };
-                let mut table = SensingTable::new(&pair.das, graph(), &config);
-                assert_eq!(table.index.is_some(), scan == ScanMode::Indexed);
-                (0..table.positions.len())
-                    .map(|a| {
-                        table.build_row(a);
-                        table.rows[a].as_ref().expect("built").targets.to_vec()
-                    })
-                    .collect::<Vec<_>>()
-            };
-            let (indexed, brute) = (rows(ScanMode::Indexed), rows(ScanMode::BruteForce));
-            assert_eq!(indexed, brute, "cutoff {cutoff}");
-            let entries: usize = brute.iter().map(Vec::len).sum();
+            let graph = base.contention.sensing_graph(base.env, 5);
+            let mut table = SensingTable::new(&pair.das, graph, cutoff);
+            assert!(table.index.is_some(), "a finite range builds the index");
+            let mut entries = 0;
+            for (a, &(own, at)) in antennas.iter().enumerate() {
+                table.build_row(a);
+                let brute: Vec<u32> = (0..antennas.len())
+                    .filter(|&b| antennas[b].0 != own && antennas[b].1.distance(&at) <= cutoff)
+                    .map(|b| b as u32)
+                    .collect();
+                let row = table.rows[a].as_ref().expect("built");
+                assert_eq!(&row.targets[..], &brute[..], "cutoff {cutoff}, antenna {a}");
+                entries += brute.len();
+            }
             assert!(entries > 1000, "cutoff {cutoff}: {entries} entries");
         }
+    }
+
+    /// The gather stage's interferer lists against a brute-force oracle.
+    /// After runs of 1 to 8 rounds, every stream of the last round lists
+    /// exactly the live transmissions with an on-air antenna within range
+    /// of its client, in ascending transmission order — on an office floor
+    /// at its own range and at 20 m and on an apartment floor, under MIDAS
+    /// and CAS, Graph and calibrated Physical contention, with dynamics
+    /// off and with fast roaming walkers.
+    #[test]
+    fn gathered_interferers_equal_a_brute_force_scan() {
+        let office = crate::scale::Scenario::enterprise_office(8);
+        let apartment = crate::scale::Scenario::dense_apartment(8);
+        let (mut streams, mut listed) = (0, 0);
+        for (scenario, range) in [(office, None), (office, Some(20.0)), (apartment, None)] {
+            for mac in [MacKind::Midas, MacKind::Cas] {
+                for contention in [
+                    ContentionModel::Graph,
+                    ContentionModel::physical_calibrated(),
+                ] {
+                    for dynamics in [None, Some(DynamicsSpec::roaming_walk(300.0))] {
+                        for rounds in 1..=8 {
+                            let pair = scenario.build(3).expect("buildable scenario");
+                            let topo = match mac {
+                                MacKind::Midas => pair.das,
+                                MacKind::Cas => pair.cas,
+                            };
+                            let mut config = scenario.sim_config(mac, rounds, 3);
+                            config.interaction_range_m =
+                                range.unwrap_or(config.interaction_range_m);
+                            config.contention = contention;
+                            config.dynamics = dynamics;
+                            let cutoff = config.interaction_range_m;
+                            let mut sim = NetworkSimulator::new(topo, config);
+                            sim.run();
+                            let ws = &sim.workspace;
+                            assert!(
+                                ws.interferer_index.is_some(),
+                                "a finite range uses the index"
+                            );
+                            let live = &ws.transmissions[..ws.live];
+                            let mut s = 0;
+                            for t in live {
+                                for &client in &t.clients {
+                                    let at = &sim.topo.clients[client].position;
+                                    let oracle: Vec<usize> = (0..live.len())
+                                        .filter(|&o| {
+                                            let antennas = &sim.topo.aps[live[o].ap_id].antennas;
+                                            live[o]
+                                                .antenna_idx
+                                                .iter()
+                                                .any(|&k| antennas[k].distance(at) <= cutoff)
+                                        })
+                                        .collect();
+                                    let bounds = &ws.stream_bounds;
+                                    assert_eq!(
+                                        &ws.stream_interferers[bounds[s]..bounds[s + 1]],
+                                        &oracle[..],
+                                        "{} at {cutoff} m, {mac:?}, {contention:?}, \
+                                         dynamics {}, round {}: client {client}",
+                                        scenario.name(),
+                                        dynamics.is_some(),
+                                        rounds - 1
+                                    );
+                                    listed += oracle.len();
+                                    s += 1;
+                                }
+                            }
+                            assert_eq!(ws.stream_bounds.len(), s + 1);
+                            streams += s;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(streams > 1000, "only {streams} streams checked");
+        assert!(
+            listed > 2 * streams,
+            "{listed} interferers over {streams} streams"
+        );
+    }
+
+    fn simulator_with_range(range: f64) -> NetworkSimulator {
+        let pair = three_ap_pair(1);
+        let mut config = NetworkSimConfig::midas(Environment::office_a(), 1);
+        config.interaction_range_m = range;
+        NetworkSimulator::new(pair.das, config)
+    }
+
+    #[test]
+    #[should_panic(expected = "interaction_range_m")]
+    fn a_nan_interaction_range_fails_at_construction() {
+        simulator_with_range(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "interaction_range_m")]
+    fn a_negative_interaction_range_fails_at_construction() {
+        simulator_with_range(-1.0);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! * the row set after every round equals its brute-force definition
 //!   (clients within interaction range of any of the AP's antennas, plus
-//!   its own clients), over {Indexed, BruteForce} × {MIDAS, CAS} with fast
-//!   walkers that force births and frees;
+//!   its own clients), under MIDAS and CAS with fast walkers that force
+//!   births and frees;
 //! * a dynamic run's round 0, and a run whose dynamics never step, are
 //!   byte-identical to the static run;
 //! * the memoised large-scale refresh is bit-identical to
@@ -22,7 +22,7 @@ use midas_channel::{ChannelModel, Environment, Point, SimRng};
 use midas_net::dynamics::{DynamicsCounters, DynamicsSpec};
 use midas_net::observer::{Observer, RoundRecord};
 use midas_net::scale::{AssociationPolicy, FloorGrid, Reassociator, Scenario};
-use midas_net::simulator::{FadingCounters, MacKind, NetworkSimConfig, NetworkSimulator, ScanMode};
+use midas_net::simulator::{FadingCounters, MacKind, NetworkSimConfig, NetworkSimulator};
 
 /// Interaction range of the test floors: shorter than the enterprise
 /// default so walkers cross many AP boundaries on an 8-AP floor.
@@ -34,13 +34,7 @@ fn fast_walk() -> DynamicsSpec {
 }
 
 /// An 8-AP enterprise floor with a finite interaction range.
-fn sim(
-    mac: MacKind,
-    scan: ScanMode,
-    dynamics: Option<DynamicsSpec>,
-    rounds: usize,
-    seed: u64,
-) -> NetworkSimulator {
+fn sim(mac: MacKind, dynamics: Option<DynamicsSpec>, rounds: usize, seed: u64) -> NetworkSimulator {
     let scenario = Scenario::enterprise_office(8);
     let pair = scenario.build(seed).expect("buildable scenario");
     let topo = match mac {
@@ -49,7 +43,6 @@ fn sim(
     };
     let mut config = scenario.sim_config(mac, rounds, seed);
     config.interaction_range_m = RANGE_M;
-    config.scan = scan;
     config.dynamics = dynamics;
     NetworkSimulator::new(topo, config)
 }
@@ -73,26 +66,24 @@ fn brute_force_rows(topo: &Topology, ap: usize, range: f64) -> Vec<usize> {
 #[test]
 fn rows_equal_the_brute_force_set_after_every_round() {
     let mut totals = DynamicsCounters::default();
-    for scan in [ScanMode::Indexed, ScanMode::BruteForce] {
-        for mac in [MacKind::Midas, MacKind::Cas] {
-            // A run of `rounds` rounds ends right after the dynamics step
-            // of round `rounds - 1`: the prefixes cover every step.
-            for rounds in 1..=14 {
-                let mut s = sim(mac, scan, Some(fast_walk()), rounds, 3);
-                s.run();
-                let topo = s.topology();
-                for ap in 0..topo.aps.len() {
-                    assert_eq!(
-                        s.channel_rows(ap).collect::<Vec<_>>(),
-                        brute_force_rows(topo, ap, RANGE_M),
-                        "{scan:?}/{mac:?}: AP {ap} after {rounds} rounds"
-                    );
-                }
-                if rounds == 14 {
-                    let c = s.dynamics_counters().expect("dynamics are on");
-                    totals.rows_born += c.rows_born;
-                    totals.rows_freed += c.rows_freed;
-                }
+    for mac in [MacKind::Midas, MacKind::Cas] {
+        // A run of `rounds` rounds ends right after the dynamics step of
+        // round `rounds - 1`: the prefixes cover every step.
+        for rounds in 1..=14 {
+            let mut s = sim(mac, Some(fast_walk()), rounds, 3);
+            s.run();
+            let topo = s.topology();
+            for ap in 0..topo.aps.len() {
+                assert_eq!(
+                    s.channel_rows(ap).collect::<Vec<_>>(),
+                    brute_force_rows(topo, ap, RANGE_M),
+                    "{mac:?}: AP {ap} after {rounds} rounds"
+                );
+            }
+            if rounds == 14 {
+                let c = s.dynamics_counters().expect("dynamics are on");
+                totals.rows_born += c.rows_born;
+                totals.rows_freed += c.rows_freed;
             }
         }
     }
@@ -128,7 +119,7 @@ fn a_dynamic_runs_round_zero_and_a_never_stepping_run_match_the_static_run() {
         let rounds = 8;
         let capture = |dynamics| {
             let mut obs = RoundCapture::default();
-            sim(mac, ScanMode::Indexed, dynamics, rounds, 5).run_with(&mut obs);
+            sim(mac, dynamics, rounds, 5).run_with(&mut obs);
             obs
         };
         let fixed = capture(None);
@@ -143,8 +134,8 @@ fn a_dynamic_runs_round_zero_and_a_never_stepping_run_match_the_static_run() {
             period_rounds: rounds + 1,
             ..fast_walk()
         };
-        let static_run = sim(mac, ScanMode::Indexed, None, rounds, 5).run();
-        let dormant_run = sim(mac, ScanMode::Indexed, Some(dormant), rounds, 5).run();
+        let static_run = sim(mac, None, rounds, 5).run();
+        let dormant_run = sim(mac, Some(dormant), rounds, 5).run();
         assert_eq!(static_run, dormant_run, "{mac:?}");
     }
 }
@@ -257,7 +248,7 @@ fn the_incremental_reassociator_matches_a_full_pass_under_every_policy() {
 
 #[test]
 fn dynamics_counters_are_pinned_for_a_small_seed() {
-    let mut s = sim(MacKind::Midas, ScanMode::Indexed, Some(fast_walk()), 20, 11);
+    let mut s = sim(MacKind::Midas, Some(fast_walk()), 20, 11);
     s.run();
     let c = s.dynamics_counters().expect("dynamics are on");
     assert_eq!(
@@ -276,12 +267,11 @@ fn dynamics_counters_are_pinned_for_a_small_seed() {
         s.fading_counters(),
         FadingCounters {
             rows_caught_up: 513,
-            row_steps: 513,
             gaussian_pairs: 2052,
         }
     );
     // Off means no dynamics counters at all.
-    let off = sim(MacKind::Midas, ScanMode::Indexed, None, 2, 11);
+    let off = sim(MacKind::Midas, None, 2, 11);
     assert!(off.dynamics_counters().is_none());
 }
 

@@ -53,8 +53,8 @@ proptest! {
         let lax = sensing(low_dbm + delta_db);
         prop_assert_eq!(strict.threshold_dbm(), low_dbm);
         for topo in [&pair.cas, &pair.das] {
-            let dense = strict.ap_adjacency(topo);
-            let sparse = lax.ap_adjacency(topo);
+            let dense = strict.ap_adjacency_indexed(topo, f64::INFINITY);
+            let sparse = lax.ap_adjacency_indexed(topo, f64::INFINITY);
             for (a, row) in sparse.iter().enumerate() {
                 for (b, &edge) in row.iter().enumerate() {
                     prop_assert!(
@@ -122,7 +122,10 @@ proptest! {
         let legacy = ContentionGraph::new(env, seed ^ 0x5151);
         let modelled = ContentionModel::Graph.sensing_graph(env, seed ^ 0x5151);
         for topo in [&pair.cas, &pair.das] {
-            prop_assert_eq!(legacy.ap_adjacency(topo), modelled.ap_adjacency(topo));
+            prop_assert_eq!(
+                legacy.ap_adjacency_indexed(topo, f64::INFINITY),
+                modelled.ap_adjacency_indexed(topo, f64::INFINITY)
+            );
             for ap in &topo.aps {
                 for antenna in &ap.antennas {
                     prop_assert_eq!(
@@ -137,7 +140,8 @@ proptest! {
     /// Regression companion to the `SpatialIndex` infinite-cell fix: the
     /// indexed AP adjacency with an *infinite* cutoff (which sizes the
     /// index's cells from the bounding box instead of building a
-    /// degenerate one-cell grid) equals the unbounded pairwise sweep.
+    /// degenerate one-cell grid) equals the unbounded pairwise sweep of
+    /// `aps_share_domain_within`.
     #[test]
     fn indexed_adjacency_with_infinite_cutoff_matches_unbounded(
         seed in 0u64..1_000_000,
@@ -147,9 +151,11 @@ proptest! {
         let mut rng = SimRng::new(seed);
         let pair = PairedTopology::three_ap(&paper_das_config(&env, 4, 4), &mut rng);
         let graph = ContentionGraph::new(env, seed);
-        prop_assert_eq!(
-            graph.ap_adjacency_indexed(&pair.das, f64::INFINITY),
-            graph.ap_adjacency(&pair.das)
-        );
+        let n = pair.das.aps.len();
+        let shared = |a, b| graph.aps_share_domain_within(&pair.das, a, b, f64::INFINITY);
+        let pairwise: Vec<Vec<bool>> = (0..n)
+            .map(|a| (0..n).map(|b| a != b && shared(a, b)).collect())
+            .collect();
+        prop_assert_eq!(graph.ap_adjacency_indexed(&pair.das, f64::INFINITY), pairwise);
     }
 }

@@ -16,14 +16,13 @@ use midas_channel::{ChannelModel, Environment, Point};
 use midas_linalg::Complex;
 use midas_net::capture::ContentionModel;
 use midas_net::scale::Scenario;
-use midas_net::simulator::{FadingCounters, MacKind, NetworkSimulator, ScanMode, SensingCounters};
+use midas_net::simulator::{FadingCounters, MacKind, NetworkSimulator, SensingCounters};
 use midas_net::traffic::TrafficKind;
 
 /// Builds a simulator for one configuration point.
 fn build_sim(
     scenario: &Scenario,
     mac: MacKind,
-    scan: ScanMode,
     contention: ContentionModel,
     traffic: TrafficKind,
     rounds: usize,
@@ -35,7 +34,6 @@ fn build_sim(
         MacKind::Cas => pair.cas,
     };
     let mut config = scenario.sim_config(mac, rounds, seed);
-    config.scan = scan;
     config.contention = contention;
     NetworkSimulator::new(topo, config).with_traffic_kind(traffic)
 }
@@ -123,7 +121,6 @@ fn keyed_evolution_is_deterministic() {
         build_sim(
             &scenario,
             MacKind::Midas,
-            ScanMode::Indexed,
             ContentionModel::Graph,
             TrafficKind::FullBuffer,
             6,
@@ -164,9 +161,8 @@ fn fading_work_is_pinned_and_eager_work_is_rows_times_boundaries() {
         // one skip-ahead step however many boundaries it spans.
         let eager_steps = rows * rounds.div_ceil(interval);
         let work = sim.fading_counters();
-        assert_eq!(work.row_steps, work.rows_caught_up, "interval {interval}");
         assert!(
-            work.row_steps < eager_steps,
+            work.rows_caught_up < eager_steps,
             "interval {interval}: {work:?}"
         );
         pinned.push(work);
@@ -176,12 +172,10 @@ fn fading_work_is_pinned_and_eager_work_is_rows_times_boundaries() {
         [
             FadingCounters {
                 rows_caught_up: 516,
-                row_steps: 516,
                 gaussian_pairs: 2064,
             },
             FadingCounters {
                 rows_caught_up: 456,
-                row_steps: 456,
                 gaussian_pairs: 1824,
             },
         ]

@@ -3,9 +3,9 @@
 //! The load-bearing property is *exact equivalence*: streaming a simulation
 //! through an [`Accumulate`] observer must reproduce the accumulate-in-place
 //! [`TopologyResult`] bit for bit — same per-round capacities, same
-//! per-client sums — across every {scan mode × contention model × MAC}
-//! combination, and the fixed-size [`RunningSummary`] must agree with the
-//! accumulated result on every sum it keeps.  The full-buffer traffic model
+//! per-client sums — across every {contention model × MAC} combination,
+//! and the fixed-size [`RunningSummary`] must agree with the accumulated
+//! result on every sum it keeps.  The full-buffer traffic model
 //! must be byte-identical to the pre-traffic-model simulator.
 //!
 //! The 64-AP / 512-client long-horizon test at the bottom is the
@@ -17,7 +17,7 @@
 use midas_net::capture::ContentionModel;
 use midas_net::observer::{Accumulate, RunningSummary, Tee};
 use midas_net::scale::Scenario;
-use midas_net::simulator::{MacKind, NetworkSimulator, ScanMode, TopologyResult};
+use midas_net::simulator::{MacKind, NetworkSimulator, TopologyResult};
 use midas_net::traffic::TrafficKind;
 use proptest::prelude::*;
 
@@ -27,7 +27,6 @@ use proptest::prelude::*;
 fn assert_streaming_matches_run(
     scenario: &Scenario,
     mac: MacKind,
-    scan: ScanMode,
     contention: ContentionModel,
     rounds: usize,
     seed: u64,
@@ -38,7 +37,6 @@ fn assert_streaming_matches_run(
         MacKind::Cas => pair.cas,
     };
     let mut config = scenario.sim_config(mac, rounds, seed);
-    config.scan = scan;
     config.contention = contention;
 
     let direct = NetworkSimulator::new(topo.clone(), config).run();
@@ -54,7 +52,7 @@ fn assert_streaming_matches_run(
     assert_eq!(
         streamed,
         direct,
-        "{} {mac:?} {scan:?}: streamed Accumulate diverged from run()",
+        "{} {mac:?} {contention:?}: streamed Accumulate diverged from run()",
         scenario.name()
     );
     assert_summary_matches(&summary, &direct);
@@ -93,7 +91,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Streamed observers are bit-identical to the accumulate-in-place run
-    /// across {scan mode × contention model × MAC} on random floors.
+    /// across {contention model × MAC} on random floors.
     #[test]
     fn streaming_is_bit_identical_across_the_config_matrix(
         seed in 0u64..1_000_000,
@@ -105,13 +103,11 @@ proptest! {
             _ => Scenario::dense_apartment(8),
         };
         for mac in [MacKind::Midas, MacKind::Cas] {
-            for scan in [ScanMode::Indexed, ScanMode::BruteForce] {
-                for contention in [
-                    ContentionModel::Graph,
-                    ContentionModel::physical_calibrated(),
-                ] {
-                    assert_streaming_matches_run(&scenario, mac, scan, contention, 4, seed);
-                }
+            for contention in [
+                ContentionModel::Graph,
+                ContentionModel::physical_calibrated(),
+            ] {
+                assert_streaming_matches_run(&scenario, mac, contention, 4, seed);
             }
         }
     }

@@ -1,11 +1,11 @@
 //! Property tests for the enterprise-scale subsystem (`midas_net::scale`).
 //!
-//! The load-bearing property is *exact equivalence*: the spatial-index scan
-//! path must reproduce the brute-force O(n²) sweeps bit-for-bit — same
-//! neighbourhood sets, same carrier-sense decisions (active sets), same
-//! capacities — across random topologies, placements and interaction
-//! ranges.  Everything the figures show therefore cannot depend on which
-//! scan implementation ran.
+//! The load-bearing property is *exact equivalence*: the spatial index must
+//! reproduce the brute-force O(n²) sweeps — same neighbourhood sets, same
+//! AP adjacency — across random topologies, placements and interaction
+//! ranges.  The simulator's two indexed lookups (sensing-table row
+//! discovery and the gather stage's interferer lists) are held against
+//! brute-force oracles by the unit tests in `simulator.rs`.
 
 use midas_channel::geometry::{Point, Rect};
 use midas_channel::topology::{Topology, TopologyConfig};
@@ -13,7 +13,7 @@ use midas_channel::{Environment, SimRng};
 use midas_net::contention::ContentionGraph;
 use midas_net::scale::grid::ClientPlacement;
 use midas_net::scale::{associate, AssociationPolicy, FloorGrid, Scenario, SpatialIndex};
-use midas_net::simulator::{MacKind, NetworkSimulator, ScanMode};
+use midas_net::simulator::{MacKind, NetworkSimulator};
 use proptest::prelude::*;
 
 /// Draws a random floor grid covering all three placement models.
@@ -106,52 +106,6 @@ proptest! {
             }
         }
         prop_assert_eq!(indexed.len(), n);
-    }
-}
-
-/// Runs one simulator variant under both scan modes and asserts the results
-/// are bit-for-bit identical: same per-round stream counts (active sets),
-/// same capacities, same airtime, same per-AP attribution.
-fn assert_scan_modes_agree(scenario: &Scenario, mac: MacKind, rounds: usize, seed: u64) {
-    let pair = scenario.build(seed).expect("buildable scenario");
-    let topo = match mac {
-        MacKind::Midas => pair.das,
-        MacKind::Cas => pair.cas,
-    };
-    let mut indexed_cfg = scenario.sim_config(mac, rounds, seed);
-    indexed_cfg.scan = ScanMode::Indexed;
-    let mut brute_cfg = indexed_cfg;
-    brute_cfg.scan = ScanMode::BruteForce;
-
-    let indexed = NetworkSimulator::new(topo.clone(), indexed_cfg).run();
-    let brute = NetworkSimulator::new(topo, brute_cfg).run();
-    assert_eq!(
-        indexed,
-        brute,
-        "{} {:?}: indexed and brute-force simulation diverged",
-        scenario.name(),
-        mac
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Full end-to-end equivalence of the two scan modes on every scenario
-    /// family, both MACs, with the finite enterprise interaction range.
-    #[test]
-    fn simulator_scan_modes_are_bit_identical(
-        seed in 0u64..1_000_000,
-        scenario_sel in 0usize..3,
-    ) {
-        let scenario = match scenario_sel {
-            0 => Scenario::enterprise_office(8),
-            1 => Scenario::auditorium(8),
-            _ => Scenario::dense_apartment(8),
-        };
-        for mac in [MacKind::Midas, MacKind::Cas] {
-            assert_scan_modes_agree(&scenario, mac, 5, seed);
-        }
     }
 }
 
@@ -287,23 +241,6 @@ proptest! {
             loads[c.ap_id] += 1;
         }
     }
-}
-
-#[test]
-fn scan_modes_agree_with_infinite_interaction_range_too() {
-    // The paper-scale figures run untruncated.  An infinite radius gives the
-    // index nothing to prune, so the config resolves it away internally —
-    // this pins that the resolution really is output-neutral.
-    let scenario = Scenario::enterprise_office(8);
-    let pair = scenario.build(77).unwrap();
-    let mut indexed_cfg = scenario.sim_config(MacKind::Midas, 5, 77);
-    indexed_cfg.interaction_range_m = f64::INFINITY;
-    indexed_cfg.scan = ScanMode::Indexed;
-    let mut brute_cfg = indexed_cfg;
-    brute_cfg.scan = ScanMode::BruteForce;
-    let indexed = NetworkSimulator::new(pair.das.clone(), indexed_cfg).run();
-    let brute = NetworkSimulator::new(pair.das, brute_cfg).run();
-    assert_eq!(indexed, brute);
 }
 
 #[test]

@@ -3,14 +3,15 @@
 //! The load-bearing property is *exact equivalence*: a simulator that reuses
 //! one workspace across every round (the default — steady state allocates
 //! nothing) must reproduce a simulator that rebuilds the workspace from
-//! scratch each round bit-for-bit, across both scan modes, both contention
-//! models, both MACs and both traffic extremes.  The second property pins the
+//! scratch each round bit-for-bit, with dynamics off and on, across both
+//! contention models, both MACs and both traffic extremes.  The second property pins the
 //! allocation discipline itself: after a warm-up run, further rounds must not
 //! grow the workspace's heap footprint.
 
 use midas_net::capture::ContentionModel;
+use midas_net::dynamics::DynamicsSpec;
 use midas_net::scale::Scenario;
-use midas_net::simulator::{MacKind, NetworkSimulator, ScanMode};
+use midas_net::simulator::{MacKind, NetworkSimulator};
 use midas_net::traffic::TrafficKind;
 use proptest::prelude::*;
 
@@ -19,7 +20,7 @@ use proptest::prelude::*;
 fn build_sim(
     scenario: &Scenario,
     mac: MacKind,
-    scan: ScanMode,
+    dynamics: Option<DynamicsSpec>,
     contention: ContentionModel,
     traffic: TrafficKind,
     rounds: usize,
@@ -32,7 +33,7 @@ fn build_sim(
         MacKind::Cas => pair.cas,
     };
     let mut config = scenario.sim_config(mac, rounds, seed);
-    config.scan = scan;
+    config.dynamics = dynamics;
     config.contention = contention;
     let sim = NetworkSimulator::new(topo, config).with_traffic_kind(traffic);
     if fresh_per_round {
@@ -46,17 +47,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Reusing the round workspace is bit-identical to rebuilding it every
-    /// round, over the full `{scan} × {contention} × {mac} × {traffic}`
-    /// grid at random seeds.
+    /// round, over the full `{dynamics} × {contention} × {mac} × {traffic}`
+    /// grid at random seeds, at the floor's finite interaction range.
     #[test]
     fn reused_workspace_is_bit_identical_to_fresh_per_round(
         seed in 0u64..1_000_000,
-        scan_sel in 0usize..2,
+        dynamics_sel in 0usize..2,
         contention_sel in 0usize..2,
         traffic_sel in 0usize..2,
     ) {
         let scenario = Scenario::enterprise_office(8);
-        let scan = if scan_sel == 0 { ScanMode::Indexed } else { ScanMode::BruteForce };
+        // Fast walkers that roam: rows are born and freed and ownership
+        // maps are rebuilt, all of it across the fresh workspaces.
+        let dynamics = (dynamics_sel == 1).then(|| DynamicsSpec::roaming_walk(300.0));
         let contention = if contention_sel == 0 {
             ContentionModel::Graph
         } else {
@@ -71,15 +74,15 @@ proptest! {
         };
         for mac in [MacKind::Midas, MacKind::Cas] {
             let reused = build_sim(
-                &scenario, mac, scan, contention, traffic, 6, seed, false,
+                &scenario, mac, dynamics, contention, traffic, 6, seed, false,
             ).run();
             let fresh = build_sim(
-                &scenario, mac, scan, contention, traffic, 6, seed, true,
+                &scenario, mac, dynamics, contention, traffic, 6, seed, true,
             ).run();
             prop_assert_eq!(
                 &reused, &fresh,
                 "{:?}/{:?}/{:?}/{:?}: reused workspace diverged from fresh-per-round",
-                mac, scan, contention, traffic
+                mac, dynamics, contention, traffic
             );
         }
     }
@@ -97,7 +100,7 @@ fn queued_traffic_agrees_between_reused_and_fresh_workspaces() {
         let reused = build_sim(
             &scenario,
             mac,
-            ScanMode::Indexed,
+            None,
             ContentionModel::Graph,
             traffic,
             10,
@@ -108,7 +111,7 @@ fn queued_traffic_agrees_between_reused_and_fresh_workspaces() {
         let fresh = build_sim(
             &scenario,
             mac,
-            ScanMode::Indexed,
+            None,
             ContentionModel::Graph,
             traffic,
             10,
@@ -137,7 +140,7 @@ fn steady_state_rounds_do_not_grow_the_workspace() {
         let mut sim = build_sim(
             &scenario,
             mac,
-            ScanMode::Indexed,
+            None,
             contention,
             TrafficKind::FullBuffer,
             8,
