@@ -11,6 +11,6 @@ fn main() {
     fig.cdf("fig15 CAS network capacity (bit/s/Hz)", &s.cas);
     fig.cdf("fig15 MIDAS network capacity (bit/s/Hz)", &s.das);
     fig.gain("fig15 3-AP end-to-end", &s.cas, &s.das);
-    fig.note("paper: ~200% capacity gain over CAS (see EXPERIMENTS.md for the gap discussion)");
+    fig.note("paper: ~200% capacity gain over CAS (see README, \"The Fig. 15 gap\")");
     fig.emit();
 }

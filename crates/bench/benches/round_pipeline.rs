@@ -49,7 +49,9 @@
 //!   prints the per-stage wall-clock breakdown (`StageTimings`), the fading
 //!   work counters (`# fading work:`), the sensing work counters and the
 //!   sensing table's bytes (`# sensing work:`) and, for the `mobility_64ap`
-//!   cell, the dynamics work counters; `MIDAS_PIPELINE_PROFILE_ROUNDS`
+//!   cell, the dynamics stage split by phase (`# dynamics split:`) and the
+//!   dynamics work counters, roaming scores included (`# dynamics work:`);
+//!   `MIDAS_PIPELINE_PROFILE_ROUNDS`
 //!   (default 400) sets the round count and `MIDAS_PIPELINE_COHERENCE` (default 1)
 //!   the coherence interval in rounds (> 1 caches channel realisations —
 //!   opt-in, changes outputs; handy for A/B-profiling the evolve stage).
@@ -336,6 +338,15 @@ fn print_stage_breakdown(timings: &StageTimings) {
         .collect::<Vec<_>>()
         .join(", ");
     println!("# stages over {} rounds: {line}", timings.rounds);
+    let parts = timings.dynamics_parts();
+    if parts.iter().any(|&(_, s)| s > 0.0) {
+        let parts = parts
+            .iter()
+            .map(|(part, s)| format!("{part} {s:.3} s"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        println!("# dynamics split: {parts}");
+    }
 }
 
 /// Flat MIDAS hot loop for profilers: one long simulation of the named
@@ -377,13 +388,14 @@ fn profile(cell_name: &str, rounds: usize) {
             if let Some(c) = sim.dynamics_counters() {
                 println!(
                     "# dynamics work: {} rows refreshed, {} born, {} freed, {} shadowing \
-                     redraws, {} membership + {} roaming re-queries",
+                     redraws, {} membership + {} roaming re-queries, {} roaming scores",
                     c.rows_refreshed,
                     c.rows_born,
                     c.rows_freed,
                     c.shadow_redraws,
                     c.membership_requeries,
-                    c.roaming_requeries
+                    c.roaming_requeries,
+                    c.roaming_scores
                 );
             }
         }

@@ -16,8 +16,9 @@
 
 use crate::{lin_to_db, CARRIER_FREQ_HZ, SPEED_OF_LIGHT};
 
-/// Reference distance for the log-distance model, in metres.
-const REFERENCE_DISTANCE_M: f64 = 1.0;
+/// Reference distance for the log-distance model, in metres: the loss is
+/// flat below it.
+pub const REFERENCE_DISTANCE_M: f64 = 1.0;
 
 /// Parameters of the indoor log-distance path loss model.
 #[derive(Debug, Clone, Copy, PartialEq)]

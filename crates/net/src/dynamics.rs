@@ -139,6 +139,9 @@ pub struct DynamicsCounters {
     pub membership_requeries: usize,
     /// Roaming-candidate re-queries.
     pub roaming_requeries: usize,
+    /// Path losses evaluated by roaming passes: a pass ranks candidates by
+    /// distance and scores in dB only where the dB decides.
+    pub roaming_scores: usize,
 }
 
 /// Mutable runtime state of the dynamics layer for one simulation.
@@ -171,6 +174,11 @@ impl DynamicsState {
     /// Builds the runtime state for `topo`: the mobile subset is drawn from
     /// the dedicated dynamics RNG stream (`seed` is the simulation seed),
     /// waypoints are initialised, and the roaming candidates are queried.
+    ///
+    /// # Panics
+    ///
+    /// Where [`Reassociator::new`] does: if `env`'s path loss does not grow
+    /// with distance.
     pub fn new(spec: &DynamicsSpec, topo: &Topology, env: &Environment, seed: u64) -> Self {
         let mut rng = SimRng::new(seed).fork(0xD1A);
         let n = topo.clients.len();
@@ -321,6 +329,11 @@ impl DynamicsState {
     /// re-queried only once it leaves its slack disc).
     pub fn roaming_requeries(&self) -> usize {
         self.roam.requeries()
+    }
+
+    /// Path losses evaluated by roaming passes so far.
+    pub fn roaming_scores(&self) -> usize {
+        self.roam.scores()
     }
 
     /// Bytes of heap the dynamics layer retains; stable once warm, which

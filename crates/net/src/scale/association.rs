@@ -10,7 +10,8 @@
 //! decreasing function of distance, so candidate pruning can ride the
 //! spatial index.
 
-use crate::scale::index::{NeighborTracker, SpatialIndex};
+use crate::scale::index::{squared_distance, NeighborTracker, SpatialIndex, SQUARE_BAND};
+use midas_channel::pathloss::REFERENCE_DISTANCE_M;
 use midas_channel::topology::Topology;
 use midas_channel::{Environment, Point};
 
@@ -52,6 +53,25 @@ impl<'a> RssiScore<'a> {
             reference_loss_db: env.path_loss.reference_loss_db(),
             chassis_only,
         }
+    }
+
+    /// Squared distance (m²) from `p` to the nearest antenna or chassis of
+    /// `ap_id` — the chassis alone when `chassis_only` — clamped below at
+    /// the path-loss reference distance, where the loss stops changing.
+    /// Under a path loss that grows with distance, a smaller value means a
+    /// stronger [`best_rssi_dbm`](Self::best_rssi_dbm).
+    fn clamped_square(&self, topo: &Topology, ap_id: usize, p: &Point) -> f64 {
+        let ap = &topo.aps[ap_id];
+        let chassis = squared_distance(p, &ap.position);
+        let d2 = if self.chassis_only {
+            chassis
+        } else {
+            ap.antennas
+                .iter()
+                .map(|a| squared_distance(p, a))
+                .fold(chassis, f64::min)
+        };
+        d2.max(REFERENCE_DISTANCE_M * REFERENCE_DISTANCE_M)
     }
 
     /// Mean RSSI (dBm) of the best antenna of `ap_id` at `p` — or of the
@@ -187,6 +207,23 @@ pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPoli
 /// construction, a static topology reaches a fix-point after one pass —
 /// handoffs cannot oscillate — which the property tests pin.
 ///
+/// ## Scoring in distance order
+///
+/// The mean RSSI is `tx_power − PL(d)`, and the path loss grows with the
+/// distance above its 1 m reference and is flat below it.  So a pass ranks
+/// the candidates by their squared distance to their nearest antenna or
+/// chassis (the chassis alone under [`NearestAp`]), clamped at 1 m², and
+/// evaluates a path loss only where the dB decides: at the candidates
+/// within a relative [`SQUARE_BAND`] of the smallest (so equal scores still
+/// go to the lowest AP id), at the incumbent for the hysteresis test, and
+/// across the [`LoadBalanced`] window once a client hands off.  A client
+/// whose incumbent is the only near-minimal candidate stays put without a
+/// path loss.  Outside the band two scores differ by far more than their
+/// rounding (at least 6.5e-9 dB at the presets' exponents of 3 and up,
+/// against ~1e-13 dB), so every decision is the one scoring every
+/// candidate in dB makes, which `proptest_scale.rs` checks against that
+/// pass.
+///
 /// [`NearestAp`]: AssociationPolicy::NearestAp
 /// [`AntennaAware`]: AssociationPolicy::AntennaAware
 /// [`LoadBalanced`]: AssociationPolicy::LoadBalanced
@@ -195,11 +232,37 @@ pub struct Reassociator {
     /// positions within twice the coverage range.
     candidates: NeighborTracker,
     loads: Vec<usize>,
+    /// Pass scratch: the client's candidates other than its incumbent, with
+    /// their clamped squared distances.
+    ranked: Vec<(u32, f64)>,
+    /// Path losses evaluated by passes so far.
+    scores: usize,
 }
 
 impl Reassociator {
     /// Builds the candidate tracker for `topo`, querying every client once.
+    ///
+    /// # Panics
+    ///
+    /// If `env.path_loss` does not strictly grow with distance above its
+    /// reference distance — a negative `exponent` or `wall_loss_db_per_m`,
+    /// or both 0 — since the distance order would then not be the RSSI
+    /// order.
     pub fn new(topo: &Topology, env: &Environment) -> Self {
+        let (exponent, wall) = (env.path_loss.exponent, env.path_loss.wall_loss_db_per_m);
+        assert!(
+            exponent >= 0.0,
+            "PathLossModel::exponent must be >= 0 for roaming, got {exponent}"
+        );
+        assert!(
+            wall >= 0.0,
+            "PathLossModel::wall_loss_db_per_m must be >= 0 for roaming, got {wall}"
+        );
+        assert!(
+            exponent > 0.0 || wall > 0.0,
+            "PathLossModel::exponent and PathLossModel::wall_loss_db_per_m are both 0: \
+             roaming needs a path loss that grows with distance"
+        );
         let mut fixed = Vec::new();
         let mut owner = Vec::new();
         for ap in &topo.aps {
@@ -218,6 +281,8 @@ impl Reassociator {
                 &clients,
             ),
             loads: Vec::new(),
+            ranked: Vec::new(),
+            scores: 0,
         }
     }
 
@@ -232,10 +297,16 @@ impl Reassociator {
         self.candidates.requeries()
     }
 
+    /// Path losses (mean-RSSI scores) evaluated by passes so far.
+    pub fn scores(&self) -> usize {
+        self.scores
+    }
+
     /// Bytes of heap the roaming engine retains; stable once warm.
     pub fn heap_footprint_bytes(&self) -> usize {
         self.candidates.heap_footprint_bytes()
             + self.loads.capacity() * std::mem::size_of::<usize>()
+            + self.ranked.capacity() * std::mem::size_of::<(u32, f64)>()
     }
 
     /// One incumbent-aware re-association pass over every client (in client
@@ -264,15 +335,34 @@ impl Reassociator {
             let incumbent = topo.clients[cid].ap_id;
             let cands = self.candidates.groups(cid);
 
+            // Rank by clamped squared distance; only the near-minimal
+            // candidates can hold the best score.
+            let incumbent_d2 = score.clamped_square(topo, incumbent, &p);
+            let mut nearest_d2 = incumbent_d2;
+            self.ranked.clear();
+            for &ap in cands.iter() {
+                if ap as usize != incumbent {
+                    let d2 = score.clamped_square(topo, ap as usize, &p);
+                    nearest_d2 = nearest_d2.min(d2);
+                    self.ranked.push((ap, d2));
+                }
+            }
+            let ceiling = nearest_d2 * (1.0 + SQUARE_BAND);
+            if incumbent_d2 <= ceiling && self.ranked.iter().all(|&(_, d2)| d2 > ceiling) {
+                continue; // the incumbent is the strongest by a margin
+            }
+
             let incumbent_rssi = score.best_rssi_dbm(topo, incumbent, &p);
+            self.scores += 1;
             let mut best_ap = incumbent;
             let mut best_rssi = incumbent_rssi;
-            for &ap in cands.iter() {
-                let ap = ap as usize;
-                if ap == incumbent {
+            for &(ap, d2) in &self.ranked {
+                if d2 > ceiling {
                     continue;
                 }
+                let ap = ap as usize;
                 let s = score.best_rssi_dbm(topo, ap, &p);
+                self.scores += 1;
                 if s > best_rssi || (s == best_rssi && ap < best_ap) {
                     best_ap = ap;
                     best_rssi = s;
@@ -291,6 +381,7 @@ impl Reassociator {
                     for &ap in cands.iter() {
                         let ap = ap as usize;
                         let s = score.best_rssi_dbm(topo, ap, &p);
+                        self.scores += 1;
                         if s >= best_rssi - hysteresis && (self.loads[ap], ap) < (pick_load, pick) {
                             pick = ap;
                             pick_load = self.loads[ap];
@@ -477,6 +568,49 @@ mod tests {
         let own = RssiScore::new(&env, false).best_rssi_dbm(&topo, topo.clients[0].ap_id, &far);
         for ap in 0..topo.aps.len() {
             assert!(RssiScore::new(&env, false).best_rssi_dbm(&topo, ap, &far) <= own + 1e-9);
+        }
+    }
+
+    /// A roaming engine over a grid floor whose path loss has the given
+    /// exponent and wall loss.
+    fn roaming_with_path_loss(exponent: f64, wall_loss_db_per_m: f64) -> Reassociator {
+        let (topo, mut env) = grid_topology(24);
+        env.path_loss.exponent = exponent;
+        env.path_loss.wall_loss_db_per_m = wall_loss_db_per_m;
+        Reassociator::new(&topo, &env)
+    }
+
+    #[test]
+    #[should_panic(expected = "PathLossModel::exponent must be >= 0")]
+    fn a_negative_path_loss_exponent_fails_at_construction() {
+        roaming_with_path_loss(-0.5, 0.4);
+    }
+
+    #[test]
+    #[should_panic(expected = "PathLossModel::wall_loss_db_per_m must be >= 0")]
+    fn a_negative_wall_loss_fails_at_construction() {
+        roaming_with_path_loss(3.0, -0.1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "PathLossModel::exponent and PathLossModel::wall_loss_db_per_m are both 0"
+    )]
+    fn a_flat_path_loss_fails_at_construction() {
+        roaming_with_path_loss(0.0, 0.0);
+    }
+
+    #[test]
+    fn one_growing_path_loss_term_is_enough() {
+        for (exponent, wall) in [(0.0, 0.5), (3.0, 0.0)] {
+            let (mut topo, mut env) = grid_topology(25);
+            env.path_loss.exponent = exponent;
+            env.path_loss.wall_loss_db_per_m = wall;
+            for c in &mut topo.clients {
+                c.ap_id = 0;
+            }
+            let mut roam = Reassociator::new(&topo, &env);
+            assert!(roam.reassociate(&mut topo, &env, AssociationPolicy::AntennaAware, 0.0) > 0);
         }
     }
 

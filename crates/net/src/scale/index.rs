@@ -18,6 +18,10 @@
 //! is what lets the simulator swap scan implementations without perturbing a
 //! single figure (see `proptest_scale.rs` for the property tests).
 //!
+//! The predicate is decided by [`within`], which compares squared
+//! distances and calls `hypot` only where the squares are too close to
+//! call: every decision is the one `distance(p, q) <= radius` makes.
+//!
 //! [`NeighborTracker`] layers moving query points on top: it answers "which
 //! groups (APs) have a point within range of this client?" under the same
 //! exact predicate, but re-queries a moving client only once it has
@@ -26,6 +30,45 @@
 //! the roaming candidate sets.
 
 use midas_channel::geometry::{Point, Rect};
+
+/// Relative half-width of the band around a squared distance inside which
+/// a comparison of squares is too close to call and is left to `hypot`
+/// (and, in roaming, to the dB score).  The computed square `dx² + dy²`
+/// and `hypot` are each within a few ulps (~1e-15) of exact, so outside
+/// the band both sides of a comparison agree by a wide margin.
+pub(crate) const SQUARE_BAND: f64 = 1e-9;
+
+/// Whether `p.distance(q) <= r`, decided bit for bit as that expression
+/// decides it, mostly without its `hypot`.
+///
+/// `dx² + dy²` is compared with `r²·(1 ∓ SQUARE_BAND)`; a square inside
+/// that band, a zero, subnormal, infinite or NaN square (underflow or
+/// overflow lost its relative precision), a non-positive `r` and an `r²`
+/// that is not a normal number all fall back to `hypot`.  An infinite `r`
+/// holds every point with a finite square, as `hypot` would.
+#[inline]
+pub(crate) fn within(q: &Point, p: &Point, r: f64) -> bool {
+    let d2 = squared_distance(q, p);
+    let r2 = r * r;
+    if r > 0.0 && d2.is_normal() && r2.is_normal() {
+        if d2 < r2 * (1.0 - SQUARE_BAND) {
+            return true;
+        }
+        if d2 > r2 * (1.0 + SQUARE_BAND) {
+            return false;
+        }
+    } else if r == f64::INFINITY && d2.is_finite() {
+        return true;
+    }
+    p.distance(q) <= r
+}
+
+/// `|pq|²`, with the differences `p.distance(q)` takes.
+#[inline]
+pub(crate) fn squared_distance(q: &Point, p: &Point) -> f64 {
+    let (dx, dy) = (p.x - q.x, p.y - q.y);
+    dx * dx + dy * dy
+}
 
 /// A uniform-grid spatial index over 2-D points.
 ///
@@ -173,14 +216,14 @@ impl SpatialIndex {
     /// round loop reuses one scratch buffer across every query of a round.
     pub fn neighbors_within_into(&self, p: &Point, radius: f64, out: &mut Vec<usize>) {
         out.clear();
-        self.for_each_within(p, radius, |id, _| out.push(id));
+        self.for_each_within(p, radius, |id| out.push(id));
         out.sort_unstable();
     }
 
-    /// Calls `visit(id, distance)` for every indexed point within `radius`
-    /// of `p` (the exact predicate `point.distance(p) <= radius`), in
-    /// unspecified order.
-    fn for_each_within(&self, p: &Point, radius: f64, mut visit: impl FnMut(usize, f64)) {
+    /// Calls `visit(id)` for every indexed point within `radius` of `p`
+    /// (the exact predicate `point.distance(p) <= radius`, decided by
+    /// [`within`]), in unspecified order.
+    fn for_each_within(&self, p: &Point, radius: f64, mut visit: impl FnMut(usize)) {
         debug_assert!(radius >= 0.0, "negative query radius");
         let col_lo = self.axis_cell(p.x - radius, self.bounds.min.x, self.cols);
         let col_hi = self.axis_cell(p.x + radius, self.bounds.min.x, self.cols);
@@ -189,9 +232,8 @@ impl SpatialIndex {
         for row in row_lo..=row_hi {
             for col in col_lo..=col_hi {
                 for &id in &self.cells[row * self.cols + col] {
-                    let d = self.points[id as usize].distance(p);
-                    if d <= radius {
-                        visit(id as usize, d);
+                    if within(p, &self.points[id as usize], radius) {
+                        visit(id as usize);
                     }
                 }
             }
@@ -199,8 +241,9 @@ impl SpatialIndex {
     }
 
     /// Reference implementation of [`SpatialIndex::neighbors_within`]: a
-    /// linear scan over the insertion list.  Used by the equivalence property
-    /// tests and usable by callers that want the brute-force path explicitly.
+    /// linear scan over the insertion list, deciding every point with
+    /// `hypot`.  Used by the equivalence property tests and usable by
+    /// callers that want the brute-force path explicitly.
     // lint: allow(unreachable-pub) — proptest_scale checks neighbors_within against it
     pub fn brute_force_within(points: &[Point], p: &Point, radius: f64) -> Vec<usize> {
         points
@@ -226,13 +269,19 @@ const SLACK_MARGIN_M: f64 = 1e-6;
 /// Each mover (a client) keeps the ascending, deduplicated list of groups
 /// (APs) that own a fixed point (an antenna or a chassis) within `radius`
 /// of it — the exact predicate `fixed.distance(mover) <= radius` of a
-/// fresh neighbourhood query.  A query also records the mover's *slack*:
-/// its distance to the nearest radius boundary, `min |d − radius|` over the
-/// fixed points (capped at `SLACK_REACH · radius`), less a rounding margin.
-/// By the triangle inequality no membership can flip while the mover stays
-/// within its slack of where it was queried, so [`NeighborTracker::update`]
-/// re-queries only once the mover has travelled farther than that — at
-/// walking speed, once every few dozen steps rather than every step.
+/// fresh neighbourhood query, decided by [`within`].  A query also records
+/// the mover's *slack*: its distance to the nearest radius boundary,
+/// `min |d − radius|` over the fixed points within the query reach (capped
+/// at `SLACK_REACH · radius`), less a rounding margin.  `|d − radius|` is
+/// smallest at the farthest point inside and the nearest point outside, so
+/// the query ranks the points by squared distance and takes `hypot` only
+/// at those two extremes (and at every point within [`SQUARE_BAND`] of
+/// them, so rounding cannot pick the wrong one): the slack is bit for bit
+/// the one a `hypot` at every point gives.  By the triangle inequality no
+/// membership can flip while the mover stays within its slack of where it
+/// was queried, so [`NeighborTracker::update`] re-queries only once the
+/// mover has travelled farther than that — at walking speed, once every
+/// few dozen steps rather than every step.
 #[derive(Debug, Clone)]
 pub struct NeighborTracker {
     /// The fixed points, indexed at the query reach.
@@ -247,6 +296,9 @@ pub struct NeighborTracker {
     slack: Vec<f64>,
     /// Per mover: groups within `radius`, ascending.
     groups: Vec<Vec<u32>>,
+    /// Query scratch: the fixed points within reach of the mover being
+    /// queried, with whether each is within `radius`.
+    near: Vec<(u32, bool)>,
     requeries: usize,
 }
 
@@ -271,6 +323,7 @@ impl NeighborTracker {
             anchor: movers.to_vec(),
             slack: vec![0.0; movers.len()],
             groups: vec![Vec::new(); movers.len()],
+            near: Vec::new(),
             requeries: 0,
         };
         for (mover, &p) in movers.iter().enumerate() {
@@ -318,6 +371,7 @@ impl NeighborTracker {
             + self.group_of.capacity() * size_of::<u32>()
             + self.anchor.capacity() * size_of::<Point>()
             + self.slack.capacity() * size_of::<f64>()
+            + self.near.capacity() * size_of::<(u32, bool)>()
             + self.groups.capacity() * size_of::<Vec<u32>>()
             + self
                 .groups
@@ -329,18 +383,49 @@ impl NeighborTracker {
     fn query(&mut self, mover: usize, p: Point) {
         let groups = &mut self.groups[mover];
         groups.clear();
-        let (radius, group_of) = (self.radius, &self.group_of);
-        let mut slack = radius * SLACK_REACH;
-        self.fixed.for_each_within(&p, self.reach, |id, d| {
-            if d <= radius {
+        let (radius, group_of, points) = (self.radius, &self.group_of, self.fixed.points());
+        let near = &mut self.near;
+        near.clear();
+        // The largest normal square inside and the smallest outside.
+        let (mut far_in, mut near_out) = (0.0_f64, f64::INFINITY);
+        self.fixed.for_each_within(&p, self.reach, |id| {
+            let q = &points[id];
+            let inside = within(&p, q, radius);
+            if inside {
                 groups.push(group_of[id]);
-                slack = slack.min(radius - d);
-            } else {
-                slack = slack.min(d - radius);
+            }
+            near.push((id as u32, inside));
+            let d2 = squared_distance(&p, q);
+            if d2.is_normal() {
+                if inside {
+                    far_in = far_in.max(d2);
+                } else {
+                    near_out = near_out.min(d2);
+                }
             }
         });
         groups.sort_unstable();
         groups.dedup();
+        // `radius − d` falls and `d − radius` grows with `d`, so the
+        // minimum is attained at the candidates: every point whose square
+        // is within the band of its side's extreme or is not normal.
+        let (in_floor, out_ceiling) =
+            (far_in * (1.0 - SQUARE_BAND), near_out * (1.0 + SQUARE_BAND));
+        let mut slack = radius * SLACK_REACH;
+        for &(id, inside) in near.iter() {
+            let q = &points[id as usize];
+            let d2 = squared_distance(&p, q);
+            let candidate = !d2.is_normal()
+                || if inside {
+                    d2 >= in_floor
+                } else {
+                    d2 <= out_ceiling
+                };
+            if candidate {
+                let d = q.distance(&p);
+                slack = slack.min(if inside { radius - d } else { d - radius });
+            }
+        }
         self.anchor[mover] = p;
         self.slack[mover] = slack - SLACK_MARGIN_M;
     }
@@ -350,6 +435,123 @@ impl NeighborTracker {
 mod tests {
     use super::*;
     use midas_channel::SimRng;
+    use proptest::prelude::*;
+
+    /// The decision [`within`] must reproduce, on `hypot`.
+    fn hypot_within(q: &Point, p: &Point, r: f64) -> bool {
+        p.distance(q) <= r
+    }
+
+    /// `x` moved by `ulps` units in the last place (finite, nonzero `x`).
+    fn nudge(x: f64, ulps: i64) -> f64 {
+        let bits = x.to_bits() as i64 + ulps * x.signum() as i64;
+        f64::from_bits(bits as u64)
+    }
+
+    #[test]
+    fn within_agrees_with_hypot_at_the_edges() {
+        let origin = Point::new(0.0, 0.0);
+        let mut points = vec![
+            origin,
+            Point::new(5e-324, 0.0),
+            Point::new(1e-200, -1e-200),
+            Point::new(3e-160, 4e-160),
+            Point::new(1e200, 0.0),
+            Point::new(-1e300, 1e300),
+            Point::new(f64::MAX, f64::MAX),
+            Point::new(f64::INFINITY, 1.0),
+            Point::new(f64::NAN, 1.0),
+        ];
+        let mut radii = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NAN,
+            5e-324,
+            1e-310,
+            f64::MIN_POSITIVE,
+            1e-160,
+            1.0,
+            1e154,
+            1e200,
+            f64::MAX,
+        ];
+        // Scaled 3-4-5 triples: the point on the circle, and 1 and 2 ulps
+        // either side of it in each coordinate.
+        let mut squares_disagree = 0usize;
+        for k in 1..400 {
+            let s = k as f64 * 0.37;
+            let r = 5.0 * s;
+            for (dx, dy) in (-2..=2).flat_map(|i| (-2..=2).map(move |j| (i, j))) {
+                let p = Point::new(nudge(3.0 * s, dx), nudge(4.0 * s, dy));
+                assert_eq!(
+                    within(&origin, &p, r),
+                    hypot_within(&origin, &p, r),
+                    "{p:?} r {r}"
+                );
+                squares_disagree +=
+                    usize::from((p.x * p.x + p.y * p.y <= r * r) != hypot_within(&origin, &p, r));
+            }
+        }
+        // A plain comparison of squares gets these wrong: a predicate
+        // without the hypot band would fail above.
+        assert!(squares_disagree > 0, "no case separates squares from hypot");
+        let p = Point::new(
+            f64::from_bits(0x3ff1_c28f_5c28_f5c0),
+            f64::from_bits(0x3ff7_ae14_7ae1_47b1),
+        );
+        assert!(p.x * p.x + p.y * p.y > 1.85 * 1.85 && hypot_within(&origin, &p, 1.85));
+        assert!(within(&origin, &p, 1.85));
+        // Exact triples at extreme scales, where the squares underflow or
+        // overflow.
+        for s in [
+            2f64.powi(-1074),
+            2f64.powi(-540),
+            2f64.powi(-511),
+            1.0,
+            2f64.powi(511),
+            2f64.powi(600),
+        ] {
+            points.push(Point::new(3.0 * s, 4.0 * s));
+            radii.push(5.0 * s);
+        }
+        for q in [origin, Point::new(-2.5, 7.0)] {
+            for p in &points {
+                for &r in &radii {
+                    assert_eq!(
+                        within(&q, p, r),
+                        hypot_within(&q, p, r),
+                        "q {q:?} p {p:?} r {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `within` decides `hypot(dx, dy) <= r` for points on, near and
+        /// off circles across sixty binary orders of magnitude, with `r`
+        /// within a few ulps of the point's `hypot`.
+        #[test]
+        fn within_matches_hypot(
+            qx in -100.0f64..100.0,
+            qy in -100.0f64..100.0,
+            angle in 0.0f64..6.3,
+            scale in -30i32..30,
+            ulps in -3i64..=3,
+            off_circle in 0.0f64..2.0,
+        ) {
+            let q = Point::new(qx, qy);
+            let p = q.offset_polar(2f64.powi(scale), angle);
+            let d = p.distance(&q);
+            for r in [nudge(d, ulps), d, d * off_circle, 0.0, f64::INFINITY] {
+                prop_assert_eq!(within(&q, &p, r), hypot_within(&q, &p, r), "q {:?} p {:?} r {}", q, p, r);
+            }
+        }
+    }
 
     fn random_points(n: usize, region: &Rect, rng: &mut SimRng) -> Vec<Point> {
         (0..n)
@@ -499,16 +701,101 @@ mod tests {
         g
     }
 
+    /// The tracker with `hypot` at every fixed point: a linear scan that
+    /// folds `|d − radius|` over every point within reach.
+    struct HypotTracker {
+        radius: f64,
+        reach: f64,
+        anchor: Vec<Point>,
+        slack: Vec<f64>,
+        groups: Vec<Vec<u32>>,
+    }
+
+    impl HypotTracker {
+        fn new(fixed: &[Point], group_of: &[u32], radius: f64, movers: &[Point]) -> Self {
+            let mut t = HypotTracker {
+                radius,
+                reach: radius + radius * SLACK_REACH,
+                anchor: movers.to_vec(),
+                slack: vec![0.0; movers.len()],
+                groups: vec![Vec::new(); movers.len()],
+            };
+            for (m, &p) in movers.iter().enumerate() {
+                t.query(fixed, group_of, m, p);
+            }
+            t
+        }
+
+        fn query(&mut self, fixed: &[Point], group_of: &[u32], m: usize, p: Point) {
+            let mut groups = Vec::new();
+            let mut slack = self.radius * SLACK_REACH;
+            for (id, q) in fixed.iter().enumerate() {
+                let d = q.distance(&p);
+                if d <= self.reach {
+                    if d <= self.radius {
+                        groups.push(group_of[id]);
+                        slack = slack.min(self.radius - d);
+                    } else {
+                        slack = slack.min(d - self.radius);
+                    }
+                }
+            }
+            groups.sort_unstable();
+            groups.dedup();
+            self.groups[m] = groups;
+            self.anchor[m] = p;
+            self.slack[m] = slack - SLACK_MARGIN_M;
+        }
+
+        fn update(&mut self, fixed: &[Point], group_of: &[u32], m: usize, p: Point) -> bool {
+            if self.anchor[m].distance(&p) < self.slack[m] {
+                return false;
+            }
+            self.query(fixed, group_of, m, p);
+            true
+        }
+    }
+
+    /// Asserts `tracker` and `reference` hold the same groups and the same
+    /// slack bits for mover `m`.
+    fn assert_same_state(
+        tracker: &NeighborTracker,
+        reference: &HypotTracker,
+        m: usize,
+        what: &str,
+    ) {
+        assert_eq!(
+            tracker.groups(m),
+            reference.groups[m].as_slice(),
+            "{what}: groups"
+        );
+        assert_eq!(
+            tracker.slack[m].to_bits(),
+            reference.slack[m].to_bits(),
+            "{what}: slack {} vs {}",
+            tracker.slack[m],
+            reference.slack[m]
+        );
+        assert_eq!(tracker.anchor[m], reference.anchor[m], "{what}: anchor");
+    }
+
     #[test]
     fn tracker_groups_match_brute_force_under_walks_and_jumps() {
         let region = Rect::new(Point::new(0.0, 0.0), 80.0, 60.0);
         let mut rng = SimRng::new(17);
-        let fixed = random_points(48, &region, &mut rng);
-        let group_of: Vec<u32> = (0..48).map(|i| i / 4).collect();
+        let mut fixed = random_points(48, &region, &mut rng);
+        let mut group_of: Vec<u32> = (0..48).map(|i| i / 4).collect();
+        // Duplicates in other groups: exact ties at every distance.
+        for i in 0..4 {
+            fixed.push(fixed[i * 11]);
+            group_of.push(12 + i as u32);
+        }
         let mut movers = random_points(30, &region, &mut rng);
         let radius = 15.0;
         let mut tracker = NeighborTracker::new(region, &fixed, &group_of, radius, &movers);
+        let mut reference = HypotTracker::new(&fixed, &group_of, radius, &movers);
         let mut moves = 0usize;
+        let mut reference_requeries = 0usize;
         for step in 0..400 {
             for (m, p) in movers.iter_mut().enumerate() {
                 // Mostly short walking steps, occasionally a teleport.
@@ -517,15 +804,23 @@ mod tests {
                 } else {
                     p.offset_polar(0.3, rng.uniform_range(0.0, 6.3))
                 };
-                tracker.update(m, *p);
+                let requeried = tracker.update(m, *p);
+                assert_eq!(
+                    requeried,
+                    reference.update(&fixed, &group_of, m, *p),
+                    "step {step} mover {m}: re-query"
+                );
+                reference_requeries += usize::from(requeried);
                 moves += 1;
                 assert_eq!(
                     tracker.groups(m),
                     brute_groups(&fixed, &group_of, p, radius).as_slice(),
                     "step {step} mover {m}"
                 );
+                assert_same_state(&tracker, &reference, m, &format!("step {step} mover {m}"));
             }
         }
+        assert_eq!(tracker.requeries(), reference_requeries);
         // The slack saves most queries: far fewer re-queries than moves.
         assert!(tracker.requeries() > 0);
         assert!(
@@ -533,6 +828,37 @@ mod tests {
             "{} re-queries for {moves} moves",
             tracker.requeries()
         );
+    }
+
+    #[test]
+    fn tracker_slack_matches_hypot_at_degenerate_squares() {
+        // Squares that underflow to zero or a subnormal, a mover sitting on
+        // a fixed point, and points exactly on the radius.
+        let region = Rect::new(Point::new(0.0, 0.0), 20.0, 20.0);
+        let c = Point::new(8.0, 8.0);
+        let fixed = [
+            c,
+            Point::new(8.0 + 1e-200, 8.0),
+            Point::new(8.0, 8.0 + 1e-160),
+            Point::new(11.0, 12.0),
+            Point::new(4.0, 5.0),
+            Point::new(8.0, 13.0),
+            Point::new(14.0, 8.0),
+        ];
+        let group_of = [0, 1, 2, 3, 4, 5, 6];
+        let movers = [c, Point::new(8.0, 8.0 + 1e-300), Point::new(8.0, 3.0)];
+        for radius in [5.0, 6.0, 1e-170, 0.0] {
+            let tracker = NeighborTracker::new(region, &fixed, &group_of, radius, &movers);
+            let reference = HypotTracker::new(&fixed, &group_of, radius, &movers);
+            for m in 0..movers.len() {
+                assert_same_state(
+                    &tracker,
+                    &reference,
+                    m,
+                    &format!("radius {radius} mover {m}"),
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::contention::ContentionGraph;
 use crate::dynamics::{DynamicsCounters, DynamicsSpec, DynamicsState};
 use crate::metrics::Cdf;
 use crate::observer::{Accumulate, Observer, RoundRecord};
-use crate::scale::index::{NeighborTracker, SpatialIndex};
+use crate::scale::index::{within, NeighborTracker, SpatialIndex};
 use crate::traffic::{TrafficKind, TrafficState};
 use midas_channel::geometry::Point;
 use midas_channel::topology::Topology;
@@ -191,13 +191,26 @@ impl TopologyResult {
 /// All-zero when profiling is off — the hot path then never reads a clock.
 /// The gather of per-stream interferer neighbourhoods is attributed to
 /// `evaluate_s` (it is the evaluate stage's discovery half, hoisted so
-/// fading evolution knows which rows the round will read).
+/// fading evolution knows which rows the round will read).  The four
+/// `dynamics_*` parts split `dynamics_s` by step phase (see
+/// [`StageTimings::dynamics_parts`]); they are not stages of their own.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Dynamics: mobility, roaming, row membership and the MAC-state
     /// rebuilds they trigger, including the large-scale refresh of the
     /// rows a tag rebuild reads (0.0 when dynamics are off).
     pub dynamics_s: f64,
+    /// Part of `dynamics_s`: moving the mobile clients, including their
+    /// roaming-candidate slack checks and re-queries.
+    pub dynamics_mobility_s: f64,
+    /// Part of `dynamics_s`: the roaming (re-association) pass.
+    pub dynamics_roaming_s: f64,
+    /// Part of `dynamics_s`: bringing the channel-row membership of moved
+    /// and roamed clients up to date (re-queries, births, frees).
+    pub dynamics_row_sync_s: f64,
+    /// Part of `dynamics_s`: the MAC-state repair — ownership maps, DRR
+    /// restarts and tag rebuilds with the row refreshes they read.
+    pub dynamics_tag_repair_s: f64,
     /// Channel evolution: keyed catch-up of the rows the round reads, and
     /// their large-scale refresh when their client moved.
     pub evolve_s: f64,
@@ -244,6 +257,17 @@ impl StageTimings {
             ("precode", self.precode_s),
             ("evaluate", self.evaluate_s),
             ("settle", self.settle_s),
+        ]
+    }
+
+    /// The phases of the dynamics stage as `(name, seconds)` pairs in step
+    /// order; they sum to at most `dynamics_s`.
+    pub fn dynamics_parts(&self) -> [(&'static str, f64); 4] {
+        [
+            ("mobility", self.dynamics_mobility_s),
+            ("roaming", self.dynamics_roaming_s),
+            ("row sync", self.dynamics_row_sync_s),
+            ("tag repair", self.dynamics_tag_repair_s),
         ]
     }
 }
@@ -419,7 +443,7 @@ impl SensingTable {
                     .collect(),
                 None => (0..self.positions.len())
                     .filter(|&b| {
-                        self.owner[b] != own && self.positions[b].distance(&at) <= self.cutoff_m
+                        self.owner[b] != own && within(&at, &self.positions[b], self.cutoff_m)
                     })
                     .map(|b| b as u32)
                     .collect(),
@@ -858,8 +882,8 @@ struct RowDynamics {
     epoch: Vec<u32>,
     /// Per AP, the row bookkeeping next to its [`ApChannel`].
     aps: Vec<ApRows>,
-    /// Row work so far; its `roaming_requeries` stays 0 here (the roaming
-    /// engine counts those itself).
+    /// Row work so far; its `roaming_requeries` and `roaming_scores` stay
+    /// 0 here (the roaming engine counts those itself).
     counters: DynamicsCounters,
     /// A client's in-range APs before its re-query.
     prev_in_range: Vec<u32>,
@@ -1103,7 +1127,10 @@ impl NetworkSimulator {
     /// # Panics
     ///
     /// If `config.interaction_range_m` is not `> 0.0` (NaN included): such
-    /// a range would silently remove all sensing and interference.
+    /// a range would silently remove all sensing and interference.  With
+    /// `config.dynamics` set, also where
+    /// [`Reassociator::new`](crate::scale::Reassociator::new) does: if the
+    /// environment's path loss does not grow with distance.
     pub fn new(topo: Topology, config: NetworkSimConfig) -> Self {
         let cutoff = config.interaction_range_m;
         assert!(
@@ -1432,13 +1459,19 @@ impl NetworkSimulator {
         if !dynamic.state.steps_at(round) {
             return;
         }
+        let profile = self.profile_stages;
 
         // 1. Move and roam.
+        let t = tick(profile);
         dynamic.state.step_mobility(&mut self.topo);
+        ws.timings.dynamics_mobility_s += secs_since(t);
+        let t = tick(profile);
         dynamic.state.step_roaming(&mut self.topo, &self.config.env);
+        ws.timings.dynamics_roaming_s += secs_since(t);
 
         // 2. Sync the row membership of every client that moved or roamed,
         //    in ascending id order (births claim free slots in that order).
+        let t = tick(profile);
         let mut next_moved = 0;
         for c in 0..self.topo.clients.len() {
             let is_moved = dynamic.state.moved().get(next_moved) == Some(&c);
@@ -1458,8 +1491,10 @@ impl NetworkSimulator {
                 self.cadence,
             );
         }
+        ws.timings.dynamics_row_sync_s += secs_since(t);
 
         // 3. Repair the MAC-facing views of whatever changed.
+        let t = tick(profile);
         let num_aps = self.topo.aps.len();
         ws.dirty_membership.clear();
         ws.dirty_membership.resize(num_aps, false);
@@ -1507,6 +1542,7 @@ impl NetworkSimulator {
                 );
             }
         }
+        ws.timings.dynamics_tag_repair_s += secs_since(t);
     }
 
     /// `(total client moves, total handoffs)` performed by the dynamics
@@ -1518,11 +1554,13 @@ impl NetworkSimulator {
     }
 
     /// Work counters of the dynamics stage so far — rows born, freed and
-    /// refreshed, shadowing redraws, membership and roaming re-queries;
-    /// `None` when dynamics are off.  Deterministic in the seed.
+    /// refreshed, shadowing redraws, membership and roaming re-queries,
+    /// roaming path losses; `None` when dynamics are off.  Deterministic in
+    /// the seed.
     pub fn dynamics_counters(&self) -> Option<DynamicsCounters> {
         self.dynamics.as_ref().map(|d| DynamicsCounters {
             roaming_requeries: d.state.roaming_requeries(),
+            roaming_scores: d.state.roaming_scores(),
             ..d.counters
         })
     }
@@ -1737,8 +1775,8 @@ impl NetworkSimulator {
                     }
                     None => interferers.extend((0..transmissions.len()).filter(|&o| {
                         transmissions[o].antenna_idx.iter().any(|&k| {
-                            self.topo.aps[transmissions[o].ap_id].antennas[k].distance(client_pos)
-                                <= cutoff
+                            let antenna = &self.topo.aps[transmissions[o].ap_id].antennas[k];
+                            within(client_pos, antenna, cutoff)
                         })
                     })),
                 }
@@ -1972,6 +2010,10 @@ mod tests {
     fn stage_timings_stages_cover_every_field_in_pipeline_order() {
         let timings = StageTimings {
             dynamics_s: 0.5,
+            dynamics_mobility_s: 0.1,
+            dynamics_roaming_s: 0.1,
+            dynamics_row_sync_s: 0.1,
+            dynamics_tag_repair_s: 0.1,
             evolve_s: 1.0,
             sense_s: 2.0,
             select_s: 3.0,
@@ -1989,6 +2031,13 @@ mod tests {
         // double-counted.
         let sum: f64 = stages.iter().map(|(_, s)| s).sum();
         assert_eq!(sum, timings.total_s());
+        // The dynamics parts split `dynamics_s` and are not stages.
+        let parts = timings.dynamics_parts();
+        assert_eq!(
+            parts.map(|(name, _)| name),
+            ["mobility", "roaming", "row sync", "tag repair"]
+        );
+        assert!(parts.iter().map(|(_, s)| s).sum::<f64>() <= timings.dynamics_s);
     }
 
     #[test]

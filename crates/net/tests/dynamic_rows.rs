@@ -260,6 +260,7 @@ fn dynamics_counters_are_pinned_for_a_small_seed() {
             shadow_redraws: 834,
             membership_requeries: 1059,
             roaming_requeries: 557,
+            roaming_scores: 250,
         }
     );
     // Fading work: one skip-ahead step per catch-up, whatever the lag.

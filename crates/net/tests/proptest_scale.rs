@@ -3,16 +3,20 @@
 //! The load-bearing property is *exact equivalence*: the spatial index must
 //! reproduce the brute-force O(n²) sweeps — same neighbourhood sets, same
 //! AP adjacency — across random topologies, placements and interaction
-//! ranges.  The simulator's two indexed lookups (sensing-table row
-//! discovery and the gather stage's interferer lists) are held against
-//! brute-force oracles by the unit tests in `simulator.rs`.
+//! ranges, and the distance-ordered roaming pass must make the handoffs of
+//! a pass that scores every candidate in dB.  The simulator's two indexed
+//! lookups (sensing-table row discovery and the gather stage's interferer
+//! lists) are held against brute-force oracles by the unit tests in
+//! `simulator.rs`.
 
 use midas_channel::geometry::{Point, Rect};
-use midas_channel::topology::{Topology, TopologyConfig};
+use midas_channel::topology::{Client, Topology, TopologyConfig};
 use midas_channel::{Environment, SimRng};
 use midas_net::contention::ContentionGraph;
 use midas_net::scale::grid::ClientPlacement;
-use midas_net::scale::{associate, AssociationPolicy, FloorGrid, Scenario, SpatialIndex};
+use midas_net::scale::{
+    associate, AssociationPolicy, FloorGrid, Reassociator, Scenario, SpatialIndex,
+};
 use midas_net::simulator::{MacKind, NetworkSimulator};
 use proptest::prelude::*;
 
@@ -240,6 +244,235 @@ proptest! {
             );
             loads[c.ap_id] += 1;
         }
+    }
+}
+
+/// The roaming pass that scores every candidate in dB: the oracle for
+/// [`Reassociator::reassociate`], which ranks by distance.  Candidates are
+/// the APs with a chassis or antenna within twice the coverage range,
+/// found by a linear scan; the scoring and the handoff rules are the
+/// engine's (see its docs).
+fn reassociate_in_db(
+    topo: &mut Topology,
+    env: &Environment,
+    policy: AssociationPolicy,
+    hysteresis_db: f64,
+) -> usize {
+    let score = |topo: &Topology, ap: usize, p: &Point| {
+        if policy == AssociationPolicy::NearestAp {
+            env.tx_power_dbm
+                - env
+                    .path_loss
+                    .path_loss_db(topo.aps[ap].position.distance(p))
+        } else {
+            rssi_dbm(env, topo, ap, p)
+        }
+    };
+    let radius = 2.0 * env.coverage_range_m();
+    let hysteresis = hysteresis_db.max(0.0);
+    let mut loads = vec![0usize; topo.aps.len()];
+    for c in &topo.clients {
+        loads[c.ap_id] += 1;
+    }
+    let mut handoffs = 0;
+    for cid in 0..topo.clients.len() {
+        let p = topo.clients[cid].position;
+        let incumbent = topo.clients[cid].ap_id;
+        let cands: Vec<usize> = (0..topo.aps.len())
+            .filter(|&ap| {
+                std::iter::once(&topo.aps[ap].position)
+                    .chain(&topo.aps[ap].antennas)
+                    .any(|a| a.distance(&p) <= radius)
+            })
+            .collect();
+        let incumbent_rssi = score(topo, incumbent, &p);
+        let (mut best_ap, mut best_rssi) = (incumbent, incumbent_rssi);
+        for &ap in cands.iter().filter(|&&ap| ap != incumbent) {
+            let s = score(topo, ap, &p);
+            if s > best_rssi || (s == best_rssi && ap < best_ap) {
+                (best_ap, best_rssi) = (ap, s);
+            }
+        }
+        if incumbent_rssi >= best_rssi - hysteresis {
+            continue;
+        }
+        let pick = match policy {
+            AssociationPolicy::LoadBalanced { .. } => {
+                let (mut pick, mut pick_load) = (best_ap, loads[best_ap]);
+                for &ap in &cands {
+                    let s = score(topo, ap, &p);
+                    if s >= best_rssi - hysteresis && (loads[ap], ap) < (pick_load, pick) {
+                        (pick, pick_load) = (ap, loads[ap]);
+                    }
+                }
+                pick
+            }
+            _ => best_ap,
+        };
+        if pick != incumbent {
+            loads[incumbent] -= 1;
+            loads[pick] += 1;
+            topo.clients[cid].ap_id = pick;
+            handoffs += 1;
+        }
+    }
+    handoffs
+}
+
+/// Clients appended to `topo` on the boundaries of the distance order: two
+/// sit within 1 m of an antenna of AP 0 and one of AP 1, where the path
+/// loss is clamped flat and the nearer antenna (AP 1's) only ties; two sit
+/// exactly equidistant from an antenna of each.  Each pair has one client
+/// on AP 1 and one on the last AP.  A fifth, on AP 0, sits 1e-10 m nearer
+/// to AP 1's antenna: its squares differ by less than the roaming band, its
+/// scores by ~2e-9 dB.  The spots are integer points (so the offsets are
+/// exact) at least 4 m from every other chassis and antenna; returns the
+/// clients' ids, none when the floor has one AP or no such spot.
+fn add_boundary_clients(topo: &mut Topology) -> Vec<usize> {
+    if topo.aps.len() < 2 {
+        return Vec::new();
+    }
+    // Antennas 0 and 1 of APs 0 and 1 are moved next to the spots.
+    let others: Vec<Point> = topo
+        .aps
+        .iter()
+        .flat_map(|ap| {
+            let skip = if ap.ap_id < 2 { 2 } else { 0 };
+            std::iter::once(ap.position).chain(ap.antennas.iter().skip(skip).copied())
+        })
+        .collect();
+    let region = topo.region;
+    let clear = |p: Point| others.iter().all(|q| q.distance(&p) >= 4.0);
+    let spot = (region.min.y.ceil() as i64 + 2..=region.max.y.floor() as i64 - 5)
+        .flat_map(|y| {
+            (region.min.x.ceil() as i64 + 2..=region.max.x.floor() as i64 - 2)
+                .map(move |x| Point::new(x as f64, y as f64))
+        })
+        .find(|&p| clear(p) && clear(Point::new(p.x, p.y + 3.0)));
+    let Some(clamp_at) = spot else {
+        return Vec::new();
+    };
+    let tie_at = Point::new(clamp_at.x, clamp_at.y + 3.0);
+    topo.aps[0].antennas[0] = Point::new(clamp_at.x - 0.75, clamp_at.y);
+    topo.aps[1].antennas[0] = Point::new(clamp_at.x + 0.5, clamp_at.y);
+    topo.aps[0].antennas[1] = Point::new(tie_at.x - 1.5, tie_at.y);
+    topo.aps[1].antennas[1] = Point::new(tie_at.x + 1.5, tie_at.y);
+    let last = topo.aps.len() - 1;
+    let mut ids = Vec::new();
+    let near_tie = Point::new(tie_at.x + 1e-10, tie_at.y);
+    for (position, ap_id) in [
+        (clamp_at, 1),
+        (clamp_at, last),
+        (tie_at, 1),
+        (tie_at, last),
+        (near_tie, 0),
+    ] {
+        let id = topo.clients.len();
+        topo.clients.push(Client {
+            id,
+            ap_id,
+            position,
+        });
+        ids.push(id);
+    }
+    ids
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The distance-ordered roaming pass makes the same handoffs, and so
+    /// leaves the same loads, as the pass that scores every candidate in
+    /// dB, under all three policies and hysteresis 0, 3 and 6 dB, from
+    /// scrambled associations through a walk — including clients inside
+    /// the 1 m clamp and clients equidistant from two APs.
+    #[test]
+    fn distance_ordered_roaming_matches_the_db_scored_pass(
+        seed in 0u64..1_000_000,
+        cols in 1usize..5,
+        rows in 1usize..4,
+        spacing in 8.0f64..20.0,
+    ) {
+        let mut rng = SimRng::new(seed);
+        let grid = random_grid(cols, rows, spacing, seed as usize);
+        let mut floor = grid
+            .generate(&TopologyConfig::das(4, 4), &mut rng)
+            .expect("valid grid");
+        let n_aps = floor.aps.len();
+        for c in &mut floor.clients {
+            c.ap_id = (c.id * 7 + 3) % n_aps;
+        }
+        let fixed = add_boundary_clients(&mut floor);
+        let env = Environment::open_plan();
+        let loads = |t: &Topology| {
+            let mut l = vec![0usize; t.aps.len()];
+            for c in &t.clients {
+                l[c.ap_id] += 1;
+            }
+            l
+        };
+        for policy in [
+            AssociationPolicy::NearestAp,
+            AssociationPolicy::AntennaAware,
+            AssociationPolicy::LoadBalanced { hysteresis_db: 3.0 },
+        ] {
+            for hysteresis in [0.0, 3.0, 6.0] {
+                let (mut fast, mut oracle) = (floor.clone(), floor.clone());
+                let mut roam = Reassociator::new(&fast, &env);
+                let mut walk = SimRng::new(seed ^ 0x5eed);
+                for step in 0..6 {
+                    if step > 0 {
+                        for c in 0..fast.clients.len() {
+                            if fixed.contains(&c) {
+                                continue;
+                            }
+                            let next = fast.clients[c]
+                                .position
+                                .offset_polar(4.0, walk.uniform_range(0.0, 6.3));
+                            let next = Point::new(
+                                next.x.clamp(fast.region.min.x, fast.region.max.x),
+                                next.y.clamp(fast.region.min.y, fast.region.max.y),
+                            );
+                            fast.clients[c].position = next;
+                            oracle.clients[c].position = next;
+                            roam.move_client(c, next);
+                        }
+                    }
+                    let handoffs = roam.reassociate(&mut fast, &env, policy, hysteresis);
+                    let expected = reassociate_in_db(&mut oracle, &env, policy, hysteresis);
+                    prop_assert_eq!(handoffs, expected, "{:?} at {} dB, step {}", policy, hysteresis, step);
+                    prop_assert_eq!(loads(&fast), loads(&oracle), "{:?} at {} dB, step {}", policy, hysteresis, step);
+                    for (x, y) in fast.clients.iter().zip(&oracle.clients) {
+                        prop_assert_eq!(x.ap_id, y.ap_id, "client {}", x.id);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn boundary_clients_settle_by_the_db_tie_rule() {
+    // The boundary clients of the property above, checked by hand: inside
+    // the clamp AP 0 and AP 1 score the same although AP 1's antenna is
+    // nearer, and the equidistant client scores the same at both; equal
+    // scores go to the lower AP id, and an incumbent on an equal score
+    // stays.  The near-tie client's AP 1 scores higher by less than any
+    // hysteresis but 0 dB.
+    let mut rng = SimRng::new(5);
+    let mut topo = FloorGrid::new(3, 1, 12.0)
+        .generate(&TopologyConfig::das(4, 4), &mut rng)
+        .expect("valid grid");
+    let ids = add_boundary_clients(&mut topo);
+    assert_eq!(ids.len(), 5, "no clear spot on the test floor");
+    let env = Environment::open_plan();
+    for hysteresis in [0.0, 3.0, 6.0] {
+        let mut t = topo.clone();
+        let policy = AssociationPolicy::AntennaAware;
+        Reassociator::new(&t, &env).reassociate(&mut t, &env, policy, hysteresis);
+        let aps: Vec<usize> = ids.iter().map(|&c| t.clients[c].ap_id).collect();
+        let near_tie = if hysteresis == 0.0 { 1 } else { 0 };
+        assert_eq!(aps, [1, 0, 1, 0, near_tie], "at {hysteresis} dB");
     }
 }
 
