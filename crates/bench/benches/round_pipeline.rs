@@ -51,10 +51,7 @@
 //!   sensing table's bytes (`# sensing work:`) and, for the `mobility_64ap`
 //!   cell, the dynamics stage split by phase (`# dynamics split:`) and the
 //!   dynamics work counters, roaming scores included (`# dynamics work:`);
-//!   `MIDAS_PIPELINE_PROFILE_ROUNDS`
-//!   (default 400) sets the round count and `MIDAS_PIPELINE_COHERENCE` (default 1)
-//!   the coherence interval in rounds (> 1 caches channel realisations —
-//!   opt-in, changes outputs; handy for A/B-profiling the evolve stage).
+//!   `MIDAS_PIPELINE_PROFILE_ROUNDS` (default 400) sets the round count.
 //!
 //! Both modes resolve names through the one cell registry; an unknown
 //! cell name exits with status 2.
@@ -70,6 +67,7 @@ use midas_svc::json::Json;
 use midas_svc::runner::{run_job, CancelToken};
 use midas_svc::spec::JobSpec;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::Instant;
 
 /// The Fig. 16 8-AP series (binary-graph contention) at [`BENCH_SEED`].
@@ -266,32 +264,33 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// The revision of the checkout when it is a git work tree (the snapshot
-/// header names the code it measured).
+/// The trimmed stdout of `command`, or `None` when it cannot run or fails.
+fn stdout_of(command: &mut Command) -> Option<String> {
+    command
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+}
+
+/// The revision of the checkout when it is a git work tree, with `-dirty`
+/// when a tracked file differs from it: the snapshot header names the code
+/// it measured.
 fn git_rev(root: &Path) -> String {
-    let read = |p: PathBuf| {
-        std::fs::read_to_string(p)
-            .ok()
-            .map(|s| s.trim().to_string())
-    };
-    match read(root.join(".git/HEAD")) {
-        Some(head) => match head.strip_prefix("ref: ") {
-            Some(r) => read(root.join(".git").join(r)).unwrap_or(head),
-            None => head,
-        },
-        None => "unknown (not a git work tree)".into(),
+    let git = |args: &[&str]| stdout_of(Command::new("git").current_dir(root).args(args));
+    match (
+        git(&["rev-parse", "HEAD"]),
+        git(&["status", "--porcelain", "--untracked-files=no"]),
+    ) {
+        (Some(rev), Some(changes)) if changes.is_empty() => rev,
+        (Some(rev), Some(_)) => format!("{rev}-dirty"),
+        _ => "unknown (not a git work tree)".into(),
     }
 }
 
 /// `rustc -V` of the toolchain on the path, or `unknown`.
 fn rustc_version() -> String {
-    std::process::Command::new("rustc")
-        .arg("-V")
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
+    stdout_of(Command::new("rustc").arg("-V")).unwrap_or_else(|| "unknown".into())
 }
 
 struct CellStats {
@@ -360,8 +359,6 @@ fn profile(cell_name: &str, rounds: usize) {
             let pair = scenario.build(BENCH_SEED).expect("floor fits the grid");
             let mut config = scenario.sim_config(MacKind::Midas, rounds, BENCH_SEED);
             config.rounds = rounds;
-            config.coherence_interval_rounds =
-                env_knob("MIDAS_PIPELINE_COHERENCE").unwrap_or(1).max(1);
             config.dynamics = cell.dynamics;
             let mut sim = NetworkSimulator::new(pair.das, config).with_stage_profiling();
             let result = sim.run();
@@ -410,11 +407,11 @@ fn profile(cell_name: &str, rounds: usize) {
 }
 
 fn main() {
-    if let Ok(cell) = std::env::var("MIDAS_PIPELINE_PROFILE") {
+    if let Some(cell) = env_knob::<String>("MIDAS_PIPELINE_PROFILE") {
         let rounds = env_knob("MIDAS_PIPELINE_PROFILE_ROUNDS")
             .unwrap_or(400)
             .max(1);
-        profile(cell.trim(), rounds);
+        profile(&cell, rounds);
         return;
     }
 

@@ -17,6 +17,7 @@
 use crate::figure::{Block, Cell, Figure};
 use midas_net::metrics::Cdf;
 use midas_svc::json::Json;
+use std::ffi::OsStr;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -300,11 +301,12 @@ fn default_figure_dir() -> PathBuf {
 /// Resolves the figure directory from explicit CLI args and the environment;
 /// pure helper behind [`figure_dir`], separated for testability.
 ///
-/// Precedence: `--figure-dir` flag, then `MIDAS_FIGURE_DIR`.  A flag or
-/// variable present with an empty value selects [`default_figure_dir`].
+/// Precedence: `--figure-dir` flag, then `MIDAS_FIGURE_DIR` (an OS
+/// string).  A flag or variable present with an empty value selects
+/// [`default_figure_dir`].
 fn figure_dir_from<I: IntoIterator<Item = String>>(
     args: I,
-    env_value: Option<String>,
+    env_value: Option<PathBuf>,
 ) -> Option<PathBuf> {
     let mut args = args.into_iter().peekable();
     while let Some(arg) = args.next() {
@@ -320,11 +322,12 @@ fn figure_dir_from<I: IntoIterator<Item = String>>(
             return Some(dir_or_default(&value));
         }
     }
-    env_value.map(|v| dir_or_default(&v))
+    env_value.map(dir_or_default)
 }
 
-fn dir_or_default(value: &str) -> PathBuf {
-    if value.trim().is_empty() {
+fn dir_or_default(value: impl AsRef<OsStr>) -> PathBuf {
+    let value = value.as_ref();
+    if value.to_str().is_some_and(|v| v.trim().is_empty()) {
         default_figure_dir()
     } else {
         PathBuf::from(value)
@@ -333,7 +336,10 @@ fn dir_or_default(value: &str) -> PathBuf {
 
 /// The figure directory selected for this process, if any.
 pub fn figure_dir() -> Option<PathBuf> {
-    figure_dir_from(std::env::args().skip(1), std::env::var(FIGURE_DIR_ENV).ok())
+    figure_dir_from(
+        std::env::args().skip(1),
+        midas::runner::knob_path(FIGURE_DIR_ENV),
+    )
 }
 
 /// Emits `figure` to the configured sinks: stdout (unless suppressed) plus
@@ -472,6 +478,14 @@ mod tests {
             Some(default_figure_dir())
         );
         assert!(default_figure_dir().ends_with("target/figures"));
+        // The variable is a path, not text: bytes that are not UTF-8 select
+        // that directory rather than reading as unset.
+        #[cfg(unix)]
+        {
+            use std::os::unix::ffi::OsStringExt;
+            let raw = PathBuf::from(std::ffi::OsString::from_vec(vec![b'f', 0xff]));
+            assert_eq!(figure_dir_from(args(&[]), Some(raw.clone())), Some(raw));
+        }
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //! that does not parse is an error, never a silent fallback: a sweep that
 //! reads one panics with a message naming the knob and the value.
 //!
+//! This module also holds the one reader of the workspace's `MIDAS_*`
+//! environment knobs ([`knob`], [`knob_list`], [`knob_path`]); midas-lint's
+//! `env-knob-registry` rule flags an environment read anywhere else.
+//!
 //! ```
 //! use midas::runner::SeedSweep;
 //!
@@ -23,7 +27,10 @@
 //! assert_eq!(doubled, vec![0, 2, 4, 6]);
 //! ```
 
+use std::ffi::OsString;
 use std::panic::resume_unwind;
+use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -52,26 +59,81 @@ impl<S: Send, F: Fn(usize, u64) -> S + Sync> Trial for F {
     }
 }
 
-/// Parses a `MIDAS_THREADS` value: `Ok(None)` when absent or blank, an
-/// error naming the knob and the value when it is not a non-negative
-/// integer.  `0` clamps up to one worker, values above `MAX_WORKERS` clamp
-/// down to it.
-fn parse_thread_override(value: Option<&str>) -> Result<Option<usize>, String> {
-    match value.filter(|v| !v.trim().is_empty()) {
-        None => Ok(None),
-        Some(v) => v
-            .trim()
-            .parse::<usize>()
-            .map(|n| Some(n.clamp(1, MAX_WORKERS)))
-            .map_err(|_| format!("{THREADS_ENV}: cannot parse {v:?}")),
-    }
+/// The raw value of environment knob `name`: the one environment read of
+/// the workspace.
+fn raw_knob(name: &str) -> Option<OsString> {
+    std::env::var_os(name)
+}
+
+/// The text of a set knob, or an error naming the knob when it is not UTF-8.
+fn knob_text(name: &str, raw: OsString) -> Result<String, String> {
+    raw.into_string()
+        .map_err(|raw| format!("{name}: {raw:?} is not valid UTF-8"))
+}
+
+/// Parses one raw knob value: `Ok(None)` when unset, the trimmed value
+/// parsed as `T` when set, else an error naming the knob and the value.
+fn parse_knob<T: FromStr>(name: &str, raw: Option<OsString>) -> Result<Option<T>, String> {
+    raw.map(|raw| {
+        let text = knob_text(name, raw)?;
+        text.trim()
+            .parse()
+            .map_err(|_| format!("{name}: cannot parse {text:?}"))
+    })
+    .transpose()
+}
+
+/// Parses one raw comma-separated knob list, `default` when unset; blank
+/// entries are skipped and every other entry must parse as `T`.
+fn parse_knob_list<T: FromStr>(
+    name: &str,
+    raw: Option<OsString>,
+    default: &str,
+) -> Result<Vec<T>, String> {
+    let text = raw.map_or(Ok(default.to_string()), |raw| knob_text(name, raw))?;
+    text.split(',')
+        .map(str::trim)
+        .filter(|entry| !entry.is_empty())
+        .map(|entry| {
+            entry
+                .parse()
+                .map_err(|_| format!("{name}: cannot parse entry {entry:?} of {text:?}"))
+        })
+        .collect()
+}
+
+/// Reads the `MIDAS_*` knob `name`: `Ok(None)` when unset, so the caller
+/// takes its default; otherwise the trimmed value parsed as `T`.  A value
+/// that does not parse (a blank one included, for a number) or is not
+/// UTF-8 is an error naming the knob and the value.
+pub fn knob<T: FromStr>(name: &str) -> Result<Option<T>, String> {
+    parse_knob(name, raw_knob(name))
+}
+
+/// Reads the comma-separated `MIDAS_*` knob list `name`, or `default` when
+/// unset.  Blank entries are skipped; an entry that does not parse, or a
+/// value that is not UTF-8, is an error naming the knob and the value.
+pub fn knob_list<T: FromStr>(name: &str, default: &str) -> Result<Vec<T>, String> {
+    parse_knob_list(name, raw_knob(name), default)
+}
+
+/// Reads the path knob `name` as an OS string, so any path the platform
+/// allows is taken as written; `None` when unset.
+pub fn knob_path(name: &str) -> Option<PathBuf> {
+    raw_knob(name).map(PathBuf::from)
 }
 
 /// The `MIDAS_THREADS` override of the environment: `Ok(None)` when unset,
 /// an error naming the knob and the value when it does not parse.  The
 /// `midas` CLI checks it before starting its pool.
 pub fn threads_from_env() -> Result<Option<usize>, String> {
-    parse_thread_override(std::env::var(THREADS_ENV).ok().as_deref())
+    thread_override(raw_knob(THREADS_ENV))
+}
+
+/// A raw `MIDAS_THREADS` value as a worker count: `0` clamps up to one
+/// worker, values above `MAX_WORKERS` clamp down to it.
+fn thread_override(raw: Option<OsString>) -> Result<Option<usize>, String> {
+    Ok(parse_knob::<usize>(THREADS_ENV, raw)?.map(|n| n.clamp(1, MAX_WORKERS)))
 }
 
 /// Worker count a sweep without an explicit override uses: `MIDAS_THREADS`
@@ -316,22 +378,96 @@ mod tests {
         );
     }
 
+    fn set(value: &str) -> Option<OsString> {
+        Some(value.into())
+    }
+
+    /// A byte sequence that is not UTF-8 (a lone `0xff`).
+    #[cfg(unix)]
+    fn not_utf8() -> OsString {
+        use std::os::unix::ffi::OsStringExt;
+        OsString::from_vec(vec![0xff])
+    }
+
+    #[test]
+    fn knobs_parse_trimmed_values_and_take_the_default_when_unset() {
+        assert_eq!(parse_knob::<usize>("ROUNDS", set(" 12 ")), Ok(Some(12)));
+        assert_eq!(parse_knob::<f64>("SPEED", set("1.4")), Ok(Some(1.4)));
+        assert_eq!(parse_knob::<usize>("ROUNDS", None), Ok(None));
+        assert_eq!(
+            parse_knob::<String>("CELL", set(" name ")),
+            Ok(Some("name".to_string()))
+        );
+    }
+
+    #[test]
+    fn a_bad_knob_value_names_the_knob_and_the_value() {
+        for (value, shown) in [
+            ("ten", "\"ten\""),
+            ("-1", "\"-1\""),
+            ("", "\"\""),
+            (" ", "\" \""),
+        ] {
+            assert_eq!(
+                parse_knob::<usize>("ROUNDS", set(value)),
+                Err(format!("ROUNDS: cannot parse {shown}"))
+            );
+        }
+        assert!(parse_knob::<f64>("SPEED", set("")).is_err());
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_knob_that_is_not_utf8_is_an_error_naming_it() {
+        assert_eq!(
+            parse_knob::<usize>("ROUNDS", Some(not_utf8())),
+            Err("ROUNDS: \"\\xFF\" is not valid UTF-8".to_string())
+        );
+        assert_eq!(
+            parse_knob_list::<usize>("APS", Some(not_utf8()), "1"),
+            Err("APS: \"\\xFF\" is not valid UTF-8".to_string())
+        );
+    }
+
+    #[test]
+    fn knob_lists_skip_blanks_take_the_default_and_reject_bad_entries() {
+        assert_eq!(
+            parse_knob_list::<f64>("DUTY", set("0.5, 1.0,,"), "9"),
+            Ok(vec![0.5, 1.0])
+        );
+        assert_eq!(parse_knob_list::<usize>("APS", set(""), "8"), Ok(vec![]));
+        assert_eq!(
+            parse_knob_list::<usize>("APS", None, "8, 16"),
+            Ok(vec![8, 16])
+        );
+        assert_eq!(
+            parse_knob_list::<String>("NAMES", set("a, b"), ""),
+            Ok(vec!["a".to_string(), "b".to_string()])
+        );
+        let err = parse_knob_list::<f64>("DUTY", set("0.5,x"), "1").unwrap_err();
+        assert_eq!(err, "DUTY: cannot parse entry \"x\" of \"0.5,x\"");
+    }
+
     #[test]
     fn thread_override_parsing_clamps_and_rejects_garbage() {
-        assert_eq!(parse_thread_override(None), Ok(None));
-        assert_eq!(parse_thread_override(Some("")), Ok(None));
+        let threads = |value: &str| thread_override(set(value));
+        assert_eq!(thread_override(None), Ok(None));
         assert_eq!(
-            parse_thread_override(Some("not a number")),
+            threads("not a number"),
             Err("MIDAS_THREADS: cannot parse \"not a number\"".to_string())
         );
         assert_eq!(
-            parse_thread_override(Some("-2")),
+            threads("-2"),
             Err("MIDAS_THREADS: cannot parse \"-2\"".to_string())
         );
-        assert_eq!(parse_thread_override(Some("0")), Ok(Some(1)));
-        assert_eq!(parse_thread_override(Some("1")), Ok(Some(1)));
-        assert_eq!(parse_thread_override(Some(" 8 ")), Ok(Some(8)));
-        assert_eq!(parse_thread_override(Some("99999")), Ok(Some(MAX_WORKERS)));
+        assert_eq!(
+            threads(""),
+            Err("MIDAS_THREADS: cannot parse \"\"".to_string())
+        );
+        assert_eq!(threads("0"), Ok(Some(1)));
+        assert_eq!(threads("1"), Ok(Some(1)));
+        assert_eq!(threads(" 8 "), Ok(Some(8)));
+        assert_eq!(threads("99999"), Ok(Some(MAX_WORKERS)));
     }
 
     #[test]

@@ -86,7 +86,6 @@ pub struct SessionBuilder {
     traffic: TrafficKind,
     rounds: usize,
     tag_width: Option<usize>,
-    coherence_interval_rounds: Option<usize>,
     stage_profiling: bool,
     dynamics: Option<DynamicsSpec>,
     mix: (u64, u64),
@@ -102,7 +101,6 @@ impl SessionBuilder {
             traffic: TrafficKind::FullBuffer,
             rounds: 20,
             tag_width: None,
-            coherence_interval_rounds: None,
             stage_profiling: false,
             dynamics: None,
             mix: (1, 0),
@@ -134,16 +132,6 @@ impl SessionBuilder {
     /// (MIDAS only; default: the simulator config's 2).
     pub fn tag_width(mut self, tag_width: usize) -> Self {
         self.tag_width = Some(tag_width);
-        self
-    }
-
-    /// Sets the channel coherence interval in TXOP rounds (default: 1 —
-    /// channels evolve every round, one Gauss–Markov step per TXOP).  Larger
-    /// intervals reuse the cached channel realisation (and its precoding
-    /// inputs) for `interval` consecutive rounds, evolving once per
-    /// interval with a correspondingly longer delay.
-    pub fn coherence_interval_rounds(mut self, interval: usize) -> Self {
-        self.coherence_interval_rounds = Some(interval.max(1));
         self
     }
 
@@ -340,9 +328,6 @@ impl SessionTrial<'_> {
         if let Some(w) = inner.tag_width {
             config.tag_width = w;
         }
-        if let Some(interval) = inner.coherence_interval_rounds {
-            config.coherence_interval_rounds = interval;
-        }
         config.dynamics = inner.dynamics;
         config
     }
@@ -441,47 +426,6 @@ mod tests {
             assert_eq!(das.rounds(), 4);
             assert!(das.mean_capacity() > 0.0);
         }
-    }
-
-    #[test]
-    fn coherence_interval_one_is_bit_identical_to_the_default() {
-        let default = quick_session().run(2, 17);
-        let explicit = SessionBuilder::new(PairedRecipe::three_ap_paper())
-            .rounds(4)
-            .seed_mix(193, 61)
-            .coherence_interval_rounds(1)
-            .build()
-            .run(2, 17);
-        assert_eq!(default.network.cas, explicit.network.cas);
-        assert_eq!(default.network.das, explicit.network.das);
-        assert_eq!(default.per_client.das, explicit.per_client.das);
-    }
-
-    #[test]
-    fn longer_coherence_interval_changes_but_keeps_finite_series() {
-        let slow_fading = SessionBuilder::new(PairedRecipe::three_ap_paper())
-            .rounds(4)
-            .seed_mix(193, 61)
-            .coherence_interval_rounds(4)
-            .build()
-            .run(2, 17);
-        let baseline = quick_session().run(2, 17);
-        assert!(slow_fading
-            .network
-            .das
-            .iter()
-            .all(|c| c.is_finite() && *c > 0.0));
-        // Caching the realisation across the whole run consumes less fading
-        // RNG, so the series must differ from evolve-every-round.
-        assert_ne!(slow_fading.network.das, baseline.network.das);
-        // And it is still deterministic.
-        let again = SessionBuilder::new(PairedRecipe::three_ap_paper())
-            .rounds(4)
-            .seed_mix(193, 61)
-            .coherence_interval_rounds(4)
-            .build()
-            .run(2, 17);
-        assert_eq!(slow_fading.network.das, again.network.das);
     }
 
     #[test]

@@ -40,7 +40,6 @@ const PINNED: &[&str] = &[
     "sim/session.rs: fn traffic",
     "sim/session.rs: fn rounds",
     "sim/session.rs: fn tag_width",
-    "sim/session.rs: fn coherence_interval_rounds",
     "sim/session.rs: fn stage_profiling",
     "sim/session.rs: fn dynamics",
     "sim/session.rs: fn seed_mix",

@@ -32,7 +32,10 @@
 //!   `#![forbid(unsafe_code)]`.
 //! * `env-knob-registry` — every `MIDAS_*` name appearing in a source
 //!   string literal must have a row in the README knob table, and every
-//!   table row must correspond to a name actually read in source.
+//!   table row must correspond to a name actually read in source.  No
+//!   `env::var`/`env::var_os` call may appear outside the one knob reader
+//!   (`midas::runner`, in `crates/core/src/runner.rs`), so every knob
+//!   parses one way.
 //! * `unreachable-pub` — every `pub fn`/`pub const fn`/`pub const`/
 //!   `pub static` declared in the non-test code of `crates/*/src/` must be
 //!   named by the non-test code of another file.  Test code (`tests/`
@@ -69,7 +72,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "env-knob-registry",
-        "every MIDAS_* env knob read in source must be in the README knob table, and vice versa",
+        "every MIDAS_* env knob read in source must be in the README knob table, and vice versa; only midas::runner reads the environment",
     ),
     (
         "unreachable-pub",
@@ -117,6 +120,12 @@ const NO_ALLOC_PATTERNS: &[&str] = &[
 
 /// The attribute every crate root must carry.
 const FORBID_UNSAFE: &str = "#![forbid(unsafe_code)]";
+
+/// Environment reads `env-knob-registry` allows only in [`KNOB_READER`].
+const ENV_READ_PATTERNS: &[&str] = &["env::var", "env::var_os"];
+
+/// The one file that may read the environment: the `MIDAS_*` knob reader.
+const KNOB_READER: &str = "crates/core/src/runner.rs";
 
 /// One file handed to the engine: a workspace-relative path (used in
 /// findings and for crate-root classification) and its source text.
@@ -211,6 +220,13 @@ fn lint_one_file(
             if contains_pattern(code, pat) {
                 candidates.push(finding("ambient-rng", &file.path, line, format!(
                     "`{pat}` draws ambient randomness; all randomness must flow through seeded SimRng/CounterRng streams"
+                )));
+            }
+        }
+        for pat in ENV_READ_PATTERNS {
+            if file.path != KNOB_READER && contains_pattern(code, pat) {
+                candidates.push(finding("env-knob-registry", &file.path, line, format!(
+                    "`{pat}` reads the environment outside the knob reader; use `midas::runner::{{knob, knob_list, knob_path}}`"
                 )));
             }
         }

@@ -206,7 +206,7 @@ fn fake_knob(suffix: &str) -> String {
 #[test]
 fn env_registry_fires_on_an_undocumented_knob_with_exact_location() {
     let src = format!(
-        "fn f() {{\n    let v = std::env::var(\"{}\");\n}}\n",
+        "fn f() {{\n    let v = midas::runner::knob::<usize>(\"{}\");\n}}\n",
         fake_knob("MYSTERY_KNOB")
     );
     let readme = "| `MIDAS_THREADS` | engine | workers |\n";
@@ -248,6 +248,30 @@ fn env_registry_is_quiet_when_source_and_table_agree() {
     assert!(report.is_clean(), "{:#?}", report.findings);
     assert_eq!(report.knobs_source, vec!["MIDAS_THREADS".to_string()]);
     assert_eq!(report.knobs_readme, vec!["MIDAS_THREADS".to_string()]);
+}
+
+#[test]
+fn env_reads_outside_the_knob_reader_are_findings_with_exact_locations() {
+    let src = "fn f() {\n    let home = std::env::var(\"HOME\");\n    let path = env::var_os(\"PATH\");\n}\n";
+    let report = lint_one("crates/x/src/util.rs", src);
+    let sites: Vec<(&str, &str, usize)> = report
+        .findings
+        .iter()
+        .map(|f| (f.rule.as_str(), f.file.as_str(), f.line))
+        .collect();
+    assert_eq!(
+        sites,
+        [
+            ("env-knob-registry", "crates/x/src/util.rs", 2),
+            ("env-knob-registry", "crates/x/src/util.rs", 3),
+        ],
+        "{:#?}",
+        report.findings
+    );
+    assert!(report.findings[0].message.contains("`env::var`"));
+    assert!(report.findings[1].message.contains("`env::var_os`"));
+    // The same reads inside the knob reader are the one allowed site.
+    assert!(lint_one("crates/core/src/runner.rs", src).is_clean());
 }
 
 // ------------------------------------------------------------- meta rules

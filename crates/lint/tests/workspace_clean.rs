@@ -46,11 +46,11 @@ fn the_scan_covers_the_whole_workspace() {
         report.no_alloc_fns
     );
     // `unreachable-pub` checks every `pub fn`/`const`/`static` of the
-    // library sources: 499 at the time of writing.  Far fewer means the
+    // library sources: 505 at the time of writing.  Far fewer means the
     // declaration scan broke and the rule is vacuous.
     assert!(
-        report.pub_items >= 499,
-        "expected at least 499 checked pub items, saw {}",
+        report.pub_items >= 505,
+        "expected at least 505 checked pub items, saw {}",
         report.pub_items
     );
     // Every honored pragma carries a written reason (the scanner rejects
@@ -70,10 +70,10 @@ fn the_env_knob_registry_is_in_sync_and_nonempty() {
         report.knobs_source, report.knobs_readme,
         "source knobs and README table diverge"
     );
-    // 24 knobs at the time of writing; an empty registry would mean the
+    // 23 knobs at the time of writing; an empty registry would mean the
     // string-literal extraction broke.
     assert!(
-        report.knobs_source.len() >= 24,
+        report.knobs_source.len() >= 23,
         "only {} knobs registered",
         report.knobs_source.len()
     );

@@ -147,9 +147,9 @@ pub struct DynamicsCounters {
 /// Mutable runtime state of the dynamics layer for one simulation.
 ///
 /// Owns the spec it was built from, the mobile-client set, waypoint/flow
-/// state and the persistent roaming engine; every buffer is sized at
-/// construction and steady-state steps allocate nothing (waypoint draws
-/// are scalar).
+/// state and, with roaming on, the persistent roaming engine; every buffer
+/// is sized at construction and steady-state steps allocate nothing
+/// (waypoint draws are scalar).
 pub struct DynamicsState {
     spec: DynamicsSpec,
     rng: SimRng,
@@ -165,7 +165,8 @@ pub struct DynamicsState {
     moved: Vec<usize>,
     /// Snapshot of every client's AP before the latest roaming pass.
     prev_ap: Vec<usize>,
-    roam: Reassociator,
+    /// The roaming engine, built only when the spec roams.
+    roam: Option<Reassociator>,
     handoffs_total: usize,
     moves_total: usize,
 }
@@ -173,12 +174,13 @@ pub struct DynamicsState {
 impl DynamicsState {
     /// Builds the runtime state for `topo`: the mobile subset is drawn from
     /// the dedicated dynamics RNG stream (`seed` is the simulation seed),
-    /// waypoints are initialised, and the roaming candidates are queried.
+    /// waypoints are initialised, and, with roaming on, the roaming
+    /// candidates are queried.
     ///
     /// # Panics
     ///
-    /// Where [`Reassociator::new`] does: if `env`'s path loss does not grow
-    /// with distance.
+    /// With roaming on, where [`Reassociator::new`] does: if `env`'s path
+    /// loss does not grow with distance.
     pub fn new(spec: &DynamicsSpec, topo: &Topology, env: &Environment, seed: u64) -> Self {
         let mut rng = SimRng::new(seed).fork(0xD1A);
         let n = topo.clients.len();
@@ -207,7 +209,7 @@ impl DynamicsState {
             moved: Vec::with_capacity(mobile.len()),
             prev_ap: topo.clients.iter().map(|c| c.ap_id).collect(),
             mobile,
-            roam: Reassociator::new(topo, env),
+            roam: spec.reassociation.map(|_| Reassociator::new(topo, env)),
             handoffs_total: 0,
             moves_total: 0,
         }
@@ -220,8 +222,9 @@ impl DynamicsState {
     }
 
     /// Advances every mobile client by one dynamics step of `period_rounds`
-    /// TXOPs, updating `topo` positions and the roaming candidates; the
-    /// clients that actually moved are then [`moved`](Self::moved).
+    /// TXOPs, updating `topo` positions and, with roaming on, the roaming
+    /// candidates; the clients that actually moved are then
+    /// [`moved`](Self::moved).
     pub fn step_mobility(&mut self, topo: &mut Topology) {
         self.moved.clear();
         let Some(model) = self.spec.mobility else {
@@ -272,7 +275,9 @@ impl DynamicsState {
             };
             if next != pos {
                 topo.clients[cid].position = next;
-                self.roam.move_client(cid, next);
+                if let Some(roam) = self.roam.as_mut() {
+                    roam.move_client(cid, next);
+                }
                 self.moved.push(cid);
             }
         }
@@ -285,11 +290,9 @@ impl DynamicsState {
     pub fn step_roaming(&mut self, topo: &mut Topology, env: &Environment) {
         self.prev_ap.clear();
         self.prev_ap.extend(topo.clients.iter().map(|c| c.ap_id));
-        if let Some(re) = self.spec.reassociation {
-            let n = self
-                .roam
-                .reassociate(topo, env, re.policy, re.hysteresis_db.max(0.0));
-            self.handoffs_total += n;
+        if let (Some(re), Some(roam)) = (self.spec.reassociation, self.roam.as_mut()) {
+            self.handoffs_total +=
+                roam.reassociate(topo, env, re.policy, re.hysteresis_db.max(0.0));
         }
     }
 
@@ -328,12 +331,12 @@ impl DynamicsState {
     /// Roaming-candidate re-queries performed so far (a moved client is
     /// re-queried only once it leaves its slack disc).
     pub fn roaming_requeries(&self) -> usize {
-        self.roam.requeries()
+        self.roam.as_ref().map_or(0, Reassociator::requeries)
     }
 
     /// Path losses evaluated by roaming passes so far.
     pub fn roaming_scores(&self) -> usize {
-        self.roam.scores()
+        self.roam.as_ref().map_or(0, Reassociator::scores)
     }
 
     /// Bytes of heap the dynamics layer retains; stable once warm, which
@@ -346,7 +349,10 @@ impl DynamicsState {
             + self.dir.capacity() * size_of::<f64>()
             + self.moved.capacity() * size_of::<usize>()
             + self.prev_ap.capacity() * size_of::<usize>()
-            + self.roam.heap_footprint_bytes()
+            + self
+                .roam
+                .as_ref()
+                .map_or(0, Reassociator::heap_footprint_bytes)
     }
 }
 
@@ -479,6 +485,30 @@ mod tests {
             state.step_roaming(&mut topo, &env);
         }
         assert_eq!(state.heap_footprint_bytes(), warm);
+    }
+
+    /// With roaming off, no roaming engine is built: a walker re-queries
+    /// no roaming candidates, the heap holds no engine, and a flat path
+    /// loss (which distance-ordered roaming rejects) still builds.
+    #[test]
+    fn a_mobility_only_spec_builds_no_roaming_engine() {
+        let (mut topo, mut env) = grid_topology(10);
+        let roaming = DynamicsState::new(&walk_spec(300.0), &topo, &env, 29);
+        env.path_loss.exponent = 0.0;
+        env.path_loss.wall_loss_db_per_m = 0.0;
+        let spec = DynamicsSpec {
+            reassociation: None,
+            ..walk_spec(300.0)
+        };
+        let mut state = DynamicsState::new(&spec, &topo, &env, 29);
+        for _ in 0..20 {
+            state.step_mobility(&mut topo);
+            state.step_roaming(&mut topo, &env);
+        }
+        assert!(state.moves_total() > 0);
+        assert_eq!(state.roaming_requeries(), 0);
+        assert_eq!(state.roaming_scores(), 0);
+        assert!(state.heap_footprint_bytes() < roaming.heap_footprint_bytes());
     }
 
     #[test]

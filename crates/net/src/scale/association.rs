@@ -214,7 +214,7 @@ pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPoli
 /// the candidates by their squared distance to their nearest antenna or
 /// chassis (the chassis alone under [`NearestAp`]), clamped at 1 m², and
 /// evaluates a path loss only where the dB decides: at the candidates
-/// within a relative [`SQUARE_BAND`] of the smallest (so equal scores still
+/// within a relative `SQUARE_BAND` of the smallest (so equal scores still
 /// go to the lowest AP id), at the incumbent for the hysteresis test, and
 /// across the [`LoadBalanced`] window once a client hands off.  A client
 /// whose incumbent is the only near-minimal candidate stays put without a

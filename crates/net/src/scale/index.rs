@@ -18,7 +18,7 @@
 //! is what lets the simulator swap scan implementations without perturbing a
 //! single figure (see `proptest_scale.rs` for the property tests).
 //!
-//! The predicate is decided by [`within`], which compares squared
+//! The predicate is decided by `within`, which compares squared
 //! distances and calls `hypot` only where the squares are too close to
 //! call: every decision is the one `distance(p, q) <= radius` makes.
 //!
@@ -269,13 +269,13 @@ const SLACK_MARGIN_M: f64 = 1e-6;
 /// Each mover (a client) keeps the ascending, deduplicated list of groups
 /// (APs) that own a fixed point (an antenna or a chassis) within `radius`
 /// of it — the exact predicate `fixed.distance(mover) <= radius` of a
-/// fresh neighbourhood query, decided by [`within`].  A query also records
+/// fresh neighbourhood query, decided by `within`.  A query also records
 /// the mover's *slack*: its distance to the nearest radius boundary,
 /// `min |d − radius|` over the fixed points within the query reach (capped
 /// at `SLACK_REACH · radius`), less a rounding margin.  `|d − radius|` is
 /// smallest at the farthest point inside and the nearest point outside, so
 /// the query ranks the points by squared distance and takes `hypot` only
-/// at those two extremes (and at every point within [`SQUARE_BAND`] of
+/// at those two extremes (and at every point within `SQUARE_BAND` of
 /// them, so rounding cannot pick the wrong one): the slack is bit for bit
 /// the one a `hypot` at every point gives.  By the triangle inequality no
 /// membership can flip while the mover stays within its slack of where it

@@ -49,7 +49,9 @@ pub struct NetworkSimConfig {
     pub mac: MacKind,
     /// Precoder used by every AP.
     pub precoder: PrecoderKind,
-    /// Number of TXOP rounds simulated.
+    /// Number of TXOP rounds simulated.  Small-scale fading takes one
+    /// Gauss–Markov step per round (one TXOP), the cadence every
+    /// paper-scale figure assumes.
     pub rounds: usize,
     /// Number of antennas each client's packets are tagged with (MIDAS only).
     pub tag_width: usize,
@@ -66,13 +68,6 @@ pub struct NetworkSimConfig {
     /// infinite one by linear scans, since every point is then in range.
     /// [`NetworkSimulator::new`] panics unless the range is `> 0.0`.
     pub interaction_range_m: f64,
-    /// Channel-realisation cache length in rounds: channels evolve (fresh
-    /// keyed fading draws) only at every this-many-th round, covering the
-    /// elapsed time in one Gauss–Markov step.  `1` (the constructor default)
-    /// evolves every round — one step per TXOP, as the paper-scale figures
-    /// assume; larger values model a coherence interval longer than one
-    /// TXOP and need one row step per interval instead of per round.
-    pub coherence_interval_rounds: usize,
     /// Contention semantics: the legacy binary carrier-sense graph
     /// (default, bit-identical to the pre-capture simulator) or the
     /// physical energy-detect + SINR-capture model (`crate::capture`).
@@ -98,7 +93,6 @@ impl NetworkSimConfig {
             seed,
             interaction_range_m: f64::INFINITY,
             contention: ContentionModel::Graph,
-            coherence_interval_rounds: 1,
             dynamics: None,
         }
     }
@@ -278,8 +272,8 @@ impl StageTimings {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FadingCounters {
     /// Row catch-ups that moved a channel row forward by at least one
-    /// evolution boundary: one keyed skip-ahead step each, however many
-    /// boundaries it spans.
+    /// round: one keyed skip-ahead step each, however many rounds it
+    /// spans.
     pub rows_caught_up: usize,
     /// Gaussian pairs those steps drew: one per antenna per step.
     pub gaussian_pairs: usize,
@@ -331,6 +325,10 @@ struct ActiveTransmission {
     antenna_idx: Vec<usize>,
     /// Topology-wide client indices served, aligned with precoder columns.
     clients: Vec<usize>,
+    /// AP-local indices of the AP's clients that were backlogged when it
+    /// claimed the slot, ascending: the settle stage credits the unserved
+    /// ones.
+    backlogged: Vec<usize>,
     /// Precoding matrix (antennas × streams).
     v: CMat,
 }
@@ -341,6 +339,7 @@ impl ActiveTransmission {
             ap_id: 0,
             antenna_idx: Vec::new(),
             clients: Vec::new(),
+            backlogged: Vec::new(),
             v: CMat::zeros(0, 0),
         }
     }
@@ -716,7 +715,10 @@ impl RoundWorkspace {
             + self
                 .transmissions
                 .iter()
-                .map(|t| (t.antenna_idx.capacity() + t.clients.capacity()) * size_of::<usize>())
+                .map(|t| {
+                    (t.antenna_idx.capacity() + t.clients.capacity() + t.backlogged.capacity())
+                        * size_of::<usize>()
+                })
                 .sum::<usize>()
             + self.capacities.capacity() * size_of::<(usize, usize, f64)>()
             + self.transmitting_aps.capacity() * size_of::<usize>()
@@ -757,7 +759,7 @@ impl RoundWorkspace {
 ///
 /// A row is brought current only when a round reads it, at a cost that
 /// does not depend on how long it sat unread: its fading takes one keyed
-/// skip-ahead step over every boundary it missed
+/// skip-ahead step over every round it missed
 /// ([`catch_up_row`](Self::catch_up_row)), and in a dynamic run its
 /// large-scale gains are re-derived at the client's current position when
 /// the client moved since they were last derived
@@ -767,12 +769,11 @@ struct ApChannel {
     /// Global client id → row of `ch`; `None` when the client is out of
     /// radio range of every antenna of this AP (its channel is never read).
     row_of: Vec<Option<u32>>,
-    /// Per-row next evolution boundary (round number).  A row whose entry
-    /// is `b` has absorbed every evolution boundary `< b`; catch-up moves
-    /// it past every boundary up to the current round in one step before
-    /// the row is read.  Starts at 0 (the initial realisation has seen no
-    /// evolution).
-    next_boundary: Vec<u64>,
+    /// Per-row next fading step (round number).  A row whose entry is `b`
+    /// has absorbed the steps of every round `< b`; catch-up moves it past
+    /// every round up to the current one in one step before the row is
+    /// read.  Starts at 0 (the initial realisation has seen no evolution).
+    next_round: Vec<u64>,
 }
 
 impl ApChannel {
@@ -791,16 +792,19 @@ impl ApChannel {
         self.ch.select(&rows, antennas)
     }
 
-    /// Moves `row` past every evolution boundary from its bookmark through
-    /// `through` (a no-op for a row already past `through`), and counts the
-    /// work into `work`.
+    /// Moves `row` past the fading step of every round from its bookmark
+    /// through `through` (a no-op for a row already past `through`), and
+    /// counts the work into `work`.
     ///
-    /// A row that lags `n` boundaries takes one keyed Gauss–Markov step at
-    /// correlation `ρⁿ`: the exact `n`-step transition of the AR(1) fading
-    /// process, `f ← ρⁿ·f + √(1−ρ²ⁿ)·CN(0,1)`, so the work is one row step
-    /// however long the row sat unread.  The step is keyed by the last
-    /// boundary it absorbs and the bookmark moves past that boundary, so
-    /// no `(row, boundary)` key is ever drawn twice.
+    /// A row that lags `n` rounds takes one keyed Gauss–Markov step at
+    /// correlation `ρⁿ`, where `rho` is the one-round (one-TXOP) `ρ`: the
+    /// exact `n`-step transition of the AR(1) fading process,
+    /// `f ← ρⁿ·f + √(1−ρ²ⁿ)·CN(0,1)`, so the work is one row step however
+    /// long the row sat unread.  The step is keyed by `through` and the
+    /// bookmark moves past it, so no `(row, round)` key is ever drawn
+    /// twice.  The exponent is clamped to `i32::MAX` so a very long lag
+    /// cannot overflow; `ρⁿ` has underflowed to 0 (a fresh stationary draw,
+    /// the exact limit) long before that for any `ρ < 1`.
     #[allow(clippy::too_many_arguments)] // the row, its stream key, the step and its tally
     fn catch_up_row(
         &mut self,
@@ -809,59 +813,26 @@ impl ApChannel {
         client: usize,
         row: usize,
         through: u64,
-        cadence: Cadence,
+        rho: f64,
         pairs: &mut Vec<(f64, f64)>,
         work: &mut FadingCounters,
     ) {
-        let next = self.next_boundary[row];
+        let next = self.next_round[row];
         if next > through {
             return;
         }
-        let lag = (through - next) / cadence.interval + 1;
-        let last = next + (lag - 1) * cadence.interval;
+        let lag = through - next + 1;
         work.gaussian_pairs += model.evolve_row(
             self.ch.h.row_mut(row),
             self.ch.large_scale.row(row),
-            cadence.rho_over(lag),
+            rho.powi(lag.min(i32::MAX as u64) as i32),
             ap as u64,
             client as u64,
-            last,
+            through,
             pairs,
         );
         work.rows_caught_up += 1;
-        self.next_boundary[row] = last + cadence.interval;
-    }
-}
-
-/// Fading evolution cadence: boundaries every `interval` rounds, each a
-/// Gauss–Markov step of correlation `rho`.
-#[derive(Clone, Copy)]
-struct Cadence {
-    interval: u64,
-    rho: f64,
-}
-
-impl Cadence {
-    fn of(model: &ChannelModel, config: &NetworkSimConfig) -> Self {
-        let interval = config.coherence_interval_rounds.max(1);
-        let delay_s = interval as f64 * DEFAULT_TXOP_US as f64 * 1e-6;
-        Cadence {
-            interval: interval as u64,
-            rho: model.step_correlation(delay_s),
-        }
-    }
-
-    /// The last evolution boundary at or before `round`.
-    fn boundary_at(&self, round: u64) -> u64 {
-        (round / self.interval) * self.interval
-    }
-
-    /// The correlation across `n` boundaries, `ρⁿ`.  The exponent is
-    /// clamped to `i32::MAX` so a very long lag cannot overflow; `ρⁿ` has
-    /// underflowed to 0 (a fresh stationary draw, the exact limit) long
-    /// before that for any `ρ < 1`.
-    fn rho_over(&self, n: u64) -> f64 {
-        self.rho.powi(n.min(i32::MAX as u64) as i32)
+        self.next_round[row] = through + 1;
     }
 }
 
@@ -1000,7 +971,6 @@ impl RowDynamics {
         topo: &Topology,
         channels: &mut [ApChannel],
         model: &ChannelModel,
-        cadence: Cadence,
     ) {
         let p = topo.clients[c].position;
         let own = topo.clients[c].ap_id;
@@ -1065,14 +1035,14 @@ impl RowDynamics {
                     );
                     // A born row is a stationary draw for this round at the
                     // client's current position: it has nothing to catch up
-                    // until the next boundary and nothing to refresh until
-                    // the client moves again.
-                    let current = cadence.boundary_at(round as u64) + cadence.interval;
-                    if row == apch.next_boundary.len() {
-                        apch.next_boundary.push(current);
+                    // until the next round and nothing to refresh until the
+                    // client moves again.
+                    let next = round as u64 + 1;
+                    if row == apch.next_round.len() {
+                        apch.next_round.push(next);
                         rows.epoch.push(self.epoch[c]);
                     } else {
-                        apch.next_boundary[row] = current;
+                        apch.next_round[row] = next;
                         rows.epoch[row] = self.epoch[c];
                     }
                     apch.row_of[c] = Some(row as u32);
@@ -1089,8 +1059,8 @@ pub struct NetworkSimulator {
     topo: Topology,
     config: NetworkSimConfig,
     model: ChannelModel,
-    /// Fading evolution cadence of `config` under `model`.
-    cadence: Cadence,
+    /// One-round (one-TXOP) fading correlation `ρ` of `model`.
+    rho: f64,
     /// Per-pair sensing powers, filled on first read and kept for the run.
     sensing: SensingTable,
     rng: SimRng,
@@ -1128,7 +1098,7 @@ impl NetworkSimulator {
     ///
     /// If `config.interaction_range_m` is not `> 0.0` (NaN included): such
     /// a range would silently remove all sensing and interference.  With
-    /// `config.dynamics` set, also where
+    /// roaming on (`config.dynamics` with a `reassociation`), also where
     /// [`Reassociator::new`](crate::scale::Reassociator::new) does: if the
     /// environment's path loss does not grow with distance.
     pub fn new(topo: Topology, config: NetworkSimConfig) -> Self {
@@ -1205,7 +1175,7 @@ impl NetworkSimulator {
                 ApChannel {
                     ch,
                     row_of,
-                    next_boundary: vec![0; visible.len()],
+                    next_round: vec![0; visible.len()],
                 }
             })
             .collect();
@@ -1234,7 +1204,7 @@ impl NetworkSimulator {
             RowDynamics::new(state, dynamic_aps, &topo, &sensing)
         });
         NetworkSimulator {
-            cadence: Cadence::of(&model, &config),
+            rho: model.step_correlation(DEFAULT_TXOP_US as f64 * 1e-6),
             topo,
             config,
             model,
@@ -1488,7 +1458,6 @@ impl NetworkSimulator {
                 &self.topo,
                 &mut self.channels,
                 &self.model,
-                self.cadence,
             );
         }
         ws.timings.dynamics_row_sync_s += secs_since(t);
@@ -1700,6 +1669,8 @@ impl NetworkSimulator {
             slot.clients.extend(local_selected.iter().map(|&l| own[l]));
             slot.antenna_idx.clear();
             slot.antenna_idx.extend_from_slice(available);
+            slot.backlogged.clear();
+            slot.backlogged.extend_from_slice(backlogged);
 
             let t_push = tick(profile);
             for &k in slot.antenna_idx.iter() {
@@ -1795,20 +1766,14 @@ impl NetworkSimulator {
     /// run, a row whose client moved since its gains were derived is first
     /// refreshed at the client's current position
     /// ([`RowDynamics::refresh_stale_row`]).  Each row then catches up to
-    /// the current evolution boundary in one keyed skip-ahead step
+    /// the current round in one keyed skip-ahead step
     /// ([`ApChannel::catch_up_row`]), whatever its lag.  Rows not in the
-    /// set are left behind; their `next_boundary` bookmark and gain epoch
+    /// set are left behind; their `next_round` bookmark and gain epoch
     /// say what a later read must do.  The keyed steps make the result a
     /// pure function of the seed, bit-identical at any thread or worker
     /// count.
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn fading_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
-        // The last evolution boundary at or before this round; every row
-        // read this round must have absorbed the innovations keyed by
-        // boundaries 0, interval, …, current_boundary (channels evolve on
-        // rounds divisible by the interval).
-        let current_boundary = self.cadence.boundary_at(round as u64);
-
         let RoundWorkspace {
             transmissions,
             live,
@@ -1851,8 +1816,8 @@ impl NetworkSimulator {
                 ap,
                 client,
                 row,
-                current_boundary,
-                self.cadence,
+                round as u64,
+                self.rho,
                 pairs,
                 &mut self.fading_work,
             );
@@ -1968,9 +1933,11 @@ impl NetworkSimulator {
     /// bookkeeping for the round that just ran.
     ///
     /// Served clients are mapped from global ids back to AP-local ids through
-    /// the workspace's prebuilt `local_of` table, and the unserved complement
-    /// is read off a reusable bitmask — O(clients) instead of the former
-    /// O(clients²) `contains` sweep.
+    /// the workspace's prebuilt `local_of` table.  DRR credits only the
+    /// clients that were backlogged when the AP claimed its slot and went
+    /// unserved, ascending, read off a reusable bitmask: as in classic DRR
+    /// (Shreedhar & Varghese, SIGCOMM '95), a client with nothing queued
+    /// banks no deficit.  Under full buffer every client is backlogged.
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn settle_stage(&mut self, ws: &mut RoundWorkspace) {
         for t in &ws.transmissions[..ws.live] {
@@ -1985,7 +1952,7 @@ impl NetworkSimulator {
             }
             ws.unserved.clear();
             ws.unserved
-                .extend((0..n_local).filter(|&l| !ws.served_mask[l]));
+                .extend(t.backlogged.iter().copied().filter(|&l| !ws.served_mask[l]));
             self.drr[t.ap_id].update_after_txop(&ws.served, &ws.unserved, DEFAULT_TXOP_US);
             for &l in &ws.served {
                 self.traffic.served(t.ap_id, l);
@@ -2040,6 +2007,53 @@ mod tests {
         assert!(parts.iter().map(|(_, s)| s).sum::<f64>() <= timings.dynamics_s);
     }
 
+    /// A TXOP's DRR update credits only the transmitting AP's clients that
+    /// were backlogged and went unserved, ascending: under on/off traffic a
+    /// client with nothing queued banks no deficit, as in classic DRR.
+    #[test]
+    fn drr_credits_only_the_backlogged_unserved_clients() {
+        let env = Environment::office_a();
+        let traffic = TrafficKind::OnOff {
+            duty: 0.4,
+            mean_burst_rounds: 2.0,
+        };
+        let pair = three_ap_pair(5);
+        let after = |rounds: usize| {
+            let mut config = NetworkSimConfig::midas(env, 5);
+            config.rounds = rounds;
+            let mut sim =
+                NetworkSimulator::new(pair.das.clone(), config).with_traffic_kind(traffic);
+            sim.run();
+            sim
+        };
+        // On/off backlog is a pure function of (seed, AP, client, round).
+        let mut oracle = TrafficState::new(traffic, 5);
+        let mut backlogged = Vec::new();
+        let mut idle_at_a_txop = 0;
+        let mut before = after(0).drr;
+        for round in 0..12 {
+            let sim = after(round + 1);
+            let ws = &sim.workspace;
+            let mut expected = before.clone();
+            for t in &ws.transmissions[..ws.live] {
+                let own = ws.own_clients[t.ap_id].len();
+                oracle.backlogged_into(t.ap_id, own, round, &mut backlogged);
+                idle_at_a_txop += own - backlogged.len();
+                let served: Vec<usize> =
+                    t.clients.iter().map(|&g| ws.local_of[g] as usize).collect();
+                let credited: Vec<usize> = backlogged
+                    .iter()
+                    .copied()
+                    .filter(|l| !served.contains(l))
+                    .collect();
+                expected[t.ap_id].update_after_txop(&served, &credited, DEFAULT_TXOP_US);
+            }
+            assert_eq!(sim.drr, expected, "round {round}");
+            before = sim.drr;
+        }
+        assert!(idle_at_a_txop > 0, "no transmitting AP had an idle client");
+    }
+
     #[test]
     fn simulation_produces_finite_positive_capacity() {
         let pair = three_ap_pair(1);
@@ -2091,9 +2105,9 @@ mod tests {
     }
 
     /// The catch-up the fading stage applies is the exact k-step
-    /// Gauss–Markov transition: over 10⁴ keyed rows, a lag of k boundaries
+    /// Gauss–Markov transition: over 10⁴ keyed rows, a lag of k rounds
     /// leaves unit power and lag correlation ρᵏ, each within 4 standard
-    /// errors, at a coherence interval of 1 round and of 4.
+    /// errors.
     #[test]
     fn a_skip_ahead_catch_up_is_the_exact_k_step_transition() {
         const ROWS: usize = 10_000;
@@ -2107,54 +2121,47 @@ mod tests {
         let unit = |ch: &ChannelMatrix, row: usize| {
             ch.h.get(row, 0).scale(1.0 / ch.large_scale.get(row, 0))
         };
+        let rho = model.step_correlation(DEFAULT_TXOP_US as f64 * 1e-6);
         let mut pairs = Vec::new();
-        for interval in [1, 4] {
-            let mut config = NetworkSimConfig::midas(env, 17);
-            config.coherence_interval_rounds = interval;
-            let cadence = Cadence::of(&model, &config);
-            for k in [1u64, 2, 5, 17] {
-                let mut apch = ApChannel {
-                    ch: start.clone(),
-                    row_of: (0..ROWS as u32).map(Some).collect(),
-                    next_boundary: vec![0; ROWS],
-                };
-                // Every row last absorbed no boundary; reading it at the
-                // k-th boundary catches it up over k of them.
-                let through = (k - 1) * cadence.interval;
-                let mut work = FadingCounters::default();
-                for row in 0..ROWS {
-                    apch.catch_up_row(&model, 0, row, row, through, cadence, &mut pairs, &mut work);
-                }
-                let one_step_each = FadingCounters {
-                    rows_caught_up: ROWS,
-                    gaussian_pairs: ROWS,
-                };
-                assert_eq!(work, one_step_each, "interval {interval}, lag {k}");
-                assert!(apch
-                    .next_boundary
-                    .iter()
-                    .all(|&b| b == through + cadence.interval));
-                // The bookmark moved past the keyed boundary: reading the
-                // row again before the next one draws nothing.
-                apch.catch_up_row(&model, 0, 0, 0, through, cadence, &mut pairs, &mut work);
-                assert_eq!(work, one_step_each);
-
-                let power: Vec<f64> = (0..ROWS).map(|r| unit(&apch.ch, r).norm_sqr()).collect();
-                let lagged: Vec<f64> = (0..ROWS)
-                    .map(|r| (unit(&apch.ch, r) * unit(&start, r).conj()).re)
-                    .collect();
-                let rho_k = cadence.rho.powi(k as i32);
-                let (p, p_se) = mean_and_se(&power);
-                let (c, c_se) = mean_and_se(&lagged);
-                assert!(
-                    (p - 1.0).abs() <= 4.0 * p_se,
-                    "interval {interval}, lag {k}: power {p:.4} ± {p_se:.4}"
-                );
-                assert!(
-                    (c - rho_k).abs() <= 4.0 * c_se,
-                    "interval {interval}, lag {k}: correlation {c:.4} ± {c_se:.4}, ρᵏ = {rho_k:.4}"
-                );
+        for k in [1u64, 2, 5, 17] {
+            let mut apch = ApChannel {
+                ch: start.clone(),
+                row_of: (0..ROWS as u32).map(Some).collect(),
+                next_round: vec![0; ROWS],
+            };
+            // Every row last absorbed no round; reading it at round k − 1
+            // catches it up over k of them.
+            let through = k - 1;
+            let mut work = FadingCounters::default();
+            for row in 0..ROWS {
+                apch.catch_up_row(&model, 0, row, row, through, rho, &mut pairs, &mut work);
             }
+            let one_step_each = FadingCounters {
+                rows_caught_up: ROWS,
+                gaussian_pairs: ROWS,
+            };
+            assert_eq!(work, one_step_each, "lag {k}");
+            assert!(apch.next_round.iter().all(|&b| b == through + 1));
+            // The bookmark moved past the keyed round: reading the row
+            // again before the next one draws nothing.
+            apch.catch_up_row(&model, 0, 0, 0, through, rho, &mut pairs, &mut work);
+            assert_eq!(work, one_step_each);
+
+            let power: Vec<f64> = (0..ROWS).map(|r| unit(&apch.ch, r).norm_sqr()).collect();
+            let lagged: Vec<f64> = (0..ROWS)
+                .map(|r| (unit(&apch.ch, r) * unit(&start, r).conj()).re)
+                .collect();
+            let rho_k = rho.powi(k as i32);
+            let (p, p_se) = mean_and_se(&power);
+            let (c, c_se) = mean_and_se(&lagged);
+            assert!(
+                (p - 1.0).abs() <= 4.0 * p_se,
+                "lag {k}: power {p:.4} ± {p_se:.4}"
+            );
+            assert!(
+                (c - rho_k).abs() <= 4.0 * c_se,
+                "lag {k}: correlation {c:.4} ± {c_se:.4}, ρᵏ = {rho_k:.4}"
+            );
         }
     }
 

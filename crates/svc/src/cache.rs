@@ -14,10 +14,10 @@ use std::path::{Path, PathBuf};
 
 use crate::status::{JobState, StatusRecord};
 
-/// Resolves the jobs directory: explicit flag, else `MIDAS_SVC_JOBS_DIR`,
-/// else `target/midas-jobs`.
+/// Resolves the jobs directory: explicit flag, else `MIDAS_SVC_JOBS_DIR`
+/// (read as an OS string), else `target/midas-jobs`.
 pub fn resolve_jobs_dir(flag: Option<PathBuf>) -> PathBuf {
-    flag.or_else(|| std::env::var_os("MIDAS_SVC_JOBS_DIR").map(PathBuf::from))
+    flag.or_else(|| midas::runner::knob_path("MIDAS_SVC_JOBS_DIR"))
         .unwrap_or_else(|| PathBuf::from("target/midas-jobs"))
 }
 

@@ -140,17 +140,11 @@ pub struct JobQueue {
 
 /// Resolves the worker count: explicit request, else `MIDAS_SVC_WORKERS`,
 /// else `min(4, available parallelism)`; clamped to `1..=64`.  A set
-/// `MIDAS_SVC_WORKERS` that does not parse is an error naming the knob and
-/// the value, whether or not a request overrides it.
+/// `MIDAS_SVC_WORKERS` that does not parse (blank or not UTF-8 included)
+/// is an error naming the knob and the value, whether or not a request
+/// overrides it.
 pub fn resolve_workers(requested: Option<usize>) -> Result<usize, String> {
-    let ambient = match std::env::var("MIDAS_SVC_WORKERS") {
-        Ok(v) if !v.trim().is_empty() => Some(
-            v.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("MIDAS_SVC_WORKERS: cannot parse {v:?}"))?,
-        ),
-        _ => None,
-    };
+    let ambient = midas::runner::knob::<usize>("MIDAS_SVC_WORKERS")?;
     let workers = requested.or(ambient).unwrap_or_else(|| {
         std::thread::available_parallelism()
             .map(|n| n.get().min(4))

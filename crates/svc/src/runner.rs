@@ -170,9 +170,6 @@ fn apply_knobs(builder: SessionBuilder, spec: &JobSpec) -> SessionBuilder {
     let mut builder = builder
         .traffic(spec.traffic)
         .stage_profiling(spec.stage_profiling);
-    if let Some(interval) = spec.coherence_interval_rounds {
-        builder = builder.coherence_interval_rounds(interval);
-    }
     if let Some(threads) = spec.threads {
         builder = builder.threads(threads);
     }

@@ -1,7 +1,7 @@
 //! The on-disk experiment spec: a JSON encoding of [`ExperimentSpec`] plus
 //! the [`SessionBuilder`](midas::sim::SessionBuilder) knobs a capacity-
-//! planning job may turn (traffic workload, coherence interval, dynamics,
-//! worker threads, deadline).
+//! planning job may turn (traffic workload, dynamics, worker threads,
+//! deadline).
 //!
 //! Decoding is strict: unknown keys, wrong types and out-of-range knobs are
 //! errors, each carrying the `$.dotted.path` of the offending field.  Every
@@ -14,8 +14,7 @@
 //! field explicitly — so a written spec re-reads to the identical value.
 //!
 //! The content address ([`JobSpec::cache_key`]) hashes only the fields that
-//! affect the result bytes: experiment, seed, traffic, coherence interval
-//! and dynamics.  Scheduling knobs (threads, deadline, stage profiling) are
+//! affect the result bytes: experiment, seed, traffic and dynamics.  Scheduling knobs (threads, deadline, stage profiling) are
 //! excluded — the same experiment at a different worker count is the same
 //! cached result, which the determinism tests guarantee.
 
@@ -32,10 +31,12 @@ use midas_net::scale::{AssociationPolicy, Scenario};
 /// Revision of the simulation's results, part of the cache key of every
 /// spec: bump it whenever any spec's result bytes change, so an existing
 /// cache never serves results of the old code as hits.
-/// Revision 3: a lagging channel row catches up in one skip-ahead fading
-/// step, and a moved client's rows are refreshed when read.  (Revisions 1
-/// and 2 covered dynamic specs only, as `dynamics_revision`.)
-const RESULT_REVISION: u64 = 3;
+/// Revision 4: DRR credits only the clients that were backlogged, which
+/// moves every non-full-buffer result.  (Revision 3: a lagging channel row
+/// catches up in one skip-ahead fading step, and a moved client's rows are
+/// refreshed when read.  Revisions 1 and 2 covered dynamic specs only, as
+/// `dynamics_revision`.)
+const RESULT_REVISION: u64 = 4;
 
 /// A decode failure, locating the offending field.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,8 +107,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Downlink traffic workload (session-driven experiments only).
     pub traffic: TrafficKind,
-    /// Channel coherence interval override, in TXOP rounds.
-    pub coherence_interval_rounds: Option<usize>,
     /// Sweep worker override (results are bit-identical at any setting).
     pub threads: Option<usize>,
     /// Per-job wall-clock deadline; an exceeded deadline cancels the job
@@ -128,7 +127,6 @@ impl JobSpec {
             experiment,
             seed,
             traffic: TrafficKind::FullBuffer,
-            coherence_interval_rounds: None,
             threads: None,
             deadline_ms: None,
             stage_profiling: false,
@@ -137,7 +135,7 @@ impl JobSpec {
     }
 
     /// Whether the experiment runs through the session machinery (and so
-    /// accepts traffic/coherence/dynamics knobs and streams a round log).
+    /// accepts traffic/dynamics knobs and streams a round log).
     pub fn is_session_driven(&self) -> bool {
         self.experiment.session_builder().is_some()
     }
@@ -171,10 +169,6 @@ impl JobSpec {
                 traffic: f
                     .opt("traffic")
                     .map_or(Ok(TrafficKind::FullBuffer), traffic_from_json)?,
-                coherence_interval_rounds: f
-                    .opt("coherence_interval_rounds")
-                    .map(|v| v.count())
-                    .transpose()?,
                 threads: f.opt("threads").map(|v| v.count()).transpose()?,
                 deadline_ms: f.opt("deadline_ms").map(|v| v.u64()).transpose()?,
                 stage_profiling: f.opt("stage_profiling").map_or(Ok(false), |v| v.bool())?,
@@ -189,11 +183,6 @@ impl JobSpec {
         if !self.is_session_driven() {
             let knob = if self.traffic != TrafficKind::FullBuffer {
                 Some(("$.traffic", "traffic workloads only apply"))
-            } else if self.coherence_interval_rounds.is_some() {
-                Some((
-                    "$.coherence_interval_rounds",
-                    "the coherence interval only applies",
-                ))
             } else if self.dynamics.is_some() {
                 Some(("$.dynamics", "the dynamics layer only applies"))
             } else {
@@ -227,10 +216,6 @@ impl JobSpec {
             ("experiment".into(), experiment_to_json(&self.experiment)),
             ("seed".into(), Json::UInt(self.seed)),
             ("traffic".into(), traffic_to_json(self.traffic)),
-            (
-                "coherence_interval_rounds".into(),
-                opt_uint(self.coherence_interval_rounds.map(|n| n as u64)),
-            ),
             ("threads".into(), opt_uint(self.threads.map(|n| n as u64))),
             ("deadline_ms".into(), opt_uint(self.deadline_ms)),
             ("stage_profiling".into(), Json::Bool(self.stage_profiling)),
@@ -253,10 +238,6 @@ impl JobSpec {
             ("experiment".into(), experiment_to_json(&self.experiment)),
             ("seed".into(), Json::UInt(self.seed)),
             ("traffic".into(), traffic_to_json(self.traffic)),
-            (
-                "coherence_interval_rounds".into(),
-                opt_uint(self.coherence_interval_rounds.map(|n| n as u64)),
-            ),
             ("result_revision".into(), Json::UInt(RESULT_REVISION)),
         ];
         if let Some(dynamics) = self.dynamics {
@@ -1073,7 +1054,6 @@ mod tests {
             duty: 0.3,
             mean_burst_rounds: 4.0,
         };
-        spec.coherence_interval_rounds = Some(4);
         spec.threads = Some(8);
         spec.deadline_ms = Some(60_000);
         spec.stage_profiling = true;
@@ -1155,24 +1135,29 @@ mod tests {
         let static_spec = fig16_spec();
         let mut dynamic_spec = JobSpec::new(ExperimentSpec::fig15(), 5);
         dynamic_spec.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
-        // The ids these specs had before revision 3: the static one before
-        // any revision member, the dynamic one at `dynamics_revision` 2
-        // and at the earlier materials.
+        // The ids these specs had before revision 4: at revision 3, the
+        // static one before any revision member, the dynamic one at
+        // `dynamics_revision` 2 and at the earlier materials.
         let old_ids: [(&JobSpec, &[&str]); 2] = [
-            (&static_spec, &["b7fbebced12cdef5"]),
+            (&static_spec, &["6ffb66078732c51e", "b7fbebced12cdef5"]),
             (
                 &dynamic_spec,
-                &["63c62673e3b25cad", "ef14547d42f1ad7f", "553482cafc907f15"],
+                &[
+                    "68beade84a3550ab",
+                    "63c62673e3b25cad",
+                    "ef14547d42f1ad7f",
+                    "553482cafc907f15",
+                ],
             ),
         ];
         for (spec, old) in old_ids {
             assert!(!old.contains(&spec.cache_key().as_str()), "{spec:?}");
             assert!(spec
                 .cache_key_material()
-                .contains(",\"result_revision\":3,"));
+                .contains(",\"result_revision\":4,"));
         }
-        assert_eq!(static_spec.cache_key(), "6ffb66078732c51e");
-        assert_eq!(dynamic_spec.cache_key(), "68beade84a3550ab");
+        assert_eq!(static_spec.cache_key(), "16220bcf9545596e");
+        assert_eq!(dynamic_spec.cache_key(), "cad279c038fd5b7b");
     }
 
     #[test]
@@ -1191,23 +1176,21 @@ mod tests {
         }"#;
         let spec = JobSpec::from_json_str(text).unwrap();
         assert_eq!(spec.traffic, TrafficKind::FullBuffer);
-        assert_eq!(spec.coherence_interval_rounds, None);
         assert!(!spec.stage_profiling);
     }
 
     /// The cache-key material is a pinned golden: if these bytes drift, the
     /// whole on-disk cache silently invalidates, so any change here must be
-    /// deliberate.  (The last deliberate change added `"result_revision"`
-    /// to every spec, so no result of the old fading catch-up is served
-    /// again.)
+    /// deliberate.  (The last deliberate change dropped the removed
+    /// channel-cache interval and moved to revision 4, so no result of the
+    /// old DRR crediting is served again.)
     #[test]
     fn cache_key_material_is_pinned() {
         assert_eq!(
             fig16_spec().cache_key_material(),
-            "{\"coherence_interval_rounds\":null,\
-             \"experiment\":{\"contention\":{\"model\":\"graph\"},\
+            "{\"experiment\":{\"contention\":{\"model\":\"graph\"},\
              \"kind\":\"fig16_eight_ap_simulation\",\"rounds\":10,\"topologies\":15},\
-             \"result_revision\":3,\
+             \"result_revision\":4,\
              \"seed\":73125,\"traffic\":{\"model\":\"full_buffer\"}}"
         );
     }
@@ -1230,9 +1213,12 @@ mod tests {
         let mut reseeded = base.clone();
         reseeded.seed = 73126;
         assert_ne!(reseeded.cache_key(), key);
-        let mut cached = base.clone();
-        cached.coherence_interval_rounds = Some(4);
-        assert_ne!(cached.cache_key(), key);
+        let mut loaded = base.clone();
+        loaded.traffic = TrafficKind::OnOff {
+            duty: 0.5,
+            mean_burst_rounds: 4.0,
+        };
+        assert_ne!(loaded.cache_key(), key);
     }
 
     #[test]
@@ -1298,17 +1284,6 @@ mod tests {
         };
         let err = spec.validate().unwrap_err();
         assert!(err.to_string().contains("session-driven"), "{err}");
-
-        let text = r#"{
-            "experiment": {"kind": "fig07_link_snr", "topologies": 60},
-            "seed": 1,
-            "coherence_interval_rounds": 4
-        }"#;
-        let err = JobSpec::from_json_str(text).unwrap_err();
-        assert!(
-            err.to_string().contains("$.coherence_interval_rounds"),
-            "{err}"
-        );
     }
 
     #[test]
@@ -1424,12 +1399,6 @@ mod tests {
                                "topologies": 2, "rounds": 3}"#,
                 ),
                 "$.experiment.sensing_sigmas_db[1]",
-            ),
-            (
-                format!(
-                    r#"{{"experiment": {{{e2e}}}, "seed": 1, "coherence_interval_rounds": 0}}"#
-                ),
-                "$.coherence_interval_rounds",
             ),
             (
                 format!(r#"{{"experiment": {{{e2e}}}, "seed": 1, "threads": 0}}"#),

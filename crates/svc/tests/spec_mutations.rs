@@ -38,9 +38,8 @@ const VALUES: [&str; 10] = [
 
 /// Error paths a single mutation may also surface at: the rules that
 /// read more than one field.
-const CROSS_FIELD_PATHS: [&str; 5] = [
+const CROSS_FIELD_PATHS: [&str; 4] = [
     "$.traffic",
-    "$.coherence_interval_rounds",
     "$.dynamics",
     "$.experiment.scenario",
     "$.engine",
@@ -268,7 +267,6 @@ fn bases() -> Vec<(String, Json)> {
     for kind in traffic {
         let mut spec = JobSpec::new(ExperimentSpec::fig15(), 3);
         spec.traffic = kind;
-        spec.coherence_interval_rounds = Some(4);
         out.push((format!("traffic {kind:?}"), spec.to_json()));
     }
 

@@ -5,15 +5,22 @@
 //! cargo run --release --example enterprise_grid            # all scenarios, 64 APs
 //! MIDAS_ENTERPRISE_AP_COUNTS=16 cargo run --release --example enterprise_grid
 //! ```
+//!
+//! The floor has the first AP count of `MIDAS_ENTERPRISE_AP_COUNTS` (the
+//! `enterprise_scaling` bench's list); a count that does not parse exits 2.
 
 use midas::sim::{MacKind, SessionBuilder};
 use midas_net::metrics::Cdf;
 use midas_net::scale::Scenario;
 
 fn main() {
-    let aps: usize = std::env::var("MIDAS_ENTERPRISE_AP_COUNTS")
-        .ok()
-        .and_then(|v| v.split(',').next().and_then(|n| n.trim().parse().ok()))
+    let aps = midas::runner::knob_list::<usize>("MIDAS_ENTERPRISE_AP_COUNTS", "64")
+        .unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2)
+        })
+        .first()
+        .copied()
         .unwrap_or(64);
     let rounds = 10;
     let seed = 0x11DA5;
