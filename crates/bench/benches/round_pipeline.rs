@@ -48,9 +48,11 @@
 //!   `perf record --call-graph dwarf` / `flamegraph` see clean stacks, and
 //!   prints the per-stage wall-clock breakdown (`StageTimings`), the fading
 //!   work counters (`# fading work:`), the sensing work counters and the
-//!   sensing table's bytes (`# sensing work:`) and, for the `mobility_64ap`
-//!   cell, the dynamics stage split by phase (`# dynamics split:`) and the
-//!   dynamics work counters, roaming scores included (`# dynamics work:`);
+//!   sensing table's bytes (`# sensing work:`), the channel row slots and
+//!   the bytes the channel state retains (`# channel rows:`) and, for the
+//!   `mobility_64ap` cell, the dynamics stage split by phase
+//!   (`# dynamics split:`) and the dynamics work counters, roaming scores
+//!   included (`# dynamics work:`);
 //!   `MIDAS_PIPELINE_PROFILE_ROUNDS` (default 400) sets the round count.
 //!
 //! Both modes resolve names through the one cell registry; an unknown
@@ -381,6 +383,11 @@ fn profile(cell_name: &str, rounds: usize) {
                 s.pushes,
                 s.decisions,
                 sim.sensing_heap_footprint_bytes()
+            );
+            println!(
+                "# channel rows: {} rows, {} bytes",
+                sim.channel_row_slots(),
+                sim.channel_heap_footprint_bytes()
             );
             if let Some(c) = sim.dynamics_counters() {
                 println!(

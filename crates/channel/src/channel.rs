@@ -74,6 +74,12 @@ impl ChannelMatrix {
         self.large_scale.row_mut(row).fill(0.0);
     }
 
+    /// Bytes of heap the realisation retains: the capacities of its
+    /// composite and large-scale gain buffers (16 + 8 bytes per link).
+    pub fn heap_footprint_bytes(&self) -> usize {
+        self.h.heap_footprint_bytes() + self.large_scale.heap_footprint_bytes()
+    }
+
     /// Restricts the realisation to a subset of clients and antennas
     /// (in the given order).
     pub fn select(&self, clients: &[usize], antennas: &[usize]) -> ChannelMatrix {

@@ -88,6 +88,11 @@ impl FMat {
         self.rows += 1;
     }
 
+    /// Bytes of heap the matrix retains (its buffer's capacity).
+    pub fn heap_footprint_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Extracts the sub-matrix made of the given row and column indices, in
     /// the order supplied.
     pub fn select(&self, row_idx: &[usize], col_idx: &[usize]) -> FMat {

@@ -24,7 +24,7 @@ fn caxpy(alpha: Complex, x: &[Complex], y: &mut [Complex]) {
 }
 
 /// A dense complex matrix stored in row-major order.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CMat {
     rows: usize,
     cols: usize,
@@ -337,13 +337,27 @@ impl CMat {
     /// the order supplied.  Used to restrict a channel matrix to the selected
     /// clients / available antennas.
     pub fn select(&self, row_idx: &[usize], col_idx: &[usize]) -> CMat {
-        let mut out = CMat::zeros(row_idx.len(), col_idx.len());
-        for (i, &r) in row_idx.iter().enumerate() {
-            for (j, &c) in col_idx.iter().enumerate() {
-                out.set(i, j, self.get(r, c));
-            }
-        }
+        let mut out = CMat::zeros(0, 0);
+        self.select_into(row_idx, col_idx, &mut out);
         out
+    }
+
+    /// [`select`](Self::select) into `out`, reshaping it and reusing its
+    /// buffer, so a caller that keeps one scratch matrix allocates only when
+    /// a sub-matrix outgrows every earlier one.
+    pub fn select_into(&self, row_idx: &[usize], col_idx: &[usize], out: &mut CMat) {
+        out.rows = row_idx.len();
+        out.cols = col_idx.len();
+        out.data.clear();
+        for &r in row_idx {
+            let row = self.row(r);
+            out.data.extend(col_idx.iter().map(|&c| row[c]));
+        }
+    }
+
+    /// Bytes of heap the matrix retains (its buffer's capacity).
+    pub fn heap_footprint_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<Complex>()
     }
 
     /// Checks approximate element-wise equality within an absolute tolerance.

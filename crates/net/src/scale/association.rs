@@ -96,15 +96,41 @@ impl<'a> RssiScore<'a> {
 
 /// Re-associates every client of `topo` under `policy`.
 ///
-/// Candidate APs per client are discovered through a [`SpatialIndex`] over
-/// all antenna positions (O(k) per client instead of a scan over every AP);
-/// a client out of range of every antenna falls back to the globally
-/// strongest AP so nobody is left orphaned.
+/// Candidate APs per client are those with a chassis or antenna within
+/// twice the coverage range, found through a [`SpatialIndex`] over every
+/// chassis and antenna (O(k) per client instead of a scan over every AP);
+/// a client out of range of every antenna falls back to every AP so nobody
+/// is left orphaned.
+///
+/// ## Scoring in distance order
+///
+/// As in [`Reassociator`], a client ranks its candidates by their squared
+/// distance to their nearest antenna or chassis (the chassis alone under
+/// [`NearestAp`]), clamped at 1 m², and evaluates a path loss only where
+/// the dB decides.  The strongest score lies among the candidates within a
+/// relative `SQUARE_BAND` of the nearest, so only those are scored to find
+/// it (equal scores go to the lowest AP id).  [`LoadBalanced`] then walks
+/// the candidates in distance order, scoring each, and stops past the first
+/// one below its window and the band beyond that one: every farther
+/// candidate scores lower still.  Every pick is the one scoring every
+/// candidate in dB makes, which `proptest_scale.rs` checks against that
+/// pass.  The per-client scratch is retained across clients, so a pass
+/// allocates O(APs) once.
+///
+/// # Panics
+///
+/// As [`Reassociator::new`]: if `env.path_loss` does not strictly grow
+/// with distance, since the distance order would then not be the RSSI
+/// order.
+///
+/// [`NearestAp`]: AssociationPolicy::NearestAp
+/// [`LoadBalanced`]: AssociationPolicy::LoadBalanced
 pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPolicy) {
     if topo.aps.is_empty() {
         return;
     }
-    // Index every antenna plus every chassis, tagged with its AP.
+    assert_path_loss_grows(env);
+    // Index every chassis plus every antenna, tagged with its AP.
     let mut owner: Vec<usize> = Vec::new();
     let mut index = SpatialIndex::new(topo.region, env.coverage_range_m().max(1.0));
     for ap in &topo.aps {
@@ -121,62 +147,94 @@ pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPoli
 
     let score = RssiScore::new(env, policy == AssociationPolicy::NearestAp);
     let mut loads = vec![0usize; topo.aps.len()];
-    let positions: Vec<Point> = topo.clients.iter().map(|c| c.position).collect();
-    let mut chosen: Vec<usize> = Vec::with_capacity(positions.len());
-    for p in &positions {
-        let mut candidates: Vec<usize> = index
-            .neighbors_within(p, candidate_radius)
-            .into_iter()
-            .map(|id| owner[id])
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        if candidates.is_empty() {
-            candidates = (0..topo.aps.len()).collect();
+    // Per-client scratch: the candidates as `(clamped square, AP, score)`,
+    // the score NaN until evaluated, and per AP the last client that listed
+    // it.
+    let mut ranked: Vec<(f64, usize, f64)> = Vec::new();
+    let mut listed_by = vec![usize::MAX; topo.aps.len()];
+    for cid in 0..topo.clients.len() {
+        let p = topo.clients[cid].position;
+        ranked.clear();
+        index.for_each_within(&p, candidate_radius, |id| {
+            let ap = owner[id];
+            if listed_by[ap] != cid {
+                listed_by[ap] = cid;
+                ranked.push((score.clamped_square(topo, ap, &p), ap, f64::NAN));
+            }
+        });
+        if ranked.is_empty() {
+            ranked.extend(
+                (0..topo.aps.len()).map(|ap| (score.clamped_square(topo, ap, &p), ap, f64::NAN)),
+            );
+        }
+        ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+        // The strongest score is among the near-minimal candidates.
+        let ceiling = ranked[0].0 * (1.0 + SQUARE_BAND);
+        let band = ranked.partition_point(|r| r.0 <= ceiling);
+        let (mut best_ap, mut best) = (usize::MAX, f64::NEG_INFINITY);
+        for r in &mut ranked[..band] {
+            r.2 = score.best_rssi_dbm(topo, r.1, &p);
+            if r.2 > best || (r.2 == best && r.1 < best_ap) {
+                (best_ap, best) = (r.1, r.2);
+            }
         }
 
-        let scored: Vec<(usize, f64)> = candidates
-            .iter()
-            .map(|&ap| (ap, score.best_rssi_dbm(topo, ap, p)))
-            .collect();
-        let best = scored
-            .iter()
-            .copied()
-            .fold((usize::MAX, f64::NEG_INFINITY), |acc, (ap, s)| {
-                if s > acc.1 {
-                    (ap, s)
-                } else {
-                    acc
-                }
-            });
-
         let pick = match policy {
-            AssociationPolicy::NearestAp | AssociationPolicy::AntennaAware => best.0,
+            AssociationPolicy::NearestAp | AssociationPolicy::AntennaAware => best_ap,
             AssociationPolicy::LoadBalanced { hysteresis_db } => {
                 // Total order over the qualifying window: lexicographic
-                // `(current load, ap id)`, lowest wins.  `scored` ascends in
-                // AP id and the load comparison is strict, so equal-RSSI /
+                // `(current load, ap id)`, lowest wins, so equal-RSSI /
                 // equal-load ties always resolve to the lowest AP id — the
                 // stable tie-break the per-round roaming path (and
-                // 1-vs-4-thread bit-identity) relies on.  Pinned by the
-                // property tests in `proptest_scale.rs`.
-                let mut pick = best.0;
-                let mut pick_load = usize::MAX;
-                for &(ap, s) in &scored {
-                    if s >= best.1 - hysteresis_db && loads[ap] < pick_load {
-                        pick = ap;
-                        pick_load = loads[ap];
+                // 1-vs-4-thread bit-identity) relies on.  An empty window
+                // (a negative or NaN hysteresis) keeps the strongest AP.
+                // Pinned by the property tests in `proptest_scale.rs`.
+                let floor = best - hysteresis_db;
+                let (mut pick, mut pick_load) = (best_ap, usize::MAX);
+                let mut stop: Option<f64> = None;
+                for (i, &(d2, ap, s)) in ranked.iter().enumerate() {
+                    if stop.is_some_and(|stop| d2 > stop) {
+                        break;
+                    }
+                    let s = if i < band {
+                        s
+                    } else {
+                        score.best_rssi_dbm(topo, ap, &p)
+                    };
+                    if s >= floor {
+                        if (loads[ap], ap) < (pick_load, pick) {
+                            (pick, pick_load) = (ap, loads[ap]);
+                        }
+                    } else if stop.is_none() {
+                        stop = Some(d2 * (1.0 + SQUARE_BAND));
                     }
                 }
                 pick
             }
         };
         loads[pick] += 1;
-        chosen.push(pick);
+        topo.clients[cid].ap_id = pick;
     }
-    for (client, ap_id) in topo.clients.iter_mut().zip(chosen) {
-        client.ap_id = ap_id;
-    }
+}
+
+/// Asserts that `env.path_loss` strictly grows with distance above its
+/// reference distance, which ranking candidates by distance needs.
+fn assert_path_loss_grows(env: &Environment) {
+    let (exponent, wall) = (env.path_loss.exponent, env.path_loss.wall_loss_db_per_m);
+    assert!(
+        exponent >= 0.0,
+        "PathLossModel::exponent must be >= 0 for association, got {exponent}"
+    );
+    assert!(
+        wall >= 0.0,
+        "PathLossModel::wall_loss_db_per_m must be >= 0 for association, got {wall}"
+    );
+    assert!(
+        exponent > 0.0 || wall > 0.0,
+        "PathLossModel::exponent and PathLossModel::wall_loss_db_per_m are both 0: \
+         association needs a path loss that grows with distance"
+    );
 }
 
 /// Incremental roaming engine: per-round, incumbent-aware re-association.
@@ -249,20 +307,7 @@ impl Reassociator {
     /// or both 0 — since the distance order would then not be the RSSI
     /// order.
     pub fn new(topo: &Topology, env: &Environment) -> Self {
-        let (exponent, wall) = (env.path_loss.exponent, env.path_loss.wall_loss_db_per_m);
-        assert!(
-            exponent >= 0.0,
-            "PathLossModel::exponent must be >= 0 for roaming, got {exponent}"
-        );
-        assert!(
-            wall >= 0.0,
-            "PathLossModel::wall_loss_db_per_m must be >= 0 for roaming, got {wall}"
-        );
-        assert!(
-            exponent > 0.0 || wall > 0.0,
-            "PathLossModel::exponent and PathLossModel::wall_loss_db_per_m are both 0: \
-             roaming needs a path loss that grows with distance"
-        );
+        assert_path_loss_grows(env);
         let mut fixed = Vec::new();
         let mut owner = Vec::new();
         for ap in &topo.aps {
@@ -598,6 +643,17 @@ mod tests {
     )]
     fn a_flat_path_loss_fails_at_construction() {
         roaming_with_path_loss(0.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "PathLossModel::exponent and PathLossModel::wall_loss_db_per_m are both 0"
+    )]
+    fn a_flat_path_loss_fails_association() {
+        let (mut topo, mut env) = grid_topology(24);
+        env.path_loss.exponent = 0.0;
+        env.path_loss.wall_loss_db_per_m = 0.0;
+        associate(&mut topo, &env, AssociationPolicy::AntennaAware);
     }
 
     #[test]

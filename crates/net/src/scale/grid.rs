@@ -216,14 +216,37 @@ impl FloorGrid {
 
     /// Generates one deployment of this floor: grid APs with antennas placed
     /// per `config`, clients scattered by the placement model and initially
-    /// associated to their nearest AP (use
+    /// associated to their nearest AP chassis (use
     /// [`crate::scale::association::associate`] to re-associate under a
-    /// smarter policy).
+    /// smarter policy).  The nearest-chassis pass compares every client
+    /// with every AP; [`generate_paired`](Self::generate_paired), which
+    /// associates under a policy anyway, shares the placement and skips it.
     pub fn generate(
         &self,
         config: &TopologyConfig,
         rng: &mut SimRng,
     ) -> Result<Topology, FloorGridError> {
+        let mut topo = self.place(config, rng)?;
+        // Mean RSSI is monotone in distance, so this is the NearestAp policy
+        // without needing an environment.
+        for client in &mut topo.clients {
+            let mut best = (0usize, f64::INFINITY);
+            for ap in &topo.aps {
+                let d = ap.position.distance(&client.position);
+                if d < best.1 {
+                    best = (ap.ap_id, d);
+                }
+            }
+            client.ap_id = best.0;
+        }
+        Ok(topo)
+    }
+
+    /// The placement [`generate`](Self::generate) and
+    /// [`generate_paired`](Self::generate_paired) share: grid APs with
+    /// antennas placed per `config` and clients scattered by the placement
+    /// model, every client on AP 0.
+    fn place(&self, config: &TopologyConfig, rng: &mut SimRng) -> Result<Topology, FloorGridError> {
         self.validate()?;
         config.validate()?;
         let region = self.region();
@@ -257,17 +280,21 @@ impl FloorGrid {
         };
         let total_clients = self.num_aps() * self.clients_per_ap;
         let mut attempts = 0usize;
+        let mut near = Vec::new();
         while clients.len() < total_clients {
             attempts += 1;
             let relax = attempts > total_clients * 50;
             let candidate = region.clamp(&self.sample_client_position(&hotspots, rng));
             // Keep the configured clearance from every antenna; the index
             // makes this an O(1) lookup instead of a scan over all antennas.
-            let clear = relax
-                || config.min_client_antenna_m <= 0.0
-                || antenna_index
-                    .neighbors_within(&candidate, config.min_client_antenna_m)
-                    .is_empty();
+            let clear = relax || config.min_client_antenna_m <= 0.0 || {
+                antenna_index.neighbors_within_into(
+                    &candidate,
+                    config.min_client_antenna_m,
+                    &mut near,
+                );
+                near.is_empty()
+            };
             if clear {
                 clients.push(Client {
                     id: clients.len(),
@@ -275,21 +302,6 @@ impl FloorGrid {
                     position: candidate,
                 });
             }
-        }
-
-        // Baseline nearest-chassis association so the topology is valid even
-        // if the caller never applies a policy (mean RSSI is monotone in
-        // distance, so this is the NearestAp policy without needing an
-        // environment).
-        for client in &mut clients {
-            let mut best = (0usize, f64::INFINITY);
-            for ap in &aps {
-                let d = ap.position.distance(&client.position);
-                if d < best.1 {
-                    best = (ap.ap_id, d);
-                }
-            }
-            client.ap_id = best.0;
         }
 
         Ok(Topology {
@@ -336,6 +348,12 @@ impl FloorGrid {
     /// `policy` against **its own** antenna geometry — distributed antennas
     /// genuinely shape association, which is part of the MIDAS story at
     /// scale.
+    ///
+    /// It draws what [`generate`](Self::generate) draws, and its result is
+    /// `generate` followed by [`associate`] on each variant, without the
+    /// nearest-chassis pass that association overwrites.  Association ranks
+    /// each client's candidates in distance order, so no step compares
+    /// every client with every AP.
     pub fn generate_paired(
         &self,
         config: &TopologyConfig,
@@ -347,7 +365,7 @@ impl FloorGrid {
             kind: DeploymentKind::Das,
             ..*config
         };
-        let das = self.generate(&das_config, rng)?;
+        let das = self.place(&das_config, rng)?;
         let mut pair = PairedTopology::from_das(das, config, rng);
         associate(&mut pair.cas, env, policy);
         associate(&mut pair.das, env, policy);

@@ -223,7 +223,7 @@ impl SpatialIndex {
     /// Calls `visit(id)` for every indexed point within `radius` of `p`
     /// (the exact predicate `point.distance(p) <= radius`, decided by
     /// [`within`]), in unspecified order.
-    fn for_each_within(&self, p: &Point, radius: f64, mut visit: impl FnMut(usize)) {
+    pub(crate) fn for_each_within(&self, p: &Point, radius: f64, mut visit: impl FnMut(usize)) {
         debug_assert!(radius >= 0.0, "negative query radius");
         let col_lo = self.axis_cell(p.x - radius, self.bounds.min.x, self.cols);
         let col_hi = self.axis_cell(p.x + radius, self.bounds.min.x, self.cols);

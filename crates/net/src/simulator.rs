@@ -651,6 +651,11 @@ struct RoundWorkspace {
     own_clients: Vec<Vec<usize>>,
     /// Global client id → AP-local index within its owning AP.
     local_of: Vec<u32>,
+    /// Per AP, the channel row of each own client, aligned with
+    /// `own_clients`: serving rows and tag rebuilds read it without a
+    /// lookup.  A row never moves while it exists, so only an AP whose
+    /// membership changed needs its list looked up again.
+    own_rows: Vec<Vec<u32>>,
     /// Dynamics-stage scratch: APs whose membership changed this step
     /// (DRR and tags rebuilt) and APs whose tag tables went stale because
     /// an own client moved (tags rebuilt).
@@ -662,26 +667,57 @@ struct RoundWorkspace {
     /// Offsets into `stream_interferers`, starting with 0: stream `s`
     /// (in stream order) owns `stream_bounds[s]..stream_bounds[s + 1]`.
     stream_bounds: Vec<usize>,
-    /// `(ap, client)` channel rows the current round reads — the fading
-    /// stage's active set (serving rows plus interferer rows).
-    touched: Vec<(u32, u32)>,
+    /// Each stream's serving channel row, in stream order (gather stage
+    /// output; the fading, precode and evaluate stages read it).
+    stream_rows: Vec<usize>,
+    /// Aligned with `stream_interferers`: the stream's client's channel
+    /// row at each interfering transmission's AP (gather stage output).
+    interferer_rows: Vec<usize>,
+    /// The precode stage's sub-channel (selected clients × available
+    /// antennas), refilled per slot.
+    sub_h: CMat,
     /// Gaussian-pair scratch of the keyed row step.
     pairs: Vec<(f64, f64)>,
     /// Stage wall-clock totals (all-zero unless profiling is enabled).
     timings: StageTimings,
 }
 
+/// Per AP, the global ids of its own clients, ascending; and per client,
+/// its index in its AP's list.  O(clients).
+fn ownership(topo: &Topology) -> (Vec<Vec<usize>>, Vec<u32>) {
+    let mut own_clients: Vec<Vec<usize>> = vec![Vec::new(); topo.aps.len()];
+    let mut local_of = vec![0u32; topo.clients.len()];
+    for c in &topo.clients {
+        local_of[c.id] = own_clients[c.ap_id].len() as u32;
+        own_clients[c.ap_id].push(c.id);
+    }
+    (own_clients, local_of)
+}
+
 impl RoundWorkspace {
-    /// Builds the workspace for a topology: id maps prebuilt, sensing lists
-    /// sized to the sensing table's antennas, the interferer index
-    /// constructed (empty) when the table has its static index.
-    fn for_simulator(topo: &Topology, sensing: &SensingTable) -> Self {
-        let mut own_clients: Vec<Vec<usize>> = vec![Vec::new(); topo.aps.len()];
-        let mut local_of = vec![0u32; topo.clients.len()];
-        for c in &topo.clients {
-            local_of[c.id] = own_clients[c.ap_id].len() as u32;
-            own_clients[c.ap_id].push(c.id);
-        }
+    /// Builds the workspace for a topology and its channel rows: id maps
+    /// and own rows prebuilt, sensing lists sized to the sensing table's
+    /// antennas, the interferer index constructed (empty) when the table
+    /// has its static index.
+    fn for_simulator(topo: &Topology, sensing: &SensingTable, channels: &[ApChannel]) -> Self {
+        let (own_clients, local_of) = ownership(topo);
+        RoundWorkspace::with_ownership(topo, sensing, channels, own_clients, local_of)
+    }
+
+    /// [`for_simulator`](Self::for_simulator) over ownership maps the
+    /// caller built with [`ownership`].
+    fn with_ownership(
+        topo: &Topology,
+        sensing: &SensingTable,
+        channels: &[ApChannel],
+        own_clients: Vec<Vec<usize>>,
+        local_of: Vec<u32>,
+    ) -> Self {
+        let own_rows = own_clients
+            .iter()
+            .zip(channels)
+            .map(|(own, apch)| own.iter().map(|&c| apch.row(c) as u32).collect())
+            .collect();
         RoundWorkspace {
             sense: SenseLists::new(topo.aps.len(), sensing.positions.len()),
             interferer_index: sensing
@@ -690,6 +726,7 @@ impl RoundWorkspace {
                 .map(|_| SpatialIndex::new(topo.region, sensing.cutoff_m)),
             own_clients,
             local_of,
+            own_rows,
             ..RoundWorkspace::default()
         }
     }
@@ -732,11 +769,18 @@ impl RoundWorkspace {
                 .map(|v| v.capacity() * size_of::<usize>())
                 .sum::<usize>()
             + self.local_of.capacity() * size_of::<u32>()
+            + self.own_rows.capacity() * size_of::<Vec<u32>>()
+            + self
+                .own_rows
+                .iter()
+                .map(|v| v.capacity() * size_of::<u32>())
+                .sum::<usize>()
             + self.dirty_membership.capacity() * size_of::<bool>()
             + self.dirty_tags.capacity() * size_of::<bool>()
             + self.stream_interferers.capacity() * size_of::<usize>()
             + self.stream_bounds.capacity() * size_of::<usize>()
-            + self.touched.capacity() * size_of::<(u32, u32)>()
+            + (self.stream_rows.capacity() + self.interferer_rows.capacity()) * size_of::<usize>()
+            + self.sub_h.heap_footprint_bytes()
             + self.pairs.capacity() * size_of::<(f64, f64)>()
     }
 }
@@ -748,7 +792,12 @@ impl RoundWorkspace {
 /// no reason to realise, store or evolve those rows: per-AP channel state
 /// shrinks from O(all clients) to O(clients in range), which is what turns
 /// the simulator's per-round cost from O(n²) into O(n·k) at enterprise
-/// scale.  Rows are indexed by *global* client id through `row_of`.
+/// scale.  The client → row map is a sorted list of the rows alone, so
+/// every part of the state, the map included, is O(rows kept): about 112
+/// bytes a row at four antennas
+/// ([`NetworkSimulator::channel_heap_footprint_bytes`]).  The round loop
+/// resolves each row it reads once per round (the gather stage), so the
+/// list's binary search stays out of its inner loops.
 ///
 /// Static and dynamic runs share this one row set — the clients within
 /// interaction range of any of the AP's antennas, plus its own clients.
@@ -766,9 +815,13 @@ impl RoundWorkspace {
 /// ([`RowDynamics::refresh_stale_row`]).
 struct ApChannel {
     ch: ChannelMatrix,
-    /// Global client id → row of `ch`; `None` when the client is out of
-    /// radio range of every antenna of this AP (its channel is never read).
-    row_of: Vec<Option<u32>>,
+    /// The `(global client id, row of ch)` list of every row, ascending by
+    /// client, as two aligned arrays (the keys contiguous for the binary
+    /// search): births insert, frees remove.  A client out of radio range
+    /// of every antenna of this AP has no entry (its channel is never
+    /// read).
+    clients: Vec<u32>,
+    rows: Vec<u32>,
     /// Per-row next fading step (round number).  A row whose entry is `b`
     /// has absorbed the steps of every round `< b`; catch-up moves it past
     /// every round up to the current one in one step before the row is
@@ -777,19 +830,26 @@ struct ApChannel {
 }
 
 impl ApChannel {
+    /// Where `client` sits in the list: `Ok(entry)`, or `Err(entry)` where
+    /// an entry for it would go.
+    fn find(&self, client: usize) -> Result<usize, usize> {
+        self.clients.binary_search(&(client as u32))
+    }
+
+    /// The row of a global client in range.
     fn row(&self, client: usize) -> usize {
-        self.row_of[client].expect("channel row requested for an out-of-range client") as usize
+        let entry = self
+            .find(client)
+            .expect("channel row requested for an out-of-range client");
+        self.rows[entry] as usize
     }
 
-    /// Mean RSSI (dBm) of a global client from AP-local antenna `k`.
-    fn mean_rssi_dbm(&self, client: usize, antenna: usize) -> f64 {
-        self.ch.mean_rssi_dbm(self.row(client), antenna)
-    }
-
-    /// Sub-channel over global clients × AP-local antennas.
-    fn select(&self, clients: &[usize], antennas: &[usize]) -> ChannelMatrix {
-        let rows: Vec<usize> = clients.iter().map(|&c| self.row(c)).collect();
-        self.ch.select(&rows, antennas)
+    /// Bytes of heap this channel state retains (capacities, not lengths).
+    fn heap_footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ch.heap_footprint_bytes()
+            + (self.clients.capacity() + self.rows.capacity()) * size_of::<u32>()
+            + self.next_round.capacity() * size_of::<u64>()
     }
 
     /// Moves `row` past the fading step of every round from its bookmark
@@ -834,6 +894,27 @@ impl ApChannel {
         work.rows_caught_up += 1;
         self.next_round[row] = through + 1;
     }
+}
+
+/// Rebuilds `table` in place from the mean RSSI (dBm) of each of `rows`
+/// at every antenna of `ch`, in order, through the flat scratch `rssi`:
+/// tagging reads large-scale gains only, never fading.
+fn rebuild_tags(
+    table: &mut TagTable,
+    ch: &ChannelMatrix,
+    rows: &[u32],
+    tag_width: usize,
+    rssi: &mut Vec<f64>,
+) {
+    let n = ch.num_antennas();
+    rssi.clear();
+    for &row in rows {
+        rssi.extend((0..n).map(|k| ch.mean_rssi_dbm(row as usize, k)));
+    }
+    table.rebuild(
+        (0..rows.len()).map(|i| &rssi[i * n..(i + 1) * n]),
+        tag_width,
+    );
 }
 
 /// Everything only a dynamic run keeps, built only when `config.dynamics`
@@ -926,10 +1007,11 @@ impl RowDynamics {
                 .sum::<usize>()
     }
 
-    /// Re-derives client `c`'s row at AP `ap` at the client's current
+    /// Re-derives client `c`'s row `row` at AP `ap` at the client's current
     /// position through the shadowing memo when its gains predate the
     /// client's move epoch, counting the refresh.  A rescale commutes with
     /// a fading step, so a refreshed row may be caught up before or after.
+    #[allow(clippy::too_many_arguments)] // the row, where it lives and what it is derived from
     fn refresh_stale_row(
         &mut self,
         model: &ChannelModel,
@@ -937,8 +1019,8 @@ impl RowDynamics {
         ap: usize,
         apch: &mut ApChannel,
         c: usize,
+        row: usize,
     ) {
-        let row = apch.row(c);
         let rows = &mut self.aps[ap];
         if rows.epoch[row] == self.epoch[c] {
             return;
@@ -1006,19 +1088,33 @@ impl RowDynamics {
         self.affected.push(own as u32);
         self.affected.sort_unstable();
         self.affected.dedup();
+        // The client holds a row at its old AP and at the APs in range of
+        // it as of its last sync; only where that differs from what it
+        // wants now is a row's list searched.
+        let prev: &[u32] = if requeried {
+            &self.prev_in_range
+        } else {
+            groups
+        };
         for &ap in &self.affected {
             let ap = ap as usize;
+            let had = ap == old_own || prev.binary_search(&(ap as u32)).is_ok();
+            let want = ap == own || groups.binary_search(&(ap as u32)).is_ok();
+            debug_assert_eq!(channels[ap].find(c).is_ok(), had, "AP {ap}, client {c}");
+            if had == want {
+                continue;
+            }
             let apch = &mut channels[ap];
             let rows = &mut self.aps[ap];
-            let want = ap == own || groups.binary_search(&(ap as u32)).is_ok();
-            match (apch.row_of[c], want) {
-                (Some(row), false) => {
+            match (apch.find(c), want) {
+                (Ok(entry), false) => {
+                    apch.clients.remove(entry);
+                    let row = apch.rows.remove(entry);
                     apch.ch.zero_row(row as usize);
                     rows.free.push(row);
-                    apch.row_of[c] = None;
                     self.counters.rows_freed += 1;
                 }
-                (None, true) => {
+                (Err(entry), true) => {
                     let row = rows
                         .free
                         .pop()
@@ -1045,7 +1141,8 @@ impl RowDynamics {
                         apch.next_round[row] = next;
                         rows.epoch[row] = self.epoch[c];
                     }
-                    apch.row_of[c] = Some(row as u32);
+                    apch.clients.insert(entry, c as u32);
+                    apch.rows.insert(entry, row as u32);
                     self.counters.rows_born += 1;
                 }
                 _ => {}
@@ -1118,6 +1215,9 @@ impl NetworkSimulator {
         let rng = SimRng::new(config.seed).fork(0xAC);
 
         let num_clients = topo.clients.len();
+        // The own-client lists, built once in O(clients), seed each AP's
+        // rows, its DRR, its tags and the round workspace.
+        let (own_clients, local_of) = ownership(&topo);
         let client_index = cutoff.is_finite().then(|| {
             SpatialIndex::from_points(
                 topo.region,
@@ -1125,80 +1225,66 @@ impl NetworkSimulator {
                 &topo.clients.iter().map(|c| c.position).collect::<Vec<_>>(),
             )
         });
+        // Set-up scratch, retained across APs: one antenna's index hits,
+        // one AP's row clients and their positions.
+        let (mut hits, mut visible, mut positions) = (Vec::new(), Vec::new(), Vec::new());
         let mut dynamic_aps = Vec::new();
-        let channels: Vec<ApChannel> = topo
-            .aps
-            .iter()
-            .map(|ap| {
-                // Rows: every client within the interaction range of any of
-                // this AP's antennas (their signal/interference is exactly
-                // zero beyond it), plus the AP's own clients so scheduling
-                // state is always defined.
-                let mut visible: Vec<usize> = if let Some(index) = &client_index {
-                    let mut v: Vec<usize> = ap
-                        .antennas
-                        .iter()
-                        .flat_map(|a| index.neighbors_within(a, cutoff))
-                        .collect();
-                    v.extend(
-                        topo.clients
-                            .iter()
-                            .filter(|c| c.ap_id == ap.ap_id)
-                            .map(|c| c.id),
-                    );
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                } else {
-                    (0..num_clients).collect()
-                };
-                visible.shrink_to_fit();
-                let positions: Vec<Point> =
-                    visible.iter().map(|&c| topo.clients[c].position).collect();
-                // Same draws either way; a dynamic run also keeps the
-                // shadowing memo its refreshes and births go through.
-                let ch = if config.dynamics.is_some() {
-                    let (ch, cache) = model.realize_positions_cached(&ap.antennas, &positions);
-                    dynamic_aps.push(ApRows {
-                        cache,
-                        free: Vec::new(),
-                        epoch: vec![0; visible.len()],
-                    });
-                    ch
-                } else {
-                    model.realize_positions(&ap.antennas, &positions)
-                };
-                let mut row_of = vec![None; num_clients];
-                for (row, &c) in visible.iter().enumerate() {
-                    row_of[c] = Some(row as u32);
-                }
-                ApChannel {
-                    ch,
-                    row_of,
-                    next_round: vec![0; visible.len()],
-                }
-            })
-            .collect();
-
-        let mut drr = Vec::new();
-        let mut tags = Vec::new();
+        let mut channels = Vec::with_capacity(topo.aps.len());
         for ap in &topo.aps {
-            let own_clients = topo.clients_of(ap.ap_id);
-            drr.push(DrrScheduler::new(own_clients.len()));
-            // Tagging is driven by mean RSSI of each own client from each antenna.
-            let rssi: Vec<Vec<f64>> = own_clients
-                .iter()
-                .map(|c| {
-                    (0..ap.num_antennas())
-                        .map(|k| channels[ap.ap_id].mean_rssi_dbm(c.id, k))
-                        .collect()
-                })
-                .collect();
-            tags.push(TagTable::from_rssi(&rssi, config.tag_width));
+            // Rows: every client within the interaction range of any of
+            // this AP's antennas (their signal/interference is exactly zero
+            // beyond it), plus the AP's own clients so scheduling state is
+            // always defined.
+            visible.clear();
+            match &client_index {
+                Some(index) => {
+                    for a in &ap.antennas {
+                        index.neighbors_within_into(a, cutoff, &mut hits);
+                        visible.extend_from_slice(&hits);
+                    }
+                    visible.extend_from_slice(&own_clients[ap.ap_id]);
+                    visible.sort_unstable();
+                    visible.dedup();
+                }
+                None => visible.extend(0..num_clients),
+            }
+            positions.clear();
+            positions.extend(visible.iter().map(|&c| topo.clients[c].position));
+            // Same draws either way; a dynamic run also keeps the shadowing
+            // memo its refreshes and births go through.
+            let ch = if config.dynamics.is_some() {
+                let (ch, cache) = model.realize_positions_cached(&ap.antennas, &positions);
+                dynamic_aps.push(ApRows {
+                    cache,
+                    free: Vec::new(),
+                    epoch: vec![0; visible.len()],
+                });
+                ch
+            } else {
+                model.realize_positions(&ap.antennas, &positions)
+            };
+            let mut clients = Vec::with_capacity(visible.len());
+            clients.extend(visible.iter().map(|&c| c as u32));
+            channels.push(ApChannel {
+                ch,
+                clients,
+                rows: (0..visible.len() as u32).collect(),
+                next_round: vec![0; visible.len()],
+            });
         }
 
         let sensing = SensingTable::new(&topo, graph, cutoff);
-        let workspace = RoundWorkspace::for_simulator(&topo, &sensing);
+        let workspace =
+            RoundWorkspace::with_ownership(&topo, &sensing, &channels, own_clients, local_of);
+        let mut drr = Vec::with_capacity(topo.aps.len());
+        let mut tags = Vec::with_capacity(topo.aps.len());
+        let mut rssi = Vec::new();
+        for (own_rows, apch) in workspace.own_rows.iter().zip(&channels) {
+            drr.push(DrrScheduler::new(own_rows.len()));
+            let mut table = TagTable::from_rssi(&[], config.tag_width);
+            rebuild_tags(&mut table, &apch.ch, own_rows, config.tag_width, &mut rssi);
+            tags.push(table);
+        }
         let dynamics = config.dynamics.map(|spec| {
             let state = DynamicsState::new(&spec, &topo, &config.env, config.seed);
             RowDynamics::new(state, dynamic_aps, &topo, &sensing)
@@ -1258,6 +1344,23 @@ impl NetworkSimulator {
     /// is not part of the workspace footprint.
     pub fn sensing_heap_footprint_bytes(&self) -> usize {
         self.sensing.heap_footprint_bytes()
+    }
+
+    /// Bytes of heap the per-AP channel state retains (capacities, not
+    /// lengths): per row slot, its composite and large-scale gains (24
+    /// bytes per antenna), its fading bookmark (8 bytes) and its entry in
+    /// the AP's client → row list (8 bytes), free slots of a dynamic run
+    /// included; plus the per-AP headers.  O(rows kept): about 112 bytes a
+    /// row at four antennas, whatever the floor's client count.  The
+    /// dynamics layer's per-row memos and epochs are in
+    /// [`dynamics_heap_footprint_bytes`](Self::dynamics_heap_footprint_bytes).
+    pub fn channel_heap_footprint_bytes(&self) -> usize {
+        self.channels.capacity() * std::mem::size_of::<ApChannel>()
+            + self
+                .channels
+                .iter()
+                .map(ApChannel::heap_footprint_bytes)
+                .sum::<usize>()
     }
 
     /// Enables per-stage wall-clock accumulation into [`StageTimings`]
@@ -1326,12 +1429,12 @@ impl NetworkSimulator {
         if ws.own_clients.len() != self.topo.aps.len() {
             // Defensive: a default-constructed workspace (nothing prebuilt)
             // can only appear if a previous run panicked mid-flight.
-            ws = RoundWorkspace::for_simulator(&self.topo, &self.sensing);
+            ws = RoundWorkspace::for_simulator(&self.topo, &self.sensing, &self.channels);
         }
         for round in 0..self.config.rounds {
             if self.fresh_workspace_per_round {
                 let carried = ws.timings;
-                ws = RoundWorkspace::for_simulator(&self.topo, &self.sensing);
+                ws = RoundWorkspace::for_simulator(&self.topo, &self.sensing, &self.channels);
                 ws.timings = carried;
             }
             let t = tick(self.profile_stages);
@@ -1490,24 +1593,28 @@ impl NetworkSimulator {
         }
         for ap_id in 0..num_aps {
             let membership = ws.dirty_membership[ap_id];
+            let apch = &mut self.channels[ap_id];
+            let own = &ws.own_clients[ap_id];
             if membership {
-                self.drr[ap_id].restart(ws.own_clients[ap_id].len());
+                self.drr[ap_id].restart(own.len());
+                // Sized like `own`, so it grows only when `own` did.
+                let own_rows = &mut ws.own_rows[ap_id];
+                own_rows.clear();
+                own_rows.reserve_exact(own.capacity());
+                own_rows.extend(own.iter().map(|&c| apch.row(c) as u32));
             }
             if membership || ws.dirty_tags[ap_id] {
-                let n = self.topo.aps[ap_id].antennas.len();
-                let apch = &mut self.channels[ap_id];
-                let own = &ws.own_clients[ap_id];
-                dynamic.rssi.clear();
-                for &c in own {
-                    dynamic.refresh_stale_row(&self.model, &self.topo, ap_id, apch, c);
-                    dynamic
-                        .rssi
-                        .extend((0..n).map(|k| apch.mean_rssi_dbm(c, k)));
+                let own_rows = &ws.own_rows[ap_id];
+                for (&c, &row) in own.iter().zip(own_rows) {
+                    let row = row as usize;
+                    dynamic.refresh_stale_row(&self.model, &self.topo, ap_id, apch, c, row);
                 }
-                let rssi = &dynamic.rssi;
-                self.tags[ap_id].rebuild(
-                    (0..own.len()).map(|i| &rssi[i * n..(i + 1) * n]),
+                rebuild_tags(
+                    &mut self.tags[ap_id],
+                    &apch.ch,
+                    own_rows,
                     self.config.tag_width,
+                    &mut dynamic.rssi,
                 );
             }
         }
@@ -1539,16 +1646,11 @@ impl NetworkSimulator {
     /// the AP's antennas, plus its own clients).
     // lint: allow(unreachable-pub) — proptest_fading, dynamic_rows and long_horizon check the row set with it
     pub fn channel_rows(&self, ap: usize) -> impl Iterator<Item = usize> + '_ {
-        self.channels[ap]
-            .row_of
-            .iter()
-            .enumerate()
-            .filter_map(|(client, row)| row.map(|_| client))
+        self.channels[ap].clients.iter().map(|&c| c as usize)
     }
 
     /// Channel-row slots allocated over all APs, free slots included: the
     /// row capacity a dynamic run has grown to.
-    // lint: allow(unreachable-pub) — long_horizon checks that row capacity stops growing with it
     pub fn channel_row_slots(&self) -> usize {
         self.channels.iter().map(|c| c.ch.num_clients()).sum()
     }
@@ -1688,7 +1790,10 @@ impl NetworkSimulator {
 
     /// Pipeline stage 4 — gather: discovers each stream's interfering
     /// transmissions (position-only neighbourhood queries) and stores them
-    /// in the workspace for the evaluate stage to replay.
+    /// in the workspace for the evaluate stage to replay, with the channel
+    /// row each stream reads at its own AP and at each interferer's: every
+    /// row the round reads is looked up here, once, and the fading, precode
+    /// and evaluate stages read the stored rows.
     ///
     /// Hoisted out of evaluation so the full set of channel rows the round
     /// reads — serving rows *and* interferer rows — is known before any
@@ -1710,6 +1815,10 @@ impl NetworkSimulator {
             live,
             stream_interferers,
             stream_bounds,
+            stream_rows,
+            interferer_rows,
+            own_rows,
+            local_of,
             ..
         } = ws;
         let transmissions = &transmissions[..*live];
@@ -1730,8 +1839,12 @@ impl NetworkSimulator {
         stream_interferers.clear();
         stream_bounds.clear();
         stream_bounds.push(0);
-        for t in transmissions.iter() {
+        stream_rows.clear();
+        interferer_rows.clear();
+        for (tx_idx, t) in transmissions.iter().enumerate() {
             for &client in t.clients.iter() {
+                let serving_row = own_rows[t.ap_id][local_of[client] as usize] as usize;
+                stream_rows.push(serving_row);
                 let client_pos = &self.topo.clients[client].position;
                 interferers.clear();
                 match interferer_index {
@@ -1753,6 +1866,13 @@ impl NetworkSimulator {
                 }
                 stream_interferers.extend_from_slice(interferers);
                 stream_bounds.push(stream_interferers.len());
+                interferer_rows.extend(interferers.iter().map(|&o| {
+                    if o == tx_idx {
+                        serving_row
+                    } else {
+                        self.channels[transmissions[o].ap_id].row(client)
+                    }
+                }));
             }
         }
     }
@@ -1779,7 +1899,8 @@ impl NetworkSimulator {
             live,
             stream_interferers,
             stream_bounds,
-            touched,
+            stream_rows,
+            interferer_rows,
             pairs,
             ..
         } = ws;
@@ -1787,58 +1908,66 @@ impl NetworkSimulator {
 
         // Each served client's serving row (read by precode and by the
         // evaluate stage's signal/intra-interference terms) and its row in
-        // every other transmission within radio range of it.
-        touched.clear();
+        // every other transmission within radio range of it, as the gather
+        // stage resolved them.  A client is served at most once a round and
+        // its interferers are other APs, so no row comes twice; each step
+        // is keyed by its row, so the order does not matter.
         let mut s = 0;
         for (tx_idx, t) in transmissions.iter().enumerate() {
             for &client in t.clients.iter() {
-                touched.push((t.ap_id as u32, client as u32));
-                for &o in &stream_interferers[stream_bounds[s]..stream_bounds[s + 1]] {
-                    if o != tx_idx {
-                        touched.push((transmissions[o].ap_id as u32, client as u32));
+                let (lo, hi) = (stream_bounds[s], stream_bounds[s + 1]);
+                let interfering = stream_interferers[lo..hi]
+                    .iter()
+                    .zip(&interferer_rows[lo..hi])
+                    .filter(|&(&o, _)| o != tx_idx)
+                    .map(|(&o, &row)| (transmissions[o].ap_id, row));
+                for (ap, row) in std::iter::once((t.ap_id, stream_rows[s])).chain(interfering) {
+                    let apch = &mut self.channels[ap];
+                    if let Some(dynamic) = self.dynamics.as_mut() {
+                        dynamic.refresh_stale_row(&self.model, &self.topo, ap, apch, client, row);
                     }
+                    apch.catch_up_row(
+                        &self.model,
+                        ap,
+                        client,
+                        row,
+                        round as u64,
+                        self.rho,
+                        pairs,
+                        &mut self.fading_work,
+                    );
                 }
                 s += 1;
             }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-
-        for &(ap, client) in touched.iter() {
-            let (ap, client) = (ap as usize, client as usize);
-            let apch = &mut self.channels[ap];
-            if let Some(dynamic) = self.dynamics.as_mut() {
-                dynamic.refresh_stale_row(&self.model, &self.topo, ap, apch, client);
-            }
-            let row = apch.row(client);
-            apch.catch_up_row(
-                &self.model,
-                ap,
-                client,
-                row,
-                round as u64,
-                self.rho,
-                pairs,
-                &mut self.fading_work,
-            );
         }
     }
 
     /// Pipeline stage 6 — precode: computes each live slot's precoding
     /// matrix over the (selected clients × available antennas) channel.
     /// Runs after the fading stage so it reads the current round's channel
-    /// state; the precoder is pure (no RNG).
+    /// state; the precoder is pure (no RNG).  The sub-channel is copied
+    /// into workspace scratch from the serving rows the gather stage
+    /// resolved, and the precoder computes the matrix alone
+    /// ([`Precoder::precode_matrix`]): the SINRs that count are the
+    /// evaluate stage's, with cross-AP interference.
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn precode_stage(&self, ws: &mut RoundWorkspace) {
         let RoundWorkspace {
             transmissions,
             live,
+            stream_rows,
+            sub_h,
             ..
         } = ws;
+        let mut first = 0;
         for slot in &mut transmissions[..*live] {
-            let sub = self.channels[slot.ap_id].select(&slot.clients, &slot.antenna_idx);
-            let precoding = self.precoder.precode(&sub.h, sub.tx_power_mw, sub.noise_mw);
-            slot.v = precoding.v;
+            let ch = &self.channels[slot.ap_id].ch;
+            let rows = &stream_rows[first..first + slot.clients.len()];
+            first += slot.clients.len();
+            ch.h.select_into(rows, &slot.antenna_idx, sub_h);
+            (slot.v, _) = self
+                .precoder
+                .precode_matrix(sub_h, ch.tx_power_mw, ch.noise_mw);
         }
     }
 
@@ -1854,6 +1983,8 @@ impl NetworkSimulator {
             capacities,
             stream_interferers,
             stream_bounds,
+            stream_rows,
+            interferer_rows,
             ..
         } = ws;
         let transmissions = &transmissions[..*live];
@@ -1864,9 +1995,8 @@ impl NetworkSimulator {
             let ch = &self.channels[t.ap_id];
             for (stream_idx, &client) in t.clients.iter().enumerate() {
                 // The client's channel row towards every antenna of the
-                // serving AP, hoisted once per stream instead of one
-                // row-lookup per (antenna, stream) pair.
-                let h_row = ch.ch.h.row(ch.row(client));
+                // serving AP, as the gather stage resolved it.
+                let h_row = ch.ch.h.row(stream_rows[s]);
                 // Desired + intra-AP interference from this transmission.
                 // Intra-AP leakage is tracked separately from cross-AP
                 // interference: the serving AP's precoder knows about the
@@ -1888,13 +2018,16 @@ impl NetworkSimulator {
                 let mut interference = intra_interference;
                 // Cross-AP interference from the concurrent transmissions in
                 // radio range of this client, in transmission order.
-                for &o in &stream_interferers[stream_bounds[s]..stream_bounds[s + 1]] {
+                let (lo, hi) = (stream_bounds[s], stream_bounds[s + 1]);
+                for (&o, &row) in stream_interferers[lo..hi]
+                    .iter()
+                    .zip(&interferer_rows[lo..hi])
+                {
                     if o == tx_idx {
                         continue;
                     }
                     let other = &transmissions[o];
-                    let och = &self.channels[other.ap_id];
-                    let oh_row = och.ch.h.row(och.row(client));
+                    let oh_row = self.channels[other.ap_id].ch.h.row(row);
                     for other_stream in 0..other.clients.len() {
                         let mut amp = Complex::ZERO;
                         for (row, &k) in other.antenna_idx.iter().enumerate() {
@@ -2126,7 +2259,8 @@ mod tests {
         for k in [1u64, 2, 5, 17] {
             let mut apch = ApChannel {
                 ch: start.clone(),
-                row_of: (0..ROWS as u32).map(Some).collect(),
+                clients: (0..ROWS as u32).collect(),
+                rows: (0..ROWS as u32).collect(),
                 next_round: vec![0; ROWS],
             };
             // Every row last absorbed no round; reading it at round k − 1
@@ -2196,8 +2330,23 @@ mod tests {
                     let own_rows = (0..sim.topo.aps.len())
                         .filter(|&ap| rebuilt(ap))
                         .flat_map(|ap| ws.own_clients[ap].iter().map(move |&c| (ap, c)));
-                    let read = ws.touched.iter().map(|&(ap, c)| (ap as usize, c as usize));
-                    for (ap, c) in read.chain(own_rows) {
+                    // The rows the last round read: each stream's serving
+                    // row and its row at every other interfering AP.
+                    let live = &ws.transmissions[..ws.live];
+                    let mut read = Vec::new();
+                    let mut s = 0;
+                    for (tx_idx, t) in live.iter().enumerate() {
+                        for &c in &t.clients {
+                            read.push((t.ap_id, c));
+                            let (lo, hi) = (ws.stream_bounds[s], ws.stream_bounds[s + 1]);
+                            let others = ws.stream_interferers[lo..hi]
+                                .iter()
+                                .filter(|&&o| o != tx_idx);
+                            read.extend(others.map(|&o| (live[o].ap_id, c)));
+                            s += 1;
+                        }
+                    }
+                    for (ap, c) in read.into_iter().chain(own_rows) {
                         let apch = &sim.channels[ap];
                         let antennas = &sim.topo.aps[ap].antennas;
                         let all: Vec<usize> = (0..antennas.len()).collect();

@@ -3,16 +3,17 @@
 //! The load-bearing property is *exact equivalence*: the spatial index must
 //! reproduce the brute-force O(n²) sweeps — same neighbourhood sets, same
 //! AP adjacency — across random topologies, placements and interaction
-//! ranges, and the distance-ordered roaming pass must make the handoffs of
-//! a pass that scores every candidate in dB.  The simulator's two indexed
-//! lookups (sensing-table row discovery and the gather stage's interferer
-//! lists) are held against brute-force oracles by the unit tests in
-//! `simulator.rs`.
+//! ranges, and the distance-ordered association and roaming passes must
+//! make the picks and handoffs of passes that score every candidate in dB.
+//! The simulator's two indexed lookups (sensing-table row discovery and
+//! the gather stage's interferer lists) are held against brute-force
+//! oracles by the unit tests in `simulator.rs`.
 
 use midas_channel::geometry::{Point, Rect};
-use midas_channel::topology::{Client, Topology, TopologyConfig};
-use midas_channel::{Environment, SimRng};
+use midas_channel::topology::{Client, Deployment, Topology, TopologyConfig};
+use midas_channel::{DeploymentKind, Environment, SimRng};
 use midas_net::contention::ContentionGraph;
+use midas_net::deployment::PairedTopology;
 use midas_net::scale::grid::ClientPlacement;
 use midas_net::scale::{
     associate, AssociationPolicy, FloorGrid, Reassociator, Scenario, SpatialIndex,
@@ -319,6 +320,82 @@ fn reassociate_in_db(
     handoffs
 }
 
+/// The one-shot association that scores every candidate in dB: the oracle
+/// for [`associate`], which ranks by distance.  Candidates are the APs with
+/// a chassis or antenna within twice the coverage range (every AP when
+/// none is), found by a linear scan; the strongest score wins with ties to
+/// the lowest AP id, and `LoadBalanced` takes the least `(current load, ap
+/// id)` inside its window, keeping the strongest when the window is empty.
+fn associate_in_db(topo: &mut Topology, env: &Environment, policy: AssociationPolicy) {
+    let score = |topo: &Topology, ap: usize, p: &Point| {
+        if policy == AssociationPolicy::NearestAp {
+            env.tx_power_dbm
+                - env
+                    .path_loss
+                    .path_loss_db(topo.aps[ap].position.distance(p))
+        } else {
+            rssi_dbm(env, topo, ap, p)
+        }
+    };
+    let radius = 2.0 * env.coverage_range_m();
+    let mut loads = vec![0usize; topo.aps.len()];
+    for cid in 0..topo.clients.len() {
+        let p = topo.clients[cid].position;
+        let mut cands: Vec<usize> = (0..topo.aps.len())
+            .filter(|&ap| {
+                std::iter::once(&topo.aps[ap].position)
+                    .chain(&topo.aps[ap].antennas)
+                    .any(|a| a.distance(&p) <= radius)
+            })
+            .collect();
+        if cands.is_empty() {
+            cands = (0..topo.aps.len()).collect();
+        }
+        let scored: Vec<(usize, f64)> = cands.iter().map(|&ap| (ap, score(topo, ap, &p))).collect();
+        let (mut best_ap, mut best) = (usize::MAX, f64::NEG_INFINITY);
+        for &(ap, s) in &scored {
+            if s > best {
+                (best_ap, best) = (ap, s);
+            }
+        }
+        let pick = match policy {
+            AssociationPolicy::LoadBalanced { hysteresis_db } => {
+                let (mut pick, mut pick_load) = (best_ap, usize::MAX);
+                for &(ap, s) in &scored {
+                    if s >= best - hysteresis_db && loads[ap] < pick_load {
+                        (pick, pick_load) = (ap, loads[ap]);
+                    }
+                }
+                pick
+            }
+            _ => best_ap,
+        };
+        loads[pick] += 1;
+        topo.clients[cid].ap_id = pick;
+    }
+}
+
+/// The policies the association equivalence checks run under.
+const POLICIES: [AssociationPolicy; 5] = [
+    AssociationPolicy::NearestAp,
+    AssociationPolicy::AntennaAware,
+    AssociationPolicy::LoadBalanced { hysteresis_db: 0.0 },
+    AssociationPolicy::LoadBalanced { hysteresis_db: 3.0 },
+    AssociationPolicy::LoadBalanced { hysteresis_db: 6.0 },
+];
+
+/// The open-plan environment, or (odd `sel`) the dense-apartment one: a
+/// path loss with heavy walls.
+fn random_environment(sel: u64) -> Environment {
+    if sel.is_multiple_of(2) {
+        Environment::open_plan()
+    } else {
+        let mut env = Environment::office_b();
+        env.path_loss.wall_loss_db_per_m = 0.8;
+        env
+    }
+}
+
 /// Clients appended to `topo` on the boundaries of the distance order: two
 /// sit within 1 m of an antenna of AP 0 and one of AP 1, where the path
 /// loss is clamped flat and the nearer antenna (AP 1's) only ties; two sit
@@ -451,6 +528,117 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The distance-ordered association makes the picks of the pass that
+    /// scores every candidate in dB, under all three policies
+    /// (`LoadBalanced` at 0, 3 and 6 dB), on random floors and two path-loss
+    /// models — including clients inside the 1 m clamp, clients exactly
+    /// equidistant from two APs' antennas and a client 1e-10 m off that.
+    #[test]
+    fn distance_ordered_association_matches_the_db_scored_pass(
+        seed in 0u64..1_000_000,
+        cols in 1usize..5,
+        rows in 1usize..4,
+        spacing in 8.0f64..20.0,
+    ) {
+        let mut rng = SimRng::new(seed);
+        let grid = random_grid(cols, rows, spacing, seed as usize);
+        let mut floor = grid
+            .generate(&TopologyConfig::das(4, 4), &mut rng)
+            .expect("valid grid");
+        add_boundary_clients(&mut floor);
+        let env = random_environment(seed / 3);
+        for policy in POLICIES {
+            let (mut fast, mut oracle) = (floor.clone(), floor.clone());
+            associate(&mut fast, &env, policy);
+            associate_in_db(&mut oracle, &env, policy);
+            for (x, y) in fast.clients.iter().zip(&oracle.clients) {
+                prop_assert_eq!(x.ap_id, y.ap_id, "{:?}: client {}", policy, x.id);
+            }
+        }
+    }
+
+    /// `generate_paired` is `generate` followed by `associate` on both
+    /// variants: the same draws, and the same association without the
+    /// nearest-chassis pass it skips.
+    #[test]
+    fn generate_paired_is_generate_then_associate(
+        seed in 0u64..1_000_000,
+        cols in 1usize..5,
+        rows in 1usize..4,
+        spacing in 8.0f64..20.0,
+        policy_sel in 0usize..5,
+    ) {
+        let grid = random_grid(cols, rows, spacing, seed as usize);
+        let config = TopologyConfig::das(4, 4);
+        let env = random_environment(seed / 3);
+        let policy = POLICIES[policy_sel];
+        let pair = grid
+            .generate_paired(&config, &env, policy, &mut SimRng::new(seed))
+            .expect("valid grid");
+        let mut rng = SimRng::new(seed);
+        let das = grid
+            .generate(&TopologyConfig { kind: DeploymentKind::Das, ..config }, &mut rng)
+            .expect("valid grid");
+        let mut expected = PairedTopology::from_das(das, &config, &mut rng);
+        associate(&mut expected.cas, &env, policy);
+        associate(&mut expected.das, &env, policy);
+        prop_assert_eq!(pair.cas, expected.cas);
+        prop_assert_eq!(pair.das, expected.das);
+    }
+}
+
+#[test]
+fn association_ties_in_db_go_to_the_lowest_ap_id_whatever_the_squares() {
+    // Two single-antenna APs 1.25 m from (1, 1), AP 0 due east and AP 1 on
+    // a 3-4-5 diagonal.  A search over client positions a few ulps off
+    // (1, 1) finds one where the computed squares rank AP 1 strictly
+    // nearer while both score the same dB, so the tie goes to AP 0: only
+    // scoring every candidate within the band of the nearest square gets
+    // that right.
+    let env = Environment::open_plan();
+    let ap = |ap_id: usize, position: Point| Deployment {
+        ap_id,
+        position,
+        kind: DeploymentKind::Cas,
+        antennas: vec![position],
+    };
+    let nudge = |x: f64, ulps: i64| f64::from_bits((x.to_bits() as i64 + ulps) as u64);
+    let square = |a: &Point, c: &Point| {
+        let (dx, dy) = (a.x - c.x, a.y - c.y);
+        dx * dx + dy * dy
+    };
+    let (ap0, ap1) = (Point::new(2.25, 1.0), Point::new(0.25, 2.0));
+    let found = (-40..=40)
+        .flat_map(|i| (-40..=40).map(move |j| Point::new(nudge(1.0, i), nudge(1.0, j))))
+        .find_map(|client| {
+            let topo = Topology {
+                region: Rect::new(Point::new(0.0, 0.0), 10.0, 10.0),
+                aps: vec![ap(0, ap0), ap(1, ap1)],
+                clients: vec![Client {
+                    id: 0,
+                    ap_id: 1,
+                    position: client,
+                }],
+            };
+            let ties = rssi_dbm(&env, &topo, 0, &client) == rssi_dbm(&env, &topo, 1, &client);
+            (square(&ap1, &client) < square(&ap0, &client) && ties).then_some(topo)
+        });
+    let topo = found.expect("no client position ranks AP 1 nearer by squares at an equal score");
+    for policy in POLICIES {
+        let (mut fast, mut oracle) = (topo.clone(), topo.clone());
+        associate(&mut fast, &env, policy);
+        associate_in_db(&mut oracle, &env, policy);
+        assert_eq!(
+            oracle.clients[0].ap_id, 0,
+            "{policy:?}: the dB tie goes to AP 0"
+        );
+        assert_eq!(fast.clients[0].ap_id, 0, "{policy:?}");
+    }
+}
+
 #[test]
 fn boundary_clients_settle_by_the_db_tie_rule() {
     // The boundary clients of the property above, checked by hand: inside
@@ -503,5 +691,31 @@ fn a_64_ap_512_client_scenario_completes_quickly() {
     assert!(
         elapsed.as_secs() < 60,
         "64-AP run took {elapsed:?} — spatial index not effective"
+    );
+}
+
+#[test]
+fn channel_bytes_per_row_stay_flat_as_the_floor_grows() {
+    // Set-up keeps only the rows in radio range, so the channel state costs
+    // the same per row on a 64-AP and a 256-AP office.  A per-AP map over
+    // every client (8 bytes each) would add ~30 and ~110 bytes a row.
+    let bytes_per_row = |aps: usize| {
+        let scenario = Scenario::enterprise_office(aps);
+        let pair = scenario.build(1).expect("office builds");
+        let sim = NetworkSimulator::new(pair.das, scenario.sim_config(MacKind::Midas, 1, 1));
+        sim.channel_heap_footprint_bytes() as f64 / sim.channel_row_slots() as f64
+    };
+    let (small, large) = (bytes_per_row(64), bytes_per_row(256));
+    // 4 antennas x (16 + 8) bytes of gains, an 8-byte bookmark and an
+    // 8-byte list entry: 112 bytes, plus the per-AP headers.
+    for b in [small, large] {
+        assert!(
+            b < 120.0,
+            "{b:.1} bytes per row (64 APs: {small:.1}, 256 APs: {large:.1})"
+        );
+    }
+    assert!(
+        (large - small).abs() <= 0.1 * small,
+        "bytes per row moved from {small:.1} to {large:.1}"
     );
 }

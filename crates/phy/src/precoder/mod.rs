@@ -90,10 +90,21 @@ pub trait Precoder {
     /// Which precoder this is.
     fn kind(&self) -> PrecoderKind;
 
-    /// Computes a precoding matrix for the channel `h` (clients × antennas)
-    /// under a per-antenna power budget `per_antenna_power` and noise power
-    /// `noise` (both in the same linear unit, conventionally mW).
-    fn precode(&self, h: &CMat, per_antenna_power: f64, noise: f64) -> Precoding;
+    /// Computes the precoding matrix (antennas × streams) for the channel
+    /// `h` (clients × antennas) under a per-antenna power budget
+    /// `per_antenna_power` and noise power `noise` (both in the same linear
+    /// unit, conventionally mW), with the number of internal iterations it
+    /// ran.  Evaluates no SINR and no capacity: the network simulator's
+    /// precode stage keeps only the matrix and evaluates its deliveries
+    /// itself, with cross-AP interference.
+    fn precode_matrix(&self, h: &CMat, per_antenna_power: f64, noise: f64) -> (CMat, usize);
+
+    /// [`precode_matrix`](Self::precode_matrix) with the SINRs and the sum
+    /// capacity it yields at the clients ([`Precoding::evaluate`]).
+    fn precode(&self, h: &CMat, per_antenna_power: f64, noise: f64) -> Precoding {
+        let (v, iterations) = self.precode_matrix(h, per_antenna_power, noise);
+        Precoding::evaluate(self.kind(), h, v, noise, iterations)
+    }
 
     /// Convenience wrapper taking a [`ChannelMatrix`] from `midas-channel`.
     fn precode_channel(&self, channel: &ChannelMatrix) -> Precoding {

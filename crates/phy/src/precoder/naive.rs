@@ -9,7 +9,7 @@
 //! under-utilised — mildly in CAS, severely in DAS (Fig. 3).
 
 use super::zfbf::zfbf_directions;
-use super::{Precoder, PrecoderKind, Precoding};
+use super::{Precoder, PrecoderKind};
 use crate::power;
 use midas_linalg::CMat;
 
@@ -22,7 +22,7 @@ impl Precoder for NaiveScaledPrecoder {
         PrecoderKind::NaiveScaled
     }
 
-    fn precode(&self, h: &CMat, per_antenna_power: f64, noise: f64) -> Precoding {
+    fn precode_matrix(&self, h: &CMat, per_antenna_power: f64, _noise: f64) -> (CMat, usize) {
         assert!(
             per_antenna_power > 0.0,
             "per-antenna power must be positive"
@@ -42,7 +42,7 @@ impl Precoder for NaiveScaledPrecoder {
             let scale = (per_antenna_power / worst_row_power).sqrt();
             v = v.scale_re(scale);
         }
-        Precoding::evaluate(PrecoderKind::NaiveScaled, h, v, noise, 0)
+        (v, 0)
     }
 }
 

@@ -21,7 +21,9 @@
 
 use super::power_balanced::PowerBalancedPrecoder;
 use super::zfbf::zfbf_directions;
-use super::{Precoder, PrecoderKind, Precoding};
+use super::{Precoder, PrecoderKind};
+use crate::capacity::sum_capacity;
+use crate::sinr::SinrMatrix;
 use midas_linalg::CMat;
 
 /// Dual-ascent solver for the per-antenna-constrained ZF power allocation.
@@ -57,7 +59,7 @@ impl Precoder for OptimalPrecoder {
         PrecoderKind::Optimal
     }
 
-    fn precode(&self, h: &CMat, per_antenna_power: f64, noise: f64) -> Precoding {
+    fn precode_matrix(&self, h: &CMat, per_antenna_power: f64, noise: f64) -> (CMat, usize) {
         assert!(per_antenna_power > 0.0 && noise > 0.0);
         let num_antennas = h.cols();
         let num_streams = h.rows();
@@ -134,20 +136,17 @@ impl Precoder for OptimalPrecoder {
         // feasible points of the same convex problem, so taking the better of
         // the two can only tighten the "optimal" upper bound when the dual
         // ascent has not fully converged.
-        let heuristic = PowerBalancedPrecoder::default().precode(h, per_antenna_power, noise);
-        let mut v = dirs.clone();
+        let (heuristic, _) =
+            PowerBalancedPrecoder::default().precode_matrix(h, per_antenna_power, noise);
+        let mut v = dirs;
         for (j, &pj) in best_p.iter().enumerate() {
             v.scale_col(j, pj.max(0.0).sqrt());
         }
-        let candidate = Precoding::evaluate(PrecoderKind::Optimal, h, v, noise, self.iterations);
-        if heuristic.sum_capacity > candidate.sum_capacity {
-            Precoding {
-                kind: PrecoderKind::Optimal,
-                iterations: self.iterations,
-                ..heuristic
-            }
+        let capacity = |v: &CMat| sum_capacity(&SinrMatrix::compute(h, v, noise));
+        if capacity(&heuristic) > capacity(&v) {
+            (heuristic, self.iterations)
         } else {
-            candidate
+            (v, self.iterations)
         }
     }
 }

@@ -22,7 +22,7 @@
 //! zero power (a floor keeps every stream alive).
 
 use super::zfbf::zfbf_directions;
-use super::{Precoder, PrecoderKind, Precoding};
+use super::{Precoder, PrecoderKind};
 use crate::power;
 use midas_linalg::{CMat, Complex};
 
@@ -126,7 +126,7 @@ impl Precoder for PowerBalancedPrecoder {
         PrecoderKind::PowerBalanced
     }
 
-    fn precode(&self, h: &CMat, per_antenna_power: f64, noise: f64) -> Precoding {
+    fn precode_matrix(&self, h: &CMat, per_antenna_power: f64, noise: f64) -> (CMat, usize) {
         assert!(
             per_antenna_power > 0.0,
             "per-antenna power must be positive"
@@ -176,7 +176,7 @@ impl Precoder for PowerBalancedPrecoder {
             }
         }
 
-        Precoding::evaluate(PrecoderKind::PowerBalanced, h, v, noise, rounds)
+        (v, rounds)
     }
 }
 

@@ -7,7 +7,7 @@
 //! precoder represents what a CAS 802.11ac design assumes it can do, and is
 //! the reference from which the "capacity drop" of Fig. 3 is measured.
 
-use super::{Precoder, PrecoderKind, Precoding};
+use super::{Precoder, PrecoderKind};
 use midas_linalg::{pinv, CMat};
 
 /// Relative tolerance of the QR rank check deciding whether the cheap
@@ -47,7 +47,7 @@ impl Precoder for ZfbfPrecoder {
         PrecoderKind::Zfbf
     }
 
-    fn precode(&self, h: &CMat, per_antenna_power: f64, noise: f64) -> Precoding {
+    fn precode_matrix(&self, h: &CMat, per_antenna_power: f64, _noise: f64) -> (CMat, usize) {
         assert!(
             per_antenna_power > 0.0,
             "per-antenna power must be positive"
@@ -60,7 +60,7 @@ impl Precoder for ZfbfPrecoder {
         for j in 0..v.cols() {
             v.scale_col(j, per_stream.sqrt());
         }
-        Precoding::evaluate(PrecoderKind::Zfbf, h, v, noise, 0)
+        (v, 0)
     }
 }
 
