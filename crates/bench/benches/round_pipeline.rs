@@ -376,10 +376,11 @@ fn profile(cell_name: &str, rounds: usize) {
             );
             let s = sim.sensing_counters();
             println!(
-                "# sensing work: {} rows built, {} powers evaluated, {} pushes, {} decisions, \
-                 table {} bytes",
+                "# sensing work: {} rows built, {} powers evaluated, {} reads, {} pushes, \
+                 {} decisions, table {} bytes",
                 s.rows_built,
                 s.powers_evaluated,
+                s.reads,
                 s.pushes,
                 s.decisions,
                 sim.sensing_heap_footprint_bytes()

@@ -252,6 +252,8 @@ pub struct ChannelModel {
     fading_seed: u64,
     /// The environment's reference path loss (dB), evaluated once.
     reference_loss_db: f64,
+    /// The environment's transmit power (mW), evaluated once.
+    tx_power_mw: f64,
 }
 
 impl ChannelModel {
@@ -263,6 +265,7 @@ impl ChannelModel {
             shadow_field_seed: seed ^ 0x51AD0_F1E1D,
             fading_seed: seed ^ 0xFAD1_6E55_EED0,
             reference_loss_db: env.path_loss.reference_loss_db(),
+            tx_power_mw: dbm_to_mw(env.tx_power_dbm),
         }
     }
 
@@ -326,7 +329,7 @@ impl ChannelModel {
     /// measurement timescale (fading averages out).
     pub fn large_scale_rx_power_dbm(&self, tx: &Point, rx: &Point) -> f64 {
         let amp = self.large_scale_amp(tx, rx);
-        mw_to_dbm(dbm_to_mw(self.env.tx_power_dbm) * amp * amp)
+        mw_to_dbm(self.tx_power_mw * amp * amp)
     }
 
     /// One random received-power sample (dBm) at `rx` from a transmitter at
@@ -335,7 +338,7 @@ impl ChannelModel {
     pub fn sample_rx_power_dbm(&mut self, tx: &Point, rx: &Point) -> f64 {
         let d = tx.distance(rx);
         let amp = self.large_scale_amp(tx, rx) * self.sample_fading(d).norm();
-        mw_to_dbm(dbm_to_mw(self.env.tx_power_dbm) * amp * amp)
+        mw_to_dbm(self.tx_power_mw * amp * amp)
     }
 
     /// Generates a full channel realisation between one AP's antennas and the
@@ -413,7 +416,7 @@ impl ChannelModel {
         ChannelMatrix {
             h,
             large_scale,
-            tx_power_mw: dbm_to_mw(self.env.tx_power_dbm),
+            tx_power_mw: self.tx_power_mw,
             noise_mw: dbm_to_mw(self.env.noise_floor_dbm),
         }
     }

@@ -19,7 +19,9 @@
 //! explicit transmitter list for the §5.3.1 spatial-reuse and §5.3.4
 //! hidden-terminal analyses.  The end-to-end simulator folds the same term
 //! through its sensing table (`crate::simulator`), which evaluates each
-//! in-range antenna pair once per run, the first time a round reads it.
+//! in-range antenna pair once per run, the first time a decision reads it,
+//! and ends a decision as soon as the terms read so far make it certainly
+//! busy: its nearest on-air antenna first, then the fold in order.
 
 use midas_channel::geometry::Point;
 use midas_channel::topology::Topology;
@@ -108,9 +110,12 @@ impl ContentionGraph {
     ///
     /// Equivalent by construction to running
     /// [`ContentionGraph::aps_share_domain_within`] over all pairs: the
-    /// index returns a superset of the antennas within `cutoff_m`, and the
-    /// same `distance <= cutoff && can_sense` predicate decides membership
-    /// (see the property test in `tests/proptest_scale.rs`).
+    /// index visits exactly the antennas within `cutoff_m`, and the same
+    /// `distance <= cutoff && can_sense` predicate decides membership (see
+    /// the property test in `tests/proptest_scale.rs`).  Both the range
+    /// test and `can_sense(ta, tb) || can_sense(tb, ta)` are symmetric in
+    /// the pair, so each unordered antenna pair is tested once, from the
+    /// antenna of the lower-numbered AP.
     pub fn ap_adjacency_indexed(&self, topo: &Topology, cutoff_m: f64) -> Vec<Vec<bool>> {
         let n = topo.aps.len();
         let mut owner: Vec<usize> = Vec::new();
@@ -122,20 +127,19 @@ impl ContentionGraph {
             }
         }
         let mut adj = vec![vec![false; n]; n];
-        let points = index.points().to_vec();
+        let points = index.points();
         for (i, ta) in points.iter().enumerate() {
             let a = owner[i];
-            for j in index.neighbors_within(ta, cutoff_m) {
+            index.for_each_within(ta, cutoff_m, |j| {
                 let b = owner[j];
-                if a == b || adj[a][b] {
-                    continue;
+                if a < b && !adj[a][b] {
+                    let tb = &points[j];
+                    if self.can_sense(ta, tb) || self.can_sense(tb, ta) {
+                        adj[a][b] = true;
+                        adj[b][a] = true;
+                    }
                 }
-                let tb = &points[j];
-                if self.can_sense(ta, tb) || self.can_sense(tb, ta) {
-                    adj[a][b] = true;
-                    adj[b][a] = true;
-                }
-            }
+            });
         }
         adj
     }

@@ -431,6 +431,14 @@ impl NeighborTracker {
     }
 }
 
+/// `x` moved by `ulps` units in the last place, upwards for a positive
+/// `ulps` (finite, nonzero `x`).
+#[cfg(test)]
+pub(crate) fn nudge(x: f64, ulps: i64) -> f64 {
+    let bits = x.to_bits() as i64 + ulps * x.signum() as i64;
+    f64::from_bits(bits as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,12 +448,6 @@ mod tests {
     /// The decision [`within`] must reproduce, on `hypot`.
     fn hypot_within(q: &Point, p: &Point, r: f64) -> bool {
         p.distance(q) <= r
-    }
-
-    /// `x` moved by `ulps` units in the last place (finite, nonzero `x`).
-    fn nudge(x: f64, ulps: i64) -> f64 {
-        let bits = x.to_bits() as i64 + ulps * x.signum() as i64;
-        f64::from_bits(bits as u64)
     }
 
     #[test]

@@ -17,11 +17,11 @@ use crate::contention::ContentionGraph;
 use crate::dynamics::{DynamicsCounters, DynamicsSpec, DynamicsState};
 use crate::metrics::Cdf;
 use crate::observer::{Accumulate, Observer, RoundRecord};
-use crate::scale::index::{within, NeighborTracker, SpatialIndex};
+use crate::scale::index::{squared_distance, within, NeighborTracker, SpatialIndex};
 use crate::traffic::{TrafficKind, TrafficState};
 use midas_channel::geometry::Point;
 use midas_channel::topology::Topology;
-use midas_channel::{ChannelMatrix, ChannelModel, Environment, RowCache, SimRng};
+use midas_channel::{dbm_to_mw, ChannelMatrix, ChannelModel, Environment, RowCache, SimRng};
 use midas_linalg::{CMat, Complex};
 use midas_mac::client_select::{select_clients_cas, select_clients_midas};
 use midas_mac::drr::DrrScheduler;
@@ -208,7 +208,7 @@ pub struct StageTimings {
     /// Channel evolution: keyed catch-up of the rows the round reads, and
     /// their large-scale refresh when their client moved.
     pub evolve_s: f64,
-    /// Carrier sensing: each sensing antenna's fold over the antennas
+    /// Carrier sensing: each sensing decision's reads of the antennas
     /// already on the air (including the first-read evaluation of a
     /// sensing-table entry), the appends a claimed antenna makes to the
     /// lists of the antennas that sense after it, and the per-round list
@@ -283,7 +283,10 @@ pub struct FadingCounters {
 /// [`NetworkSimulator::sensing_counters`]).  Always on — plain integer
 /// adds next to the work they count.  `powers_evaluated` is bounded by the
 /// directed in-range antenna pairs and stops growing once every pair a run
-/// reads has been read once.
+/// reads has been read once.  A decision reads its nearest on-air antenna
+/// first and stops once the medium is certainly busy, so `reads` is at
+/// most one more than the list entries per decision, and entries after
+/// the stop are neither read nor evaluated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SensingCounters {
     /// Sensing-table rows built: one per antenna, the first time it goes
@@ -292,6 +295,10 @@ pub struct SensingCounters {
     /// Antenna-pair powers evaluated: one per table entry, the first time
     /// a sensing decision reads it.
     pub powers_evaluated: usize,
+    /// Antenna-pair powers read by sensing decisions, cached or evaluated:
+    /// the probe of the nearest on-air antenna and every entry the fold
+    /// reads before it stops.
+    pub reads: usize,
     /// Entries appended to sensing lists: one per (claimed antenna,
     /// in-range antenna of an AP that senses later in the round).
     pub pushes: usize,
@@ -348,6 +355,13 @@ impl ActiveTransmission {
 /// The end of a sensing list.
 const NIL: u32 = u32::MAX;
 
+/// Relative margin above the energy-detect threshold's power (mW) at which
+/// a sensing sum is certainly detected.  [`ContentionGraph::detects`]
+/// compares in dB, and its `log10`, like the threshold's `powf`, is within
+/// a few ulps (~1e-15) of exact, far inside the band.  It plays the part
+/// `SQUARE_BAND` plays for squared distances.
+const BUSY_BAND: f64 = 1e-9;
+
 /// The received sensing power of every in-range antenna pair, for the
 /// whole run.
 ///
@@ -355,22 +369,30 @@ const NIL: u32 = u32::MAX;
 /// one antenna numbering of the simulator, which also sizes the sensing
 /// lists and feeds the dynamics layer's in-range tracker.  An antenna gets
 /// a row the first time it goes on the air: the antennas of other APs
-/// within interaction range of it, ascending, found through a static
-/// [`SpatialIndex`] over every antenna at a finite range and by a linear
-/// scan at infinite range.  The range predicate is symmetric, so the row
-/// of `a` holds exactly the antennas whose sensing sum `a` enters.
-/// Same-AP antennas are left out: an AP senses before it claims, so its
-/// own antennas never hear each other.
+/// within interaction range of it, found through a static
+/// [`SpatialIndex`] over every antenna at a finite range (in the index's
+/// visit order, which is deterministic but not ascending) and by a linear
+/// scan at infinite range (ascending).  Row order never reaches a
+/// decision: a sensing list gets at most one entry per on-air antenna, in
+/// activation order.  The range predicate is symmetric, so the row of `a`
+/// holds exactly the antennas whose sensing sum `a` enters.  Same-AP
+/// antennas are left out: an AP senses before it claims, so its own
+/// antennas never hear each other.
 ///
 /// Each entry is [`ContentionGraph::rx_mw`] from the row's antenna to the
 /// target on the contention model's own sensing graph, evaluated the first
 /// time a decision reads it (NaN until then).  Antennas never move —
 /// dynamics moves only clients — so an entry stays valid for the run, and
-/// set-up does no pair work at all.
+/// set-up does no pair work at all.  A decision reads only as many entries
+/// as it takes to be certain (see [`SensingTable::senses`]).
 struct SensingTable {
     /// The contention model's sensing graph: the per-pair term and the
     /// energy-detect threshold.
     graph: ContentionGraph,
+    /// The partial sum (mW) at or above which a decision is certainly
+    /// busy: the threshold's power times `1 + BUSY_BAND`, or +∞ (read
+    /// everything) where that power is not a normal number.
+    busy_mw: f64,
     /// Antenna positions by global id.
     positions: Vec<Point>,
     /// The AP owning each antenna.
@@ -383,20 +405,22 @@ struct SensingTable {
     cutoff_m: f64,
     /// Per antenna, its row once it has gone on the air.
     rows: Vec<Option<SensingRow>>,
+    /// Row-build scratch, retained across builds: one row's targets.
+    targets: Vec<u32>,
     counters: SensingCounters,
 }
 
 /// One antenna's row of the [`SensingTable`], sized exactly.
 struct SensingRow {
-    /// Antennas of other APs within interaction range, ascending.
+    /// Antennas of other APs within interaction range.
     targets: Box<[u32]>,
     /// Received power (mW) at each target; NaN until first read.
     powers: Box<[f64]>,
 }
 
 impl SensingTable {
-    /// O(antennas): ids, owners and (finite range) the static index; no
-    /// row and no pair power is computed here.
+    /// O(antennas): ids, owners, the stop bound and (finite range) the
+    /// static index; no row and no pair power is computed here.
     fn new(topo: &Topology, graph: ContentionGraph, cutoff_m: f64) -> Self {
         let mut positions = Vec::new();
         let mut owner = Vec::new();
@@ -411,14 +435,24 @@ impl SensingTable {
         let index = cutoff_m
             .is_finite()
             .then(|| SpatialIndex::from_points(topo.region, cutoff_m, &positions));
+        // A zero, subnormal, infinite or NaN threshold power has no
+        // relative band to trust: such a table never stops early.
+        let threshold_mw = dbm_to_mw(graph.threshold_dbm());
+        let busy_mw = if threshold_mw.is_normal() {
+            threshold_mw * (1.0 + BUSY_BAND)
+        } else {
+            f64::INFINITY
+        };
         SensingTable {
             graph,
+            busy_mw,
             rows: (0..positions.len()).map(|_| None).collect(),
             positions,
             owner,
             first,
             index,
             cutoff_m,
+            targets: Vec::new(),
             counters: SensingCounters::default(),
         }
     }
@@ -428,29 +462,37 @@ impl SensingTable {
         self.first[ap] as usize + k
     }
 
-    /// Builds the row of antenna `a` unless it exists.
+    /// Builds the row of antenna `a` unless it exists: its targets go
+    /// through the retained scratch into one exact-size slice.
     fn build_row(&mut self, a: usize) {
-        if self.rows[a].is_none() {
-            let own = self.owner[a];
-            let at = self.positions[a];
-            let targets: Box<[u32]> = match &self.index {
-                Some(index) => index
-                    .neighbors_within(&at, self.cutoff_m)
-                    .into_iter()
-                    .filter(|&b| self.owner[b] != own)
-                    .map(|b| b as u32)
-                    .collect(),
-                None => (0..self.positions.len())
-                    .filter(|&b| {
-                        self.owner[b] != own && within(&at, &self.positions[b], self.cutoff_m)
-                    })
-                    .map(|b| b as u32)
-                    .collect(),
-            };
-            let powers = vec![f64::NAN; targets.len()].into_boxed_slice();
-            self.rows[a] = Some(SensingRow { targets, powers });
-            self.counters.rows_built += 1;
+        if self.rows[a].is_some() {
+            return;
         }
+        let (own, at, range) = (self.owner[a], self.positions[a], self.cutoff_m);
+        let SensingTable {
+            owner,
+            positions,
+            index,
+            targets,
+            ..
+        } = self;
+        targets.clear();
+        let mut keep = |b: usize| {
+            if owner[b] != own {
+                targets.push(b as u32);
+            }
+        };
+        match index {
+            Some(index) => index.for_each_within(&at, range, &mut keep),
+            None => (0..positions.len())
+                .filter(|&b| within(&at, &positions[b], range))
+                .for_each(&mut keep),
+        }
+        self.rows[a] = Some(SensingRow {
+            targets: self.targets.as_slice().into(),
+            powers: vec![f64::NAN; self.targets.len()].into_boxed_slice(),
+        });
+        self.counters.rows_built += 1;
     }
 
     /// Puts antenna `a` on the air: appends its entry to the list of every
@@ -468,43 +510,95 @@ impl SensingTable {
         }
     }
 
-    /// Whether antenna `b` senses the medium busy (one decision).
+    /// Whether antenna `b` senses the medium busy (one decision): the
+    /// decision `detects` makes on the fold of `b`'s whole list in append
+    /// order from 0.0, reading only as far as it takes to be certain.
+    ///
+    /// Why stopping early is exact: powers are non-negative and float
+    /// addition rounds monotonically, so each partial sum of the fold is
+    /// at least the one before it and at least the entry it just added.
+    /// The full fold is therefore at least every prefix of it and every
+    /// single entry.  `busy_mw` sits a relative `BUSY_BAND` above the
+    /// threshold's power, far beyond the rounding of `detects`' dB
+    /// comparison, so a full fold at or above it is detected.  Once one
+    /// entry or one prefix reaches `busy_mw` the decision is "busy", and
+    /// no entry left unread can change it.
+    ///
+    /// So the decision first reads its nearest on-air antenna (the
+    /// smallest squared distance, the earliest append on ties), the entry
+    /// most likely to decide alone.  Otherwise it folds in append order
+    /// and stops at `busy_mw`; a fold that ends below it, a total inside
+    /// the band included, decides with `detects` on the full total.  The
+    /// probe's choice changes only how many entries are read.
     fn senses(&mut self, b: usize, lists: &SenseLists) -> bool {
         self.counters.decisions += 1;
-        self.sensed_mw(b, lists)
-            .is_some_and(|total_mw| self.graph.detects(total_mw))
+        let head = lists.head[b];
+        if head == NIL {
+            return false;
+        }
+        let at = self.positions[b];
+        let d2 = |push: &Push| squared_distance(&self.positions[push.from as usize], &at);
+        let (mut probe, mut probe_d2) = (head, d2(&lists.pushes[head as usize]));
+        let mut next = lists.pushes[head as usize].next;
+        while next != NIL {
+            let push = &lists.pushes[next as usize];
+            let push_d2 = d2(push);
+            if push_d2 < probe_d2 {
+                (probe, probe_d2) = (next, push_d2);
+            }
+            next = push.next;
+        }
+        if self.read(probe, b, lists) >= self.busy_mw {
+            return true;
+        }
+        let total_mw = self.fold(b, lists, self.busy_mw);
+        total_mw >= self.busy_mw || self.graph.detects(total_mw)
+    }
+
+    /// The power antenna `b` hears through list entry `push`, evaluated on
+    /// its first read.
+    fn read(&mut self, push: u32, b: usize, lists: &SenseLists) -> f64 {
+        let push = lists.pushes[push as usize];
+        let from = push.from as usize;
+        let row = self.rows[from]
+            .as_mut()
+            .expect("an on-air antenna has a row");
+        let power = &mut row.powers[push.entry as usize];
+        if power.is_nan() {
+            *power = self.graph.rx_mw(&self.positions[from], &self.positions[b]);
+            self.counters.powers_evaluated += 1;
+        }
+        self.counters.reads += 1;
+        *power
+    }
+
+    /// Antenna `b`'s list folded in append (activation) order from 0.0,
+    /// stopping once the partial sum reaches `stop_mw`: the sum so far.
+    fn fold(&mut self, b: usize, lists: &SenseLists, stop_mw: f64) -> f64 {
+        let mut total_mw = 0.0;
+        let mut next = lists.head[b];
+        while next != NIL && total_mw < stop_mw {
+            total_mw += self.read(next, b, lists);
+            next = lists.pushes[next as usize].next;
+        }
+        total_mw
     }
 
     /// The aggregate power antenna `b` hears, `None` when its list is
-    /// empty: the list folded in append (activation) order from 0.0, each
-    /// entry evaluated on its first read.
+    /// empty: the whole fold, the total `senses` decides on.
+    #[cfg(test)]
     fn sensed_mw(&mut self, b: usize, lists: &SenseLists) -> Option<f64> {
-        let mut next = lists.head[b];
-        let heard = next != NIL;
-        let mut total_mw = 0.0;
-        while next != NIL {
-            let push = lists.pushes[next as usize];
-            let from = push.from as usize;
-            let row = self.rows[from]
-                .as_mut()
-                .expect("an on-air antenna has a row");
-            let power = &mut row.powers[push.entry as usize];
-            if power.is_nan() {
-                *power = self.graph.rx_mw(&self.positions[from], &self.positions[b]);
-                self.counters.powers_evaluated += 1;
-            }
-            total_mw += *power;
-            next = push.next;
-        }
-        heard.then_some(total_mw)
+        (lists.head[b] != NIL).then(|| self.fold(b, lists, f64::INFINITY))
     }
 
     /// Bytes of heap the table retains: 12 per built entry (a `u32` target
-    /// and an `f64` power) plus O(antennas) of ids, positions and index.
+    /// and an `f64` power) plus O(antennas) of ids, positions, index and
+    /// row-build scratch.
     fn heap_footprint_bytes(&self) -> usize {
         use std::mem::size_of;
         self.positions.capacity() * size_of::<Point>()
-            + (self.owner.capacity() + self.first.capacity()) * size_of::<u32>()
+            + (self.owner.capacity() + self.first.capacity() + self.targets.capacity())
+                * size_of::<u32>()
             + self
                 .index
                 .as_ref()
@@ -1677,10 +1771,13 @@ impl NetworkSimulator {
     /// each AP's access position; when an AP claims a slot, each claimed
     /// antenna appends its sensing-table entry to the list of every
     /// in-range antenna whose AP senses later this round.  A sensing
-    /// antenna then folds its list in append order from 0.0, which is the
-    /// activation order of the in-range antennas on the air, evaluating
-    /// each entry on its first read in the run.  CAS stops at the first
-    /// busy antenna of an AP, as `any` does.
+    /// antenna then makes the decision a fold of its list in append order
+    /// from 0.0 (the activation order of the in-range antennas on the
+    /// air) would make, reading its nearest on-air antenna first and
+    /// stopping once the medium is certainly busy
+    /// ([`SensingTable::senses`]); an entry is evaluated on its first read
+    /// in the run.  CAS stops at the first busy antenna of an AP, as `any`
+    /// does.
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace; a sensing-table row is built once per antenna per run
     fn plan_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
         let num_aps = self.topo.aps.len();
@@ -2097,8 +2194,11 @@ impl NetworkSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::PhysicalConfig;
     use crate::deployment::PairedTopology;
     use crate::dynamics::DynamicsSpec;
+    use crate::scale::index::nudge;
+    use midas_channel::mw_to_dbm;
 
     fn three_ap_pair(seed: u64) -> PairedTopology {
         let mut rng = SimRng::new(seed);
@@ -2391,9 +2491,12 @@ mod tests {
     /// The sensing table against its oracle.  Over random access orders and
     /// claim sets, on the 8-AP paper floor at infinite range and the 64-AP
     /// enterprise floor at its range, under Graph and calibrated Physical
-    /// contention, MIDAS and CAS: every decision's total is bit-equal to the
-    /// oracle's fold, on first read and on cached reads alike, and the work
-    /// counters are exactly the oracle's work.
+    /// contention, MIDAS and CAS: every decision equals `detects` on the
+    /// oracle's fold, and a second table fed the same lists folds every
+    /// total bit-equal to the oracle, on first read and on cached reads
+    /// alike.  The first table's counters count its decisions alone: the
+    /// oracle's rows, pushes and decisions exactly, at most one evaluation
+    /// per pair read, and at most one read more than the list per decision.
     #[test]
     fn the_sensing_table_matches_a_fold_over_the_antennas_on_the_air() {
         let paper_env = Environment::office_a();
@@ -2407,7 +2510,7 @@ mod tests {
             let pair = enterprise.build(seed).expect("buildable scenario");
             floors.push((pair, enterprise.sim_config(MacKind::Midas, 1, seed)));
         }
-        let mut decisions_checked = 0;
+        let (mut decisions_checked, mut evaluated, mut pairs_read) = (0, 0, 0);
         for (pair, base) in &floors {
             let cutoff = base.interaction_range_m;
             for contention in [
@@ -2426,6 +2529,7 @@ mod tests {
                     };
                     let graph = contention.sensing_graph(config.env, config.seed ^ 0x5151);
                     let mut table = SensingTable::new(topo, graph.clone(), cutoff);
+                    let mut totals = SensingTable::new(topo, graph.clone(), cutoff);
                     let aps = topo.aps.len();
                     let first: Vec<usize> = topo
                         .aps
@@ -2442,6 +2546,7 @@ mod tests {
                     let mut expected = SensingCounters::default();
                     let mut read = std::collections::BTreeSet::new();
                     let mut built = vec![false; antennas];
+                    let mut most_reads = 0;
                     for _round in 0..4 {
                         let mut order: Vec<usize> = (0..aps).collect();
                         rng.shuffle(&mut order);
@@ -2462,16 +2567,19 @@ mod tests {
                                 let b = first[ap] + k;
                                 let points: Vec<Point> = on_air.iter().map(|&(_, p)| p).collect();
                                 let want = oracle_sensed_mw(&graph, antenna, &points, cutoff);
+                                let mut listed = 0;
                                 for &(a, p) in &on_air {
                                     if p.distance(antenna) <= cutoff {
                                         read.insert((a, b));
+                                        listed += 1;
                                     }
                                 }
+                                most_reads += listed + usize::from(listed > 0);
                                 let busy = table.senses(b, &lists);
                                 expected.decisions += 1;
                                 assert_eq!(busy, want.is_some_and(|t| graph.detects(t)));
                                 assert_eq!(
-                                    table.sensed_mw(b, &lists).map(f64::to_bits),
+                                    totals.sensed_mw(b, &lists).map(f64::to_bits),
                                     want.map(f64::to_bits),
                                     "{contention:?} {mac:?}: AP {ap} antenna {k}"
                                 );
@@ -2490,6 +2598,7 @@ mod tests {
                             for k in claim {
                                 let a = first[ap] + k;
                                 table.go_on_air(a, &mut lists);
+                                totals.build_row(a);
                                 expected.rows_built += usize::from(!built[a]);
                                 built[a] = true;
                                 expected.pushes += (0..aps)
@@ -2501,8 +2610,19 @@ mod tests {
                             }
                         }
                     }
-                    expected.powers_evaluated = read.len();
-                    assert_eq!(table.counters, expected, "{contention:?} {mac:?}");
+                    let work = table.counters;
+                    let label = format!("{contention:?} {mac:?}: {work:?}");
+                    assert_eq!(
+                        (work.rows_built, work.pushes, work.decisions),
+                        (expected.rows_built, expected.pushes, expected.decisions),
+                        "{label}"
+                    );
+                    assert!(work.powers_evaluated <= read.len(), "{label}");
+                    assert!(work.powers_evaluated <= work.reads, "{label}");
+                    assert!(work.reads <= most_reads, "{label}: {most_reads}");
+                    assert_eq!(totals.counters.powers_evaluated, read.len(), "{label}");
+                    evaluated += work.powers_evaluated;
+                    pairs_read += read.len();
                 }
             }
         }
@@ -2510,11 +2630,186 @@ mod tests {
             decisions_checked > 5000,
             "only {decisions_checked} decisions"
         );
+        assert!(
+            evaluated < pairs_read,
+            "the stop rule saved nothing: {evaluated} of {pairs_read} pairs evaluated"
+        );
+    }
+
+    /// Non-empty sensing lists as the round loop builds them, without a
+    /// table: over `rounds` random access orders, each AP with traffic
+    /// (85 %) records, for each of its antennas, the on-air antennas of
+    /// other APs within `cutoff` in activation order, then claims a random
+    /// half of its antennas (MIDAS) or all or none (CAS).
+    fn recorded_sense_lists(
+        topo: &Topology,
+        mac: MacKind,
+        cutoff: f64,
+        seed: u64,
+        rounds: usize,
+    ) -> Vec<(usize, Vec<usize>)> {
+        let positions: Vec<Point> = topo
+            .aps
+            .iter()
+            .flat_map(|ap| ap.antennas.iter().copied())
+            .collect();
+        let (mut first, mut next) = (Vec::new(), 0);
+        for ap in &topo.aps {
+            first.push(next);
+            next += ap.antennas.len();
+        }
+        let mut rng = SimRng::new(seed).fork(0x5E);
+        let mut recorded = Vec::new();
+        for _ in 0..rounds {
+            let mut order: Vec<usize> = (0..topo.aps.len()).collect();
+            rng.shuffle(&mut order);
+            let mut on_air: Vec<usize> = Vec::new();
+            for &ap in &order {
+                if rng.uniform() < 0.15 {
+                    continue;
+                }
+                let n = topo.aps[ap].antennas.len();
+                for b in first[ap]..first[ap] + n {
+                    let list: Vec<usize> = on_air
+                        .iter()
+                        .copied()
+                        .filter(|&a| positions[a].distance(&positions[b]) <= cutoff)
+                        .collect();
+                    if !list.is_empty() {
+                        recorded.push((b, list));
+                    }
+                }
+                let claim: Vec<usize> = match mac {
+                    MacKind::Midas => (0..n).filter(|_| rng.uniform() < 0.5).collect(),
+                    MacKind::Cas if rng.uniform() < 0.5 => (0..n).collect(),
+                    MacKind::Cas => Vec::new(),
+                };
+                on_air.extend(claim.into_iter().map(|k| first[ap] + k));
+            }
+        }
+        recorded
+    }
+
+    /// The stop rule at its edges.  Sensing lists recorded on the 8-AP
+    /// paper floor (infinite range) and the 64-AP enterprise floor (its
+    /// range), for MIDAS and CAS under Graph and calibrated Physical
+    /// contention, are replayed on tables whose threshold (set through
+    /// `Environment::carrier_sense_dbm` or `PhysicalConfig::cs_threshold_dbm`)
+    /// sits at each list's full fold `T` in dBm, at `T·(1 ± BUSY_BAND)`,
+    /// where the probe's power alone meets the stop bound, and 1, 2 and 4
+    /// ulps either side of each: `senses` equals `detects(T)` every time.
+    #[test]
+    fn an_early_stopped_decision_equals_the_full_fold_at_every_threshold() {
+        let paper_env = Environment::office_a();
+        let mut rng = SimRng::new(3);
+        let cfg = crate::deployment::paper_das_config(&paper_env, 4, 4);
+        let paper = PairedTopology::eight_ap(&cfg, &paper_env, &mut rng);
+        let enterprise = crate::scale::Scenario::enterprise_office(64);
+        let office = enterprise.build(3).expect("buildable scenario");
+        let floors = [
+            (paper, NetworkSimConfig::midas(paper_env, 3), 4),
+            (office, enterprise.sim_config(MacKind::Midas, 1, 3), 1),
+        ];
+        let (mut checks, mut probed, mut stopped, mut idle) = (0, 0, 0, 0);
+        for (pair, base, rounds) in &floors {
+            let (env, cutoff, seed) = (base.env, base.interaction_range_m, base.seed ^ 0x5151);
+            for contention in [
+                ContentionModel::Graph,
+                ContentionModel::physical_calibrated(),
+            ] {
+                let graph_at = |threshold_dbm: f64| match contention {
+                    ContentionModel::Graph => ContentionModel::Graph.sensing_graph(
+                        Environment {
+                            carrier_sense_dbm: threshold_dbm,
+                            ..env
+                        },
+                        seed,
+                    ),
+                    ContentionModel::Physical(p) => ContentionModel::Physical(PhysicalConfig {
+                        cs_threshold_dbm: threshold_dbm,
+                        ..p
+                    })
+                    .sensing_graph(env, seed),
+                };
+                let graph = contention.sensing_graph(env, seed);
+                for mac in [MacKind::Midas, MacKind::Cas] {
+                    let topo = match mac {
+                        MacKind::Midas => &pair.das,
+                        MacKind::Cas => &pair.cas,
+                    };
+                    let positions: Vec<Point> = topo
+                        .aps
+                        .iter()
+                        .flat_map(|ap| ap.antennas.iter().copied())
+                        .collect();
+                    for (b, list) in recorded_sense_lists(topo, mac, cutoff, base.seed, *rounds) {
+                        let at = positions[b];
+                        let total_mw = list
+                            .iter()
+                            .fold(0.0, |total, &a| total + graph.rx_mw(&positions[a], &at));
+                        let nearest = *list
+                            .iter()
+                            .min_by(|&&x, &&y| {
+                                let d2 = |a: usize| squared_distance(&positions[a], &at);
+                                d2(x).total_cmp(&d2(y))
+                            })
+                            .expect("a recorded list is not empty");
+                        let probe_mw = graph.rx_mw(&positions[nearest], &at);
+                        let centres = [
+                            mw_to_dbm(total_mw),
+                            mw_to_dbm(total_mw * (1.0 + BUSY_BAND)),
+                            mw_to_dbm(total_mw * (1.0 - BUSY_BAND)),
+                            mw_to_dbm(probe_mw / (1.0 + BUSY_BAND)),
+                        ];
+                        for centre in centres {
+                            for ulps in [0, -1, 1, -2, 2, -4, 4] {
+                                let threshold_dbm = nudge(centre, ulps);
+                                let graph = graph_at(threshold_dbm);
+                                assert_eq!(graph.threshold_dbm(), threshold_dbm);
+                                let want = graph.detects(total_mw);
+                                let mut table = SensingTable::new(topo, graph, cutoff);
+                                let mut lists = SenseLists::new(topo.aps.len(), positions.len());
+                                for &a in &list {
+                                    table.build_row(a);
+                                    let row = table.rows[a].as_ref().expect("built");
+                                    let entry = row.targets.iter().position(|&t| t as usize == b);
+                                    let entry = entry.expect("a listed antenna is in range");
+                                    lists.append(b as u32, a as u32, entry as u32);
+                                }
+                                let busy = table.senses(b, &lists);
+                                assert_eq!(
+                                    busy,
+                                    want,
+                                    "{contention:?} {mac:?}: antenna {b}, {} entries, \
+                                     threshold {threshold_dbm} dBm, T {total_mw} mW",
+                                    list.len()
+                                );
+                                let reads = table.counters.reads;
+                                probed += usize::from(busy && reads == 1);
+                                stopped += usize::from(busy && reads > 1 && reads <= list.len());
+                                idle += usize::from(!busy);
+                                checks += 1;
+                                assert_eq!(
+                                    table.sensed_mw(b, &lists).map(f64::to_bits),
+                                    Some(total_mw.to_bits()),
+                                    "the replayed list folds to T"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checks > 10_000, "only {checks} thresholds checked");
+        assert!(
+            probed > 0 && stopped > 0 && idle > 0,
+            "{probed} probe-decided, {stopped} fold-stopped, {idle} idle of {checks}"
+        );
     }
 
     /// Sensing-table rows found through the spatial index equal the rows a
-    /// linear scan finds, id for id: the antennas of other APs within
-    /// range, ascending.
+    /// linear scan finds, as sets and without duplicates: the antennas of
+    /// other APs within range.
     #[test]
     fn sensing_rows_through_the_index_equal_brute_force_rows() {
         let scenario = crate::scale::Scenario::enterprise_office(64);
@@ -2538,7 +2833,11 @@ mod tests {
                     .map(|b| b as u32)
                     .collect();
                 let row = table.rows[a].as_ref().expect("built");
-                assert_eq!(&row.targets[..], &brute[..], "cutoff {cutoff}, antenna {a}");
+                let mut targets = row.targets.to_vec();
+                targets.sort_unstable();
+                targets.dedup();
+                assert_eq!(targets.len(), row.targets.len(), "antenna {a}: a duplicate");
+                assert_eq!(targets, brute, "cutoff {cutoff}, antenna {a}");
                 entries += brute.len();
             }
             assert!(entries > 1000, "cutoff {cutoff}: {entries} entries");
