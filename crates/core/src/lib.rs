@@ -16,7 +16,7 @@
 //! This crate assembles those pieces into a small, high-level API
 //! ([`SingleApSystem`], [`config::SystemConfig`]) and into the composable
 //! session layer ([`sim`]): topology sources, paired experiment sessions,
-//! pluggable traffic models, streaming observers, and one declarative
+//! full-buffer or on/off traffic, streaming observers, and one declarative
 //! [`sim::ExperimentSpec`] per table/figure of the paper's evaluation,
 //! which the benchmark harness (`crates/bench`) and the examples drive;
 //! [`sim::ExperimentSpec::run`] is the one public way to run an

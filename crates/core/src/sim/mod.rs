@@ -9,9 +9,9 @@
 //!    large-scale), the enterprise [`Scenario`](midas_net::scale::Scenario)
 //!    library, or a custom impl.
 //! 2. **[`SessionBuilder`] → [`Session`]** — composes a source with a
-//!    [`ContentionModel`], a [`TrafficKind`] workload (the closed set of
-//!    library workloads; there is no custom traffic model), round count,
-//!    seed mix and worker count, then fans paired trials through the
+//!    [`ContentionModel`], a [`TrafficKind`] workload (the paper's full
+//!    buffer or on/off bursts; there is no custom traffic model), round
+//!    count, seed mix and worker count, then fans paired trials through the
 //!    deterministic `SeedSweep` engine.  Results stream through the
 //!    [`Observer`] trait: [`Accumulate`] rebuilds the full
 //!    [`TopologyResult`](midas_net::simulator::TopologyResult) bit for

@@ -435,15 +435,10 @@ fn enterprise_series(
         // Structural diagnostic: range-limited AP contention degree of the
         // DAS deployment (same frozen shadowing field as the simulator).
         let graph = ContentionGraph::new(env, trial.seed() ^ 0x5151);
-        let adjacency = graph.ap_adjacency_indexed(
-            &trial.pair().das,
-            env.interaction_range_m(INTERACTION_MARGIN_DB),
-        );
-        let degree = adjacency
-            .iter()
-            .map(|row| row.iter().filter(|&&x| x).count())
-            .sum::<usize>() as f64
-            / adjacency.len().max(1) as f64;
+        let topo = &trial.pair().das;
+        let pairs =
+            graph.ap_adjacency_indexed(topo, env.interaction_range_m(INTERACTION_MARGIN_DB));
+        let degree = (2 * pairs.len()) as f64 / topo.aps.len().max(1) as f64;
         Some((
             cas.mean_capacity(),
             das.mean_capacity(),

@@ -96,8 +96,9 @@ fn non_saturation_traffic_is_deterministic_and_lighter() {
     let build = || {
         SessionBuilder::new(PairedRecipe::three_ap_paper())
             .rounds(6)
-            .traffic(TrafficKind::Poisson {
-                mean_arrivals_per_round: 0.5,
+            .traffic(TrafficKind::OnOff {
+                duty: 0.5,
+                mean_burst_rounds: 3.0,
             })
             .build()
     };
@@ -105,8 +106,8 @@ fn non_saturation_traffic_is_deterministic_and_lighter() {
     let b = build().run(3, 4);
     assert_eq!(a.network.das, b.network.das);
     assert_eq!(a.per_client.das, b.per_client.das);
-    // Queue-driven traffic at 0.5 packets/client/round serves less volume
-    // than saturation.
+    // Clients backlogged half the time are served less volume than at
+    // saturation.
     let saturated = SessionBuilder::new(PairedRecipe::three_ap_paper())
         .rounds(6)
         .build()

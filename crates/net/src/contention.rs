@@ -101,12 +101,12 @@ impl ContentionGraph {
         })
     }
 
-    /// Adjacency matrix of the AP contention graph: candidate AP pairs are
-    /// discovered through a spatial index over every antenna position —
-    /// O(n·k) instead of the all-pairs antenna sweep — and links longer
-    /// than `cutoff_m` (derive it from `Environment::interaction_range_m`,
-    /// or pass `f64::INFINITY` for no cutoff) are below the sensitivity
-    /// floor.
+    /// The contending AP pairs `(a, b)`, `a < b`, ascending: the edge list
+    /// of the AP contention graph.  Candidate pairs are discovered through
+    /// a spatial index over every antenna position — O(n·k) instead of the
+    /// all-pairs antenna sweep — and links longer than `cutoff_m` (derive
+    /// it from `Environment::interaction_range_m`, or pass `f64::INFINITY`
+    /// for no cutoff) are below the sensitivity floor.
     ///
     /// Equivalent by construction to running
     /// [`ContentionGraph::aps_share_domain_within`] over all pairs: the
@@ -115,9 +115,10 @@ impl ContentionGraph {
     /// the property test in `tests/proptest_scale.rs`).  Both the range
     /// test and `can_sense(ta, tb) || can_sense(tb, ta)` are symmetric in
     /// the pair, so each unordered antenna pair is tested once, from the
-    /// antenna of the lower-numbered AP.
-    pub fn ap_adjacency_indexed(&self, topo: &Topology, cutoff_m: f64) -> Vec<Vec<bool>> {
-        let n = topo.aps.len();
+    /// antenna of the lower-numbered AP.  An AP's antennas are visited
+    /// consecutively, so a per-AP stamp of the last AP found to contend
+    /// with it ends the tests of a pair at its first sensing link.
+    pub fn ap_adjacency_indexed(&self, topo: &Topology, cutoff_m: f64) -> Vec<(usize, usize)> {
         let mut owner: Vec<usize> = Vec::new();
         let mut index = crate::scale::index::SpatialIndex::new(topo.region, cutoff_m);
         for ap in &topo.aps {
@@ -126,22 +127,25 @@ impl ContentionGraph {
                 owner.push(ap.ap_id);
             }
         }
-        let mut adj = vec![vec![false; n]; n];
+        // `paired_with[b] == a` once the pair (a, b) is known to contend.
+        let mut paired_with = vec![usize::MAX; topo.aps.len()];
+        let mut pairs = Vec::new();
         let points = index.points();
         for (i, ta) in points.iter().enumerate() {
             let a = owner[i];
             index.for_each_within(ta, cutoff_m, |j| {
                 let b = owner[j];
-                if a < b && !adj[a][b] {
+                if a < b && paired_with[b] != a {
                     let tb = &points[j];
                     if self.can_sense(ta, tb) || self.can_sense(tb, ta) {
-                        adj[a][b] = true;
-                        adj[b][a] = true;
+                        paired_with[b] = a;
+                        pairs.push((a, b));
                     }
                 }
             });
         }
-        adj
+        pairs.sort_unstable();
+        pairs
     }
 }
 
@@ -182,17 +186,25 @@ mod tests {
         }
     }
 
+    /// The pair list is the strict upper triangle of a symmetric adjacency
+    /// matrix with a false diagonal: every pair is `a < b`, ascending and
+    /// unique, and equals the pairwise reference.
     #[test]
     fn adjacency_matrix_is_symmetric_with_false_diagonal() {
         let mut rng = SimRng::new(3);
         let topo = three_ap_testbed(&TopologyConfig::das(4, 4), &mut rng);
         let g = ContentionGraph::new(Environment::office_a(), 3);
-        let adj = g.ap_adjacency_indexed(&topo, f64::INFINITY);
-        for (a, row) in adj.iter().enumerate() {
-            assert!(!row[a]);
-            for (b, &reaches) in row.iter().enumerate() {
-                assert_eq!(reaches, adj[b][a]);
-            }
+        let pairs = g.ap_adjacency_indexed(&topo, f64::INFINITY);
+        assert!(pairs.iter().all(|&(a, b)| a < b));
+        assert!(pairs.windows(2).all(|w| w[0] < w[1]));
+        let n = topo.aps.len();
+        let pairwise: Vec<(usize, usize)> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| g.aps_share_domain_within(&topo, a, b, f64::INFINITY))
+            .collect();
+        assert_eq!(pairs, pairwise);
+        for &(a, b) in &pairs {
+            assert!(g.aps_share_domain_within(&topo, b, a, f64::INFINITY));
         }
     }
 

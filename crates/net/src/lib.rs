@@ -20,9 +20,10 @@
 //! * [`dynamics`] — the long-horizon mutation layer: client mobility
 //!   (random waypoint, corridor flow), per-round roaming with hysteresis,
 //!   all off by default (static runs stay byte-identical).
-//! * [`traffic`] — the downlink workloads of [`TrafficKind`] (full buffer,
-//!   on/off, Poisson, plus the diurnal / flash-crowd / churn long-horizon
-//!   envelopes) deciding which clients are backlogged each round.
+//! * [`traffic`] — the downlink workloads of [`TrafficKind`] (the paper's
+//!   full buffer and on/off bursts), a pure function of the seed, the
+//!   global client id and the round, deciding which clients are backlogged
+//!   each round.
 //! * [`observer`] — streaming per-round result consumers (`RunningSummary`
 //!   is memory-flat in the round count; `Accumulate`, one plus the
 //!   per-round series, rebuilds `TopologyResult` bit-for-bit).

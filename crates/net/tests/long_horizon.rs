@@ -1,7 +1,7 @@
 //! Long-horizon dynamics suite: a network that runs for 10⁵ rounds with
-//! mobility, roaming and churn must stay flat in memory, deterministic in
-//! the seed, and — with dynamics off — byte-identical to the static
-//! simulator.
+//! mobility, roaming and on/off traffic must stay flat in memory,
+//! deterministic in the seed, and — with dynamics off — byte-identical to
+//! the static simulator.
 //!
 //! These are the acceptance tests for the dynamics layer: everything here
 //! runs on a deliberately tiny floor (2 APs, 8 clients) so the 10⁵-round
@@ -29,15 +29,15 @@ fn tiny_floor(seed: u64) -> (Topology, Environment) {
     (topo, Environment::open_plan())
 }
 
-/// Roaming walkers plus churn traffic.
+/// Roaming walkers plus on/off traffic.
 fn dynamic_sim(rounds: usize, seed: u64) -> NetworkSimulator {
     let (topo, env) = tiny_floor(seed);
     let mut config = NetworkSimConfig::midas(env, seed);
     config.rounds = rounds;
     config.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
-    NetworkSimulator::new(topo, config).with_traffic_kind(TrafficKind::Churn {
-        attached_fraction: 0.7,
-        mean_session_rounds: 30.0,
+    NetworkSimulator::new(topo, config).with_traffic_kind(TrafficKind::OnOff {
+        duty: 0.7,
+        mean_burst_rounds: 30.0,
     })
 }
 
@@ -91,9 +91,9 @@ fn finite_range_sim(rounds: usize, seed: u64) -> NetworkSimulator {
     config.rounds = rounds;
     config.interaction_range_m = FINITE_RANGE_M;
     config.dynamics = Some(DynamicsSpec::roaming_walk(20.0));
-    NetworkSimulator::new(topo, config).with_traffic_kind(TrafficKind::Churn {
-        attached_fraction: 0.7,
-        mean_session_rounds: 30.0,
+    NetworkSimulator::new(topo, config).with_traffic_kind(TrafficKind::OnOff {
+        duty: 0.7,
+        mean_burst_rounds: 30.0,
     })
 }
 
@@ -169,16 +169,16 @@ fn dynamics_off_is_byte_identical_to_the_static_simulator() {
 }
 
 #[test]
-fn a_long_static_run_with_churn_stays_flat_too() {
-    // Churn alone (no mobility) exercises the queue/session bookkeeping on
-    // the long horizon; it must be as allocation-flat as the dynamic path.
+fn a_long_static_run_with_on_off_traffic_stays_flat_too() {
+    // On/off traffic alone (no mobility) exercises the backlog bookkeeping
+    // on the long horizon; it must be as allocation-flat as the dynamic path.
     let build = |rounds: usize| {
         let (topo, env) = tiny_floor(13);
         let mut config = NetworkSimConfig::midas(env, 13);
         config.rounds = rounds;
-        NetworkSimulator::new(topo, config).with_traffic_kind(TrafficKind::Churn {
-            attached_fraction: 0.5,
-            mean_session_rounds: 20.0,
+        NetworkSimulator::new(topo, config).with_traffic_kind(TrafficKind::OnOff {
+            duty: 0.5,
+            mean_burst_rounds: 20.0,
         })
     };
     let mut warm = build(1_000);

@@ -89,41 +89,6 @@ proptest! {
 }
 
 #[test]
-fn queued_traffic_agrees_between_reused_and_fresh_workspaces() {
-    // Poisson keeps cross-round queue state, the stickiest case for the
-    // served/unserved bookkeeping rewrite — pin it separately.
-    let scenario = Scenario::enterprise_office(8);
-    let traffic = TrafficKind::Poisson {
-        mean_arrivals_per_round: 0.4,
-    };
-    for mac in [MacKind::Midas, MacKind::Cas] {
-        let reused = build_sim(
-            &scenario,
-            mac,
-            None,
-            ContentionModel::Graph,
-            traffic,
-            10,
-            42,
-            false,
-        )
-        .run();
-        let fresh = build_sim(
-            &scenario,
-            mac,
-            None,
-            ContentionModel::Graph,
-            traffic,
-            10,
-            42,
-            true,
-        )
-        .run();
-        assert_eq!(reused, fresh, "{mac:?}: Poisson queues diverged");
-    }
-}
-
-#[test]
 fn steady_state_rounds_do_not_grow_the_workspace() {
     // After one full run every scratch buffer has seen its worst case; a
     // second identical run must find every capacity already sufficient, so

@@ -31,12 +31,14 @@ use midas_net::scale::{AssociationPolicy, Scenario};
 /// Revision of the simulation's results, part of the cache key of every
 /// spec: bump it whenever any spec's result bytes change, so an existing
 /// cache never serves results of the old code as hits.
-/// Revision 4: DRR credits only the clients that were backlogged, which
-/// moves every non-full-buffer result.  (Revision 3: a lagging channel row
-/// catches up in one skip-ahead fading step, and a moved client's rows are
-/// refreshed when read.  Revisions 1 and 2 covered dynamic specs only, as
+/// Revision 5: on/off traffic is keyed by the global client id, so a
+/// client keeps its burst pattern through a handoff, which moves every
+/// on/off result.  (Revision 4: DRR credits only the clients that were
+/// backlogged.  Revision 3: a lagging channel row catches up in one
+/// skip-ahead fading step, and a moved client's rows are refreshed when
+/// read.  Revisions 1 and 2 covered dynamic specs only, as
 /// `dynamics_revision`.)
-const RESULT_REVISION: u64 = 4;
+const RESULT_REVISION: u64 = 5;
 
 /// A decode failure, locating the offending field.
 #[derive(Debug, Clone, PartialEq)]
@@ -298,23 +300,12 @@ impl<'a> Field<'a> {
         usize::try_from(self.u64()?).map_err(|_| self.error("integer out of range"))
     }
 
-    /// An unsigned integer that must satisfy `ok`, else `rule` is the error.
-    fn usize_where(
-        &self,
-        ok: impl FnOnce(usize) -> bool,
-        rule: &str,
-    ) -> Result<usize, DecodeError> {
-        let n = self.usize()?;
-        if ok(n) {
-            Ok(n)
-        } else {
-            Err(self.error(rule))
-        }
-    }
-
     /// A count of things to run or build: at least 1.
     fn count(&self) -> Result<usize, DecodeError> {
-        self.usize_where(|n| n >= 1, "must be at least 1")
+        match self.usize()? {
+            0 => Err(self.error("must be at least 1")),
+            n => Ok(n),
+        }
     }
 
     fn f64(&self) -> Result<f64, DecodeError> {
@@ -455,48 +446,6 @@ fn traffic_to_json(traffic: TrafficKind) -> Json {
             ("duty".into(), Json::Num(duty)),
             ("mean_burst_rounds".into(), Json::Num(mean_burst_rounds)),
         ]),
-        TrafficKind::Poisson {
-            mean_arrivals_per_round,
-        } => Json::Obj(vec![
-            ("model".into(), Json::Str("poisson".into())),
-            (
-                "mean_arrivals_per_round".into(),
-                Json::Num(mean_arrivals_per_round),
-            ),
-        ]),
-        TrafficKind::Diurnal {
-            low_duty,
-            high_duty,
-            day_rounds,
-            mean_burst_rounds,
-        } => Json::Obj(vec![
-            ("model".into(), Json::Str("diurnal".into())),
-            ("low_duty".into(), Json::Num(low_duty)),
-            ("high_duty".into(), Json::Num(high_duty)),
-            ("day_rounds".into(), Json::UInt(day_rounds as u64)),
-            ("mean_burst_rounds".into(), Json::Num(mean_burst_rounds)),
-        ]),
-        TrafficKind::FlashCrowd {
-            base_duty,
-            flash_every_rounds,
-            flash_rounds,
-        } => Json::Obj(vec![
-            ("model".into(), Json::Str("flash_crowd".into())),
-            ("base_duty".into(), Json::Num(base_duty)),
-            (
-                "flash_every_rounds".into(),
-                Json::UInt(flash_every_rounds as u64),
-            ),
-            ("flash_rounds".into(), Json::UInt(flash_rounds as u64)),
-        ]),
-        TrafficKind::Churn {
-            attached_fraction,
-            mean_session_rounds,
-        } => Json::Obj(vec![
-            ("model".into(), Json::Str("churn".into())),
-            ("attached_fraction".into(), Json::Num(attached_fraction)),
-            ("mean_session_rounds".into(), Json::Num(mean_session_rounds)),
-        ]),
     }
 }
 
@@ -509,41 +458,9 @@ fn traffic_from_json(v: Field<'_>) -> Result<TrafficKind, DecodeError> {
                 duty: f.req("duty")?.unit_interval()?,
                 mean_burst_rounds: f.req("mean_burst_rounds")?.positive()?,
             },
-            "poisson" => TrafficKind::Poisson {
-                mean_arrivals_per_round: f.req("mean_arrivals_per_round")?.non_negative()?,
-            },
-            "diurnal" => TrafficKind::Diurnal {
-                low_duty: f.req("low_duty")?.unit_interval()?,
-                high_duty: f.req("high_duty")?.unit_interval()?,
-                day_rounds: f
-                    .req("day_rounds")?
-                    .usize_where(|n| n >= 2, "must be at least 2")?,
-                mean_burst_rounds: f.req("mean_burst_rounds")?.positive()?,
-            },
-            "flash_crowd" => {
-                let base_duty = f.req("base_duty")?.unit_interval()?;
-                let every = f
-                    .req("flash_every_rounds")?
-                    .usize_where(|n| n >= 2, "must be at least 2")?;
-                TrafficKind::FlashCrowd {
-                    base_duty,
-                    flash_every_rounds: every,
-                    flash_rounds: f.req("flash_rounds")?.usize_where(
-                        |n| (1..=every).contains(&n),
-                        "must be in [1, flash_every_rounds]",
-                    )?,
-                }
-            }
-            "churn" => TrafficKind::Churn {
-                attached_fraction: f.req("attached_fraction")?.unit_interval()?,
-                mean_session_rounds: f
-                    .req("mean_session_rounds")?
-                    .f64_where(|x| x >= 1.0, "must be at least 1")?,
-            },
             other => {
                 return Err(model.error(format!(
-                    "unknown traffic model {other:?} (expected \"full_buffer\", \"on_off\", \
-                     \"poisson\", \"diurnal\", \"flash_crowd\" or \"churn\")"
+                    "unknown traffic model {other:?} (expected \"full_buffer\" or \"on_off\")"
                 )))
             }
         })
@@ -1063,32 +980,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_traffic_models_round_trip_through_json() {
-        for traffic in [
-            TrafficKind::Diurnal {
-                low_duty: 0.1,
-                high_duty: 0.9,
-                day_rounds: 200,
-                mean_burst_rounds: 4.0,
-            },
-            TrafficKind::FlashCrowd {
-                base_duty: 0.2,
-                flash_every_rounds: 50,
-                flash_rounds: 5,
-            },
-            TrafficKind::Churn {
-                attached_fraction: 0.7,
-                mean_session_rounds: 30.0,
-            },
-        ] {
-            let mut spec = JobSpec::new(ExperimentSpec::fig15(), 3);
-            spec.traffic = traffic;
-            let back = JobSpec::from_json_str(&spec.to_json().write_pretty()).unwrap();
-            assert_eq!(back, spec);
-        }
-    }
-
-    #[test]
     fn dynamics_knob_round_trips_and_forks_the_cache_key_only_when_set() {
         let mut spec = JobSpec::new(ExperimentSpec::fig15(), 5);
         // Absent dynamics must leave the pre-dynamics material untouched —
@@ -1135,14 +1026,18 @@ mod tests {
         let static_spec = fig16_spec();
         let mut dynamic_spec = JobSpec::new(ExperimentSpec::fig15(), 5);
         dynamic_spec.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
-        // The ids these specs had before revision 4: at revision 3, the
-        // static one before any revision member, the dynamic one at
+        // The ids these specs had before revision 5: at revisions 4 and 3,
+        // the static one before any revision member, the dynamic one at
         // `dynamics_revision` 2 and at the earlier materials.
         let old_ids: [(&JobSpec, &[&str]); 2] = [
-            (&static_spec, &["6ffb66078732c51e", "b7fbebced12cdef5"]),
+            (
+                &static_spec,
+                &["16220bcf9545596e", "6ffb66078732c51e", "b7fbebced12cdef5"],
+            ),
             (
                 &dynamic_spec,
                 &[
+                    "cad279c038fd5b7b",
                     "68beade84a3550ab",
                     "63c62673e3b25cad",
                     "ef14547d42f1ad7f",
@@ -1154,10 +1049,10 @@ mod tests {
             assert!(!old.contains(&spec.cache_key().as_str()), "{spec:?}");
             assert!(spec
                 .cache_key_material()
-                .contains(",\"result_revision\":4,"));
+                .contains(",\"result_revision\":5,"));
         }
-        assert_eq!(static_spec.cache_key(), "16220bcf9545596e");
-        assert_eq!(dynamic_spec.cache_key(), "cad279c038fd5b7b");
+        assert_eq!(static_spec.cache_key(), "c2105dc0e30ed077");
+        assert_eq!(dynamic_spec.cache_key(), "c7d2b042c477a1d2");
     }
 
     #[test]
@@ -1181,16 +1076,15 @@ mod tests {
 
     /// The cache-key material is a pinned golden: if these bytes drift, the
     /// whole on-disk cache silently invalidates, so any change here must be
-    /// deliberate.  (The last deliberate change dropped the removed
-    /// channel-cache interval and moved to revision 4, so no result of the
-    /// old DRR crediting is served again.)
+    /// deliberate.  (The last deliberate change moved to revision 5, so no
+    /// on/off result keyed by AP-local client slot is served again.)
     #[test]
     fn cache_key_material_is_pinned() {
         assert_eq!(
             fig16_spec().cache_key_material(),
             "{\"experiment\":{\"contention\":{\"model\":\"graph\"},\
              \"kind\":\"fig16_eight_ap_simulation\",\"rounds\":10,\"topologies\":15},\
-             \"result_revision\":4,\
+             \"result_revision\":5,\
              \"seed\":73125,\"traffic\":{\"model\":\"full_buffer\"}}"
         );
     }
@@ -1412,70 +1306,11 @@ mod tests {
                 traffic(r#"{"model": "on_off", "duty": 0.5, "mean_burst_rounds": 0}"#),
                 "$.traffic.mean_burst_rounds",
             ),
+            // A removed workload is an unknown model, rejected before its
+            // fields are read.
             (
-                traffic(r#"{"model": "poisson", "mean_arrivals_per_round": -1}"#),
-                "$.traffic.mean_arrivals_per_round",
-            ),
-            (
-                traffic(
-                    r#"{"model": "diurnal", "low_duty": -0.1, "high_duty": 0.9,
-                            "day_rounds": 200, "mean_burst_rounds": 4}"#,
-                ),
-                "$.traffic.low_duty",
-            ),
-            (
-                traffic(
-                    r#"{"model": "diurnal", "low_duty": 0.1, "high_duty": 1.1,
-                            "day_rounds": 200, "mean_burst_rounds": 4}"#,
-                ),
-                "$.traffic.high_duty",
-            ),
-            (
-                traffic(
-                    r#"{"model": "diurnal", "low_duty": 0.1, "high_duty": 0.9,
-                            "day_rounds": 1, "mean_burst_rounds": 4}"#,
-                ),
-                "$.traffic.day_rounds",
-            ),
-            (
-                traffic(
-                    r#"{"model": "diurnal", "low_duty": 0.1, "high_duty": 0.9,
-                            "day_rounds": 200, "mean_burst_rounds": 0}"#,
-                ),
-                "$.traffic.mean_burst_rounds",
-            ),
-            (
-                traffic(
-                    r#"{"model": "flash_crowd", "base_duty": 2, "flash_every_rounds": 50,
-                            "flash_rounds": 5}"#,
-                ),
-                "$.traffic.base_duty",
-            ),
-            (
-                traffic(
-                    r#"{"model": "flash_crowd", "base_duty": 0.2, "flash_every_rounds": 1,
-                            "flash_rounds": 1}"#,
-                ),
-                "$.traffic.flash_every_rounds",
-            ),
-            (
-                traffic(
-                    r#"{"model": "flash_crowd", "base_duty": 0.2, "flash_every_rounds": 50,
-                            "flash_rounds": 51}"#,
-                ),
-                "$.traffic.flash_rounds",
-            ),
-            (
-                traffic(
-                    r#"{"model": "churn", "attached_fraction": 1.5, "mean_session_rounds": 30}"#,
-                ),
-                "$.traffic.attached_fraction",
-            ),
-            (
-                traffic(
-                    r#"{"model": "churn", "attached_fraction": 0.5, "mean_session_rounds": 0.5}"#,
-                ),
-                "$.traffic.mean_session_rounds",
+                traffic(r#"{"model": "poisson", "mean_arrivals_per_round": 0.5}"#),
+                "$.traffic.model",
             ),
             (
                 dynamics(r#"{"mobile_fraction": 1.5}"#),

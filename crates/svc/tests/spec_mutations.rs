@@ -245,24 +245,6 @@ fn bases() -> Vec<(String, Json)> {
             duty: 0.3,
             mean_burst_rounds: 4.0,
         },
-        TrafficKind::Poisson {
-            mean_arrivals_per_round: 0.8,
-        },
-        TrafficKind::Diurnal {
-            low_duty: 0.1,
-            high_duty: 0.9,
-            day_rounds: 200,
-            mean_burst_rounds: 4.0,
-        },
-        TrafficKind::FlashCrowd {
-            base_duty: 0.2,
-            flash_every_rounds: 50,
-            flash_rounds: 5,
-        },
-        TrafficKind::Churn {
-            attached_fraction: 0.7,
-            mean_session_rounds: 30.0,
-        },
     ];
     for kind in traffic {
         let mut spec = JobSpec::new(ExperimentSpec::fig15(), 3);
