@@ -328,8 +328,14 @@ impl ChannelModel {
     /// quantity carrier sensing and coverage mapping react to on the
     /// measurement timescale (fading averages out).
     pub fn large_scale_rx_power_dbm(&self, tx: &Point, rx: &Point) -> f64 {
+        mw_to_dbm(self.large_scale_rx_power_mw(tx, rx))
+    }
+
+    /// [`large_scale_rx_power_dbm`](Self::large_scale_rx_power_dbm) in mW,
+    /// without the round trip through dB: what energy detection sums.
+    pub fn large_scale_rx_power_mw(&self, tx: &Point, rx: &Point) -> f64 {
         let amp = self.large_scale_amp(tx, rx);
-        mw_to_dbm(self.tx_power_mw * amp * amp)
+        self.tx_power_mw * amp * amp
     }
 
     /// One random received-power sample (dBm) at `rx` from a transmitter at

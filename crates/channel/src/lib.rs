@@ -11,7 +11,7 @@
 //! * [`geometry`] — 2-D points, distances, sector angles.
 //! * [`pathloss`] — log-distance path loss with wall attenuation.
 //! * [`shadowing`] — log-normal shadow fading.
-//! * [`fading`] — Rayleigh / Rician small-scale fading (Box–Muller Gaussian).
+//! * [`fading`] — Rayleigh / Rician small-scale fading (ziggurat Gaussian).
 //! * [`environment`] — calibrated parameter sets for the paper's "Office A"
 //!   (enterprise) and "Office B" (crowded graduate lab) environments.
 //! * [`topology`] — CAS / DAS antenna placement and client placement
@@ -27,7 +27,7 @@
 //! * [`rng`] — deterministic generators so every experiment is reproducible
 //!   from a seed: the sequential [`SimRng`] (set-up realisation, topology
 //!   draws) and the stateless, keyed [`CounterRng`] (fading evolution and
-//!   rows born mid-run).
+//!   rows born mid-run), both drawing normals by one ziggurat sampler.
 //!
 //! The crate knows nothing about precoding or MAC behaviour; it only models
 //! propagation.

@@ -13,6 +13,15 @@
 //! for `(seed, ap, link, round)` is the same no matter which draws ran
 //! before it.  Fading evolution is built on it — order-independence is
 //! what lets the simulator evolve only the channel rows a round reads.
+//!
+//! Both draw every standard normal through one sampler: Marsaglia &
+//! Tsang's 256-layer ziggurat ("The Ziggurat Method for Generating Random
+//! Variables", JSS 5(8), 2000) with Doornik's (2005) disjoint index bits.
+//! Its common path reads one raw word and calls no transcendental
+//! function; a rejection reads the next words of the same stream, so a
+//! keyed draw stays a pure function of its key.
+
+use std::sync::LazyLock;
 
 /// A small, fast, deterministic PRNG (xoshiro256** seeded via splitmix64).
 #[derive(Debug, Clone)]
@@ -41,18 +50,86 @@ fn unit_from_bits(bits: u64) -> f64 {
     (bits >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// One Box–Muller transform keeping **both** outputs.
-///
-/// The first component reproduces the classic single-output form
-/// `(-2 ln u).sqrt() * cos(2πv)` bit-for-bit (`sin_cos` returns the same
-/// cosine as `cos` — pinned by test); the second reuses the radius and the
-/// already-computed sine, so a pair costs one `ln`/`sqrt`/`sin_cos` instead
-/// of two of each.
+/// Layers of the ziggurat.
+const ZIG_LAYERS: usize = 256;
+/// Where the base layer's tail begins (Marsaglia & Tsang's
+/// 3.6541528853610088, the same `f64`).
+const ZIG_R: f64 = 3.654_152_885_361_009;
+/// The area of every layer (the base layer's includes its tail).
+const ZIG_V: f64 = 4.92867323399e-3;
+
+/// The unnormalised standard normal density `exp(−x²/2)`.
 #[inline]
-fn box_muller_pair(u: f64, v: f64) -> (f64, f64) {
-    let r = (-2.0 * u.ln()).sqrt();
-    let (sin, cos) = (2.0 * std::f64::consts::PI * v).sin_cos();
-    (r * cos, r * sin)
+fn normal_pdf(x: f64) -> f64 {
+    (-0.5 * x * x).exp()
+}
+
+/// Layer edges `x[0] = V/f(R) > x[1] = R > … > x[256] = 0` and the density
+/// at each, `f[i] = exp(−x[i]²/2)`.  Layer `i` is the box `[0, x[i]] ×
+/// [f[i], f[i+1]]`; the base layer `i = 0` is `[0, R] × [0, f(R)]` plus
+/// the tail beyond `R`, drawn as a box of width `V/f(R)`.
+struct Ziggurat {
+    x: [f64; ZIG_LAYERS + 1],
+    f: [f64; ZIG_LAYERS + 1],
+}
+
+static ZIGGURAT: LazyLock<Ziggurat> = LazyLock::new(|| {
+    let mut x = [0.0; ZIG_LAYERS + 1];
+    x[0] = ZIG_V / normal_pdf(ZIG_R);
+    x[1] = ZIG_R;
+    for i in 2..ZIG_LAYERS {
+        x[i] = (-2.0 * (ZIG_V / x[i - 1] + normal_pdf(x[i - 1])).ln()).sqrt();
+    }
+    Ziggurat {
+        x,
+        f: x.map(normal_pdf),
+    }
+});
+
+/// One standard normal draw by the ziggurat, reading raw words from
+/// `next_u64`.
+///
+/// One attempt reads one word: bits 0–7 pick the layer, bit 8 is the sign
+/// and bits 11–63 the uniform.  The ranges are disjoint, so the layer and
+/// the position within it are independent (Doornik's fix).  A point
+/// inside the layer below is accepted at once; a point in the base layer
+/// beyond `R` draws from the tail; any other point takes the wedge test
+/// against one more word and, on failure, a fresh attempt.
+#[inline]
+fn ziggurat(next_u64: &mut impl FnMut() -> u64) -> f64 {
+    let z = &*ZIGGURAT;
+    loop {
+        let bits = next_u64();
+        let i = (bits & 0xFF) as usize;
+        let x = unit_from_bits(bits) * z.x[i];
+        let magnitude = if x < z.x[i + 1] {
+            x
+        } else if i == 0 {
+            ziggurat_tail(next_u64)
+        } else if z.f[i] + unit_from_bits(next_u64()) * (z.f[i + 1] - z.f[i]) < normal_pdf(x) {
+            x
+        } else {
+            continue;
+        };
+        return if bits & 0x100 == 0 {
+            magnitude
+        } else {
+            -magnitude
+        };
+    }
+}
+
+/// A draw from the normal tail beyond [`ZIG_R`] (Marsaglia 1964): two
+/// words per attempt, repeated until `2b > a²`.
+#[cold]
+fn ziggurat_tail(next_u64: &mut impl FnMut() -> u64) -> f64 {
+    loop {
+        let a = -(1.0 - unit_from_bits(next_u64())).ln() / ZIG_R;
+        let b = -(1.0 - unit_from_bits(next_u64())).ln();
+        if 2.0 * b > a * a {
+            return ZIG_R + a;
+        }
+    }
 }
 
 impl SimRng {
@@ -124,36 +201,15 @@ impl SimRng {
         ((self.next_u64() as u128 * n as u128) >> 64) as usize
     }
 
-    /// Uniform sample in `(0, 1)`, bounded away from zero so `ln()` stays
-    /// finite — the rejection step of [`gaussian`](Self::gaussian).
-    fn nonzero_uniform(&mut self) -> f64 {
-        loop {
-            let u = self.uniform();
-            if u > 1e-300 {
-                break u;
-            }
-        }
-    }
-
-    /// Standard normal sample via the Box–Muller transform.
+    /// Standard normal sample (the ziggurat; see the module docs).
     pub fn gaussian(&mut self) -> f64 {
-        let u = self.nonzero_uniform();
-        let v = self.uniform();
-        (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos()
+        ziggurat(&mut || self.next_u64())
     }
 
-    /// Two independent standard normal samples from **one** Box–Muller
-    /// transform.
-    ///
-    /// Consumes exactly the uniforms of one [`gaussian`](Self::gaussian)
-    /// call, and the first component is bit-identical to what `gaussian`
-    /// would have returned (test-pinned); the second keeps the sine term a
-    /// lone `gaussian` discards.  Complex fading draws use this to halve
-    /// the transcendental count.
+    /// Two independent standard normal samples: two
+    /// [`gaussian`](Self::gaussian) draws in turn, bit for bit (test-pinned).
     pub fn gaussian_pair(&mut self) -> (f64, f64) {
-        let u = self.nonzero_uniform();
-        let v = self.uniform();
-        box_muller_pair(u, v)
+        (self.gaussian(), self.gaussian())
     }
 
     /// Fills `out` with independent standard normal pairs.
@@ -242,25 +298,11 @@ impl CounterRng {
         unit_from_bits(self.next_u64())
     }
 
-    /// Uniform sample in `(0, 1)`, bounded away from zero (see
-    /// `SimRng::nonzero_uniform`).  The rejection loop is safe here too:
-    /// the keyed stream is deterministic, so a rejection consumes the same
-    /// draws on every replay.
-    fn nonzero_uniform(&mut self) -> f64 {
-        loop {
-            let u = self.uniform();
-            if u > 1e-300 {
-                break u;
-            }
-        }
-    }
-
-    /// Two independent standard normal samples from one Box–Muller
-    /// transform (same kernel as [`SimRng::gaussian_pair`]).
+    /// Two independent standard normal samples, drawn in turn by the
+    /// same ziggurat as [`SimRng::gaussian`].
     pub fn gaussian_pair(&mut self) -> (f64, f64) {
-        let u = self.nonzero_uniform();
-        let v = self.uniform();
-        box_muller_pair(u, v)
+        let mut next = || self.next_u64();
+        (ziggurat(&mut next), ziggurat(&mut next))
     }
 
     /// Fills `out` with independent standard normal pairs — the batched
@@ -374,17 +416,16 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_pair_first_component_is_bitwise_gaussian() {
-        // The load-bearing equivalence: a pair call consumes the same
-        // uniforms as one gaussian() call and returns the same first
-        // component to the last bit, so switching a consumer from
-        // gaussian() to gaussian_pair().0 changes nothing.
+    fn gaussian_pair_is_two_lone_draws() {
+        // A pair is two gaussian() calls in turn, to the last bit, and
+        // consumes exactly their words (rejections included), so switching
+        // a consumer between the two forms changes nothing.
         let mut lone = SimRng::new(0xBEEF);
         let mut paired = SimRng::new(0xBEEF);
         for _ in 0..10_000 {
-            let g = lone.gaussian();
-            let (p0, _) = paired.gaussian_pair();
-            assert_eq!(g.to_bits(), p0.to_bits());
+            let (g0, g1) = (lone.gaussian(), lone.gaussian());
+            let (p0, p1) = paired.gaussian_pair();
+            assert_eq!((g0.to_bits(), g1.to_bits()), (p0.to_bits(), p1.to_bits()));
         }
         // And the streams stay in lockstep afterwards.
         assert_eq!(lone.next_u64(), paired.next_u64());
@@ -419,15 +460,6 @@ mod tests {
         for &(x, y) in &buf {
             let (bx, by) = b.gaussian_pair();
             assert_eq!((x.to_bits(), y.to_bits()), (bx.to_bits(), by.to_bits()));
-        }
-    }
-
-    #[test]
-    fn nonzero_uniform_stays_in_open_interval() {
-        let mut rng = SimRng::new(31);
-        for _ in 0..10_000 {
-            let u = rng.nonzero_uniform();
-            assert!(u > 0.0 && u < 1.0);
         }
     }
 

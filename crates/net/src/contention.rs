@@ -25,7 +25,7 @@
 
 use midas_channel::geometry::Point;
 use midas_channel::topology::Topology;
-use midas_channel::{dbm_to_mw, mw_to_dbm, ChannelModel, Environment};
+use midas_channel::{mw_to_dbm, ChannelModel, Environment};
 
 /// Carrier-sense predicate helper bound to an environment.
 #[derive(Debug, Clone)]
@@ -61,7 +61,7 @@ impl ContentionGraph {
     /// [`ContentionGraph::senses_any`] here and the simulator's sensing
     /// table alike.
     pub fn rx_mw(&self, tx: &Point, rx: &Point) -> f64 {
-        dbm_to_mw(self.model.large_scale_rx_power_dbm(tx, rx))
+        self.model.large_scale_rx_power_mw(tx, rx)
     }
 
     /// Whether an antenna that heard at least one transmitter, at an

@@ -256,8 +256,8 @@ fn dynamics_counters_are_pinned_for_a_small_seed() {
         DynamicsCounters {
             rows_born: 111,
             rows_freed: 58,
-            rows_refreshed: 1456,
-            shadow_redraws: 834,
+            rows_refreshed: 1431,
+            shadow_redraws: 827,
             membership_requeries: 1059,
             roaming_requeries: 557,
             roaming_scores: 250,
@@ -267,8 +267,8 @@ fn dynamics_counters_are_pinned_for_a_small_seed() {
     assert_eq!(
         s.fading_counters(),
         FadingCounters {
-            rows_caught_up: 513,
-            gaussian_pairs: 2052,
+            rows_caught_up: 481,
+            gaussian_pairs: 1924,
         }
     );
     // Off means no dynamics counters at all.

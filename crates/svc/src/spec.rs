@@ -31,14 +31,15 @@ use midas_net::scale::{AssociationPolicy, Scenario};
 /// Revision of the simulation's results, part of the cache key of every
 /// spec: bump it whenever any spec's result bytes change, so an existing
 /// cache never serves results of the old code as hits.
-/// Revision 5: on/off traffic is keyed by the global client id, so a
-/// client keeps its burst pattern through a handoff, which moves every
-/// on/off result.  (Revision 4: DRR credits only the clients that were
+/// Revision 6: every standard normal is drawn by a ziggurat instead of
+/// Box–Muller, which moves every result.  (Revision 5: on/off traffic is
+/// keyed by the global client id, so a client keeps its burst pattern
+/// through a handoff.  Revision 4: DRR credits only the clients that were
 /// backlogged.  Revision 3: a lagging channel row catches up in one
 /// skip-ahead fading step, and a moved client's rows are refreshed when
 /// read.  Revisions 1 and 2 covered dynamic specs only, as
 /// `dynamics_revision`.)
-const RESULT_REVISION: u64 = 5;
+const RESULT_REVISION: u64 = 6;
 
 /// A decode failure, locating the offending field.
 #[derive(Debug, Clone, PartialEq)]
@@ -1026,17 +1027,23 @@ mod tests {
         let static_spec = fig16_spec();
         let mut dynamic_spec = JobSpec::new(ExperimentSpec::fig15(), 5);
         dynamic_spec.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
-        // The ids these specs had before revision 5: at revisions 4 and 3,
-        // the static one before any revision member, the dynamic one at
+        // The ids these specs had before revision 6: at revisions 5, 4 and
+        // 3, the static one before any revision member, the dynamic one at
         // `dynamics_revision` 2 and at the earlier materials.
         let old_ids: [(&JobSpec, &[&str]); 2] = [
             (
                 &static_spec,
-                &["16220bcf9545596e", "6ffb66078732c51e", "b7fbebced12cdef5"],
+                &[
+                    "c2105dc0e30ed077",
+                    "16220bcf9545596e",
+                    "6ffb66078732c51e",
+                    "b7fbebced12cdef5",
+                ],
             ),
             (
                 &dynamic_spec,
                 &[
+                    "c7d2b042c477a1d2",
                     "cad279c038fd5b7b",
                     "68beade84a3550ab",
                     "63c62673e3b25cad",
@@ -1049,10 +1056,10 @@ mod tests {
             assert!(!old.contains(&spec.cache_key().as_str()), "{spec:?}");
             assert!(spec
                 .cache_key_material()
-                .contains(",\"result_revision\":5,"));
+                .contains(",\"result_revision\":6,"));
         }
-        assert_eq!(static_spec.cache_key(), "c2105dc0e30ed077");
-        assert_eq!(dynamic_spec.cache_key(), "c7d2b042c477a1d2");
+        assert_eq!(static_spec.cache_key(), "681540961e2ce286");
+        assert_eq!(dynamic_spec.cache_key(), "22c482158baaf194");
     }
 
     #[test]
@@ -1084,7 +1091,7 @@ mod tests {
             fig16_spec().cache_key_material(),
             "{\"experiment\":{\"contention\":{\"model\":\"graph\"},\
              \"kind\":\"fig16_eight_ap_simulation\",\"rounds\":10,\"topologies\":15},\
-             \"result_revision\":5,\
+             \"result_revision\":6,\
              \"seed\":73125,\"traffic\":{\"model\":\"full_buffer\"}}"
         );
     }
