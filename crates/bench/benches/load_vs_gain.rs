@@ -65,8 +65,8 @@ fn main() {
     );
     fig.note(
         "gain is the ratio of per-trial median MIDAS to median CAS network capacity; \
-         under light load both MACs serve nearly every arrival, and at saturation mobility \
-         erodes the precoding advantage (see README, load_vs_gain)",
+         under light load both MACs serve nearly every arrival, and the full-load point \
+         moves with the draws of these topologies (see README, load_vs_gain)",
     );
     fig.emit();
 }

@@ -154,6 +154,28 @@ fn shadow_cell(p: &Point) -> (i64, i64) {
     (shadow_coord(p.x), shadow_coord(p.y))
 }
 
+/// Absorbs one grid cell into the frozen field's hash state.  The field
+/// hashes the transmit cell first, then the receive cell, so the state
+/// after the transmit cell serves every receiver.
+fn shadow_mix(mut h: u64, (x, y): (i64, i64)) -> u64 {
+    for coord in [x, y] {
+        h ^= (coord as u64).wrapping_mul(0x9E3779B97F4A7C15);
+        h = h.rotate_left(23).wrapping_mul(0xBF58476D1CE4E5B9);
+    }
+    h
+}
+
+/// The transmit side of one antenna in the frozen shadowing field.
+#[derive(Debug, Clone, PartialEq)]
+struct TxCell {
+    /// The field's hash state after the antenna's transmit cell.
+    hash: u64,
+    /// The first antenna of the set with the same hash (this one when
+    /// none): equal states give the same draw towards every receiver
+    /// cell, so the co-located antennas of a CAS array draw once a row.
+    first: usize,
+}
+
 /// Large-scale amplitude gain from path loss and shadowing in dB.
 #[inline]
 fn amp_from_db(pl_db: f64, shadow_db: f64) -> f64 {
@@ -166,7 +188,7 @@ const BIRTH_LANE: u64 = 1 << 63;
 
 /// Where a channel row's random draws come from: the model's sequential
 /// stream at set-up, or a keyed [`CounterRng`] stream for a row born
-/// mid-run.  Both feed the same row routine.
+/// mid-run.  Both feed the same draw half of the row routine.
 trait RowDraws {
     /// One CN(0, 1) scattered component.
     fn cn01(&mut self) -> Complex;
@@ -195,48 +217,64 @@ impl RowDraws for CounterRng {
     }
 }
 
-/// Dynamics-only companion of one AP's [`ChannelMatrix`]: what a moving
-/// client's row needs to be refreshed cheaply
-/// ([`ChannelModel::refresh_row_cached`]) or drawn afresh when the client
-/// comes into range ([`ChannelModel::birth_row`]).
+/// The per-AP companion of a [`ChannelMatrix`] that its rows are drawn
+/// through: the antennas' fading correlation and transmit shadowing cells
+/// and, for a dynamic run, the shadowing memo through which a moving
+/// client's row is refreshed cheaply ([`ChannelModel::refresh_row_cached`])
+/// or drawn afresh when the client comes into range
+/// ([`ChannelModel::birth_row`]).
 ///
 /// Shadowing is constant while a receiver stays inside one
 /// `SHADOWING_CELL_M` cell (correlated shadowing in the Gudmundson sense),
-/// so each row remembers the cell its shadowing was drawn in and the
-/// per-antenna values; a refresh re-derives path loss every time but
+/// so each memoised row remembers the cell its shadowing was drawn in and
+/// the per-antenna values; a refresh re-derives path loss every time but
 /// redraws shadowing only after a cell crossing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowCache {
     /// Lower-triangular Cholesky factor of the AP's antenna fading
     /// correlation, row-major.
     chol: Vec<f64>,
-    /// Receiver shadowing cell of each row when its shadowing was drawn.
+    /// Transmit side of each antenna in the frozen shadowing field.
+    tx: Vec<TxCell>,
+    /// Receiver shadowing cell of each memoised row when its shadowing
+    /// was drawn (empty without the memo).
     cells: Vec<(i64, i64)>,
-    /// Per row, per antenna: the shadowing (dB) drawn in that cell.
+    /// Per memoised row, per antenna: the shadowing (dB) drawn in that
+    /// cell.
     shadow_db: Vec<f64>,
     /// Scattered-component scratch of one row draw.
     z: Vec<Complex>,
+    /// Line-of-sight flags of one row (birth scratch).
+    los: Vec<bool>,
 }
 
 impl RowCache {
-    /// An empty cache for an AP with the given antennas.
-    fn new(antennas: &[Point], rows: usize) -> Self {
-        RowCache {
-            chol: antenna_correlation_cholesky(antennas),
-            cells: Vec::with_capacity(rows),
-            shadow_db: Vec::with_capacity(rows * antennas.len()),
-            z: Vec::with_capacity(antennas.len()),
-        }
-    }
-
     /// Bytes of heap the cache retains (capacities, not lengths).
     pub fn heap_footprint_bytes(&self) -> usize {
         use std::mem::size_of;
         self.chol.capacity() * size_of::<f64>()
+            + self.tx.capacity() * size_of::<TxCell>()
             + self.cells.capacity() * size_of::<(i64, i64)>()
             + self.shadow_db.capacity() * size_of::<f64>()
             + self.z.capacity() * size_of::<Complex>()
+            + self.los.capacity() * size_of::<bool>()
     }
+}
+
+/// The pure half of one AP's channel realisation
+/// ([`ChannelModel::large_scale_rows`]): each link's large-scale gain and
+/// line-of-sight flag, and the [`RowCache`] the rows are drawn through.
+/// It reads no random stream, so APs' pure halves may be computed in any
+/// order, on any thread; [`ChannelModel::draw_rows`] then draws the
+/// fading, in AP order.
+#[derive(Debug, Clone)]
+pub struct LargeScaleRows {
+    /// Large-scale amplitude gains, `clients × antennas`.
+    large_scale: FMat,
+    /// Whether each link (row-major) lies within the line-of-sight
+    /// distance.
+    los: Vec<bool>,
+    cache: RowCache,
 }
 
 /// Stateful channel generator bound to one environment.
@@ -290,14 +328,57 @@ impl ChannelModel {
         if self.env.shadowing.sigma_db == 0.0 {
             return 0.0;
         }
-        let (rx_x, rx_y) = shadow_cell(rx);
-        let mut h = self.shadow_field_seed;
-        for coord in [shadow_coord(tx.x), shadow_coord(tx.y), rx_x, rx_y] {
-            h ^= (coord as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            h = h.rotate_left(23).wrapping_mul(0xBF58476D1CE4E5B9);
-        }
-        let mut link_rng = SimRng::new(h);
+        self.shadow_from(self.shadow_tx_hash(tx), shadow_cell(rx))
+    }
+
+    /// The frozen field's hash state after the transmit cell of `tx`.
+    fn shadow_tx_hash(&self, tx: &Point) -> u64 {
+        shadow_mix(self.shadow_field_seed, shadow_cell(tx))
+    }
+
+    /// Shadowing (dB) towards receiver cell `rx` of a transmitter whose
+    /// field hash state is `tx_hash`.
+    fn shadow_from(&self, tx_hash: u64, rx: (i64, i64)) -> f64 {
+        let mut link_rng = SimRng::new(shadow_mix(tx_hash, rx));
         link_rng.gaussian_with(0.0, self.env.shadowing.sigma_db)
+    }
+
+    /// Shadowing (dB) from every antenna of `tx` to `rx` into `out`: the
+    /// receiver cell is found once, and antennas sharing a transmit cell
+    /// share one draw.  Each value equals
+    /// [`shadowing_db`](Self::shadowing_db) of its link, bit for bit.
+    fn shadow_row(&self, tx: &[TxCell], rx: &Point, out: &mut [f64]) {
+        if self.env.shadowing.sigma_db == 0.0 {
+            out.fill(0.0);
+            return;
+        }
+        let cell = shadow_cell(rx);
+        for (k, t) in tx.iter().enumerate() {
+            out[k] = if t.first < k {
+                out[t.first]
+            } else {
+                self.shadow_from(t.hash, cell)
+            };
+        }
+    }
+
+    /// The [`RowCache`] of an AP with the given antennas, with room for
+    /// `rows` memoised rows.
+    fn row_cache(&self, antennas: &[Point], rows: usize) -> RowCache {
+        let mut tx: Vec<TxCell> = Vec::with_capacity(antennas.len());
+        for (k, a) in antennas.iter().enumerate() {
+            let hash = self.shadow_tx_hash(a);
+            let first = tx.iter().position(|t| t.hash == hash).unwrap_or(k);
+            tx.push(TxCell { hash, first });
+        }
+        RowCache {
+            chol: antenna_correlation_cholesky(antennas),
+            tx,
+            cells: Vec::with_capacity(rows),
+            shadow_db: Vec::with_capacity(rows * antennas.len()),
+            z: Vec::with_capacity(antennas.len()),
+            los: vec![false; antennas.len()],
+        }
     }
 
     /// Large-scale amplitude gain (path loss + frozen shadowing) for a link.
@@ -365,102 +446,131 @@ impl ChannelModel {
     /// rests on — a CAS channel matrix is poorly conditioned for MU-MIMO even
     /// though its entries have similar magnitudes.
     pub fn realize_positions(&mut self, antennas: &[Point], clients: &[Point]) -> ChannelMatrix {
-        let chol = antenna_correlation_cholesky(antennas);
-        self.realize_rows(antennas, clients, &chol, None)
+        let rows = self.large_scale_rows(antennas, clients, false);
+        self.draw_rows(rows).0
     }
 
-    /// [`realize_positions`](Self::realize_positions) plus the
-    /// [`RowCache`] a dynamic run refreshes and grows the rows through.
-    /// Consumes exactly the same sequential draws, so the realisation is
-    /// bit-identical to `realize_positions`.
-    pub fn realize_positions_cached(
-        &mut self,
+    /// The pure half of a realisation between `antennas` and `clients`:
+    /// each link's distance, path loss, shadowing, large-scale gain and
+    /// line-of-sight flag.  It draws nothing.  With `memo`, the returned
+    /// cache also keeps each row's shadowing cell and values, which a
+    /// dynamic run refreshes and grows its rows through.
+    pub fn large_scale_rows(
+        &self,
         antennas: &[Point],
         clients: &[Point],
-    ) -> (ChannelMatrix, RowCache) {
-        let mut cache = RowCache::new(antennas, clients.len());
-        cache.cells.extend(clients.iter().map(shadow_cell));
-        cache.shadow_db.resize(clients.len() * antennas.len(), 0.0);
-        let RowCache {
-            chol, shadow_db, ..
-        } = &mut cache;
-        let ch = self.realize_rows(antennas, clients, chol, Some(shadow_db));
-        (ch, cache)
-    }
-
-    /// Realises one row per client from the model's sequential stream,
-    /// recording each link's shadowing into `shadow_db` when given.
-    fn realize_rows(
-        &mut self,
-        antennas: &[Point],
-        clients: &[Point],
-        chol: &[f64],
-        mut shadow_db: Option<&mut [f64]>,
-    ) -> ChannelMatrix {
-        let n_c = clients.len();
-        let n_a = antennas.len();
-        let mut h = CMat::zeros(n_c, n_a);
+        memo: bool,
+    ) -> LargeScaleRows {
+        let (n_c, n_a) = (clients.len(), antennas.len());
+        let mut cache = self.row_cache(antennas, if memo { n_c } else { 0 });
         let mut large_scale = FMat::zeros(n_c, n_a);
-        let mut z = Vec::with_capacity(n_a);
-        let mut rng = self.rng.clone();
+        let mut los = vec![false; n_c * n_a];
+        let mut scratch = Vec::new();
+        if memo {
+            cache.cells.extend(clients.iter().map(shadow_cell));
+            cache.shadow_db.resize(n_c * n_a, 0.0);
+        } else {
+            scratch.resize(n_a, 0.0);
+        }
         for (j, cpos) in clients.iter().enumerate() {
-            let shadow = shadow_db
-                .as_deref_mut()
-                .map(|s| &mut s[j * n_a..(j + 1) * n_a]);
-            self.fill_row(
-                &mut rng,
-                chol,
+            let shadow = if memo {
+                &mut cache.shadow_db[j * n_a..(j + 1) * n_a]
+            } else {
+                &mut scratch[..]
+            };
+            self.large_scale_row(
+                &cache.tx,
                 antennas,
                 cpos,
-                &mut z,
-                h.row_mut(j),
                 large_scale.row_mut(j),
+                &mut los[j * n_a..(j + 1) * n_a],
                 shadow,
             );
         }
+        LargeScaleRows {
+            large_scale,
+            los,
+            cache,
+        }
+    }
+
+    /// The draw half of a realisation: draws every row's fading from the
+    /// model's sequential stream, in row order, and returns the channel
+    /// with the cache it was drawn through.
+    pub fn draw_rows(&mut self, rows: LargeScaleRows) -> (ChannelMatrix, RowCache) {
+        let LargeScaleRows {
+            large_scale,
+            los,
+            mut cache,
+        } = rows;
+        let (n_c, n_a) = (large_scale.rows(), large_scale.cols());
+        let mut h = CMat::zeros(n_c, n_a);
+        let mut rng = self.rng.clone();
+        for j in 0..n_c {
+            self.draw_row(
+                &mut rng,
+                &cache.chol,
+                large_scale.row(j),
+                &los[j * n_a..(j + 1) * n_a],
+                &mut cache.z,
+                h.row_mut(j),
+            );
+        }
         self.rng = rng;
-        ChannelMatrix {
+        let channel = ChannelMatrix {
             h,
             large_scale,
             tx_power_mw: self.tx_power_mw,
             noise_mw: dbm_to_mw(self.env.noise_floor_dbm),
+        };
+        (channel, cache)
+    }
+
+    /// The pure half of the row routine every channel row goes through:
+    /// each link's large-scale gain and line-of-sight flag towards a
+    /// client at `cpos`, with the row's shadowing written to `shadow`.
+    fn large_scale_row(
+        &self,
+        tx: &[TxCell],
+        antennas: &[Point],
+        cpos: &Point,
+        g_row: &mut [f64],
+        los_row: &mut [bool],
+        shadow: &mut [f64],
+    ) {
+        self.shadow_row(tx, cpos, shadow);
+        for (k, apos) in antennas.iter().enumerate() {
+            let d = apos.distance(cpos);
+            g_row[k] = amp_from_db(self.path_loss_db(d), shadow[k]);
+            los_row[k] = d <= self.env.los_distance_m;
         }
     }
 
-    /// The one row routine every channel row is drawn through: Cholesky-
-    /// correlated CN(0, 1) scattered components across the antennas,
-    /// Rician inside `los_distance_m`, times the large-scale gain.  Draw
-    /// order: the row's `n` scattered components first, then one phase per
-    /// Rician link in antenna order.
-    #[allow(clippy::too_many_arguments)] // the row's inputs, outputs and scratch
-    fn fill_row<D: RowDraws>(
+    /// The draw half of the row routine: Cholesky-correlated CN(0, 1)
+    /// scattered components across the antennas, Rician on line-of-sight
+    /// links, times the large-scale gain.  Draw order: the row's `n`
+    /// scattered components first, then one phase per Rician link in
+    /// antenna order.
+    fn draw_row<D: RowDraws>(
         &self,
         draws: &mut D,
         chol: &[f64],
-        antennas: &[Point],
-        cpos: &Point,
+        g_row: &[f64],
+        los_row: &[bool],
         z: &mut Vec<Complex>,
         h_row: &mut [Complex],
-        g_row: &mut [f64],
-        mut shadow_out: Option<&mut [f64]>,
     ) {
-        let n_a = antennas.len();
+        let n_a = g_row.len();
         z.clear();
         for _ in 0..n_a {
             z.push(draws.cn01());
         }
-        for (k, apos) in antennas.iter().enumerate() {
+        for k in 0..n_a {
             // Correlated scattered component of this antenna.
             let scattered = (0..=k)
                 .map(|l| z[l].scale(chol[k * n_a + l]))
                 .fold(Complex::ZERO, |acc, x| acc + x);
-            let d = apos.distance(cpos);
-            let shadow_db = self.shadowing_db(apos, cpos);
-            if let Some(out) = shadow_out.as_deref_mut() {
-                out[k] = shadow_db;
-            }
-            let g = amp_from_db(self.path_loss_db(d), shadow_db);
-            let kind = if d <= self.env.los_distance_m {
+            let kind = if los_row[k] {
                 self.env.los_fading
             } else {
                 self.env.nlos_fading
@@ -475,8 +585,7 @@ impl ChannelModel {
                         + scattered.scale((1.0 / (k_lin + 1.0)).sqrt())
                 }
             };
-            g_row[k] = g;
-            h_row[k] = f.scale(g);
+            h_row[k] = f.scale(g_row[k]);
         }
     }
 
@@ -595,12 +704,12 @@ impl ChannelModel {
         let cell = shadow_cell(position);
         let redraw = cache.cells[row] != cell;
         let shadow = &mut cache.shadow_db[row * n..(row + 1) * n];
+        if redraw {
+            self.shadow_row(&cache.tx, position, shadow);
+        }
         let h_row = channel.h.row_mut(row);
         let g_row = channel.large_scale.row_mut(row);
         for (k, apos) in antennas.iter().enumerate() {
-            if redraw {
-                shadow[k] = self.shadowing_db(apos, position);
-            }
             let pl_db = self.path_loss_db(apos.distance(position));
             let g_new = amp_from_db(pl_db, shadow[k]);
             let g_old = g_row[k];
@@ -617,7 +726,7 @@ impl ChannelModel {
 
     /// Draws row `row` afresh for a client that came within range of the
     /// AP at `round`: the stationary state from the keyed stream
-    /// `(fading seed, ap, client, round)` through the same row routine
+    /// `(fading seed, ap, client, round)` through the same two row halves
     /// set-up uses, so the model's sequential stream is untouched.  `row`
     /// may equal the current row count, in which case the matrix and the
     /// cache grow by one row (in place, reusing retained capacity).
@@ -642,19 +751,30 @@ impl ChannelModel {
             cache.shadow_db.resize(cache.shadow_db.len() + n, 0.0);
         }
         cache.cells[row] = shadow_cell(position);
-        let mut draws = CounterRng::from_key([self.fading_seed, ap | BIRTH_LANE, client, round]);
         let RowCache {
-            chol, shadow_db, z, ..
-        } = cache;
-        self.fill_row(
-            &mut draws,
             chol,
+            tx,
+            shadow_db,
+            z,
+            los,
+            ..
+        } = cache;
+        self.large_scale_row(
+            tx,
             antennas,
             position,
+            channel.large_scale.row_mut(row),
+            los,
+            &mut shadow_db[row * n..(row + 1) * n],
+        );
+        let mut draws = CounterRng::from_key([self.fading_seed, ap | BIRTH_LANE, client, round]);
+        self.draw_row(
+            &mut draws,
+            chol,
+            channel.large_scale.row(row),
+            los,
             z,
             channel.h.row_mut(row),
-            channel.large_scale.row_mut(row),
-            Some(&mut shadow_db[row * n..(row + 1) * n]),
         );
     }
 
@@ -835,7 +955,8 @@ mod tests {
         let mut plain = ChannelModel::new(env, 12);
         let mut cached = ChannelModel::new(env, 12);
         let a = plain.realize_positions(antennas, &positions);
-        let (b, cache) = cached.realize_positions_cached(antennas, &positions);
+        let rows = cached.large_scale_rows(antennas, &positions, true);
+        let (b, cache) = cached.draw_rows(rows);
         assert_eq!(a, b);
         assert_eq!(cache.cells.len(), positions.len());
         // Both models consumed the same draws: their next realisations agree.
@@ -851,7 +972,8 @@ mod tests {
         let clients = topo.clients_of(0);
         let positions: Vec<Point> = clients.iter().map(|c| c.position).collect();
         let antennas = &topo.aps[0].antennas;
-        let (mut ch, mut cache) = model.realize_positions_cached(antennas, &positions);
+        let rows = model.large_scale_rows(antennas, &positions, true);
+        let (mut ch, mut cache) = model.draw_rows(rows);
         let rows = ch.num_clients();
         let p = Point::new(3.25, 9.5);
         // Growing birth: one new row past the end.
@@ -870,6 +992,33 @@ mod tests {
         // Another round keys another stream.
         model.birth_row(&mut ch, &mut cache, 1, antennas, &p, 0, 99, 8);
         assert_ne!(ch.h.row(1), born.as_slice());
+    }
+
+    #[test]
+    fn a_shared_transmit_cell_draws_each_links_own_shadowing() {
+        // Two co-located antennas (one CAS cell), one a cell away, and one
+        // a hair across a cell boundary from the first.
+        let antennas = [
+            Point::new(10.0, 10.0),
+            Point::new(10.03, 10.0),
+            Point::new(13.0, 10.0),
+            Point::new(10.0, 11.0),
+        ];
+        let model = ChannelModel::new(Environment::office_a(), 21);
+        let cache = model.row_cache(&antennas, 0);
+        let firsts: Vec<usize> = cache.tx.iter().map(|t| t.first).collect();
+        assert_eq!(firsts, [0, 0, 2, 3]);
+        let mut row = [0.0; 4];
+        for rx in [
+            Point::new(2.0, 3.0),
+            Point::new(25.5, 7.0),
+            Point::new(10.0, 10.0),
+        ] {
+            model.shadow_row(&cache.tx, &rx, &mut row);
+            for (k, a) in antennas.iter().enumerate() {
+                assert_eq!(row[k].to_bits(), model.shadowing_db(a, &rx).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod rng;
 pub mod shadowing;
 pub mod topology;
 
-pub use channel::{ChannelMatrix, ChannelModel, RowCache};
+pub use channel::{ChannelMatrix, ChannelModel, LargeScaleRows, RowCache};
 pub use environment::{Environment, EnvironmentKind};
 pub use geometry::Point;
 pub use rng::{CounterRng, SimRng};

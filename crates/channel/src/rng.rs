@@ -206,19 +206,6 @@ impl SimRng {
         ziggurat(&mut || self.next_u64())
     }
 
-    /// Two independent standard normal samples: two
-    /// [`gaussian`](Self::gaussian) draws in turn, bit for bit (test-pinned).
-    pub fn gaussian_pair(&mut self) -> (f64, f64) {
-        (self.gaussian(), self.gaussian())
-    }
-
-    /// Fills `out` with independent standard normal pairs.
-    pub fn fill_gaussian_pairs(&mut self, out: &mut [(f64, f64)]) {
-        for slot in out {
-            *slot = self.gaussian_pair();
-        }
-    }
-
     /// Normal sample with the given mean and standard deviation.
     pub fn gaussian_with(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.gaussian()
@@ -416,28 +403,12 @@ mod tests {
     }
 
     #[test]
-    fn gaussian_pair_is_two_lone_draws() {
-        // A pair is two gaussian() calls in turn, to the last bit, and
-        // consumes exactly their words (rejections included), so switching
-        // a consumer between the two forms changes nothing.
-        let mut lone = SimRng::new(0xBEEF);
-        let mut paired = SimRng::new(0xBEEF);
-        for _ in 0..10_000 {
-            let (g0, g1) = (lone.gaussian(), lone.gaussian());
-            let (p0, p1) = paired.gaussian_pair();
-            assert_eq!((g0.to_bits(), g1.to_bits()), (p0.to_bits(), p1.to_bits()));
-        }
-        // And the streams stay in lockstep afterwards.
-        assert_eq!(lone.next_u64(), paired.next_u64());
-    }
-
-    #[test]
     fn gaussian_pair_components_are_independent_standard_normals() {
         let mut rng = SimRng::new(23);
         let n = 50_000;
         let (mut s0, mut s1, mut sq0, mut sq1, mut cross) = (0.0, 0.0, 0.0, 0.0, 0.0);
         for _ in 0..n {
-            let (a, b) = rng.gaussian_pair();
+            let (a, b) = (rng.gaussian(), rng.gaussian());
             s0 += a;
             s1 += b;
             sq0 += a * a;
@@ -449,18 +420,6 @@ mod tests {
         assert!((sq0 / nf - 1.0).abs() < 0.05, "var0 {}", sq0 / nf);
         assert!((sq1 / nf - 1.0).abs() < 0.05, "var1 {}", sq1 / nf);
         assert!((cross / nf).abs() < 0.02, "corr {}", cross / nf);
-    }
-
-    #[test]
-    fn fill_gaussian_pairs_matches_repeated_pair_calls() {
-        let mut a = SimRng::new(29);
-        let mut b = SimRng::new(29);
-        let mut buf = [(0.0, 0.0); 17];
-        a.fill_gaussian_pairs(&mut buf);
-        for &(x, y) in &buf {
-            let (bx, by) = b.gaussian_pair();
-            assert_eq!((x.to_bits(), y.to_bits()), (bx.to_bits(), by.to_bits()));
-        }
     }
 
     #[test]

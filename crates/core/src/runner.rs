@@ -11,7 +11,10 @@
 //! overridden with the `MIDAS_THREADS` environment variable (clamped to
 //! `[1, 512]`); a sweep never uses more workers than it has trials.  A value
 //! that does not parse is an error, never a silent fallback: a sweep that
-//! reads one panics with a message naming the knob and the value.
+//! reads one panics with a message naming the knob and the value.  A sweep
+//! with fewer trials than threads hands each trial the rest as its share
+//! (`threads / workers`), which simulator set-up uses; the output stays
+//! bit-identical at any share.
 //!
 //! This module also holds the one reader of the workspace's `MIDAS_*`
 //! environment knobs ([`knob`], [`knob_list`], [`knob_path`]); midas-lint's
@@ -27,6 +30,7 @@
 //! assert_eq!(doubled, vec![0, 2, 4, 6]);
 //! ```
 
+use std::cell::Cell;
 use std::ffi::OsString;
 use std::panic::resume_unwind;
 use std::path::PathBuf;
@@ -39,6 +43,34 @@ const THREADS_ENV: &str = "MIDAS_THREADS";
 
 /// Upper bound on the worker count, however it was requested.
 const MAX_WORKERS: usize = 512;
+
+thread_local! {
+    /// Threads the trial running on this thread may use.
+    static TRIAL_THREADS: Cell<usize> = const { Cell::new(1) };
+}
+
+/// Threads the trial running on this thread may use: its sweep's thread
+/// count over the sweep's workers, at least 1; 1 outside a sweep.
+pub(crate) fn trial_threads() -> usize {
+    TRIAL_THREADS.with(Cell::get)
+}
+
+/// Sets this thread's trial share until dropped, then restores the share
+/// it replaced (so a sweep nested in a trial leaves its trial's share as
+/// it found it, unwinding included).
+struct TrialShare(usize);
+
+impl TrialShare {
+    fn set(threads: usize) -> Self {
+        TrialShare(TRIAL_THREADS.with(|share| share.replace(threads)))
+    }
+}
+
+impl Drop for TrialShare {
+    fn drop(&mut self) {
+        TRIAL_THREADS.with(|share| share.set(self.0));
+    }
+}
 
 /// One independent experiment trial: maps `(trial_index, trial_seed)` to a
 /// sample. Implemented for every `Fn(usize, u64) -> Sample + Sync` closure,
@@ -200,21 +232,28 @@ impl SeedSweep {
 
     /// Number of workers a sweep of `trials` trials would use.
     pub fn workers_for(&self, trials: usize) -> usize {
-        self.threads
-            .unwrap_or_else(default_workers)
-            .min(trials)
-            .max(1)
+        self.workers_and_share(trials).0
+    }
+
+    /// The workers a sweep of `trials` trials uses, and each trial's share
+    /// of the sweep's threads: `threads / workers`, at least 1.
+    fn workers_and_share(&self, trials: usize) -> (usize, usize) {
+        let threads = self.threads.unwrap_or_else(default_workers);
+        let workers = threads.min(trials).max(1);
+        (workers, (threads / workers).max(1))
     }
 
     /// Runs `trials` independent trials and returns their samples in trial
     /// order. A panic in any trial propagates to the caller with its
-    /// original payload.
+    /// original payload.  Each trial runs with `threads / workers` threads
+    /// as its share, at least 1, which simulator set-up reads.
     pub fn run<T: Trial + ?Sized>(&self, trials: usize, trial: &T) -> Vec<T::Sample> {
         if trials == 0 {
             return Vec::new();
         }
-        let workers = self.workers_for(trials);
+        let (workers, share) = self.workers_and_share(trials);
         if workers == 1 {
+            let _share = TrialShare::set(share);
             return (0..trials)
                 .map(|t| trial.run(t, self.trial_seed(t)))
                 .collect();
@@ -232,6 +271,7 @@ impl SeedSweep {
                 .map(|_| {
                     let next = &next;
                     scope.spawn(move || {
+                        let _share = TrialShare::set(share);
                         let mut local = Vec::new();
                         loop {
                             let t = next.fetch_add(1, Ordering::Relaxed);
@@ -473,6 +513,55 @@ mod tests {
     #[test]
     fn default_workers_is_at_least_one() {
         assert!(default_workers() >= 1);
+    }
+
+    #[test]
+    fn each_trial_gets_the_threads_its_sweep_leaves_over() {
+        // (threads, trials, share): threads / workers, workers = min(threads, trials).
+        for (threads, trials, share) in [
+            (1, 1, 1),
+            (2, 1, 2),
+            (4, 1, 4),
+            (4, 2, 2),
+            (4, 3, 1),
+            (2, 15, 1),
+            (8, 3, 2),
+        ] {
+            let shares = SeedSweep::new(0)
+                .with_threads(threads)
+                .run(trials, &|_t: usize, _s: u64| trial_threads());
+            assert_eq!(
+                shares,
+                vec![share; trials],
+                "{threads} threads, {trials} trials"
+            );
+        }
+        // Outside a sweep, and after one, the share is 1.
+        assert_eq!(trial_threads(), 1);
+    }
+
+    #[test]
+    fn a_nested_sweep_restores_its_trials_share() {
+        let shares = SeedSweep::new(0)
+            .with_threads(4)
+            .run(1, &|_t: usize, _s: u64| {
+                let inner = SeedSweep::new(1)
+                    .with_threads(2)
+                    .run(2, &|_t: usize, _s: u64| trial_threads());
+                (inner, trial_threads())
+            });
+        assert_eq!(shares, vec![(vec![1, 1], 4)]);
+        let caught = catch_unwind(|| {
+            SeedSweep::new(0)
+                .with_threads(3)
+                .run(1, &|_t: usize, _s: u64| panic!("boom"));
+        });
+        assert!(caught.is_err());
+        assert_eq!(
+            trial_threads(),
+            1,
+            "an unwinding serial sweep restores the share"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use crate::runner::SeedSweep;
+use crate::runner::{trial_threads, SeedSweep};
 use crate::sim::source::TopologySource;
 use midas_net::capture::ContentionModel;
 use midas_net::deployment::PairedTopology;
@@ -334,13 +334,15 @@ impl SessionTrial<'_> {
 
     /// Builds the simulator for one MAC variant ([`MacKind::Cas`] runs the
     /// co-located deployment, [`MacKind::Midas`] the distributed one) with
-    /// the session's traffic workload installed.
+    /// the session's traffic workload installed.  Inside a sweep, set-up
+    /// runs on the trial's share of the sweep's threads; the simulator is
+    /// bit-identical at any share.
     pub fn simulator(&self, mac: MacKind) -> NetworkSimulator {
         let topo = match mac {
             MacKind::Cas => self.pair.cas.clone(),
             MacKind::Midas => self.pair.das.clone(),
         };
-        let sim = NetworkSimulator::new(topo, self.config(mac))
+        let sim = NetworkSimulator::new_with_setup_threads(topo, self.config(mac), trial_threads())
             .with_traffic_kind(self.session.inner.traffic);
         if self.session.inner.stage_profiling {
             sim.with_stage_profiling()
@@ -425,6 +427,34 @@ mod tests {
             assert_eq!(cas.rounds(), 4);
             assert_eq!(das.rounds(), 4);
             assert!(das.mean_capacity() > 0.0);
+        }
+    }
+
+    #[test]
+    fn a_one_trial_sweep_is_bit_identical_at_any_share() {
+        // One trial on 1, 2 and 4 threads: the trial runs with the whole
+        // sweep as its share, and both simulators come out the same.
+        let run = |threads: usize| {
+            SessionBuilder::new(midas_net::scale::Scenario::enterprise_office(16))
+                .rounds(4)
+                .seed_mix(1021, 101)
+                .threads(threads)
+                .build()
+                .run_trials(1, 5, &|trial: &SessionTrial<'_>| {
+                    (
+                        trial_threads(),
+                        trial.simulate(MacKind::Cas),
+                        trial.simulate(MacKind::Midas),
+                    )
+                })
+        };
+        let one = run(1);
+        assert_eq!(one[0].0, 1);
+        for threads in [2, 4] {
+            let shared = run(threads);
+            assert_eq!(shared[0].0, threads);
+            assert_eq!(shared[0].1, one[0].1, "CAS at {threads} threads");
+            assert_eq!(shared[0].2, one[0].2, "MIDAS at {threads} threads");
         }
     }
 

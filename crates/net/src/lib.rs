@@ -45,6 +45,7 @@ pub mod hidden_terminal;
 pub mod metrics;
 pub mod observer;
 pub mod scale;
+mod setup;
 pub mod simulator;
 pub mod spatial_reuse;
 pub mod traffic;

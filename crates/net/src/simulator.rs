@@ -19,6 +19,7 @@ use crate::dynamics::{DynamicsCounters, DynamicsSpec, DynamicsState};
 use crate::metrics::Cdf;
 use crate::observer::{Accumulate, Observer, RoundRecord};
 use crate::scale::index::{squared_distance, within, NeighborTracker, SpatialIndex};
+use crate::setup::{ap_row_clients, expected_links, ordered_map, PARALLEL_SETUP_MIN_LINKS};
 use crate::traffic::TrafficKind;
 use midas_channel::geometry::Point;
 use midas_channel::topology::Topology;
@@ -1299,6 +1300,35 @@ impl NetworkSimulator {
     /// [`Reassociator::new`](crate::scale::Reassociator::new) does: if the
     /// environment's path loss does not grow with distance.
     pub fn new(topo: Topology, config: NetworkSimConfig) -> Self {
+        Self::new_with_setup_threads(topo, config, 1)
+    }
+
+    /// [`new`](Self::new) with set-up's pure half — row discovery and each
+    /// link's large-scale gain — on up to `setup_threads` threads, when the
+    /// floor's in-range links reach a size gate.  The simulator is
+    /// bit-identical at any thread count: only work that reads no random
+    /// stream runs in parallel, and the fading draws are composed in AP
+    /// order on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Where [`new`](Self::new) does.
+    pub fn new_with_setup_threads(
+        topo: Topology,
+        config: NetworkSimConfig,
+        setup_threads: usize,
+    ) -> Self {
+        Self::build(topo, config, setup_threads, PARALLEL_SETUP_MIN_LINKS)
+    }
+
+    /// The one constructor: helpers are spawned only when the floor's
+    /// expected in-range links reach `min_links`.
+    fn build(
+        topo: Topology,
+        config: NetworkSimConfig,
+        setup_threads: usize,
+        min_links: f64,
+    ) -> Self {
         let cutoff = config.interaction_range_m;
         assert!(
             cutoff > 0.0,
@@ -1325,53 +1355,57 @@ impl NetworkSimulator {
                 &topo.clients.iter().map(|c| c.position).collect::<Vec<_>>(),
             )
         });
-        // Set-up scratch, retained across APs: one antenna's index hits,
-        // one AP's row clients and their positions.
-        let (mut hits, mut visible, mut positions) = (Vec::new(), Vec::new(), Vec::new());
+        // Rows: the clients in range of any of an AP's antennas, plus its
+        // own.  Their large-scale half reads no random stream, so it runs
+        // on the set-up threads; the fading draws are composed here, in AP
+        // order.  A dynamic run also keeps the shadowing memo its refreshes
+        // and births go through.
+        let memo = config.dynamics.is_some();
+        let threads = if expected_links(&topo, cutoff) >= min_links {
+            setup_threads
+        } else {
+            1
+        };
+        let pure_model = model.clone();
         let mut dynamic_aps = Vec::new();
         let mut channels = Vec::with_capacity(topo.aps.len());
-        for ap in &topo.aps {
-            // Rows: every client within the interaction range of any of
-            // this AP's antennas (their signal/interference is exactly zero
-            // beyond it), plus the AP's own clients so scheduling state is
-            // always defined.
-            visible.clear();
-            match &client_index {
-                Some(index) => {
-                    for a in &ap.antennas {
-                        index.neighbors_within_into(a, cutoff, &mut hits);
-                        visible.extend_from_slice(&hits);
-                    }
-                    visible.extend_from_slice(&own_clients[ap.ap_id]);
-                    visible.sort_unstable();
-                    visible.dedup();
+        ordered_map(
+            topo.aps.len(),
+            threads,
+            |a| {
+                let ap = &topo.aps[a];
+                let clients = ap_row_clients(
+                    ap,
+                    client_index.as_ref(),
+                    &own_clients[ap.ap_id],
+                    num_clients,
+                    cutoff,
+                );
+                let positions: Vec<Point> = clients
+                    .iter()
+                    .map(|&c| topo.clients[c as usize].position)
+                    .collect();
+                let rows = pure_model.large_scale_rows(&ap.antennas, &positions, memo);
+                (clients, rows)
+            },
+            |(clients, rows)| {
+                let (ch, cache) = model.draw_rows(rows);
+                let n = clients.len();
+                if memo {
+                    dynamic_aps.push(ApRows {
+                        cache,
+                        free: Vec::new(),
+                        epoch: vec![0; n],
+                    });
                 }
-                None => visible.extend(0..num_clients),
-            }
-            positions.clear();
-            positions.extend(visible.iter().map(|&c| topo.clients[c].position));
-            // Same draws either way; a dynamic run also keeps the shadowing
-            // memo its refreshes and births go through.
-            let ch = if config.dynamics.is_some() {
-                let (ch, cache) = model.realize_positions_cached(&ap.antennas, &positions);
-                dynamic_aps.push(ApRows {
-                    cache,
-                    free: Vec::new(),
-                    epoch: vec![0; visible.len()],
+                channels.push(ApChannel {
+                    ch,
+                    clients,
+                    rows: (0..n as u32).collect(),
+                    next_round: vec![0; n],
                 });
-                ch
-            } else {
-                model.realize_positions(&ap.antennas, &positions)
-            };
-            let mut clients = Vec::with_capacity(visible.len());
-            clients.extend(visible.iter().map(|&c| c as u32));
-            channels.push(ApChannel {
-                ch,
-                clients,
-                rows: (0..visible.len() as u32).collect(),
-                next_round: vec![0; visible.len()],
-            });
-        }
+            },
+        );
 
         let sensing = SensingTable::new(&topo, graph, cutoff);
         let workspace =
@@ -3052,5 +3086,84 @@ mod tests {
             das_capacity > cas_capacity,
             "MIDAS capacity {das_capacity:.1} should exceed CAS {cas_capacity:.1}"
         );
+    }
+
+    /// One round record, bit for bit: the round, its deliveries with the
+    /// capacity's bits, the transmitting APs and the stream count.
+    type LoggedRound = (usize, Vec<(usize, usize, u64)>, Vec<usize>, usize);
+
+    /// Every round of one run.
+    #[derive(Default)]
+    struct RoundLog(Vec<LoggedRound>);
+
+    impl Observer for RoundLog {
+        fn on_round(&mut self, record: &RoundRecord<'_>) {
+            let deliveries = record
+                .deliveries
+                .iter()
+                .map(|&(c, ap, cap)| (c, ap, cap.to_bits()))
+                .collect();
+            self.0.push((
+                record.round,
+                deliveries,
+                record.transmitting_aps.to_vec(),
+                record.streams,
+            ));
+        }
+    }
+
+    /// Set-up on 1, 2 and 3 threads, with the size gate forced open, builds
+    /// the same simulator: every round record and every fading and sensing
+    /// counter agree, on the 16-AP office at its finite range (static and
+    /// walking) and on the paper's 8-AP floor at infinite range, under
+    /// MIDAS and CAS.
+    #[test]
+    fn set_up_is_bit_identical_at_any_thread_count() {
+        let office = crate::scale::Scenario::enterprise_office(16);
+        let paper_env = Environment::office_a();
+        let paper_cfg = crate::deployment::paper_das_config(&paper_env, 4, 4);
+        let paper = PairedTopology::eight_ap(&paper_cfg, &paper_env, &mut SimRng::new(3));
+        let office_pair = office.build(3).expect("buildable scenario");
+        let rounds = 10;
+        let mut checked = 0;
+        for mac in [MacKind::Midas, MacKind::Cas] {
+            let pick = |pair: &PairedTopology| match mac {
+                MacKind::Midas => pair.das.clone(),
+                MacKind::Cas => pair.cas.clone(),
+            };
+            let static_office = office.sim_config(mac, rounds, 3);
+            assert!(static_office.interaction_range_m.is_finite());
+            let walking_office = NetworkSimConfig {
+                dynamics: Some(DynamicsSpec::roaming_walk(1.4)),
+                ..static_office
+            };
+            let paper_config = NetworkSimConfig {
+                rounds,
+                ..match mac {
+                    MacKind::Midas => NetworkSimConfig::midas(paper_env, 3),
+                    MacKind::Cas => NetworkSimConfig::cas(paper_env, 3),
+                }
+            };
+            assert!(paper_config.interaction_range_m.is_infinite());
+            for (topo, config) in [
+                (pick(&office_pair), static_office),
+                (pick(&office_pair), walking_office),
+                (pick(&paper), paper_config),
+            ] {
+                let run = |threads: usize| {
+                    let mut sim = NetworkSimulator::build(topo.clone(), config, threads, 0.0);
+                    let mut log = RoundLog::default();
+                    sim.run_with(&mut log);
+                    (log.0, sim.fading_counters(), sim.sensing_counters())
+                };
+                let one = run(1);
+                assert_eq!(one.0.len(), rounds);
+                for threads in [2, 3] {
+                    assert!(run(threads) == one, "{mac:?}, {threads} threads");
+                }
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 6);
     }
 }

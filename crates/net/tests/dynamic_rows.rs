@@ -158,7 +158,8 @@ fn cached_refresh_is_bit_identical_to_refresh_large_scale_row() {
             .map(|_| Point::new(rng.uniform_range(0.0, 20.0), rng.uniform_range(0.0, 20.0)))
             .collect();
         let mut model = ChannelModel::new(env, 31);
-        let (mut cached, mut cache) = model.realize_positions_cached(&antennas, &positions);
+        let rows = model.large_scale_rows(&antennas, &positions, true);
+        let (mut cached, mut cache) = model.draw_rows(rows);
         let mut plain = cached.clone();
         let cell = |p: &Point| ((p.x / 2.0).round() as i64, (p.y / 2.0).round() as i64);
         let (mut crossings, mut redraws) = (0usize, 0usize);

@@ -18,7 +18,7 @@ use midas_net::scale::grid::ClientPlacement;
 use midas_net::scale::{
     associate, AssociationPolicy, FloorGrid, Reassociator, Scenario, SpatialIndex,
 };
-use midas_net::simulator::{MacKind, NetworkSimulator};
+use midas_net::simulator::{MacKind, NetworkSimConfig, NetworkSimulator};
 use proptest::prelude::*;
 
 /// Draws a random floor grid covering all three placement models.
@@ -585,6 +585,90 @@ proptest! {
         associate(&mut expected.das, &env, policy);
         prop_assert_eq!(pair.cas, expected.cas);
         prop_assert_eq!(pair.das, expected.das);
+    }
+}
+
+/// Shifts each AP's antennas so its antenna 0 sits on an integer point,
+/// then appends clients around every AP's antenna 0: exactly `cutoff` away
+/// (integer offsets, `cutoff` a multiple of 5, so the distance is exact),
+/// and one ulp either side in x; each is owned by the next AP, so its own
+/// AP's rows do not hide it.
+fn add_cutoff_clients(topo: &mut Topology, cutoff: f64) {
+    let n = topo.aps.len();
+    let nudge = |x: f64, ulps: i64| f64::from_bits((x.to_bits() as i64 + ulps) as u64);
+    let (a, b) = (3.0 * cutoff / 5.0, 4.0 * cutoff / 5.0);
+    for ap in 0..n {
+        let a0 = topo.aps[ap].antennas[0];
+        let (sx, sy) = (a0.x.round() - a0.x, a0.y.round() - a0.y);
+        for p in &mut topo.aps[ap].antennas {
+            *p = Point::new(p.x + sx, p.y + sy);
+        }
+        let a0 = topo.aps[ap].antennas[0];
+        for (dx, dy) in [(cutoff, 0.0), (0.0, -cutoff), (-a, b), (a, -b)] {
+            for ulps in [-1, 0, 1] {
+                let id = topo.clients.len();
+                topo.clients.push(Client {
+                    id,
+                    ap_id: (ap + 1) % n,
+                    position: Point::new(nudge(a0.x + dx, ulps), a0.y + dy),
+                });
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Set-up's one index query per AP finds exactly the rows of a query
+    /// per antenna: on random paired floors — co-located CAS arrays and
+    /// DAS antennas metres apart — with clients exactly at the cutoff from
+    /// an antenna and one ulp either side, every AP's rows are the
+    /// brute-force union (`distance <= cutoff` from any of its antennas),
+    /// plus its own clients.
+    #[test]
+    fn set_up_rows_are_the_brute_force_per_antenna_union(
+        seed in 0u64..1_000_000,
+        cols in 1usize..5,
+        rows in 1usize..4,
+        spacing in 8.0f64..20.0,
+        cutoff_sel in 0usize..3,
+    ) {
+        let grid = random_grid(cols, rows, spacing, seed as usize);
+        let env = Environment::open_plan();
+        let pair = grid
+            .generate_paired(&TopologyConfig::das(4, 4), &env, AssociationPolicy::AntennaAware, &mut SimRng::new(seed))
+            .expect("valid grid");
+        let cutoff = [10.0, 15.0, 25.0][cutoff_sel];
+        for (mut topo, mut config) in [
+            (pair.cas, NetworkSimConfig::cas(env, seed)),
+            (pair.das, NetworkSimConfig::midas(env, seed)),
+        ] {
+            add_cutoff_clients(&mut topo, cutoff);
+            let at_cutoff = topo
+                .clients
+                .iter()
+                .filter(|c| topo.aps.iter().any(|ap| ap.antennas[0].distance(&c.position) == cutoff))
+                .count();
+            prop_assert!(at_cutoff >= 4 * topo.aps.len(), "{} clients at the cutoff", at_cutoff);
+            config.interaction_range_m = cutoff;
+            let sim = NetworkSimulator::new(topo.clone(), config);
+            for ap in 0..topo.aps.len() {
+                let brute: Vec<usize> = topo
+                    .clients
+                    .iter()
+                    .filter(|c| {
+                        c.ap_id == ap
+                            || topo.aps[ap]
+                                .antennas
+                                .iter()
+                                .any(|a| a.distance(&c.position) <= cutoff)
+                    })
+                    .map(|c| c.id)
+                    .collect();
+                prop_assert_eq!(sim.channel_rows(ap).collect::<Vec<_>>(), brute, "AP {}", ap);
+            }
+        }
     }
 }
 
